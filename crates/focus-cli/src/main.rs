@@ -39,6 +39,9 @@
 //! indexes (`FOCUS_INDEX_BUDGET` is the env-var equivalent; `0` forces the
 //! horizontal scan). Counts are bit-identical for every budget.
 //!
+//! A flag the command does not know is an error, never silently ignored,
+//! and `--minsup` must lie in (0, 1].
+//!
 //! Standalone datasets and models use the plain-text formats of
 //! `focus_data::io` / `focus_core::persist`. Registries default to the
 //! same text artifacts, but `registry-add --format bin [--shards N]`
@@ -58,7 +61,7 @@ use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_data::io::{
     read_labeled_table, read_transactions, write_labeled_table, write_transactions,
 };
-use focus_mining::{Apriori, AprioriParams, CountBackend};
+use focus_mining::{Apriori, AprioriParams};
 use focus_registry::{
     DeviationMatrix, MatrixParams, Registry, RegistryLayout, SnapshotFamily, SnapshotKind,
     StorageFormat,
@@ -81,6 +84,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = check_flags(command, &flags) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     // Global flag, honoured by every command: worker threads for dataset
     // scans, model induction, and bootstrap fan-out (0 = one per core).
     // Results are bit-identical for any setting; without the flag the
@@ -165,11 +172,6 @@ global flags:
                 fan-out (0 = one per core; default: FOCUS_THREADS env var,
                 else core count). Results are bit-identical for every
                 thread count.
-  --count-backend dfs|hashtree|vertical|diffset|auto
-                Apriori support-counting backend for mine/deviate/qualify
-                (default dfs; diffset = vertical with dEclat complement
-                rows for dense items; auto = cost-model dispatch). Mined
-                models are backend-independent.
   --index-budget B
                 byte cap on vertical tid-bitset indexes, consulted by the
                 counting cost model; accepts k/M/G suffixes (e.g. 512M),
@@ -177,6 +179,68 @@ global flags:
                 var, else 128M). Counts are budget-independent.";
 
 type Flags = HashMap<String, String>;
+
+/// Flags every command accepts.
+const GLOBAL_FLAGS: [&str; 2] = ["threads", "index-budget"];
+
+/// The flags `command` accepts besides [`GLOBAL_FLAGS`], or `None` for an
+/// unknown command (reported by the dispatcher instead).
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "gen-assoc" => &["out", "n", "pats", "patlen", "pattern-seed", "seed"],
+        "gen-class" => &["out", "n", "function", "seed", "noise"],
+        "mine" => &["data", "minsup", "out"],
+        "deviate" => &["d1", "d2", "minsup", "f", "g"],
+        "bound" => &["m1", "m2", "g"],
+        "qualify" => &["d1", "d2", "minsup", "reps", "seed"],
+        "tree" => &["data", "max-depth", "min-leaf", "render"],
+        "deviate-dt" => &["d1", "d2", "max-depth", "min-leaf"],
+        "registry-add" => &[
+            "dir",
+            "data",
+            "name",
+            "kind",
+            "minsup",
+            "max-depth",
+            "min-leaf",
+            "clusters",
+            "seed",
+            "format",
+            "shards",
+        ],
+        "matrix" => &["dir", "kind", "threshold", "top", "f", "g"],
+        "embed" => &["dir", "kind", "k"],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// Rejects, by name, a flag `command` does not know — a typo must fail
+/// loudly rather than silently fall back to the default.
+fn check_flags(command: &str, flags: &Flags) -> Result<(), String> {
+    let Some(known) = command_flags(command) else {
+        return Ok(());
+    };
+    let accepted = |name: &str| known.contains(&name) || GLOBAL_FLAGS.contains(&name);
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|name| !accepted(name))
+        .collect();
+    unknown.sort_unstable();
+    match unknown.first() {
+        None => Ok(()),
+        Some(name) => Err(format!(
+            "unknown flag --{name} for {command} (accepted: {})",
+            known
+                .iter()
+                .chain(&GLOBAL_FLAGS)
+                .map(|f| format!("--{f}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        )),
+    }
+}
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
@@ -255,18 +319,6 @@ fn gen_class(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn count_backend(flags: &Flags) -> Result<CountBackend, String> {
-    match flags.get("count-backend") {
-        None => Ok(CountBackend::default()),
-        Some(s) => CountBackend::parse(s).ok_or_else(|| {
-            format!(
-                "--count-backend must be {}, got {s:?}",
-                CountBackend::VALID_VALUES
-            )
-        }),
-    }
-}
-
 fn index_budget(flags: &Flags) -> Result<Option<usize>, String> {
     match flags.get("index-budget") {
         None => Ok(None),
@@ -281,20 +333,30 @@ fn index_budget(flags: &Flags) -> Result<Option<usize>, String> {
     }
 }
 
-fn miner(flags: &Flags, minsup: f64) -> Result<Apriori, String> {
-    Ok(Apriori::new(
+/// `--minsup` (default 0.01), validated to the (0, 1] range the miner
+/// requires.
+fn minsup(flags: &Flags) -> Result<f64, String> {
+    let minsup: f64 = opt(flags, "minsup", 0.01)?;
+    if minsup > 0.0 && minsup <= 1.0 {
+        Ok(minsup)
+    } else {
+        Err(format!("--minsup must be in (0, 1], got {minsup}"))
+    }
+}
+
+fn miner(minsup: f64) -> Apriori {
+    Apriori::new(
         AprioriParams::with_minsup(minsup)
             .max_len(10)
-            .min_count_floor(2)
-            .backend(count_backend(flags)?),
-    ))
+            .min_count_floor(2),
+    )
 }
 
 fn mine(flags: &Flags) -> Result<(), String> {
     let path = req(flags, "data")?;
-    let minsup: f64 = opt(flags, "minsup", 0.01)?;
+    let minsup = minsup(flags)?;
     let data = read_transactions(File::open(path).map_err(io_err)?).map_err(io_err)?;
-    let model = miner(flags, minsup)?.mine(&data);
+    let model = miner(minsup).mine(&data);
     eprintln!(
         "{}: {} frequent itemsets at minsup {}",
         path,
@@ -332,13 +394,13 @@ fn agg_fn(flags: &Flags) -> Result<AggFn, String> {
 }
 
 fn deviate(flags: &Flags) -> Result<(), String> {
-    let minsup: f64 = opt(flags, "minsup", 0.01)?;
+    let m = miner(minsup(flags)?);
+    let (f, g) = (diff_fn(flags)?, agg_fn(flags)?);
     let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
     let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
-    let m = miner(flags, minsup)?;
     let m1 = m.mine(&d1);
     let m2 = m.mine(&d2);
-    let dev = lits_deviation(&m1, &d1, &m2, &d2, diff_fn(flags)?, agg_fn(flags)?);
+    let dev = lits_deviation(&m1, &d1, &m2, &d2, f, g);
     println!("{:.6}", dev.value);
     eprintln!(
         "GCR: {} regions; models: {} and {} itemsets",
@@ -357,12 +419,14 @@ fn bound(flags: &Flags) -> Result<(), String> {
 }
 
 fn qualify(flags: &Flags) -> Result<(), String> {
-    let minsup: f64 = opt(flags, "minsup", 0.01)?;
+    let m = miner(minsup(flags)?);
     let reps: usize = opt(flags, "reps", 99)?;
+    if reps == 0 {
+        return Err("--reps must be at least 1: a significance needs bootstrap replicates".into());
+    }
     let seed: u64 = opt(flags, "seed", 7)?;
     let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
     let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
-    let m = miner(flags, minsup)?;
     let pipeline = |a: &focus_core::data::TransactionSet, b: &focus_core::data::TransactionSet| {
         let ma = m.mine(a);
         let mb = m.mine(b);
@@ -465,6 +529,9 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
     let name = req(flags, "name")?;
     let data_path = req(flags, "data")?;
     let kind = parse_kind(flags, Some(SnapshotKind::Lits))?.expect("defaulted");
+    // Validated before the registry is touched, so a bad threshold leaves
+    // no half-created directory behind.
+    let minsup = minsup(flags)?;
     // --format/--shards pick the layout of a *new* registry; an existing
     // one keeps the layout it was created with (a mismatch errors).
     let mut reg = if flags.contains_key("format") || flags.contains_key("shards") {
@@ -485,7 +552,6 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
     warn_torn(&reg);
     let entry = match kind {
         SnapshotKind::Lits => {
-            let minsup: f64 = opt(flags, "minsup", 0.01)?;
             let data = read_transactions(File::open(data_path).map_err(io_err)?).map_err(io_err)?;
             reg.add(name, &data, minsup).map_err(io_err)?
         }
@@ -677,32 +743,61 @@ mod tests {
     }
 
     #[test]
-    fn count_backend_flag_parsing() {
-        assert_eq!(count_backend(&flags_of(&[])).unwrap(), CountBackend::Dfs);
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "vertical"])).unwrap(),
-            CountBackend::Vertical
-        );
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "hash-tree"])).unwrap(),
-            CountBackend::HashTree
-        );
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "AUTO"])).unwrap(),
-            CountBackend::Auto
-        );
-        // The rejection names every valid spelling, so a typo is
-        // self-correcting from the error alone.
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "diffset"])).unwrap(),
-            CountBackend::Diffset
-        );
-        let err = count_backend(&flags_of(&["--count-backend", "nope"])).unwrap_err();
-        for valid in ["dfs", "hashtree", "vertical", "diffset", "auto"] {
-            assert!(err.contains(valid), "{err:?} should mention {valid:?}");
+    fn minsup_flag_validation() {
+        assert_eq!(minsup(&flags_of(&[])).unwrap(), 0.01);
+        assert_eq!(minsup(&flags_of(&["--minsup", "1"])).unwrap(), 1.0);
+        for bad in ["0", "1.5", "nan", "-1"] {
+            let err = minsup(&flags_of(&["--minsup", bad])).unwrap_err();
+            assert!(err.starts_with("--minsup must be in (0, 1], got"), "{err}");
         }
-        assert!(err.contains("nope"));
-        assert!(miner(&flags_of(&["--count-backend", "nope"]), 0.1).is_err());
+        assert!(minsup(&flags_of(&["--minsup", "lots"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        assert!(check_flags("mine", &flags_of(&["--data", "d", "--threads", "2"])).is_ok());
+        let err =
+            check_flags("mine", &flags_of(&["--data", "d", "--count-backnd", "x"])).unwrap_err();
+        assert!(err.contains("--count-backnd"), "{err}");
+        assert!(err.contains("--minsup"), "{err}: lists what is accepted");
+        // Flags are per command: --reps belongs to qualify only.
+        assert!(check_flags("deviate", &flags_of(&["--reps", "9"])).is_err());
+        assert!(check_flags("qualify", &flags_of(&["--reps", "9"])).is_ok());
+        // Unknown commands are the dispatcher's error, not this check's.
+        assert!(check_flags("no-such-command", &flags_of(&["--x", "1"])).is_ok());
+    }
+
+    #[test]
+    fn benchmark_invocations_are_accepted() {
+        // The flag sets the repository benchmark drives the CLI with.
+        for (command, args) in [
+            (
+                "deviate",
+                &["--d1", "a", "--d2", "b", "--minsup", "0.01"][..],
+            ),
+            (
+                "qualify",
+                &[
+                    "--d1", "a", "--d2", "b", "--minsup", "0.01", "--reps", "9", "--seed", "7",
+                ],
+            ),
+            (
+                "registry-add",
+                &[
+                    "--dir", "r", "--data", "d", "--name", "n", "--format", "bin", "--shards", "4",
+                    "--minsup", "0.01",
+                ],
+            ),
+            (
+                "registry-add",
+                &["--dir", "r", "--data", "d", "--name", "n", "--kind", "dt"],
+            ),
+            ("matrix", &["--kind", "lits", "--top", "10", "--dir", "r"]),
+            ("matrix", &["--kind", "lits", "--f", "fs", "--dir", "r"]),
+            ("embed", &["--kind", "lits", "--dir", "r"]),
+        ] {
+            check_flags(command, &flags_of(args)).unwrap();
+        }
     }
 
     #[test]

@@ -351,3 +351,97 @@ fn unknown_command_fails_nonzero() {
         .expect("failed to spawn focus-cli");
     assert!(!out.status.success());
 }
+
+/// Runs `focus-cli` expecting a clean failure: non-zero exit, an `error:`
+/// line, and no panic backtrace. Returns stderr.
+fn run_fail(args: &[&str]) -> String {
+    let out = Command::new(bin())
+        .args(args)
+        .output()
+        .expect("failed to spawn focus-cli");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!out.status.success(), "{args:?} must fail");
+    assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+    assert!(err.starts_with("error: "), "{args:?}: {err}");
+    err
+}
+
+#[test]
+fn out_of_range_minsup_is_a_named_error() {
+    let dir = scratch("minsup");
+    let d = dir.join("d.txt");
+    let reg = dir.join("reg");
+    run(&[
+        "gen-assoc",
+        "--out",
+        path_str(&d),
+        "--n",
+        "100",
+        "--pats",
+        "20",
+    ]);
+    let d = path_str(&d);
+    for bad in ["0", "1.5", "nan", "-1"] {
+        for args in [
+            vec!["mine", "--data", d, "--minsup", bad],
+            vec!["deviate", "--d1", d, "--d2", d, "--minsup", bad],
+            vec!["qualify", "--d1", d, "--d2", d, "--minsup", bad],
+            vec![
+                "registry-add",
+                "--dir",
+                path_str(&reg),
+                "--data",
+                d,
+                "--name",
+                "a",
+                "--minsup",
+                bad,
+            ],
+        ] {
+            let err = run_fail(&args);
+            assert!(
+                err.starts_with("error: --minsup must be in (0, 1], got"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    assert!(
+        !reg.exists(),
+        "a rejected registry-add must not create the registry"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn qualify_rejects_zero_replicates() {
+    let dir = scratch("reps");
+    let d = dir.join("d.txt");
+    run(&[
+        "gen-assoc",
+        "--out",
+        path_str(&d),
+        "--n",
+        "100",
+        "--pats",
+        "20",
+    ]);
+    let d = path_str(&d);
+    let err = run_fail(&["qualify", "--d1", d, "--d2", d, "--reps", "0"]);
+    assert!(err.contains("--reps"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    // A typo'd flag used to be ignored silently, running with the default.
+    let err = run_fail(&["mine", "--data", "d.txt", "--count-backnd", "auto"]);
+    assert!(
+        err.contains("unknown flag --count-backnd for mine"),
+        "{err}"
+    );
+    // Flags are per command: a valid flag of another command is unknown.
+    let err = run_fail(&["deviate", "--d1", "a", "--d2", "b", "--reps", "9"]);
+    assert!(err.contains("unknown flag --reps for deviate"), "{err}");
+    // The global flags stay accepted everywhere.
+    run(&["help", "--threads", "2", "--index-budget", "0"]);
+}

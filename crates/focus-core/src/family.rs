@@ -67,7 +67,7 @@ pub trait ModelFamily {
     /// The per-dataset access handle the measure scans read through
     /// (`Sync` so one handle is shared across a batch run's worker
     /// threads). Lits uses a [`CountSource`] — a counting handle that
-    /// caches its vertical index and picks a backend per workload via the
+    /// caches its vertical index and picks an arm per workload via the
     /// deterministic cost model — so repeated scans of one snapshot build
     /// the index at most once; dt and cluster scan their tables directly.
     type Source<'a>: Sync
@@ -264,13 +264,11 @@ pub(crate) fn extend_supports(
     if !missing.is_empty() {
         let to_count: Vec<Itemset> = missing.iter().map(|&i| regions[i].clone()).collect();
         // Cost-model dispatched: large workloads count through the
-        // source's cached vertical tid-bitset index (diffset-adaptive on
-        // dense data) instead of re-walking every transaction per
-        // itemset, and the vertical path batches the missing itemsets by
-        // shared (k−1)-prefix runs — one cached intersection mask per
-        // run, one masked popcount per sibling. Counts are identical
-        // either way, so measures stay bit-identical to the horizontal
-        // scan.
+        // source's cached vertical tid-bitset index, batched by shared
+        // (k−1)-prefix runs — one cached intersection mask per run, one
+        // masked popcount per sibling — instead of re-walking every
+        // transaction. Counts are identical either way, so measures stay
+        // bit-identical to the horizontal scan.
         let counts = source.counts(&to_count, par);
         let n = source.len().max(1) as f64;
         for (slot, &c) in missing.iter().zip(&counts) {

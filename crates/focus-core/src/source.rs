@@ -1,43 +1,39 @@
-//! The counting-source layer: one handle per dataset that serves itemset
-//! support counts through whichever backend a deterministic cost model
-//! picks, building the vertical index at most once per handle.
+//! The lits counting engine: one handle per dataset that answers every
+//! itemset-support question — Apriori's candidate levels and FOCUS's
+//! measure extension (Definition 3.6) alike — through whichever of two
+//! arms a deterministic cost model picks, building the vertical index at
+//! most once per handle.
 //!
-//! Every measure-extension scan in the FOCUS pipeline ultimately asks the
-//! same question — "how many transactions support each of these itemsets?"
-//! — yet before this module each call site chose its own access structure:
-//! the auto dispatcher built a throwaway [`VerticalIndex`] per call, and a
-//! `matrix` run re-indexed every snapshot for every surviving pair. A
-//! [`CountSource`] is the snapshot-scoped answer: it wraps the horizontal
-//! [`TransactionSet`] view (borrowed or owned) or a pre-built index, and
-//! lazily caches the index behind a [`OnceLock`] so `Fn + Sync` parallel
-//! closures can share one handle across worker threads.
+//! A [`CountSource`] wraps the horizontal [`TransactionSet`] view
+//! (borrowed or owned) or a pre-built [`VerticalIndex`], and lazily caches
+//! the index behind a [`OnceLock`] so `Fn + Sync` parallel closures can
+//! share one handle across worker threads. Its two arms:
+//!
+//! * **vertical** — the tid-bitset index counted in prefix-sharing batches
+//!   ([`count_itemsets_grouped_par`]);
+//! * **horizontal** — a prefix-guided walk over each transaction that
+//!   enumerates exactly the workload itemsets it contains, descending only
+//!   while the partial itemset is a prefix of some workload itemset. It
+//!   serves workloads of any mix of lengths, so it is the fallback both
+//!   for tiny workloads that cannot pay for an index build and for datasets
+//!   whose index does not fit the budget.
 //!
 //! ## The cost model
 //!
-//! [`choose_backend`] replaces the old static gate (≥ 8 itemsets over
-//! ≥ 1024 transactions) with an explicit three-way comparison —
-//! [`BackendChoice::Horizontal`] / [`BackendChoice::Tidset`] /
-//! [`BackendChoice::Diffset`]:
+//! [`prefers_vertical`] compares two estimates:
 //!
-//! * horizontal scan ≈ `rows × Σ|itemset|` subset probes plus one bitmap
-//!   build per transaction (`total_items` touches);
-//! * vertical count ≈ `Σ|itemset| × words` AND/popcount word ops, plus —
-//!   when no index exists yet — a build pass weighted by
-//!   [`INDEX_BUILD_WEIGHT`] so a throwaway index never wins on a workload
-//!   too small to amortise it;
-//! * when vertical wins, a dense dataset (average fill at or above 1/4,
-//!   so a meaningful share of items sits past the per-row 1/2 density
-//!   crossover) builds the **diffset-adaptive** index
-//!   ([`VerticalIndex::build_adaptive`]) instead of the all-tidset one —
-//!   same word count, complement rows for the dense items.
+//! * horizontal scan ≈ `rows × Σ|itemset|` subset probes plus one pass
+//!   over every stored item (`total_items` touches);
+//! * vertical count ≈ `Σ|itemset| × words` AND/popcount word ops plus the
+//!   build pass, weighted by [`INDEX_BUILD_WEIGHT`] so a throwaway index
+//!   never wins on a workload too small to amortise it.
 //!
 //! The choice is a **pure function of data shape, workload and budget** —
 //! never thread count, timing, or whether a cache already holds the index
 //! — so dispatch can never violate the workspace's
-//! bit-identical-for-any-thread-count contract. All backends produce
+//! bit-identical-for-any-thread-count contract. Both arms produce
 //! identical `u64` counts (the differential suite enforces this), so the
-//! model can only change cost, never a result. [`prefers_vertical`] is
-//! the boolean view of the same model (`!= Horizontal`).
+//! model can only change cost, never a result.
 //!
 //! ## The index budget
 //!
@@ -51,10 +47,10 @@
 //! never builds an index — a forced-horizontal knob.
 
 use crate::data::TransactionSet;
-use crate::model::count_itemsets_par;
 use crate::region::Itemset;
-use crate::vertical::{count_itemsets_grouped_par, VerticalIndex};
-use focus_exec::Parallelism;
+use crate::vertical::{count_itemsets_grouped_par, resolve_itemsets, VerticalIndex};
+use focus_exec::{map_chunks, merge_counts, Parallelism};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -134,114 +130,168 @@ pub fn global_index_budget() -> usize {
 /// is up-weighted to keep one-shot small workloads on the horizontal scan.
 const INDEX_BUILD_WEIGHT: usize = 4;
 
-/// Average dataset density (as `total_items / (n_transactions × n_items)`)
-/// at or above which the cost model builds the diffset-adaptive index:
-/// 1/4, expressed as the numerator of the comparison
-/// `DIFFSET_DENSITY_NUM × total_items ≥ n_transactions × n_items`. At a
-/// quarter average fill, a meaningful share of items sits past the
-/// per-row 1/2 crossover where the complement row is the sparser one.
-pub const DIFFSET_DENSITY_NUM: u128 = 4;
-
-/// Which counting backend the cost model picked for a workload.
-///
-/// `Tidset` and `Diffset` differ only in **which index gets built** — the
-/// all-tidset matrix versus the density-adaptive mixed layout
-/// ([`VerticalIndex::build_adaptive`]); every counting entry point
-/// resolves the representation per row, so an already-built index of
-/// either flavour serves either choice with identical counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendChoice {
-    /// Scan the horizontal transaction list.
-    Horizontal,
-    /// Count through the all-tidset vertical index.
-    Tidset,
-    /// Count through the diffset-adaptive vertical index (dense items
-    /// stored as complement rows).
-    Diffset,
-}
-
-/// The deterministic three-way backend choice for counting `n_itemsets`
-/// itemsets totalling `workload_items` items over the given data shape:
-/// horizontal when the vertical word fold (including, when `index_built`
-/// is false, the [`INDEX_BUILD_WEIGHT`]-weighted build pass) loses or the
-/// index would not fit `budget_bytes`; otherwise tidset or diffset by the
-/// dataset's average density against [`DIFFSET_DENSITY_NUM`].
+/// The deterministic arm choice for counting `n_itemsets` itemsets
+/// totalling `workload_items` items over the given data shape: `true`
+/// (vertical) when the index fits `budget_bytes` and the word fold plus
+/// the [`INDEX_BUILD_WEIGHT`]-weighted build pass costs less than the
+/// horizontal scan.
 ///
 /// Inputs are data shape, workload and budget only — never thread count,
 /// timing, or cache state — so for a fixed dataset and call sequence the
-/// dispatch decision is identical on every run and every `FOCUS_THREADS`
-/// setting. `index_built` exists for strictly sequential callers that
-/// already hold an index (the Apriori level loop); shared [`CountSource`]
-/// handles always pass `false` so their dispatch never depends on what a
-/// previous call happened to cache. The density term depends on the data
-/// alone, so one dataset always maps to one index flavour no matter how
-/// the workload varies call to call.
-pub fn choose_backend(
-    n_itemsets: usize,
-    workload_items: usize,
-    n_transactions: usize,
-    n_items: u32,
-    total_items: usize,
-    index_built: bool,
-    budget_bytes: usize,
-) -> BackendChoice {
-    if n_itemsets == 0 || n_transactions == 0 {
-        // Nothing to scan; the trivial early-outs of all backends agree,
-        // so route to whatever already exists.
-        return if index_built {
-            BackendChoice::Tidset
-        } else {
-            BackendChoice::Horizontal
-        };
-    }
-    let words = n_transactions.div_ceil(64) as u128;
-    // Horizontal: every transaction is bitmapped once (≈ total_items
-    // touches) and probed once per itemset item.
-    let horizontal = (n_transactions as u128) * (workload_items as u128) + total_items as u128;
-    // Vertical: AND + popcount over each itemset item's word row, plus the
-    // weighted build pass (one touch per stored item, one per matrix byte)
-    // when no index exists yet.
-    let build = if index_built {
-        0
-    } else {
-        if VerticalIndex::estimate_bytes_for(n_items, n_transactions) > budget_bytes {
-            return BackendChoice::Horizontal;
-        }
-        (INDEX_BUILD_WEIGHT as u128) * (total_items as u128 + (n_items as u128) * words.div_ceil(8))
-    };
-    let vertical = (workload_items as u128) * words + build;
-    if vertical >= horizontal {
-        return BackendChoice::Horizontal;
-    }
-    // Vertical wins; pick the row layout by the dataset's average density.
-    if DIFFSET_DENSITY_NUM * (total_items as u128) >= (n_transactions as u128) * (n_items as u128) {
-        BackendChoice::Diffset
-    } else {
-        BackendChoice::Tidset
-    }
-}
-
-/// The boolean view of [`choose_backend`]: `true` for either vertical
-/// flavour. Kept for callers that only care about the
-/// horizontal-vs-vertical split.
+/// decision is identical on every run and every `FOCUS_THREADS` setting.
+/// The build term is charged even when a handle already caches its index,
+/// so a call's arm never depends on what an earlier call happened to build.
 pub fn prefers_vertical(
     n_itemsets: usize,
     workload_items: usize,
     n_transactions: usize,
     n_items: u32,
     total_items: usize,
-    index_built: bool,
     budget_bytes: usize,
 ) -> bool {
-    choose_backend(
-        n_itemsets,
-        workload_items,
-        n_transactions,
-        n_items,
-        total_items,
-        index_built,
-        budget_bytes,
-    ) != BackendChoice::Horizontal
+    if n_itemsets == 0
+        || n_transactions == 0
+        || VerticalIndex::estimate_bytes_for(n_items, n_transactions) > budget_bytes
+    {
+        return false;
+    }
+    let words = n_transactions.div_ceil(64) as u128;
+    // Horizontal: every stored item is touched once and every transaction
+    // is probed once per itemset item.
+    let horizontal = (n_transactions as u128) * (workload_items as u128) + total_items as u128;
+    // Vertical: AND + popcount over each itemset item's word row, plus the
+    // weighted build pass (one touch per stored item, one per matrix byte).
+    let build = (INDEX_BUILD_WEIGHT as u128)
+        * (total_items as u128 + (n_items as u128) * words.div_ceil(8));
+    (workload_items as u128) * words + build < horizontal
+}
+
+// ---------------------------------------------------------------------------
+// The horizontal arm
+
+/// Minimum transactions per worker chunk for the horizontal walk.
+const SCAN_GRAIN: usize = focus_exec::DEFAULT_GRAIN;
+
+/// One node of the walk's lookup table: a sorted item sequence that is a
+/// workload itemset, a proper prefix of one, or both. Kept to two `u32`s:
+/// a measure extension or a miner's candidate batch puts tens of thousands
+/// of nodes in the table.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Slot of the itemset in the deduplicated workload, or [`PREFIX_ONLY`]
+    /// if the node is not itself a workload itemset.
+    slot: u32,
+    /// If the node is a proper prefix: how many more items the shortest
+    /// workload itemset extending it needs (0 for a leaf-only node).
+    need: u32,
+}
+
+/// [`Node::slot`] of a node that is only a prefix.
+const PREFIX_ONLY: u32 = u32::MAX;
+
+/// Counts `itemsets` over `data` with the prefix-guided walk, fanning the
+/// transaction range out over `par` worker threads.
+///
+/// Per transaction (filtered to the items that occur in the workload) a
+/// depth-first walk extends a partial itemset only while it is a proper
+/// prefix of some workload itemset, counts every node that is itself a
+/// workload itemset, and stops extending once too few items remain to
+/// complete the shortest itemset under the current prefix. The cost is
+/// polynomial in the workload rather than in `2^|t|` — the practical trick
+/// that replaces the original Apriori paper's hash tree — and it handles
+/// workloads of mixed lengths, so Apriori levels and GCR extensions share
+/// it. The empty itemset, out-of-universe items and duplicates resolve
+/// exactly as in [`count_itemsets_grouped_par`]. Each chunk tallies into
+/// its own counter vector, merged by `u64` addition, so the counts are
+/// bit-identical to a sequential scan.
+fn count_horizontal(data: &TransactionSet, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
+    let (mut counts, count_slots) = resolve_itemsets(itemsets, data.n_items(), data.len());
+    if count_slots.is_empty() || data.is_empty() {
+        return counts;
+    }
+    // The lookup table: every workload itemset (deduplicated to one slot)
+    // and every proper prefix, keyed by its sorted items.
+    let fresh = Node {
+        slot: PREFIX_ONLY,
+        need: 0,
+    };
+    let mut nodes: HashMap<&[u32], Node> = HashMap::with_capacity(count_slots.len());
+    let mut slot_of: Vec<u32> = Vec::with_capacity(count_slots.len());
+    let mut n_unique = 0u32;
+    let mut active = vec![false; data.n_items() as usize];
+    let mut root_need = u32::MAX;
+    for &i in &count_slots {
+        let items = itemsets[i].items();
+        let len = items.len() as u32;
+        let node = nodes.entry(items).or_insert(fresh);
+        if node.slot == PREFIX_ONLY {
+            node.slot = n_unique;
+            n_unique += 1;
+        }
+        slot_of.push(node.slot);
+        for plen in 1..len {
+            let prefix = nodes.entry(&items[..plen as usize]).or_insert(fresh);
+            let need = len - plen;
+            if prefix.need == 0 || need < prefix.need {
+                prefix.need = need;
+            }
+        }
+        for &it in items {
+            active[it as usize] = true;
+        }
+        root_need = root_need.min(len);
+    }
+
+    let (nodes, active) = (&nodes, &active);
+    let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
+        let mut tally = vec![0u64; n_unique as usize];
+        let mut filtered: Vec<u32> = Vec::new();
+        let mut stack: Vec<u32> = Vec::new();
+        for t in range {
+            filtered.clear();
+            filtered.extend(
+                data.get(t)
+                    .iter()
+                    .copied()
+                    .filter(|&it| active[it as usize]),
+            );
+            if filtered.len() >= root_need as usize {
+                walk(&filtered, root_need, &mut stack, nodes, &mut tally);
+            }
+        }
+        tally
+    });
+    let tally = merge_counts(parts);
+    for (&i, &slot) in count_slots.iter().zip(&slot_of) {
+        counts[i] = tally[slot as usize];
+    }
+    counts
+}
+
+/// The walk below one node: `stack` is the node's itemset and `need` the
+/// number of further items its shortest extension requires.
+fn walk(
+    items: &[u32],
+    need: u32,
+    stack: &mut Vec<u32>,
+    nodes: &HashMap<&[u32], Node>,
+    tally: &mut [u64],
+) {
+    for (pos, &it) in items.iter().enumerate() {
+        if items.len() - pos < need as usize {
+            break;
+        }
+        stack.push(it);
+        if let Some(node) = nodes.get(stack.as_slice()) {
+            if node.slot != PREFIX_ONLY {
+                tally[node.slot as usize] += 1;
+            }
+            if node.need > 0 {
+                walk(&items[pos + 1..], node.need, stack, nodes, tally);
+            }
+        }
+        stack.pop();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +310,7 @@ enum Repr<'a> {
 }
 
 /// A snapshot-scoped counting handle: wraps one dataset and serves
-/// [`CountSource::counts`] through whichever backend [`prefers_vertical`]
+/// [`CountSource::counts`] through whichever arm [`prefers_vertical`]
 /// picks per call, building the [`VerticalIndex`] at most once for the
 /// handle's lifetime.
 ///
@@ -370,17 +420,13 @@ impl<'a> CountSource<'a> {
     /// Support counts for `itemsets`, dispatched by the cost model.
     ///
     /// Index-backed sources always count vertically. Horizontal-backed
-    /// sources consult [`choose_backend`] with `index_built = false`
-    /// every call — dispatch depends only on the workload's shape, never
-    /// on what an earlier call cached — and a winning vertical choice
-    /// reuses (or race-safely builds) the cached index, diffset-adaptive
-    /// when the choice was [`BackendChoice::Diffset`]. (The density term
-    /// is a function of the data alone, so every call over one handle
-    /// resolves to the same index flavour.) Vertical counting goes through
-    /// the batched prefix-run path ([`count_itemsets_grouped_par`]), so
-    /// sibling itemsets in a measure-extension workload share one cached
-    /// prefix mask per run. Counts are bit-identical across backends and
-    /// thread counts.
+    /// sources consult [`prefers_vertical`] every call — dispatch depends
+    /// only on the workload's shape, never on what an earlier call cached —
+    /// and a vertical choice reuses (or race-safely builds) the cached
+    /// index. Vertical counting goes through the batched prefix-run path
+    /// ([`count_itemsets_grouped_par`]); horizontal counting through the
+    /// prefix-guided walk. Counts are bit-identical across arms and thread
+    /// counts.
     pub fn counts(&self, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
         let data = match &self.repr {
             Repr::Index(idx) => return count_itemsets_grouped_par(idx, itemsets, par),
@@ -388,26 +434,18 @@ impl<'a> CountSource<'a> {
             Repr::Owned(d) => d,
         };
         let workload_items: usize = itemsets.iter().map(Itemset::len).sum();
-        match choose_backend(
+        if prefers_vertical(
             itemsets.len(),
             workload_items,
             data.len(),
             data.n_items(),
             data.total_items(),
-            false,
             self.budget,
         ) {
-            BackendChoice::Horizontal => count_itemsets_par(data, itemsets, par),
-            choice => {
-                let index = self.cache.get_or_init(|| {
-                    if choice == BackendChoice::Diffset {
-                        VerticalIndex::build_adaptive(data)
-                    } else {
-                        VerticalIndex::build(data)
-                    }
-                });
-                count_itemsets_grouped_par(index, itemsets, par)
-            }
+            let index = self.cache.get_or_init(|| VerticalIndex::build(data));
+            count_itemsets_grouped_par(index, itemsets, par)
+        } else {
+            count_horizontal(data, itemsets, par)
         }
     }
 }
@@ -415,6 +453,7 @@ impl<'a> CountSource<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::count_itemsets_par;
 
     // Compile-time contract: sources are shared across worker threads.
     const fn assert_sync<T: Sync>() {}
@@ -462,39 +501,30 @@ mod tests {
     #[test]
     fn cost_model_is_deterministic_and_budget_capped() {
         // A workload big enough to amortise the build prefers vertical…
-        let big = prefers_vertical(17, 25, 2000, 9, 7200, false, DEFAULT_INDEX_BUDGET);
+        let big = prefers_vertical(17, 25, 2000, 9, 7200, DEFAULT_INDEX_BUDGET);
         assert!(big);
         // …and the same inputs always give the same answer.
         for _ in 0..8 {
             assert_eq!(
-                prefers_vertical(17, 25, 2000, 9, 7200, false, DEFAULT_INDEX_BUDGET),
+                prefers_vertical(17, 25, 2000, 9, 7200, DEFAULT_INDEX_BUDGET),
                 big
             );
         }
-        // A single tiny scan never pays for a throwaway build.
+        // A single tiny scan never pays for a build.
         assert!(!prefers_vertical(
             1,
             2,
             1000,
             10,
             3000,
-            false,
             DEFAULT_INDEX_BUDGET
         ));
-        // …but reuses an index that is already there.
-        assert!(prefers_vertical(
-            1,
-            2,
-            1000,
-            10,
-            3000,
-            true,
-            DEFAULT_INDEX_BUDGET
-        ));
-        // Budget 0 forbids building regardless of workload.
-        assert!(!prefers_vertical(
-            1000, 5000, 100_000, 50, 1_000_000, false, 0
-        ));
+        // Budget 0 forbids building regardless of workload, and an index
+        // one byte over the budget is refused too.
+        assert!(!prefers_vertical(1000, 5000, 100_000, 50, 1_000_000, 0));
+        let bytes = VerticalIndex::estimate_bytes_for(9, 2000);
+        assert!(prefers_vertical(17, 25, 2000, 9, 7200, bytes));
+        assert!(!prefers_vertical(17, 25, 2000, 9, 7200, bytes - 1));
         // Degenerate shapes never dispatch a build.
         assert!(!prefers_vertical(
             0,
@@ -502,91 +532,68 @@ mod tests {
             1000,
             10,
             3000,
-            false,
             DEFAULT_INDEX_BUDGET
         ));
-        assert!(!prefers_vertical(
-            5,
-            10,
-            0,
-            10,
-            0,
-            false,
-            DEFAULT_INDEX_BUDGET
-        ));
+        assert!(!prefers_vertical(5, 10, 0, 10, 0, DEFAULT_INDEX_BUDGET));
+    }
+
+    /// Exhaustive subset reference: supports of `sets` by merge-walking
+    /// each transaction, written without the bitmap or the walk.
+    fn naive(data: &TransactionSet, sets: &[Itemset]) -> Vec<u64> {
+        sets.iter()
+            .map(|s| {
+                data.iter()
+                    .filter(|t| {
+                        let mut it = t.iter();
+                        s.items().iter().all(|x| it.any(|y| y == x))
+                    })
+                    .count() as u64
+            })
+            .collect()
     }
 
     #[test]
-    fn three_way_choice_follows_density_and_budget() {
-        // A build-amortising workload over sparse data: tidset.
-        assert_eq!(
-            choose_backend(17, 25, 2000, 9, 2700, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Tidset,
-            "density 0.15 stays tidset"
-        );
-        // Same workload, dense data (≥ 1/4 average fill): diffset.
-        assert_eq!(
-            choose_backend(17, 25, 2000, 9, 7200, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Diffset,
-            "density 0.4 crosses to diffset"
-        );
-        // Exactly the 1/4 boundary is dense.
-        assert_eq!(
-            choose_backend(17, 25, 2000, 8, 4000, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Diffset
-        );
-        // Too small to amortise a build, or over budget: horizontal, no
-        // matter the density.
-        assert_eq!(
-            choose_backend(1, 2, 1000, 10, 8000, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Horizontal
-        );
-        assert_eq!(
-            choose_backend(1000, 5000, 100_000, 50, 4_000_000, false, 0),
-            BackendChoice::Horizontal
-        );
-        // Degenerate shapes route to whatever already exists.
-        assert_eq!(
-            choose_backend(0, 0, 1000, 10, 3000, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Horizontal
-        );
-        assert_eq!(
-            choose_backend(0, 0, 1000, 10, 3000, true, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Tidset
-        );
-        // prefers_vertical is exactly the boolean view.
-        for (args, want) in [
-            ((17usize, 25usize, 2000usize, 9u32, 7200usize, false), true),
-            ((17, 25, 2000, 9, 2700, false), true),
-            ((1, 2, 1000, 10, 8000, false), false),
-        ] {
-            let (a, b, c, d, e, f) = args;
+    fn horizontal_walk_counts_mixed_length_workloads() {
+        let ts = random_set(41, 700, 12, 0.35);
+        // Mixed lengths where some itemsets are prefixes of others,
+        // duplicates, the empty itemset, an out-of-universe item, and an
+        // itemset too long for most transactions to reach.
+        let sets = vec![
+            Itemset::from_slice(&[0, 1, 2]),
+            Itemset::from_slice(&[0, 1]),
+            Itemset::from_slice(&[0]),
+            Itemset::from_slice(&[3, 5, 7, 9]),
+            Itemset::from_slice(&[0, 1]),
+            Itemset::new(vec![]),
+            Itemset::from_slice(&[4, 40]),
+            Itemset::from_slice(&[11]),
+            Itemset::from_slice(&[0, 1, 2, 3, 4, 5, 6, 7]),
+            Itemset::from_slice(&[2, 9]),
+        ];
+        let mut want = naive(&ts, &sets);
+        want[6] = 0; // out of universe
+        for t in [1usize, 2, 4, 7] {
             assert_eq!(
-                prefers_vertical(a, b, c, d, e, f, DEFAULT_INDEX_BUDGET),
-                want
+                count_horizontal(&ts, &sets, Parallelism::Threads(t)),
+                want,
+                "threads = {t}"
             );
         }
-    }
-
-    #[test]
-    fn dense_sources_cache_the_adaptive_index() {
-        // Density 0.7 — well past the crossover — over a workload that
-        // amortises the build: the handle must cache the diffset-adaptive
-        // index and still count identically to the horizontal scan.
-        let ts = random_set(31, 2000, 9, 0.7);
-        let sets: Vec<Itemset> = (0..9u32)
-            .map(|i| Itemset::from_slice(&[i]))
-            .chain((0..8u32).map(|i| Itemset::from_slice(&[i, i + 1])))
-            .chain((0..7u32).map(|i| Itemset::from_slice(&[i, i + 1, i + 2])))
-            .collect();
-        let source = CountSource::borrowed(&ts).with_index_budget(DEFAULT_INDEX_BUDGET);
-        let got = source.counts(&sets, Parallelism::Sequential);
-        assert!(source.index_built());
-        assert!(
-            source.cache.get().unwrap().n_diffset_rows() > 0,
-            "dense data must cache the adaptive index"
+        // Edge workloads: nothing to count, only trivial itemsets, and an
+        // empty dataset.
+        assert!(count_horizontal(&ts, &[], Parallelism::Sequential).is_empty());
+        assert_eq!(
+            count_horizontal(
+                &ts,
+                &[Itemset::new(vec![]), Itemset::from_slice(&[99])],
+                Parallelism::Sequential
+            ),
+            vec![700, 0]
         );
-        assert_eq!(got, count_itemsets_par(&ts, &sets, Parallelism::Sequential));
+        assert_eq!(
+            count_horizontal(&TransactionSet::new(4), &sets[..3], Parallelism::Sequential),
+            vec![0, 0, 0]
+        );
     }
 
     #[test]

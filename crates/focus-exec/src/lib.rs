@@ -367,109 +367,6 @@ where
     })
 }
 
-/// Default minimum bitset *words* per chunk for word-level folds
-/// ([`popcount_and_all`] and the vertical counting scans built on it).
-/// A word costs a handful of AND + popcount instructions — far cheaper
-/// than a row scan — but word-fold callers typically process many bitset
-/// rows per word position, so a few hundred words of grain already
-/// amortise a scoped spawn.
-pub const WORD_GRAIN: usize = 512;
-
-/// Fixed accumulator width of the word kernels: the AND/ANDNOT folds
-/// process `LANES` adjacent `u64`s per step with independent per-lane
-/// accumulators, a shape stable Rust autovectorizes to SIMD lanes, then
-/// finish the remainder with a scalar tail. Lane partials are exact `u64`
-/// popcount sums, so the lane decomposition — a pure function of the word
-/// range — can never change a total.
-const LANES: usize = 4;
-
-/// Lane-folded kernel for one word range: `Σ popcount(AND(pos) & !OR'd
-/// NOT(neg))` — i.e. each word ANDs every `pos` operand and AND-NOTs every
-/// `neg` operand. `pos` must be non-empty (callers synthesise a full mask
-/// when no positive operand exists). Deterministic in `(range)` alone.
-fn popcount_fold_words(pos: &[&[u64]], neg: &[&[u64]], range: Range<usize>) -> u64 {
-    debug_assert!(!pos.is_empty(), "fold kernels need a positive base row");
-    let first = pos[0];
-    let mut lanes = [0u64; LANES];
-    let mut w = range.start;
-    while w + LANES <= range.end {
-        let mut acc = [0u64; LANES];
-        acc.copy_from_slice(&first[w..w + LANES]);
-        for p in &pos[1..] {
-            for l in 0..LANES {
-                acc[l] &= p[w + l];
-            }
-        }
-        for n in neg {
-            for l in 0..LANES {
-                acc[l] &= !n[w + l];
-            }
-        }
-        for l in 0..LANES {
-            lanes[l] += u64::from(acc[l].count_ones());
-        }
-        w += LANES;
-    }
-    let mut total: u64 = lanes.iter().sum();
-    while w < range.end {
-        let mut acc = first[w];
-        for p in &pos[1..] {
-            acc &= p[w];
-        }
-        for n in neg {
-            acc &= !n[w];
-        }
-        total += u64::from(acc.count_ones());
-        w += 1;
-    }
-    total
-}
-
-/// Chunked popcount fold: the number of bit positions set in **all** of
-/// the `operands` bitsets (`popcount(op₀[w] & op₁[w] & …)` summed over
-/// every word `w`), with the word range fanned out over `par` worker
-/// threads via [`map_reduce`]. The per-chunk fold runs the lane-folded
-/// kernel (fixed 4×`u64` lanes plus a scalar tail).
-///
-/// All operands must have the same word count. With no operands the
-/// intersection is empty by convention and the count is 0. Per-chunk
-/// partials are `u64` totals merged by addition in chunk order, so the
-/// result is bit-identical to a sequential fold for every thread count.
-pub fn popcount_and_all(par: Parallelism, operands: &[&[u64]], grain: usize) -> u64 {
-    popcount_andnot_all(par, operands, &[], grain)
-}
-
-/// The ANDNOT variant of [`popcount_and_all`]: counts the bit positions
-/// set in every `pos` bitset and in **none** of the `neg` bitsets —
-/// `Σ popcount(pos₀[w] & pos₁[w] & … & !neg₀[w] & !neg₁[w] & …)`. This is
-/// the dEclat diffset fold: a dense item's stored row is the *complement*
-/// of its cover, so intersecting its cover is one ANDNOT against the
-/// prefix mask instead of materialising the un-complemented row.
-///
-/// All operands (both lists) must share one word count. With no positive
-/// operand the result is 0 by the same empty-intersection convention as
-/// [`popcount_and_all`] — callers wanting "all transactions minus the
-/// negatives" pass an explicit full-mask row as the positive base, which
-/// also keeps bits past the logical length zeroed.
-pub fn popcount_andnot_all(par: Parallelism, pos: &[&[u64]], neg: &[&[u64]], grain: usize) -> u64 {
-    let Some(first) = pos.first() else {
-        return 0;
-    };
-    let len = first.len();
-    assert!(
-        pos.iter().chain(neg).all(|o| o.len() == len),
-        "popcount_andnot_all: operand word counts must align"
-    );
-    map_reduce(
-        par,
-        len,
-        grain,
-        |range| popcount_fold_words(pos, neg, range),
-        |a, b| a + b,
-    )
-    .unwrap_or(0)
-}
-
 /// Merges per-chunk counter vectors by element-wise addition, in chunk
 /// order. All parts must have equal length. `u64` addition is associative
 /// and commutative, so the totals are bit-identical to a sequential count
@@ -714,121 +611,6 @@ mod tests {
             tid_a == caller && tid_b == caller
         });
         assert!(outer.into_iter().all(|inline| inline));
-    }
-
-    #[test]
-    fn popcount_and_all_intersects_and_counts() {
-        let a: Vec<u64> = vec![0b1011, u64::MAX, 0];
-        let b: Vec<u64> = vec![0b1110, u64::MAX, 1];
-        let c: Vec<u64> = vec![0b1010, 1, 1];
-        let seq = Parallelism::Sequential;
-        assert_eq!(popcount_and_all(seq, &[&a], 1), 3 + 64);
-        assert_eq!(popcount_and_all(seq, &[&a, &b], 1), 2 + 64);
-        assert_eq!(popcount_and_all(seq, &[&a, &b, &c], 1), 2 + 1);
-        assert_eq!(popcount_and_all(seq, &[], 1), 0, "empty intersection");
-        let empty: Vec<u64> = Vec::new();
-        assert_eq!(popcount_and_all(seq, &[&empty], 1), 0);
-    }
-
-    #[test]
-    fn popcount_and_all_thread_count_invariant() {
-        let a: Vec<u64> = (0..3000u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let b: Vec<u64> = (0..3000u64).map(|i| !i ^ (i << 13)).collect();
-        let seq = popcount_and_all(Parallelism::Sequential, &[&a, &b], 64);
-        for t in [1usize, 2, 4, 7, 16] {
-            assert_eq!(
-                popcount_and_all(Parallelism::Threads(t), &[&a, &b], 64),
-                seq,
-                "threads = {t}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must align")]
-    fn popcount_and_all_rejects_misaligned_operands() {
-        let a = vec![1u64, 2];
-        let b = vec![1u64];
-        popcount_and_all(Parallelism::Sequential, &[&a, &b], 1);
-    }
-
-    /// Scalar reference for the lane-folded kernels: one word at a time,
-    /// no lanes, no chunking.
-    fn naive_andnot(pos: &[&[u64]], neg: &[&[u64]]) -> u64 {
-        (0..pos[0].len())
-            .map(|w| {
-                let mut acc = pos.iter().fold(u64::MAX, |a, p| a & p[w]);
-                for n in neg {
-                    acc &= !n[w];
-                }
-                u64::from(acc.count_ones())
-            })
-            .sum()
-    }
-
-    #[test]
-    fn popcount_andnot_all_subtracts_negative_operands() {
-        let a: Vec<u64> = vec![0b1111, u64::MAX];
-        let b: Vec<u64> = vec![0b1010, 0];
-        let seq = Parallelism::Sequential;
-        // a & !b: bits 0 and 2 of word 0, all 64 of word 1.
-        assert_eq!(popcount_andnot_all(seq, &[&a], &[&b], 1), 2 + 64);
-        // No positive base: empty intersection by convention.
-        assert_eq!(popcount_andnot_all(seq, &[], &[&b], 1), 0);
-        // No negatives: identical to the AND fold.
-        assert_eq!(
-            popcount_andnot_all(seq, &[&a, &b], &[], 1),
-            popcount_and_all(seq, &[&a, &b], 1)
-        );
-        // Self-negation empties the count.
-        assert_eq!(popcount_andnot_all(seq, &[&a], &[&a], 1), 0);
-    }
-
-    #[test]
-    fn lane_fold_matches_scalar_at_every_length() {
-        // Sweep lengths around the 4-word lane width so the lane body,
-        // the scalar tail, and their boundary all get exercised.
-        for len in [1usize, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65] {
-            let a: Vec<u64> = (0..len as u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9))
-                .collect();
-            let b: Vec<u64> = (0..len as u64).map(|i| !i ^ (i << 7)).collect();
-            let c: Vec<u64> = (0..len as u64).map(|i| i.rotate_left(11)).collect();
-            let seq = Parallelism::Sequential;
-            assert_eq!(
-                popcount_and_all(seq, &[&a, &b], usize::MAX),
-                naive_andnot(&[&a, &b], &[]),
-                "and, len = {len}"
-            );
-            assert_eq!(
-                popcount_andnot_all(seq, &[&a], &[&b, &c], usize::MAX),
-                naive_andnot(&[&a], &[&b, &c]),
-                "andnot, len = {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn popcount_andnot_all_thread_count_invariant() {
-        let a: Vec<u64> = (0..3000u64).map(|i| i.wrapping_mul(0x517C_C1B7)).collect();
-        let b: Vec<u64> = (0..3000u64).map(|i| i ^ (i >> 3)).collect();
-        let seq = popcount_andnot_all(Parallelism::Sequential, &[&a], &[&b], 64);
-        assert_eq!(seq, naive_andnot(&[&a], &[&b]));
-        for t in [1usize, 2, 4, 7, 16] {
-            assert_eq!(
-                popcount_andnot_all(Parallelism::Threads(t), &[&a], &[&b], 64),
-                seq,
-                "threads = {t}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must align")]
-    fn popcount_andnot_all_rejects_misaligned_negatives() {
-        let a = vec![1u64, 2];
-        let b = vec![1u64];
-        popcount_andnot_all(Parallelism::Sequential, &[&a], &[&b], 1);
     }
 
     #[test]

@@ -5,97 +5,24 @@
 //!    sharing a `(k−2)`-prefix;
 //! 2. **candidate pruning** — drop candidates with an infrequent
 //!    `(k−1)`-subset (downward closure);
-//! 3. **support counting** — one dataset scan; per transaction, enumerate
-//!    exactly the candidate itemsets it contains by a depth-first walk that
-//!    only extends prefixes of surviving candidates.
+//! 3. **support counting** — [`CountSource::counts`] calls over batches of
+//!    the level's candidates, generated and counted one batch at a time so
+//!    a wide level never sits in memory whole.
 //!
-//! The prefix-guided walk keeps counting polynomial in the number of
-//! candidates rather than in `C(|t|, k)` — the practical trick that replaces
-//! the original paper's hash tree.
-//!
-//! Step 3 is pluggable ([`CountBackend`]): the default prefix-guided DFS,
-//! the classical hash tree of [`crate::hashtree`], Eclat-style vertical
-//! tid-bitset intersection ([`focus_core::vertical`]) — one cached
-//! `(k−1)`-prefix bitset per candidate run, one masked popcount per
-//! extension — or [`CountBackend::Auto`], which consults the cost model of
-//! [`focus_core::source`] once per level and switches to the vertical index
-//! the first level the projected scan cost favours it (the index then
-//! serves every later level). All backends produce identical `u64` counts,
-//! hence identical mined models.
+//! The miner has no counting code of its own. Every level, level 1
+//! included, counts through the same [`CountSource`] that the FOCUS
+//! measure-extension step uses, so there is one cost model, one
+//! horizontal walk and one batched vertical counter. The source decides
+//! per batch, from the batch's shape alone, whether to count over its
+//! cached tid-bitset index or with the horizontal walk; both arms produce
+//! identical `u64` counts, so the mined model never depends on the choice.
 
-use crate::hashtree::HashTree;
 use focus_core::data::TransactionSet;
 use focus_core::model::LitsModel;
 use focus_core::region::Itemset;
-use focus_core::source::{choose_backend, global_index_budget, BackendChoice};
-use focus_core::vertical::VerticalIndex;
-use focus_exec::{map_chunks, map_indices, merge_counts, Parallelism};
-use std::collections::{HashMap, HashSet};
-
-/// Minimum transactions per worker chunk for the counting scans.
-const SCAN_GRAIN: usize = focus_exec::DEFAULT_GRAIN;
-
-/// Which support-counting backend the miner uses for candidate levels.
-///
-/// All backends count the same thing and are parity-tested to agree
-/// exactly, so the mined model is backend-independent; they differ only in
-/// cost shape. See the README's "counting backends" section for guidance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CountBackend {
-    /// Prefix-guided depth-first subset enumeration per transaction (the
-    /// default; fastest on the paper's sparse market-basket workloads).
-    #[default]
-    Dfs,
-    /// The hash tree of Agrawal & Srikant '94: wins when candidates are
-    /// dense over few distinct items.
-    HashTree,
-    /// Eclat-style vertical tid-bitset intersection: wins when many
-    /// candidates are counted over many transactions.
-    Vertical,
-    /// The vertical index with dEclat diffset rows for dense items
-    /// ([`VerticalIndex::build_adaptive`]): same word fold, complement
-    /// rows AND-NOT into it. Counts are identical to `Vertical`; the
-    /// layout pays off on dense datasets.
-    Diffset,
-    /// Cost-model dispatch: each level asks
-    /// [`focus_core::source::choose_backend`] whether the projected
-    /// candidate workload amortises building the vertical index (within the
-    /// process-wide index budget) — and, if so, whether the data is dense
-    /// enough for the diffset-adaptive layout; until a build wins, levels
-    /// count with the DFS. The decision depends only on data shape and
-    /// workload — never thread count or timing — so the chosen backend
-    /// sequence, and hence the mined model, is identical on every run.
-    Auto,
-}
-
-impl CountBackend {
-    /// The valid spellings, for CLI/diagnostic messages.
-    pub const VALID_VALUES: &'static str = "dfs, hashtree, vertical, diffset or auto";
-
-    /// Parses a user-facing backend name (`dfs`, `hashtree`/`hash-tree`,
-    /// `vertical`, `diffset`, `auto`), case-insensitively.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "dfs" => Some(Self::Dfs),
-            "hashtree" | "hash-tree" | "hash_tree" => Some(Self::HashTree),
-            "vertical" => Some(Self::Vertical),
-            "diffset" => Some(Self::Diffset),
-            "auto" => Some(Self::Auto),
-            _ => None,
-        }
-    }
-
-    /// The canonical name [`Self::parse`] accepts.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Dfs => "dfs",
-            Self::HashTree => "hashtree",
-            Self::Vertical => "vertical",
-            Self::Diffset => "diffset",
-            Self::Auto => "auto",
-        }
-    }
-}
+use focus_core::source::CountSource;
+use focus_exec::Parallelism;
+use std::collections::HashSet;
 
 /// Tuning parameters for the miner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,9 +44,6 @@ pub struct AprioriParams {
     /// [`Parallelism::Global`]). Mined models are bit-identical for every
     /// setting: per-chunk transaction counts merge by `u64` addition.
     pub parallelism: Parallelism,
-    /// Support-counting backend for candidate levels (default
-    /// [`CountBackend::Dfs`]). Mined models are backend-independent.
-    pub backend: CountBackend,
 }
 
 impl AprioriParams {
@@ -134,7 +58,6 @@ impl AprioriParams {
             max_len: None,
             min_count_floor: 1,
             parallelism: Parallelism::Global,
-            backend: CountBackend::Dfs,
         }
     }
 
@@ -158,12 +81,6 @@ impl AprioriParams {
         self.parallelism = par;
         self
     }
-
-    /// Sets the support-counting backend for candidate levels.
-    pub fn backend(mut self, backend: CountBackend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// The Apriori miner.
@@ -179,9 +96,20 @@ impl Apriori {
     }
 
     /// Mines the frequent itemsets of `data` and returns them as a
-    /// [`LitsModel`] (itemsets + supports + the mining threshold).
+    /// [`LitsModel`] (itemsets + supports + the mining threshold): a
+    /// [`Self::mine_source`] over a fresh [`CountSource`] borrowing `data`
+    /// at the process-wide index budget.
     pub fn mine(&self, data: &TransactionSet) -> LitsModel {
-        let n = data.len();
+        self.mine_source(&CountSource::borrowed(data))
+    }
+
+    /// Mines the frequent itemsets of the dataset behind `source`, counting
+    /// every level through [`CountSource::counts`]. The source's budget and
+    /// representation decide which counting arm each level uses — a
+    /// budget-0 source counts every level horizontally, an index-backed
+    /// source every level vertically — and never the mined model.
+    pub fn mine_source(&self, source: &CountSource<'_>) -> LitsModel {
+        let n = source.len();
         if n == 0 {
             return LitsModel::new(Vec::new(), Vec::new(), self.params.minsup, 0);
         }
@@ -190,100 +118,24 @@ impl Apriori {
             .max(self.params.min_count_floor);
 
         let mut all_frequent: Vec<(Itemset, u64)> = Vec::new();
-
-        // The vertical backends build their tid-bitset index once, up
-        // front — all-tidset for `Vertical`, diffset-adaptive for
-        // `Diffset` — and every level then counts by word-level
-        // AND/ANDNOT + popcount against it. Auto defers the build (and
-        // the layout choice) to the cost model inside the level loop.
-        // The index budget is snapshotted once so a concurrent
-        // `set_global_index_budget` cannot split one run's decisions.
-        let budget = global_index_budget();
-        let mut vindex = match self.params.backend {
-            CountBackend::Vertical => Some(VerticalIndex::build(data)),
-            CountBackend::Diffset => Some(VerticalIndex::build_adaptive(data)),
-            _ => None,
-        };
-
-        // Level 1: per-item counts. Horizontal backends use a plain array
-        // count over transaction chunks merged by addition; the vertical
-        // backend popcounts each item's row. Both are exact `u64` tallies
-        // of the same memberships, so the counts are identical.
-        let item_counts = match &vindex {
-            Some(idx) => map_indices(self.params.parallelism, data.n_items() as usize, |i| {
-                idx.item_support(i as u32)
-            }),
-            None => merge_counts(map_chunks(
-                self.params.parallelism,
-                data.len(),
-                SCAN_GRAIN,
-                |range| {
-                    let mut counts = vec![0u64; data.n_items() as usize];
-                    for t in range {
-                        for &it in data.get(t) {
-                            counts[it as usize] += 1;
-                        }
-                    }
-                    counts
-                },
-            )),
-        };
-        let mut frontier: Vec<Vec<u32>> = Vec::new();
-        for (it, &c) in item_counts.iter().enumerate() {
-            if c >= min_count {
-                frontier.push(vec![it as u32]);
-                all_frequent.push((Itemset::new(vec![it as u32]), c));
-            }
-        }
-
-        let mut k = 2usize;
-        while !frontier.is_empty() {
-            if let Some(cap) = self.params.max_len {
-                if k > cap {
-                    break;
-                }
-            }
-            let candidates = generate_candidates(&frontier);
-            if candidates.is_empty() {
-                break;
-            }
-            // Auto: build the index the first level whose candidate
-            // workload amortises it; once built it serves every later
-            // level (this loop is strictly sequential, so consulting the
-            // already-built state stays deterministic).
-            if self.params.backend == CountBackend::Auto && vindex.is_none() {
-                match choose_backend(
-                    candidates.len(),
-                    candidates.len() * k,
-                    n,
-                    data.n_items(),
-                    data.total_items(),
-                    false,
-                    budget,
-                ) {
-                    BackendChoice::Horizontal => {}
-                    BackendChoice::Tidset => vindex = Some(VerticalIndex::build(data)),
-                    BackendChoice::Diffset => vindex = Some(VerticalIndex::build_adaptive(data)),
-                }
-            }
-            let counts = match &vindex {
-                Some(idx) => {
-                    count_candidates_vertical(idx, &candidates, k, self.params.parallelism)
-                }
-                None => match self.params.backend {
-                    CountBackend::HashTree => {
-                        HashTree::build(&candidates, k).count_set(data, self.params.parallelism)
-                    }
-                    _ => count_candidates(data, &candidates, k, self.params.parallelism),
-                },
-            };
-            let mut next: Vec<Vec<u32>> = Vec::new();
-            for (cand, count) in candidates.into_iter().zip(counts) {
+        // Counts one batch of candidates and appends the frequent ones, in
+        // order, to `frequent` (the next level's frontier).
+        let mut keep = |batch: Vec<Itemset>, frequent: &mut Vec<Itemset>| {
+            let counts = source.counts(&batch, self.params.parallelism);
+            for (cand, count) in batch.into_iter().zip(counts) {
                 if count >= min_count {
-                    all_frequent.push((Itemset::new(cand.clone()), count));
-                    next.push(cand);
+                    all_frequent.push((cand.clone(), count));
+                    frequent.push(cand);
                 }
             }
+        };
+        let mut frontier: Vec<Itemset> = Vec::new();
+        let singletons = (0..source.n_items()).map(|it| Itemset::new(vec![it]));
+        keep(singletons.collect(), &mut frontier);
+        let mut k = 2usize;
+        while !frontier.is_empty() && self.params.max_len.is_none_or(|cap| k <= cap) {
+            let mut next: Vec<Itemset> = Vec::new();
+            generate_candidates(&frontier, CANDIDATE_BATCH, |batch| keep(batch, &mut next));
             frontier = next;
             k += 1;
         }
@@ -294,19 +146,32 @@ impl Apriori {
     }
 }
 
+/// Candidates per [`CountSource::counts`] call. A wide level — the
+/// C(1000, 2) ≈ 500k pairs of a 1,000-item universe — is generated and
+/// counted in batches of about this many, so the miner never holds more
+/// than one batch of candidates and their counts at once. That keeps its
+/// memory small and, when bootstrap replicates mine concurrently, steady
+/// from run to run.
+const CANDIDATE_BATCH: usize = 1 << 16;
+
 /// Join + prune: candidates of size `k` from frequent itemsets of size
-/// `k − 1` (all sorted item vectors).
-fn generate_candidates(frequent: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let freq_set: HashSet<&[u32]> = frequent.iter().map(|v| v.as_slice()).collect();
+/// `k − 1`, handed to `emit` in ascending order. A batch closes once it
+/// holds at least `batch` candidates, and only between two groups of
+/// candidates that share their first `k − 1` items, so each batch keeps
+/// whole the prefix groups the vertical counter folds once per group.
+/// No batch is empty.
+fn generate_candidates(frequent: &[Itemset], batch: usize, mut emit: impl FnMut(Vec<Itemset>)) {
+    let freq_set: HashSet<&[u32]> = frequent.iter().map(Itemset::items).collect();
     // Frequent itemsets are sorted lexicographically so prefix-sharing pairs
     // are adjacent runs.
-    let mut sorted: Vec<&Vec<u32>> = frequent.iter().collect();
+    let mut sorted: Vec<&[u32]> = frequent.iter().map(Itemset::items).collect();
     sorted.sort();
-    let mut out = Vec::new();
-    let k1 = match sorted.first() {
-        Some(v) => v.len(),
-        None => return out,
+    let Some(k1) = sorted.first().map(|v| v.len()) else {
+        return;
     };
+    // Generation order is already ascending: runs ascend by prefix, and
+    // within a run `sorted[i] ++ [last of sorted[j]]` ascends in (i, j).
+    let mut out = Vec::new();
     let mut start = 0;
     while start < sorted.len() {
         // Run of itemsets sharing the first k1−1 items.
@@ -317,18 +182,22 @@ fn generate_candidates(frequent: &[Vec<u32>]) -> Vec<Vec<u32>> {
         }
         for i in start..end {
             for j in (i + 1)..end {
-                let mut cand = sorted[i].clone();
+                let mut cand = sorted[i].to_vec();
                 cand.push(*sorted[j].last().expect("non-empty itemset"));
                 // Downward-closure prune: every (k−1)-subset frequent.
                 if all_subsets_frequent(&cand, &freq_set) {
-                    out.push(cand);
+                    out.push(Itemset::new(cand));
                 }
+            }
+            if out.len() >= batch {
+                emit(std::mem::take(&mut out));
             }
         }
         start = end;
     }
-    out.sort();
-    out
+    if !out.is_empty() {
+        emit(out);
+    }
 }
 
 /// True if every subset of `cand` missing one element is in `freq_set`.
@@ -349,133 +218,11 @@ fn all_subsets_frequent(cand: &[u32], freq_set: &HashSet<&[u32]>) -> bool {
     true
 }
 
-/// One scan of the data, counting every candidate of size `k`, with the
-/// transaction range fanned out over `par` worker threads.
-///
-/// For each transaction a DFS enumerates its subsets of size `k`, extending
-/// a partial itemset only while it remains a prefix of some candidate. The
-/// candidate index and prefix set are built once and shared read-only; each
-/// chunk tallies into its own counter vector, merged by `u64` addition, so
-/// the counts are bit-identical to a sequential scan.
-fn count_candidates(
-    data: &TransactionSet,
-    candidates: &[Vec<u32>],
-    k: usize,
-    par: Parallelism,
-) -> Vec<u64> {
-    // Index of each full candidate, plus the set of all proper prefixes.
-    let mut index: HashMap<&[u32], usize> = HashMap::with_capacity(candidates.len());
-    let mut prefixes: HashSet<&[u32]> = HashSet::new();
-    for (i, c) in candidates.iter().enumerate() {
-        index.insert(c.as_slice(), i);
-        for plen in 1..k {
-            prefixes.insert(&c[..plen]);
-        }
-    }
-    // Items that appear in at least one candidate: transactions are filtered
-    // to these before enumeration.
-    let active: HashSet<u32> = candidates.iter().flatten().copied().collect();
-
-    let (index, prefixes, active) = (&index, &prefixes, &active);
-    let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
-        let mut counts = vec![0u64; candidates.len()];
-        let mut filtered: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = Vec::with_capacity(k);
-        for t in range {
-            filtered.clear();
-            filtered.extend(data.get(t).iter().copied().filter(|it| active.contains(it)));
-            if filtered.len() < k {
-                continue;
-            }
-            dfs_count(&filtered, k, &mut stack, index, prefixes, &mut counts);
-        }
-        counts
-    });
-    if parts.is_empty() {
-        return vec![0u64; candidates.len()];
-    }
-    merge_counts(parts)
-}
-
-/// Vertical (Eclat-style) candidate counting against a prebuilt
-/// [`VerticalIndex`]: candidates arrive sorted from the join, so runs
-/// sharing a `(k−1)`-prefix are adjacent. Each run intersects its prefix
-/// rows into a cached bitset once, then counts every extension with a
-/// single masked popcount — `O(words)` per candidate instead of a
-/// transaction walk.
-///
-/// Runs fan out over `par` worker threads in run order; every count is an
-/// exact `u64` popcount, so the result is bit-identical to the sequential
-/// fold (and to the other backends) for any thread count.
-fn count_candidates_vertical(
-    index: &VerticalIndex,
-    candidates: &[Vec<u32>],
-    k: usize,
-    par: Parallelism,
-) -> Vec<u64> {
-    debug_assert!(k >= 2, "level-1 counts come from the item rows directly");
-    let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut start = 0;
-    while start < candidates.len() {
-        let prefix = &candidates[start][..k - 1];
-        let mut end = start + 1;
-        while end < candidates.len() && candidates[end][..k - 1] == *prefix {
-            end += 1;
-        }
-        runs.push(start..end);
-        start = end;
-    }
-    let per_run = map_indices(par, runs.len(), |r| {
-        let run = runs[r].clone();
-        let mut mask = Vec::new();
-        // Prefix items are frequent items of the dataset, so they are
-        // always inside the universe; a false here still counts 0 safely.
-        let in_range = index.intersect_into(&candidates[run.start][..k - 1], &mut mask);
-        run.map(|c| {
-            let &last = candidates[c].last().expect("candidates have length k >= 2");
-            if in_range {
-                index.count_with_mask(&mask, last)
-            } else {
-                0
-            }
-        })
-        .collect::<Vec<u64>>()
-    });
-    per_run.into_iter().flatten().collect()
-}
-
-fn dfs_count(
-    items: &[u32],
-    k: usize,
-    stack: &mut Vec<u32>,
-    index: &HashMap<&[u32], usize>,
-    prefixes: &HashSet<&[u32]>,
-    counts: &mut [u64],
-) {
-    let need = k - stack.len();
-    if items.len() < need {
-        return;
-    }
-    for (pos, &it) in items.iter().enumerate() {
-        if items.len() - pos < need {
-            break;
-        }
-        stack.push(it);
-        if stack.len() == k {
-            if let Some(&i) = index.get(stack.as_slice()) {
-                counts[i] += 1;
-            }
-        } else if prefixes.contains(stack.as_slice()) {
-            dfs_count(&items[pos + 1..], k, stack, index, prefixes, counts);
-        }
-        stack.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use focus_core::model::count_itemsets;
+    use focus_core::vertical::VerticalIndex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -600,14 +347,48 @@ mod tests {
         // Join on shared prefix: {0,1}+{0,2}→{0,1,2}; {1,2}+{1,3}→{1,2,3}.
         // {0,1,2} survives the prune ({0,1},{0,2},{1,2} all frequent);
         // {1,2,3} is pruned because {2,3} is not frequent.
-        let frequent = vec![vec![0, 1], vec![0, 2], vec![1, 2], vec![1, 3]];
-        let cands = generate_candidates(&frequent);
-        assert_eq!(cands, vec![vec![0, 1, 2]]);
+        let frequent: Vec<Itemset> = [[0, 1], [0, 2], [1, 2], [1, 3]]
+            .iter()
+            .map(|p| Itemset::from_slice(p))
+            .collect();
+        let mut cands = Vec::new();
+        generate_candidates(&frequent, CANDIDATE_BATCH, |b| cands.extend(b));
+        assert_eq!(cands, vec![Itemset::from_slice(&[0, 1, 2])]);
     }
 
     #[test]
-    fn support_counts_match_core_counter() {
-        // The DFS counter and focus-core's bitmap counter must agree.
+    fn candidate_batches_split_a_level_between_prefix_groups() {
+        // All 45 pairs over 10 items, from one run of frequent singletons.
+        let frequent: Vec<Itemset> = (0..10u32).map(|i| Itemset::new(vec![i])).collect();
+        let mut whole = Vec::new();
+        generate_candidates(&frequent, usize::MAX, |b| whole.push(b));
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0].len(), 45);
+        assert!(whole[0].windows(2).all(|w| w[0] < w[1]), "ascending");
+        // Batches of at least 10 close after whole first-item groups
+        // (9 + 8 = 17, 7 + 6 = 13, 5 + 4 + 3 = 12, then 2 + 1 = 3).
+        let mut batches = Vec::new();
+        generate_candidates(&frequent, 10, |b| batches.push(b));
+        let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![17, 13, 12, 3]);
+        assert_eq!(batches.concat(), whole[0]);
+        // Level 3 from all pairs over 6 items: several runs, and batches
+        // of at least 4 that close inside and across runs.
+        let pairs: Vec<Itemset> = (0..6u32)
+            .flat_map(|a| (a + 1..6).map(move |b| Itemset::from_slice(&[a, b])))
+            .collect();
+        let mut batches = Vec::new();
+        generate_candidates(&pairs, 4, |b| batches.push(b));
+        let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![4, 5, 4, 5, 2]);
+        let level: Vec<Itemset> = batches.concat();
+        assert_eq!(level.len(), 20, "C(6, 3)");
+        assert!(level.windows(2).all(|w| w[0] < w[1]), "ascending");
+    }
+
+    #[test]
+    fn mined_counts_match_core_counter() {
+        // The miner's counts and focus-core's bitmap counter must agree.
         let mut rng = StdRng::seed_from_u64(7);
         let mut data = TransactionSet::new(12);
         for _ in 0..200 {
@@ -629,7 +410,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_mine_identical_models() {
+    fn forced_arms_mine_identical_models() {
+        // A budget-0 source counts every level with the horizontal walk,
+        // an index-backed source every level over the tid bitsets; the
+        // default source mixes them per level. All three must agree.
         let mut rng = StdRng::seed_from_u64(314);
         for trial in 0..5 {
             let mut data = TransactionSet::new(14);
@@ -638,106 +422,40 @@ mod tests {
                 data.push(t);
             }
             for minsup in [0.05, 0.2] {
-                let base = AprioriParams::with_minsup(minsup).max_len(6);
-                let reference = Apriori::new(base).mine(&data);
-                for backend in [
-                    CountBackend::HashTree,
-                    CountBackend::Vertical,
-                    CountBackend::Diffset,
-                    CountBackend::Auto,
-                ] {
-                    let m = Apriori::new(base.backend(backend)).mine(&data);
-                    assert_eq!(
-                        m,
-                        reference,
-                        "trial {trial} minsup {minsup} backend {}",
-                        backend.as_str()
-                    );
-                }
+                let miner = Apriori::new(AprioriParams::with_minsup(minsup).max_len(6));
+                let reference = miner.mine(&data);
+                let horizontal =
+                    miner.mine_source(&CountSource::borrowed(&data).with_index_budget(0));
+                let vertical =
+                    miner.mine_source(&CountSource::from_index(VerticalIndex::build(&data)));
+                assert_eq!(horizontal, reference, "trial {trial} minsup {minsup}");
+                assert_eq!(vertical, reference, "trial {trial} minsup {minsup}");
             }
         }
     }
 
     #[test]
-    fn vertical_backend_on_empty_and_tiny_data() {
+    fn forced_arms_on_empty_and_tiny_data() {
         let empty = TransactionSet::new(4);
-        let params = AprioriParams::with_minsup(0.1).backend(CountBackend::Vertical);
-        assert!(Apriori::new(params).mine(&empty).is_empty());
-
-        let data = dataset(&[&[0, 2, 3], &[1, 2, 4], &[0, 1, 2, 4], &[1, 4]], 5);
-        let vertical =
-            Apriori::new(AprioriParams::with_minsup(0.5).backend(CountBackend::Vertical))
-                .mine(&data);
-        let dfs = Apriori::new(AprioriParams::with_minsup(0.5)).mine(&data);
-        assert_eq!(vertical, dfs);
-    }
-
-    #[test]
-    fn diffset_backend_matches_dfs_on_dense_data() {
-        // Dense rows (≈ 3/4 fill) make most items cross the per-row 1/2
-        // density threshold, so the adaptive index really holds diffset
-        // rows — and the mined model must not move.
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut data = TransactionSet::new(10);
-        for _ in 0..300 {
-            let t: Vec<u32> = (0..10).filter(|_| rng.gen::<f64>() < 0.75).collect();
-            data.push(t);
-        }
-        let base = AprioriParams::with_minsup(0.3).max_len(6);
-        let dfs = Apriori::new(base).mine(&data);
-        let diffset = Apriori::new(base.backend(CountBackend::Diffset)).mine(&data);
-        assert_eq!(diffset, dfs);
-        assert!(!diffset.is_empty(), "dense data should mine itemsets");
-    }
-
-    #[test]
-    fn count_backend_parsing() {
-        assert_eq!(CountBackend::parse("dfs"), Some(CountBackend::Dfs));
-        assert_eq!(CountBackend::parse("DFS"), Some(CountBackend::Dfs));
-        assert_eq!(
-            CountBackend::parse("hashtree"),
-            Some(CountBackend::HashTree)
-        );
-        assert_eq!(
-            CountBackend::parse("hash-tree"),
-            Some(CountBackend::HashTree)
-        );
-        assert_eq!(
-            CountBackend::parse("vertical"),
-            Some(CountBackend::Vertical)
-        );
-        assert_eq!(CountBackend::parse("diffset"), Some(CountBackend::Diffset));
-        assert_eq!(CountBackend::parse("auto"), Some(CountBackend::Auto));
-        assert_eq!(CountBackend::parse("eclat?"), None);
-        for b in [
-            CountBackend::Dfs,
-            CountBackend::HashTree,
-            CountBackend::Vertical,
-            CountBackend::Diffset,
-            CountBackend::Auto,
-        ] {
-            assert_eq!(CountBackend::parse(b.as_str()), Some(b), "round-trip");
-            assert!(
-                CountBackend::VALID_VALUES.contains(b.as_str()),
-                "{} missing from VALID_VALUES",
-                b.as_str()
-            );
-        }
-        assert_eq!(CountBackend::default(), CountBackend::Dfs);
-    }
-
-    #[test]
-    fn auto_backend_on_empty_and_tiny_data() {
-        let params = AprioriParams::with_minsup(0.1).backend(CountBackend::Auto);
-        assert!(Apriori::new(params)
-            .mine(&TransactionSet::new(4))
+        let miner = Apriori::new(AprioriParams::with_minsup(0.1));
+        assert!(miner
+            .mine_source(&CountSource::from_index(VerticalIndex::build(&empty)))
+            .is_empty());
+        assert!(miner
+            .mine_source(&CountSource::borrowed(&empty).with_index_budget(0))
             .is_empty());
 
         let data = dataset(&[&[0, 2, 3], &[1, 2, 4], &[0, 1, 2, 4], &[1, 4]], 5);
-        let auto =
-            Apriori::new(AprioriParams::with_minsup(0.5).backend(CountBackend::Auto)).mine(&data);
-        let dfs = Apriori::new(AprioriParams::with_minsup(0.5)).mine(&data);
-        assert_eq!(auto, dfs);
+        let miner = Apriori::new(AprioriParams::with_minsup(0.5));
+        let reference = miner.mine(&data);
+        assert_eq!(
+            miner.mine_source(&CountSource::from_index(VerticalIndex::build(&data))),
+            reference
+        );
+        assert_eq!(
+            miner.mine_source(&CountSource::borrowed(&data).with_index_budget(0)),
+            reference
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! The miner produces a [`focus_core::model::LitsModel`] — the 2-component
 //! model (itemsets + supports) that plugs directly into the FOCUS deviation
-//! machinery.
+//! machinery. It has no counting code of its own: every level's supports
+//! come from a [`focus_core::source::CountSource`], the same counting
+//! engine the measure-extension step uses.
 //!
 //! ```
 //! use focus_core::data::TransactionSet;
@@ -27,10 +29,8 @@
 
 pub mod apriori;
 pub mod condense;
-pub mod hashtree;
 pub mod rules;
 
-pub use apriori::{Apriori, AprioriParams, CountBackend};
+pub use apriori::{Apriori, AprioriParams};
 pub use condense::{closed_itemsets, maximal_itemsets};
-pub use hashtree::HashTree;
 pub use rules::{generate_rules, rule_set_deviation, Rule};

@@ -1,195 +1,142 @@
 //! Cross-implementation differential testing of support counting.
 //!
-//! The workspace carries five independent ways to count how many
-//! transactions contain an itemset:
+//! The workspace counts how many transactions contain an itemset in four
+//! independent ways:
 //!
-//! 1. the **hash tree** of the original Apriori paper
-//!    ([`HashTree::count_set`], hashing its way down per transaction);
-//! 2. **naive subset counting** — the textbook double loop, written out
-//!    here from scratch so it shares no code with any backend;
-//! 3. the **Apriori miner's level counts** — the prefix-guided DFS that
-//!    produced the frequent itemsets and recorded their supports;
-//! 4. the **vertical tid-bitset index** ([`VerticalIndex`], Eclat-style:
-//!    support = popcount of ANDed per-item transaction bitsets);
-//! 5. the **diffset-adaptive index** ([`VerticalIndex::build_adaptive`],
-//!    dEclat-style: dense items store complement rows that AND-NOT into
-//!    the fold), counted both per-itemset and through the batched
-//!    prefix-run path ([`count_itemsets_grouped`]).
+//! 1. **naive subset counting** — the textbook double loop, written out
+//!    here from scratch so it shares no code with the library;
+//! 2. the **bitmap reference scan** ([`count_itemsets`]) — one membership
+//!    bitmap per transaction, one subset test per itemset;
+//! 3. the counting engine's **horizontal arm** — a budget-0
+//!    [`CountSource`], which walks each transaction along the workload's
+//!    prefixes;
+//! 4. the counting engine's **vertical arm** — an index-backed
+//!    [`CountSource`], which counts by popcounts of ANDed per-item
+//!    transaction bitsets in prefix-sharing batches.
 //!
-//! Each implementation has a completely different traversal order and
-//! data-structure shape, so a bug in any one of them (hash collision
-//! handling, DFS pruning, bitmap containment, bitset intersection,
-//! complement-row bookkeeping) is unlikely to be mirrored by the others.
-//! The property below demands **five-way agreement** — every backend
-//! pinned against the naive scan plus a second independent witness, not
-//! just one anchor — on proptest-generated transaction sets, at every
-//! itemset length the miner produced. A second property demands that the
-//! Apriori miner itself produces the identical model under all of its
-//! candidate counting backends (DFS, hash tree, vertical, diffset, and
-//! the cost-model `auto`). A third pins the [`CountSource`] dispatch
-//! seam: the auto-dispatching handle, a budget-0 handle (forced
-//! horizontal) and prebuilt-index handles over both index flavours
-//! (forced tidset / forced diffset) must return `u64`-identical counts no
-//! matter which side of the cost model's gates the workload lands on.
+//! Each has a different traversal order and data-structure shape, so a
+//! bug in one of them (walk pruning, bitmap containment, bitset
+//! intersection, run grouping) is unlikely to be mirrored by the others.
+//! The first property demands four-way agreement on the mined itemsets of
+//! proptest-generated transaction sets, at every itemset length, and pins
+//! the miner's recorded supports to the naive counts. The second demands
+//! that the miner produces the identical model whichever arm counts its
+//! levels. The third pins the cost-model dispatch: whatever arm a
+//! default-budget source picks, its counts equal both forced arms.
 
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
-use focus::mining::{Apriori, AprioriParams, CountBackend, HashTree};
+use focus::mining::{Apriori, AprioriParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Naive reference: for each candidate, scan every transaction and test
+/// Naive reference: for each itemset, scan every transaction and test
 /// subset inclusion by merge-walking the two sorted item lists.
-fn naive_counts(data: &TransactionSet, candidates: &[Vec<u32>]) -> Vec<u64> {
+fn naive_counts(data: &TransactionSet, itemsets: &[Itemset]) -> Vec<u64> {
     fn is_subset(sub: &[u32], sup: &[u32]) -> bool {
         let mut it = sup.iter();
         sub.iter().all(|x| it.any(|y| y == x))
     }
-    candidates
+    itemsets
         .iter()
-        .map(|c| data.iter().filter(|t| is_subset(c, t)).count() as u64)
+        .map(|s| data.iter().filter(|t| is_subset(s.items(), t)).count() as u64)
         .collect()
+}
+
+/// A random transaction dataset, deterministic in its parameters.
+fn random_transactions(seed: u64, n: usize, n_items: u32, density: f64) -> TransactionSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut data = TransactionSet::new(n_items);
+    for _ in 0..n {
+        let t: Vec<u32> = (0..n_items)
+            .filter(|_| rng.gen::<f64>() < density)
+            .collect();
+        data.push(t);
+    }
+    data
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Five-way agreement: hash tree ≡ naive ≡ Apriori level counts ≡
-    /// tidset index ≡ diffset-adaptive index (per-itemset and batched),
-    /// for every level the miner produced, on random transaction data.
+    /// Four-way agreement: naive ≡ bitmap reference ≡ forced-horizontal
+    /// source ≡ forced-vertical source, level by level over the mined
+    /// itemsets — and the miner's recorded supports are the naive counts.
     #[test]
-    fn counting_backends_agree_five_ways(seed in 0u64..1_000_000,
-                                         n in 30usize..200,
-                                         n_items in 4u32..12,
-                                         density in 0.15f64..0.8,
-                                         minsup in 0.05f64..0.4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = TransactionSet::new(n_items);
-        for _ in 0..n {
-            let t: Vec<u32> = (0..n_items).filter(|_| rng.gen::<f64>() < density).collect();
-            data.push(t);
-        }
-
+    fn counting_witnesses_agree_four_ways(seed in 0u64..1_000_000,
+                                          n in 30usize..200,
+                                          n_items in 4u32..12,
+                                          density in 0.15f64..0.8,
+                                          minsup in 0.05f64..0.4) {
+        let data = random_transactions(seed, n, n_items, density);
         let model = Apriori::new(AprioriParams::with_minsup(minsup).max_len(5)).mine(&data);
         prop_assume!(!model.is_empty());
         let n_txn = model.n_transactions() as f64;
-        let vindex = VerticalIndex::build(&data);
-        let dindex = VerticalIndex::build_adaptive(&data);
+        let horizontal = CountSource::borrowed(&data).with_index_budget(0);
+        let vertical = CountSource::from_index(VerticalIndex::build(&data));
 
-        // Group the mined itemsets by length: one hash tree per level,
-        // exactly how the original algorithm counts candidates.
         let max_len = model.itemsets().iter().map(|s| s.len()).max().unwrap();
         for k in 1..=max_len {
-            let level: Vec<(Vec<u32>, f64)> = model
+            let (level, supports): (Vec<Itemset>, Vec<f64>) = model
                 .itemsets()
                 .iter()
                 .zip(model.supports())
                 .filter(|(s, _)| s.len() == k)
-                .map(|(s, &sup)| (s.items().to_vec(), sup))
-                .collect();
+                .map(|(s, &sup)| (s.clone(), sup))
+                .unzip();
             if level.is_empty() {
                 continue;
             }
-            let candidates: Vec<Vec<u32>> = level.iter().map(|(c, _)| c.clone()).collect();
-
-            let tree = HashTree::build(&candidates, k);
-            let ht = tree.count_set(&data, Parallelism::Global);
-            let naive = naive_counts(&data, &candidates);
-
-            // Pairwise leg 1: hash tree vs naive.
-            prop_assert_eq!(&ht, &naive, "hash tree vs naive at level {}", k);
-            for (i, (cand, sup)) in level.iter().enumerate() {
-                // Pairwise leg 2: Apriori's recorded support vs naive. The
-                // miner stores count / n exactly (one f64 division), so the
-                // product recovers the integer count exactly.
-                let apriori_count = (sup * n_txn).round() as u64;
-                prop_assert_eq!(apriori_count, naive[i],
-                                "apriori vs naive for {:?} at level {}", cand, k);
-                // Pairwise leg 3: Apriori vs hash tree (closes the triangle
-                // explicitly rather than by transitivity-through-passing).
-                prop_assert_eq!(apriori_count, ht[i],
-                                "apriori vs hash tree for {:?} at level {}", cand, k);
-            }
-
-            // And the bitmap counter in focus-core agrees as well (it
-            // backs the measure-extension scans).
-            let itemsets: Vec<Itemset> = candidates
-                .iter()
-                .map(|c| Itemset::from_slice(c))
-                .collect();
-            prop_assert_eq!(&count_itemsets(&data, &itemsets), &naive,
-                            "bitmap counter vs naive at level {}", k);
-
-            // Pairwise leg 4: the vertical tid-bitset index vs naive —
-            // the Eclat-style backend.
-            let vertical = count_itemsets_vertical(&vindex, &itemsets);
-            prop_assert_eq!(&vertical, &naive,
-                            "vertical index vs naive at level {}", k);
-            // ... and vs the hash tree, so vertical is pinned against a
-            // second independent witness rather than one anchor.
-            prop_assert_eq!(&vertical, &ht,
-                            "vertical index vs hash tree at level {}", k);
-
-            // Pairwise leg 5: the diffset-adaptive index — per-itemset
-            // fold and batched prefix-run counting — closes the five-way
-            // agreement, again against two independent witnesses.
-            let diffset = count_itemsets_vertical(&dindex, &itemsets);
-            prop_assert_eq!(&diffset, &naive,
-                            "diffset index vs naive at level {}", k);
-            prop_assert_eq!(&diffset, &ht,
-                            "diffset index vs hash tree at level {}", k);
-            let grouped = count_itemsets_grouped(&dindex, &itemsets);
-            prop_assert_eq!(&grouped, &naive,
-                            "grouped diffset counts vs naive at level {}", k);
+            let naive = naive_counts(&data, &level);
+            // The miner stores count / n exactly (one f64 division), so the
+            // product recovers the integer count exactly.
+            let mined: Vec<u64> = supports.iter().map(|s| (s * n_txn).round() as u64).collect();
+            prop_assert_eq!(&mined, &naive, "mined supports vs naive at level {}", k);
+            prop_assert_eq!(&count_itemsets(&data, &level), &naive,
+                            "bitmap reference vs naive at level {}", k);
+            prop_assert_eq!(&horizontal.counts(&level, Parallelism::Global), &naive,
+                            "forced horizontal vs naive at level {}", k);
+            prop_assert_eq!(&vertical.counts(&level, Parallelism::Global), &naive,
+                            "forced vertical vs naive at level {}", k);
         }
+        // The whole mixed-length model in one workload, as measure
+        // extension counts it.
+        let all = naive_counts(&data, model.itemsets());
+        prop_assert_eq!(&horizontal.counts(model.itemsets(), Parallelism::Global), &all);
+        prop_assert_eq!(&vertical.counts(model.itemsets(), Parallelism::Global), &all);
+        prop_assert!(!horizontal.index_built(), "budget 0 must never build an index");
     }
 
-    /// The Apriori miner must produce the identical model — itemsets,
-    /// supports, transaction count — no matter which candidate counting
-    /// backend it runs on. The DFS backend is the reference; hash tree
-    /// and vertical must reproduce it exactly.
+    /// The miner must produce the identical model — itemsets, supports,
+    /// transaction count — whichever arm counts its levels: `mine` (the
+    /// cost model's per-level choice) equals `mine_source` over a forced-
+    /// horizontal and over a forced-vertical source.
     #[test]
     fn apriori_backends_mine_identical_models(seed in 0u64..1_000_000,
                                               n in 30usize..200,
                                               n_items in 4u32..12,
                                               density in 0.15f64..0.5,
                                               minsup in 0.05f64..0.4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = TransactionSet::new(n_items);
-        for _ in 0..n {
-            let t: Vec<u32> = (0..n_items).filter(|_| rng.gen::<f64>() < density).collect();
-            data.push(t);
-        }
-
-        let params = AprioriParams::with_minsup(minsup).max_len(5);
-        let reference = Apriori::new(params.backend(CountBackend::Dfs)).mine(&data);
-        for backend in [CountBackend::HashTree, CountBackend::Vertical,
-                        CountBackend::Diffset, CountBackend::Auto] {
-            let model = Apriori::new(params.backend(backend)).mine(&data);
-            prop_assert_eq!(&model, &reference, "backend {:?}", backend);
-        }
+        let data = random_transactions(seed, n, n_items, density);
+        let miner = Apriori::new(AprioriParams::with_minsup(minsup).max_len(5));
+        let reference = miner.mine(&data);
+        let horizontal = miner.mine_source(&CountSource::borrowed(&data).with_index_budget(0));
+        prop_assert_eq!(&horizontal, &reference, "forced horizontal");
+        let vertical = miner.mine_source(&CountSource::from_index(VerticalIndex::build(&data)));
+        prop_assert_eq!(&vertical, &reference, "forced vertical");
     }
 
-    /// Cost-model dispatch witness: whatever backend the auto-dispatching
+    /// Cost-model dispatch witness: whatever arm a default-budget
     /// [`CountSource`] picks for this workload, its counts are
-    /// `u64`-identical to both forced extremes — a budget-0 handle that can
-    /// never build an index (pure horizontal scan) and a prebuilt-index
-    /// handle that can never scan horizontally (pure vertical popcounts).
-    /// The same agreement is re-demanded of the mined models above, so the
-    /// dispatch seam cannot smuggle in a count difference at any layer.
+    /// `u64`-identical to both forced arms.
     #[test]
     fn cost_model_dispatch_agrees_with_forced_backends(seed in 0u64..1_000_000,
                                                        n in 30usize..300,
                                                        n_items in 4u32..12,
                                                        density in 0.15f64..0.5,
                                                        minsup in 0.05f64..0.4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = TransactionSet::new(n_items);
-        for _ in 0..n {
-            let t: Vec<u32> = (0..n_items).filter(|_| rng.gen::<f64>() < density).collect();
-            data.push(t);
-        }
+        let data = random_transactions(seed, n, n_items, density);
         let model = Apriori::new(AprioriParams::with_minsup(minsup).max_len(5)).mine(&data);
         prop_assume!(!model.is_empty());
 
@@ -197,18 +144,13 @@ proptest! {
         // cannot skew the dispatch through the process-wide knob.
         let auto = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
         let forced_horizontal = CountSource::borrowed(&data).with_index_budget(0);
-        let forced_tidset = CountSource::from_index(VerticalIndex::build(&data));
-        let forced_diffset = CountSource::from_index(VerticalIndex::build_adaptive(&data));
+        let forced_vertical = CountSource::from_index(VerticalIndex::build(&data));
 
         let reference = forced_horizontal.counts(model.itemsets(), Parallelism::Global);
-        prop_assert!(!forced_horizontal.index_built(), "budget 0 must never build an index");
         prop_assert_eq!(&auto.counts(model.itemsets(), Parallelism::Global), &reference,
                         "auto vs forced horizontal");
-        prop_assert_eq!(&forced_tidset.counts(model.itemsets(), Parallelism::Global),
+        prop_assert_eq!(&forced_vertical.counts(model.itemsets(), Parallelism::Global),
                         &reference,
-                        "forced tidset vs forced horizontal");
-        prop_assert_eq!(&forced_diffset.counts(model.itemsets(), Parallelism::Global),
-                        &reference,
-                        "forced diffset vs forced horizontal");
+                        "forced vertical vs forced horizontal");
     }
 }

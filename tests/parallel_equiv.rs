@@ -2,9 +2,10 @@
 //! `focus-exec` engine, enforced end-to-end.
 //!
 //! For random datasets and seeds, every parallelized pipeline — deviation
-//! measure scans for all three model classes, Apriori mining, hash-tree
-//! counting, vertical tid-bitset counting, shared counting-source
-//! handles with their lazily cached index, decision-tree induction,
+//! measure scans for all three model classes, Apriori mining, both arms
+//! of the lits counting engine (the horizontal walk and batched
+//! tid-bitset counting), shared counting-source handles with their
+//! lazily cached index, decision-tree induction,
 //! k-means Lloyd iterations, monitor
 //! calibration, per-region `f`/`g` aggregation, and the bootstrap
 //! qualification fan-out — must produce **bit-identical** results for any
@@ -16,7 +17,7 @@
 use focus::cluster::{KMeans, KMeansParams};
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
-use focus::mining::{Apriori, AprioriParams, HashTree};
+use focus::mining::{Apriori, AprioriParams};
 use focus::registry::{deviation_matrix_par, MatrixParams};
 use focus::stats::bootstrap_two_sample_par;
 use focus::tree::{DecisionTree, TreeParams};
@@ -362,12 +363,12 @@ proptest! {
         }
     }
 
-    /// Vertical tid-bitset counting: the word-chunked popcount fold is
-    /// thread-count-invariant, and every count is `u64`-identical to the
-    /// horizontal sequential scan (the counts are integers, so exact
-    /// equality is the bit-identity contract here). The auto-dispatch
-    /// seam must land on the same counts too, whichever side of its
-    /// gate this dataset falls on.
+    /// Vertical tid-bitset counting: the batched prefix-run counter fans
+    /// runs out over worker threads, and every count is `u64`-identical to
+    /// the horizontal sequential scan for every thread count (the counts
+    /// are integers, so exact equality is the bit-identity contract here).
+    /// A default-budget source must land on the same counts too, whichever
+    /// arm its cost model picks on this dataset.
     #[test]
     fn vertical_counting_bit_identical(seed in 0u64..1_000_000,
                                        n in 50usize..400,
@@ -383,28 +384,26 @@ proptest! {
         let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
 
         let index = VerticalIndex::build(&data);
-        let seq = count_itemsets_vertical_par(&index, &sets, Parallelism::Sequential);
+        let seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
         prop_assert_eq!(&seq, &horizontal, "vertical vs horizontal, sequential");
+        let auto = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
         for t in THREADS {
-            let par = count_itemsets_vertical_par(&index, &sets, Parallelism::Threads(t));
-            prop_assert_eq!(&par, &horizontal, "vertical counts, threads = {}", t);
             prop_assert_eq!(
-                &count_itemsets_auto_par(&data, &sets, Parallelism::Threads(t)),
+                &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
                 &horizontal,
-                "auto-dispatched counts, threads = {}", t
+                "vertical counts, threads = {}", t
             );
+            prop_assert_eq!(&auto.counts(&sets, Parallelism::Threads(t)), &horizontal,
+                            "cost-model dispatched counts, threads = {}", t);
         }
     }
 
-    /// The dEclat tier: the diffset-adaptive index (complement rows for
-    /// dense items) and the batched prefix-run counter must both return
-    /// counts `u64`-identical to the sequential horizontal scan for every
-    /// thread count — the representation, the run decomposition, and the
-    /// run-level fan-out are all pure functions of the workload, never of
-    /// the schedule. The density range reaches 0.9 so adaptive indexes
-    /// really carry diffset rows, and the workload includes triples
-    /// sharing (k−1)-prefixes so the grouped path really forms multi-
-    /// member runs.
+    /// Grouped counting on dense data: the prefix-run decomposition and
+    /// the run-level fan-out are pure functions of the workload, never of
+    /// the schedule, so every count is `u64`-identical to the sequential
+    /// horizontal scan for every thread count. The density range reaches
+    /// 0.9 so tid rows are mostly full words, and the workload includes
+    /// triples sharing (k−1)-prefixes so runs really have several members.
     #[test]
     fn diffset_and_grouped_counting_bit_identical(seed in 0u64..1_000_000,
                                                   n in 50usize..400,
@@ -421,25 +420,15 @@ proptest! {
             .collect();
         let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
 
-        for index in [VerticalIndex::build(&data), VerticalIndex::build_adaptive(&data)] {
-            let seq = count_itemsets_vertical_par(&index, &sets, Parallelism::Sequential);
-            prop_assert_eq!(&seq, &horizontal, "per-itemset fold vs horizontal, sequential");
-            let grouped_seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
-            prop_assert_eq!(&grouped_seq, &horizontal, "grouped vs horizontal, sequential");
-            for t in THREADS {
-                prop_assert_eq!(
-                    &count_itemsets_vertical_par(&index, &sets, Parallelism::Threads(t)),
-                    &horizontal,
-                    "per-itemset fold, {} diffset rows, threads = {}",
-                    index.n_diffset_rows(), t
-                );
-                prop_assert_eq!(
-                    &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
-                    &horizontal,
-                    "grouped counts, {} diffset rows, threads = {}",
-                    index.n_diffset_rows(), t
-                );
-            }
+        let index = VerticalIndex::build(&data);
+        let grouped_seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
+        prop_assert_eq!(&grouped_seq, &horizontal, "grouped vs horizontal, sequential");
+        for t in THREADS {
+            prop_assert_eq!(
+                &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
+                &horizontal,
+                "grouped counts, threads = {}", t
+            );
         }
     }
 
@@ -491,18 +480,36 @@ proptest! {
         }
     }
 
-    /// Hash-tree support counting over transaction chunks is
-    /// thread-count-invariant and agrees with the sequential iterator walk.
+    /// The horizontal walk over transaction chunks is thread-count-
+    /// invariant and `u64`-identical to the sequential bitmap reference on
+    /// mixed-length workloads: itemsets that prefix one another,
+    /// duplicates, the empty itemset and an out-of-universe item. The
+    /// datasets exceed 7 × the 256-row scan grain, so the 7-thread sweep
+    /// really splits into seven chunks.
     #[test]
-    fn hashtree_counting_bit_identical(seed in 0u64..1_000_000, n in 50usize..250) {
-        let data = random_transactions(n, 12, 0.35, seed);
-        let candidates: Vec<Vec<u32>> = (0..11u32).map(|b| vec![b, b + 1]).collect();
-        let tree = HashTree::build(&candidates, 2);
-        let seq = tree.count(data.iter());
+    fn horizontal_walk_bit_identical(seed in 0u64..1_000_000,
+                                     n in 1800usize..2600,
+                                     n_items in 6u32..14,
+                                     density in 0.1f64..0.5) {
+        let data = random_transactions(n, n_items, density, seed);
+        let sets: Vec<Itemset> = (0..n_items.saturating_sub(2))
+            .map(|b| Itemset::from_slice(&[b, b + 1, b + 2]))
+            .chain((0..n_items.saturating_sub(1)).map(|b| Itemset::from_slice(&[b, b + 1])))
+            .chain((0..n_items).map(|b| Itemset::from_slice(&[b])))
+            .chain([
+                Itemset::from_slice(&[0, 1]),
+                Itemset::from_slice(&[1, 3, 4, 5]),
+                Itemset::from_slice(&[]),
+                Itemset::from_slice(&[2, n_items + 1]),
+            ])
+            .collect();
+        let reference = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let walk = CountSource::borrowed(&data).with_index_budget(0);
         for t in THREADS {
-            prop_assert_eq!(&tree.count_set(&data, Parallelism::Threads(t)), &seq,
-                            "hash-tree counts, threads = {}", t);
+            prop_assert_eq!(&walk.counts(&sets, Parallelism::Threads(t)), &reference,
+                            "horizontal walk, threads = {}", t);
         }
+        prop_assert!(!walk.index_built(), "budget 0 must never build an index");
     }
 }
 
@@ -523,22 +530,21 @@ fn large_scan_splits_chunks_and_stays_identical() {
             "threads = {t}"
         );
     }
-    // Vertical side: the word fold chunks by bitset *words*, so splitting
-    // it needs > WORD_GRAIN (512) words per item — i.e. > 32768
-    // transactions. 40000 rows give 625 words and a genuine multi-chunk
-    // partial-vector merge at every thread count.
-    let data = random_transactions(40_000, 12, 0.3, 123);
-    let sets: Vec<Itemset> = (0..11u32)
-        .map(|b| Itemset::from_slice(&[b, b + 1]))
-        .chain(std::iter::once(Itemset::from_slice(&[2, 5, 9])))
-        .collect();
-    let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+    // Both arms of the counting engine on the same data: the walk splits
+    // by rows (6000 rows / 256-row grain > 7 chunks), the grouped counter
+    // by prefix runs (14 runs > 7 chunks).
+    let walk = CountSource::borrowed(&data).with_index_budget(0);
     let index = VerticalIndex::build(&data);
     for t in THREADS {
         assert_eq!(
-            count_itemsets_vertical_par(&index, &sets, Parallelism::Threads(t)),
-            horizontal,
-            "vertical word chunks, threads = {t}"
+            walk.counts(&sets, Parallelism::Threads(t)),
+            seq,
+            "horizontal walk, threads = {t}"
+        );
+        assert_eq!(
+            count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
+            seq,
+            "grouped runs, threads = {t}"
         );
     }
 

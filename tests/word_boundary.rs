@@ -1,16 +1,15 @@
 //! Word-boundary coverage for the vertical bitset tier.
 //!
-//! Every counting kernel in the vertical backend walks `u64` words with a
+//! Every counting kernel in the vertical arm walks `u64` words with a
 //! ragged tail: `n_transactions % 64` live bits in the last word, the
-//! rest required to be zero — in tidset rows, in diffset (complement)
-//! rows, and in every intersection mask. An off-by-one at a word boundary
-//! (or a complement that sets tail bits) would silently inflate
-//! popcounts, so this suite sweeps transaction counts *at* the
-//! boundaries — `{63, 64, 65, 127, 128, 129}` — and pins
-//! [`VerticalIndex::support_count`], [`VerticalIndex::count_with_mask`],
-//! [`VerticalIndex::intersect_into`], the per-itemset and grouped
-//! counters, and both row representations against a from-scratch naive
-//! scan, directed and property-tested.
+//! rest required to be zero — in item rows and in every intersection
+//! mask, the all-transactions mask of the empty prefix included. An
+//! off-by-one at a word boundary would silently inflate popcounts, so this
+//! suite sweeps transaction counts *at* the boundaries — `{63, 64, 65,
+//! 127, 128, 129}` — and pins the item rows,
+//! [`VerticalIndex::intersect_into`], [`VerticalIndex::count_with_mask`]
+//! and the grouped counter against a from-scratch naive scan, directed and
+//! property-tested.
 
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
@@ -58,21 +57,26 @@ fn assert_tail_zero(words: &[u64], n_transactions: usize, what: &str) {
     assert_eq!(live, live_masked, "{what}: bits set past n_transactions");
 }
 
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
 /// Every index entry point, against the naive scan, for one dataset.
-fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
+fn check_index(data: &TransactionSet, what: &str) {
+    let index = &VerticalIndex::build(data);
     let n = data.len();
     let n_items = data.n_items();
-    // Row storage honours the tail in both representations.
+    // Row storage honours the tail.
     for it in 0..n_items {
         assert_tail_zero(index.item_bits(it), n, what);
         assert_eq!(
-            index.item_support(it),
+            popcount(index.item_bits(it)),
             naive_support(data, &[it]),
-            "{what}: item_support({it})"
+            "{what}: row of item {it}"
         );
     }
-    // support_count over singles, pairs, a triple, the empty itemset, and
-    // an out-of-range probe.
+    // Probes: singles, pairs, a triple, the empty itemset, and an
+    // out-of-range item.
     let mut probes: Vec<Vec<u32>> = (0..n_items).map(|i| vec![i]).collect();
     for a in 0..n_items {
         for b in (a + 1)..n_items {
@@ -91,12 +95,7 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
         } else {
             naive_support(data, p)
         };
-        assert_eq!(
-            index.support_count(p, Parallelism::Sequential),
-            want,
-            "{what}: support_count({p:?})"
-        );
-        // intersect_into materialises the same cover (tail zeroed), and
+        // intersect_into materialises the cover (tail zeroed), and
         // count_with_mask extends it exactly like a direct count.
         let in_range = index.intersect_into(p, &mut mask);
         assert_eq!(
@@ -107,7 +106,7 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
         assert_tail_zero(&mask, n, what);
         if in_range {
             assert_eq!(
-                mask.iter().map(|w| u64::from(w.count_ones())).sum::<u64>(),
+                popcount(&mask),
                 want,
                 "{what}: intersect_into({p:?}) popcount"
             );
@@ -125,7 +124,7 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
             }
         }
     }
-    // The batch counters agree wholesale.
+    // The batch counter agrees wholesale, at every thread count.
     let itemsets: Vec<Itemset> = probes.iter().map(|p| Itemset::from_slice(p)).collect();
     let want: Vec<u64> = probes
         .iter()
@@ -139,39 +138,22 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
             }
         })
         .collect();
-    assert_eq!(
-        count_itemsets_vertical(index, &itemsets),
-        want,
-        "{what}: per-itemset fold"
-    );
-    assert_eq!(
-        count_itemsets_grouped(index, &itemsets),
-        want,
-        "{what}: grouped counts"
-    );
+    for t in [1usize, 2, 4, 7] {
+        assert_eq!(
+            count_itemsets_grouped_par(index, &itemsets, Parallelism::Threads(t)),
+            want,
+            "{what}: grouped counts, threads = {t}"
+        );
+    }
 }
 
 #[test]
 fn directed_boundary_sweep() {
-    // Deterministic datasets at every boundary width, sparse and dense,
-    // so both all-tidset and genuinely mixed diffset indexes get hit.
+    // Deterministic datasets at every boundary width, sparse and dense.
     for (i, &n) in BOUNDARY_NS.iter().enumerate() {
         for density in [0.2f64, 0.7] {
             let data = random_transactions(n, 6, density, 1000 + i as u64);
-            let plain = VerticalIndex::build(&data);
-            check_index(&data, &plain, &format!("n={n} density={density} tidset"));
-            let adaptive = VerticalIndex::build_adaptive(&data);
-            check_index(
-                &data,
-                &adaptive,
-                &format!("n={n} density={density} adaptive"),
-            );
-            if density > 0.5 {
-                assert!(
-                    adaptive.n_diffset_rows() > 0,
-                    "n={n}: dense data must produce diffset rows"
-                );
-            }
+            check_index(&data, &format!("n={n} density={density}"));
         }
     }
 }
@@ -179,8 +161,8 @@ fn directed_boundary_sweep() {
 #[test]
 fn all_and_none_items_at_every_boundary() {
     // Item 0 in every transaction, item 1 in none, item 2 alternating:
-    // the extreme rows where a tail-bit error is most visible (the
-    // complement of an all-ones row is exactly the tail).
+    // the extreme rows where a tail-bit error is most visible (an all-ones
+    // row is exactly as wide as the all-transactions mask).
     for &n in &BOUNDARY_NS {
         let mut data = TransactionSet::new(3);
         for t in 0..n {
@@ -190,24 +172,25 @@ fn all_and_none_items_at_every_boundary() {
             }
             data.push(txn);
         }
-        let adaptive = VerticalIndex::build_adaptive(&data);
-        assert_eq!(adaptive.row_repr(0), RowRepr::Diffset, "n={n}");
-        assert!(
-            adaptive.item_bits(0).iter().all(|&w| w == 0),
-            "n={n}: complement of the universe row must be empty, tail included"
+        let index = VerticalIndex::build(&data);
+        let mut full = Vec::new();
+        assert!(index.intersect_into(&[], &mut full));
+        assert_eq!(
+            index.item_bits(0),
+            full.as_slice(),
+            "n={n}: the universe row is the all-transactions mask, tail included"
         );
-        check_index(&data, &adaptive, &format!("n={n} extremes"));
-        assert_eq!(adaptive.item_support(0), n as u64);
-        assert_eq!(adaptive.item_support(1), 0);
-        assert_eq!(adaptive.item_support(2), n.div_ceil(2) as u64);
+        assert!(index.item_bits(1).iter().all(|&w| w == 0), "n={n}");
+        check_index(&data, &format!("n={n} extremes"));
+        assert_eq!(popcount(index.item_bits(2)), n.div_ceil(2) as u64);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random data at the word boundaries: every entry point, both row
-    /// representations, naive-scan agreement, trailing bits zero.
+    /// Random data at the word boundaries: every entry point, naive-scan
+    /// agreement, trailing bits zero.
     #[test]
     fn boundary_counting_matches_naive(which in 0usize..6,
                                        n_items in 3u32..8,
@@ -215,7 +198,6 @@ proptest! {
                                        seed in 0u64..1_000_000) {
         let n = BOUNDARY_NS[which];
         let data = random_transactions(n, n_items, density, seed);
-        check_index(&data, &VerticalIndex::build(&data), "proptest tidset");
-        check_index(&data, &VerticalIndex::build_adaptive(&data), "proptest adaptive");
+        check_index(&data, "proptest");
     }
 }

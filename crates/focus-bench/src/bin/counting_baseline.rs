@@ -35,6 +35,17 @@
 //! For the reuse rows `speedup_vs_bitmap` compares against four
 //! horizontal scans — the bitmap cost of the same workload.
 //!
+//! A last pair of rows measures **Apriori's level 2**: every pair of the
+//! scale's frequent singletons, counted and filtered at the mining
+//! threshold. Their `itemsets` field is the pair count C(f, 2), and
+//! `speedup_vs_bitmap` compares against one bitmap scan of those pairs:
+//!
+//! * `pairs_vertical` — the pairs as one [`CountSource::counts`] workload
+//!   over a cold index, the path level 2 takes on an index-backed source;
+//! * `pairs_blocked` — the blocked triangular pass,
+//!   [`CountSource::frequent_pairs`], the path level 2 takes whenever the
+//!   source holds rows.
+//!
 //! The sparse scales use the paper's association generator; the `dense`
 //! scale is an independent-Bernoulli dataset at 0.7 fill over 32 items,
 //! whose mined workload (triples at minsup 0.3) has deep shared prefixes.
@@ -47,6 +58,7 @@
 use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
 use focus_core::model::count_itemsets_par;
+use focus_core::region::Itemset;
 use focus_core::source::{CountSource, DEFAULT_INDEX_BUDGET};
 use focus_core::vertical::{count_itemsets_grouped_par, VerticalIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
@@ -70,7 +82,11 @@ struct Row {
 
 /// Runs one counting path `samples` times, checks every run against the
 /// reference counts, and returns the minimum elapsed seconds.
-fn best_of(samples: usize, reference: &[u64], mut run: impl FnMut() -> Vec<u64>) -> f64 {
+fn best_of<T: PartialEq + std::fmt::Debug>(
+    samples: usize,
+    reference: &[T],
+    mut run: impl FnMut() -> Vec<T>,
+) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..samples {
         let (counts, secs) = timed(&mut run);
@@ -133,6 +149,8 @@ fn main() {
         // way the measure-extension step re-counts them against a second
         // dataset.
         let model = Apriori::new(mine_params).mine(&data);
+        let min_count = ((mine_params.minsup * data.len() as f64).ceil() as u64)
+            .max(mine_params.min_count_floor);
         let itemsets = model.itemsets().to_vec();
         let reference = count_itemsets_par(&data, &itemsets, par);
 
@@ -173,21 +191,79 @@ fn main() {
             counts
         });
 
-        for (backend, secs, one_scan_bitmap) in [
-            ("bitmap_scan", bitmap_secs, 1),
-            ("horizontal", horizontal_secs, 1),
-            ("vertical", vertical_secs, 1),
-            ("vertical_warm", warm_secs, 1),
-            ("vertical_rebuild_x4", rebuild_secs, REUSE_SCANS),
-            ("source_cached_x4", cached_secs, REUSE_SCANS),
+        // Level 2: every pair of the frequent singletons, filtered at the
+        // mining threshold.
+        let items: Vec<u32> = itemsets
+            .iter()
+            .filter(|s| s.len() == 1)
+            .map(|s| s.items()[0])
+            .collect();
+        let pairs: Vec<Itemset> = items
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| {
+                items[i + 1..]
+                    .iter()
+                    .map(move |&b| Itemset::new(vec![a, b]))
+            })
+            .collect();
+        let frequent = |counts: Vec<u64>| -> Vec<(u32, u32, u64)> {
+            pairs
+                .iter()
+                .zip(counts)
+                .filter(|&(_, c)| c >= min_count)
+                .map(|(s, c)| (s.items()[0], s.items()[1], c))
+                .collect()
+        };
+        let (pairs_reference, pairs_bitmap_secs) =
+            timed(|| frequent(count_itemsets_par(&data, &pairs, par)));
+        let pairs_vertical_secs = best_of(cfg.samples, &pairs_reference, || {
+            let source = CountSource::from_index(VerticalIndex::build(&data));
+            frequent(source.counts(&pairs, par))
+        });
+        let pairs_blocked_secs = best_of(cfg.samples, &pairs_reference, || {
+            CountSource::borrowed(&data)
+                .frequent_pairs(&items, min_count, par)
+                .expect("a row-backed source runs the pass")
+        });
+
+        for (backend, workload, secs, bitmap) in [
+            ("bitmap_scan", itemsets.len(), bitmap_secs, bitmap_secs),
+            ("horizontal", itemsets.len(), horizontal_secs, bitmap_secs),
+            ("vertical", itemsets.len(), vertical_secs, bitmap_secs),
+            ("vertical_warm", itemsets.len(), warm_secs, bitmap_secs),
+            (
+                "vertical_rebuild_x4",
+                itemsets.len(),
+                rebuild_secs,
+                bitmap_secs * REUSE_SCANS as f64,
+            ),
+            (
+                "source_cached_x4",
+                itemsets.len(),
+                cached_secs,
+                bitmap_secs * REUSE_SCANS as f64,
+            ),
+            (
+                "pairs_vertical",
+                pairs.len(),
+                pairs_vertical_secs,
+                pairs_bitmap_secs,
+            ),
+            (
+                "pairs_blocked",
+                pairs.len(),
+                pairs_blocked_secs,
+                pairs_bitmap_secs,
+            ),
         ] {
             rows.push(Row {
                 scale,
                 transactions: data.len(),
-                itemsets: itemsets.len(),
+                itemsets: workload,
                 backend,
                 secs,
-                speedup_vs_bitmap: bitmap_secs * one_scan_bitmap as f64 / secs,
+                speedup_vs_bitmap: bitmap / secs,
             });
         }
     }

@@ -37,7 +37,9 @@
 //! results. `FOCUS_THREADS` is the env-var equivalent. `--index-budget B`
 //! caps the bytes the counting cost model may spend on vertical tid-bitset
 //! indexes (`FOCUS_INDEX_BUDGET` is the env-var equivalent; `0` forces the
-//! horizontal scan). Counts are bit-identical for every budget.
+//! horizontal scan on every mining level but level 2, which is always one
+//! horizontal pair pass, and on measure extension). Counts are
+//! bit-identical for every budget.
 //!
 //! A flag the command does not know is an error, never silently ignored,
 //! and `--minsup` must lie in (0, 1].
@@ -51,16 +53,18 @@
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
-use focus_core::deviation::{dt_deviation, lits_deviation};
+use focus_core::deviation::{deviate_sources_par, dt_deviation};
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
 use focus_core::persist::{read_lits_model, write_lits_model};
 use focus_core::qualify::qualify_transactions;
+use focus_core::source::CountSource;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_data::io::{
     read_labeled_table, read_transactions, write_labeled_table, write_transactions,
 };
+use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
 use focus_registry::{
     DeviationMatrix, MatrixParams, Registry, RegistryLayout, SnapshotFamily, SnapshotKind,
@@ -398,9 +402,9 @@ fn deviate(flags: &Flags) -> Result<(), String> {
     let (f, g) = (diff_fn(flags)?, agg_fn(flags)?);
     let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
     let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
-    let m1 = m.mine(&d1);
-    let m2 = m.mine(&d2);
-    let dev = lits_deviation(&m1, &d1, &m2, &d2, f, g);
+    let (s1, s2) = (CountSource::borrowed(&d1), CountSource::borrowed(&d2));
+    let (m1, m2) = (m.mine_source(&s1), m.mine_source(&s2));
+    let dev = deviate_sources_par::<LitsFamily>(&m1, &s1, &m2, &s2, f, g, Parallelism::Global);
     println!("{:.6}", dev.value);
     eprintln!(
         "GCR: {} regions; models: {} and {} itemsets",
@@ -428,9 +432,10 @@ fn qualify(flags: &Flags) -> Result<(), String> {
     let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
     let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
     let pipeline = |a: &focus_core::data::TransactionSet, b: &focus_core::data::TransactionSet| {
-        let ma = m.mine(a);
-        let mb = m.mine(b);
-        lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+        let (sa, sb) = (CountSource::borrowed(a), CountSource::borrowed(b));
+        let (ma, mb) = (m.mine_source(&sa), m.mine_source(&sb));
+        let (f, g) = (DiffFn::Absolute, AggFn::Sum);
+        deviate_sources_par::<LitsFamily>(&ma, &sa, &mb, &sb, f, g, Parallelism::Global).value
     };
     let observed = pipeline(&d1, &d2);
     let q = qualify_transactions(&d1, &d2, observed, reps, seed, pipeline);

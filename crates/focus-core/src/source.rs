@@ -18,6 +18,14 @@
 //!   for tiny workloads that cannot pay for an index build and for datasets
 //!   whose index does not fit the budget.
 //!
+//! Apriori's all-pairs level has a third, dedicated entry point,
+//! [`CountSource::frequent_pairs`]: one blocked triangular pass over the
+//! rows that counts every pair of the frequent items at once (the
+//! standard pass-2 treatment in Apriori and Eclat, Zaki, TKDE 2000). It
+//! needs the horizontal view, builds no index and so never consults the
+//! budget; an index-backed source declines it, and the miner counts its
+//! pairs through [`CountSource::counts`] instead.
+//!
 //! ## The cost model
 //!
 //! [`prefers_vertical`] compares two estimates:
@@ -44,12 +52,13 @@
 //! `FOCUS_INDEX_BUDGET` environment variable (bytes, with optional
 //! `k`/`m`/`g` binary suffixes; unparseable values warn once and fall
 //! back) beats the [`DEFAULT_INDEX_BUDGET`] of 128 MiB. A budget of `0`
-//! never builds an index — a forced-horizontal knob.
+//! never builds an index — a forced-horizontal knob for every
+//! [`CountSource::counts`] call (the pair pass is horizontal anyway).
 
 use crate::data::TransactionSet;
 use crate::region::Itemset;
 use crate::vertical::{count_itemsets_grouped_par, resolve_itemsets, VerticalIndex};
-use focus_exec::{map_chunks, merge_counts, Parallelism};
+use focus_exec::{map_chunks, map_indices, merge_counts, Parallelism};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -295,6 +304,94 @@ fn walk(
 }
 
 // ---------------------------------------------------------------------------
+// The blocked triangular pair pass
+
+/// Pair counters per band of [`count_pairs_blocked`]: 256 KiB of `u32`,
+/// small enough to stay in a core's cache while the rows stream past.
+const PAIR_BAND: usize = 1 << 16;
+
+/// Every pair of `items` (strictly ascending) that at least `min_count`
+/// rows of `data` contain, as `(a, b, count)` with `a < b`, in ascending
+/// order — Apriori's pass 2 without materialising its C(f, 2) candidates.
+///
+/// The triangle of pair counters is indexed by frequent-item rank and cut
+/// into contiguous bands of first ranks, each of at most [`PAIR_BAND`]
+/// counters (a band always holds at least one rank, so only more than
+/// 65,537 frequent items can exceed it). Each band scans every row and
+/// counts just the pairs whose first rank falls in it: Σ C(|t|, 2)
+/// increments in all, spread over the bands. Whole bands fan out over
+/// `par` and their frequent pairs are concatenated in band order, so every
+/// counter is written by one thread, nothing is merged, and the result is
+/// bit-identical for any thread count.
+fn count_pairs_blocked(
+    data: &TransactionSet,
+    items: &[u32],
+    min_count: u64,
+    par: Parallelism,
+) -> Vec<(u32, u32, u64)> {
+    assert!(
+        items.windows(2).all(|w| w[0] < w[1]),
+        "frequent_pairs wants strictly ascending items"
+    );
+    let f = items.len();
+    // Pairs whose first rank is below `a`: the offset of rank `a`'s row.
+    let row_start = |a: usize| a * (2 * f - a - 1) / 2;
+    let mut bands: Vec<(usize, usize)> = Vec::new();
+    let mut lo = 0;
+    while lo + 1 < f {
+        let mut hi = lo + 1;
+        while hi + 1 < f && row_start(hi + 1) - row_start(lo) <= PAIR_BAND {
+            hi += 1;
+        }
+        bands.push((lo, hi));
+        lo = hi;
+    }
+    const UNRANKED: u32 = u32::MAX;
+    let mut rank = vec![UNRANKED; data.n_items() as usize];
+    for (r, &it) in items.iter().enumerate() {
+        if let Some(slot) = rank.get_mut(it as usize) {
+            *slot = r as u32;
+        }
+    }
+    let rank = &rank;
+    let parts = map_indices(par, bands.len(), |band| {
+        let (lo, hi) = bands[band];
+        let base = row_start(lo);
+        let mut counters = vec![0u32; row_start(hi) - base];
+        let mut ranks: Vec<u32> = Vec::new();
+        for t in data.iter() {
+            ranks.clear();
+            ranks.extend(
+                t.iter()
+                    .map(|&it| rank[it as usize])
+                    .filter(|&r| r != UNRANKED && r as usize >= lo),
+            );
+            for (i, &a) in ranks.iter().enumerate() {
+                let a = a as usize;
+                if a >= hi {
+                    break;
+                }
+                let row = &mut counters[row_start(a) - base..row_start(a + 1) - base];
+                for &b in &ranks[i + 1..] {
+                    row[b as usize - a - 1] += 1;
+                }
+            }
+        }
+        let mut frequent = Vec::new();
+        for a in lo..hi {
+            let row = &counters[row_start(a) - base..row_start(a + 1) - base];
+            for (&b, &count) in items[a + 1..].iter().zip(row) {
+                if u64::from(count) >= min_count {
+                    frequent.push((items[a], b, u64::from(count)));
+                }
+            }
+        }
+        frequent
+    });
+    parts.concat()
+}
+
+// ---------------------------------------------------------------------------
 // CountSource
 
 /// How a [`CountSource`] holds its data.
@@ -448,6 +545,25 @@ impl<'a> CountSource<'a> {
             count_horizontal(data, itemsets, par)
         }
     }
+
+    /// Every pair of `items` (strictly ascending) supported by at least
+    /// `min_count` transactions, as ascending `(a, b, count)` triples —
+    /// Apriori's level 2 counted in one blocked triangular pass over the
+    /// rows, without building or consulting the index.
+    ///
+    /// Returns `None` when the handle has no horizontal view (an
+    /// index-backed source), or holds more rows than a `u32` counter can
+    /// tally; the caller then counts the pairs through [`Self::counts`].
+    /// The result is bit-identical for any thread count.
+    pub fn frequent_pairs(
+        &self,
+        items: &[u32],
+        min_count: u64,
+        par: Parallelism,
+    ) -> Option<Vec<(u32, u32, u64)>> {
+        let data = self.transactions()?;
+        (data.len() <= u32::MAX as usize).then(|| count_pairs_blocked(data, items, min_count, par))
+    }
 }
 
 #[cfg(test)]
@@ -593,6 +709,52 @@ mod tests {
         assert_eq!(
             count_horizontal(&TransactionSet::new(4), &sets[..3], Parallelism::Sequential),
             vec![0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn frequent_pairs_match_naive_counts() {
+        let ts = random_set(17, 500, 14, 0.3);
+        // Item 3 is left out, so ranks and item ids differ.
+        let items: Vec<u32> = (0..14).filter(|&i| i != 3).collect();
+        let pairs: Vec<Itemset> = items
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| {
+                items[i + 1..]
+                    .iter()
+                    .map(move |&b| Itemset::new(vec![a, b]))
+            })
+            .collect();
+        let source = CountSource::borrowed(&ts);
+        for min_count in [0, 1, 40, 501] {
+            let want: Vec<(u32, u32, u64)> = pairs
+                .iter()
+                .zip(naive(&ts, &pairs))
+                .filter(|&(_, c)| c >= min_count)
+                .map(|(s, c)| (s.items()[0], s.items()[1], c))
+                .collect();
+            for t in [1usize, 2, 4, 7] {
+                assert_eq!(
+                    source.frequent_pairs(&items, min_count, Parallelism::Threads(t)),
+                    Some(want.clone()),
+                    "min_count {min_count}, threads {t}"
+                );
+            }
+        }
+        assert!(!source.index_built(), "the pair pass builds no index");
+        // Fewer than two items have no pairs; an index-backed source has
+        // no rows to pass over.
+        for few in [&[][..], &[5]] {
+            assert_eq!(
+                source.frequent_pairs(few, 0, Parallelism::Sequential),
+                Some(vec![])
+            );
+        }
+        let indexed = CountSource::from_index(VerticalIndex::build(&ts));
+        assert_eq!(
+            indexed.frequent_pairs(&items, 1, Parallelism::Sequential),
+            None
         );
     }
 

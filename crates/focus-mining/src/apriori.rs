@@ -9,13 +9,21 @@
 //!    the level's candidates, generated and counted one batch at a time so
 //!    a wide level never sits in memory whole.
 //!
-//! The miner has no counting code of its own. Every level, level 1
-//! included, counts through the same [`CountSource`] that the FOCUS
-//! measure-extension step uses, so there is one cost model, one
-//! horizontal walk and one batched vertical counter. The source decides
-//! per batch, from the batch's shape alone, whether to count over its
-//! cached tid-bitset index or with the horizontal walk; both arms produce
-//! identical `u64` counts, so the mined model never depends on the choice.
+//! Level 2 skips all three: every pair of frequent items is a candidate,
+//! so [`CountSource::frequent_pairs`] counts them all in one blocked
+//! triangular pass over the rows and returns only the frequent ones. An
+//! index-backed source has no rows and declines; its pairs then go
+//! through the three steps like any other level.
+//!
+//! The miner has no counting code of its own. Level 1, levels ≥ 3 and
+//! the fallback level 2 count through [`CountSource::counts`], the same
+//! entry point the FOCUS measure-extension step uses, so there is one
+//! cost model, one horizontal walk and one batched vertical counter. The
+//! source decides per batch, from the batch's shape alone, whether to
+//! count over its cached tid-bitset index or with the horizontal walk;
+//! every path produces identical `u64` counts, so the mined model never
+//! depends on the choice. Mining and extending through one source builds
+//! its index at most once.
 
 use focus_core::data::TransactionSet;
 use focus_core::model::LitsModel;
@@ -103,11 +111,14 @@ impl Apriori {
         self.mine_source(&CountSource::borrowed(data))
     }
 
-    /// Mines the frequent itemsets of the dataset behind `source`, counting
-    /// every level through [`CountSource::counts`]. The source's budget and
-    /// representation decide which counting arm each level uses — a
-    /// budget-0 source counts every level horizontally, an index-backed
-    /// source every level vertically — and never the mined model.
+    /// Mines the frequent itemsets of the dataset behind `source`: level 2
+    /// through [`CountSource::frequent_pairs`] when the source has rows,
+    /// every other level through [`CountSource::counts`]. The source's
+    /// budget and representation decide which counting arm each
+    /// `counts` call uses — a budget-0 source counts every such level
+    /// horizontally, an index-backed source every level vertically — and
+    /// never the mined model. An index built here stays cached in
+    /// `source` for later counts, such as a measure extension.
     pub fn mine_source(&self, source: &CountSource<'_>) -> LitsModel {
         let n = source.len();
         if n == 0 {
@@ -117,11 +128,12 @@ impl Apriori {
         let min_count = ((self.params.minsup * n as f64).ceil().max(1.0) as u64)
             .max(self.params.min_count_floor);
 
+        let par = self.params.parallelism;
+        let within_cap = |k: usize| self.params.max_len.is_none_or(|cap| k <= cap);
         let mut all_frequent: Vec<(Itemset, u64)> = Vec::new();
-        // Counts one batch of candidates and appends the frequent ones, in
-        // order, to `frequent` (the next level's frontier).
-        let mut keep = |batch: Vec<Itemset>, frequent: &mut Vec<Itemset>| {
-            let counts = source.counts(&batch, self.params.parallelism);
+        // Appends the frequent itemsets of one counted batch, in order, to
+        // the model and to `frequent` (the next level's frontier).
+        let mut keep = |batch: Vec<Itemset>, counts: Vec<u64>, frequent: &mut Vec<Itemset>| {
             for (cand, count) in batch.into_iter().zip(counts) {
                 if count >= min_count {
                     all_frequent.push((cand.clone(), count));
@@ -130,12 +142,32 @@ impl Apriori {
             }
         };
         let mut frontier: Vec<Itemset> = Vec::new();
-        let singletons = (0..source.n_items()).map(|it| Itemset::new(vec![it]));
-        keep(singletons.collect(), &mut frontier);
+        let singletons: Vec<Itemset> = (0..source.n_items())
+            .map(|it| Itemset::new(vec![it]))
+            .collect();
+        let counts = source.counts(&singletons, par);
+        keep(singletons, counts, &mut frontier);
         let mut k = 2usize;
-        while !frontier.is_empty() && self.params.max_len.is_none_or(|cap| k <= cap) {
+        // Level 2 in one pass over the rows, when the source has them.
+        let pairs = within_cap(2).then(|| {
+            let items: Vec<u32> = frontier.iter().map(|s| s.items()[0]).collect();
+            source.frequent_pairs(&items, min_count, par)
+        });
+        if let Some(pairs) = pairs.flatten() {
+            let (batch, counts) = pairs
+                .into_iter()
+                .map(|(a, b, count)| (Itemset::new(vec![a, b]), count))
+                .unzip();
+            frontier.clear();
+            keep(batch, counts, &mut frontier);
+            k = 3;
+        }
+        while !frontier.is_empty() && within_cap(k) {
             let mut next: Vec<Itemset> = Vec::new();
-            generate_candidates(&frontier, CANDIDATE_BATCH, |batch| keep(batch, &mut next));
+            generate_candidates(&frontier, CANDIDATE_BATCH, |batch| {
+                let counts = source.counts(&batch, par);
+                keep(batch, counts, &mut next)
+            });
             frontier = next;
             k += 1;
         }
@@ -146,8 +178,9 @@ impl Apriori {
     }
 }
 
-/// Candidates per [`CountSource::counts`] call. A wide level — the
-/// C(1000, 2) ≈ 500k pairs of a 1,000-item universe — is generated and
+/// Candidates per [`CountSource::counts`] call. A wide level — such as
+/// the C(1000, 2) ≈ 500k pairs of a 1,000-item universe, which reach this
+/// path when an index-backed source counts level 2 — is generated and
 /// counted in batches of about this many, so the miner never holds more
 /// than one batch of candidates and their counts at once. That keeps its
 /// memory small and, when bootstrap replicates mine concurrently, steady
@@ -456,6 +489,50 @@ mod tests {
             miner.mine_source(&CountSource::borrowed(&data).with_index_budget(0)),
             reference
         );
+    }
+
+    /// Mines `data` through the pair pass (a row-backed source) and
+    /// through the batched level-2 fallback (an index-backed source), and
+    /// requires the same model from both.
+    fn mine_both_level2_paths(miner: &Apriori, data: &TransactionSet) -> LitsModel {
+        let pass = miner.mine_source(&CountSource::borrowed(data));
+        let batched = miner.mine_source(&CountSource::from_index(VerticalIndex::build(data)));
+        assert_eq!(pass, batched);
+        pass
+    }
+
+    #[test]
+    fn level2_pass_edge_cases() {
+        let miner = Apriori::new(AprioriParams::with_minsup(0.5));
+        // No frequent item, exactly one, exactly two.
+        let none = dataset(&[&[0], &[1], &[2], &[3]], 4);
+        assert!(mine_both_level2_paths(&miner, &none).is_empty());
+        let one = dataset(&[&[0, 1], &[0, 2], &[0, 3], &[]], 4);
+        let m = mine_both_level2_paths(&miner, &one);
+        assert_eq!(m.itemsets(), &[Itemset::from_slice(&[0])]);
+        let two = dataset(&[&[0, 2], &[0, 2, 3], &[1, 2], &[0]], 4);
+        let m = mine_both_level2_paths(&miner, &two);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.support_of(&Itemset::from_slice(&[0, 2])), Some(0.5));
+        // An empty dataset.
+        assert!(mine_both_level2_paths(&miner, &TransactionSet::new(4)).is_empty());
+        // max_len(1) stops before the pair pass.
+        let rows: Vec<&[u32]> = vec![&[0, 1, 2]; 6];
+        let full = dataset(&rows, 3);
+        let m = mine_both_level2_paths(
+            &Apriori::new(AprioriParams::with_minsup(0.5).max_len(1)),
+            &full,
+        );
+        assert_eq!(m.len(), 3);
+        assert!(m.itemsets().iter().all(|s| s.len() == 1));
+        // A count floor above every pair's count keeps the singletons only.
+        let mut skewed = vec![&[0u32, 1, 2][..]; 3];
+        skewed.extend([&[0u32][..], &[1], &[2]]);
+        let data = dataset(&skewed, 3);
+        let floored = Apriori::new(AprioriParams::with_minsup(0.1).min_count_floor(4));
+        let m = mine_both_level2_paths(&floored, &data);
+        assert_eq!(m.len(), 3, "singletons have 4, pairs 3");
+        assert!(m.itemsets().iter().all(|s| s.len() == 1));
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! the miner's recorded supports to the naive counts. The second demands
 //! that the miner produces the identical model whichever arm counts its
 //! levels. The third pins the cost-model dispatch: whatever arm a
-//! default-budget source picks, its counts equal both forced arms.
+//! default-budget source picks, its counts equal both forced arms. The
+//! fourth checks Apriori's level-2 pair pass
+//! ([`CountSource::frequent_pairs`]) against every pair counted through
+//! both forced arms and the bitmap reference.
 
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
@@ -57,8 +60,87 @@ fn random_transactions(seed: u64, n: usize, n_items: u32, density: f64) -> Trans
     data
 }
 
+/// Checks the pair pass of a forced-horizontal source against all C(f, 2)
+/// pairs of the frequent items (count ≥ `min_count`), counted through the
+/// forced-horizontal arm, the forced-vertical arm and the bitmap reference
+/// and filtered by `min_count`. Returns the frequent pairs.
+fn check_frequent_pairs(data: &TransactionSet, min_count: u64) -> Vec<(u32, u32, u64)> {
+    let singletons: Vec<Itemset> = (0..data.n_items()).map(|i| Itemset::new(vec![i])).collect();
+    let items: Vec<u32> = singletons
+        .iter()
+        .zip(count_itemsets(data, &singletons))
+        .filter(|&(_, c)| c >= min_count)
+        .map(|(s, _)| s.items()[0])
+        .collect();
+    let pairs: Vec<Itemset> = items
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &a)| {
+            items[i + 1..]
+                .iter()
+                .map(move |&b| Itemset::new(vec![a, b]))
+        })
+        .collect();
+    let frequent = |counts: Vec<u64>| -> Vec<(u32, u32, u64)> {
+        pairs
+            .iter()
+            .zip(counts)
+            .filter(|&(_, c)| c >= min_count)
+            .map(|(s, c)| (s.items()[0], s.items()[1], c))
+            .collect()
+    };
+    let horizontal = CountSource::borrowed(data).with_index_budget(0);
+    let vertical = CountSource::from_index(VerticalIndex::build(data));
+    let got = horizontal
+        .frequent_pairs(&items, min_count, Parallelism::Global)
+        .expect("a row-backed source runs the pass");
+    assert_eq!(
+        got,
+        frequent(horizontal.counts(&pairs, Parallelism::Global)),
+        "forced horizontal"
+    );
+    assert_eq!(
+        got,
+        frequent(vertical.counts(&pairs, Parallelism::Global)),
+        "forced vertical"
+    );
+    assert_eq!(
+        got,
+        frequent(count_itemsets(data, &pairs)),
+        "bitmap reference"
+    );
+    assert_eq!(
+        vertical.frequent_pairs(&items, min_count, Parallelism::Global),
+        None
+    );
+    assert!(
+        !horizontal.index_built(),
+        "budget 0 must never build an index"
+    );
+    got
+}
+
+/// The pair pass over more frequent items than one band of counters holds:
+/// 560 items make C(560, 2) = 156,520 pairs, three bands.
+#[test]
+fn frequent_pairs_agree_across_bands() {
+    let data = random_transactions(11, 300, 560, 0.03);
+    assert!(!check_frequent_pairs(&data, 2).is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The pair pass agrees with every other counting path, at thresholds
+    /// from "every pair" (0) to "no pair".
+    #[test]
+    fn frequent_pairs_agree_with_every_counting_path(seed in 0u64..1_000_000,
+                                                     n in 0usize..200,
+                                                     n_items in 1u32..40,
+                                                     density in 0.05f64..0.6,
+                                                     min_count in 0u64..25) {
+        check_frequent_pairs(&random_transactions(seed, n, n_items, density), min_count);
+    }
 
     /// Four-way agreement: naive ≡ bitmap reference ≡ forced-horizontal
     /// source ≡ forced-vertical source, level by level over the mined

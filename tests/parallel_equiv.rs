@@ -4,10 +4,10 @@
 //! For random datasets and seeds, every parallelized pipeline — deviation
 //! measure scans for all three model classes, Apriori mining, both arms
 //! of the lits counting engine (the horizontal walk and batched
-//! tid-bitset counting), shared counting-source handles with their
-//! lazily cached index, decision-tree induction,
-//! k-means Lloyd iterations, monitor
-//! calibration, per-region `f`/`g` aggregation, and the bootstrap
+//! tid-bitset counting), the level-2 pair pass, shared counting-source
+//! handles with their lazily cached index, decision-tree induction,
+//! k-means Lloyd iterations, monitor calibration, per-region `f`/`g`
+//! aggregation, and the bootstrap
 //! qualification fan-out — must produce **bit-identical** results for any
 //! worker-thread count. Floating-point results are compared via their
 //! IEEE-754 bit patterns, not a tolerance: the engine's chunk
@@ -563,6 +563,47 @@ fn large_scan_splits_chunks_and_stays_identical() {
             "threads = {t}"
         );
     }
+}
+
+/// The blocked triangular pair pass fans whole bands of pair counters out
+/// over the workers. With 600 frequent items the triangle holds
+/// C(600, 2) = 179,700 counters, at least three bands of 65,536, so every
+/// thread count splits it differently. The rows include ones with no
+/// frequent item, ones with exactly one, and long ones whose pairs cross
+/// every band boundary; the frequent items skip every seventh item, so
+/// ranks and item ids differ.
+#[test]
+fn frequent_pairs_bit_identical_across_thread_counts() {
+    let n_items = 700u32;
+    let items: Vec<u32> = (0..n_items).filter(|i| i % 7 != 0).collect();
+    assert_eq!(items.len(), 600);
+    let mut rng = StdRng::seed_from_u64(2000);
+    let mut data = TransactionSet::new(n_items);
+    for row in 0..1500 {
+        let t: Vec<u32> = match row % 5 {
+            0 => Vec::new(),
+            // Multiples of 7 are never frequent.
+            1 => vec![0, 7, 14, 693],
+            2 => vec![7, items[rng.gen_range(0..items.len())], 693],
+            _ => (0..n_items).filter(|_| rng.gen::<f64>() < 0.04).collect(),
+        };
+        data.push(t);
+    }
+    let source = CountSource::borrowed(&data);
+    for min_count in [1, 3] {
+        let seq = source
+            .frequent_pairs(&items, min_count, Parallelism::Sequential)
+            .expect("a row-backed source runs the pass");
+        assert!(!seq.is_empty());
+        for t in THREADS {
+            assert_eq!(
+                source.frequent_pairs(&items, min_count, Parallelism::Threads(t)),
+                Some(seq.clone()),
+                "min_count {min_count}, threads = {t}"
+            );
+        }
+    }
+    assert!(!source.index_built(), "the pair pass builds no index");
 }
 
 /// δ*-screening for the dt and cluster families must be a pure

@@ -8,13 +8,16 @@ use focus::mining::{Apriori, AprioriParams};
 
 const MINSUP: f64 = 0.02;
 
-fn mine(d: &TransactionSet) -> LitsModel {
+fn miner() -> Apriori {
     Apriori::new(
         AprioriParams::with_minsup(MINSUP)
             .max_len(8)
             .min_count_floor(3),
     )
-    .mine(d)
+}
+
+fn mine(d: &TransactionSet) -> LitsModel {
+    miner().mine(d)
 }
 
 fn deviation(a: &TransactionSet, b: &TransactionSet) -> f64 {
@@ -149,4 +152,43 @@ fn rank_and_select_over_structural_union() {
     // Selections behave.
     assert_eq!(select_top_n(&ranked, 10).len(), 10.min(ranked.len()));
     assert!(select_min(&ranked).unwrap().deviation <= top.deviation);
+}
+
+#[test]
+fn mining_and_extending_share_one_index_per_dataset() {
+    // The `deviate` command's shape: one source per dataset, mined and then
+    // extended through the same handle. Level 3 of this workload counts
+    // vertically, so mining leaves the index cached and the extension
+    // reuses it instead of building a second one.
+    let p1 = AssocGen::new(AssocGenParams::small(), 14);
+    let mut pp = AssocGenParams::small();
+    pp.avg_pattern_len = 6.0;
+    let p2 = AssocGen::new(pp, 15);
+    let d1 = p1.generate(2500, 1);
+    let d2 = p2.generate(2500, 2);
+    let s1 = CountSource::borrowed(&d1).with_index_budget(DEFAULT_INDEX_BUDGET);
+    let s2 = CountSource::borrowed(&d2).with_index_budget(DEFAULT_INDEX_BUDGET);
+    let (m1, m2) = (miner().mine_source(&s1), miner().mine_source(&s2));
+    assert!(m1.itemsets().iter().any(|s| s.len() >= 3));
+    assert!(
+        s1.index_built() && s2.index_built(),
+        "level 3 went vertical"
+    );
+    assert_eq!((m1.clone(), m2.clone()), (mine(&d1), mine(&d2)));
+
+    for (f, g) in [(DiffFn::Absolute, AggFn::Sum), (DiffFn::Scaled, AggFn::Max)] {
+        let shared: LitsDeviation =
+            deviate_sources_par::<LitsFamily>(&m1, &s1, &m2, &s2, f, g, Parallelism::Global).into();
+        let fresh = lits_deviation(&m1, &d1, &m2, &d2, f, g);
+        assert_eq!(shared.value.to_bits(), fresh.value.to_bits(), "{f:?} {g:?}");
+        assert_eq!(shared.gcr, fresh.gcr);
+        for (a, b) in [
+            (&shared.supports1, &fresh.supports1),
+            (&shared.supports2, &fresh.supports2),
+            (&shared.per_region, &fresh.per_region),
+        ] {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{f:?} {g:?}");
+        }
+    }
 }

@@ -5,8 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_cluster::{Birch, BirchParams, KMeans, KMeansParams};
 use focus_core::data::{Schema, Table, Value};
-use focus_core::deviation::cluster_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::ClusterFamily;
+use focus_exec::Parallelism;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -36,7 +38,9 @@ fn bench_clustering(c: &mut Criterion) {
     for &n_per in &[500usize, 2_000] {
         let data = blobs(n_per, &centers, 1);
         group.bench_with_input(BenchmarkId::new("kmeans_k4", n_per * 4), &data, |b, d| {
-            b.iter(|| black_box(KMeans::new(KMeansParams::new(4).seed(2)).fit(d)))
+            b.iter(|| {
+                black_box(KMeans::new(KMeansParams::new(4).seed(2)).fit(d, Parallelism::Global))
+            })
         });
         group.bench_with_input(BenchmarkId::new("birch_k4", n_per * 4), &data, |b, d| {
             b.iter(|| black_box(Birch::new(BirchParams::new(4.0, 4)).fit(d)))
@@ -50,15 +54,14 @@ fn bench_clustering(c: &mut Criterion) {
         4,
     );
     let m1 = KMeans::new(KMeansParams::new(4).seed(5))
-        .fit(&d1)
+        .fit(&d1, Parallelism::Global)
         .to_model(&d1);
     let m2 = KMeans::new(KMeansParams::new(4).seed(6))
-        .fit(&d2)
+        .fit(&d2, Parallelism::Global)
         .to_model(&d2);
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     group.bench_function("cluster_deviation_4x4", |b| {
-        b.iter(|| {
-            black_box(cluster_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value)
-        })
+        b.iter(|| black_box(deviate::<ClusterFamily>(&m1, &d1, &m2, &d2, f, g, par).value))
     });
     group.finish();
 }

@@ -28,7 +28,7 @@ fn bench_counting(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("bitmap_scan", pairs.len()),
         &pairs,
-        |b, sets| b.iter(|| black_box(count_itemsets(&data, sets))),
+        |b, sets| b.iter(|| black_box(count_itemsets(&data, sets, Parallelism::Global))),
     );
     group.bench_with_input(
         BenchmarkId::new("horizontal", pairs.len()),
@@ -43,7 +43,7 @@ fn bench_counting(c: &mut Criterion) {
         &pairs,
         |b, sets| {
             let index = VerticalIndex::build(&data);
-            b.iter(|| black_box(count_itemsets_grouped(&index, sets)))
+            b.iter(|| black_box(count_itemsets_grouped(&index, sets, Parallelism::Global)))
         },
     );
     group.finish();

@@ -4,14 +4,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_core::bound::lits_upper_bound;
-use focus_core::deviation::lits_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::LitsFamily;
 use focus_data::assoc::{AssocGen, AssocGenParams};
+use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
 use std::hint::black_box;
 
 fn bench_delta_vs_bound(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lits_deviation");
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+    let mut group = c.benchmark_group("deviate_lits");
     for &n in &[2_000usize, 10_000] {
         let g1 = AssocGen::new(AssocGenParams::paper(1000, 4.0), 1);
         let g2 = AssocGen::new(AssocGenParams::paper(1200, 4.0), 2);
@@ -22,9 +25,7 @@ fn bench_delta_vs_bound(c: &mut Criterion) {
         let m2 = miner.mine(&d2);
 
         group.bench_with_input(BenchmarkId::new("delta_exact", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value)
-            })
+            b.iter(|| black_box(deviate::<LitsFamily>(&m1, &d1, &m2, &d2, f, g, par).value))
         });
         group.bench_with_input(BenchmarkId::new("delta_star_bound", n), &n, |b, _| {
             b.iter(|| black_box(lits_upper_bound(&m1, &m2, AggFn::Sum)))

@@ -8,12 +8,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_cluster::{KMeans, KMeansParams};
-use focus_core::deviation::lits_deviation_par;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
-use focus_core::model::{count_boxes_par, count_itemsets_par, count_partition_par};
+use focus_core::family::LitsFamily;
+use focus_core::model::{count_boxes, count_itemsets, count_partition};
 use focus_core::qualify::qualify_transactions_par;
 use focus_core::region::BoxBuilder;
-use focus_core::stream::calibrate_threshold_par;
+use focus_core::stream::calibrate_threshold;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_exec::Parallelism;
@@ -43,13 +44,13 @@ fn bench_scaling(c: &mut Criterion) {
     for t in THREADS {
         let par = Parallelism::Threads(t);
         group.bench_with_input(BenchmarkId::new("count_itemsets", t), &par, |b, &par| {
-            b.iter(|| black_box(count_itemsets_par(&txns, &itemsets, par)))
+            b.iter(|| black_box(count_itemsets(&txns, &itemsets, par)))
         });
         group.bench_with_input(BenchmarkId::new("count_partition", t), &par, |b, &par| {
-            b.iter(|| black_box(count_partition_par(&labeled, &leaves, 2, par)))
+            b.iter(|| black_box(count_partition(&labeled, &leaves, 2, par)))
         });
         group.bench_with_input(BenchmarkId::new("count_boxes", t), &par, |b, &par| {
-            b.iter(|| black_box(count_boxes_par(&labeled.table, &boxes, par)))
+            b.iter(|| black_box(count_boxes(&labeled.table, &boxes, par)))
         });
     }
     group.finish();
@@ -67,7 +68,7 @@ fn bench_scaling(c: &mut Criterion) {
     let pipeline = |a: &focus_core::data::TransactionSet, b: &focus_core::data::TransactionSet| {
         let ma = miner.mine(a);
         let mb = miner.mine(b);
-        lits_deviation_par(
+        deviate::<LitsFamily>(
             &ma,
             a,
             &mb,
@@ -109,7 +110,7 @@ fn bench_scaling(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("kmeans_fit", t), &par, |b, &par| {
-            b.iter(|| black_box(km.fit_par(&labeled.table, par)))
+            b.iter(|| black_box(km.fit(&labeled.table, par)))
         });
     }
     group.finish();
@@ -121,7 +122,7 @@ fn bench_scaling(c: &mut Criterion) {
                         b: &focus_core::data::TransactionSet| {
         let ma = miner.mine(a);
         let mb = miner.mine(b);
-        lits_deviation_par(
+        deviate::<LitsFamily>(
             &ma,
             a,
             &mb,
@@ -137,7 +138,7 @@ fn bench_scaling(c: &mut Criterion) {
         let par = Parallelism::Threads(t);
         group.bench_with_input(BenchmarkId::new("calibrate", t), &par, |b, &par| {
             b.iter(|| {
-                black_box(calibrate_threshold_par(
+                black_box(calibrate_threshold(
                     &reference,
                     500,
                     0.95,

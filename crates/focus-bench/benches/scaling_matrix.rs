@@ -32,7 +32,7 @@ use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
-use focus_registry::{deviation_matrix_par, DeviationMatrix, MatrixParams};
+use focus_registry::{deviation_matrix, DeviationMatrix, MatrixParams};
 use focus_tree::{DecisionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,7 +149,7 @@ fn bench_family<F: ModelFamily>(
     F::Model: Sync,
     F::Dataset: Sync,
 {
-    let probe = deviation_matrix_par::<F>(
+    let probe = deviation_matrix::<F>(
         models,
         datasets,
         names.to_vec(),
@@ -181,7 +181,7 @@ fn bench_family<F: ModelFamily>(
             group.bench_with_input(BenchmarkId::new(regime, t), &params, |b, params| {
                 b.iter(|| {
                     black_box(
-                        deviation_matrix_par::<F>(models, datasets, names.to_vec(), params)
+                        deviation_matrix::<F>(models, datasets, names.to_vec(), params)
                             .expect("valid params"),
                     )
                 })

@@ -3,9 +3,11 @@
 //! Figure 14 bootstrap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use focus_core::deviation::dt_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::DtFamily;
 use focus_data::classify::{ClassifyFn, ClassifyGen};
+use focus_exec::Parallelism;
 use focus_tree::{DecisionTree, TreeParams};
 use std::hint::black_box;
 
@@ -29,8 +31,9 @@ fn bench_tree(c: &mut Criterion) {
     let d2 = ClassifyGen::new(ClassifyFn::F3).generate(n, 6);
     let m1 = DecisionTree::fit(&d1, params(n)).to_model();
     let m2 = DecisionTree::fit(&d2, params(n)).to_model();
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     group.bench_function("dt_deviation_10k", |b| {
-        b.iter(|| black_box(dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value))
+        b.iter(|| black_box(deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, par).value))
     });
     group.finish();
 }

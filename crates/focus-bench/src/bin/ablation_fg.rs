@@ -12,9 +12,11 @@
 use focus_bench::runner::mine;
 use focus_bench::{fmt, print_table, ExpConfig};
 use focus_core::data::TransactionSet;
-use focus_core::deviation::lits_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::LitsFamily;
 use focus_data::assoc::{AssocGen, AssocGenParams};
+use focus_exec::Parallelism;
 
 const MINSUP: f64 = 0.01;
 
@@ -54,7 +56,8 @@ fn main() {
         let m_o = mine(other, MINSUP);
         let mut row = vec![label.clone()];
         for (c, (_, f, g)) in combos.iter().enumerate() {
-            let dev = lits_deviation(&m_d, &d, &m_o, other, *f, *g).value;
+            let dev =
+                deviate::<LitsFamily>(&m_d, &d, &m_o, other, *f, *g, Parallelism::Global).value;
             columns[c].push(dev);
             row.push(fmt(dev));
             if cfg.json {

@@ -9,13 +9,15 @@
 
 use focus_bench::runner::{fit_dt, mine};
 use focus_bench::{fmt, print_table, ExpConfig};
-use focus_core::deviation::{deviation_fixed, dt_deviation, lits_deviation, lits_deviation_over};
+use focus_core::deviation::{deviate, deviate_over_sources, deviation_fixed};
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::{DtFamily, LitsFamily, ModelFamily};
 use focus_core::gcr::{gcr_lits, gcr_partition};
 use focus_core::model::count_partition;
 use focus_core::region::{AttrConstraint, BoxRegion, Itemset};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
+use focus_exec::Parallelism;
 
 fn main() {
     let cfg = ExpConfig::parse(std::env::args().skip(1));
@@ -30,7 +32,8 @@ fn main() {
     let d2 = g2.generate(n, cfg.seed ^ 2);
     let m1 = mine(&d1, 0.01);
     let m2 = mine(&d2, 0.01);
-    let gcr_value = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+    let gcr_value = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
 
     // A finer refinement: the GCR plus every pairwise union of GCR
     // itemsets (capped), i.e. strictly more regions.
@@ -49,8 +52,9 @@ fn main() {
     }
     padded.sort();
     padded.dedup();
+    let (s1, s2) = (LitsFamily::source(&d1), LitsFamily::source(&d2));
     let padded_value =
-        lits_deviation_over(&padded, &m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+        deviate_over_sources::<LitsFamily>(padded.clone(), &m1, &s1, &m2, &s2, f, g, par).value;
     rows.push(vec![
         "lits".into(),
         format!("{} regions", gcr.len()),
@@ -70,7 +74,7 @@ fn main() {
     let t2_data = ClassifyGen::new(ClassifyFn::F2).generate(n, cfg.seed ^ 4);
     let m1 = fit_dt(&t1_data);
     let m2 = fit_dt(&t2_data);
-    let gcr_value = dt_deviation(&m1, &t1_data, &m2, &t2_data, DiffFn::Absolute, AggFn::Sum).value;
+    let gcr_value = deviate::<DtFamily>(&m1, &t1_data, &m2, &t2_data, f, g, par).value;
 
     // A strictly finer common refinement: cut the overlay once more with a
     // gratuitous salary = 85K hyperplane. Every original cell is the union
@@ -96,8 +100,8 @@ fn main() {
         finer.push(c.region.clone());
     }
     let k = t1_data.n_classes;
-    let counts1 = count_partition(&t1_data, &finer, k);
-    let counts2 = count_partition(&t2_data, &finer, k);
+    let counts1 = count_partition(&t1_data, &finer, k, Parallelism::Global);
+    let counts2 = count_partition(&t2_data, &finer, k, Parallelism::Global);
     let finer_value = deviation_fixed(
         &counts1,
         &counts2,
@@ -105,6 +109,7 @@ fn main() {
         t2_data.len() as u64,
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     );
     rows.push(vec![
         "dt".into(),

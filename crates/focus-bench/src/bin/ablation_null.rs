@@ -20,15 +20,18 @@ fn main() {
 }
 
 fn run(cfg: ExpConfig) {
-    use focus_core::deviation::dt_deviation;
+    use focus_core::deviation::deviate;
     use focus_core::diff::{AggFn, DiffFn};
+    use focus_core::family::DtFamily;
     use focus_data::classify::{ClassifyFn, ClassifyGen};
+    use focus_exec::Parallelism;
 
     let scales = [0.02, 0.05, 0.1, 0.2];
     eprintln!(
         "# Ablation: bootstrap-null width vs scale ({} reps per scale)",
         cfg.reps.max(9)
     );
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let mut rows: Vec<Vec<String>> = Vec::new();
     for scale in scales {
         let n = (1_000_000.0 * scale) as usize;
@@ -39,7 +42,7 @@ fn run(cfg: ExpConfig) {
         // Observed block signal.
         let m_d = fit_dt(&d);
         let m_plus = fit_dt(&d_plus);
-        let signal = dt_deviation(&m_d, &d, &m_plus, &d_plus, DiffFn::Absolute, AggFn::Sum).value;
+        let signal = deviate::<DtFamily>(&m_d, &d, &m_plus, &d_plus, f, g, par).value;
 
         // Null: deviations between two same-process resamples of the pool.
         let reps = cfg.reps.max(9);
@@ -47,7 +50,7 @@ fn run(cfg: ExpConfig) {
             focus_core::qualify::qualify_tables(&d, &d_plus, signal, reps, cfg.seed ^ 2, |a, b| {
                 let ma = fit_dt(a);
                 let mb = fit_dt(b);
-                dt_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+                deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
             });
         let q50 = focus_stats::describe::percentile(&q.null_distribution, 50.0);
         let q99 = focus_stats::describe::percentile(&q.null_distribution, 99.0);

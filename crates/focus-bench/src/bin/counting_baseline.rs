@@ -12,7 +12,7 @@
 //! counting every itemset's support. Each row changes one factor against
 //! the row before it:
 //!
-//! * `bitmap_scan` — the reference horizontal scan, `count_itemsets_par`
+//! * `bitmap_scan` — the reference horizontal scan, `count_itemsets`
 //!   (one membership bitmap per transaction, subset test per itemset);
 //! * `horizontal` — the engine's horizontal arm: a budget-0
 //!   [`focus_core::source::CountSource`], which walks each transaction
@@ -57,10 +57,10 @@
 
 use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
-use focus_core::model::count_itemsets_par;
+use focus_core::model::count_itemsets;
 use focus_core::region::Itemset;
 use focus_core::source::{CountSource, DEFAULT_INDEX_BUDGET};
-use focus_core::vertical::{count_itemsets_grouped_par, VerticalIndex};
+use focus_core::vertical::{count_itemsets_grouped, VerticalIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
@@ -152,10 +152,10 @@ fn main() {
         let min_count = ((mine_params.minsup * data.len() as f64).ceil() as u64)
             .max(mine_params.min_count_floor);
         let itemsets = model.itemsets().to_vec();
-        let reference = count_itemsets_par(&data, &itemsets, par);
+        let reference = count_itemsets(&data, &itemsets, par);
 
         let bitmap_secs = best_of(cfg.samples, &reference, || {
-            count_itemsets_par(&data, &itemsets, par)
+            count_itemsets(&data, &itemsets, par)
         });
         let horizontal_secs = best_of(cfg.samples, &reference, || {
             CountSource::borrowed(&data)
@@ -164,11 +164,11 @@ fn main() {
         });
         let vertical_secs = best_of(cfg.samples, &reference, || {
             let index = VerticalIndex::build(&data);
-            count_itemsets_grouped_par(&index, &itemsets, par)
+            count_itemsets_grouped(&index, &itemsets, par)
         });
         let warm_index = VerticalIndex::build(&data);
         let warm_secs = best_of(cfg.samples, &reference, || {
-            count_itemsets_grouped_par(&warm_index, &itemsets, par)
+            count_itemsets_grouped(&warm_index, &itemsets, par)
         });
 
         // Reuse regime: the same itemsets re-counted REUSE_SCANS times,
@@ -178,7 +178,7 @@ fn main() {
             let mut counts = Vec::new();
             for _ in 0..REUSE_SCANS {
                 let index = VerticalIndex::build(&data);
-                counts = count_itemsets_grouped_par(&index, &itemsets, par);
+                counts = count_itemsets_grouped(&index, &itemsets, par);
             }
             counts
         });
@@ -216,7 +216,7 @@ fn main() {
                 .collect()
         };
         let (pairs_reference, pairs_bitmap_secs) =
-            timed(|| frequent(count_itemsets_par(&data, &pairs, par)));
+            timed(|| frequent(count_itemsets(&data, &pairs, par)));
         let pairs_vertical_secs = best_of(cfg.samples, &pairs_reference, || {
             let source = CountSource::from_index(VerticalIndex::build(&data));
             frequent(source.counts(&pairs, par))

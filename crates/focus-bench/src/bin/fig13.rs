@@ -19,10 +19,12 @@ use focus_bench::runner::mine;
 use focus_bench::{fmt, fmt_sig, print_table, timed, ExpConfig};
 use focus_core::bound::lits_upper_bound;
 use focus_core::data::TransactionSet;
-use focus_core::deviation::lits_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::LitsFamily;
 use focus_core::qualify::qualify_transactions;
 use focus_data::assoc::{AssocGen, AssocGenParams};
+use focus_exec::Parallelism;
 
 const MINSUP: f64 = 0.01;
 
@@ -64,16 +66,17 @@ fn main() {
 
     let m_d = mine(&d, MINSUP);
     let mut rows: Vec<Vec<String>> = Vec::new();
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     for (label, other) in &family {
         let m_o = mine(other, MINSUP);
         let (dev, t_delta) =
-            timed(|| lits_deviation(&m_d, &d, &m_o, other, DiffFn::Absolute, AggFn::Sum).value);
+            timed(|| deviate::<LitsFamily>(&m_d, &d, &m_o, other, f, g, par).value);
         let (bound, t_bound) = timed(|| lits_upper_bound(&m_d, &m_o, AggFn::Sum));
         let sig = if cfg.reps > 0 {
             let q = qualify_transactions(&d, other, dev, cfg.reps, cfg.seed ^ 0x55, |a, b| {
                 let ma = mine(a, MINSUP);
                 let mb = mine(b, MINSUP);
-                lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+                deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
             });
             fmt_sig(q.significance_percent)
         } else {

@@ -15,10 +15,12 @@
 use focus_bench::runner::fit_dt;
 use focus_bench::{fmt, fmt_sig, print_table, ExpConfig};
 use focus_core::data::LabeledTable;
-use focus_core::deviation::dt_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::DtFamily;
 use focus_core::qualify::qualify_tables;
 use focus_data::classify::{ClassifyFn, ClassifyGen};
+use focus_exec::Parallelism;
 
 fn main() {
     let cfg = ExpConfig::parse(std::env::args().skip(1));
@@ -50,14 +52,15 @@ fn main() {
 
     let m_d = fit_dt(&d);
     let mut rows: Vec<Vec<String>> = Vec::new();
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     for (label, other) in &family {
         let m_o = fit_dt(other);
-        let dev = dt_deviation(&m_d, &d, &m_o, other, DiffFn::Absolute, AggFn::Sum).value;
+        let dev = deviate::<DtFamily>(&m_d, &d, &m_o, other, f, g, par).value;
         let sig = if cfg.reps > 0 {
             let q = qualify_tables(&d, other, dev, cfg.reps, cfg.seed ^ 0x55, |a, b| {
                 let ma = fit_dt(a);
                 let mb = fit_dt(b);
-                dt_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+                deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
             });
             fmt_sig(q.significance_percent)
         } else {

@@ -9,10 +9,12 @@
 use focus_bench::runner::fit_dt;
 use focus_bench::{fmt, print_table, ExpConfig};
 use focus_core::data::LabeledTable;
-use focus_core::deviation::dt_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::DtFamily;
 use focus_core::monitor::misclassification_error;
 use focus_data::classify::{ClassifyFn, ClassifyGen};
+use focus_exec::Parallelism;
 use focus_stats::describe::pearson;
 
 fn main() {
@@ -40,10 +42,11 @@ fn main() {
     let mut devs = Vec::new();
     let mut mes = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     for (label, other) in &family {
         let m_o = fit_dt(other);
-        let dev = dt_deviation(&m_d, &d, &m_o, other, DiffFn::Absolute, AggFn::Sum).value;
-        let me = misclassification_error(&m_d, other);
+        let dev = deviate::<DtFamily>(&m_d, &d, &m_o, other, f, g, par).value;
+        let me = misclassification_error(&m_d, other, Parallelism::Global);
         devs.push(dev);
         mes.push(me);
         if cfg.json {

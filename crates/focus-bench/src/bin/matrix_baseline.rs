@@ -25,7 +25,7 @@ use focus_bench::collections::{cluster_collection, dt_collection, lits_collectio
 use focus_bench::{timed, ExpConfig};
 use focus_core::family::ModelFamily;
 use focus_exec::Parallelism;
-use focus_registry::{deviation_matrix_par, DeviationMatrix, MatrixParams};
+use focus_registry::{deviation_matrix, DeviationMatrix, MatrixParams};
 
 struct Row {
     family: &'static str,
@@ -48,7 +48,7 @@ fn run_family<F: ModelFamily>(
     F::Model: Sync,
     F::Dataset: Sync,
 {
-    let probe = deviation_matrix_par::<F>(
+    let probe = deviation_matrix::<F>(
         models,
         datasets,
         names.to_vec(),
@@ -70,7 +70,7 @@ fn run_family<F: ModelFamily>(
         let mut best: Option<(DeviationMatrix, f64)> = None;
         for _ in 0..samples {
             let (m, secs) = timed(|| {
-                deviation_matrix_par::<F>(models, datasets, names.to_vec(), &params)
+                deviation_matrix::<F>(models, datasets, names.to_vec(), &params)
                     .expect("valid params")
             });
             if best.as_ref().is_none_or(|(_, b)| secs < *b) {

@@ -2,9 +2,11 @@
 //! and the deviation-with-significance rows of Section 7.
 
 use focus_core::data::{LabeledTable, TransactionSet};
-use focus_core::deviation::{dt_deviation, lits_deviation};
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::{DtFamily, LitsFamily};
 use focus_core::model::{DtModel, LitsModel};
+use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
 use focus_tree::{DecisionTree, TreeParams};
 
@@ -50,13 +52,14 @@ pub fn lits_sample_deviation(
 ) -> f64 {
     let sample = data.sample_fraction(sf, seed);
     let sample_model = mine(&sample, minsup);
-    lits_deviation(
+    deviate::<LitsFamily>(
         full_model,
         data,
         &sample_model,
         &sample,
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     )
     .value
 }
@@ -66,13 +69,14 @@ pub fn lits_sample_deviation(
 pub fn dt_sample_deviation(data: &LabeledTable, full_model: &DtModel, sf: f64, seed: u64) -> f64 {
     let sample = data.sample_fraction(sf, seed);
     let sample_model = fit_dt(&sample);
-    dt_deviation(
+    deviate::<DtFamily>(
         full_model,
         data,
         &sample_model,
         &sample,
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     )
     .value
 }

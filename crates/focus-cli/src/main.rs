@@ -53,9 +53,9 @@
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
-use focus_core::deviation::{deviate_sources_par, dt_deviation};
+use focus_core::deviation::{self, deviate_over_sources};
 use focus_core::diff::{AggFn, DiffFn};
-use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
+use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
 use focus_core::persist::{read_lits_model, write_lits_model};
 use focus_core::qualify::qualify_transactions;
 use focus_core::source::CountSource;
@@ -254,14 +254,16 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             return Err(format!("expected a --flag, found {a:?}"));
         };
         // Boolean flags.
-        if name == "render" {
-            flags.insert(name.to_string(), "true".to_string());
-            continue;
+        let value = if name == "render" {
+            "true".to_string()
+        } else {
+            it.next()
+                .ok_or_else(|| format!("--{name} requires a value"))?
+                .clone()
+        };
+        if flags.insert(name.to_string(), value).is_some() {
+            return Err(format!("--{name} given more than once"));
         }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("--{name} requires a value"))?;
-        flags.insert(name.to_string(), value.clone());
     }
     Ok(flags)
 }
@@ -291,7 +293,15 @@ fn gen_assoc(flags: &Flags) -> Result<(), String> {
     let out = req(flags, "out")?;
     let n: usize = opt(flags, "n", 10_000)?;
     let pats: usize = opt(flags, "pats", 4000)?;
+    if pats == 0 {
+        return Err("--pats must be at least 1, got 0".into());
+    }
     let patlen: f64 = opt(flags, "patlen", 4.0)?;
+    if !(patlen.is_finite() && patlen >= 1.0) {
+        return Err(format!(
+            "--patlen must be a finite number ≥ 1, got {patlen}"
+        ));
+    }
     let pattern_seed: u64 = opt(flags, "pattern-seed", 1)?;
     let seed: u64 = opt(flags, "seed", 2)?;
     let params = AssocGenParams::paper(pats, patlen);
@@ -312,6 +322,9 @@ fn gen_class(flags: &Flags) -> Result<(), String> {
         .ok_or_else(|| format!("unknown function {fname:?} (use F1..F10)"))?;
     let seed: u64 = opt(flags, "seed", 1)?;
     let noise: f64 = opt(flags, "noise", 0.0)?;
+    if !(0.0..=1.0).contains(&noise) {
+        return Err(format!("--noise must be in [0, 1], got {noise}"));
+    }
     let data = ClassifyGen::new(function).noise(noise).generate(n, seed);
     write_labeled_table(&data, File::create(out).map_err(io_err)?).map_err(io_err)?;
     eprintln!(
@@ -404,7 +417,9 @@ fn deviate(flags: &Flags) -> Result<(), String> {
     let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
     let (s1, s2) = (CountSource::borrowed(&d1), CountSource::borrowed(&d2));
     let (m1, m2) = (m.mine_source(&s1), m.mine_source(&s2));
-    let dev = deviate_sources_par::<LitsFamily>(&m1, &s1, &m2, &s2, f, g, Parallelism::Global);
+    let gcr = LitsFamily::gcr(&m1, &m2);
+    let dev =
+        deviate_over_sources::<LitsFamily>(gcr, &m1, &s1, &m2, &s2, f, g, Parallelism::Global);
     println!("{:.6}", dev.value);
     eprintln!(
         "GCR: {} regions; models: {} and {} itemsets",
@@ -435,7 +450,8 @@ fn qualify(flags: &Flags) -> Result<(), String> {
         let (sa, sb) = (CountSource::borrowed(a), CountSource::borrowed(b));
         let (ma, mb) = (m.mine_source(&sa), m.mine_source(&sb));
         let (f, g) = (DiffFn::Absolute, AggFn::Sum);
-        deviate_sources_par::<LitsFamily>(&ma, &sa, &mb, &sb, f, g, Parallelism::Global).value
+        let gcr = LitsFamily::gcr(&ma, &mb);
+        deviate_over_sources::<LitsFamily>(gcr, &ma, &sa, &mb, &sb, f, g, Parallelism::Global).value
     };
     let observed = pipeline(&d1, &d2);
     let q = qualify_transactions(&d1, &d2, observed, reps, seed, pipeline);
@@ -473,11 +489,12 @@ fn deviate_dt(flags: &Flags) -> Result<(), String> {
     let d2 = read_labeled_table(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
     let m1 = DecisionTree::fit(&d1, tree_params(flags, d1.len())?).to_model();
     let m2 = DecisionTree::fit(&d2, tree_params(flags, d2.len())?).to_model();
-    let dev = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
+    let (f, g) = (DiffFn::Absolute, AggFn::Sum);
+    let dev = deviation::deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, Parallelism::Global);
     println!("{:.6}", dev.value);
     eprintln!(
         "GCR: {} cells from {} × {} leaves",
-        dev.cells.len(),
+        dev.gcr.cells.len(),
         m1.leaves().len(),
         m2.leaves().len()
     );
@@ -576,7 +593,7 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
             }
             let seed: u64 = opt(flags, "seed", 0)?;
             let model = KMeans::new(KMeansParams::new(k).seed(seed))
-                .fit(&data)
+                .fit(&data, Parallelism::Global)
                 .to_model(&data);
             reg.add_snapshot::<ClusterFamily>(name, &data, &model)
                 .map_err(io_err)?
@@ -723,6 +740,20 @@ mod tests {
     fn parse_flags_rejects_dangling_flag() {
         let args = vec!["--out".to_string()];
         assert!(parse_flags(&args).is_err());
+    }
+
+    #[test]
+    fn parse_flags_rejects_repeated_flag() {
+        let parse =
+            |args: &[&str]| parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        assert_eq!(
+            parse(&["--minsup", "0.05", "--d1", "a", "--minsup", "0.5"]).unwrap_err(),
+            "--minsup given more than once"
+        );
+        assert_eq!(
+            parse(&["--render", "--data", "d", "--render"]).unwrap_err(),
+            "--render given more than once"
+        );
     }
 
     #[test]

@@ -445,3 +445,37 @@ fn unknown_flags_are_rejected_by_name() {
     // The global flags stay accepted everywhere.
     run(&["help", "--threads", "2", "--index-budget", "0"]);
 }
+
+#[test]
+fn out_of_range_generator_arguments_are_named_errors() {
+    // The generators assert on these values; the CLI must reject them
+    // first, by name, with exit code 1 and no backtrace.
+    let dir = scratch("gen-args");
+    let out = dir.join("out");
+    let out = path_str(&out);
+    let mut cases: Vec<(&str, Vec<&str>)> = vec![("pats", vec!["gen-assoc", "--pats", "0"])];
+    for bad in ["0", "-1", "nan"] {
+        cases.push(("patlen", vec!["gen-assoc", "--patlen", bad]));
+    }
+    for bad in ["2", "-1", "nan", "inf"] {
+        cases.push((
+            "noise",
+            vec!["gen-class", "--function", "F2", "--noise", bad],
+        ));
+    }
+    for (flag, mut args) in cases {
+        args.extend(["--out", out, "--n", "10"]);
+        let res = Command::new(bin())
+            .args(&args)
+            .output()
+            .expect("failed to spawn focus-cli");
+        let err = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+        assert!(
+            err.starts_with(&format!("error: --{flag} must be")),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -471,6 +471,7 @@ fn collect_leaves(node: &Node, out: &mut Vec<ClusteringFeature>) {
 mod tests {
     use super::*;
     use focus_core::data::{Schema, Value};
+    use focus_exec::Parallelism;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
@@ -569,7 +570,8 @@ mod tests {
     fn agrees_with_kmeans_on_clean_blobs() {
         let data = blob_table(&[(0.0, 0.0), (200.0, 200.0)], 100, 4.0, 9);
         let birch = Birch::new(BirchParams::new(10.0, 2)).fit(&data);
-        let kmeans = crate::KMeans::new(crate::KMeansParams::new(2).seed(1)).fit(&data);
+        let kmeans =
+            crate::KMeans::new(crate::KMeansParams::new(2).seed(1)).fit(&data, Parallelism::Global);
         // Same partition up to label renaming.
         let agree = birch
             .assignment

@@ -76,13 +76,8 @@ impl KMeans {
         Self { params }
     }
 
-    /// Fits k-means to the numeric attributes of `data` at the
-    /// process-wide default parallelism (see [`KMeans::fit_par`]).
-    pub fn fit(&self, data: &Table) -> KMeansResult {
-        self.fit_par(data, Parallelism::Global)
-    }
-
-    /// Fits k-means with the Lloyd iterations run on `par` worker threads.
+    /// Fits k-means to the numeric attributes of `data`, with the Lloyd
+    /// iterations run on `par` worker threads.
     ///
     /// Each iteration parallelizes two scans, both **bit-identical** for
     /// every thread count: the assignment step maps points to their nearest
@@ -96,7 +91,7 @@ impl KMeans {
     /// An empty table yields a well-defined empty model (no centroids, no
     /// assignments, zero inertia) rather than panicking, and
     /// `max_iters == 0` returns the seeding with nearest-seed assignments.
-    pub fn fit_par(&self, data: &Table, par: Parallelism) -> KMeansResult {
+    pub fn fit(&self, data: &Table, par: Parallelism) -> KMeansResult {
         let numeric_attrs: Vec<usize> = (0..data.schema().len())
             .filter(|&i| matches!(data.schema().attr(i).ty, AttrType::Numeric))
             .collect();
@@ -341,7 +336,7 @@ mod tests {
     #[test]
     fn separates_two_blobs() {
         let data = two_blob_table(100, 50.0);
-        let r = KMeans::new(KMeansParams::new(2).seed(1)).fit(&data);
+        let r = KMeans::new(KMeansParams::new(2).seed(1)).fit(&data, Parallelism::Global);
         // Rows 0..100 are one cluster, 100..200 the other.
         let first = r.assignment[0];
         assert!(r.assignment[..100].iter().all(|&a| a == first));
@@ -352,7 +347,7 @@ mod tests {
     #[test]
     fn model_boxes_cover_their_points() {
         let data = two_blob_table(80, 30.0);
-        let r = KMeans::new(KMeansParams::new(2).seed(3)).fit(&data);
+        let r = KMeans::new(KMeansParams::new(2).seed(3)).fit(&data, Parallelism::Global);
         let model = r.to_model(&data);
         assert_eq!(model.clusters().len(), 2);
         // Every row is inside the box of its assigned cluster.
@@ -372,7 +367,7 @@ mod tests {
     #[test]
     fn k_equals_one_is_global_bounding_box() {
         let data = two_blob_table(50, 10.0);
-        let r = KMeans::new(KMeansParams::new(1)).fit(&data);
+        let r = KMeans::new(KMeansParams::new(1)).fit(&data, Parallelism::Global);
         assert!(r.assignment.iter().all(|&a| a == 0));
         let model = r.to_model(&data);
         assert_eq!(model.clusters().len(), 1);
@@ -385,22 +380,22 @@ mod tests {
         let mut data = Table::new(schema);
         data.push_row(&[Value::Num(1.0)]);
         data.push_row(&[Value::Num(2.0)]);
-        let r = KMeans::new(KMeansParams::new(10)).fit(&data);
+        let r = KMeans::new(KMeansParams::new(10)).fit(&data, Parallelism::Global);
         assert_eq!(r.centroids.len(), 2);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let data = two_blob_table(60, 20.0);
-        let a = KMeans::new(KMeansParams::new(3).seed(9)).fit(&data);
-        let b = KMeans::new(KMeansParams::new(3).seed(9)).fit(&data);
+        let a = KMeans::new(KMeansParams::new(3).seed(9)).fit(&data, Parallelism::Global);
+        let b = KMeans::new(KMeansParams::new(3).seed(9)).fit(&data, Parallelism::Global);
         assert_eq!(a, b);
     }
 
     #[test]
     fn predict_routes_to_nearest() {
         let data = two_blob_table(50, 100.0);
-        let r = KMeans::new(KMeansParams::new(2).seed(5)).fit(&data);
+        let r = KMeans::new(KMeansParams::new(2).seed(5)).fit(&data, Parallelism::Global);
         let lo = r.predict(&[Value::Num(0.5), Value::Num(0.5)]);
         let hi = r.predict(&[Value::Num(100.5), Value::Num(100.5)]);
         assert_ne!(lo, hi);
@@ -416,7 +411,7 @@ mod tests {
         for i in 0..30 {
             data.push_row(&[Value::Num(i as f64), Value::Cat((i % 3) as u32)]);
         }
-        let r = KMeans::new(KMeansParams::new(2)).fit(&data);
+        let r = KMeans::new(KMeansParams::new(2)).fit(&data, Parallelism::Global);
         assert_eq!(r.numeric_attrs, vec![0]);
         // The model's boxes leave the categorical attribute unconstrained.
         let model = r.to_model(&data);
@@ -436,7 +431,7 @@ mod tests {
         // model (no centroids, no assignments, zero inertia).
         let schema = Arc::new(Schema::new(vec![Schema::numeric("x")]));
         let empty = Table::new(schema);
-        let r = KMeans::new(KMeansParams::new(2)).fit(&empty);
+        let r = KMeans::new(KMeansParams::new(2)).fit(&empty, Parallelism::Global);
         assert!(r.centroids.is_empty());
         assert!(r.assignment.is_empty());
         assert_eq!(r.inertia, 0.0);
@@ -452,7 +447,8 @@ mod tests {
         // now returns the k-means++ seeds with nearest-seed assignments and
         // no Lloyd update.
         let data = two_blob_table(40, 25.0);
-        let r = KMeans::new(KMeansParams::new(2).seed(3).max_iters(0)).fit(&data);
+        let r =
+            KMeans::new(KMeansParams::new(2).seed(3).max_iters(0)).fit(&data, Parallelism::Global);
         assert_eq!(r.iterations, 0);
         assert_eq!(r.centroids.len(), 2);
         assert_eq!(r.assignment.len(), data.len());
@@ -471,8 +467,10 @@ mod tests {
     #[test]
     fn one_lloyd_iteration_runs_one_update() {
         let data = two_blob_table(40, 25.0);
-        let zero = KMeans::new(KMeansParams::new(2).seed(3).max_iters(0)).fit(&data);
-        let one = KMeans::new(KMeansParams::new(2).seed(3).max_iters(1)).fit(&data);
+        let zero =
+            KMeans::new(KMeansParams::new(2).seed(3).max_iters(0)).fit(&data, Parallelism::Global);
+        let one =
+            KMeans::new(KMeansParams::new(2).seed(3).max_iters(1)).fit(&data, Parallelism::Global);
         assert_eq!(one.iterations, 1);
         // One update step can only tighten the fit.
         assert!(one.inertia <= zero.inertia + 1e-9);

@@ -10,11 +10,12 @@
 //! axis-aligned bounding-box region (a [`focus_core::region::BoxRegion`])
 //! together with its selectivity — a
 //! [`focus_core::model::ClusterModel`] ready for
-//! [`focus_core::deviation::cluster_deviation`].
+//! [`deviate::<ClusterFamily>`](focus_core::deviation::deviate).
 //!
 //! ```
 //! use focus_core::data::{Schema, Table, Value};
 //! use focus_cluster::{KMeans, KMeansParams};
+//! use focus_exec::Parallelism;
 //! use std::sync::Arc;
 //!
 //! let schema = Arc::new(Schema::new(vec![Schema::numeric("x")]));
@@ -22,7 +23,7 @@
 //! for i in 0..50 { data.push_row(&[Value::Num(i as f64 * 0.01)]); }
 //! for i in 0..50 { data.push_row(&[Value::Num(100.0 + i as f64 * 0.01)]); }
 //!
-//! let result = KMeans::new(KMeansParams::new(2).seed(7)).fit(&data);
+//! let result = KMeans::new(KMeansParams::new(2).seed(7)).fit(&data, Parallelism::Global);
 //! assert_eq!(result.centroids.len(), 2);
 //! let model = result.to_model(&data);
 //! assert_eq!(model.clusters().len(), 2);

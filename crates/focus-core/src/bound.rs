@@ -75,8 +75,9 @@ pub fn lits_upper_bound(m1: &LitsModel, m2: &LitsModel, g: AggFn) -> f64 {
 /// bound dominates in turn. Matched cells are exact. The argument needs the
 /// FOCUS contract that each model's measures are its leaves' per-class
 /// selectivities in its paired dataset, `f = f_a`, and a shared class count
-/// — [`crate::family::DtFamily::bound_dominates`] gates on the checkable
-/// parts.
+/// — `DtFamily`'s
+/// [`ModelFamily::bound_dominates`](crate::family::ModelFamily::bound_dominates)
+/// gates on the checkable parts.
 ///
 /// **Metric**: an `L1`/`L∞` distance between fixed vectors is a
 /// pseudo-metric — symmetric, `δ*(T, T) = 0`, triangle inequality — so dt
@@ -146,8 +147,8 @@ pub fn dt_upper_bound(m1: &DtModel, m2: &DtModel, g: AggFn) -> f64 {
 /// dominates both the `g_sum` and the `g_max` aggregate. The argument needs
 /// the FOCUS contract that each model's measures are its cluster boxes'
 /// selectivities in its paired dataset (the exact analogue of lits
-/// supports; `f = f_a` is checked by
-/// [`crate::family::ClusterFamily::bound_dominates`]).
+/// supports; `f = f_a` is checked by `ClusterFamily`'s
+/// [`ModelFamily::bound_dominates`](crate::family::ModelFamily::bound_dominates)).
 ///
 /// **Not a metric**: `δ*(C, C) > 0` whenever `C`'s clusters overlap (the
 /// cross pieces `a_i ∩ a_j` are charged `max(m_i, m_j)`), so cluster
@@ -202,8 +203,10 @@ mod tests {
     use super::*;
     use crate::data::{LabeledTable, Schema, Table, TransactionSet, Value};
     use crate::diff::DiffFn;
+    use crate::family::{ClusterFamily, DtFamily, LitsFamily};
     use crate::model::{induce_dt_measures, induce_lits_measures};
     use crate::region::{BoxBuilder, BoxRegion, Itemset};
+    use focus_exec::Parallelism;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
@@ -233,7 +236,7 @@ mod tests {
             let items: Vec<u32> = (0..n_items).filter(|i| mask & (1 << i) != 0).collect();
             frequent.push(Itemset::new(items));
         }
-        let counts = crate::model::count_itemsets(data, &frequent);
+        let counts = crate::model::count_itemsets(data, &frequent, Parallelism::Global);
         let n = data.len() as f64;
         let keep: Vec<(Itemset, f64)> = frequent
             .into_iter()
@@ -255,8 +258,16 @@ mod tests {
             let m2 = brute_force_model(&d2, 0.2);
             for g in [AggFn::Sum, AggFn::Max] {
                 let bound = lits_upper_bound(&m1, &m2, g);
-                let exact =
-                    crate::deviation::lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+                let exact = crate::deviation::deviate::<LitsFamily>(
+                    &m1,
+                    &d1,
+                    &m2,
+                    &d2,
+                    DiffFn::Absolute,
+                    g,
+                    Parallelism::Global,
+                )
+                .value;
                 assert!(
                     bound >= exact - 1e-12,
                     "seed {seed} {g:?}: bound {bound} < exact {exact}"
@@ -276,8 +287,16 @@ mod tests {
         let m2 = induce_lits_measures(m1.itemsets().to_vec(), m1.minsup(), &d2);
         for g in [AggFn::Sum, AggFn::Max] {
             let bound = lits_upper_bound(&m1, &m2, g);
-            let exact =
-                crate::deviation::lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+            let exact = crate::deviation::deviate::<LitsFamily>(
+                &m1,
+                &d1,
+                &m2,
+                &d2,
+                DiffFn::Absolute,
+                g,
+                Parallelism::Global,
+            )
+            .value;
             assert!((bound - exact).abs() < 1e-12, "{g:?}: {bound} vs {exact}");
         }
     }
@@ -377,8 +396,16 @@ mod tests {
             let m2 = induce_dt_measures(split_partition(&s, "y", 65.0 - seed as f64 * 10.0), &d2);
             for g in [AggFn::Sum, AggFn::Max] {
                 let bound = dt_upper_bound(&m1, &m2, g);
-                let exact =
-                    crate::deviation::dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+                let exact = crate::deviation::deviate::<DtFamily>(
+                    &m1,
+                    &d1,
+                    &m2,
+                    &d2,
+                    DiffFn::Absolute,
+                    g,
+                    Parallelism::Global,
+                )
+                .value;
                 assert!(
                     bound >= exact - 1e-12,
                     "seed {seed} {g:?}: bound {bound} < exact {exact}"
@@ -399,8 +426,16 @@ mod tests {
         let m2 = induce_dt_measures(leaves, &d2);
         for g in [AggFn::Sum, AggFn::Max] {
             let bound = dt_upper_bound(&m1, &m2, g);
-            let exact =
-                crate::deviation::dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+            let exact = crate::deviation::deviate::<DtFamily>(
+                &m1,
+                &d1,
+                &m2,
+                &d2,
+                DiffFn::Absolute,
+                g,
+                Parallelism::Global,
+            )
+            .value;
             assert!((bound - exact).abs() < 1e-12, "{g:?}: {bound} vs {exact}");
         }
     }
@@ -550,9 +585,16 @@ mod tests {
             );
             for g in [AggFn::Sum, AggFn::Max] {
                 let bound = cluster_upper_bound(&m1, &m2, g);
-                let exact =
-                    crate::deviation::cluster_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g)
-                        .value;
+                let exact = crate::deviation::deviate::<ClusterFamily>(
+                    &m1,
+                    &d1,
+                    &m2,
+                    &d2,
+                    DiffFn::Absolute,
+                    g,
+                    Parallelism::Global,
+                )
+                .value;
                 assert!(
                     bound >= exact - 1e-12,
                     "seed {seed} {g:?}: bound {bound} < exact {exact}"

@@ -10,23 +10,18 @@
 //!
 //! The paper defines those three steps once, over any model class with the
 //! 2-component and meet-semilattice properties — and so does this module:
-//! the **generic engine** ([`deviate`], [`deviate_par`],
-//! [`deviate_focussed`], [`deviate_over`]) is written against the
-//! [`ModelFamily`] trait, and the per-family entry points
-//! (`lits_deviation*`, `dt_deviation*`, `cluster_deviation*`) are thin
-//! wrappers that instantiate it with [`LitsFamily`], [`DtFamily`] or
-//! [`ClusterFamily`] and repackage the result into the family's
-//! domain-specific report type.
+//! [`deviate`], [`deviate_focussed`] and [`deviate_over_sources`] are
+//! written against the [`ModelFamily`] trait and instantiated with
+//! [`LitsFamily`](crate::family::LitsFamily),
+//! [`DtFamily`](crate::family::DtFamily) or
+//! [`ClusterFamily`](crate::family::ClusterFamily). Every one of them
+//! returns a [`FamilyDeviation`] and takes an explicit [`Parallelism`].
 //!
 //! Focussed deviation first intersects every GCR region with the focussing
 //! region `ρ` and computes the same aggregate over the intersections.
 
-use crate::data::{LabeledTable, TransactionSet};
 use crate::diff::{AggFn, DiffFn};
-use crate::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily, Side};
-use crate::gcr::OverlayCell;
-use crate::model::{ClusterModel, DtModel, LitsModel};
-use crate::region::{BoxRegion, Itemset};
+use crate::family::{ModelFamily, Side};
 use focus_exec::{map_chunks_flat, Parallelism};
 
 /// Minimum regions per worker chunk for the per-region difference loops:
@@ -66,22 +61,12 @@ pub(crate) fn eval_regions_par(
 /// selectivity 0 in every region (see [`DiffFn::eval`]), so the deviation
 /// against an empty side degenerates to the other side's total mass rather
 /// than NaN, and two empty datasets deviate by 0.
+///
+/// The per-region difference loop fans out over `par` worker threads.
+/// Bit-identical to the sequential computation for any thread count:
+/// per-region values are exact and come back in region order; only the
+/// final `g` fold touches them, sequentially.
 pub fn deviation_fixed(
-    counts1: &[u64],
-    counts2: &[u64],
-    n1: u64,
-    n2: u64,
-    f: DiffFn,
-    g: AggFn,
-) -> f64 {
-    deviation_fixed_par(counts1, counts2, n1, n2, f, g, Parallelism::Global)
-}
-
-/// [`deviation_fixed`] with the per-region difference loop fanned out over
-/// `par` worker threads. Bit-identical to the sequential computation for
-/// any thread count: per-region values are exact and come back in region
-/// order; only the final `g` fold touches them, sequentially.
-pub fn deviation_fixed_par(
     counts1: &[u64],
     counts2: &[u64],
     n1: u64,
@@ -123,10 +108,8 @@ pub fn deviation_fixed_selectivities(
 // The generic engine (Definition 3.6, any model family)
 // ---------------------------------------------------------------------------
 
-/// Full result of a generic deviation computation: the GCR, the canonical
-/// per-region measures of both sides, and the per-region differences. The
-/// per-family wrappers repackage this into their domain report types
-/// ([`LitsDeviation`], [`DtDeviation`], [`ClusterDeviation`]).
+/// Full result of a deviation computation: the GCR, the canonical
+/// per-region measures of both sides, and the per-region differences.
 #[derive(Debug, Clone)]
 pub struct FamilyDeviation<F: ModelFamily> {
     /// The deviation value `δ(f,g)(M1, M2)`.
@@ -143,24 +126,12 @@ pub struct FamilyDeviation<F: ModelFamily> {
     pub per_region: Vec<f64>,
 }
 
-/// Deviation between two models of any family (Definition 3.6) at the
-/// process-wide default parallelism.
-pub fn deviate<F: ModelFamily>(
-    m1: &F::Model,
-    d1: &F::Dataset,
-    m2: &F::Model,
-    d2: &F::Dataset,
-    f: DiffFn,
-    g: AggFn,
-) -> FamilyDeviation<F> {
-    deviate_par::<F>(m1, d1, m2, d2, f, g, Parallelism::Global)
-}
-
-/// [`deviate`] with an explicit [`Parallelism`] for the measure scans and
-/// the per-region difference loop. Bit-identical to the sequential
-/// computation for any thread count.
+/// Deviation between two models of any family (Definition 3.6), with the
+/// measure scans and the per-region difference loop on `par` worker
+/// threads. Bit-identical to the sequential computation for any thread
+/// count.
 #[allow(clippy::too_many_arguments)]
-pub fn deviate_par<F: ModelFamily>(
+pub fn deviate<F: ModelFamily>(
     m1: &F::Model,
     d1: &F::Dataset,
     m2: &F::Model,
@@ -169,7 +140,8 @@ pub fn deviate_par<F: ModelFamily>(
     g: AggFn,
     par: Parallelism,
 ) -> FamilyDeviation<F> {
-    deviate_over::<F>(F::gcr(m1, m2), m1, d1, m2, d2, f, g, par)
+    let (s1, s2) = (F::source(d1), F::source(d2));
+    deviate_over_sources::<F>(F::gcr(m1, m2), m1, &s1, m2, &s2, f, g, par)
 }
 
 /// Focussed deviation `δρ` (Definition 5.2): the GCR is intersected with
@@ -183,9 +155,11 @@ pub fn deviate_focussed<F: ModelFamily>(
     focus: &F::Focus,
     f: DiffFn,
     g: AggFn,
+    par: Parallelism,
 ) -> FamilyDeviation<F> {
+    let (s1, s2) = (F::source(d1), F::source(d2));
     let gcr = F::restrict(F::gcr(m1, m2), focus);
-    deviate_over::<F>(gcr, m1, d1, m2, d2, f, g, Parallelism::Global)
+    deviate_over_sources::<F>(gcr, m1, &s1, m2, &s2, f, g, par)
 }
 
 /// The region-evaluation loop every family shares — the single place the
@@ -196,44 +170,12 @@ pub fn deviate_focussed<F: ModelFamily>(
 /// 2. apply `f` per region, fanned out in region order;
 /// 3. fold the participating regions' differences with `g`, sequentially.
 ///
-/// Callers that construct their own region sets (the structural operators
-/// of Section 5, the focussed entry points) pass the GCR in explicitly.
-#[allow(clippy::too_many_arguments)]
-pub fn deviate_over<F: ModelFamily>(
-    gcr: F::Gcr,
-    m1: &F::Model,
-    d1: &F::Dataset,
-    m2: &F::Model,
-    d2: &F::Dataset,
-    f: DiffFn,
-    g: AggFn,
-    par: Parallelism,
-) -> FamilyDeviation<F> {
-    let s1 = F::source(d1);
-    let s2 = F::source(d2);
-    deviate_over_sources::<F>(gcr, m1, &s1, m2, &s2, f, g, par)
-}
-
-/// [`deviate_par`] over pre-built access handles instead of raw datasets:
-/// the batch engines in `focus-registry` keep one [`ModelFamily::Source`]
-/// per surviving snapshot for a whole matrix run, so the expensive
-/// structures inside a handle (the lits vertical index) are built at most
-/// once per snapshot instead of once per pair.
-#[allow(clippy::too_many_arguments)]
-pub fn deviate_sources_par<F: ModelFamily>(
-    m1: &F::Model,
-    s1: &F::Source<'_>,
-    m2: &F::Model,
-    s2: &F::Source<'_>,
-    f: DiffFn,
-    g: AggFn,
-    par: Parallelism,
-) -> FamilyDeviation<F> {
-    deviate_over_sources::<F>(F::gcr(m1, m2), m1, s1, m2, s2, f, g, par)
-}
-
-/// [`deviate_over`] over pre-built access handles — the innermost form of
-/// the generic engine; everything above delegates here.
+/// It takes the GCR and pre-built access handles
+/// ([`ModelFamily::Source`]) instead of raw datasets. Callers that build
+/// their own region sets (the structural operators of Section 5) pass
+/// the GCR in. The batch engines in `focus-registry` and the CLI keep one
+/// handle per dataset for a whole run, so the expensive structures
+/// inside a handle (the lits vertical index) are built at most once.
 #[allow(clippy::too_many_arguments)]
 pub fn deviate_over_sources<F: ModelFamily>(
     gcr: F::Gcr,
@@ -281,278 +223,13 @@ pub fn deviate_over_sources<F: ModelFamily>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// lits-models
-// ---------------------------------------------------------------------------
-
-/// Full result of a lits-model deviation computation, exposing the GCR and
-/// the per-region differences for exploratory analysis (Section 5).
-#[derive(Debug, Clone)]
-pub struct LitsDeviation {
-    /// The deviation value `δ(f,g)(M1, M2)`.
-    pub value: f64,
-    /// The GCR structural component (union of the two itemset families).
-    pub gcr: Vec<Itemset>,
-    /// Supports of each GCR itemset w.r.t. `D1`.
-    pub supports1: Vec<f64>,
-    /// Supports of each GCR itemset w.r.t. `D2`.
-    pub supports2: Vec<f64>,
-    /// Per-region difference `f(v1, v2, n1, n2)`, parallel to `gcr`.
-    pub per_region: Vec<f64>,
-}
-
-impl From<FamilyDeviation<LitsFamily>> for LitsDeviation {
-    fn from(dev: FamilyDeviation<LitsFamily>) -> Self {
-        LitsDeviation {
-            value: dev.value,
-            gcr: dev.gcr,
-            supports1: dev.raw1,
-            supports2: dev.raw2,
-            per_region: dev.per_region,
-        }
-    }
-}
-
-/// Deviation between two lits-models (Definition 3.6, Section 4.1): extends
-/// both to the GCR (union of the itemset families), scanning each dataset
-/// once to obtain missing supports.
-pub fn lits_deviation(
-    m1: &LitsModel,
-    d1: &TransactionSet,
-    m2: &LitsModel,
-    d2: &TransactionSet,
-    f: DiffFn,
-    g: AggFn,
-) -> LitsDeviation {
-    lits_deviation_par(m1, d1, m2, d2, f, g, Parallelism::Global)
-}
-
-/// [`lits_deviation`] with an explicit [`Parallelism`] for the extension
-/// scans. Bit-identical to the sequential computation for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn lits_deviation_par(
-    m1: &LitsModel,
-    d1: &TransactionSet,
-    m2: &LitsModel,
-    d2: &TransactionSet,
-    f: DiffFn,
-    g: AggFn,
-    par: Parallelism,
-) -> LitsDeviation {
-    deviate_par::<LitsFamily>(m1, d1, m2, d2, f, g, par).into()
-}
-
-/// Focussed lits-model deviation (Definition 5.2, Section 5.1): only the
-/// GCR itemsets drawn entirely from `universe` (a sorted item list — e.g.
-/// "the shoes department's items") participate.
-pub fn lits_deviation_focussed(
-    m1: &LitsModel,
-    d1: &TransactionSet,
-    m2: &LitsModel,
-    d2: &TransactionSet,
-    universe: &[u32],
-    f: DiffFn,
-    g: AggFn,
-) -> LitsDeviation {
-    deviate_focussed::<LitsFamily>(m1, d1, m2, d2, universe, f, g).into()
-}
-
-/// Deviation over an explicit region list (used by both entry points and by
-/// the structural operators of Section 5, which construct their own region
-/// sets).
-pub fn lits_deviation_over(
-    regions: &[Itemset],
-    m1: &LitsModel,
-    d1: &TransactionSet,
-    m2: &LitsModel,
-    d2: &TransactionSet,
-    f: DiffFn,
-    g: AggFn,
-) -> LitsDeviation {
-    lits_deviation_over_par(regions, m1, d1, m2, d2, f, g, Parallelism::Global)
-}
-
-/// [`lits_deviation_over`] with an explicit [`Parallelism`] for the
-/// extension scans.
-#[allow(clippy::too_many_arguments)]
-pub fn lits_deviation_over_par(
-    regions: &[Itemset],
-    m1: &LitsModel,
-    d1: &TransactionSet,
-    m2: &LitsModel,
-    d2: &TransactionSet,
-    f: DiffFn,
-    g: AggFn,
-    par: Parallelism,
-) -> LitsDeviation {
-    deviate_over::<LitsFamily>(regions.to_vec(), m1, d1, m2, d2, f, g, par).into()
-}
-
-// ---------------------------------------------------------------------------
-// dt-models
-// ---------------------------------------------------------------------------
-
-/// Full result of a dt-model deviation computation.
-#[derive(Debug, Clone)]
-pub struct DtDeviation {
-    /// The deviation value `δ(f,g)(M1, M2)`.
-    pub value: f64,
-    /// The GCR cells (overlay of the two leaf partitions), class-free;
-    /// measures are tracked per class below.
-    pub cells: Vec<OverlayCell>,
-    /// Number of classes `k`.
-    pub n_classes: u32,
-    /// Row-major `[cell][class]` selectivities w.r.t. `D1`.
-    pub measures1: Vec<f64>,
-    /// Row-major `[cell][class]` selectivities w.r.t. `D2`.
-    pub measures2: Vec<f64>,
-    /// Row-major `[cell][class]` per-region differences.
-    pub per_region: Vec<f64>,
-}
-
-impl DtDeviation {
-    fn from_generic(dev: FamilyDeviation<DtFamily>, n1: u64, n2: u64) -> Self {
-        let nmax1 = n1.max(1) as f64;
-        let nmax2 = n2.max(1) as f64;
-        DtDeviation {
-            value: dev.value,
-            n_classes: dev.gcr.n_classes,
-            measures1: dev.raw1.iter().map(|&v| v / nmax1).collect(),
-            measures2: dev.raw2.iter().map(|&v| v / nmax2).collect(),
-            per_region: dev.per_region,
-            cells: dev.gcr.cells,
-        }
-    }
-}
-
-/// Deviation between two dt-models (Definition 3.6, Section 4.2): overlays
-/// the two leaf partitions into the GCR and scans each dataset once, routing
-/// every row through both partitions to its (unique) GCR cell.
-pub fn dt_deviation(
-    m1: &DtModel,
-    d1: &LabeledTable,
-    m2: &DtModel,
-    d2: &LabeledTable,
-    f: DiffFn,
-    g: AggFn,
-) -> DtDeviation {
-    dt_deviation_par(m1, d1, m2, d2, f, g, Parallelism::Global)
-}
-
-/// [`dt_deviation`] with an explicit [`Parallelism`] for the routing scans.
-/// Bit-identical to the sequential computation for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn dt_deviation_par(
-    m1: &DtModel,
-    d1: &LabeledTable,
-    m2: &DtModel,
-    d2: &LabeledTable,
-    f: DiffFn,
-    g: AggFn,
-    par: Parallelism,
-) -> DtDeviation {
-    let dev = deviate_par::<DtFamily>(m1, d1, m2, d2, f, g, par);
-    DtDeviation::from_generic(dev, d1.len() as u64, d2.len() as u64)
-}
-
-/// Focussed dt-model deviation (Definition 5.2): every GCR cell is first
-/// intersected with the focussing region `ρ`; cells that miss `ρ` drop out.
-/// If `ρ` carries a class label, only that class's regions participate.
-pub fn dt_deviation_focussed(
-    m1: &DtModel,
-    d1: &LabeledTable,
-    m2: &DtModel,
-    d2: &LabeledTable,
-    focus: &BoxRegion,
-    f: DiffFn,
-    g: AggFn,
-) -> DtDeviation {
-    let dev = deviate_focussed::<DtFamily>(m1, d1, m2, d2, focus, f, g);
-    DtDeviation::from_generic(dev, d1.len() as u64, d2.len() as u64)
-}
-
-// ---------------------------------------------------------------------------
-// cluster-models
-// ---------------------------------------------------------------------------
-
-/// Full result of a cluster-model deviation computation.
-#[derive(Debug, Clone)]
-pub struct ClusterDeviation {
-    /// The deviation value.
-    pub value: f64,
-    /// The GCR regions (pairwise intersections + remainders).
-    pub gcr: Vec<BoxRegion>,
-    /// Selectivities of each GCR region w.r.t. `D1`.
-    pub measures1: Vec<f64>,
-    /// Selectivities of each GCR region w.r.t. `D2`.
-    pub measures2: Vec<f64>,
-    /// Per-region differences.
-    pub per_region: Vec<f64>,
-}
-
-impl ClusterDeviation {
-    fn from_generic(dev: FamilyDeviation<ClusterFamily>, n1: u64, n2: u64) -> Self {
-        let nmax1 = (n1 as f64).max(1.0);
-        let nmax2 = (n2 as f64).max(1.0);
-        ClusterDeviation {
-            value: dev.value,
-            gcr: dev.gcr,
-            measures1: dev.raw1.iter().map(|&v| v / nmax1).collect(),
-            measures2: dev.raw2.iter().map(|&v| v / nmax2).collect(),
-            per_region: dev.per_region,
-        }
-    }
-}
-
-/// Deviation between two cluster-models. The GCR is the box overlay with
-/// remainders (see [`crate::gcr::gcr_boxes`]); both datasets are scanned
-/// once to measure every GCR region.
-pub fn cluster_deviation(
-    m1: &ClusterModel,
-    d1: &crate::data::Table,
-    m2: &ClusterModel,
-    d2: &crate::data::Table,
-    f: DiffFn,
-    g: AggFn,
-) -> ClusterDeviation {
-    cluster_deviation_par(m1, d1, m2, d2, f, g, Parallelism::Global)
-}
-
-/// [`cluster_deviation`] with an explicit [`Parallelism`] for the measure
-/// scans. Bit-identical to the sequential computation for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn cluster_deviation_par(
-    m1: &ClusterModel,
-    d1: &crate::data::Table,
-    m2: &ClusterModel,
-    d2: &crate::data::Table,
-    f: DiffFn,
-    g: AggFn,
-    par: Parallelism,
-) -> ClusterDeviation {
-    let dev = deviate_par::<ClusterFamily>(m1, d1, m2, d2, f, g, par);
-    ClusterDeviation::from_generic(dev, d1.len() as u64, d2.len() as u64)
-}
-
-/// Focussed cluster-model deviation: GCR regions intersected with `ρ`.
-pub fn cluster_deviation_focussed(
-    m1: &ClusterModel,
-    d1: &crate::data::Table,
-    m2: &ClusterModel,
-    d2: &crate::data::Table,
-    focus: &BoxRegion,
-    f: DiffFn,
-    g: AggFn,
-) -> ClusterDeviation {
-    let dev = deviate_focussed::<ClusterFamily>(m1, d1, m2, d2, focus, f, g);
-    ClusterDeviation::from_generic(dev, d1.len() as u64, d2.len() as u64)
-}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{Schema, Value};
-    use crate::model::induce_dt_measures;
-    use crate::region::BoxBuilder;
+    use crate::data::{LabeledTable, Schema, TransactionSet, Value};
+    use crate::family::{ClusterFamily, DtFamily, LitsFamily};
+    use crate::model::{induce_dt_measures, ClusterModel, DtModel, LitsModel};
+    use crate::region::{BoxBuilder, Itemset};
     use std::sync::Arc;
 
     // ---------------- lits ----------------
@@ -631,9 +308,10 @@ mod tests {
         // (The paper prints the total as "1.125", but the five per-region
         // terms it lists sum to 1.25 — an arithmetic slip in the paper; we
         // assert the correct sum of its own terms.)
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let (d1, d2) = figure6_datasets();
         let (l1, l2) = figure6_models(&d1, &d2);
-        let dev = lits_deviation(&l1, &d1, &l2, &d2, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate::<LitsFamily>(&l1, &d1, &l2, &d2, f, g, par);
         assert!((dev.value - 1.25).abs() < 1e-12, "got {}", dev.value);
         assert_eq!(dev.gcr.len(), 5);
         // Cross-check the five per-region contributions individually.
@@ -651,15 +329,24 @@ mod tests {
         // Section 4.1: δ(f_a, g_max)(L1, L2) = 0.4.
         let (d1, d2) = figure6_datasets();
         let (l1, l2) = figure6_models(&d1, &d2);
-        let dev = lits_deviation(&l1, &d1, &l2, &d2, DiffFn::Absolute, AggFn::Max);
+        let dev = deviate::<LitsFamily>(
+            &l1,
+            &d1,
+            &l2,
+            &d2,
+            DiffFn::Absolute,
+            AggFn::Max,
+            Parallelism::Global,
+        );
         assert!((dev.value - 0.4).abs() < 1e-12, "got {}", dev.value);
     }
 
     #[test]
     fn lits_deviation_identical_models_is_zero() {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let (d1, _) = figure6_datasets();
         let (l1, _) = figure6_models(&d1, &d1);
-        let dev = lits_deviation(&l1, &d1, &l1, &d1, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate::<LitsFamily>(&l1, &d1, &l1, &d1, f, g, par);
         assert_eq!(dev.value, 0.0);
     }
 
@@ -668,8 +355,16 @@ mod tests {
         let (d1, d2) = figure6_datasets();
         let (l1, l2) = figure6_models(&d1, &d2);
         // Focus on items {a, b} = {0, 1}: only a, b, ab participate.
-        let dev =
-            lits_deviation_focussed(&l1, &d1, &l2, &d2, &[0, 1], DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate_focussed::<LitsFamily>(
+            &l1,
+            &d1,
+            &l2,
+            &d2,
+            &[0, 1],
+            DiffFn::Absolute,
+            AggFn::Sum,
+            Parallelism::Global,
+        );
         // |0.5−0.1| + |0.4−0.3| + |0.25−0.05| = 0.7
         assert!((dev.value - 0.7).abs() < 1e-12, "got {}", dev.value);
         assert_eq!(dev.gcr.len(), 3);
@@ -677,9 +372,25 @@ mod tests {
 
     #[test]
     fn deviation_fixed_matches_manual() {
-        let v = deviation_fixed(&[5, 0], &[1, 2], 10, 10, DiffFn::Absolute, AggFn::Sum);
+        let v = deviation_fixed(
+            &[5, 0],
+            &[1, 2],
+            10,
+            10,
+            DiffFn::Absolute,
+            AggFn::Sum,
+            Parallelism::Global,
+        );
         assert!((v - (0.4 + 0.2)).abs() < 1e-12);
-        let m = deviation_fixed(&[5, 0], &[1, 2], 10, 10, DiffFn::Absolute, AggFn::Max);
+        let m = deviation_fixed(
+            &[5, 0],
+            &[1, 2],
+            10,
+            10,
+            DiffFn::Absolute,
+            AggFn::Max,
+            Parallelism::Global,
+        );
         assert!((m - 0.4).abs() < 1e-12);
     }
 
@@ -694,23 +405,40 @@ mod tests {
             DiffFn::ChiSquared { c: 0.5 },
         ] {
             for g in [AggFn::Sum, AggFn::Max] {
-                let one_empty = deviation_fixed(&[5, 0], &[1, 2], 0, 10, f, g);
+                let one_empty = deviation_fixed(&[5, 0], &[1, 2], 0, 10, f, g, Parallelism::Global);
                 assert!(one_empty.is_finite(), "{f:?}/{g:?}: {one_empty}");
-                let other_empty = deviation_fixed(&[5, 0], &[1, 2], 10, 0, f, g);
+                let other_empty =
+                    deviation_fixed(&[5, 0], &[1, 2], 10, 0, f, g, Parallelism::Global);
                 assert!(other_empty.is_finite(), "{f:?}/{g:?}: {other_empty}");
-                let both_empty = deviation_fixed(&[0, 0], &[0, 0], 0, 0, f, g);
+                let both_empty = deviation_fixed(&[0, 0], &[0, 0], 0, 0, f, g, Parallelism::Global);
                 assert!(both_empty.is_finite(), "{f:?}/{g:?}: {both_empty}");
             }
         }
         // Two genuinely empty measure components do not deviate at all
         // under f_a — the defined value is exactly 0.
         assert_eq!(
-            deviation_fixed(&[0, 0], &[0, 0], 0, 0, DiffFn::Absolute, AggFn::Sum),
+            deviation_fixed(
+                &[0, 0],
+                &[0, 0],
+                0,
+                0,
+                DiffFn::Absolute,
+                AggFn::Sum,
+                Parallelism::Global
+            ),
             0.0
         );
         // Against an empty side, f_a degenerates to the populated side's
         // total selectivity mass: 0.1 + 0.2 here.
-        let v = deviation_fixed(&[0, 0], &[1, 2], 0, 10, DiffFn::Absolute, AggFn::Sum);
+        let v = deviation_fixed(
+            &[0, 0],
+            &[1, 2],
+            0,
+            10,
+            DiffFn::Absolute,
+            AggFn::Sum,
+            Parallelism::Global,
+        );
         assert!((v - 0.3).abs() < 1e-12, "got {v}");
     }
 
@@ -725,7 +453,15 @@ mod tests {
             DiffFn::Scaled,
             DiffFn::ChiSquared { c: 0.5 },
         ] {
-            let dev = lits_deviation(&l1, &d1, &empty_model, &empty, f, AggFn::Sum);
+            let dev = deviate::<LitsFamily>(
+                &l1,
+                &d1,
+                &empty_model,
+                &empty,
+                f,
+                AggFn::Sum,
+                Parallelism::Global,
+            );
             assert!(dev.value.is_finite(), "{f:?}: {}", dev.value);
             assert!(dev.per_region.iter().all(|d| d.is_finite()));
         }
@@ -768,10 +504,11 @@ mod tests {
 
     #[test]
     fn dt_deviation_overlay_and_value() {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let (_s, d1, d2, t1, t2) = dt_fixture();
-        let dev = dt_deviation(&t1, &d1, &t2, &d2, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate::<DtFamily>(&t1, &d1, &t2, &d2, f, g, par);
         // Overlay cells: [<30), [30,50), [≥50) — 3 cells.
-        assert_eq!(dev.cells.len(), 3);
+        assert_eq!(dev.gcr.cells.len(), 3);
         // Manual: cell [0,30): D1 class1 sel = .30, class0 0; D2 class1 .30.
         //   diffs: |0.30−0.30| + |0−0| = 0
         // cell [30,50): D1 class0 .20; D2 class1 .20 → |0−.20| + |.20−0| = .4
@@ -781,21 +518,23 @@ mod tests {
 
     #[test]
     fn dt_deviation_identical_is_zero() {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let (_s, d1, _d2, t1, _t2) = dt_fixture();
-        let dev = dt_deviation(&t1, &d1, &t1, &d1, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate::<DtFamily>(&t1, &d1, &t1, &d1, f, g, par);
         assert_eq!(dev.value, 0.0);
     }
 
     #[test]
     fn dt_deviation_focussed_on_region() {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let (s, d1, d2, t1, t2) = dt_fixture();
         // Focus on age < 30: that slice agrees in both datasets → 0.
         let focus = BoxBuilder::new(&s).lt("age", 30.0).build();
-        let dev = dt_deviation_focussed(&t1, &d1, &t2, &d2, &focus, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate_focussed::<DtFamily>(&t1, &d1, &t2, &d2, &focus, f, g, par);
         assert_eq!(dev.value, 0.0);
         // Focus on the disputed band [30, 50): full disagreement 0.4.
         let focus = BoxBuilder::new(&s).range("age", 30.0, 50.0).build();
-        let dev = dt_deviation_focussed(&t1, &d1, &t2, &d2, &focus, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate_focussed::<DtFamily>(&t1, &d1, &t2, &d2, &focus, f, g, par);
         assert!((dev.value - 0.4).abs() < 1e-12);
     }
 
@@ -807,8 +546,26 @@ mod tests {
         let small = BoxBuilder::new(&s).range("age", 35.0, 45.0).build();
         let large = BoxBuilder::new(&s).range("age", 20.0, 60.0).build();
         for g in [AggFn::Sum, AggFn::Max] {
-            let ds = dt_deviation_focussed(&t1, &d1, &t2, &d2, &small, DiffFn::Absolute, g);
-            let dl = dt_deviation_focussed(&t1, &d1, &t2, &d2, &large, DiffFn::Absolute, g);
+            let ds = deviate_focussed::<DtFamily>(
+                &t1,
+                &d1,
+                &t2,
+                &d2,
+                &small,
+                DiffFn::Absolute,
+                g,
+                Parallelism::Global,
+            );
+            let dl = deviate_focussed::<DtFamily>(
+                &t1,
+                &d1,
+                &t2,
+                &d2,
+                &large,
+                DiffFn::Absolute,
+                g,
+                Parallelism::Global,
+            );
             assert!(ds.value <= dl.value + 1e-12, "{:?}", g);
         }
     }
@@ -816,13 +573,14 @@ mod tests {
     #[test]
     fn dt_deviation_chi_squared_zero_when_identical() {
         let (_s, d1, _d2, t1, _t2) = dt_fixture();
-        let dev = dt_deviation(
+        let dev = deviate::<DtFamily>(
             &t1,
             &d1,
             &t1,
             &d1,
             DiffFn::ChiSquared { c: 0.5 },
             AggFn::Sum,
+            Parallelism::Global,
         );
         // Identical structure & data: every populated cell contributes 0,
         // but empty-expected cells contribute c each. With a perfect split
@@ -835,6 +593,7 @@ mod tests {
 
     #[test]
     fn cluster_deviation_basics() {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let schema = Arc::new(Schema::new(vec![Schema::numeric("x")]));
         let mut d1 = crate::data::Table::new(Arc::clone(&schema));
         let mut d2 = crate::data::Table::new(Arc::clone(&schema));
@@ -852,7 +611,7 @@ mod tests {
             vec![1.0],
             10,
         );
-        let dev = cluster_deviation(&c1, &d1, &c2, &d2, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate::<ClusterFamily>(&c1, &d1, &c2, &d2, f, g, par);
         // GCR: [5,10) ∩, [0,5) rem of c1, [10,15) rem of c2.
         // sel1: [5,10)=0.5, [0,5)=0.5, [10,15)=0.0
         // sel2: [5,10)=0.5, [0,5)=0.0, [10,15)=0.5
@@ -860,12 +619,13 @@ mod tests {
         assert_eq!(dev.gcr.len(), 3);
         assert!((dev.value - 1.0).abs() < 1e-12, "got {}", dev.value);
         // Identical models/datasets deviate by zero.
-        let same = cluster_deviation(&c1, &d1, &c1, &d1, DiffFn::Absolute, AggFn::Sum);
+        let same = deviate::<ClusterFamily>(&c1, &d1, &c1, &d1, f, g, par);
         assert_eq!(same.value, 0.0);
     }
 
     #[test]
     fn cluster_deviation_focus_restricts() {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let schema = Arc::new(Schema::new(vec![Schema::numeric("x")]));
         let mut d1 = crate::data::Table::new(Arc::clone(&schema));
         let mut d2 = crate::data::Table::new(Arc::clone(&schema));
@@ -885,8 +645,7 @@ mod tests {
         );
         // Focus on [5, 10): the shared region where both agree (0.5 vs 0.5).
         let focus = BoxBuilder::new(&schema).range("x", 5.0, 10.0).build();
-        let dev =
-            cluster_deviation_focussed(&c1, &d1, &c2, &d2, &focus, DiffFn::Absolute, AggFn::Sum);
+        let dev = deviate_focussed::<ClusterFamily>(&c1, &d1, &c2, &d2, &focus, f, g, par);
         assert_eq!(dev.value, 0.0);
     }
 }

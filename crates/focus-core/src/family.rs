@@ -19,8 +19,8 @@
 //!    and triangle-inequality pruning downstream.
 //!
 //! The trait captures exactly those four, so the generic engine in
-//! [`crate::deviation`] (`deviate`, `deviate_par`, `deviate_focussed`,
-//! `deviate_over`) and the batch matrix engine in `focus-registry` are
+//! [`crate::deviation`] (`deviate`, `deviate_focussed`,
+//! `deviate_over_sources`) and the batch matrix engine in `focus-registry` are
 //! written once and instantiated per family. All implementations preserve
 //! the workspace determinism contract: measures and per-region values are
 //! bit-identical for every worker-thread count.
@@ -28,7 +28,7 @@
 use crate::data::{LabeledTable, Table, TransactionSet};
 use crate::diff::{AggFn, DiffFn};
 use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, OverlayCell};
-use crate::model::{count_boxes_par, ClusterModel, DtModel, LitsModel};
+use crate::model::{count_boxes, ClusterModel, DtModel, LitsModel};
 use crate::region::{BoxRegion, Itemset};
 use crate::source::CountSource;
 use focus_exec::{map_chunks, merge_counts, Parallelism};
@@ -499,7 +499,7 @@ impl ModelFamily for ClusterFamily {
         _side: Side,
         par: Parallelism,
     ) -> Vec<f64> {
-        count_boxes_par(data, gcr, par)
+        count_boxes(data, gcr, par)
             .into_iter()
             .map(|c| c as f64)
             .collect()

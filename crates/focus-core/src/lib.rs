@@ -65,7 +65,8 @@
 //! ], &d2);
 //!
 //! // δ(f_a, g_sum): extends both to the GCR and aggregates per-region diffs.
-//! let dev = dt_deviation(&t1, &d1, &t2, &d2, DiffFn::Absolute, AggFn::Sum);
+//! let (f, g) = (DiffFn::Absolute, AggFn::Sum);
+//! let dev = deviate::<DtFamily>(&t1, &d1, &t2, &d2, f, g, Parallelism::Global);
 //! assert!((dev.value - 0.4).abs() < 1e-12);
 //! ```
 
@@ -97,25 +98,19 @@ pub mod prelude {
         AttrType, Attribute, LabeledTable, Schema, Table, TransactionSet, Value,
     };
     pub use crate::deviation::{
-        cluster_deviation, cluster_deviation_focussed, cluster_deviation_par, deviate,
-        deviate_focussed, deviate_over, deviate_over_sources, deviate_par, deviate_sources_par,
-        deviation_fixed, deviation_fixed_par, dt_deviation, dt_deviation_focussed,
-        dt_deviation_par, lits_deviation, lits_deviation_focussed, lits_deviation_over,
-        lits_deviation_over_par, lits_deviation_par, ClusterDeviation, DtDeviation,
-        FamilyDeviation, LitsDeviation,
+        deviate, deviate_focussed, deviate_over_sources, deviation_fixed, FamilyDeviation,
     };
     pub use crate::diff::{AggFn, DiffFn};
     pub use crate::embed::DistanceMatrix;
     pub use crate::family::{ClusterFamily, DtFamily, DtGcr, LitsFamily, ModelFamily, Side};
     pub use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, OverlayCell};
     pub use crate::model::{
-        count_boxes, count_boxes_par, count_itemsets, count_itemsets_par, count_partition,
-        count_partition_par, induce_dt_measures, induce_lits_measures, ClusterModel, DtModel,
-        LitsModel,
+        count_boxes, count_itemsets, count_partition, induce_dt_measures, induce_lits_measures,
+        ClusterModel, DtModel, LitsModel,
     };
     pub use crate::monitor::{
-        chi_squared_statistic, chi_squared_statistic_par, chi_squared_test, me_via_deviation,
-        misclassification_error, misclassification_error_par, predicted_dataset, ChiSquaredFit,
+        chi_squared_statistic, chi_squared_test, me_via_deviation, misclassification_error,
+        predicted_dataset, ChiSquaredFit,
     };
     pub use crate::ops::{
         lits_difference, lits_intersection, lits_union, partition_difference,
@@ -137,10 +132,8 @@ pub mod prelude {
         CountSource, DEFAULT_INDEX_BUDGET,
     };
     pub use crate::stream::{
-        calibrate_threshold_par, BlockVerdict, ChangeMonitor, DEFAULT_HISTORY_CAP,
+        calibrate_threshold, BlockVerdict, ChangeMonitor, DEFAULT_HISTORY_CAP,
     };
-    pub use crate::vertical::{
-        count_itemsets_grouped, count_itemsets_grouped_par, CsrError, VerticalIndex,
-    };
+    pub use crate::vertical::{count_itemsets_grouped, CsrError, VerticalIndex};
     pub use focus_exec::Parallelism;
 }

@@ -250,11 +250,7 @@ impl ClusterModel {
 /// and tested against every itemset with early exit. Per-chunk counters are
 /// merged by `u64` addition in chunk order, so the result is bit-identical
 /// to the sequential scan for every thread count.
-pub fn count_itemsets_par(
-    data: &TransactionSet,
-    itemsets: &[Itemset],
-    par: Parallelism,
-) -> Vec<u64> {
+pub fn count_itemsets(data: &TransactionSet, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
     if itemsets.is_empty() || data.is_empty() {
         // The empty itemset is contained in every transaction; handle the
         // empty-data case uniformly here.
@@ -280,18 +276,13 @@ pub fn count_itemsets_par(
     merge_counts(parts)
 }
 
-/// [`count_itemsets_par`] at the process-wide default parallelism.
-pub fn count_itemsets(data: &TransactionSet, itemsets: &[Itemset]) -> Vec<u64> {
-    count_itemsets_par(data, itemsets, Parallelism::Global)
-}
-
 /// Counts, for each `(leaf, class)` region of a partition, the number of
 /// rows of `data` that fall in it, scanning row chunks on `par` worker
 /// threads. Returns a row-major `leaves.len() × n_classes` vector,
 /// bit-identical for every thread count.
 ///
 /// One scan: each row is routed to the (unique) containing leaf.
-pub fn count_partition_par(
+pub fn count_partition(
     data: &LabeledTable,
     leaves: &[BoxRegion],
     n_classes: u32,
@@ -327,15 +318,10 @@ pub fn count_partition_par(
     merge_counts(parts)
 }
 
-/// [`count_partition_par`] at the process-wide default parallelism.
-pub fn count_partition(data: &LabeledTable, leaves: &[BoxRegion], n_classes: u32) -> Vec<u64> {
-    count_partition_par(data, leaves, n_classes, Parallelism::Global)
-}
-
 /// Counts, for each (possibly overlapping) box, the rows of `data` inside
 /// it, scanning row chunks on `par` worker threads. Unlike
-/// [`count_partition_par`], every box is tested for every row.
-pub fn count_boxes_par(data: &Table, boxes: &[BoxRegion], par: Parallelism) -> Vec<u64> {
+/// [`count_partition`], every box is tested for every row.
+pub fn count_boxes(data: &Table, boxes: &[BoxRegion], par: Parallelism) -> Vec<u64> {
     let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; boxes.len()];
         for r in range {
@@ -354,18 +340,9 @@ pub fn count_boxes_par(data: &Table, boxes: &[BoxRegion], par: Parallelism) -> V
     merge_counts(parts)
 }
 
-/// [`count_boxes_par`] at the process-wide default parallelism.
-pub fn count_boxes(data: &Table, boxes: &[BoxRegion]) -> Vec<u64> {
-    count_boxes_par(data, boxes, Parallelism::Global)
-}
-
 /// Counts labelled rows per class-carrying box (used when GCR cells carry
 /// class labels explicitly), scanning row chunks on `par` worker threads.
-pub fn count_labeled_boxes_par(
-    data: &LabeledTable,
-    boxes: &[BoxRegion],
-    par: Parallelism,
-) -> Vec<u64> {
+pub fn count_labeled_boxes(data: &LabeledTable, boxes: &[BoxRegion], par: Parallelism) -> Vec<u64> {
     let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; boxes.len()];
         for r in range {
@@ -385,15 +362,10 @@ pub fn count_labeled_boxes_par(
     merge_counts(parts)
 }
 
-/// [`count_labeled_boxes_par`] at the process-wide default parallelism.
-pub fn count_labeled_boxes(data: &LabeledTable, boxes: &[BoxRegion]) -> Vec<u64> {
-    count_labeled_boxes_par(data, boxes, Parallelism::Global)
-}
-
 /// Builds a [`DtModel`] measure component for an externally supplied leaf
 /// partition by scanning a dataset.
 pub fn induce_dt_measures(leaves: Vec<BoxRegion>, data: &LabeledTable) -> DtModel {
-    let counts = count_partition(data, &leaves, data.n_classes);
+    let counts = count_partition(data, &leaves, data.n_classes, Parallelism::Global);
     let n = data.len().max(1) as f64;
     let measures = counts.iter().map(|&c| c as f64 / n).collect();
     DtModel::new(leaves, data.n_classes, measures, data.len() as u64)
@@ -407,7 +379,7 @@ pub fn induce_lits_measures(
     minsup: f64,
     data: &TransactionSet,
 ) -> LitsModel {
-    let counts = count_itemsets(data, &itemsets);
+    let counts = count_itemsets(data, &itemsets, Parallelism::Global);
     let n = data.len().max(1) as f64;
     let supports = counts.iter().map(|&c| c as f64 / n).collect();
     LitsModel::new(itemsets, supports, minsup, data.len() as u64)
@@ -443,14 +415,17 @@ mod tests {
             Itemset::from_slice(&[1]),
             Itemset::from_slice(&[0, 1]),
         ];
-        assert_eq!(count_itemsets(&ts, &sets), vec![3, 3, 2]);
+        assert_eq!(
+            count_itemsets(&ts, &sets, Parallelism::Global),
+            vec![3, 3, 2]
+        );
     }
 
     #[test]
     fn count_itemsets_empty_itemset_matches_all() {
         let ts = toy_transactions();
         let sets = vec![Itemset::new(vec![])];
-        assert_eq!(count_itemsets(&ts, &sets), vec![4]);
+        assert_eq!(count_itemsets(&ts, &sets, Parallelism::Global), vec![4]);
     }
 
     #[test]
@@ -485,7 +460,7 @@ mod tests {
             BoxBuilder::new(&schema).lt("age", 25.0).build(),
             BoxBuilder::new(&schema).ge("age", 25.0).build(),
         ];
-        let counts = count_partition(&t, &leaves, 2);
+        let counts = count_partition(&t, &leaves, 2, Parallelism::Global);
         // leaf0: class0 = 2, class1 = 0; leaf1: class0 = 0, class1 = 2.
         assert_eq!(counts, vec![2, 0, 0, 2]);
     }
@@ -505,7 +480,7 @@ mod tests {
             BoxBuilder::new(&schema).lt("age", 25.0).build(),
             BoxBuilder::new(&schema).ge("age", 25.0).build(),
         ];
-        count_partition(&t, &leaves, 2);
+        count_partition(&t, &leaves, 2, Parallelism::Global);
     }
 
     #[test]
@@ -555,7 +530,7 @@ mod tests {
             BoxBuilder::new(&schema).lt("age", 35.0).build(),
             BoxBuilder::new(&schema).ge("age", 15.0).build(),
         ];
-        let counts = count_boxes(&t.table, &boxes);
+        let counts = count_boxes(&t.table, &boxes, Parallelism::Global);
         assert_eq!(counts, vec![3, 3]);
     }
 
@@ -564,7 +539,10 @@ mod tests {
         let (schema, t) = toy_labeled();
         let b0 = BoxBuilder::new(&schema).class(0).build();
         let b1 = BoxBuilder::new(&schema).class(1).build();
-        assert_eq!(count_labeled_boxes(&t, &[b0, b1]), vec![2, 2]);
+        assert_eq!(
+            count_labeled_boxes(&t, &[b0, b1], Parallelism::Global),
+            vec![2, 2]
+        );
     }
 
     #[test]

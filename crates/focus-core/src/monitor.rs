@@ -16,7 +16,7 @@
 use crate::data::LabeledTable;
 use crate::deviation::deviation_fixed;
 use crate::diff::{AggFn, DiffFn};
-use crate::model::{count_partition, count_partition_par, DtModel};
+use crate::model::{count_partition, DtModel};
 use focus_exec::{map_chunks, Parallelism};
 
 /// Minimum rows per worker chunk for the prediction scans.
@@ -24,15 +24,10 @@ const SCAN_GRAIN: usize = focus_exec::DEFAULT_GRAIN;
 
 /// The misclassification error of a dt-model on a dataset: the fraction of
 /// rows whose true label differs from the model's majority-class
-/// prediction. Runs at the process-wide default parallelism.
-pub fn misclassification_error(model: &DtModel, data: &LabeledTable) -> f64 {
-    misclassification_error_par(model, data, Parallelism::Global)
-}
-
-/// [`misclassification_error`] with the prediction scan fanned out over
-/// `par` worker threads. Per-chunk error counts merge by `u64` addition,
-/// so the rate is bit-identical to a sequential scan for any thread count.
-pub fn misclassification_error_par(model: &DtModel, data: &LabeledTable, par: Parallelism) -> f64 {
+/// prediction. The prediction scan fans out over `par` worker threads.
+/// Per-chunk error counts merge by `u64` addition, so the rate is
+/// bit-identical to a sequential scan for any thread count.
+pub fn misclassification_error(model: &DtModel, data: &LabeledTable, par: Parallelism) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
@@ -62,8 +57,8 @@ pub fn predicted_dataset(model: &DtModel, data: &LabeledTable) -> LabeledTable {
 pub fn me_via_deviation(model: &DtModel, data: &LabeledTable) -> f64 {
     let predicted = predicted_dataset(model, data);
     let k = model.n_classes();
-    let counts_true = count_partition(data, model.leaves(), k);
-    let counts_pred = count_partition(&predicted, model.leaves(), k);
+    let counts_true = count_partition(data, model.leaves(), k, Parallelism::Global);
+    let counts_pred = count_partition(&predicted, model.leaves(), k, Parallelism::Global);
     0.5 * deviation_fixed(
         &counts_true,
         &counts_pred,
@@ -71,6 +66,7 @@ pub fn me_via_deviation(model: &DtModel, data: &LabeledTable) -> f64 {
         predicted.len() as u64,
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     )
 }
 
@@ -79,23 +75,14 @@ pub fn me_via_deviation(model: &DtModel, data: &LabeledTable) -> f64 {
 /// selectivities come from the model's (D1-derived) measures; observed
 /// counts from scanning `D2`. Cells with zero expected count contribute the
 /// constant `c` (0.5 is the customary choice).
-pub fn chi_squared_statistic(model: &DtModel, d2: &LabeledTable, c: f64) -> f64 {
-    chi_squared_statistic_par(model, d2, c, Parallelism::Global)
-}
-
-/// [`chi_squared_statistic`] with the measure scan and the per-cell
-/// aggregation fanned out over `par` worker threads. The per-cell `f_χ²`
-/// values come back in cell order and are summed sequentially, so the
-/// statistic is bit-identical to a sequential computation for any thread
-/// count.
-pub fn chi_squared_statistic_par(
-    model: &DtModel,
-    d2: &LabeledTable,
-    c: f64,
-    par: Parallelism,
-) -> f64 {
+///
+/// The measure scan and the per-cell aggregation fan out over `par` worker
+/// threads. The per-cell `f_χ²` values come back in cell order and are
+/// summed sequentially, so the statistic is bit-identical to a sequential
+/// computation for any thread count.
+pub fn chi_squared_statistic(model: &DtModel, d2: &LabeledTable, c: f64, par: Parallelism) -> f64 {
     let k = model.n_classes();
-    let observed = count_partition_par(d2, model.leaves(), k, par);
+    let observed = count_partition(d2, model.leaves(), k, par);
     let n1 = model.n_rows() as f64;
     let n2 = d2.len() as f64;
     let f = DiffFn::ChiSquared { c };
@@ -124,7 +111,7 @@ pub struct ChiSquaredFit {
 /// distribution. See [`ChiSquaredFit::p_value`] for the applicability
 /// caveat; the bootstrap path is in [`crate::qualify`].
 pub fn chi_squared_test(model: &DtModel, d2: &LabeledTable, c: f64) -> ChiSquaredFit {
-    let statistic = chi_squared_statistic(model, d2, c);
+    let statistic = chi_squared_statistic(model, d2, c, Parallelism::Global);
     let cells = model.leaves().len() * model.n_classes() as usize;
     let dof = (cells.max(2) - 1) as f64;
     let p_value = focus_stats::ChiSquared::new(dof).sf(statistic);
@@ -170,16 +157,16 @@ mod tests {
     #[test]
     fn me_counts_misrouted_band() {
         let (_s, d1, d2, t) = fixture();
-        assert_eq!(misclassification_error(&t, &d1), 0.0);
+        assert_eq!(misclassification_error(&t, &d1, Parallelism::Global), 0.0);
         // Exactly the 20 rows aged 30..50 are wrong in D2.
-        assert!((misclassification_error(&t, &d2) - 0.20).abs() < 1e-12);
+        assert!((misclassification_error(&t, &d2, Parallelism::Global) - 0.20).abs() < 1e-12);
     }
 
     #[test]
     fn theorem_5_2_me_equals_half_deviation() {
         let (_s, d1, d2, t) = fixture();
         for data in [&d1, &d2] {
-            let direct = misclassification_error(&t, data);
+            let direct = misclassification_error(&t, data, Parallelism::Global);
             let via = me_via_deviation(&t, data);
             assert!(
                 (direct - via).abs() < 1e-12,
@@ -197,7 +184,7 @@ mod tests {
             assert_eq!(label, t.predict(row));
         }
         // ME of the model on its own predictions is zero.
-        assert_eq!(misclassification_error(&t, &pred), 0.0);
+        assert_eq!(misclassification_error(&t, &pred, Parallelism::Global), 0.0);
     }
 
     #[test]
@@ -206,15 +193,15 @@ mod tests {
         // D2 = D1: observed selectivities equal expectations; the only
         // contributions are the c-cells for the two empty (leaf, class)
         // regions.
-        let x2 = chi_squared_statistic(&t, &d1, 0.5);
+        let x2 = chi_squared_statistic(&t, &d1, 0.5, Parallelism::Global);
         assert!((x2 - 1.0).abs() < 1e-9, "got {x2}");
     }
 
     #[test]
     fn chi_squared_grows_with_shift() {
         let (_s, d1, d2, t) = fixture();
-        let same = chi_squared_statistic(&t, &d1, 0.5);
-        let shifted = chi_squared_statistic(&t, &d2, 0.5);
+        let same = chi_squared_statistic(&t, &d1, 0.5, Parallelism::Global);
+        let shifted = chi_squared_statistic(&t, &d2, 0.5, Parallelism::Global);
         // Manual: the only populated drifting cell is (leaf ≥30, class 0),
         // whose expected selectivity is 0.7 but observed 0.5:
         // 100·(0.2)²/0.7 ≈ 5.714, plus the two 0.5 c-cells.
@@ -244,6 +231,9 @@ mod tests {
     fn me_on_empty_dataset_is_zero() {
         let (s, _d1, _d2, t) = fixture();
         let empty = LabeledTable::new(s, 2);
-        assert_eq!(misclassification_error(&t, &empty), 0.0);
+        assert_eq!(
+            misclassification_error(&t, &empty, Parallelism::Global),
+            0.0
+        );
     }
 }

@@ -188,8 +188,9 @@ where
 mod tests {
     use super::*;
     use crate::data::{Schema, Value};
-    use crate::deviation::dt_deviation;
+    use crate::deviation::deviate;
     use crate::diff::{AggFn, DiffFn};
+    use crate::family::DtFamily;
     use crate::model::induce_dt_measures;
     use crate::monitor::chi_squared_statistic;
     use crate::region::BoxBuilder;
@@ -259,6 +260,7 @@ mod tests {
 
     /// Deviation pipeline for tables: fixed two-leaf stumps at x = 50.
     fn stump_deviation(a: &LabeledTable, b: &LabeledTable) -> f64 {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let schema = Arc::clone(a.table.schema());
         let leaves = || {
             vec![
@@ -268,7 +270,7 @@ mod tests {
         };
         let m1 = induce_dt_measures(leaves(), a);
         let m2 = induce_dt_measures(leaves(), b);
-        dt_deviation(&m1, a, &m2, b, DiffFn::Absolute, AggFn::Sum).value
+        deviate::<DtFamily>(&m1, a, &m2, b, f, g, par).value
     }
 
     #[test]
@@ -307,9 +309,9 @@ mod tests {
         );
         // A dataset that fits the old model: X² should be unremarkable.
         let d_fit = labeled_dataset(6, 300, 50.0);
-        let obs_fit = chi_squared_statistic(&model, &d_fit, 0.5);
+        let obs_fit = chi_squared_statistic(&model, &d_fit, 0.5, Parallelism::Global);
         let r = qualify_chi_squared(&d1, 300, obs_fit, 99, 13, |d| {
-            chi_squared_statistic(&model, d, 0.5)
+            chi_squared_statistic(&model, d, 0.5, Parallelism::Global)
         });
         assert!(
             r.significance_percent < 99.0,
@@ -318,9 +320,9 @@ mod tests {
         );
         // A drifted dataset: X² should land in the extreme tail.
         let d_drift = labeled_dataset(7, 300, 80.0);
-        let obs_drift = chi_squared_statistic(&model, &d_drift, 0.5);
+        let obs_drift = chi_squared_statistic(&model, &d_drift, 0.5, Parallelism::Global);
         let r = qualify_chi_squared(&d1, 300, obs_drift, 99, 13, |d| {
-            chi_squared_statistic(&model, d, 0.5)
+            chi_squared_statistic(&model, d, 0.5, Parallelism::Global)
         });
         assert!(
             r.significance_percent >= 99.0,

@@ -9,10 +9,12 @@
 //! page on.
 
 use crate::data::{LabeledTable, TransactionSet};
-use crate::deviation::{dt_deviation, lits_deviation};
+use crate::deviation::deviate;
 use crate::diff::{AggFn, DiffFn};
+use crate::family::{DtFamily, LitsFamily};
 use crate::model::{DtModel, LitsModel};
 use crate::qualify::{qualify_tables, qualify_transactions};
+use focus_exec::Parallelism;
 use std::fmt;
 
 /// Options for report generation.
@@ -106,14 +108,15 @@ where
 {
     let m1 = miner(d1);
     let m2 = miner(d2);
-    let dev = lits_deviation(&m1, d1, &m2, d2, DiffFn::Absolute, AggFn::Sum);
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+    let dev = deviate::<LitsFamily>(&m1, d1, &m2, d2, f, g, par);
     let bound = crate::bound::lits_upper_bound(&m1, &m2, AggFn::Sum);
 
     let significance = if opts.reps > 0 {
         let q = qualify_transactions(d1, d2, dev.value, opts.reps, opts.seed, |a, b| {
             let ma = miner(a);
             let mb = miner(b);
-            lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+            deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
         });
         Some(q.significance_percent)
     } else {
@@ -153,12 +156,13 @@ where
 {
     let m1 = fit(d1);
     let m2 = fit(d2);
-    let dev = dt_deviation(&m1, d1, &m2, d2, DiffFn::Absolute, AggFn::Sum);
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+    let dev = deviate::<DtFamily>(&m1, d1, &m2, d2, f, g, par);
     let significance = if opts.reps > 0 {
         let q = qualify_tables(d1, d2, dev.value, opts.reps, opts.seed, |a, b| {
             let ma = fit(a);
             let mb = fit(b);
-            dt_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+            deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
         });
         Some(q.significance_percent)
     } else {
@@ -168,6 +172,7 @@ where
     let schema = d1.table.schema();
     let k = m1.n_classes() as usize;
     let mut ranked: Vec<(String, f64)> = dev
+        .gcr
         .cells
         .iter()
         .enumerate()
@@ -184,7 +189,7 @@ where
         deviation: dev.value,
         bound: Some(crate::bound::dt_upper_bound(&m1, &m2, AggFn::Sum)),
         significance_percent: significance,
-        n_regions: dev.cells.len() * k,
+        n_regions: dev.gcr.cells.len() * k,
         top_regions: ranked,
         sizes: (d1.len(), d2.len()),
     }

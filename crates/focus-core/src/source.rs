@@ -10,7 +10,7 @@
 //! share one handle across worker threads. Its two arms:
 //!
 //! * **vertical** — the tid-bitset index counted in prefix-sharing batches
-//!   ([`count_itemsets_grouped_par`]);
+//!   ([`count_itemsets_grouped`]);
 //! * **horizontal** — a prefix-guided walk over each transaction that
 //!   enumerates exactly the workload itemsets it contains, descending only
 //!   while the partial itemset is a prefix of some workload itemset. It
@@ -33,7 +33,7 @@
 //! * horizontal scan ≈ `rows × Σ|itemset|` subset probes plus one pass
 //!   over every stored item (`total_items` touches);
 //! * vertical count ≈ `Σ|itemset| × words` AND/popcount word ops plus the
-//!   build pass, weighted by [`INDEX_BUILD_WEIGHT`] so a throwaway index
+//!   build pass, weighted by `INDEX_BUILD_WEIGHT` so a throwaway index
 //!   never wins on a workload too small to amortise it.
 //!
 //! The choice is a **pure function of data shape, workload and budget** —
@@ -57,7 +57,7 @@
 
 use crate::data::TransactionSet;
 use crate::region::Itemset;
-use crate::vertical::{count_itemsets_grouped_par, resolve_itemsets, VerticalIndex};
+use crate::vertical::{count_itemsets_grouped, resolve_itemsets, VerticalIndex};
 use focus_exec::{map_chunks, map_indices, merge_counts, Parallelism};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -142,7 +142,7 @@ const INDEX_BUILD_WEIGHT: usize = 4;
 /// The deterministic arm choice for counting `n_itemsets` itemsets
 /// totalling `workload_items` items over the given data shape: `true`
 /// (vertical) when the index fits `budget_bytes` and the word fold plus
-/// the [`INDEX_BUILD_WEIGHT`]-weighted build pass costs less than the
+/// the `INDEX_BUILD_WEIGHT`-weighted build pass costs less than the
 /// horizontal scan.
 ///
 /// Inputs are data shape, workload and budget only — never thread count,
@@ -210,7 +210,7 @@ const PREFIX_ONLY: u32 = u32::MAX;
 /// that replaces the original Apriori paper's hash tree — and it handles
 /// workloads of mixed lengths, so Apriori levels and GCR extensions share
 /// it. The empty itemset, out-of-universe items and duplicates resolve
-/// exactly as in [`count_itemsets_grouped_par`]. Each chunk tallies into
+/// exactly as in [`count_itemsets_grouped`]. Each chunk tallies into
 /// its own counter vector, merged by `u64` addition, so the counts are
 /// bit-identical to a sequential scan.
 fn count_horizontal(data: &TransactionSet, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
@@ -521,12 +521,12 @@ impl<'a> CountSource<'a> {
     /// only on the workload's shape, never on what an earlier call cached —
     /// and a vertical choice reuses (or race-safely builds) the cached
     /// index. Vertical counting goes through the batched prefix-run path
-    /// ([`count_itemsets_grouped_par`]); horizontal counting through the
+    /// ([`count_itemsets_grouped`]); horizontal counting through the
     /// prefix-guided walk. Counts are bit-identical across arms and thread
     /// counts.
     pub fn counts(&self, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
         let data = match &self.repr {
-            Repr::Index(idx) => return count_itemsets_grouped_par(idx, itemsets, par),
+            Repr::Index(idx) => return count_itemsets_grouped(idx, itemsets, par),
             Repr::Borrowed(d) => d,
             Repr::Owned(d) => d,
         };
@@ -540,7 +540,7 @@ impl<'a> CountSource<'a> {
             self.budget,
         ) {
             let index = self.cache.get_or_init(|| VerticalIndex::build(data));
-            count_itemsets_grouped_par(index, itemsets, par)
+            count_itemsets_grouped(index, itemsets, par)
         } else {
             count_horizontal(data, itemsets, par)
         }
@@ -569,7 +569,7 @@ impl<'a> CountSource<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::count_itemsets_par;
+    use crate::model::count_itemsets;
 
     // Compile-time contract: sources are shared across worker threads.
     const fn assert_sync<T: Sync>() {}
@@ -766,7 +766,7 @@ mod tests {
             .chain((0..10u32).map(|i| Itemset::from_slice(&[i, i + 1])))
             .chain([Itemset::new(vec![]), Itemset::from_slice(&[40])])
             .collect();
-        let reference = count_itemsets_par(&ts, &sets, Parallelism::Sequential);
+        let reference = count_itemsets(&ts, &sets, Parallelism::Sequential);
         let borrowed = CountSource::borrowed(&ts);
         assert_eq!(borrowed.counts(&sets, Parallelism::Sequential), reference);
         let owned = CountSource::from_owned(ts.clone());
@@ -795,10 +795,7 @@ mod tests {
         // The second call reuses the cached index and agrees bit-for-bit.
         let second = source.counts(&sets, Parallelism::Sequential);
         assert_eq!(first, second);
-        assert_eq!(
-            first,
-            count_itemsets_par(&ts, &sets, Parallelism::Sequential)
-        );
+        assert_eq!(first, count_itemsets(&ts, &sets, Parallelism::Sequential));
     }
 
     #[test]

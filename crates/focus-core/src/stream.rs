@@ -82,38 +82,18 @@ impl<F> ChangeMonitor<F>
 where
     F: Fn(&TransactionSet, &TransactionSet) -> f64 + Sync,
 {
-    /// Creates and calibrates a monitor at the process-wide default
-    /// parallelism.
+    /// Creates and calibrates a monitor.
     ///
     /// * `reference` — the baseline snapshot;
     /// * `block_size` — expected size of each monitored block;
     /// * `quantile` — null quantile for the alarm (0.99 ⇒ 1% false-alarm
     ///   rate by construction);
     /// * `reps` — bootstrap replicates for the calibration;
+    /// * `parallelism` — worker threads for the calibration fan-out (also
+    ///   used by re-baseline recalibrations); thresholds are bit-identical
+    ///   for every setting;
     /// * `pipeline` — the model-induction + deviation closure.
     pub fn new(
-        reference: TransactionSet,
-        block_size: usize,
-        quantile: f64,
-        reps: usize,
-        seed: u64,
-        pipeline: F,
-    ) -> Self {
-        Self::new_par(
-            reference,
-            block_size,
-            quantile,
-            reps,
-            seed,
-            Parallelism::Global,
-            pipeline,
-        )
-    }
-
-    /// [`ChangeMonitor::new`] with an explicit [`Parallelism`] for the
-    /// calibration fan-out (also used by re-baseline recalibrations).
-    /// Thresholds are bit-identical for every setting.
-    pub fn new_par(
         reference: TransactionSet,
         block_size: usize,
         quantile: f64,
@@ -129,7 +109,7 @@ where
         );
         assert!(reps >= 10, "need at least 10 replicates to calibrate");
         assert!(block_size > 0);
-        let threshold = calibrate_threshold_par(
+        let threshold = calibrate_threshold(
             &reference,
             block_size,
             quantile,
@@ -224,7 +204,7 @@ where
         }
         if drifted && self.rebaseline {
             self.reference = block.clone();
-            self.threshold = calibrate_threshold_par(
+            self.threshold = calibrate_threshold(
                 &self.reference,
                 self.block_size,
                 self.quantile,
@@ -248,7 +228,7 @@ where
 /// (mirroring `bootstrap_two_sample`), so its random draws depend only on
 /// `(seed, i)` — never on the thread count — and the threshold is
 /// **bit-identical** however many workers ran the calibration.
-pub fn calibrate_threshold_par<F>(
+pub fn calibrate_threshold<F>(
     reference: &TransactionSet,
     block_size: usize,
     quantile: f64,
@@ -263,7 +243,7 @@ where
     assert!(!reference.is_empty(), "reference must be non-empty");
     assert!(reps >= 1, "need at least one replicate to calibrate");
     assert!(block_size > 0, "block size must be positive");
-    // Same contract as `ChangeMonitor::new_par`: an alarm threshold below
+    // Same contract as `ChangeMonitor::new`: an alarm threshold below
     // the null median makes no statistical sense.
     assert!(
         (0.5..1.0).contains(&quantile),
@@ -295,6 +275,9 @@ where
 mod tests {
     use super::*;
     use rand::Rng;
+
+    /// The parallelism the monitors below calibrate at.
+    const PAR: Parallelism = Parallelism::Global;
 
     /// Item-frequency deviation: a cheap stand-in for the full mining
     /// pipeline in tests.
@@ -337,7 +320,7 @@ mod tests {
     #[test]
     fn quiet_stream_raises_no_alarm() {
         let reference = block(1, 2000, 0.5);
-        let mut mon = ChangeMonitor::new(reference, 400, 0.99, 50, 7, freq_deviation);
+        let mut mon = ChangeMonitor::new(reference, 400, 0.99, 50, 7, PAR, freq_deviation);
         let mut alarms = 0;
         for i in 0..10 {
             if mon.observe(&block(100 + i, 400, 0.5)).drifted {
@@ -352,8 +335,8 @@ mod tests {
     #[test]
     fn history_is_bounded_and_indices_stay_global() {
         let reference = block(1, 500, 0.5);
-        let mut mon =
-            ChangeMonitor::new(reference, 100, 0.99, 10, 7, freq_deviation).with_history_cap(3);
+        let mut mon = ChangeMonitor::new(reference, 100, 0.99, 10, 7, PAR, freq_deviation)
+            .with_history_cap(3);
         for i in 0..8 {
             let v = mon.observe(&block(100 + i, 100, 0.5));
             assert_eq!(v.index as u64, i, "indices count every observed block");
@@ -376,8 +359,8 @@ mod tests {
     #[test]
     fn zero_history_cap_keeps_nothing_but_still_scores() {
         let reference = block(1, 500, 0.5);
-        let mut mon =
-            ChangeMonitor::new(reference, 100, 0.99, 10, 7, freq_deviation).with_history_cap(0);
+        let mut mon = ChangeMonitor::new(reference, 100, 0.99, 10, 7, PAR, freq_deviation)
+            .with_history_cap(0);
         for i in 0..4 {
             mon.observe(&block(300 + i, 100, 0.5));
         }
@@ -391,9 +374,10 @@ mod tests {
         // retained history length, so a capped monitor must reproduce an
         // uncapped one bit-for-bit even across recalibrations.
         let run = |cap: usize| -> Vec<(u64, u64, bool)> {
-            let mut mon = ChangeMonitor::new(block(1, 500, 0.2), 100, 0.9, 10, 7, freq_deviation)
-                .with_rebaseline()
-                .with_history_cap(cap);
+            let mut mon =
+                ChangeMonitor::new(block(1, 500, 0.2), 100, 0.9, 10, 7, PAR, freq_deviation)
+                    .with_rebaseline()
+                    .with_history_cap(cap);
             (0..6)
                 .map(|i| {
                     // Alternate regimes to force repeated re-baselines.
@@ -409,7 +393,7 @@ mod tests {
     #[test]
     fn drifting_block_raises_alarm() {
         let reference = block(1, 2000, 0.5);
-        let mut mon = ChangeMonitor::new(reference, 400, 0.99, 50, 7, freq_deviation);
+        let mut mon = ChangeMonitor::new(reference, 400, 0.99, 50, 7, PAR, freq_deviation);
         assert!(!mon.observe(&block(50, 400, 0.5)).drifted);
         let v = mon.observe(&block(51, 400, 0.95));
         assert!(v.drifted, "dev {} ≤ threshold {}", v.deviation, v.threshold);
@@ -419,7 +403,7 @@ mod tests {
     fn rebaseline_adapts_to_the_new_regime() {
         let reference = block(1, 2000, 0.2);
         let mut mon =
-            ChangeMonitor::new(reference, 500, 0.99, 50, 7, freq_deviation).with_rebaseline();
+            ChangeMonitor::new(reference, 500, 0.99, 50, 7, PAR, freq_deviation).with_rebaseline();
         // Regime change: p0 jumps to 0.9 and stays there.
         assert!(mon.observe(&block(60, 500, 0.9)).drifted);
         // After re-baselining, further 0.9-blocks are business as usual.
@@ -434,7 +418,7 @@ mod tests {
     #[test]
     fn without_rebaseline_the_drift_keeps_alarming() {
         let reference = block(1, 2000, 0.2);
-        let mut mon = ChangeMonitor::new(reference, 500, 0.99, 50, 7, freq_deviation);
+        let mut mon = ChangeMonitor::new(reference, 500, 0.99, 50, 7, PAR, freq_deviation);
         assert!(mon.observe(&block(60, 500, 0.9)).drifted);
         assert!(mon.observe(&block(61, 500, 0.9)).drifted);
     }
@@ -442,8 +426,8 @@ mod tests {
     #[test]
     fn threshold_scales_with_quantile() {
         let reference = block(3, 2000, 0.5);
-        let strict = ChangeMonitor::new(reference.clone(), 400, 0.99, 50, 7, freq_deviation);
-        let lax = ChangeMonitor::new(reference, 400, 0.8, 50, 7, freq_deviation);
+        let strict = ChangeMonitor::new(reference.clone(), 400, 0.99, 50, 7, PAR, freq_deviation);
+        let lax = ChangeMonitor::new(reference, 400, 0.8, 50, 7, PAR, freq_deviation);
         assert!(strict.threshold() >= lax.threshold());
     }
 
@@ -451,16 +435,16 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn rejects_bad_quantile() {
         let reference = block(1, 100, 0.5);
-        ChangeMonitor::new(reference, 10, 1.5, 50, 7, freq_deviation);
+        ChangeMonitor::new(reference, 10, 1.5, 50, 7, PAR, freq_deviation);
     }
 
     #[test]
     #[should_panic(expected = "quantile must be in [0.5, 1)")]
     fn calibration_shares_the_monitor_quantile_contract() {
-        // Regression: `calibrate_threshold_par` used to accept [0, 1)
+        // Regression: `calibrate_threshold` used to accept [0, 1)
         // while the monitor constructor demanded [0.5, 1).
         let reference = block(1, 100, 0.5);
-        calibrate_threshold_par(
+        calibrate_threshold(
             &reference,
             10,
             0.2,
@@ -475,7 +459,7 @@ mod tests {
     #[should_panic(expected = "calibration replicate 0")]
     fn nan_pipeline_names_the_offending_replicate() {
         let reference = block(1, 100, 0.5);
-        calibrate_threshold_par(
+        calibrate_threshold(
             &reference,
             10,
             0.9,

@@ -7,7 +7,7 @@
 //! bit operations over `ceil(n_transactions / 64)` words per item, with no
 //! per-transaction branching at all.
 //!
-//! Itemsets are counted in batches ([`count_itemsets_grouped_par`]): the
+//! Itemsets are counted in batches ([`count_itemsets_grouped`]): the
 //! workload is sorted so that itemsets sharing their first `k − 1` items
 //! form runs, each run pays one cached prefix intersection, and each member
 //! pays one masked popcount against its last item's row.
@@ -19,7 +19,7 @@
 //! bit-identical to the sequential fold for every thread count, exactly
 //! like the horizontal scans.
 //!
-//! Counting semantics match [`crate::model::count_itemsets_par`] case for
+//! Counting semantics match [`crate::model::count_itemsets`] case for
 //! case: the empty itemset is supported by every transaction, and an item
 //! outside the dataset's universe supports nothing.
 
@@ -331,7 +331,7 @@ pub(crate) fn resolve_itemsets(
 /// worker threads in run order and every count is an exact `u64`
 /// popcount, so the counts are bit-identical to the horizontal scan and to
 /// themselves for any thread count.
-pub fn count_itemsets_grouped_par(
+pub fn count_itemsets_grouped(
     index: &VerticalIndex,
     itemsets: &[Itemset],
     par: Parallelism,
@@ -389,15 +389,10 @@ pub fn count_itemsets_grouped_par(
     counts
 }
 
-/// [`count_itemsets_grouped_par`] at the process-wide default parallelism.
-pub fn count_itemsets_grouped(index: &VerticalIndex, itemsets: &[Itemset]) -> Vec<u64> {
-    count_itemsets_grouped_par(index, itemsets, Parallelism::Global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::count_itemsets_par;
+    use crate::model::count_itemsets;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -431,21 +426,30 @@ mod tests {
             Itemset::from_slice(&[1]),
             Itemset::from_slice(&[0, 1]),
         ];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![3, 3, 2]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![3, 3, 2]
+        );
     }
 
     #[test]
     fn empty_itemset_counts_every_transaction() {
         let idx = VerticalIndex::build(&toy());
         let sets = vec![Itemset::new(vec![])];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![4]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![4]
+        );
     }
 
     #[test]
     fn out_of_range_items_count_zero() {
         let idx = VerticalIndex::build(&toy());
         let sets = vec![Itemset::from_slice(&[7]), Itemset::from_slice(&[0, 7])];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![0, 0]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![0, 0]
+        );
         assert_eq!(
             idx.count_with_mask(&vec![u64::MAX; idx.words_per_item()], 7),
             0
@@ -458,7 +462,10 @@ mod tests {
         let idx = VerticalIndex::build(&ts);
         assert_eq!(idx.words_per_item(), 0);
         let sets = vec![Itemset::new(vec![]), Itemset::from_slice(&[1])];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![0, 0]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![0, 0]
+        );
     }
 
     #[test]
@@ -471,7 +478,7 @@ mod tests {
         let idx = VerticalIndex::build(&ts);
         assert_eq!(idx.words_per_item(), 3);
         assert_eq!(
-            count_itemsets_grouped(&idx, &[Itemset::from_slice(&[0])]),
+            count_itemsets_grouped(&idx, &[Itemset::from_slice(&[0])], Parallelism::Global),
             vec![129]
         );
         assert_eq!(idx.item_bits(0)[2], 1, "only bit 128 set in the tail word");
@@ -489,7 +496,7 @@ mod tests {
     fn intersect_into_and_mask_extension_match_direct_counts() {
         let ts = random_set(3, 500, 12, 0.35);
         let idx = VerticalIndex::build(&ts);
-        let direct = count_itemsets_par(
+        let direct = count_itemsets(
             &ts,
             &[Itemset::from_slice(&[1, 4, 9])],
             Parallelism::Sequential,
@@ -521,9 +528,12 @@ mod tests {
             sets.push(Itemset::new(vec![]));
             sets.push(Itemset::from_slice(&[0, 2, 4]));
             sets.push(Itemset::from_slice(&[n_items + 3]));
-            let horizontal = count_itemsets_par(&ts, &sets, Parallelism::Sequential);
+            let horizontal = count_itemsets(&ts, &sets, Parallelism::Sequential);
             let idx = VerticalIndex::build(&ts);
-            assert_eq!(count_itemsets_grouped(&idx, &sets), horizontal);
+            assert_eq!(
+                count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+                horizontal
+            );
         }
     }
 
@@ -544,12 +554,15 @@ mod tests {
             Itemset::from_slice(&[12]),
             Itemset::from_slice(&[2, 7]),
         ];
-        let reference = count_itemsets_par(&ts, &sets, Parallelism::Sequential);
-        assert_eq!(count_itemsets_grouped(&idx, &sets), reference);
+        let reference = count_itemsets(&ts, &sets, Parallelism::Sequential);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            reference
+        );
         // Order invariance: reversing the workload permutes the counts
         // identically.
         sets.reverse();
-        let reversed = count_itemsets_grouped(&idx, &sets);
+        let reversed = count_itemsets_grouped(&idx, &sets, Parallelism::Global);
         let mut expect = reference;
         expect.reverse();
         assert_eq!(reversed, expect);

@@ -326,7 +326,7 @@ mod tests {
         let all: Vec<Itemset> = (1u32..(1 << n_items))
             .map(|mask| Itemset::new((0..n_items).filter(|i| mask & (1 << i) != 0).collect()))
             .collect();
-        let counts = count_itemsets(data, &all);
+        let counts = count_itemsets(data, &all, Parallelism::Global);
         let n = data.len() as f64;
         let min_count = (minsup * n).ceil().max(1.0) as u64;
         let mut out: Vec<(Itemset, f64)> = all
@@ -429,7 +429,7 @@ mod tests {
             data.push(t);
         }
         let m = Apriori::new(AprioriParams::with_minsup(0.05)).mine(&data);
-        let counts = count_itemsets(&data, m.itemsets());
+        let counts = count_itemsets(&data, m.itemsets(), Parallelism::Global);
         for (i, &c) in counts.iter().enumerate() {
             let sup = c as f64 / data.len() as f64;
             assert!(

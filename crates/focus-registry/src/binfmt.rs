@@ -17,7 +17,7 @@
 //! the three model kinds) writes a fixed sequence of tagged sections;
 //! numeric columns are stored as raw `u64`/`u32`/`f64-bit` words. Every
 //! section carries a checksum of its payload (FNV-1a folded over 64-bit
-//! words plus the length — [`checksum64`]), so corruption —
+//! words plus the length — `checksum64`), so corruption —
 //! a flipped bit, a truncated write, a foreign file — always surfaces as
 //! a **named [`BinError`]**, never as a silent wrong read. Decoded
 //! structures pass through the same validation the text readers perform

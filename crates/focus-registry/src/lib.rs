@@ -49,8 +49,6 @@ mod testutil;
 
 pub use binfmt::{mmap_active, BinError, MappedBytes};
 pub use family::{SnapshotFamily, SnapshotKind};
-pub use matrix::{
-    deviation_matrix, deviation_matrix_par, DeviationMatrix, MatrixError, MatrixParams,
-};
+pub use matrix::{deviation_matrix, DeviationMatrix, MatrixError, MatrixParams};
 pub use registry::{Registry, SnapshotEntry};
 pub use shard::{RegistryLayout, StorageFormat};

@@ -5,7 +5,7 @@
 //! ([`ModelFamily::upper_bound`]) for every unordered pair — a pure
 //! function of the two *models*, no dataset scans, effectively free (the
 //! "Time for δ*" column of Figure 13). Phase 2 runs the exact data-scan
-//! deviation ([`focus_core::deviation::deviate_sources_par`], over one
+//! deviation ([`focus_core::deviation::deviate_over_sources`], over one
 //! shared access handle per snapshot) only for pairs whose
 //! bound exceeds the caller's threshold (or, in `--top K` mode, for the K
 //! pairs with the largest bounds); by Theorem 4.2 (1) `δ(f_a, g) ≤ δ*`, so
@@ -29,12 +29,10 @@
 //! whole matrix inherits the workspace determinism contract: bit-identical
 //! results for any worker-thread count.
 
-use focus_core::data::TransactionSet;
-use focus_core::deviation::deviate_sources_par;
+use focus_core::deviation::deviate_over_sources;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::embed::DistanceMatrix;
-use focus_core::family::{LitsFamily, ModelFamily};
-use focus_core::model::LitsModel;
+use focus_core::family::ModelFamily;
 use focus_exec::{map_indices, Parallelism};
 
 /// A named, recoverable failure of the matrix engine: invalid screening
@@ -111,7 +109,7 @@ impl From<MatrixError> for std::io::Error {
     }
 }
 
-/// Parameters for [`deviation_matrix_par`].
+/// Parameters for [`deviation_matrix`].
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixParams {
     /// Difference function for the exact scans (the bound, where the
@@ -308,37 +306,18 @@ pub(crate) fn screened_members<F: ModelFamily>(
     needed
 }
 
-/// [`deviation_matrix_par`] for the lits family at the process-wide
-/// default parallelism and default parameters except the given threshold.
-pub fn deviation_matrix(
-    models: &[LitsModel],
-    datasets: &[TransactionSet],
-    names: Vec<String>,
-    threshold: f64,
-) -> Result<DeviationMatrix, MatrixError> {
-    deviation_matrix_par::<LitsFamily>(
-        models,
-        datasets,
-        names,
-        &MatrixParams {
-            threshold,
-            ..MatrixParams::default()
-        },
-    )
-}
-
 /// Computes the screened pairwise deviation matrix of a collection of any
 /// model family.
 ///
 /// `models[k]` and `datasets[k]` must describe the same snapshot `k`
 /// (named `names[k]`). Datasets whose every pair is pruned are never
 /// touched — callers may pass empty stand-ins for them (see
-/// [`Registry::matrix`](crate::Registry::matrix)).
+/// [`Registry::matrix_of`](crate::Registry::matrix_of)).
 ///
 /// Bit-identical for every worker-thread count: pair enumeration, chunk
 /// decomposition, and merge order are all pure functions of the input
 /// sizes, and the per-pair scans are themselves thread-count-invariant.
-pub fn deviation_matrix_par<F: ModelFamily>(
+pub fn deviation_matrix<F: ModelFamily>(
     models: &[F::Model],
     datasets: &[F::Dataset],
     names: Vec<String>,
@@ -354,7 +333,7 @@ pub fn deviation_matrix_par<F: ModelFamily>(
     ))
 }
 
-/// [`deviation_matrix_par`] with the phase-1 bounds already in hand (in
+/// [`deviation_matrix`] with the phase-1 bounds already in hand (in
 /// [`pairs`] order) — lets the registry reuse the bounds it computed to
 /// decide which datasets to load instead of paying the sweep twice.
 /// `params` must already be validated.
@@ -390,7 +369,8 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
     let sources = &sources;
     let exact_vals = map_indices(params.par, survivors.len(), |s| {
         let (i, j) = pair_list[survivors[s]];
-        deviate_sources_par::<F>(
+        deviate_over_sources::<F>(
+            F::gcr(&models[i], &models[j]),
             &models[i],
             &sources[i],
             &models[j],
@@ -561,7 +541,8 @@ pub(crate) fn extend_matrix<F: ModelFamily>(
     let sources = &sources;
     let exact_vals = map_indices(params.par, survivors.len(), |s| {
         let i = survivors[s];
-        deviate_sources_par::<F>(
+        deviate_over_sources::<F>(
+            F::gcr(&models[i], &models[last]),
             &models[i],
             &sources[i],
             &models[last],
@@ -766,12 +747,26 @@ impl DeviationMatrix {
 mod tests {
     use super::*;
     use crate::testutil::random_dataset;
-    use focus_core::data::{LabeledTable, Schema, Table, Value};
-    use focus_core::family::{ClusterFamily, DtFamily};
-    use focus_core::model::{induce_dt_measures, ClusterModel, DtModel};
+    use focus_core::data::{LabeledTable, Schema, Table, TransactionSet, Value};
+    use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
+    use focus_core::model::{induce_dt_measures, ClusterModel, DtModel, LitsModel};
     use focus_core::region::BoxBuilder;
     use focus_mining::{Apriori, AprioriParams};
     use std::sync::Arc;
+
+    /// The lits matrix at default parameters except `threshold`.
+    fn lits_matrix(
+        models: &[LitsModel],
+        datasets: &[TransactionSet],
+        names: Vec<String>,
+        threshold: f64,
+    ) -> Result<DeviationMatrix, MatrixError> {
+        let params = MatrixParams {
+            threshold,
+            ..MatrixParams::default()
+        };
+        deviation_matrix::<LitsFamily>(models, datasets, names, &params)
+    }
 
     fn collection(
         seeds_skews: &[(u64, f64)],
@@ -793,7 +788,7 @@ mod tests {
     #[test]
     fn screening_is_sound_and_complete() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.1), (3, 0.9), (4, 1.0)]);
-        let full = deviation_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
+        let full = lits_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
         assert_eq!(full.scanned(), 6);
         assert_eq!(full.pruned(), 0);
         assert!(full.has_bounds());
@@ -806,7 +801,7 @@ mod tests {
             .collect();
         bs.sort_by(f64::total_cmp);
         let threshold = (bs[2] + bs[3]) / 2.0;
-        let screened = deviation_matrix(&models, &datasets, names, threshold).unwrap();
+        let screened = lits_matrix(&models, &datasets, names, threshold).unwrap();
         assert!(screened.pruned() > 0 && screened.scanned() > 0);
         for i in 0..4 {
             for j in (i + 1)..4 {
@@ -830,7 +825,7 @@ mod tests {
     #[test]
     fn infinite_threshold_prunes_everything() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.5), (3, 1.0)]);
-        let m = deviation_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
+        let m = lits_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
         assert_eq!(m.scanned(), 0);
         assert_eq!(m.pruned(), 3);
         // `value` falls back to the bound for pruned pairs.
@@ -841,7 +836,7 @@ mod tests {
     fn nan_and_negative_thresholds_are_named_errors() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 1.0)]);
         for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
-            let err = deviation_matrix(&models, &datasets, names.clone(), bad).unwrap_err();
+            let err = lits_matrix(&models, &datasets, names.clone(), bad).unwrap_err();
             // (No `assert_eq!` against the NaN case: the payload would
             // compare NaN ≠ NaN.)
             assert!(
@@ -855,8 +850,8 @@ mod tests {
     #[test]
     fn top_k_scans_the_k_largest_bounds() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.1), (3, 0.9), (4, 1.0)]);
-        let full = deviation_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
-        let topped = deviation_matrix_par::<LitsFamily>(
+        let full = lits_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
+        let topped = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             names,
@@ -901,7 +896,7 @@ mod tests {
             .mine(d)
         };
         let models = vec![mine(&datasets[0], 0.6), mine(&datasets[1], 0.01)];
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             vec!["hi".into(), "lo".into()],
@@ -919,7 +914,7 @@ mod tests {
     #[test]
     fn matrix_is_symmetric_with_zero_diagonal() {
         let (models, datasets, names) = collection(&[(1, 0.0), (5, 0.4), (9, 0.8)]);
-        let m = deviation_matrix(&models, &datasets, names, 0.0).unwrap();
+        let m = lits_matrix(&models, &datasets, names, 0.0).unwrap();
         for i in 0..3 {
             assert_eq!(m.bound(i, i), 0.0);
             assert_eq!(m.exact(i, i), None);
@@ -934,7 +929,7 @@ mod tests {
     fn embedding_places_similar_snapshots_closer() {
         // Two tight groups; the δ* embedding must separate them.
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.0), (3, 1.0), (4, 1.0)]);
-        let m = deviation_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
+        let m = lits_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
         let coords = m.embed(2).unwrap();
         let dist = |a: usize, b: usize| {
             coords[a]
@@ -951,7 +946,7 @@ mod tests {
     #[test]
     fn embed_rejects_too_many_dimensions() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.5), (3, 1.0)]);
-        let m = deviation_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
+        let m = lits_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
         assert_eq!(
             m.embed(3).unwrap_err(),
             MatrixError::EmbedDims { k: 3, n: 3 }
@@ -965,11 +960,11 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_collections() {
-        let m = deviation_matrix(&[], &[], Vec::new(), 0.0).unwrap();
+        let m = lits_matrix(&[], &[], Vec::new(), 0.0).unwrap();
         assert_eq!(m.n_pairs(), 0);
         assert!(m.is_empty());
         let (models, datasets, names) = collection(&[(1, 0.0)]);
-        let m = deviation_matrix(&models, &datasets, names, 0.0).unwrap();
+        let m = lits_matrix(&models, &datasets, names, 0.0).unwrap();
         assert_eq!((m.n_pairs(), m.scanned(), m.pruned()), (0, 0, 0));
         // A single point spans zero dimensions: embedding is an error, not
         // a junk coordinate row.
@@ -1013,7 +1008,7 @@ mod tests {
         };
         let models = vec![mine(&datasets[0], 0.6), mine(&datasets[1], 0.01)];
         let names = vec!["hi-ms".to_string(), "lo-ms".to_string()];
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             names,
@@ -1028,7 +1023,7 @@ mod tests {
         assert!(m.exact(0, 1).is_some());
         // Same-minsup control: the screen works again.
         let models = vec![mine(&datasets[0], 0.2), mine(&datasets[1], 0.2)];
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             vec!["a".to_string(), "b".to_string()],
@@ -1048,7 +1043,7 @@ mod tests {
         // does not dominate, so even an infinite threshold must not prune
         // — every pair gets its exact scan.
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.0), (3, 1.0)]);
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             names,
@@ -1101,7 +1096,7 @@ mod tests {
     #[test]
     fn dt_family_matrix_screens_on_the_leaf_mass_bound() {
         let (models, datasets, names) = dt_collection();
-        let full = deviation_matrix_par::<DtFamily>(
+        let full = deviation_matrix::<DtFamily>(
             &models,
             &datasets,
             names.clone(),
@@ -1124,7 +1119,7 @@ mod tests {
         }
         // A threshold between the two regimes prunes exactly the similar
         // pair; surviving cells are bit-identical to the full scan.
-        let screened = deviation_matrix_par::<DtFamily>(
+        let screened = deviation_matrix::<DtFamily>(
             &models,
             &datasets,
             names,
@@ -1194,7 +1189,7 @@ mod tests {
     #[test]
     fn cluster_family_matrix_screens_but_never_embeds_bounds() {
         let (models, datasets, names) = cluster_collection();
-        let full = deviation_matrix_par::<ClusterFamily>(
+        let full = deviation_matrix::<ClusterFamily>(
             &models,
             &datasets,
             names.clone(),
@@ -1215,7 +1210,7 @@ mod tests {
         // a threshold above it prunes that pair and keeps the rest.
         let cut = full.bound(0, 1);
         assert!(cut < full.bound(0, 2), "{cut} vs {}", full.bound(0, 2));
-        let screened = deviation_matrix_par::<ClusterFamily>(
+        let screened = deviation_matrix::<ClusterFamily>(
             &models,
             &datasets,
             names,
@@ -1258,7 +1253,7 @@ mod tests {
             (5, 0.0),
             (6, 0.02),
         ]);
-        let probe = deviation_matrix(&models, &datasets, names.clone(), f64::INFINITY).unwrap();
+        let probe = lits_matrix(&models, &datasets, names.clone(), f64::INFINITY).unwrap();
         let probe = &probe;
         let mut bs: Vec<f64> = (0..6)
             .flat_map(|i| ((i + 1)..6).map(move |j| probe.bound(i, j)))
@@ -1269,7 +1264,7 @@ mod tests {
             par: Parallelism::Sequential,
             ..MatrixParams::default()
         };
-        let base = deviation_matrix_par::<LitsFamily>(
+        let base = deviation_matrix::<LitsFamily>(
             &models[..5],
             &datasets[..5],
             names[..5].to_vec(),

@@ -55,10 +55,9 @@
 use crate::binfmt::MappedBytes;
 use crate::family::{SnapshotFamily, SnapshotKind};
 use crate::matrix::{DeviationMatrix, MatrixError, MatrixParams};
-use crate::shard::{RegistryLayout, LAYOUT_FILE};
+use crate::shard::{RegistryLayout, StorageFormat, LAYOUT_FILE};
 use focus_core::data::TransactionSet;
 use focus_core::family::LitsFamily;
-use focus_core::model::LitsModel;
 use focus_core::source::CountSource;
 use focus_mining::{Apriori, AprioriParams};
 use std::collections::HashSet;
@@ -66,8 +65,6 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::shard::StorageFormat;
 
 const MANIFEST: &str = "registry.manifest";
 const HEADER_V2: &str = "#focus-registry v2";
@@ -725,41 +722,7 @@ impl Registry {
                 .min_count_floor(2),
         )
         .mine(data);
-        self.add_with_model(name, data, &model)
-    }
-
-    /// [`Registry::add`] with a pre-mined model (any minsup / miner).
-    pub fn add_with_model(
-        &mut self,
-        name: &str,
-        data: &TransactionSet,
-        model: &LitsModel,
-    ) -> std::io::Result<&SnapshotEntry> {
-        self.add_snapshot::<LitsFamily>(name, data, model)
-    }
-
-    /// Loads one lits snapshot's model.
-    pub fn load_model(&self, name: &str) -> std::io::Result<LitsModel> {
-        self.load_snapshot_model::<LitsFamily>(name)
-    }
-
-    /// Loads one lits snapshot's dataset.
-    pub fn load_dataset(&self, name: &str) -> std::io::Result<TransactionSet> {
-        self.load_snapshot_dataset::<LitsFamily>(name)
-    }
-
-    /// Loads every lits model, in manifest order.
-    pub fn load_models(&self) -> std::io::Result<Vec<LitsModel>> {
-        self.entries_of(SnapshotKind::Lits)
-            .into_iter()
-            .map(|e| self.load_model(&e.name))
-            .collect()
-    }
-
-    /// Computes the screened pairwise deviation matrix of the registry's
-    /// **lits** snapshots (see [`Registry::matrix_of`]).
-    pub fn matrix(&self, params: &MatrixParams) -> std::io::Result<DeviationMatrix> {
-        self.matrix_of::<LitsFamily>(params)
+        self.add_snapshot::<LitsFamily>(name, data, &model)
     }
 
     /// Computes the screened pairwise deviation matrix of the registry's
@@ -925,8 +888,11 @@ mod tests {
         // A fresh handle sees the same entries and identical artifacts.
         let back = Registry::open(&dir).unwrap();
         assert_eq!(back.entries(), reg.entries());
-        assert_eq!(back.load_dataset("day-01").unwrap(), d1);
-        let m1 = back.load_model("day-01").unwrap();
+        assert_eq!(
+            back.load_snapshot_dataset::<LitsFamily>("day-01").unwrap(),
+            d1
+        );
+        let m1 = back.load_snapshot_model::<LitsFamily>("day-01").unwrap();
         assert_eq!(m1.minsup(), 0.1);
         assert!(!m1.is_empty());
         assert_eq!(back.entries()[0].kind, SnapshotKind::Lits);
@@ -965,14 +931,14 @@ mod tests {
     fn unknown_snapshot_is_an_error() {
         let dir = scratch("unknown");
         let reg = Registry::open_or_create(&dir).unwrap();
-        assert!(reg.load_model("nope").is_err());
-        assert!(reg.load_dataset("nope").is_err());
+        assert!(reg.load_snapshot_model::<LitsFamily>("nope").is_err());
+        assert!(reg.load_snapshot_dataset::<LitsFamily>("nope").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn snapshot_source_counts_match_loaded_dataset() {
-        use focus_core::model::count_itemsets_par;
+        use focus_core::model::count_itemsets;
         use focus_core::region::Itemset;
         for format in [StorageFormat::Text, StorageFormat::Binary] {
             let dir = scratch(&format!("source-{format:?}"));
@@ -991,7 +957,7 @@ mod tests {
                 .map(|i| Itemset::from_slice(&[i, (i + 3) % 8]))
                 .chain(std::iter::once(Itemset::new(vec![])))
                 .collect();
-            let expect = count_itemsets_par(&data, &itemsets, Parallelism::Sequential);
+            let expect = count_itemsets(&data, &itemsets, Parallelism::Sequential);
             assert_eq!(
                 source.counts(&itemsets, Parallelism::Sequential),
                 expect,
@@ -1030,7 +996,10 @@ mod tests {
 
         let mut back = Registry::open(&dir).unwrap();
         assert_eq!(back.entries(), std::slice::from_ref(&entry));
-        assert_eq!(back.load_dataset("day-01").unwrap(), d);
+        assert_eq!(
+            back.load_snapshot_dataset::<LitsFamily>("day-01").unwrap(),
+            d
+        );
 
         // The first write upgrades the manifest in place to v2.
         back.add("day-02", &random_dataset(2, 200, 1.0), 0.2)
@@ -1095,7 +1064,9 @@ mod tests {
         let err = back.load_snapshot_model::<DtFamily>("txn-day").unwrap_err();
         assert!(err.to_string().contains("lits snapshot"), "{err}");
         // The lits matrix sees only the lits snapshot.
-        let m = back.matrix(&MatrixParams::default()).unwrap();
+        let m = back
+            .matrix_of::<LitsFamily>(&MatrixParams::default())
+            .unwrap();
         assert_eq!(m.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1154,12 +1125,12 @@ mod tests {
             par: Parallelism::Sequential,
             ..MatrixParams::default()
         };
-        let all = reg.matrix(&params).unwrap();
+        let all = reg.matrix_of::<LitsFamily>(&params).unwrap();
         assert_eq!(all.n_pairs(), 3);
         assert_eq!(all.pruned(), 0, "threshold 0 scans every positive pair");
 
         params.threshold = all.bound(0, 1) + 1e-9;
-        let screened = reg.matrix(&params).unwrap();
+        let screened = reg.matrix_of::<LitsFamily>(&params).unwrap();
         assert!(screened.pruned() >= 1, "similar pair must be pruned");
         assert!(screened.scanned() >= 1, "distant pair must be scanned");
         // Screening never changes the values of surviving pairs.
@@ -1188,11 +1159,11 @@ mod tests {
             par: Parallelism::Sequential,
             ..MatrixParams::default()
         };
-        let base = reg.matrix(&params).unwrap();
+        let base = reg.matrix_of::<LitsFamily>(&params).unwrap();
 
         reg.add("d", &random_dataset(4, 300, 1.0), 0.15).unwrap();
         let incremental = reg.add_to_matrix::<LitsFamily>(&base, &params).unwrap();
-        let full = reg.matrix(&params).unwrap();
+        let full = reg.matrix_of::<LitsFamily>(&params).unwrap();
 
         assert_eq!(incremental.names(), full.names());
         assert_eq!(incremental.scanned(), full.scanned());
@@ -1232,7 +1203,7 @@ mod tests {
                 .unwrap();
         }
         let probe = reg
-            .matrix(&MatrixParams {
+            .matrix_of::<LitsFamily>(&MatrixParams {
                 threshold: f64::INFINITY,
                 par: Parallelism::Sequential,
                 ..MatrixParams::default()
@@ -1246,7 +1217,7 @@ mod tests {
             par: Parallelism::Sequential,
             ..MatrixParams::default()
         };
-        let base = reg.matrix(&params).unwrap();
+        let base = reg.matrix_of::<LitsFamily>(&params).unwrap();
 
         // Append a sixth snapshot from group a and extend both ways.
         reg.add("a4", &random_dataset(6, 300, 0.03), 0.15).unwrap();
@@ -1294,7 +1265,7 @@ mod tests {
             par: Parallelism::Sequential,
             ..MatrixParams::default()
         };
-        let base = reg.matrix(&params).unwrap();
+        let base = reg.matrix_of::<LitsFamily>(&params).unwrap();
 
         // No new snapshot yet: the registry matches the base exactly.
         assert!(reg.add_to_matrix::<LitsFamily>(&base, &params).is_err());
@@ -1482,7 +1453,10 @@ mod tests {
         let back = Registry::open(&dir).unwrap();
         assert_eq!(back.entries(), reg.entries());
         assert_eq!(back.names(), vec!["txn-day", "dt-day", "clu-day"]);
-        assert_eq!(back.load_dataset("txn-day").unwrap(), lits_data);
+        assert_eq!(
+            back.load_snapshot_dataset::<LitsFamily>("txn-day").unwrap(),
+            lits_data
+        );
         assert_eq!(
             back.load_snapshot_dataset::<DtFamily>("dt-day").unwrap(),
             dt_data

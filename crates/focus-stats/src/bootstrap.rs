@@ -43,33 +43,16 @@ impl BootstrapResult {
 
 /// Draws `reps` bootstrap replicates of a two-sample statistic under the
 /// null hypothesis that both samples come from the pooled distribution,
-/// at the process-wide default parallelism.
+/// with the replicates fanned out over `par` worker threads.
 ///
 /// For each replicate, two pseudo-samples of sizes `n1` and `n2` are drawn
 /// with replacement from `pool`, and `stat` is evaluated on them.
-pub fn bootstrap_two_sample<T, F>(
-    pool: &[T],
-    n1: usize,
-    n2: usize,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> Vec<f64>
-where
-    T: Clone + Sync,
-    F: Fn(&[T], &[T]) -> f64 + Sync,
-{
-    bootstrap_two_sample_par(pool, n1, n2, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`bootstrap_two_sample`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
 ///
 /// Replicate `i` seeds its own `StdRng` from `derive_seed(seed, i)`, so
 /// replicate `i`'s random draws depend only on `(seed, i)` — never on the
 /// thread count — and the returned vector (in replicate order) is
 /// bit-identical whether it was computed on one thread or many.
-pub fn bootstrap_two_sample_par<T, F>(
+pub fn bootstrap_two_sample<T, F>(
     pool: &[T],
     n1: usize,
     n2: usize,
@@ -127,7 +110,15 @@ where
     F: Fn(&[T], &[T]) -> f64 + Sync,
 {
     let pool: Vec<T> = d1.iter().cloned().chain(d2.iter().cloned()).collect();
-    let mut null = bootstrap_two_sample(&pool, d1.len(), d2.len(), reps, seed, stat);
+    let mut null = bootstrap_two_sample(
+        &pool,
+        d1.len(),
+        d2.len(),
+        reps,
+        seed,
+        Parallelism::Global,
+        stat,
+    );
     let significance = significance_percent(observed, &null);
     null.sort_by(|a, b| a.partial_cmp(b).expect("NaN in bootstrap statistic"));
     BootstrapResult {
@@ -146,9 +137,9 @@ mod tests {
     fn null_distribution_is_deterministic_per_seed() {
         let pool: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let r1 = bootstrap_two_sample(&pool, 30, 30, 50, 1, stat);
-        let r2 = bootstrap_two_sample(&pool, 30, 30, 50, 1, stat);
-        let r3 = bootstrap_two_sample(&pool, 30, 30, 50, 2, stat);
+        let r1 = bootstrap_two_sample(&pool, 30, 30, 50, 1, Parallelism::Global, stat);
+        let r2 = bootstrap_two_sample(&pool, 30, 30, 50, 1, Parallelism::Global, stat);
+        let r3 = bootstrap_two_sample(&pool, 30, 30, 50, 2, Parallelism::Global, stat);
         assert_eq!(r1, r2);
         assert_ne!(r1, r3);
     }
@@ -159,9 +150,9 @@ mod tests {
         // replicate order) bit-identical for every worker-thread count.
         let pool: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
         let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let seq = bootstrap_two_sample_par(&pool, 40, 25, 33, 9, Parallelism::Sequential, stat);
+        let seq = bootstrap_two_sample(&pool, 40, 25, 33, 9, Parallelism::Sequential, stat);
         for t in [2usize, 4, 7] {
-            let par = bootstrap_two_sample_par(&pool, 40, 25, 33, 9, Parallelism::Threads(t), stat);
+            let par = bootstrap_two_sample(&pool, 40, 25, 33, 9, Parallelism::Threads(t), stat);
             assert_eq!(seq, par, "threads = {t}");
         }
     }
@@ -211,6 +202,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool must be non-empty")]
     fn empty_pool_panics() {
-        bootstrap_two_sample::<f64, _>(&[], 1, 1, 1, 0, |_, _| 0.0);
+        bootstrap_two_sample::<f64, _>(&[], 1, 1, 1, 0, Parallelism::Global, |_, _| 0.0);
     }
 }

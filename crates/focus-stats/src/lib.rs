@@ -32,9 +32,7 @@ pub mod sample;
 pub mod special;
 pub mod wilcoxon;
 
-pub use bootstrap::{
-    bootstrap_two_sample, bootstrap_two_sample_par, significance_percent, BootstrapResult,
-};
+pub use bootstrap::{bootstrap_two_sample, significance_percent, BootstrapResult};
 pub use describe::{mean, median, pearson, percentile, spearman, stddev, variance};
 pub use dist::{ChiSquared, Normal};
 pub use focus_exec::Parallelism;

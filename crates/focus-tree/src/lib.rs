@@ -30,7 +30,7 @@
 //! let tree = DecisionTree::fit(&data, TreeParams::default());
 //! assert_eq!(tree.predict(&[Value::Num(25.0)]), 1);
 //! assert_eq!(tree.predict(&[Value::Num(60.0)]), 0);
-//! let model = tree.to_model(); // ready for dt_deviation(...)
+//! let model = tree.to_model(); // ready for deviate::<DtFamily>(...)
 //! assert_eq!(model.leaves().len(), tree.n_leaves());
 //! ```
 

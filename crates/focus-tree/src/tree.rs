@@ -466,7 +466,7 @@ mod tests {
         let model = tree.to_model();
         // Re-derive the measures by scanning the training data over the
         // exported partition; they must agree with the model's own.
-        let counts = count_partition(&data, model.leaves(), 2);
+        let counts = count_partition(&data, model.leaves(), 2, Parallelism::Global);
         let n = data.len() as f64;
         for (i, &c) in counts.iter().enumerate() {
             assert!(

@@ -77,6 +77,7 @@ fn fit(data: &LabeledTable) -> DtModel {
 }
 
 fn main() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d_old = ClassifyGen::new(ClassifyFn::F2).generate(20_000, 1);
     let schema = d_old.table.schema();
     let synopsis = fit(&d_old);
@@ -136,15 +137,7 @@ fn main() {
     println!("\nafter drift (labels/shape now follow F4):");
     let d_new = ClassifyGen::new(ClassifyFn::F4).generate(20_000, 2);
     let model_new = fit(&d_new);
-    let deviation = dt_deviation(
-        &synopsis,
-        &d_old,
-        &model_new,
-        &d_new,
-        DiffFn::Absolute,
-        AggFn::Sum,
-    )
-    .value;
+    let deviation = deviate::<DtFamily>(&synopsis, &d_old, &model_new, &d_new, f, g, par).value;
     let mut max_err_stale = 0.0f64;
     for (name, q) in &queries {
         let est = estimate_selectivity(&synopsis, q, &bounds);

@@ -36,11 +36,12 @@ fn main() {
     );
 
     // Overall deviation.
-    let dev = dt_deviation(&m_old, &d_old, &m_new, &d_new, DiffFn::Absolute, AggFn::Sum);
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+    let dev = deviate::<DtFamily>(&m_old, &d_old, &m_new, &d_new, f, g, par);
     println!(
         "overall δ(f_a, g_sum) = {:.4} over {} GCR cells",
         dev.value,
-        dev.cells.len()
+        dev.gcr.cells.len()
     );
 
     // --- Focus on analyst-specified regions (Section 2.3 style) ---------
@@ -59,15 +60,7 @@ fn main() {
     ];
     println!("\nfocussed deviations:");
     for (name, region) in &regions {
-        let f = dt_deviation_focussed(
-            &m_old,
-            &d_old,
-            &m_new,
-            &d_new,
-            region,
-            DiffFn::Absolute,
-            AggFn::Sum,
-        );
+        let f = deviate_focussed::<DtFamily>(&m_old, &d_old, &m_new, &d_new, region, f, g, par);
         println!("  δ_ρ({name}) = {:.4}", f.value);
     }
 
@@ -75,7 +68,7 @@ fn main() {
     // (the paper's SelectTop(Rank(Γ_T1 ⊔ Γ_T2, δ)) expression)
     let k = m_old.n_classes() as usize;
     let scored = rank(
-        dev.cells.iter().enumerate().collect::<Vec<_>>(),
+        dev.gcr.cells.iter().enumerate().collect::<Vec<_>>(),
         |(i, _)| (0..k).map(|c| dev.per_region[i * k + c]).sum::<f64>(),
     );
     println!("\ntop-3 drifting regions of the GCR:");
@@ -90,8 +83,8 @@ fn main() {
 
     // --- Change monitoring (Section 5.2) --------------------------------
     // How badly does the OLD model misrepresent the NEW data?
-    let me = misclassification_error(&m_old, &d_new);
-    let me_self = misclassification_error(&m_old, &d_old);
+    let me = misclassification_error(&m_old, &d_new, Parallelism::Global);
+    let me_self = misclassification_error(&m_old, &d_old, Parallelism::Global);
     println!("\nmisclassification of old model: on old data {me_self:.4}, on new data {me:.4}");
 
     // Theorem 5.2: ME is ½·δ(f_a, g_sum) against the predicted dataset.
@@ -102,9 +95,9 @@ fn main() {
     // Chi-squared with bootstrap calibration (Section 5.2.2): the
     // asymptotic table is unreliable here (empty expected cells), so
     // bootstrap the null distribution of X² from the old dataset.
-    let x2 = chi_squared_statistic(&m_old, &d_new, 0.5);
+    let x2 = chi_squared_statistic(&m_old, &d_new, 0.5, Parallelism::Global);
     let q = qualify_chi_squared(&d_old, d_new.len(), x2, 99, 7, |d| {
-        chi_squared_statistic(&m_old, d, 0.5)
+        chi_squared_statistic(&m_old, d, 0.5, Parallelism::Global)
     });
     println!(
         "X² = {x2:.1}; bootstrap significance {:.0}% (new data does NOT fit the old model)",

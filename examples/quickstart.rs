@@ -38,8 +38,9 @@ fn main() {
 
     // The deviation δ(f_a, g_sum): extend both models to their greatest
     // common refinement, scan once, aggregate per-region differences.
-    let dev_same = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
-    let dev_diff = lits_deviation(&m1, &d1, &m3, &d3, DiffFn::Absolute, AggFn::Sum).value;
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+    let dev_same = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
+    let dev_diff = deviate::<LitsFamily>(&m1, &d1, &m3, &d3, f, g, par).value;
     println!("δ(D1, D2) [same process]      = {dev_same:.4}");
     println!("δ(D1, D3) [different process] = {dev_diff:.4}");
 
@@ -49,7 +50,7 @@ fn main() {
     let pipeline = |a: &TransactionSet, b: &TransactionSet| {
         let ma = miner.mine(a);
         let mb = miner.mine(b);
-        lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+        deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
     };
     let q_same = qualify_transactions(&d1, &d2, dev_same, 49, 7, pipeline);
     let q_diff = qualify_transactions(&d1, &d3, dev_diff, 49, 7, pipeline);

@@ -16,6 +16,7 @@ use focus::mining::{Apriori, AprioriParams};
 fn main() {
     // Four stores: 1 & 2 share a buying-pattern process, 3 drifts mildly
     // (more patterns), 4 strongly (longer patterns).
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let mut p_mild = AssocGenParams::small();
     p_mild.n_patterns = 80;
     let mut p_strong = AssocGenParams::small();
@@ -42,21 +43,23 @@ fn main() {
     }
 
     // --- Exact deviation for the flagged pair ---------------------------
-    let dev12 = lits_deviation(
+    let dev12 = deviate::<LitsFamily>(
         &models[0],
         &stores[0].1,
         &models[1],
         &stores[1].1,
-        DiffFn::Absolute,
-        AggFn::Sum,
+        f,
+        g,
+        par,
     );
-    let dev14 = lits_deviation(
+    let dev14 = deviate::<LitsFamily>(
         &models[0],
         &stores[0].1,
         &models[3],
         &stores[3].1,
-        DiffFn::Absolute,
-        AggFn::Sum,
+        f,
+        g,
+        par,
     );
     println!(
         "\nexact δ(store-1, store-2) = {:.3}  (same process)",
@@ -91,14 +94,15 @@ fn main() {
 
     // --- Focussed deviation: one department (items 0..20) ---------------
     let department: Vec<u32> = (0..20).collect();
-    let focussed = lits_deviation_focussed(
+    let focussed = deviate_focussed::<LitsFamily>(
         &models[0],
         &stores[0].1,
         &models[3],
         &stores[3].1,
         &department,
-        DiffFn::Absolute,
-        AggFn::Sum,
+        f,
+        g,
+        par,
     );
     println!(
         "focussed δ on department items 0..20: {:.3} over {} regions (total {:.3})",

@@ -23,6 +23,7 @@ fn fit(data: &LabeledTable) -> DtModel {
 }
 
 fn main() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let data = ClassifyGen::new(ClassifyFn::F2).generate(20_000, 7);
     let full_model = fit(&data);
     println!(
@@ -40,15 +41,7 @@ fn main() {
             .map(|s| {
                 let sample = data.sample_fraction(sf, 1000 + (i * 100 + s) as u64);
                 let m = fit(&sample);
-                dt_deviation(
-                    &full_model,
-                    &data,
-                    &m,
-                    &sample,
-                    DiffFn::Absolute,
-                    AggFn::Sum,
-                )
-                .value
+                deviate::<DtFamily>(&full_model, &data, &m, &sample, f, g, par).value
             })
             .collect();
         let mean = sds.iter().sum::<f64>() / sds.len() as f64;

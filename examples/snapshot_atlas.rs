@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example snapshot_atlas`
 
+use focus::core::family::LitsFamily;
 use focus::data::assoc::{AssocGen, AssocGenParams};
 use focus::registry::{MatrixParams, Registry};
 
@@ -35,7 +36,7 @@ fn main() {
 
     // Pass 1 — bounds only (threshold +∞): instantaneous, model-only.
     let bounds = reg
-        .matrix(&MatrixParams {
+        .matrix_of::<LitsFamily>(&MatrixParams {
             threshold: f64::INFINITY,
             ..MatrixParams::default()
         })
@@ -55,7 +56,7 @@ fn main() {
 
     // Pass 2 — exact scans only where the bound clears the threshold.
     let matrix = reg
-        .matrix(&MatrixParams {
+        .matrix_of::<LitsFamily>(&MatrixParams {
             threshold,
             ..MatrixParams::default()
         })

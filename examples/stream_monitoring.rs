@@ -20,15 +20,17 @@ fn main() {
 
     // Deviation oracle: mine both sides, compare with δ(f_a, g_sum).
     let miner = Apriori::new(AprioriParams::with_minsup(0.03).min_count_floor(3));
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let pipeline = move |a: &TransactionSet, b: &TransactionSet| {
         let ma = miner.mine(a);
         let mb = miner.mine(b);
-        lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+        deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
     };
 
     // Calibrate: the alarm fires only if a weekly batch deviates more than
     // 99% of same-process batches would.
-    let mut monitor = ChangeMonitor::new(reference, 800, 0.99, 39, 11, pipeline).with_rebaseline();
+    let mut monitor =
+        ChangeMonitor::new(reference, 800, 0.99, 39, 11, par, pipeline).with_rebaseline();
     println!("calibrated alarm threshold: {:.3}", monitor.threshold());
 
     // Six quiet weeks, then the assortment changes (longer patterns), then

@@ -68,7 +68,7 @@ fn check_frequent_pairs(data: &TransactionSet, min_count: u64) -> Vec<(u32, u32,
     let singletons: Vec<Itemset> = (0..data.n_items()).map(|i| Itemset::new(vec![i])).collect();
     let items: Vec<u32> = singletons
         .iter()
-        .zip(count_itemsets(data, &singletons))
+        .zip(count_itemsets(data, &singletons, Parallelism::Global))
         .filter(|&(_, c)| c >= min_count)
         .map(|(s, _)| s.items()[0])
         .collect();
@@ -106,7 +106,7 @@ fn check_frequent_pairs(data: &TransactionSet, min_count: u64) -> Vec<(u32, u32,
     );
     assert_eq!(
         got,
-        frequent(count_itemsets(data, &pairs)),
+        frequent(count_itemsets(data, &pairs, Parallelism::Global)),
         "bitmap reference"
     );
     assert_eq!(
@@ -175,7 +175,7 @@ proptest! {
             // product recovers the integer count exactly.
             let mined: Vec<u64> = supports.iter().map(|s| (s * n_txn).round() as u64).collect();
             prop_assert_eq!(&mined, &naive, "mined supports vs naive at level {}", k);
-            prop_assert_eq!(&count_itemsets(&data, &level), &naive,
+            prop_assert_eq!(&count_itemsets(&data, &level, Parallelism::Global), &naive,
                             "bitmap reference vs naive at level {}", k);
             prop_assert_eq!(&horizontal.counts(&level, Parallelism::Global), &naive,
                             "forced horizontal vs naive at level {}", k);

@@ -43,29 +43,31 @@ fn birch_and_kmeans_cluster_models_agree_on_deviation_ordering() {
         let model = |d: &Table, seed: u64| -> ClusterModel {
             if substrate == "kmeans" {
                 KMeans::new(KMeansParams::new(2).seed(seed))
-                    .fit(d)
+                    .fit(d, Parallelism::Global)
                     .to_model(d)
             } else {
                 Birch::new(BirchParams::new(6.0, 2)).fit(d).to_model(d)
             }
         };
         let m1 = model(&d1, 1);
-        let dev_same = cluster_deviation(
+        let dev_same = deviate::<ClusterFamily>(
             &m1,
             &d1,
             &model(&d_same, 2),
             &d_same,
             DiffFn::Absolute,
             AggFn::Sum,
+            Parallelism::Global,
         )
         .value;
-        let dev_moved = cluster_deviation(
+        let dev_moved = deviate::<ClusterFamily>(
             &m1,
             &d1,
             &model(&d_moved, 3),
             &d_moved,
             DiffFn::Absolute,
             AggFn::Sum,
+            Parallelism::Global,
         )
         .value;
         assert!(
@@ -111,7 +113,7 @@ fn engine_arms_match_bitmap_counter_end_to_end() {
     if pairs.is_empty() {
         panic!("workload produced no frequent pairs — weak test setup");
     }
-    let bitmap_counts = count_itemsets(&data, &pairs);
+    let bitmap_counts = count_itemsets(&data, &pairs, Parallelism::Global);
     let horizontal = CountSource::borrowed(&data).with_index_budget(0);
     let vertical = CountSource::from_index(VerticalIndex::build(&data));
     assert_eq!(
@@ -142,6 +144,7 @@ fn models_survive_disk_round_trips_mid_pipeline() {
 
 #[test]
 fn dt_model_persistence_preserves_deviation() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d1 = ClassifyGen::new(ClassifyFn::F1).generate(2000, 1);
     let d2 = ClassifyGen::new(ClassifyFn::F2).generate(2000, 2);
     let fit = |d: &LabeledTable| {
@@ -154,17 +157,18 @@ fn dt_model_persistence_preserves_deviation() {
     let m1 = fit(&d1);
     let m2 = fit(&d2);
     let schema = d1.table.schema();
-    let before = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let before = deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
 
     let mut buf = Vec::new();
     write_dt_model(&m1, schema, &mut buf).unwrap();
     let (m1_back, _) = read_dt_model(buf.as_slice()).unwrap();
-    let after = dt_deviation(&m1_back, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let after = deviate::<DtFamily>(&m1_back, &d1, &m2, &d2, f, g, par).value;
     assert_eq!(before, after);
 }
 
 #[test]
 fn label_noise_increases_dt_deviation_monotonically() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let base = ClassifyGen::new(ClassifyFn::F2).generate(4000, 3);
     let fit = |d: &LabeledTable| {
         focus::tree::DecisionTree::fit(
@@ -178,15 +182,7 @@ fn label_noise_increases_dt_deviation_monotonically() {
     for noise in [0.0, 0.1, 0.3] {
         let noisy = drift::flip_labels(&base, noise, 7);
         let m_noisy = fit(&noisy);
-        let dev = dt_deviation(
-            &m_base,
-            &base,
-            &m_noisy,
-            &noisy,
-            DiffFn::Absolute,
-            AggFn::Sum,
-        )
-        .value;
+        let dev = deviate::<DtFamily>(&m_base, &base, &m_noisy, &noisy, f, g, par).value;
         assert!(
             dev > prev,
             "deviation must grow with label noise: {dev} after {prev}"
@@ -200,6 +196,7 @@ fn item_permutation_preserves_magnitude_but_moves_structure() {
     // Permuting item ids preserves the support *distribution* but relocates
     // every itemset: FOCUS must see a large structural deviation while the
     // per-transaction length distribution (checked with KS) is unchanged.
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let gen = AssocGen::new(AssocGenParams::small(), 11);
     let d = gen.generate(2500, 1);
     let permuted = drift::permute_items(&d, 99);
@@ -215,11 +212,11 @@ fn item_permutation_preserves_magnitude_but_moves_structure() {
     let miner = Apriori::new(AprioriParams::with_minsup(0.03).min_count_floor(3));
     let m1 = miner.mine(&d);
     let m2 = miner.mine(&permuted);
-    let dev = lits_deviation(&m1, &d, &m2, &permuted, DiffFn::Absolute, AggFn::Sum).value;
+    let dev = deviate::<LitsFamily>(&m1, &d, &m2, &permuted, f, g, par).value;
     let dev_same = {
         let d2 = gen.generate(2500, 2);
         let m_same = miner.mine(&d2);
-        lits_deviation(&m1, &d, &m_same, &d2, DiffFn::Absolute, AggFn::Sum).value
+        deviate::<LitsFamily>(&m1, &d, &m_same, &d2, f, g, par).value
     };
     assert!(
         dev > 2.0 * dev_same,
@@ -231,6 +228,7 @@ fn item_permutation_preserves_magnitude_but_moves_structure() {
 fn dilute_item_is_a_focussed_change() {
     // Deleting one frequent item's occurrences must move the focussed
     // deviation on that item far more than on an untouched item.
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let gen = AssocGen::new(AssocGenParams::small(), 13);
     let d = gen.generate(3000, 1);
     // Find the most frequent item.
@@ -250,26 +248,10 @@ fn dilute_item_is_a_focussed_change() {
     let miner = Apriori::new(AprioriParams::with_minsup(0.02).min_count_floor(3));
     let m1 = miner.mine(&d);
     let m2 = miner.mine(&diluted);
-    let dev_target = lits_deviation_focussed(
-        &m1,
-        &d,
-        &m2,
-        &diluted,
-        &[target],
-        DiffFn::Absolute,
-        AggFn::Sum,
-    )
-    .value;
-    let dev_other = lits_deviation_focussed(
-        &m1,
-        &d,
-        &m2,
-        &diluted,
-        &[other],
-        DiffFn::Absolute,
-        AggFn::Sum,
-    )
-    .value;
+    let dev_target =
+        deviate_focussed::<LitsFamily>(&m1, &d, &m2, &diluted, &[target], f, g, par).value;
+    let dev_other =
+        deviate_focussed::<LitsFamily>(&m1, &d, &m2, &diluted, &[other], f, g, par).value;
     assert!(
         dev_target > 5.0 * dev_other.max(1e-9),
         "target {dev_target} vs untouched {dev_other}"

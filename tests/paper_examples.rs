@@ -110,34 +110,38 @@ fn figure5() -> (Arc<Schema>, LabeledTable, LabeledTable, DtModel, DtModel) {
 fn figure5_deviation_over_c1_regions_is_0_175() {
     // Section 2.1: δ(f_a, g_sum) over the class-C1 regions of the GCR is
     // |0−0| + |0−0.04| + |0.1−0.14| + |0−0| + |0−0| + |0.005−0.1| = 0.175.
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let (schema, d1, d2, t1, t2) = figure5();
     let c1_focus = BoxBuilder::new(&schema).class(1).build();
-    let dev = dt_deviation_focussed(&t1, &d1, &t2, &d2, &c1_focus, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate_focussed::<DtFamily>(&t1, &d1, &t2, &d2, &c1_focus, f, g, par);
     assert!((dev.value - 0.175).abs() < 1e-12, "got {}", dev.value);
-    assert_eq!(dev.cells.len(), 6, "Figure 5's GCR has six cells");
+    assert_eq!(dev.gcr.cells.len(), 6, "Figure 5's GCR has six cells");
 }
 
 #[test]
 fn figure5_focussed_deviation_on_age_lt_30_is_0_08() {
     // Section 2.3: focussing on ρ: age < 30 keeps the three leftmost GCR
     // regions; the C1 deviation is |0−0| + |0−0.04| + |0.1−0.14| = 0.08.
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let (schema, d1, d2, t1, t2) = figure5();
     let focus = BoxBuilder::new(&schema).lt("age", 30.0).class(1).build();
-    let dev = dt_deviation_focussed(&t1, &d1, &t2, &d2, &focus, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate_focussed::<DtFamily>(&t1, &d1, &t2, &d2, &focus, f, g, par);
     assert!((dev.value - 0.08).abs() < 1e-12, "got {}", dev.value);
-    assert_eq!(dev.cells.len(), 3);
+    assert_eq!(dev.gcr.cells.len(), 3);
 }
 
 #[test]
 fn figure5_gcr_measures_match_paper() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let (schema, d1, d2, t1, t2) = figure5();
     let c1_focus = BoxBuilder::new(&schema).class(1).build();
-    let dev = dt_deviation_focussed(&t1, &d1, &t2, &d2, &c1_focus, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate_focussed::<DtFamily>(&t1, &d1, &t2, &d2, &c1_focus, f, g, par);
     // Collect the C1 measures per cell from both datasets and compare to
     // the sets the paper prints in T3 (order-independent).
-    let k = dev.n_classes as usize;
-    let mut pairs: Vec<(f64, f64)> = (0..dev.cells.len())
-        .map(|i| (dev.measures1[i * k + 1], dev.measures2[i * k + 1]))
+    let k = dev.gcr.n_classes as usize;
+    let (n1, n2) = (d1.len() as f64, d2.len() as f64);
+    let mut pairs: Vec<(f64, f64)> = (0..dev.gcr.cells.len())
+        .map(|i| (dev.raw1[i * k + 1] / n1, dev.raw2[i * k + 1] / n2))
         .collect();
     pairs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let mut expected = vec![
@@ -222,9 +226,19 @@ fn figure6_sum_and_max_deviations() {
     // |0.25−0.05|, |0.05−0.2| — summing to 1.25 (the paper's printed total
     // "1.125" contradicts its own five terms; we assert the terms) and
     // maxing to 0.4 (Section 4.1).
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let (d1, d2, l1, l2) = figure6();
-    let sum = lits_deviation(&l1, &d1, &l2, &d2, DiffFn::Absolute, AggFn::Sum).value;
-    let max = lits_deviation(&l1, &d1, &l2, &d2, DiffFn::Absolute, AggFn::Max).value;
+    let sum = deviate::<LitsFamily>(&l1, &d1, &l2, &d2, f, g, par).value;
+    let max = deviate::<LitsFamily>(
+        &l1,
+        &d1,
+        &l2,
+        &d2,
+        DiffFn::Absolute,
+        AggFn::Max,
+        Parallelism::Global,
+    )
+    .value;
     assert!((sum - 1.25).abs() < 1e-12, "got {sum}");
     assert!((max - 0.4).abs() < 1e-12, "got {max}");
 }
@@ -235,10 +249,11 @@ fn figure6_upper_bound_uses_model_supports_only() {
     // a: |0.5−0| = 0.5 wait — a IS only in L1, so 0.5; b in both: |0.4−0.3|
     // = 0.1; c only in L2: 0.5; ab only in L1: 0.25; bc only in L2: 0.2.
     // δ*(sum) = 0.5 + 0.1 + 0.5 + 0.25 + 0.2 = 1.55 ≥ δ = 1.25. ✓
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let (d1, d2, l1, l2) = figure6();
     let bound = lits_upper_bound(&l1, &l2, AggFn::Sum);
     assert!((bound - 1.55).abs() < 1e-12, "got {bound}");
-    let exact = lits_deviation(&l1, &d1, &l2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let exact = deviate::<LitsFamily>(&l1, &d1, &l2, &d2, f, g, par).value;
     assert!(bound >= exact);
 }
 
@@ -248,14 +263,15 @@ fn section2_4_deviation_comparability() {
     // D3 is 0.01 — D1 and D2 are more similar." Deviations from a common
     // reference dataset are directly comparable; verify the ordering holds
     // between a near-identical and a shifted dataset.
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let (d1, _, l1, _) = figure6();
     // D2': identical process (same distribution as d1).
     let d2 = d1.clone();
     let l2 = induce_lits_measures(l1.itemsets().to_vec(), 0.25, &d2);
     // D3: b and c swap roles.
     let (_, d3, _, l3) = figure6();
-    let dev_same = lits_deviation(&l1, &d1, &l2, &d2, DiffFn::Absolute, AggFn::Sum).value;
-    let dev_diff = lits_deviation(&l1, &d1, &l3, &d3, DiffFn::Absolute, AggFn::Sum).value;
+    let dev_same = deviate::<LitsFamily>(&l1, &d1, &l2, &d2, f, g, par).value;
+    let dev_diff = deviate::<LitsFamily>(&l1, &d1, &l3, &d3, f, g, par).value;
     assert_eq!(dev_same, 0.0);
     assert!(dev_diff > dev_same);
 }

@@ -18,8 +18,8 @@ use focus::cluster::{KMeans, KMeansParams};
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
 use focus::mining::{Apriori, AprioriParams};
-use focus::registry::{deviation_matrix_par, MatrixParams};
-use focus::stats::bootstrap_two_sample_par;
+use focus::registry::{deviation_matrix, MatrixParams};
+use focus::stats::bootstrap_two_sample;
 use focus::tree::{DecisionTree, TreeParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -106,7 +106,7 @@ proptest! {
 
         let m1_seq = Apriori::new(params.parallelism(Parallelism::Sequential)).mine(&d1);
         let m2_seq = Apriori::new(params.parallelism(Parallelism::Sequential)).mine(&d2);
-        let dev_seq = lits_deviation_par(
+        let dev_seq = deviate::<LitsFamily>(
             &m1_seq, &d1, &m2_seq, &d2, DiffFn::Absolute, AggFn::Sum,
             Parallelism::Sequential,
         );
@@ -117,11 +117,11 @@ proptest! {
             let m2 = Apriori::new(params.parallelism(par)).mine(&d2);
             prop_assert_eq!(&m1, &m1_seq, "mined model 1, threads = {}", t);
             prop_assert_eq!(&m2, &m2_seq, "mined model 2, threads = {}", t);
-            let dev = lits_deviation_par(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, par);
+            let dev = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, par);
             prop_assert_eq!(dev.value.to_bits(), dev_seq.value.to_bits(),
                             "deviation value, threads = {}", t);
-            assert_bits_eq(&dev.supports1, &dev_seq.supports1, "supports1");
-            assert_bits_eq(&dev.supports2, &dev_seq.supports2, "supports2");
+            assert_bits_eq(&dev.raw1, &dev_seq.raw1, "supports1");
+            assert_bits_eq(&dev.raw2, &dev_seq.raw2, "supports2");
             assert_bits_eq(&dev.per_region, &dev_seq.per_region, "per_region");
             prop_assert_eq!(&dev.gcr, &dev_seq.gcr);
         }
@@ -138,22 +138,22 @@ proptest! {
         let m1 = DecisionTree::fit(&d1, params).to_model();
         let m2 = DecisionTree::fit(&d2, params).to_model();
 
-        let counts_seq = count_partition_par(&d1, m1.leaves(), 2, Parallelism::Sequential);
-        let dev_seq = dt_deviation_par(
+        let counts_seq = count_partition(&d1, m1.leaves(), 2, Parallelism::Sequential);
+        let dev_seq = deviate::<DtFamily>(
             &m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, Parallelism::Sequential,
         );
 
         for t in THREADS {
             let par = Parallelism::Threads(t);
             prop_assert_eq!(
-                &count_partition_par(&d1, m1.leaves(), 2, par), &counts_seq,
+                &count_partition(&d1, m1.leaves(), 2, par), &counts_seq,
                 "partition counts, threads = {}", t
             );
-            let dev = dt_deviation_par(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, par);
+            let dev = deviate::<DtFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, par);
             prop_assert_eq!(dev.value.to_bits(), dev_seq.value.to_bits(),
                             "deviation value, threads = {}", t);
-            assert_bits_eq(&dev.measures1, &dev_seq.measures1, "measures1");
-            assert_bits_eq(&dev.measures2, &dev_seq.measures2, "measures2");
+            assert_bits_eq(&dev.raw1, &dev_seq.raw1, "measures1");
+            assert_bits_eq(&dev.raw2, &dev_seq.raw2, "measures2");
             assert_bits_eq(&dev.per_region, &dev_seq.per_region, "per_region");
         }
     }
@@ -187,22 +187,22 @@ proptest! {
             (n + 17) as u64,
         );
 
-        let dev_seq = cluster_deviation_par(
+        let dev_seq = deviate::<ClusterFamily>(
             &c1, &d1, &c2, &d2, DiffFn::Absolute, AggFn::Sum, Parallelism::Sequential,
         );
-        let counts_seq = count_boxes_par(&d1, c1.clusters(), Parallelism::Sequential);
+        let counts_seq = count_boxes(&d1, c1.clusters(), Parallelism::Sequential);
 
         for t in THREADS {
             let par = Parallelism::Threads(t);
             prop_assert_eq!(
-                &count_boxes_par(&d1, c1.clusters(), par), &counts_seq,
+                &count_boxes(&d1, c1.clusters(), par), &counts_seq,
                 "box counts, threads = {}", t
             );
-            let dev = cluster_deviation_par(&c1, &d1, &c2, &d2, DiffFn::Absolute, AggFn::Sum, par);
+            let dev = deviate::<ClusterFamily>(&c1, &d1, &c2, &d2, DiffFn::Absolute, AggFn::Sum, par);
             prop_assert_eq!(dev.value.to_bits(), dev_seq.value.to_bits(),
                             "deviation value, threads = {}", t);
-            assert_bits_eq(&dev.measures1, &dev_seq.measures1, "measures1");
-            assert_bits_eq(&dev.measures2, &dev_seq.measures2, "measures2");
+            assert_bits_eq(&dev.raw1, &dev_seq.raw1, "measures1");
+            assert_bits_eq(&dev.raw2, &dev_seq.raw2, "measures2");
             assert_bits_eq(&dev.per_region, &dev_seq.per_region, "per_region");
         }
     }
@@ -215,6 +215,7 @@ proptest! {
     fn bootstrap_qualification_bit_identical(seed in 0u64..1_000_000,
                                              data_seed in 0u64..1_000_000,
                                              n in 30usize..90) {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let d1 = random_transactions(n, 8, 0.3, data_seed);
         let d2 = random_transactions(n + 5, 8, 0.35, data_seed ^ 0xABCD);
         let miner = Apriori::new(
@@ -223,7 +224,7 @@ proptest! {
         let pipeline = |a: &TransactionSet, b: &TransactionSet| {
             let ma = miner.mine(a);
             let mb = miner.mine(b);
-            lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+            deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
         };
         let observed = pipeline(&d1, &d2);
 
@@ -250,10 +251,10 @@ proptest! {
             let mb = b.iter().sum::<f64>() / b.len() as f64;
             (ma - mb).abs()
         };
-        let seq = bootstrap_two_sample_par(&pool, n / 2, n / 3, 25, seed,
+        let seq = bootstrap_two_sample(&pool, n / 2, n / 3, 25, seed,
                                            Parallelism::Sequential, stat);
         for t in THREADS {
-            let par = bootstrap_two_sample_par(&pool, n / 2, n / 3, 25, seed,
+            let par = bootstrap_two_sample(&pool, n / 2, n / 3, 25, seed,
                                                Parallelism::Threads(t), stat);
             assert_bits_eq(&par, &seq, "bootstrap null");
         }
@@ -298,9 +299,9 @@ proptest! {
             ]);
         }
         let km = KMeans::new(KMeansParams::new(k).seed(seed ^ 0x5EED).max_iters(20));
-        let seq = km.fit_par(&data, Parallelism::Sequential);
+        let seq = km.fit(&data, Parallelism::Sequential);
         for t in THREADS {
-            let par = km.fit_par(&data, Parallelism::Threads(t));
+            let par = km.fit(&data, Parallelism::Threads(t));
             prop_assert_eq!(&par.assignment, &seq.assignment, "assignment, threads = {}", t);
             prop_assert_eq!(par.iterations, seq.iterations, "iterations, threads = {}", t);
             prop_assert_eq!(par.inertia.to_bits(), seq.inertia.to_bits(),
@@ -326,14 +327,14 @@ proptest! {
         let pipeline = |a: &TransactionSet, b: &TransactionSet| {
             let ma = miner.mine(a);
             let mb = miner.mine(b);
-            lits_deviation_par(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum,
+            deviate::<LitsFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum,
                                Parallelism::Sequential).value
         };
-        let seq = calibrate_threshold_par(
+        let seq = calibrate_threshold(
             &reference, n / 4, quantile, 12, seed, Parallelism::Sequential, &pipeline,
         );
         for t in THREADS {
-            let thr = calibrate_threshold_par(
+            let thr = calibrate_threshold(
                 &reference, n / 4, quantile, 12, seed, Parallelism::Threads(t), &pipeline,
             );
             prop_assert_eq!(thr.to_bits(), seq.to_bits(), "threshold, threads = {}", t);
@@ -351,10 +352,10 @@ proptest! {
         let counts2: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1000)).collect();
         for f in [DiffFn::Absolute, DiffFn::Scaled, DiffFn::ChiSquared { c: 0.5 }] {
             for g in [AggFn::Sum, AggFn::Max] {
-                let seq = deviation_fixed_par(&counts1, &counts2, n1, n2, f, g,
+                let seq = deviation_fixed(&counts1, &counts2, n1, n2, f, g,
                                               Parallelism::Sequential);
                 for t in THREADS {
-                    let par = deviation_fixed_par(&counts1, &counts2, n1, n2, f, g,
+                    let par = deviation_fixed(&counts1, &counts2, n1, n2, f, g,
                                                   Parallelism::Threads(t));
                     prop_assert_eq!(par.to_bits(), seq.to_bits(),
                                     "{:?}/{:?}, threads = {}", f, g, t);
@@ -381,15 +382,15 @@ proptest! {
             .chain(std::iter::once(Itemset::from_slice(&[])))
             .chain(std::iter::once(Itemset::from_slice(&[n_items + 3])))
             .collect();
-        let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let horizontal = count_itemsets(&data, &sets, Parallelism::Sequential);
 
         let index = VerticalIndex::build(&data);
-        let seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
+        let seq = count_itemsets_grouped(&index, &sets, Parallelism::Sequential);
         prop_assert_eq!(&seq, &horizontal, "vertical vs horizontal, sequential");
         let auto = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
         for t in THREADS {
             prop_assert_eq!(
-                &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
+                &count_itemsets_grouped(&index, &sets, Parallelism::Threads(t)),
                 &horizontal,
                 "vertical counts, threads = {}", t
             );
@@ -418,14 +419,14 @@ proptest! {
             .chain(std::iter::once(Itemset::from_slice(&[])))
             .chain(std::iter::once(Itemset::from_slice(&[n_items + 3])))
             .collect();
-        let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let horizontal = count_itemsets(&data, &sets, Parallelism::Sequential);
 
         let index = VerticalIndex::build(&data);
-        let grouped_seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
+        let grouped_seq = count_itemsets_grouped(&index, &sets, Parallelism::Sequential);
         prop_assert_eq!(&grouped_seq, &horizontal, "grouped vs horizontal, sequential");
         for t in THREADS {
             prop_assert_eq!(
-                &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
+                &count_itemsets_grouped(&index, &sets, Parallelism::Threads(t)),
                 &horizontal,
                 "grouped counts, threads = {}", t
             );
@@ -449,7 +450,7 @@ proptest! {
             .chain((0..n_items).map(|b| Itemset::from_slice(&[b])))
             .chain(std::iter::once(Itemset::from_slice(&[])))
             .collect();
-        let uncached = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let uncached = count_itemsets(&data, &sets, Parallelism::Sequential);
 
         // The auto handle (budget pinned so concurrent tests can't turn
         // the process-wide knob mid-sweep): repeated counts across the
@@ -503,7 +504,7 @@ proptest! {
                 Itemset::from_slice(&[2, n_items + 1]),
             ])
             .collect();
-        let reference = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let reference = count_itemsets(&data, &sets, Parallelism::Sequential);
         let walk = CountSource::borrowed(&data).with_index_budget(0);
         for t in THREADS {
             prop_assert_eq!(&walk.counts(&sets, Parallelism::Threads(t)), &reference,
@@ -522,10 +523,10 @@ fn large_scan_splits_chunks_and_stays_identical() {
     let sets: Vec<Itemset> = (0..14u32)
         .map(|b| Itemset::from_slice(&[b, b + 1]))
         .collect();
-    let seq = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+    let seq = count_itemsets(&data, &sets, Parallelism::Sequential);
     for t in THREADS {
         assert_eq!(
-            count_itemsets_par(&data, &sets, Parallelism::Threads(t)),
+            count_itemsets(&data, &sets, Parallelism::Threads(t)),
             seq,
             "threads = {t}"
         );
@@ -542,7 +543,7 @@ fn large_scan_splits_chunks_and_stays_identical() {
             "horizontal walk, threads = {t}"
         );
         assert_eq!(
-            count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
+            count_itemsets_grouped(&index, &sets, Parallelism::Threads(t)),
             seq,
             "grouped runs, threads = {t}"
         );
@@ -555,10 +556,10 @@ fn large_scan_splits_chunks_and_stays_identical() {
         BoxBuilder::new(schema).lt("x", 50.0).build(),
         BoxBuilder::new(schema).ge("x", 50.0).build(),
     ];
-    let seq = count_partition_par(&labeled, &leaves, 2, Parallelism::Sequential);
+    let seq = count_partition(&labeled, &leaves, 2, Parallelism::Sequential);
     for t in THREADS {
         assert_eq!(
-            count_partition_par(&labeled, &leaves, 2, Parallelism::Threads(t)),
+            count_partition(&labeled, &leaves, 2, Parallelism::Threads(t)),
             seq,
             "threads = {t}"
         );
@@ -643,7 +644,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
         par,
         ..MatrixParams::default()
     };
-    let full = deviation_matrix_par::<DtFamily>(
+    let full = deviation_matrix::<DtFamily>(
         &dt_models,
         &dt_data,
         names.clone(),
@@ -651,7 +652,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     )
     .unwrap();
     // 1.0 splits the bound range: shared-skeleton pair ≪ 1 < 2.0.
-    let screened_seq = deviation_matrix_par::<DtFamily>(
+    let screened_seq = deviation_matrix::<DtFamily>(
         &dt_models,
         &dt_data,
         names.clone(),
@@ -661,7 +662,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     assert_eq!(screened_seq.pruned(), 1, "the shared-skeleton pair prunes");
     assert_eq!(screened_seq.scanned(), 2);
     for t in THREADS {
-        let screened = deviation_matrix_par::<DtFamily>(
+        let screened = deviation_matrix::<DtFamily>(
             &dt_models,
             &dt_data,
             names.clone(),
@@ -715,7 +716,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
         cl_model(vec![boxed(0.0, 30.0), boxed(50.0, 80.0)], &cl_data[1]),
         cl_model(vec![boxed(100.0, 130.0), boxed(150.0, 180.0)], &cl_data[2]),
     ];
-    let full = deviation_matrix_par::<ClusterFamily>(
+    let full = deviation_matrix::<ClusterFamily>(
         &cl_models,
         &cl_data,
         names.clone(),
@@ -723,7 +724,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     )
     .unwrap();
     let threshold = full.bound(0, 1);
-    let screened_seq = deviation_matrix_par::<ClusterFamily>(
+    let screened_seq = deviation_matrix::<ClusterFamily>(
         &cl_models,
         &cl_data,
         names.clone(),
@@ -733,7 +734,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     assert!(screened_seq.pruned() >= 1, "the shared-box pair prunes");
     assert!(screened_seq.scanned() >= 1, "the disjoint-span pairs scan");
     for t in THREADS {
-        let screened = deviation_matrix_par::<ClusterFamily>(
+        let screened = deviation_matrix::<ClusterFamily>(
             &cl_models,
             &cl_data,
             names.clone(),
@@ -784,11 +785,11 @@ proptest! {
             par,
             ..MatrixParams::default()
         };
-        let seq = deviation_matrix_par::<LitsFamily>(
+        let seq = deviation_matrix::<LitsFamily>(
             &models, &datasets, names.clone(), &params(Parallelism::Sequential),
         ).unwrap();
         for t in THREADS {
-            let par = deviation_matrix_par::<LitsFamily>(
+            let par = deviation_matrix::<LitsFamily>(
                 &models, &datasets, names.clone(), &params(Parallelism::Threads(t)),
             ).unwrap();
             prop_assert_eq!(par.scanned(), seq.scanned(), "scanned, threads = {}", t);
@@ -826,12 +827,12 @@ proptest! {
         let names: Vec<String> = (0..n_snaps).map(|i| format!("t{i}")).collect();
 
         let params = |par| MatrixParams { par, ..MatrixParams::default() };
-        let seq = deviation_matrix_par::<DtFamily>(
+        let seq = deviation_matrix::<DtFamily>(
             &models, &datasets, names.clone(), &params(Parallelism::Sequential),
         ).unwrap();
         prop_assert_eq!(seq.pruned(), 0, "threshold 0 never prunes");
         for t in THREADS {
-            let par = deviation_matrix_par::<DtFamily>(
+            let par = deviation_matrix::<DtFamily>(
                 &models, &datasets, names.clone(), &params(Parallelism::Threads(t)),
             ).unwrap();
             prop_assert_eq!(par.scanned(), seq.scanned(), "scanned, threads = {}", t);
@@ -864,18 +865,18 @@ proptest! {
                              Value::Num(shift + rng.gen::<f64>())]);
             }
             let km = KMeans::new(KMeansParams::new(2).seed(seed ^ i as u64).max_iters(15));
-            models.push(km.fit_par(&t, Parallelism::Sequential).to_model(&t));
+            models.push(km.fit(&t, Parallelism::Sequential).to_model(&t));
             datasets.push(t);
         }
         let names: Vec<String> = (0..n_snaps).map(|i| format!("c{i}")).collect();
 
         let params = |par| MatrixParams { par, ..MatrixParams::default() };
-        let seq = deviation_matrix_par::<ClusterFamily>(
+        let seq = deviation_matrix::<ClusterFamily>(
             &models, &datasets, names.clone(), &params(Parallelism::Sequential),
         ).unwrap();
         prop_assert_eq!(seq.pruned(), 0, "threshold 0 never prunes");
         for t in THREADS {
-            let par = deviation_matrix_par::<ClusterFamily>(
+            let par = deviation_matrix::<ClusterFamily>(
                 &models, &datasets, names.clone(), &params(Parallelism::Threads(t)),
             ).unwrap();
             prop_assert_eq!(par.scanned(), seq.scanned(), "scanned, threads = {}", t);

@@ -29,12 +29,13 @@ fn blobs(centers: &[(f64, f64)], per: usize, spread: f64, seed: u64) -> Table {
 
 fn model(data: &Table, k: usize, seed: u64) -> ClusterModel {
     KMeans::new(KMeansParams::new(k).seed(seed))
-        .fit(data)
+        .fit(data, Parallelism::Global)
         .to_model(data)
 }
 
 #[test]
 fn same_blobs_deviate_less_than_shifted_blobs() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let centers = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)];
     let shifted = [(6.0, 6.0), (26.0, 6.0), (6.0, 26.0)];
     let d1 = blobs(&centers, 150, 4.0, 1);
@@ -45,8 +46,8 @@ fn same_blobs_deviate_less_than_shifted_blobs() {
     let m_same = model(&d_same, 3, 2);
     let m_shift = model(&d_shift, 3, 3);
 
-    let dev_same = cluster_deviation(&m1, &d1, &m_same, &d_same, DiffFn::Absolute, AggFn::Sum);
-    let dev_shift = cluster_deviation(&m1, &d1, &m_shift, &d_shift, DiffFn::Absolute, AggFn::Sum);
+    let dev_same = deviate::<ClusterFamily>(&m1, &d1, &m_same, &d_same, f, g, par);
+    let dev_shift = deviate::<ClusterFamily>(&m1, &d1, &m_shift, &d_shift, f, g, par);
     assert!(
         dev_shift.value > dev_same.value,
         "shifted {} vs same {}",
@@ -57,19 +58,21 @@ fn same_blobs_deviate_less_than_shifted_blobs() {
 
 #[test]
 fn identical_clusterings_deviate_zero() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d = blobs(&[(0.0, 0.0), (30.0, 30.0)], 100, 3.0, 5);
     let m = model(&d, 2, 7);
-    let dev = cluster_deviation(&m, &d, &m, &d, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate::<ClusterFamily>(&m, &d, &m, &d, f, g, par);
     assert_eq!(dev.value, 0.0);
 }
 
 #[test]
 fn gcr_regions_are_disjoint_boxes() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d1 = blobs(&[(0.0, 0.0), (15.0, 15.0)], 120, 6.0, 9);
     let d2 = blobs(&[(5.0, 5.0), (20.0, 20.0)], 120, 6.0, 10);
     let m1 = model(&d1, 2, 9);
     let m2 = model(&d2, 2, 10);
-    let dev = cluster_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate::<ClusterFamily>(&m1, &d1, &m2, &d2, f, g, par);
     for (i, a) in dev.gcr.iter().enumerate() {
         for b in &dev.gcr[i + 1..] {
             assert!(a.intersect(b).is_none(), "GCR regions must be disjoint");
@@ -81,9 +84,9 @@ fn gcr_regions_are_disjoint_boxes() {
         let inside: f64 = dev
             .gcr
             .iter()
-            .zip(&dev.measures1)
+            .zip(&dev.raw1)
             .filter(|(r, _)| r.intersect(cluster).is_some_and(|x| &x == *r))
-            .map(|(_, m)| *m)
+            .map(|(_, m)| *m / d1.len() as f64)
             .sum();
         assert!(
             (inside - m1.measures()[ci]).abs() < 1e-9,
@@ -95,6 +98,7 @@ fn gcr_regions_are_disjoint_boxes() {
 
 #[test]
 fn focussed_cluster_deviation_restricts_to_region() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d1 = blobs(&[(0.0, 0.0), (40.0, 40.0)], 100, 4.0, 11);
     let d2 = blobs(&[(0.0, 0.0), (48.0, 48.0)], 100, 4.0, 12);
     let m1 = model(&d1, 2, 11);
@@ -103,10 +107,8 @@ fn focussed_cluster_deviation_restricts_to_region() {
     // The low blob is shared; the high blob moved. Focus on each half.
     let low = BoxBuilder::new(schema).lt("x", 20.0).lt("y", 20.0).build();
     let high = BoxBuilder::new(schema).ge("x", 20.0).ge("y", 20.0).build();
-    let dev_low =
-        cluster_deviation_focussed(&m1, &d1, &m2, &d2, &low, DiffFn::Absolute, AggFn::Sum);
-    let dev_high =
-        cluster_deviation_focussed(&m1, &d1, &m2, &d2, &high, DiffFn::Absolute, AggFn::Sum);
+    let dev_low = deviate_focussed::<ClusterFamily>(&m1, &d1, &m2, &d2, &low, f, g, par);
+    let dev_high = deviate_focussed::<ClusterFamily>(&m1, &d1, &m2, &d2, &high, f, g, par);
     assert!(
         dev_high.value > dev_low.value,
         "moved blob {} vs stable blob {}",

@@ -17,9 +17,10 @@ fn fit(data: &LabeledTable) -> DtModel {
 }
 
 fn deviation(a: &LabeledTable, b: &LabeledTable) -> f64 {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let ma = fit(a);
     let mb = fit(b);
-    dt_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+    deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
 }
 
 #[test]
@@ -75,8 +76,19 @@ fn me_and_deviation_correlate_positively() {
         let block = d.concat(&ClassifyGen::new(f).generate(400, 20 + i as u64));
         for other in [pure, block] {
             let mo = fit(&other);
-            devs.push(dt_deviation(&m, &d, &mo, &other, DiffFn::Absolute, AggFn::Sum).value);
-            mes.push(misclassification_error(&m, &other));
+            devs.push(
+                deviate::<DtFamily>(
+                    &m,
+                    &d,
+                    &mo,
+                    &other,
+                    DiffFn::Absolute,
+                    AggFn::Sum,
+                    Parallelism::Global,
+                )
+                .value,
+            );
+            mes.push(misclassification_error(&m, &other, Parallelism::Global));
         }
     }
     let r = focus::stats::describe::pearson(&devs, &mes);
@@ -89,7 +101,7 @@ fn theorem_5_2_holds_for_fitted_trees() {
     let d2 = ClassifyGen::new(ClassifyFn::F3).generate(3000, 12);
     let m = fit(&d1);
     for data in [&d1, &d2] {
-        let direct = misclassification_error(&m, data);
+        let direct = misclassification_error(&m, data, Parallelism::Global);
         let via = me_via_deviation(&m, data);
         assert!((direct - via).abs() < 1e-12, "{direct} vs {via}");
     }
@@ -101,13 +113,13 @@ fn chi_squared_monitoring_flags_drift() {
     let m = fit(&d_old);
     let d_fit = ClassifyGen::new(ClassifyFn::F2).generate(2000, 14);
     let d_drift = ClassifyGen::new(ClassifyFn::F3).generate(2000, 15);
-    let x2_fit = chi_squared_statistic(&m, &d_fit, 0.5);
-    let x2_drift = chi_squared_statistic(&m, &d_drift, 0.5);
+    let x2_fit = chi_squared_statistic(&m, &d_fit, 0.5, Parallelism::Global);
+    let x2_drift = chi_squared_statistic(&m, &d_drift, 0.5, Parallelism::Global);
     assert!(x2_drift > 3.0 * x2_fit, "{x2_drift} vs {x2_fit}");
     // Bootstrap calibration (Section 5.2.2) — the paper's answer to the
     // inapplicability of the standard X² table.
     let q = qualify_chi_squared(&d_old, 2000, x2_drift, 49, 7, |d| {
-        chi_squared_statistic(&m, d, 0.5)
+        chi_squared_statistic(&m, d, 0.5, Parallelism::Global)
     });
     assert!(q.significance_percent >= 99.0);
 }
@@ -116,6 +128,7 @@ fn chi_squared_monitoring_flags_drift() {
 fn focussed_deviation_drills_into_the_drifting_band() {
     // F1 labels by age only; F1-with-shifted-boundary drifts exactly in the
     // band between the boundaries, which focussed deviation should expose.
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let schema = focus::data::classify::classification_schema();
     let d1 = ClassifyGen::new(ClassifyFn::F1).generate(4000, 17);
     // Build a synthetic "shifted F1": age < 45 or age ≥ 60.
@@ -130,24 +143,8 @@ fn focussed_deviation_drills_into_the_drifting_band() {
     let m2 = fit(&d2);
     let drift_band = BoxBuilder::new(&schema).range("age", 40.0, 45.0).build();
     let quiet_band = BoxBuilder::new(&schema).range("age", 60.0, 80.0).build();
-    let dev_drift = dt_deviation_focussed(
-        &m1,
-        &d1,
-        &m2,
-        &d2,
-        &drift_band,
-        DiffFn::Absolute,
-        AggFn::Sum,
-    );
-    let dev_quiet = dt_deviation_focussed(
-        &m1,
-        &d1,
-        &m2,
-        &d2,
-        &quiet_band,
-        DiffFn::Absolute,
-        AggFn::Sum,
-    );
+    let dev_drift = deviate_focussed::<DtFamily>(&m1, &d1, &m2, &d2, &drift_band, f, g, par);
+    let dev_quiet = deviate_focussed::<DtFamily>(&m1, &d1, &m2, &d2, &quiet_band, f, g, par);
     assert!(
         dev_drift.value > 2.0 * dev_quiet.value,
         "drift band {} vs quiet band {}",
@@ -158,16 +155,17 @@ fn focussed_deviation_drills_into_the_drifting_band() {
 
 #[test]
 fn gcr_cell_count_bounded_by_leaf_product() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d1 = ClassifyGen::new(ClassifyFn::F2).generate(3000, 19);
     let d2 = ClassifyGen::new(ClassifyFn::F4).generate(3000, 20);
     let m1 = fit(&d1);
     let m2 = fit(&d2);
-    let dev = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
-    assert!(dev.cells.len() <= m1.leaves().len() * m2.leaves().len());
-    assert!(dev.cells.len() >= m1.leaves().len().max(m2.leaves().len()));
+    let dev = deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, par);
+    assert!(dev.gcr.cells.len() <= m1.leaves().len() * m2.leaves().len());
+    assert!(dev.gcr.cells.len() >= m1.leaves().len().max(m2.leaves().len()));
     // Measures over the GCR sum to 1 per dataset (it is a partition).
-    let s1: f64 = dev.measures1.iter().sum();
-    let s2: f64 = dev.measures2.iter().sum();
+    let s1: f64 = dev.raw1.iter().sum::<f64>() / d1.len() as f64;
+    let s2: f64 = dev.raw2.iter().sum::<f64>() / d2.len() as f64;
     assert!((s1 - 1.0).abs() < 1e-9, "sum1 {s1}");
     assert!((s2 - 1.0).abs() < 1e-9, "sum2 {s2}");
 }

@@ -21,9 +21,10 @@ fn mine(d: &TransactionSet) -> LitsModel {
 }
 
 fn deviation(a: &TransactionSet, b: &TransactionSet) -> f64 {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let ma = mine(a);
     let mb = mine(b);
-    lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+    deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
 }
 
 #[test]
@@ -92,7 +93,9 @@ fn upper_bound_dominates_and_is_fast_to_agree() {
     let m2 = mine(&d2);
     for g in [AggFn::Sum, AggFn::Max] {
         let bound = lits_upper_bound(&m1, &m2, g);
-        let exact = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+        let exact =
+            deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, g, Parallelism::Global)
+                .value;
         assert!(bound >= exact - 1e-12, "{g:?}: {bound} < {exact}");
     }
     // δ* is symmetric and zero on identical models.
@@ -107,24 +110,23 @@ fn upper_bound_dominates_and_is_fast_to_agree() {
 fn focussed_deviation_never_exceeds_total_for_fa() {
     // Section 5 monotonicity remark, at pipeline level: restricting the
     // item universe can only reduce δ(f_a, g).
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let p1 = AssocGen::new(AssocGenParams::small(), 10);
     let p2 = AssocGen::new(AssocGenParams::small(), 11);
     let d1 = p1.generate(2000, 1);
     let d2 = p2.generate(2000, 2);
     let m1 = mine(&d1);
     let m2 = mine(&d2);
-    let total = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let total = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
     for hi in [10u32, 40, 80, 100] {
         let universe: Vec<u32> = (0..hi).collect();
         let focussed =
-            lits_deviation_focussed(&m1, &d1, &m2, &d2, &universe, DiffFn::Absolute, AggFn::Sum)
-                .value;
+            deviate_focussed::<LitsFamily>(&m1, &d1, &m2, &d2, &universe, f, g, par).value;
         assert!(focussed <= total + 1e-9, "universe 0..{hi}");
     }
     // The full universe recovers the total exactly.
     let universe: Vec<u32> = (0..100).collect();
-    let full =
-        lits_deviation_focussed(&m1, &d1, &m2, &d2, &universe, DiffFn::Absolute, AggFn::Sum).value;
+    let full = deviate_focussed::<LitsFamily>(&m1, &d1, &m2, &d2, &universe, f, g, par).value;
     assert!((full - total).abs() < 1e-12);
 }
 
@@ -132,6 +134,7 @@ fn focussed_deviation_never_exceeds_total_for_fa() {
 fn rank_and_select_over_structural_union() {
     // The Section 5.1 expression: rank the structural union by per-region
     // deviation and select the top region.
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let p1 = AssocGen::new(AssocGenParams::small(), 12);
     let mut pp = AssocGenParams::small();
     pp.avg_pattern_len = 6.0;
@@ -140,14 +143,23 @@ fn rank_and_select_over_structural_union() {
     let d2 = p2.generate(2000, 2);
     let m1 = mine(&d1);
     let m2 = mine(&d2);
-    let dev = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, f, g, par);
     let union = lits_union(m1.itemsets(), m2.itemsets());
     assert_eq!(union, dev.gcr, "structural union IS the GCR for lits");
     let ranked = rank(union, |s| dev.per_region[dev.gcr.binary_search(s).unwrap()]);
     let top = select_top(&ranked).expect("non-empty");
     // The top region's deviation equals the max per-region difference,
     // which is δ(f_a, g_max).
-    let max_dev = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Max).value;
+    let max_dev = deviate::<LitsFamily>(
+        &m1,
+        &d1,
+        &m2,
+        &d2,
+        DiffFn::Absolute,
+        AggFn::Max,
+        Parallelism::Global,
+    )
+    .value;
     assert!((top.deviation - max_dev).abs() < 1e-12);
     // Selections behave.
     assert_eq!(select_top_n(&ranked, 10).len(), 10.min(ranked.len()));
@@ -177,14 +189,15 @@ fn mining_and_extending_share_one_index_per_dataset() {
     assert_eq!((m1.clone(), m2.clone()), (mine(&d1), mine(&d2)));
 
     for (f, g) in [(DiffFn::Absolute, AggFn::Sum), (DiffFn::Scaled, AggFn::Max)] {
-        let shared: LitsDeviation =
-            deviate_sources_par::<LitsFamily>(&m1, &s1, &m2, &s2, f, g, Parallelism::Global).into();
-        let fresh = lits_deviation(&m1, &d1, &m2, &d2, f, g);
+        let gcr = LitsFamily::gcr(&m1, &m2);
+        let shared =
+            deviate_over_sources::<LitsFamily>(gcr, &m1, &s1, &m2, &s2, f, g, Parallelism::Global);
+        let fresh = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, f, g, Parallelism::Global);
         assert_eq!(shared.value.to_bits(), fresh.value.to_bits(), "{f:?} {g:?}");
         assert_eq!(shared.gcr, fresh.gcr);
         for (a, b) in [
-            (&shared.supports1, &fresh.supports1),
-            (&shared.supports2, &fresh.supports2),
+            (&shared.raw1, &fresh.raw1),
+            (&shared.raw2, &fresh.raw2),
             (&shared.per_region, &fresh.per_region),
         ] {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -166,23 +166,24 @@ proptest! {
         let a = Itemset::from_slice(&[1, 3]);
         let b = Itemset::from_slice(&[3, 5]);
         let u = a.union(&b);
-        let counts = count_itemsets(&data, &[a, b, u]);
+        let counts = count_itemsets(&data, &[a, b, u], Parallelism::Global);
         prop_assert!(counts[2] <= counts[0].min(counts[1]));
     }
 
     #[test]
     fn deviation_is_symmetric_and_reflexive(rows1 in arb_transactions(),
                                             rows2 in arb_transactions()) {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
         let d1 = to_set(rows1);
         let d2 = to_set(rows2);
         if d1.is_empty() || d2.is_empty() { return Ok(()); }
         let miner = Apriori::new(AprioriParams::with_minsup(0.2));
         let m1 = miner.mine(&d1);
         let m2 = miner.mine(&d2);
-        let ab = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
-        let ba = lits_deviation(&m2, &d2, &m1, &d1, DiffFn::Absolute, AggFn::Sum).value;
+        let ab = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
+        let ba = deviate::<LitsFamily>(&m2, &d2, &m1, &d1, f, g, par).value;
         prop_assert!((ab - ba).abs() < 1e-12, "symmetry: {} vs {}", ab, ba);
-        let aa = lits_deviation(&m1, &d1, &m1, &d1, DiffFn::Absolute, AggFn::Sum).value;
+        let aa = deviate::<LitsFamily>(&m1, &d1, &m1, &d1, f, g, par).value;
         prop_assert_eq!(aa, 0.0, "identity");
     }
 
@@ -196,7 +197,7 @@ proptest! {
         let m2 = miner.mine(&d2);
         for g in [AggFn::Sum, AggFn::Max] {
             let bound = lits_upper_bound(&m1, &m2, g);
-            let exact = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+            let exact = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, g, Parallelism::Global).value;
             prop_assert!(bound >= exact - 1e-12, "{:?}: {} < {}", g, bound, exact);
         }
     }
@@ -231,7 +232,7 @@ proptest! {
         let m2 = induce_dt_measures(split(ax2, cut2), &d2);
         for g in [AggFn::Sum, AggFn::Max] {
             let bound = dt_upper_bound(&m1, &m2, g);
-            let exact = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+            let exact = deviate::<DtFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, g, Parallelism::Global).value;
             prop_assert!(bound >= exact - 1e-12, "{:?}: {} < {}", g, bound, exact);
         }
     }
@@ -281,7 +282,7 @@ proptest! {
         let m2 = model(disjoin(boxes_b), &d2);
         for g in [AggFn::Sum, AggFn::Max] {
             let bound = cluster_upper_bound(&m1, &m2, g);
-            let exact = cluster_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+            let exact = deviate::<ClusterFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, g, Parallelism::Global).value;
             prop_assert!(bound >= exact - 1e-12, "{:?}: {} < {}", g, bound, exact);
         }
     }
@@ -295,9 +296,9 @@ proptest! {
         // measure components come from equal-sized datasets.
         let n = 100u64;
         for g in [AggFn::Sum, AggFn::Max] {
-            let d12 = deviation_fixed(&c1, &c2, n, n, DiffFn::Absolute, g);
-            let d23 = deviation_fixed(&c2, &c3, n, n, DiffFn::Absolute, g);
-            let d13 = deviation_fixed(&c1, &c3, n, n, DiffFn::Absolute, g);
+            let d12 = deviation_fixed(&c1, &c2, n, n, DiffFn::Absolute, g, Parallelism::Global);
+            let d23 = deviation_fixed(&c2, &c3, n, n, DiffFn::Absolute, g, Parallelism::Global);
+            let d13 = deviation_fixed(&c1, &c3, n, n, DiffFn::Absolute, g, Parallelism::Global);
             prop_assert!(d13 <= d12 + d23 + 1e-12, "{:?}", g);
         }
     }

@@ -53,9 +53,15 @@ fn theorem_4_1_gcr_least_deviation_lits() {
 
     for f in [DiffFn::Absolute, DiffFn::Scaled] {
         for g in [AggFn::Sum, AggFn::Max] {
-            let at_gcr = lits_deviation_over(&gcr, &m1, &d1, &m2, &d2, f, g).value;
+            let over = |regions: &[Itemset]| {
+                let (s1, s2) = (LitsFamily::source(&d1), LitsFamily::source(&d2));
+                let par = Parallelism::Global;
+                deviate_over_sources::<LitsFamily>(regions.to_vec(), &m1, &s1, &m2, &s2, f, g, par)
+                    .value
+            };
+            let at_gcr = over(&gcr);
             for (i, r) in refinements.iter().enumerate() {
-                let at_finer = lits_deviation_over(r, &m1, &d1, &m2, &d2, f, g).value;
+                let at_finer = over(r);
                 assert!(
                     at_gcr <= at_finer + 1e-9,
                     "refinement {i}: GCR {at_gcr} > finer {at_finer}"
@@ -69,6 +75,7 @@ fn theorem_4_1_gcr_least_deviation_lits() {
 /// least deviation over common refinements.
 #[test]
 fn theorem_4_3_gcr_least_deviation_dt() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d1 = ClassifyGen::new(ClassifyFn::F1).generate(3000, 1);
     let d2 = ClassifyGen::new(ClassifyFn::F2).generate(3000, 2);
     let fit = |d: &LabeledTable| {
@@ -76,7 +83,7 @@ fn theorem_4_3_gcr_least_deviation_dt() {
     };
     let m1 = fit(&d1);
     let m2 = fit(&d2);
-    let at_gcr = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let at_gcr = deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
 
     // A finer common refinement: every overlay cell further cut by an
     // age = 50 hyperplane.
@@ -99,8 +106,8 @@ fn theorem_4_3_gcr_least_deviation_dt() {
         finer.push(c.region.clone());
     }
     assert!(finer.len() > cells.len(), "the refinement must be strict");
-    let counts1 = count_partition(&d1, &finer, 2);
-    let counts2 = count_partition(&d2, &finer, 2);
+    let counts1 = count_partition(&d1, &finer, 2, Parallelism::Global);
+    let counts2 = count_partition(&d2, &finer, 2, Parallelism::Global);
     let at_finer = deviation_fixed(
         &counts1,
         &counts2,
@@ -108,6 +115,7 @@ fn theorem_4_3_gcr_least_deviation_dt() {
         d2.len() as u64,
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     );
     assert!(at_gcr <= at_finer + 1e-9, "GCR {at_gcr} > finer {at_finer}");
 }
@@ -131,7 +139,9 @@ fn theorem_4_2_bound_properties() {
         for (m1, d1) in &models {
             for (m2, d2) in &models {
                 let bound = lits_upper_bound(m1, m2, g);
-                let exact = lits_deviation(m1, d1, m2, d2, DiffFn::Absolute, g).value;
+                let exact =
+                    deviate::<LitsFamily>(m1, d1, m2, d2, DiffFn::Absolute, g, Parallelism::Global)
+                        .value;
                 assert!(bound >= exact - 1e-12);
             }
         }
@@ -154,6 +164,7 @@ fn theorem_4_2_bound_properties() {
 /// and focussing with the full space is the identity.
 #[test]
 fn theorem_5_1_focussing_consistency() {
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let d1 = ClassifyGen::new(ClassifyFn::F2).generate(2000, 5);
     let d2 = ClassifyGen::new(ClassifyFn::F3).generate(2000, 6);
     let fit = |d: &LabeledTable| {
@@ -163,17 +174,9 @@ fn theorem_5_1_focussing_consistency() {
     let m2 = fit(&d2);
     let schema = d1.table.schema();
     let everything = BoxRegion::full(schema);
-    let total = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
-    let focussed_total = dt_deviation_focussed(
-        &m1,
-        &d1,
-        &m2,
-        &d2,
-        &everything,
-        DiffFn::Absolute,
-        AggFn::Sum,
-    )
-    .value;
+    let total = deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
+    let focussed_total =
+        deviate_focussed::<DtFamily>(&m1, &d1, &m2, &d2, &everything, f, g, par).value;
     assert!((total - focussed_total).abs() < 1e-12);
 
     // A disjoint decomposition of the space. Each half is bounded by the
@@ -184,8 +187,8 @@ fn theorem_5_1_focussing_consistency() {
     // boundary aligns with cell boundaries.
     let young = BoxBuilder::new(schema).lt("age", 50.0).build();
     let old = BoxBuilder::new(schema).ge("age", 50.0).build();
-    let dy = dt_deviation_focussed(&m1, &d1, &m2, &d2, &young, DiffFn::Absolute, AggFn::Sum).value;
-    let doo = dt_deviation_focussed(&m1, &d1, &m2, &d2, &old, DiffFn::Absolute, AggFn::Sum).value;
+    let dy = deviate_focussed::<DtFamily>(&m1, &d1, &m2, &d2, &young, f, g, par).value;
+    let doo = deviate_focussed::<DtFamily>(&m1, &d1, &m2, &d2, &old, f, g, par).value;
     assert!(dy <= total + 1e-9 && doo <= total + 1e-9, "monotonicity");
     assert!(
         dy + doo >= total - 1e-9,
@@ -202,10 +205,10 @@ fn monitoring_special_cases_agree_on_ordering() {
     let m = DecisionTree::fit(&d, TreeParams::default().max_depth(6).min_leaf(30)).to_model();
     let mild = d.concat(&ClassifyGen::new(ClassifyFn::F3).generate(300, 10));
     let wild = ClassifyGen::new(ClassifyFn::F3).generate(3000, 11);
-    let me_mild = misclassification_error(&m, &mild);
-    let me_wild = misclassification_error(&m, &wild);
-    let x2_mild = chi_squared_statistic(&m, &mild, 0.5);
-    let x2_wild = chi_squared_statistic(&m, &wild, 0.5);
+    let me_mild = misclassification_error(&m, &mild, Parallelism::Global);
+    let me_wild = misclassification_error(&m, &wild, Parallelism::Global);
+    let x2_mild = chi_squared_statistic(&m, &mild, 0.5, Parallelism::Global);
+    let x2_wild = chi_squared_statistic(&m, &wild, 0.5, Parallelism::Global);
     assert!(me_wild > me_mild);
     assert!(x2_wild > x2_mild);
 }

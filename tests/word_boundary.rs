@@ -140,7 +140,7 @@ fn check_index(data: &TransactionSet, what: &str) {
         .collect();
     for t in [1usize, 2, 4, 7] {
         assert_eq!(
-            count_itemsets_grouped_par(index, &itemsets, Parallelism::Threads(t)),
+            count_itemsets_grouped(index, &itemsets, Parallelism::Threads(t)),
             want,
             "{what}: grouped counts, threads = {t}"
         );

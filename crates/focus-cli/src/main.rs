@@ -53,6 +53,7 @@
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
+use focus_core::data::{LabeledTable, TransactionSet};
 use focus_core::deviation::{self, deviate_over_sources};
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
@@ -289,6 +290,28 @@ fn io_err(e: std::io::Error) -> String {
     e.to_string()
 }
 
+/// Reads the transaction file at `path`; errors name the file.
+fn load_transactions(path: &str) -> Result<TransactionSet, String> {
+    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    read_transactions(file).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Reads the labelled table at `path` for model induction. Every fitter
+/// asserts a non-empty input, so a table without rows is rejected here.
+fn load_table(path: &str) -> Result<LabeledTable, String> {
+    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let data = read_labeled_table(file).map_err(|e| format!("{path}: {e}"))?;
+    require_rows(path, data.len())?;
+    Ok(data)
+}
+
+fn require_rows(path: &str, n: usize) -> Result<(), String> {
+    if n == 0 {
+        return Err(format!("{path} has no rows"));
+    }
+    Ok(())
+}
+
 fn gen_assoc(flags: &Flags) -> Result<(), String> {
     let out = req(flags, "out")?;
     let n: usize = opt(flags, "n", 10_000)?;
@@ -372,7 +395,7 @@ fn miner(minsup: f64) -> Apriori {
 fn mine(flags: &Flags) -> Result<(), String> {
     let path = req(flags, "data")?;
     let minsup = minsup(flags)?;
-    let data = read_transactions(File::open(path).map_err(io_err)?).map_err(io_err)?;
+    let data = load_transactions(path)?;
     let model = miner(minsup).mine(&data);
     eprintln!(
         "{}: {} frequent itemsets at minsup {}",
@@ -413,8 +436,8 @@ fn agg_fn(flags: &Flags) -> Result<AggFn, String> {
 fn deviate(flags: &Flags) -> Result<(), String> {
     let m = miner(minsup(flags)?);
     let (f, g) = (diff_fn(flags)?, agg_fn(flags)?);
-    let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
-    let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
+    let d1 = load_transactions(req(flags, "d1")?)?;
+    let d2 = load_transactions(req(flags, "d2")?)?;
     let (s1, s2) = (CountSource::borrowed(&d1), CountSource::borrowed(&d2));
     let (m1, m2) = (m.mine_source(&s1), m.mine_source(&s2));
     let gcr = LitsFamily::gcr(&m1, &m2);
@@ -444,9 +467,13 @@ fn qualify(flags: &Flags) -> Result<(), String> {
         return Err("--reps must be at least 1: a significance needs bootstrap replicates".into());
     }
     let seed: u64 = opt(flags, "seed", 7)?;
-    let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
-    let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
-    let pipeline = |a: &focus_core::data::TransactionSet, b: &focus_core::data::TransactionSet| {
+    // Bootstrap resampling draws from the pooled rows, so both sides need
+    // at least one.
+    let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
+    let (d1, d2) = (load_transactions(p1)?, load_transactions(p2)?);
+    require_rows(p1, d1.len())?;
+    require_rows(p2, d2.len())?;
+    let pipeline = |a: &TransactionSet, b: &TransactionSet| {
         let (sa, sb) = (CountSource::borrowed(a), CountSource::borrowed(b));
         let (ma, mb) = (m.mine_source(&sa), m.mine_source(&sb));
         let (f, g) = (DiffFn::Absolute, AggFn::Sum);
@@ -469,8 +496,7 @@ fn tree_params(flags: &Flags, n: usize) -> Result<TreeParams, String> {
 }
 
 fn tree(flags: &Flags) -> Result<(), String> {
-    let data =
-        read_labeled_table(File::open(req(flags, "data")?).map_err(io_err)?).map_err(io_err)?;
+    let data = load_table(req(flags, "data")?)?;
     let t = DecisionTree::fit(&data, tree_params(flags, data.len())?);
     eprintln!(
         "tree: {} leaves, depth {}, training error {:.4}",
@@ -485,8 +511,8 @@ fn tree(flags: &Flags) -> Result<(), String> {
 }
 
 fn deviate_dt(flags: &Flags) -> Result<(), String> {
-    let d1 = read_labeled_table(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
-    let d2 = read_labeled_table(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
+    let d1 = load_table(req(flags, "d1")?)?;
+    let d2 = load_table(req(flags, "d2")?)?;
     let m1 = DecisionTree::fit(&d1, tree_params(flags, d1.len())?).to_model();
     let m2 = DecisionTree::fit(&d2, tree_params(flags, d2.len())?).to_model();
     let (f, g) = (DiffFn::Absolute, AggFn::Sum);
@@ -574,19 +600,17 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
     warn_torn(&reg);
     let entry = match kind {
         SnapshotKind::Lits => {
-            let data = read_transactions(File::open(data_path).map_err(io_err)?).map_err(io_err)?;
+            let data = load_transactions(data_path)?;
             reg.add(name, &data, minsup).map_err(io_err)?
         }
         SnapshotKind::Dt => {
-            let data =
-                read_labeled_table(File::open(data_path).map_err(io_err)?).map_err(io_err)?;
+            let data = load_table(data_path)?;
             let model = DecisionTree::fit(&data, tree_params(flags, data.len())?).to_model();
             reg.add_snapshot::<DtFamily>(name, &data, &model)
                 .map_err(io_err)?
         }
         SnapshotKind::Cluster => {
-            let data = focus_data::io::read_table(File::open(data_path).map_err(io_err)?)
-                .map_err(io_err)?;
+            let data = load_table(data_path)?.table;
             let k: usize = opt(flags, "clusters", 3)?;
             if k == 0 {
                 return Err("--clusters must be at least 1".to_string());

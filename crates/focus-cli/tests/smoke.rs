@@ -479,3 +479,108 @@ fn out_of_range_generator_arguments_are_named_errors() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn malformed_inputs_are_named_errors() {
+    // Each fixture used to pass the reader and then panic in a fitter or
+    // the bootstrap (exit 101). Every command that reads it must reject it
+    // with exit code 1 and an `error:` line naming the problem.
+    let dir = scratch("malformed");
+    let good_tbl = dir.join("good.tbl");
+    let good_txt = dir.join("good.txt");
+    run(&[
+        "gen-class",
+        "--out",
+        path_str(&good_tbl),
+        "--n",
+        "50",
+        "--function",
+        "F2",
+    ]);
+    run(&[
+        "gen-assoc",
+        "--out",
+        path_str(&good_txt),
+        "--n",
+        "50",
+        "--pats",
+        "20",
+    ]);
+    let (good_tbl, good_txt) = (path_str(&good_tbl), path_str(&good_txt));
+    let reg = dir.join("reg");
+    let reg = path_str(&reg);
+    let fixtures = [
+        (
+            "nan.tbl",
+            "#num x\n#num y\n#classes 2\n1,2,0\n3,nan,1\n",
+            "line 5: non-finite numeric \"nan\" for attribute \"y\"",
+        ),
+        (
+            "inf.tbl",
+            "#num x\n#num y\n#classes 2\n1,2,0\n3,inf,1\n",
+            "line 5: non-finite numeric \"inf\" for attribute \"y\"",
+        ),
+        (
+            "ninf.tbl",
+            "#num x\n#num y\n#classes 2\n-inf,2,0\n",
+            "line 4: non-finite numeric \"-inf\" for attribute \"x\"",
+        ),
+        ("classes0.tbl", "#num x\n#classes 0\n1,0\n", "#classes"),
+        ("empty.tbl", "#num x\n#num y\n#classes 2\n", "has no rows"),
+        ("empty.txt", "#items 10\n", "has no rows"),
+    ];
+    for (file, text, expected) in fixtures {
+        let path = dir.join(file);
+        std::fs::write(&path, text).unwrap();
+        let p = path_str(&path);
+        let commands: Vec<Vec<&str>> = if file.ends_with(".tbl") {
+            vec![
+                vec!["tree", "--data", p],
+                vec!["deviate-dt", "--d1", p, "--d2", good_tbl],
+                vec!["deviate-dt", "--d1", good_tbl, "--d2", p],
+                vec![
+                    "registry-add",
+                    "--dir",
+                    reg,
+                    "--data",
+                    p,
+                    "--name",
+                    "a",
+                    "--kind",
+                    "dt",
+                ],
+                vec![
+                    "registry-add",
+                    "--dir",
+                    reg,
+                    "--data",
+                    p,
+                    "--name",
+                    "a",
+                    "--kind",
+                    "cluster",
+                ],
+            ]
+        } else {
+            vec![
+                vec!["qualify", "--d1", p, "--d2", good_txt, "--reps", "3"],
+                vec!["qualify", "--d1", good_txt, "--d2", p, "--reps", "3"],
+            ]
+        };
+        for args in commands {
+            let out = Command::new(bin())
+                .args(&args)
+                .output()
+                .expect("failed to spawn focus-cli");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+            assert!(err.starts_with("error: "), "{args:?}: {err}");
+            assert!(
+                err.contains(p) && err.contains(expected),
+                "{args:?} must name {p} and {expected:?}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -331,34 +331,6 @@ impl LabeledTable {
         self.subset(&idx)
     }
 
-    /// Draws a sample *with* replacement of `ceil(fraction · n)` rows.
-    pub fn sample_fraction_wr(&self, fraction: f64, seed: u64) -> LabeledTable {
-        assert!((0.0..=1.0).contains(&fraction));
-        let k = ((fraction * self.len() as f64).ceil() as usize).min(self.len());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let idx = resample_indices(self.len(), k, &mut rng);
-        self.subset(&idx)
-    }
-
-    /// Draws a *stratified* sample without replacement: `ceil(fraction ·
-    /// n_c)` rows independently from each class `c`, preserving the class
-    /// mix (useful when a rare class would otherwise vanish from small
-    /// samples).
-    pub fn sample_stratified(&self, fraction: f64, seed: u64) -> LabeledTable {
-        assert!((0.0..=1.0).contains(&fraction));
-        let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); self.n_classes as usize];
-        for (i, &label) in self.labels.iter().enumerate() {
-            by_class[label as usize].push(i);
-        }
-        let mut chosen: Vec<usize> = Vec::new();
-        for (c, rows) in by_class.iter().enumerate() {
-            let local = sample_indices(rows.len(), fraction, seed ^ (c as u64) << 17);
-            chosen.extend(local.into_iter().map(|j| rows[j]));
-        }
-        chosen.sort_unstable();
-        self.subset(&chosen)
-    }
-
     /// Concatenates two labelled tables over the same schema.
     pub fn concat(&self, other: &LabeledTable) -> LabeledTable {
         assert_eq!(
@@ -517,17 +489,6 @@ impl TransactionSet {
     /// paper's Figure 9 labels these curves "WOR").
     pub fn sample_fraction(&self, fraction: f64, seed: u64) -> TransactionSet {
         let idx = sample_indices(self.len(), fraction, seed);
-        self.subset(&idx)
-    }
-
-    /// Draws a sample *with* replacement of `ceil(fraction · n)`
-    /// transactions — the bootstrap-style counterpart of
-    /// [`Self::sample_fraction`].
-    pub fn sample_fraction_wr(&self, fraction: f64, seed: u64) -> TransactionSet {
-        assert!((0.0..=1.0).contains(&fraction));
-        let k = ((fraction * self.len() as f64).ceil() as usize).min(self.len());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let idx = resample_indices(self.len(), k, &mut rng);
         self.subset(&idx)
     }
 
@@ -754,41 +715,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), idx.len());
-    }
-
-    #[test]
-    fn with_replacement_sampling_sizes_and_duplicates() {
-        let mut ts = TransactionSet::new(10);
-        for i in 0..40 {
-            ts.push(vec![i % 10]);
-        }
-        let s = ts.sample_fraction_wr(0.5, 3);
-        assert_eq!(s.len(), 20);
-        // With replacement over 40 rows, 20 draws almost surely repeat at
-        // least once for some seed; check determinism instead of luck.
-        assert_eq!(s, ts.sample_fraction_wr(0.5, 3));
-        assert_ne!(s, ts.sample_fraction_wr(0.5, 4));
-    }
-
-    #[test]
-    fn stratified_sampling_preserves_class_mix() {
-        let s = demo_schema();
-        let mut t = LabeledTable::new(Arc::clone(&s), 2);
-        // 90 rows of class 0, 10 of class 1.
-        for i in 0..100 {
-            t.push_row(
-                &[Value::Num(i as f64), Value::Num(0.0), Value::Cat(0)],
-                u32::from(i >= 90),
-            );
-        }
-        let sample = t.sample_stratified(0.2, 7);
-        let c1 = sample.labels.iter().filter(|&&l| l == 1).count();
-        let c0 = sample.labels.iter().filter(|&&l| l == 0).count();
-        assert_eq!(c0, 18, "ceil(0.2·90)");
-        assert_eq!(c1, 2, "ceil(0.2·10): the rare class survives");
-        // Plain WOR sampling could have dropped class 1 entirely; the
-        // stratified sampler cannot.
-        assert!(c1 > 0);
     }
 
     #[test]

@@ -86,24 +86,6 @@ pub fn deviation_fixed(
     g.eval(per_region)
 }
 
-/// As [`deviation_fixed`] but over already-normalized selectivities (the
-/// dataset sizes are still passed through to `f` since χ² needs them).
-pub fn deviation_fixed_selectivities(
-    sel1: &[f64],
-    sel2: &[f64],
-    n1: u64,
-    n2: u64,
-    f: DiffFn,
-    g: AggFn,
-) -> f64 {
-    assert_eq!(sel1.len(), sel2.len());
-    g.eval(
-        sel1.iter()
-            .zip(sel2)
-            .map(|(&a, &b)| f.eval(a * n1 as f64, b * n2 as f64, n1 as f64, n2 as f64)),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // The generic engine (Definition 3.6, any model family)
 // ---------------------------------------------------------------------------

@@ -161,18 +161,6 @@ impl DtModel {
         self.measures[leaf * self.n_classes as usize + class as usize]
     }
 
-    /// The full structural component in the paper's sense: every leaf
-    /// crossed with every class label.
-    pub fn class_regions(&self) -> Vec<BoxRegion> {
-        let mut out = Vec::with_capacity(self.leaves.len() * self.n_classes as usize);
-        for leaf in &self.leaves {
-            for c in 0..self.n_classes {
-                out.push(leaf.with_class(c));
-            }
-        }
-        out
-    }
-
     /// Index of the leaf containing `row`, if any. Leaves partition the
     /// space, so at most one matches.
     pub fn locate(&self, row: &[crate::data::Value]) -> Option<usize> {
@@ -340,28 +328,6 @@ pub fn count_boxes(data: &Table, boxes: &[BoxRegion], par: Parallelism) -> Vec<u
     merge_counts(parts)
 }
 
-/// Counts labelled rows per class-carrying box (used when GCR cells carry
-/// class labels explicitly), scanning row chunks on `par` worker threads.
-pub fn count_labeled_boxes(data: &LabeledTable, boxes: &[BoxRegion], par: Parallelism) -> Vec<u64> {
-    let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
-        let mut counts = vec![0u64; boxes.len()];
-        for r in range {
-            let row = data.table.row(r);
-            let label = data.labels[r];
-            for (i, b) in boxes.iter().enumerate() {
-                if b.contains_labeled(row, label) {
-                    counts[i] += 1;
-                }
-            }
-        }
-        counts
-    });
-    if parts.is_empty() {
-        return vec![0u64; boxes.len()];
-    }
-    merge_counts(parts)
-}
-
 /// Builds a [`DtModel`] measure component for an externally supplied leaf
 /// partition by scanning a dataset.
 pub fn induce_dt_measures(leaves: Vec<BoxRegion>, data: &LabeledTable) -> DtModel {
@@ -510,20 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn class_regions_expand_leaves() {
-        let (schema, t) = toy_labeled();
-        let leaves = vec![
-            BoxBuilder::new(&schema).lt("age", 25.0).build(),
-            BoxBuilder::new(&schema).ge("age", 25.0).build(),
-        ];
-        let m = induce_dt_measures(leaves, &t);
-        let regions = m.class_regions();
-        assert_eq!(regions.len(), 4);
-        assert_eq!(regions[0].class, Some(0));
-        assert_eq!(regions[1].class, Some(1));
-    }
-
-    #[test]
     fn count_boxes_allows_overlap() {
         let (schema, t) = toy_labeled();
         let boxes = vec![
@@ -532,17 +484,6 @@ mod tests {
         ];
         let counts = count_boxes(&t.table, &boxes, Parallelism::Global);
         assert_eq!(counts, vec![3, 3]);
-    }
-
-    #[test]
-    fn count_labeled_boxes_respects_class() {
-        let (schema, t) = toy_labeled();
-        let b0 = BoxBuilder::new(&schema).class(0).build();
-        let b1 = BoxBuilder::new(&schema).class(1).build();
-        assert_eq!(
-            count_labeled_boxes(&t, &[b0, b1], Parallelism::Global),
-            vec![2, 2]
-        );
     }
 
     #[test]

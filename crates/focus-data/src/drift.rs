@@ -1,22 +1,21 @@
 //! Controlled drift injection — workload builders for drift-detection
 //! experiments.
 //!
-//! The paper's evaluation constructs drifted datasets by regenerating with
-//! different process parameters or appending foreign blocks. These helpers
-//! add finer-grained, *surgical* drift operators so the sensitivity of the
-//! deviation measure can be probed one effect at a time:
+//! The paper's evaluation builds drifted datasets by regenerating with
+//! different process parameters, or by appending a foreign block (its
+//! `D + δ` construction, which is [`TransactionSet::concat`]). The
+//! operators here inject one effect at a time instead, so the sensitivity
+//! of the deviation measure can be probed in isolation:
 //!
 //! * [`flip_labels`] — label noise (classification drift without feature
 //!   drift);
-//! * [`shift_numeric`] — translate one numeric attribute (covariate drift);
 //! * [`permute_items`] — rename items under a permutation (pure structural
 //!   drift: supports are preserved, the itemsets move);
 //! * [`dilute_item`] — probabilistically delete one item (support drift in
 //!   a single region — the paper's "variation of a single pattern" setting
-//!   from the related-work discussion);
-//! * [`inject_block`] / `swap_block` — the paper's `D + δ` construction.
+//!   from the related-work discussion).
 
-use focus_core::data::{LabeledTable, TransactionSet, Value};
+use focus_core::data::{LabeledTable, TransactionSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,28 +34,6 @@ pub fn flip_labels(data: &LabeledTable, p: f64, seed: u64) -> LabeledTable {
             }
             *label = new;
         }
-    }
-    out
-}
-
-/// Translates a numeric attribute by `delta` in every row.
-pub fn shift_numeric(data: &LabeledTable, attr: &str, delta: f64) -> LabeledTable {
-    let idx = data
-        .table
-        .schema()
-        .index_of(attr)
-        .unwrap_or_else(|| panic!("unknown attribute {attr:?}"));
-    let schema = std::sync::Arc::clone(data.table.schema());
-    let mut out = LabeledTable::new(schema, data.n_classes);
-    let mut buf: Vec<Value> = Vec::with_capacity(data.table.schema().len());
-    for (row, label) in data.rows() {
-        buf.clear();
-        buf.extend_from_slice(row);
-        match &mut buf[idx] {
-            Value::Num(x) => *x += delta,
-            Value::Cat(_) => panic!("attribute {attr:?} is categorical"),
-        }
-        out.push_row(&buf, label);
     }
     out
 }
@@ -90,20 +67,6 @@ pub fn dilute_item(data: &TransactionSet, item: u32, p: f64, seed: u64) -> Trans
     out
 }
 
-/// The paper's `D + δ` construction: `base` extended with `block`.
-pub fn inject_block(base: &TransactionSet, block: &TransactionSet) -> TransactionSet {
-    base.concat(block)
-}
-
-/// Replaces the last `block.len()` transactions of `base` with `block`
-/// (a sliding-window regime change rather than pure growth).
-pub fn swap_block(base: &TransactionSet, block: &TransactionSet) -> TransactionSet {
-    assert!(block.len() <= base.len(), "block larger than base");
-    let keep = base.len() - block.len();
-    let indices: Vec<usize> = (0..keep).collect();
-    base.subset(&indices).concat(block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,25 +93,6 @@ mod tests {
     fn flip_labels_zero_is_identity() {
         let data = ClassifyGen::new(ClassifyFn::F2).generate(200, 3);
         assert_eq!(flip_labels(&data, 0.0, 4), data);
-    }
-
-    #[test]
-    fn shift_numeric_translates_exactly() {
-        let data = ClassifyGen::new(ClassifyFn::F1).generate(100, 5);
-        let shifted = shift_numeric(&data, "age", 10.0);
-        let ai = data.table.schema().index_of("age").unwrap();
-        for (orig, new) in data.table.rows().zip(shifted.table.rows()) {
-            assert_eq!(orig[ai].as_num() + 10.0, new[ai].as_num());
-            // Other attributes untouched.
-            assert_eq!(orig[0], new[0]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "categorical")]
-    fn shift_numeric_rejects_categorical() {
-        let data = ClassifyGen::new(ClassifyFn::F1).generate(10, 5);
-        shift_numeric(&data, "elevel", 1.0);
     }
 
     #[test]
@@ -190,20 +134,6 @@ mod tests {
         // Another item is untouched.
         let other = (target + 1) % 100;
         assert_eq!(count(&data, other), count(&diluted, other));
-    }
-
-    #[test]
-    fn block_operators_sizes() {
-        let gen = AssocGen::new(AssocGenParams::small(), 15);
-        let base = gen.generate(1000, 1);
-        let block = gen.generate(100, 2);
-        assert_eq!(inject_block(&base, &block).len(), 1100);
-        let swapped = swap_block(&base, &block);
-        assert_eq!(swapped.len(), 1000);
-        // The tail of the swapped dataset IS the block.
-        for i in 0..block.len() {
-            assert_eq!(swapped.get(900 + i), block.get(i));
-        }
     }
 
     #[test]

@@ -100,8 +100,9 @@ pub fn read_labeled_table<R: Read>(r: R) -> std::io::Result<LabeledTable> {
     let reader = BufReader::new(r);
     let mut attrs = Vec::new();
     let mut n_classes: Option<u32> = None;
-    let mut rows: Vec<String> = Vec::new();
-    for line in reader.lines() {
+    // Data rows with their 1-based file line, for error messages.
+    let mut rows: Vec<(usize, String)> = Vec::new();
+    for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         if let Some(rest) = line.strip_prefix("#num ") {
             attrs.push(Schema::numeric(rest.trim()));
@@ -115,45 +116,64 @@ pub fn read_labeled_table<R: Read>(r: R) -> std::io::Result<LabeledTable> {
                 .map_err(|e| bad(&format!("bad cardinality: {e}")))?;
             attrs.push(Schema::categorical(name, card));
         } else if let Some(rest) = line.strip_prefix("#classes ") {
-            n_classes = Some(
-                rest.trim()
-                    .parse()
-                    .map_err(|e| bad(&format!("bad #classes: {e}")))?,
-            );
+            let k: u32 = rest
+                .trim()
+                .parse()
+                .map_err(|e| bad(&format!("bad #classes: {e}")))?;
+            if k == 0 {
+                return Err(bad("#classes must be at least 1"));
+            }
+            n_classes = Some(k);
         } else if !line.trim().is_empty() {
-            rows.push(line);
+            rows.push((lineno + 1, line));
         }
     }
     let n_classes = n_classes.ok_or_else(|| bad("missing #classes header"))?;
     let schema = Arc::new(Schema::new(attrs));
     let mut out = LabeledTable::new(Arc::clone(&schema), n_classes);
     let mut row_buf: Vec<Value> = Vec::with_capacity(schema.len());
-    for line in rows {
+    for (lineno, line) in rows {
         row_buf.clear();
         let fields: Vec<&str> = line.split(',').collect();
         if fields.len() != schema.len() + 1 {
             return Err(bad(&format!(
-                "row has {} fields, expected {}",
+                "line {lineno}: row has {} fields, expected {}",
                 fields.len(),
                 schema.len() + 1
             )));
         }
         for (f, a) in fields[..schema.len()].iter().zip(schema.attrs()) {
             let v = match a.ty {
-                AttrType::Numeric => Value::Num(
-                    f.parse()
-                        .map_err(|e| bad(&format!("bad numeric {f:?}: {e}")))?,
-                ),
+                AttrType::Numeric => {
+                    let x: f64 = f.parse().map_err(|e| {
+                        bad(&format!(
+                            "line {lineno}: bad numeric {f:?} for attribute {:?}: {e}",
+                            a.name
+                        ))
+                    })?;
+                    // `parse` accepts `nan` and `inf`; split search and box
+                    // containment assume finite values.
+                    if !x.is_finite() {
+                        return Err(bad(&format!(
+                            "line {lineno}: non-finite numeric {f:?} for attribute {:?}",
+                            a.name
+                        )));
+                    }
+                    Value::Num(x)
+                }
                 AttrType::Categorical { cardinality } => {
-                    let code: u32 = f
-                        .parse()
-                        .map_err(|e| bad(&format!("bad category {f:?}: {e}")))?;
+                    let code: u32 = f.parse().map_err(|e| {
+                        bad(&format!(
+                            "line {lineno}: bad category {f:?} for attribute {:?}: {e}",
+                            a.name
+                        ))
+                    })?;
                     // Range-check here: `push_row` guards the same invariant
                     // with an assert, but a malformed file must fail with
                     // `InvalidData`, not a panic.
                     if code >= cardinality {
                         return Err(bad(&format!(
-                            "category code {code} out of range 0..{cardinality} for attribute {:?}",
+                            "line {lineno}: category code {code} out of range 0..{cardinality} for attribute {:?}",
                             a.name
                         )));
                     }
@@ -165,9 +185,11 @@ pub fn read_labeled_table<R: Read>(r: R) -> std::io::Result<LabeledTable> {
         let label: u32 = fields[schema.len()]
             .trim()
             .parse()
-            .map_err(|e| bad(&format!("bad label: {e}")))?;
+            .map_err(|e| bad(&format!("line {lineno}: bad class label: {e}")))?;
         if label >= n_classes {
-            return Err(bad(&format!("label {label} out of range 0..{n_classes}")));
+            return Err(bad(&format!(
+                "line {lineno}: class label {label} out of range 0..{n_classes}"
+            )));
         }
         out.push_row(&row_buf, label);
     }
@@ -273,14 +295,33 @@ mod tests {
     fn rejects_out_of_range_label_without_panicking() {
         let err = read_labeled_table("#num x\n#classes 2\n1.0,5\n".as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("label 5"), "{err}");
+        assert!(err.to_string().contains("line 3: class label 5"), "{err}");
     }
 
     #[test]
     fn rejects_out_of_range_category_without_panicking() {
         let err = read_labeled_table("#cat color 3\n#classes 2\n7,0\n".as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("code 7"), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("line 3: category code 7"), "{msg}");
+        assert!(msg.contains("\"color\""), "{msg}");
+    }
+
+    #[test]
+    fn rejects_non_finite_numerics_and_zero_classes() {
+        for v in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            let text = format!("#num x\n#num age\n#classes 2\n1.0,2.0,0\n1.0,{v},1\n");
+            let err = read_labeled_table(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("line 5") && msg.contains("\"age\"") && msg.contains("non-finite"),
+                "{v}: {msg}"
+            );
+        }
+        let err = read_labeled_table("#num x\n#classes 0\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("#classes"), "{err}");
     }
 
     #[test]

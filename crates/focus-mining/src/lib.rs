@@ -28,9 +28,5 @@
 #![forbid(unsafe_code)]
 
 pub mod apriori;
-pub mod condense;
-pub mod rules;
 
 pub use apriori::{Apriori, AprioriParams};
-pub use condense::{closed_itemsets, maximal_itemsets};
-pub use rules::{generate_rules, rule_set_deviation, Rule};

@@ -27,7 +27,6 @@
 pub mod bootstrap;
 pub mod describe;
 pub mod dist;
-pub mod ks;
 pub mod sample;
 pub mod special;
 pub mod wilcoxon;
@@ -36,6 +35,5 @@ pub use bootstrap::{bootstrap_two_sample, significance_percent, BootstrapResult}
 pub use describe::{mean, median, pearson, percentile, spearman, stddev, variance};
 pub use dist::{ChiSquared, Normal};
 pub use focus_exec::Parallelism;
-pub use ks::{kolmogorov_sf, ks_two_sample, KsResult};
 pub use sample::{Exponential, NormalSampler, Poisson};
 pub use wilcoxon::{rank_sum, Alternative, WilcoxonResult};

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod prune;
 pub mod split;
 pub mod tree;
 

@@ -72,72 +72,35 @@ pub struct Candidate {
 }
 
 /// Finds the best split of `rows` (indices into `data`) over all
-/// attributes. Returns `None` when no split leaves at least `min_leaf` rows
-/// on each side.
-pub fn best_split(
-    data: &LabeledTable,
-    rows: &[usize],
-    min_leaf: usize,
-    scratch_sorted: &mut Vec<usize>,
-) -> Option<Candidate> {
-    let k = data.n_classes as usize;
-    let mut best: Option<Candidate> = None;
-    for attr in 0..data.table.schema().len() {
-        let cand = eval_attr(data, rows, attr, min_leaf, k, scratch_sorted);
-        consider_in_order(&mut best, cand);
-    }
-    best
-}
-
-/// [`best_split`] with the per-attribute evaluations fanned out over `par`
-/// worker threads.
+/// attributes, with the per-attribute evaluations fanned out over `par`
+/// worker threads. Returns `None` when no split leaves at least `min_leaf`
+/// rows on each side.
 ///
 /// Each attribute's sweep is an independent unit of work whose result is a
 /// single candidate; the candidates come back in attribute order and are
-/// folded with the same strict `<` comparison the sequential loop uses, so
-/// the chosen split — ties included — is identical for every thread count.
-pub fn best_split_par(
+/// folded with a strict `<` comparison, so the earlier attribute wins ties
+/// and the chosen split is identical for every thread count.
+pub fn best_split(
     data: &LabeledTable,
     rows: &[usize],
     min_leaf: usize,
     par: Parallelism,
 ) -> Option<Candidate> {
     let k = data.n_classes as usize;
-    let candidates = map_indices(par, data.table.schema().len(), |attr| {
-        eval_attr(data, rows, attr, min_leaf, k, &mut Vec::new())
-    });
-    let mut best: Option<Candidate> = None;
-    for cand in candidates {
-        consider_in_order(&mut best, cand);
-    }
-    best
-}
-
-/// Evaluates one attribute's best split.
-fn eval_attr(
-    data: &LabeledTable,
-    rows: &[usize],
-    attr: usize,
-    min_leaf: usize,
-    k: usize,
-    scratch_sorted: &mut Vec<usize>,
-) -> Option<Candidate> {
-    match &data.table.schema().attr(attr).ty {
-        AttrType::Numeric => best_numeric_split(data, rows, attr, min_leaf, k, scratch_sorted),
+    let schema = data.table.schema();
+    let candidates = map_indices(par, schema.len(), |attr| match &schema.attr(attr).ty {
+        AttrType::Numeric => best_numeric_split(data, rows, attr, min_leaf, k),
         AttrType::Categorical { cardinality } => {
             best_categorical_split(data, rows, attr, *cardinality, min_leaf, k)
         }
-    }
-}
-
-/// Keeps `cand` only when strictly better — the earlier attribute wins ties,
-/// exactly as the sequential attribute loop does.
-fn consider_in_order(best: &mut Option<Candidate>, cand: Option<Candidate>) {
-    if let Some(c) = cand {
+    });
+    let mut best: Option<Candidate> = None;
+    for c in candidates.into_iter().flatten() {
         if best.as_ref().is_none_or(|b| c.impurity < b.impurity) {
-            *best = Some(c);
+            best = Some(c);
         }
     }
+    best
 }
 
 /// Best threshold split on a numeric attribute: sort the rows by value,
@@ -149,10 +112,8 @@ fn best_numeric_split(
     attr: usize,
     min_leaf: usize,
     k: usize,
-    sorted: &mut Vec<usize>,
 ) -> Option<Candidate> {
-    sorted.clear();
-    sorted.extend_from_slice(rows);
+    let mut sorted = rows.to_vec();
     sorted.sort_by(|&a, &b| {
         data.table.row(a)[attr]
             .as_num()
@@ -292,6 +253,18 @@ mod tests {
     use focus_core::data::Schema;
     use std::sync::Arc;
 
+    /// Every split test runs sequentially and on 2–4 worker threads: the
+    /// chosen split must not depend on the fan-out.
+    fn every_par() -> impl Iterator<Item = Parallelism> {
+        std::iter::once(Parallelism::Sequential).chain((2..=4).map(Parallelism::Threads))
+    }
+
+    /// `best_split` over all rows of `data`.
+    fn split_all(data: &LabeledTable, min_leaf: usize, par: Parallelism) -> Option<Candidate> {
+        let rows: Vec<usize> = (0..data.len()).collect();
+        best_split(data, &rows, min_leaf, par)
+    }
+
     #[test]
     fn gini_values() {
         assert_eq!(gini(&[10, 0]), 0.0);
@@ -319,37 +292,40 @@ mod tests {
             (11.0, 1),
             (12.0, 1),
         ]);
-        let rows: Vec<usize> = (0..data.len()).collect();
-        let c = best_split(&data, &rows, 1, &mut Vec::new()).expect("split");
-        match c.rule {
-            SplitRule::Threshold { attr, threshold } => {
-                assert_eq!(attr, 0);
-                assert!((3.0..=10.0).contains(&threshold), "t = {threshold}");
+        for par in every_par() {
+            let c = split_all(&data, 1, par).expect("split");
+            match c.rule {
+                SplitRule::Threshold { attr, threshold } => {
+                    assert_eq!(attr, 0);
+                    assert!((3.0..=10.0).contains(&threshold), "t = {threshold}");
+                }
+                _ => panic!("expected numeric split"),
             }
-            _ => panic!("expected numeric split"),
+            assert_eq!(c.impurity, 0.0, "clean boundary → pure children");
         }
-        assert_eq!(c.impurity, 0.0, "clean boundary → pure children");
     }
 
     #[test]
     fn numeric_split_respects_min_leaf() {
         let data = numeric_data(&[(1.0, 0), (2.0, 0), (3.0, 0), (10.0, 1)]);
-        let rows: Vec<usize> = (0..data.len()).collect();
-        // min_leaf = 2 forbids the perfect 3/1 split; the best legal split is 2/2.
-        let c = best_split(&data, &rows, 2, &mut Vec::new()).expect("split");
-        match c.rule {
-            SplitRule::Threshold { threshold, .. } => {
-                assert!((2.0..3.0).contains(&threshold), "t = {threshold}");
+        for par in every_par() {
+            // min_leaf = 2 forbids the perfect 3/1 split; the best legal split is 2/2.
+            let c = split_all(&data, 2, par).expect("split");
+            match c.rule {
+                SplitRule::Threshold { threshold, .. } => {
+                    assert!((2.0..3.0).contains(&threshold), "t = {threshold}");
+                }
+                _ => panic!("expected numeric split"),
             }
-            _ => panic!("expected numeric split"),
         }
     }
 
     #[test]
     fn no_split_when_constant_attribute() {
         let data = numeric_data(&[(5.0, 0), (5.0, 1), (5.0, 0)]);
-        let rows: Vec<usize> = (0..data.len()).collect();
-        assert!(best_split(&data, &rows, 1, &mut Vec::new()).is_none());
+        for par in every_par() {
+            assert!(split_all(&data, 1, par).is_none());
+        }
     }
 
     fn categorical_data(pairs: &[(u32, u32)], card: u32) -> LabeledTable {
@@ -379,25 +355,27 @@ mod tests {
             ],
             4,
         );
-        let rows: Vec<usize> = (0..data.len()).collect();
-        let c = best_split(&data, &rows, 1, &mut Vec::new()).expect("split");
-        assert_eq!(c.impurity, 0.0);
-        match &c.rule {
-            SplitRule::Categories { mask, .. } => {
-                // One side = {0, 2}, the other = {1, 3}.
-                assert_eq!(mask.contains(0), mask.contains(2));
-                assert_eq!(mask.contains(1), mask.contains(3));
-                assert_ne!(mask.contains(0), mask.contains(1));
+        for par in every_par() {
+            let c = split_all(&data, 1, par).expect("split");
+            assert_eq!(c.impurity, 0.0);
+            match &c.rule {
+                SplitRule::Categories { mask, .. } => {
+                    // One side = {0, 2}, the other = {1, 3}.
+                    assert_eq!(mask.contains(0), mask.contains(2));
+                    assert_eq!(mask.contains(1), mask.contains(3));
+                    assert_ne!(mask.contains(0), mask.contains(1));
+                }
+                _ => panic!("expected categorical split"),
             }
-            _ => panic!("expected categorical split"),
         }
     }
 
     #[test]
     fn categorical_split_single_category_cannot_split() {
         let data = categorical_data(&[(1, 0), (1, 1), (1, 0)], 4);
-        let rows: Vec<usize> = (0..data.len()).collect();
-        assert!(best_split(&data, &rows, 1, &mut Vec::new()).is_none());
+        for par in every_par() {
+            assert!(split_all(&data, 1, par).is_none());
+        }
     }
 
     #[test]
@@ -429,11 +407,35 @@ mod tests {
             let signal = if i % 2 == 0 { 0.0 } else { 10.0 };
             data.push_row(&[Value::Num(noise), Value::Num(signal)], (i % 2) as u32);
         }
-        let rows: Vec<usize> = (0..data.len()).collect();
-        let c = best_split(&data, &rows, 1, &mut Vec::new()).expect("split");
-        match c.rule {
-            SplitRule::Threshold { attr, .. } => assert_eq!(attr, 1),
-            _ => panic!("expected numeric split"),
+        for par in every_par() {
+            let c = split_all(&data, 1, par).expect("split");
+            match c.rule {
+                SplitRule::Threshold { attr, .. } => assert_eq!(attr, 1),
+                _ => panic!("expected numeric split"),
+            }
+        }
+    }
+
+    #[test]
+    fn tied_attributes_pick_the_first() {
+        // Two identical attributes give identical candidates: the earlier
+        // attribute must win the tie whichever worker evaluated which.
+        let schema = Arc::new(Schema::new(vec![
+            Schema::numeric("a"),
+            Schema::numeric("b"),
+        ]));
+        let mut data = LabeledTable::new(schema, 2);
+        for i in 0..20 {
+            let x = i as f64;
+            data.push_row(&[Value::Num(x), Value::Num(x)], u32::from(i < 8));
+        }
+        for par in every_par() {
+            let c = split_all(&data, 1, par).expect("split");
+            assert_eq!(c.impurity, 0.0);
+            match c.rule {
+                SplitRule::Threshold { attr, .. } => assert_eq!(attr, 0, "{par:?}"),
+                _ => panic!("expected numeric split"),
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Tree construction, prediction, and export to FOCUS dt-models.
 
-use crate::split::{best_split, best_split_par, gini, SplitRule};
+use crate::split::{best_split, gini, SplitRule};
 use focus_core::data::{LabeledTable, Value};
 use focus_core::model::DtModel;
 use focus_core::region::{AttrConstraint, BoxRegion};
@@ -99,7 +99,7 @@ impl DecisionTree {
     /// Parallelism enters in two places, neither of which can change the
     /// result: the greedy split search evaluates attributes concurrently
     /// (each attribute's sweep is self-contained; candidates fold in
-    /// attribute order — see [`best_split_par`]), and after a split the two
+    /// attribute order — see [`best_split`]), and after a split the two
     /// sibling subtrees build concurrently via [`focus_exec::join`], each
     /// fork halving the remaining thread budget. Subtrees assemble in
     /// left-before-right preorder, reproducing the sequential node layout
@@ -108,8 +108,7 @@ impl DecisionTree {
     pub fn fit_par(data: &LabeledTable, params: TreeParams, par: Parallelism) -> Self {
         assert!(!data.is_empty(), "cannot fit a tree on an empty dataset");
         let rows: Vec<usize> = (0..data.len()).collect();
-        let mut scratch = Vec::new();
-        let nodes = build_subtree(data, rows, 0, &params, par.threads(), &mut scratch);
+        let nodes = build_subtree(data, rows, 0, &params, par.threads());
         Self {
             nodes,
             n_classes: data.n_classes,
@@ -210,6 +209,37 @@ impl DecisionTree {
             }
         }
     }
+
+    /// Renders the tree as an indented text diagram.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_node(0, 0, &mut out);
+        out
+    }
+
+    fn render_node(&self, i: usize, depth: usize, out: &mut String) {
+        let pad = "  ".repeat(depth);
+        match &self.nodes[i] {
+            Node::Leaf { counts, prediction } => {
+                out.push_str(&format!("{pad}leaf → class {prediction} {counts:?}\n"));
+            }
+            Node::Internal { rule, left, right } => {
+                let cond = match rule {
+                    SplitRule::Threshold { attr, threshold } => {
+                        format!("{} < {:.4}", self.schema.attr(*attr).name, threshold)
+                    }
+                    SplitRule::Categories { attr, mask } => {
+                        let codes: Vec<String> = mask.iter().map(|c| c.to_string()).collect();
+                        format!("{} ∈ {{{}}}", self.schema.attr(*attr).name, codes.join(","))
+                    }
+                };
+                out.push_str(&format!("{pad}if {cond}:\n"));
+                self.render_node(*left, depth + 1, out);
+                out.push_str(&format!("{pad}else:\n"));
+                self.render_node(*right, depth + 1, out);
+            }
+        }
+    }
 }
 
 /// Builds the subtree over `rows` and returns its nodes in DFS preorder
@@ -224,7 +254,6 @@ fn build_subtree(
     depth: usize,
     params: &TreeParams,
     budget: usize,
-    scratch: &mut Vec<usize>,
 ) -> Vec<Node> {
     let k = data.n_classes as usize;
     let mut counts = vec![0u64; k];
@@ -245,12 +274,12 @@ fn build_subtree(
     if pure || depth >= params.max_depth || rows.len() < params.min_split {
         return make_leaf(counts);
     }
-    let cand = if budget >= 2 && rows.len() >= PAR_SUBTREE_MIN_ROWS {
-        best_split_par(data, &rows, params.min_leaf, Parallelism::Threads(budget))
+    let par = if budget >= 2 && rows.len() >= PAR_SUBTREE_MIN_ROWS {
+        Parallelism::Threads(budget)
     } else {
-        best_split(data, &rows, params.min_leaf, scratch)
+        Parallelism::Sequential
     };
-    let Some(cand) = cand else {
+    let Some(cand) = best_split(data, &rows, params.min_leaf, par) else {
         return make_leaf(counts);
     };
     if gini(&counts) - cand.impurity < params.min_gain {
@@ -274,13 +303,13 @@ fn build_subtree(
             let (lb, rb) = (budget.div_ceil(2), budget / 2);
             focus_exec::join(
                 Parallelism::Threads(budget),
-                move || build_subtree(data, rows, depth + 1, params, lb, &mut Vec::new()),
-                move || build_subtree(data, right_rows, depth + 1, params, rb, &mut Vec::new()),
+                move || build_subtree(data, rows, depth + 1, params, lb),
+                move || build_subtree(data, right_rows, depth + 1, params, rb),
             )
         } else {
             (
-                build_subtree(data, rows, depth + 1, params, budget, scratch),
-                build_subtree(data, right_rows, depth + 1, params, budget, scratch),
+                build_subtree(data, rows, depth + 1, params, budget),
+                build_subtree(data, right_rows, depth + 1, params, budget),
             )
         };
 
@@ -496,6 +525,15 @@ mod tests {
         let a = DecisionTree::fit(&data, TreeParams::default());
         let b = DecisionTree::fit(&data, TreeParams::default());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn render_mentions_attributes_and_leaves() {
+        let data = boundary_data(200, 40.0, 15);
+        let tree = DecisionTree::fit(&data, TreeParams::default());
+        let text = tree.render();
+        assert!(text.contains("if x <"));
+        assert!(text.contains("leaf → class"));
     }
 
     #[test]

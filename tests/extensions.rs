@@ -1,14 +1,13 @@
 //! Integration tests for the extension subsystems: BIRCH-driven cluster
-//! deviations, association rules under drift, counting-engine parity,
-//! model persistence, drift injection, and the KS cross-check.
+//! deviations, counting-engine parity, model persistence and drift
+//! injection.
 
 use focus::cluster::{Birch, BirchParams, KMeans, KMeansParams};
 use focus::core::prelude::*;
 use focus::data::assoc::{AssocGen, AssocGenParams};
 use focus::data::classify::{ClassifyFn, ClassifyGen};
 use focus::data::drift;
-use focus::mining::{generate_rules, rule_set_deviation, Apriori, AprioriParams};
-use focus::stats::ks::ks_two_sample;
+use focus::mining::{Apriori, AprioriParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -75,26 +74,6 @@ fn birch_and_kmeans_cluster_models_agree_on_deviation_ordering() {
             "{substrate}: moved {dev_moved} !> same {dev_same}"
         );
     }
-}
-
-#[test]
-fn association_rules_drift_with_the_process() {
-    let p1 = AssocGen::new(AssocGenParams::small(), 1);
-    let mut drifted = AssocGenParams::small();
-    drifted.avg_pattern_len = 7.0;
-    let p2 = AssocGen::new(drifted, 2);
-    let miner = Apriori::new(AprioriParams::with_minsup(0.03).min_count_floor(3));
-
-    let rules = |d: &TransactionSet| generate_rules(&miner.mine(d), 0.4);
-    let r_base = rules(&p1.generate(2500, 1));
-    let r_same = rules(&p1.generate(2500, 2));
-    let r_drift = rules(&p2.generate(2500, 3));
-    let dev_same = rule_set_deviation(&r_base, &r_same);
-    let dev_drift = rule_set_deviation(&r_base, &r_drift);
-    assert!(
-        dev_drift > dev_same,
-        "rule drift {dev_drift} !> same-process {dev_drift}"
-    );
 }
 
 #[test]
@@ -194,20 +173,11 @@ fn label_noise_increases_dt_deviation_monotonically() {
 #[test]
 fn item_permutation_preserves_magnitude_but_moves_structure() {
     // Permuting item ids preserves the support *distribution* but relocates
-    // every itemset: FOCUS must see a large structural deviation while the
-    // per-transaction length distribution (checked with KS) is unchanged.
+    // every itemset: FOCUS must see a large structural deviation.
     let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let gen = AssocGen::new(AssocGenParams::small(), 11);
     let d = gen.generate(2500, 1);
     let permuted = drift::permute_items(&d, 99);
-
-    let lengths = |ts: &TransactionSet| -> Vec<f64> { ts.iter().map(|t| t.len() as f64).collect() };
-    let ks = ks_two_sample(&lengths(&d), &lengths(&permuted));
-    assert!(
-        ks.p_value > 0.99,
-        "length distribution must be identical, p = {}",
-        ks.p_value
-    );
 
     let miner = Apriori::new(AprioriParams::with_minsup(0.03).min_count_floor(3));
     let m1 = miner.mine(&d);

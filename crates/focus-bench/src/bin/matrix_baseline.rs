@@ -1,9 +1,11 @@
 //! **Matrix baseline** — screened vs full-scan deviation-matrix timings
 //! for all three model families, recorded PR-over-PR in
-//! `BENCH_matrix.json`:
+//! `BENCH_matrix.json`. The thread sweep is one run per thread count:
 //!
 //! ```text
-//! cargo run --release -p focus-bench --bin matrix_baseline -- --threads 4 > BENCH_matrix.json
+//! for t in 1 2; do
+//!   cargo run --release -p focus-bench --bin matrix_baseline -- --threads $t
+//! done > BENCH_matrix.json
 //! ```
 //!
 //! One JSON object per (family, regime) lands on stdout; the human table
@@ -13,16 +15,20 @@
 //!
 //! * `full_scan` — threshold 0: every pair pays the exact GCR scan;
 //! * `screened` — median threshold: δ* bounds first, exact scans only
-//!   for the surviving pairs.
+//!   for the surviving pairs;
+//! * `bounds_only` — threshold `+∞`: the model-only δ* sweep alone, with
+//!   no exact scan (the "Time for δ*" column of Figure 13).
 //!
 //! Each regime runs `--samples` times (default 15); the recorded time is
 //! the minimum (the usual low-noise estimator for a deterministic
 //! computation). The prune fraction is exact and sample-independent:
 //! screening decisions are deterministic and bit-identical across thread
-//! counts.
+//! counts. The `bounds_only` row's threshold is JSON `null`, since JSON
+//! has no infinity. Every row is stamped with the worker-thread count
+//! and the git commit it ran at.
 
 use focus_bench::collections::{cluster_collection, dt_collection, lits_collection, median_bound};
-use focus_bench::{timed, ExpConfig};
+use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::family::ModelFamily;
 use focus_exec::Parallelism;
 use focus_registry::{deviation_matrix, DeviationMatrix, MatrixParams};
@@ -61,7 +67,11 @@ fn run_family<F: ModelFamily>(
     .expect("valid params");
     let mid = median_bound(&probe);
 
-    for (regime, threshold) in [("full_scan", 0.0), ("screened", mid)] {
+    for (regime, threshold) in [
+        ("full_scan", 0.0),
+        ("screened", mid),
+        ("bounds_only", f64::INFINITY),
+    ] {
         let params = MatrixParams {
             threshold,
             par: Parallelism::Global,
@@ -92,6 +102,8 @@ fn run_family<F: ModelFamily>(
 
 fn main() {
     let cfg = ExpConfig::parse(std::env::args().skip(1));
+    let threads = focus_exec::global_threads();
+    let commit = git_commit();
     let mut rows = Vec::new();
 
     let (models, datasets, names) = lits_collection();
@@ -125,18 +137,34 @@ fn main() {
     // JSON lines to stdout (the `BENCH_matrix.json` payload), the human
     // table to stderr so a redirect stays machine-readable.
     eprintln!(
-        "{:>8}  {:>9}  {:>9}  {:>5}  {:>7}  {:>6}  {:>6}  {:>8}",
+        "{:>8}  {:>11}  {:>9}  {:>5}  {:>7}  {:>6}  {:>6}  {:>8}",
         "Family", "Regime", "Threshold", "Pairs", "Scanned", "Pruned", "Prune%", "Best s"
     );
     for r in &rows {
         let frac = r.pruned as f64 / r.n_pairs as f64;
+        // JSON has no infinity: the `bounds_only` threshold is `null`.
+        let threshold = if r.threshold.is_finite() {
+            r.threshold.to_string()
+        } else {
+            "null".to_string()
+        };
         println!(
             "{{\"bench\":\"matrix\",\"family\":\"{}\",\"regime\":\"{}\",\"threshold\":{},\
-             \"pairs\":{},\"scanned\":{},\"pruned\":{},\"prune_fraction\":{:.4},\"secs\":{:.6}}}",
-            r.family, r.regime, r.threshold, r.n_pairs, r.scanned, r.pruned, frac, r.secs
+             \"pairs\":{},\"scanned\":{},\"pruned\":{},\"prune_fraction\":{:.4},\"secs\":{:.6},\
+             \"threads\":{},\"commit\":\"{}\"}}",
+            r.family,
+            r.regime,
+            threshold,
+            r.n_pairs,
+            r.scanned,
+            r.pruned,
+            frac,
+            r.secs,
+            threads,
+            commit
         );
         eprintln!(
-            "{:>8}  {:>9}  {:>9.4}  {:>5}  {:>7}  {:>6}  {:>6.2}  {:>8.4}",
+            "{:>8}  {:>11}  {:>9.4}  {:>5}  {:>7}  {:>6}  {:>6.2}  {:>8.4}",
             r.family, r.regime, r.threshold, r.n_pairs, r.scanned, r.pruned, frac, r.secs
         );
     }

@@ -1,0 +1,157 @@
+//! **Scaling** — wall time of the parallel execution engine's hot paths,
+//! recorded as one row per operation in `BENCH_scaling.json`. The thread
+//! sweep is one run per thread count:
+//!
+//! ```text
+//! for t in 1 2; do
+//!   cargo run --release -p focus-bench --bin scaling -- --threads $t
+//! done > BENCH_scaling.json
+//! ```
+//!
+//! The seven operations, each at `Parallelism::Global`:
+//!
+//! * `count_itemsets`, `count_partition`, `count_boxes` — the three
+//!   chunked dataset scans (itemset counting over a mined model's
+//!   itemsets, partition routing, box counting), over `--scale` × 1M rows
+//!   (20k at the default scale);
+//! * `qualify` — the bootstrap per-replicate fan-out of Section 3.4: each
+//!   of 8 replicates re-mines both pseudo-datasets and deviates them, over
+//!   two `--scale` × 100k-row datasets (2k at the default scale);
+//! * `dt_fit` — greedy tree induction (parallel split search and sibling
+//!   subtree forks);
+//! * `kmeans_fit` — k-means Lloyd iterations (parallel assignment and
+//!   fixed-order centroid folds);
+//! * `calibrate` — monitor calibration, one mine-and-deviate pipeline per
+//!   replicate, fanned out with per-replicate seeds.
+//!
+//! Results are bit-identical across thread counts (enforced by
+//! `tests/parallel_equiv.rs`); only the wall clock moves. Each operation
+//! runs `--samples` times and the recorded time is the minimum. One JSON
+//! object per operation lands on stdout, with the fields `bench`, `layer`
+//! (the operation), `scale`, `threads`, `commit` and `secs`; the human
+//! table goes to stderr.
+
+use focus_bench::{git_commit, timed, ExpConfig};
+use focus_cluster::{KMeans, KMeansParams};
+use focus_core::data::TransactionSet;
+use focus_core::deviation::deviate;
+use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::LitsFamily;
+use focus_core::model::{count_boxes, count_itemsets, count_partition};
+use focus_core::qualify::qualify_transactions;
+use focus_core::region::BoxBuilder;
+use focus_core::stream::calibrate_threshold;
+use focus_data::assoc::{AssocGen, AssocGenParams};
+use focus_data::classify::{ClassifyFn, ClassifyGen};
+use focus_exec::Parallelism;
+use focus_mining::{Apriori, AprioriParams};
+use focus_tree::{DecisionTree, TreeParams};
+use std::hint::black_box;
+
+/// The minimum elapsed seconds of `samples` runs of `op`.
+fn best_of<T>(samples: usize, mut op: impl FnMut() -> T) -> f64 {
+    (0..samples)
+        .map(|_| timed(|| black_box(op())).1)
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn main() {
+    let cfg = ExpConfig::parse(std::env::args().skip(1));
+    let par = Parallelism::Global;
+    let threads = focus_exec::global_threads();
+    let commit = git_commit();
+    let (big, small) = (cfg.rows(1_000_000), cfg.rows(100_000));
+    // JSON lines to stdout (the `BENCH_scaling.json` payload), the human
+    // table to stderr so a redirect stays machine-readable. Rows print as
+    // each operation finishes.
+    eprintln!(
+        "{:>15}  {:>7}  {:>7}  {:>9}",
+        "Op", "Scale", "Threads", "Best s"
+    );
+    let record = |layer: &str, secs: f64| {
+        println!(
+            "{{\"bench\":\"scaling\",\"layer\":\"{layer}\",\"scale\":{},\"threads\":{threads},\
+             \"commit\":\"{commit}\",\"secs\":{secs:.6}}}",
+            cfg.scale
+        );
+        eprintln!("{layer:>15}  {:>7}  {threads:>7}  {secs:>9.6}", cfg.scale);
+    };
+
+    // The chunked scans: a mined model's itemsets re-counted against its
+    // dataset, and a labelled table routed through three age bands.
+    let gen = AssocGen::new(AssocGenParams::paper(2000, 4.0), cfg.seed);
+    let txns = gen.generate(big, cfg.seed + 1);
+    let model = Apriori::new(AprioriParams::with_minsup(0.01).max_len(10)).mine(&txns);
+    let itemsets = model.itemsets().to_vec();
+    let labeled = ClassifyGen::new(ClassifyFn::F2).generate(big, cfg.seed + 2);
+    let schema = labeled.table.schema().clone();
+    let leaves = vec![
+        BoxBuilder::new(&schema).lt("age", 40.0).build(),
+        BoxBuilder::new(&schema).range("age", 40.0, 60.0).build(),
+        BoxBuilder::new(&schema).ge("age", 60.0).build(),
+    ];
+    record(
+        "count_itemsets",
+        best_of(cfg.samples, || count_itemsets(&txns, &itemsets, par)),
+    );
+    record(
+        "count_partition",
+        best_of(cfg.samples, || count_partition(&labeled, &leaves, 2, par)),
+    );
+    record(
+        "count_boxes",
+        best_of(cfg.samples, || count_boxes(&labeled.table, &leaves, par)),
+    );
+
+    // The bootstrap fan-out: the paper's full qualification pipeline,
+    // mine both pseudo-datasets and deviate them, once per replicate.
+    let d1 = gen.generate(small, cfg.seed + 3);
+    let d2 = gen.generate(small, cfg.seed + 4);
+    let miner = Apriori::new(
+        AprioriParams::with_minsup(0.02)
+            .max_len(10)
+            .min_count_floor(3),
+    );
+    let pipeline = |a: &TransactionSet, b: &TransactionSet| {
+        let (ma, mb) = (miner.mine(a), miner.mine(b));
+        deviate::<LitsFamily>(
+            &ma,
+            a,
+            &mb,
+            b,
+            DiffFn::Absolute,
+            AggFn::Sum,
+            Parallelism::Sequential,
+        )
+        .value
+    };
+    let observed = pipeline(&d1, &d2);
+    record(
+        "qualify",
+        best_of(cfg.samples, || {
+            qualify_transactions(&d1, &d2, observed, 8, cfg.seed, pipeline)
+        }),
+    );
+
+    // Model induction.
+    let tree_params = TreeParams::default().max_depth(8).min_leaf(20);
+    record(
+        "dt_fit",
+        best_of(cfg.samples, || DecisionTree::fit(&labeled, tree_params)),
+    );
+    let km = KMeans::new(KMeansParams::new(8).seed(cfg.seed).max_iters(25));
+    record(
+        "kmeans_fit",
+        best_of(cfg.samples, || km.fit(&labeled.table, par)),
+    );
+
+    // Monitor calibration over a same-process reference.
+    let reference = gen.generate(small, cfg.seed + 5);
+    let block = cfg.rows(25_000);
+    record(
+        "calibrate",
+        best_of(cfg.samples, || {
+            calibrate_threshold(&reference, block, 0.95, 12, cfg.seed, par, &pipeline)
+        }),
+    );
+}

@@ -3,8 +3,8 @@
 //! bounds split into a near (intra-process) and a far (inter-process)
 //! level and a mid-range threshold genuinely prunes.
 //!
-//! Shared between the `scaling_matrix` criterion bench and the
-//! `matrix_baseline` binary that records `BENCH_matrix.json`.
+//! Built by the `matrix_baseline` binary, which records
+//! `BENCH_matrix.json`.
 
 use focus_core::data::{LabeledTable, Schema, Table, TransactionSet, Value};
 use focus_core::model::{induce_dt_measures, ClusterModel, DtModel, LitsModel};

@@ -1,8 +1,9 @@
 //! # focus-bench — experiment harness for the FOCUS paper
 //!
 //! One binary per table/figure of the paper's evaluation (Sections 6–7),
-//! plus Criterion micro-benchmarks. Every binary prints the same rows or
-//! series the paper reports, at a configurable scale.
+//! plus the baseline bins whose JSON rows are the repository's perf
+//! record. Every paper binary prints the same rows or series the paper
+//! reports, at a configurable scale.
 //!
 //! | binary        | reproduces                    |
 //! |---------------|-------------------------------|
@@ -17,9 +18,10 @@
 //! | `ablation_gcr`| GCR vs coarser refinements (Theorems 4.1/4.3)      |
 //! | `ablation_null`| bootstrap-null width vs dataset scale (A3)        |
 //! | `embed`       | δ* metric embedding via classical MDS (Sec. 4.1.1) |
-//! | `matrix_baseline` | screened vs full-scan matrix timings → `BENCH_matrix.json` |
+//! | `matrix_baseline` | full-scan vs screened vs bounds-only matrix timings → `BENCH_matrix.json` |
 //! | `counting_baseline` | the counting engine's horizontal and vertical arms vs the bitmap-scan reference → `BENCH_counting.json` |
 //! | `registry_baseline` | text vs binary vs mmap snapshot loads and registry matrix wall time → `BENCH_registry.json` |
+//! | `scaling`     | the executor's hot paths (scans, bootstrap fan-out, induction, calibration), one row per thread count → `BENCH_scaling.json` |
 //!
 //! All binaries accept `--scale <fraction>` (default 0.02 — 2% of the
 //! paper's 1M-row base, i.e. 20K rows), `--samples <n>` (default 15, paper

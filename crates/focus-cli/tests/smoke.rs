@@ -432,6 +432,40 @@ fn qualify_rejects_zero_replicates() {
 }
 
 #[test]
+fn registry_add_rejects_too_many_shards() {
+    // Shard directories are named `shard-NNN`, so a count above 1000 is
+    // rejected before the registry directory is made.
+    let dir = scratch("shards");
+    let d = dir.join("d.txt");
+    let reg = dir.join("reg");
+    run(&[
+        "gen-assoc",
+        "--out",
+        path_str(&d),
+        "--n",
+        "100",
+        "--pats",
+        "20",
+    ]);
+    let err = run_fail(&[
+        "registry-add",
+        "--dir",
+        path_str(&reg),
+        "--data",
+        path_str(&d),
+        "--name",
+        "a",
+        "--format",
+        "bin",
+        "--shards",
+        "1001",
+    ]);
+    assert!(err.contains("shard count 1001"), "{err}");
+    assert!(!reg.exists(), "a rejected shard count must create nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_flags_are_rejected_by_name() {
     // A typo'd flag used to be ignored silently, running with the default.
     let err = run_fail(&["mine", "--data", "d.txt", "--count-backnd", "auto"]);

@@ -11,7 +11,8 @@
 //! 2. for [`lits_upper_bound`] and [`dt_upper_bound`] also satisfies the
 //!    triangle inequality (both are an `L1`/`L∞` distance between sparse
 //!    measure vectors), so `δ*` embeds a collection of snapshots into a
-//!    metric space and supports triangle-inequality pruning;
+//!    metric space ([`crate::family::ModelFamily::BOUND_IS_METRIC`]
+//!    gates that embedding);
 //!    [`cluster_upper_bound`] does **not** — overlapping clusters make
 //!    `δ*(A, A) > 0`;
 //! 3. needs only the two models — no data scan — making it effectively
@@ -81,7 +82,7 @@ pub fn lits_upper_bound(m1: &LitsModel, m2: &LitsModel, g: AggFn) -> f64 {
 ///
 /// **Metric**: an `L1`/`L∞` distance between fixed vectors is a
 /// pseudo-metric — symmetric, `δ*(T, T) = 0`, triangle inequality — so dt
-/// collections embed under δ* and support triangle pruning.
+/// collections embed under δ* (`BOUND_IS_METRIC` is `true`).
 pub fn dt_upper_bound(m1: &DtModel, m2: &DtModel, g: AggFn) -> f64 {
     // Greedy first-match by box equality; duplicate leaf boxes (degenerate
     // inputs — a real partition never repeats a box) pair off one-to-one.
@@ -152,7 +153,7 @@ pub fn dt_upper_bound(m1: &DtModel, m2: &DtModel, g: AggFn) -> f64 {
 ///
 /// **Not a metric**: `δ*(C, C) > 0` whenever `C`'s clusters overlap (the
 /// cross pieces `a_i ∩ a_j` are charged `max(m_i, m_j)`), so cluster
-/// collections neither embed under δ* nor support triangle pruning — the
+/// collections do not embed under δ* — the
 /// registry keeps using exact values for them
 /// ([`crate::family::ModelFamily::BOUND_IS_METRIC`] is `false`).
 pub fn cluster_upper_bound(m1: &ClusterModel, m2: &ClusterModel, g: AggFn) -> f64 {

@@ -15,8 +15,8 @@
 //! 4. **the model-only upper bound** — δ* of Definition 4.1 for lits,
 //!    with the dt and cluster analogues derived in [`crate::bound`]; the
 //!    lits and dt bounds are additionally pseudo-metrics
-//!    ([`ModelFamily::BOUND_IS_METRIC`]), which unlocks δ*-space embedding
-//!    and triangle-inequality pruning downstream.
+//!    ([`ModelFamily::BOUND_IS_METRIC`]), which gates δ*-space embedding
+//!    downstream.
 //!
 //! The trait captures exactly those four, so the generic engine in
 //! [`crate::deviation`] (`deviate`, `deviate_focussed`,
@@ -84,9 +84,9 @@ pub trait ModelFamily {
     /// True when the family's δ* is a *pseudo-metric* on models —
     /// symmetric, `δ*(M, M) = 0`, triangle inequality (Theorem 4.2 (2)) —
     /// so a collection's bound grid is a valid distance matrix for MDS
-    /// embedding and supports triangle-inequality pruning. `false` for
-    /// families without a bound, and for cluster-models, whose bound
-    /// violates `δ*(M, M) = 0` when clusters overlap.
+    /// embedding; the registry embeds over it only when this is set.
+    /// `false` for families without a bound, and for cluster-models, whose
+    /// bound violates `δ*(M, M) = 0` when clusters overlap.
     const BOUND_IS_METRIC: bool = false;
 
     /// The GCR of the two structural components (Definition 3.4).
@@ -468,7 +468,7 @@ impl ModelFamily for ClusterFamily {
     const NAME: &'static str = "cluster";
     const HAS_BOUND: bool = true;
     // Explicitly NOT a metric: δ*(C, C) > 0 for overlapping clusters, so
-    // the bound grid must never be fed to MDS or triangle pruning.
+    // the bound grid must never be fed to MDS.
     const BOUND_IS_METRIC: bool = false;
 
     fn gcr(m1: &ClusterModel, m2: &ClusterModel) -> Vec<BoxRegion> {

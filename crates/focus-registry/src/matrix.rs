@@ -19,11 +19,10 @@
 //! non-`f_a` difference. Undominated pairs always get an exact scan.
 //!
 //! Where the bound is additionally a pseudo-metric
-//! ([`ModelFamily::BOUND_IS_METRIC`] — lits and dt, *not* cluster),
-//! incremental extension can go one step further: triangle-inequality
-//! pruning ([`MatrixParams::triangle`]) decides many of the new pairs from
-//! already-stored bounds via `|δ*(i,j) − δ*(j,new)| ≤ δ*(i,new) ≤
-//! δ*(i,j) + δ*(j,new)` without evaluating δ* at all.
+//! ([`ModelFamily::BOUND_IS_METRIC`] — lits and dt, *not* cluster), the
+//! bound grid is itself a distance matrix, so the collection embeds
+//! ([`DeviationMatrix::embed`]) without any exact scan; cluster matrices
+//! embed over their exact cells instead.
 //!
 //! Both phases fan out over [`map_indices`] in pair-index order, so the
 //! whole matrix inherits the workspace determinism contract: bit-identical
@@ -53,21 +52,11 @@ pub enum MatrixError {
         /// Number of snapshots in the collection.
         n: usize,
     },
-    /// Incremental matrix maintenance was asked to use `--top K`
-    /// screening: the top-K cut is a *global* ranking over all pairs, so
-    /// adding one snapshot can evict previously-scanned pairs and the
-    /// result would no longer match a fresh computation. Use a threshold.
-    IncrementalNeedsThreshold,
-    /// The base matrix handed to incremental maintenance does not match
-    /// the registry's current collection or the requested parameters
-    /// (wrong names, size, threshold, or difference/aggregate function).
-    BaseMismatch(String),
     /// A distance was required for a pair whose cell is unavailable:
-    /// embedding needs a value for *every* pair, but this one's exact scan
-    /// was pruned (non-metric or boundless matrix) or its δ* bound was
-    /// skipped by triangle pruning. Silently substituting NaN would feed
-    /// garbage into MDS, so the missing cell is reported by name instead —
-    /// recompute at threshold `0.0` (triangle off) to embed.
+    /// embedding a non-metric matrix needs an exact value for *every*
+    /// pair, but this one's scan was pruned. Silently substituting NaN
+    /// would feed garbage into MDS, so the missing cell is reported by
+    /// name instead — recompute at threshold `0.0` to embed.
     MissingCell {
         /// Row of the missing cell.
         i: usize,
@@ -87,15 +76,10 @@ impl std::fmt::Display for MatrixError {
                 f,
                 "cannot embed {n} snapshot(s) in {k} dimensions: k must satisfy 1 <= k < n"
             ),
-            MatrixError::IncrementalNeedsThreshold => write!(
-                f,
-                "incremental matrix maintenance requires threshold screening, not --top"
-            ),
-            MatrixError::BaseMismatch(msg) => write!(f, "base matrix mismatch: {msg}"),
             MatrixError::MissingCell { i, j } => write!(
                 f,
-                "no distance available for pair ({i}, {j}): the cell was pruned or \
-                 skipped by screening; recompute with threshold 0.0 to embed"
+                "no distance available for pair ({i}, {j}): its exact scan was pruned \
+                 by screening; recompute with threshold 0.0 to embed"
             ),
         }
     }
@@ -133,23 +117,6 @@ pub struct MatrixParams {
     /// (it is still validated). Pairs whose bound does not dominate are
     /// scanned as always.
     pub top: Option<usize>,
-    /// Triangle-inequality pruning for *incremental extension* (off by
-    /// default). Where δ* is a pseudo-metric
-    /// ([`ModelFamily::BOUND_IS_METRIC`]), the stored bounds `δ*(i, j)`
-    /// and the already-evaluated `δ*(j, new)` sandwich a new pair's bound:
-    /// `max_j |δ*(i,j) − δ*(j,new)| ≤ δ*(i,new) ≤ min_j (δ*(i,j) +
-    /// δ*(j,new))`. When the upper envelope falls at or below the
-    /// threshold the pair is pruned, and when the lower envelope exceeds
-    /// it the pair is scanned — either way *without evaluating δ*(i,new)*,
-    /// whose grid cell stays NaN. Each decision matches what evaluating
-    /// the bound would have decided (the envelopes bracket it), so the
-    /// survivor set — and every surviving exact cell, bit-for-bit — is the
-    /// same as plain screening, up to floating-point rounding of the
-    /// envelope sums for bounds within ~1 ulp of the threshold. Ignored
-    /// for full-matrix computation (each bound is evaluated once and used
-    /// once there, so skipping cannot win), for non-metric or boundless
-    /// families, and in `--top` mode.
-    pub triangle: bool,
     /// Worker threads for both fan-out phases.
     pub par: Parallelism,
 }
@@ -161,7 +128,6 @@ impl Default for MatrixParams {
             agg: AggFn::Sum,
             threshold: 0.0,
             top: None,
-            triangle: false,
             par: Parallelism::Global,
         }
     }
@@ -188,36 +154,17 @@ pub struct DeviationMatrix {
     names: Vec<String>,
     n: usize,
     /// Row-major symmetric δ* bounds (zero diagonal); `None` when the
-    /// family defines no model-only bound. NaN marks a cell whose bound
-    /// evaluation was skipped by triangle pruning.
+    /// family defines no model-only bound.
     bounds: Option<Vec<f64>>,
     /// Row-major exact deviations; NaN where the scan was pruned (see
     /// [`DeviationMatrix::exact`] for the `Option` view).
     exact: Vec<f64>,
     threshold: f64,
     diff: DiffFn,
-    agg: AggFn,
     scanned: usize,
     /// Whether the family's δ* is a pseudo-metric — gates embedding over
-    /// the bound grid and triangle pruning.
+    /// the bound grid.
     metric: bool,
-    /// Bound evaluations skipped by triangle pruning across the matrix's
-    /// incremental history.
-    bound_skips: usize,
-}
-
-/// Whether two difference functions are provably the same measure.
-/// `Custom` pairs answer `false` even for the same function pointer —
-/// pointer identity is not a reliable equality witness, and the only
-/// consumer (incremental maintenance) must refuse rather than guess.
-pub(crate) fn same_diff(a: DiffFn, b: DiffFn) -> bool {
-    match (a, b) {
-        (DiffFn::Absolute, DiffFn::Absolute) | (DiffFn::Scaled, DiffFn::Scaled) => true,
-        (DiffFn::ChiSquared { c: ca }, DiffFn::ChiSquared { c: cb }) => {
-            ca.to_bits() == cb.to_bits()
-        }
-        _ => false,
-    }
 }
 
 /// Unordered pairs `(i, j)`, `i < j`, in lexicographic order — the one
@@ -403,196 +350,8 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         exact,
         threshold: params.threshold,
         diff: params.diff,
-        agg: params.agg,
         scanned: survivors.len(),
         metric: F::HAS_BOUND && F::BOUND_IS_METRIC,
-        bound_skips: 0,
-    }
-}
-
-/// The screening plan for the `N − 1` new pairs `(i, last)` when one
-/// member is appended to a collection: which bounds were evaluated (NaN =
-/// skipped by triangle pruning), which pairs need exact scans, and how
-/// many bound evaluations triangle pruning saved.
-pub(crate) struct NewPairPlan {
-    /// `δ*(i, last)` per old member, in member order; NaN where triangle
-    /// pruning decided the pair without evaluating it. `None` for
-    /// boundless families.
-    pub bounds: Option<Vec<f64>>,
-    /// Old-member indices whose pair with the new member needs an exact
-    /// scan.
-    pub survivors: Vec<usize>,
-    /// Bound evaluations skipped by triangle pruning.
-    pub skipped: usize,
-}
-
-/// Screens the `N − 1` new pairs of an incremental extension. The single
-/// place the incremental survivor predicate lives: both [`extend_matrix`]
-/// (which scans the survivors) and the registry's dataset-loading decision
-/// consume the plan, so the two can never drift apart.
-///
-/// With [`MatrixParams::triangle`] set — and a metric bound and a base
-/// matrix that carries bounds — the new pairs are decided *sequentially in
-/// member order*: every pair whose bound was already evaluated serves as
-/// an anchor `j`, and a later pair `(i, last)` is pruned when
-/// `min_j (δ*(i,j) + δ*(j,last)) ≤ threshold` or scanned when
-/// `max_j |δ*(i,j) − δ*(j,last)| > threshold`, skipping its bound
-/// evaluation entirely. Undominated pairs always evaluate their bound
-/// (it anchors later decisions) and always scan. The sequential loop is a
-/// pure function of the inputs — thread count cannot change the outcome.
-pub(crate) fn plan_new_pairs<F: ModelFamily>(
-    base: &DeviationMatrix,
-    models: &[F::Model],
-    params: &MatrixParams,
-) -> NewPairPlan {
-    let last = models.len() - 1;
-    debug_assert_eq!(base.len(), last);
-    debug_assert_eq!(params.top, None);
-    if !F::HAS_BOUND {
-        return NewPairPlan {
-            bounds: None,
-            survivors: (0..last).collect(),
-            skipped: 0,
-        };
-    }
-    let dominated: Vec<bool> = (0..last)
-        .map(|i| F::bound_dominates(params.diff, &models[i], &models[last]))
-        .collect();
-    if params.triangle && F::BOUND_IS_METRIC && base.has_bounds() {
-        let mut bounds = vec![f64::NAN; last];
-        let mut survivors = Vec::new();
-        let mut anchors: Vec<usize> = Vec::new();
-        let mut skipped = 0usize;
-        for i in 0..last {
-            if dominated[i] {
-                // Envelope the unseen δ*(i, last) from the anchors.
-                let mut upper = f64::INFINITY;
-                let mut lower = 0.0f64;
-                for &j in &anchors {
-                    let base_ij = base.bound(i, j);
-                    if base_ij.is_nan() {
-                        continue; // triangle hole in the base grid
-                    }
-                    upper = upper.min(base_ij + bounds[j]);
-                    lower = lower.max((base_ij - bounds[j]).abs());
-                }
-                if upper <= params.threshold {
-                    skipped += 1; // certified prunable — no eval, no scan
-                    continue;
-                }
-                if lower > params.threshold {
-                    skipped += 1; // certified interesting — scan, no eval
-                    survivors.push(i);
-                    continue;
-                }
-            }
-            let b = F::upper_bound(&models[i], &models[last], params.agg)
-                .expect("HAS_BOUND families always bound");
-            bounds[i] = b;
-            anchors.push(i);
-            if !dominated[i] || b > params.threshold {
-                survivors.push(i);
-            }
-        }
-        return NewPairPlan {
-            bounds: Some(bounds),
-            survivors,
-            skipped,
-        };
-    }
-    let bounds = map_indices(params.par, last, |i| {
-        F::upper_bound(&models[i], &models[last], params.agg)
-            .expect("HAS_BOUND families always bound")
-    });
-    let survivors = (0..last)
-        .filter(|&i| !dominated[i] || bounds[i] > params.threshold)
-        .collect();
-    NewPairPlan {
-        bounds: Some(bounds),
-        survivors,
-        skipped: 0,
-    }
-}
-
-/// Extends a base matrix over `models[..n-1]` with one new member — the
-/// incremental-maintenance core. Only the `n − 1` new pairs `(i, n−1)` are
-/// bounded, screened and (where surviving) scanned, per the `plan` from
-/// [`plan_new_pairs`]; every old cell is copied bit-for-bit, so every
-/// surviving cell is identical to recomputing the full matrix from
-/// scratch. `params` must be validated, threshold-mode only.
-pub(crate) fn extend_matrix<F: ModelFamily>(
-    base: &DeviationMatrix,
-    models: &[F::Model],
-    datasets: &[F::Dataset],
-    names: Vec<String>,
-    params: &MatrixParams,
-    plan: NewPairPlan,
-) -> DeviationMatrix {
-    let n = models.len();
-    debug_assert_eq!(base.len() + 1, n);
-    debug_assert_eq!(params.top, None);
-    let last = n - 1;
-
-    let survivors = &plan.survivors;
-    // As in the full computation: one shared handle per snapshot, so the
-    // new member's expensive structures are built once across all of its
-    // surviving pairs.
-    let sources: Vec<F::Source<'_>> = datasets.iter().map(|d| F::source(d)).collect();
-    let sources = &sources;
-    let exact_vals = map_indices(params.par, survivors.len(), |s| {
-        let i = survivors[s];
-        deviate_over_sources::<F>(
-            F::gcr(&models[i], &models[last]),
-            &models[i],
-            &sources[i],
-            &models[last],
-            &sources[last],
-            params.diff,
-            params.agg,
-            params.par,
-        )
-        .value
-    });
-
-    // Reassemble: old cells verbatim, new row/column from the fresh pairs.
-    let old = base.len();
-    let copy_block = |src: &[f64], fill: f64| {
-        let mut dst = vec![fill; n * n];
-        for i in 0..old {
-            for j in 0..old {
-                dst[i * n + j] = src[i * old + j];
-            }
-        }
-        dst
-    };
-    let bounds = match (&base.bounds, &plan.bounds) {
-        (Some(ob), Some(nb)) => {
-            let mut bounds = copy_block(ob, 0.0);
-            for (i, &b) in nb.iter().enumerate() {
-                bounds[i * n + last] = b;
-                bounds[last * n + i] = b;
-            }
-            Some(bounds)
-        }
-        (None, None) => None,
-        _ => unreachable!("bound presence is a family constant"),
-    };
-    let mut exact = copy_block(&base.exact, f64::NAN);
-    for (s, &i) in survivors.iter().enumerate() {
-        exact[i * n + last] = exact_vals[s];
-        exact[last * n + i] = exact_vals[s];
-    }
-    DeviationMatrix {
-        names,
-        n,
-        bounds,
-        exact,
-        threshold: params.threshold,
-        diff: params.diff,
-        agg: params.agg,
-        scanned: base.scanned + survivors.len(),
-        metric: base.metric,
-        bound_skips: base.bound_skips + plan.skipped,
     }
 }
 
@@ -622,11 +381,6 @@ impl DeviationMatrix {
         self.diff
     }
 
-    /// The aggregate function the bounds and exact scans used.
-    pub fn agg(&self) -> AggFn {
-        self.agg
-    }
-
     /// Number of unordered pairs, `n·(n−1)/2`.
     pub fn n_pairs(&self) -> usize {
         self.n * self.n.saturating_sub(1) / 2
@@ -650,23 +404,15 @@ impl DeviationMatrix {
     }
 
     /// True when the family's δ* is a pseudo-metric (lits, dt): the bound
-    /// grid is a valid distance matrix for embedding and incremental
-    /// extension may use triangle pruning. False for cluster matrices —
-    /// their bound violates `δ*(M, M) = 0` when clusters overlap.
+    /// grid is a valid distance matrix for embedding. False for cluster
+    /// matrices — their bound violates `δ*(M, M) = 0` when clusters
+    /// overlap.
     pub fn metric(&self) -> bool {
         self.metric
     }
 
-    /// Bound evaluations skipped by triangle pruning over the matrix's
-    /// incremental history (`0` unless [`MatrixParams::triangle`] extended
-    /// it).
-    pub fn bound_skips(&self) -> usize {
-        self.bound_skips
-    }
-
     /// The δ* upper bound for a pair (`0` on the diagonal); NaN when the
-    /// family defines no bound (see [`DeviationMatrix::has_bounds`]) or
-    /// when triangle pruning decided the pair without evaluating it.
+    /// family defines no bound (see [`DeviationMatrix::has_bounds`]).
     pub fn bound(&self, i: usize, j: usize) -> f64 {
         match &self.bounds {
             Some(b) => b[i * self.n + j],
@@ -695,10 +441,9 @@ impl DeviationMatrix {
     /// deviations (cluster's non-metric bound must never feed MDS;
     /// boundless matrices have exact values in full).
     ///
-    /// Errors with [`MatrixError::MissingCell`] when a required cell is
-    /// unavailable — a triangle-skipped bound on the metric path, or a
-    /// pruned exact scan on the exact path — instead of silently feeding
-    /// NaN into the embedding.
+    /// Errors with [`MatrixError::MissingCell`] when a pruned exact scan
+    /// leaves a cell of the exact path unavailable, instead of silently
+    /// feeding NaN into the embedding.
     pub fn distance_matrix(&self) -> Result<DistanceMatrix, MatrixError> {
         let metric_cell = |i: usize, j: usize| self.bound(i, j);
         let exact_cell = |i: usize, j: usize| {
@@ -1237,63 +982,5 @@ mod tests {
         // The unscreened matrix has every exact cell and embeds fine.
         assert_eq!(full.embed(2).unwrap().len(), 3);
         assert!(full.stress(&full.embed(2).unwrap()).is_ok());
-    }
-
-    #[test]
-    fn triangle_extension_matches_plain_screening() {
-        // Two tight lits groups; base over the first five snapshots, then
-        // append a sixth and plan the new pairs with and without triangle
-        // pruning: identical survivors and bounds where evaluated, with a
-        // strictly positive number of bound evaluations skipped.
-        let (models, datasets, names) = collection(&[
-            (1, 0.0),
-            (2, 0.05),
-            (3, 1.0),
-            (4, 0.95),
-            (5, 0.0),
-            (6, 0.02),
-        ]);
-        let probe = lits_matrix(&models, &datasets, names.clone(), f64::INFINITY).unwrap();
-        let probe = &probe;
-        let mut bs: Vec<f64> = (0..6)
-            .flat_map(|i| ((i + 1)..6).map(move |j| probe.bound(i, j)))
-            .collect();
-        bs.sort_by(f64::total_cmp);
-        let params = MatrixParams {
-            threshold: (bs[bs.len() / 2 - 1] + bs[bs.len() / 2]) / 2.0,
-            par: Parallelism::Sequential,
-            ..MatrixParams::default()
-        };
-        let base = deviation_matrix::<LitsFamily>(
-            &models[..5],
-            &datasets[..5],
-            names[..5].to_vec(),
-            &params,
-        )
-        .unwrap();
-
-        let plain = plan_new_pairs::<LitsFamily>(&base, &models, &params);
-        let tri = plan_new_pairs::<LitsFamily>(
-            &base,
-            &models,
-            &MatrixParams {
-                triangle: true,
-                ..params
-            },
-        );
-        assert_eq!(plain.survivors, tri.survivors, "survivor sets must agree");
-        assert_eq!(plain.skipped, 0);
-        assert!(tri.skipped > 0, "triangle pruning must skip some bounds");
-        // Where the triangle plan did evaluate, it got the same bound.
-        let (pb, tb) = (plain.bounds.unwrap(), tri.bounds.unwrap());
-        let mut skipped_seen = 0;
-        for i in 0..5 {
-            if tb[i].is_nan() {
-                skipped_seen += 1;
-            } else {
-                assert_eq!(pb[i].to_bits(), tb[i].to_bits(), "bound {i}");
-            }
-        }
-        assert_eq!(skipped_seen, tri.skipped);
     }
 }

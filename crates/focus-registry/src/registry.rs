@@ -54,7 +54,7 @@
 
 use crate::binfmt::MappedBytes;
 use crate::family::{SnapshotFamily, SnapshotKind};
-use crate::matrix::{DeviationMatrix, MatrixError, MatrixParams};
+use crate::matrix::{DeviationMatrix, MatrixParams};
 use crate::shard::{RegistryLayout, StorageFormat, LAYOUT_FILE};
 use focus_core::data::TransactionSet;
 use focus_core::family::LitsFamily;
@@ -444,8 +444,11 @@ impl Registry {
     /// Creates an empty registry. Shard directories and manifests are
     /// written first and the layout file last, so its presence certifies
     /// the structure beneath it; a crash mid-creation leaves a directory
-    /// [`Registry::open`] refuses and a re-run repairs idempotently.
+    /// [`Registry::open`] refuses and a re-run repairs idempotently. A
+    /// shard count the `shard-NNN` naming cannot hold is rejected before
+    /// anything touches the disk.
     fn create(root: PathBuf, layout: RegistryLayout) -> std::io::Result<Self> {
+        layout.check_shards(std::io::ErrorKind::InvalidInput)?;
         std::fs::create_dir_all(&root)?;
         if layout.shards > 0 {
             for s in 0..layout.shards {
@@ -760,100 +763,6 @@ impl Registry {
             &models, &datasets, names, params, bounds,
         ))
     }
-
-    /// Incremental matrix maintenance: extends `base` — a matrix computed
-    /// over this registry's family-`F` snapshots *before* the latest one
-    /// was added — by computing only the `N − 1` new pairs. Every old cell
-    /// is copied bit-for-bit, and because per-pair deviations are
-    /// independent the result is identical to recomputing
-    /// [`Registry::matrix_of`] from scratch.
-    ///
-    /// Requires threshold screening (`params.top` must be `None`; the
-    /// top-K cut is a global ranking, so it cannot be maintained pair-wise)
-    /// and `params.threshold` equal to the base matrix's.
-    pub fn add_to_matrix<F: SnapshotFamily>(
-        &self,
-        base: &DeviationMatrix,
-        params: &MatrixParams,
-    ) -> std::io::Result<DeviationMatrix> {
-        params.validate()?;
-        if params.top.is_some() {
-            return Err(MatrixError::IncrementalNeedsThreshold.into());
-        }
-        let entries = self.entries_of(F::KIND);
-        if entries.len() != base.len() + 1 {
-            return Err(MatrixError::BaseMismatch(format!(
-                "registry holds {} {} snapshot(s), base matrix covers {} (want exactly one new)",
-                entries.len(),
-                F::KIND,
-                base.len()
-            ))
-            .into());
-        }
-        for (entry, name) in entries.iter().zip(base.names()) {
-            if entry.name != *name {
-                return Err(MatrixError::BaseMismatch(format!(
-                    "snapshot {:?} vs base name {:?}",
-                    entry.name, name
-                ))
-                .into());
-            }
-        }
-        if base.threshold().to_bits() != params.threshold.to_bits() {
-            return Err(MatrixError::BaseMismatch(format!(
-                "base threshold {} vs params threshold {}",
-                base.threshold(),
-                params.threshold
-            ))
-            .into());
-        }
-        // The old cells carry the base's (f, g); extending them with pairs
-        // measured differently would silently mix incompatible measures.
-        // (Custom difference functions always mismatch here: function-
-        // pointer identity is not a reliable equality witness, so refuse.)
-        if !crate::matrix::same_diff(base.diff(), params.diff) || base.agg() != params.agg {
-            return Err(MatrixError::BaseMismatch(format!(
-                "base matrix used {:?}/{:?}, params ask for {:?}/{:?}",
-                base.diff(),
-                base.agg(),
-                params.diff,
-                params.agg
-            ))
-            .into());
-        }
-
-        let mut models = Vec::with_capacity(entries.len());
-        for e in &entries {
-            models.push(self.load_snapshot_model::<F>(&e.name)?);
-        }
-        let n = models.len();
-        let last = n - 1;
-        // Screen the N−1 new pairs from the models (and, with
-        // `params.triangle` on a metric family, from the base matrix's
-        // stored bounds — most new pairs then skip even the bound
-        // evaluation).
-        let plan = crate::matrix::plan_new_pairs::<F>(base, &models, params);
-        // Load the new dataset plus every old dataset that participates in
-        // a surviving new pair; the rest get empty stand-ins. The survivor
-        // list is the same one `extend_matrix` will scan.
-        let mut needed = vec![false; n];
-        needed[last] = true;
-        for &i in &plan.survivors {
-            needed[i] = true;
-        }
-        let mut datasets = Vec::with_capacity(n);
-        for (entry, needed) in entries.iter().zip(&needed) {
-            datasets.push(if *needed {
-                self.load_snapshot_dataset::<F>(&entry.name)?
-            } else {
-                F::empty_dataset()
-            });
-        }
-        let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
-        Ok(crate::matrix::extend_matrix::<F>(
-            base, &models, &datasets, names, params, plan,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -1144,159 +1053,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn add_to_matrix_matches_full_recompute() {
-        let dir = scratch("incremental");
-        let mut reg = Registry::open_or_create(&dir).unwrap();
-        reg.add("a", &random_dataset(1, 300, 0.0), 0.15).unwrap();
-        reg.add("b", &random_dataset(2, 300, 0.3), 0.15).unwrap();
-        reg.add("c", &random_dataset(3, 300, 0.7), 0.15).unwrap();
-        let params = MatrixParams {
-            threshold: 0.5,
-            par: Parallelism::Sequential,
-            ..MatrixParams::default()
-        };
-        let base = reg.matrix_of::<LitsFamily>(&params).unwrap();
-
-        reg.add("d", &random_dataset(4, 300, 1.0), 0.15).unwrap();
-        let incremental = reg.add_to_matrix::<LitsFamily>(&base, &params).unwrap();
-        let full = reg.matrix_of::<LitsFamily>(&params).unwrap();
-
-        assert_eq!(incremental.names(), full.names());
-        assert_eq!(incremental.scanned(), full.scanned());
-        assert_eq!(incremental.pruned(), full.pruned());
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(
-                    incremental.bound(i, j).to_bits(),
-                    full.bound(i, j).to_bits(),
-                    "bound({i},{j})"
-                );
-                assert_eq!(
-                    incremental.exact(i, j).map(f64::to_bits),
-                    full.exact(i, j).map(f64::to_bits),
-                    "exact({i},{j})"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn add_to_matrix_triangle_skips_bounds_but_matches_plain() {
-        let dir = scratch("triangle");
-        let mut reg = Registry::open_or_create(&dir).unwrap();
-        // Two tight groups; the threshold separates intra- from
-        // inter-group bounds, so once one new pair of each flavour has
-        // been evaluated the triangle envelopes decide the rest.
-        for (name, seed, skew) in [
-            ("a1", 1, 0.0),
-            ("a2", 2, 0.05),
-            ("b1", 3, 1.0),
-            ("b2", 4, 0.95),
-            ("a3", 5, 0.02),
-        ] {
-            reg.add(name, &random_dataset(seed, 300, skew), 0.15)
-                .unwrap();
-        }
-        let probe = reg
-            .matrix_of::<LitsFamily>(&MatrixParams {
-                threshold: f64::INFINITY,
-                par: Parallelism::Sequential,
-                ..MatrixParams::default()
-            })
-            .unwrap();
-        let intra = probe.bound(0, 1);
-        let inter = probe.bound(0, 2);
-        assert!(intra < inter);
-        let params = MatrixParams {
-            threshold: (intra + inter) / 2.0,
-            par: Parallelism::Sequential,
-            ..MatrixParams::default()
-        };
-        let base = reg.matrix_of::<LitsFamily>(&params).unwrap();
-
-        // Append a sixth snapshot from group a and extend both ways.
-        reg.add("a4", &random_dataset(6, 300, 0.03), 0.15).unwrap();
-        let plain = reg.add_to_matrix::<LitsFamily>(&base, &params).unwrap();
-        let tri = reg
-            .add_to_matrix::<LitsFamily>(
-                &base,
-                &MatrixParams {
-                    triangle: true,
-                    ..params
-                },
-            )
-            .unwrap();
-
-        assert_eq!(plain.bound_skips(), 0);
-        assert!(tri.bound_skips() > 0, "triangle must skip bound evals");
-        assert_eq!(tri.scanned(), plain.scanned());
-        assert_eq!(tri.pruned(), plain.pruned());
-        // Every surviving exact cell is bit-identical; the only difference
-        // is NaN holes in the bound grid where evaluation was skipped.
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(
-                    tri.exact(i, j).map(f64::to_bits),
-                    plain.exact(i, j).map(f64::to_bits),
-                    "exact({i},{j})"
-                );
-                let (tb, pb) = (tri.bound(i, j), plain.bound(i, j));
-                assert!(
-                    tb.is_nan() || tb.to_bits() == pb.to_bits(),
-                    "bound({i},{j}): {tb} vs {pb}"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn add_to_matrix_rejects_mismatched_bases() {
-        let dir = scratch("incremental-guard");
-        let mut reg = Registry::open_or_create(&dir).unwrap();
-        reg.add("a", &random_dataset(1, 200, 0.0), 0.15).unwrap();
-        reg.add("b", &random_dataset(2, 200, 0.5), 0.15).unwrap();
-        let params = MatrixParams {
-            par: Parallelism::Sequential,
-            ..MatrixParams::default()
-        };
-        let base = reg.matrix_of::<LitsFamily>(&params).unwrap();
-
-        // No new snapshot yet: the registry matches the base exactly.
-        assert!(reg.add_to_matrix::<LitsFamily>(&base, &params).is_err());
-
-        reg.add("c", &random_dataset(3, 200, 1.0), 0.15).unwrap();
-        // Threshold mismatch.
-        let other = MatrixParams {
-            threshold: 9.0,
-            ..params
-        };
-        assert!(reg.add_to_matrix::<LitsFamily>(&base, &other).is_err());
-        // Top-K mode is not maintainable incrementally.
-        let topped = MatrixParams {
-            top: Some(1),
-            ..params
-        };
-        assert!(reg.add_to_matrix::<LitsFamily>(&base, &topped).is_err());
-        // A different difference or aggregate function would mix
-        // incompatible measures into the copied cells.
-        let other_diff = MatrixParams {
-            diff: focus_core::diff::DiffFn::Scaled,
-            ..params
-        };
-        assert!(reg.add_to_matrix::<LitsFamily>(&base, &other_diff).is_err());
-        let other_agg = MatrixParams {
-            agg: focus_core::diff::AggFn::Max,
-            ..params
-        };
-        assert!(reg.add_to_matrix::<LitsFamily>(&base, &other_agg).is_err());
-        // A matching call succeeds.
-        assert!(reg.add_to_matrix::<LitsFamily>(&base, &params).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 

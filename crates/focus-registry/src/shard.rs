@@ -30,6 +30,9 @@ use std::path::Path;
 /// Name of the root index file.
 pub(crate) const LAYOUT_FILE: &str = "registry.layout";
 const LAYOUT_HEADER: &str = "#focus-registry-layout v1";
+/// Most hash shards a layout may have: shard directories are named
+/// `shard-NNN`, with three digits.
+pub(crate) const MAX_SHARDS: u32 = 1000;
 
 fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
@@ -105,6 +108,21 @@ impl RegistryLayout {
         }
     }
 
+    /// Rejects a shard count above [`MAX_SHARDS`] with an error of `kind`
+    /// that names the count.
+    pub(crate) fn check_shards(&self, kind: std::io::ErrorKind) -> std::io::Result<()> {
+        if self.shards > MAX_SHARDS {
+            return Err(std::io::Error::new(
+                kind,
+                format!(
+                    "shard count {} exceeds the maximum of {MAX_SHARDS} (shard-000 to shard-999)",
+                    self.shards
+                ),
+            ));
+        }
+        Ok(())
+    }
+
     /// Directory name of shard `i` (`shard-000`, `shard-001`, …).
     pub(crate) fn shard_dir(i: u32) -> String {
         format!("shard-{i:03}")
@@ -147,10 +165,12 @@ impl RegistryLayout {
                 _ => return Err(bad(&format!("malformed layout line {line:?}"))),
             }
         }
-        Ok(Some(RegistryLayout {
+        let layout = RegistryLayout {
             shards: shards.ok_or_else(|| bad("layout file missing shards line"))?,
             format: format.ok_or_else(|| bad("layout file missing format line"))?,
-        }))
+        };
+        layout.check_shards(std::io::ErrorKind::InvalidData)?;
+        Ok(Some(layout))
     }
 
     /// Durably writes the layout file through the registry's
@@ -224,6 +244,21 @@ mod tests {
             std::fs::write(dir.join(LAYOUT_FILE), garbage).unwrap();
             assert!(RegistryLayout::read(&dir).is_err(), "{garbage:?}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn layout_file_with_too_many_shards_fails_to_open() {
+        let dir = std::env::temp_dir().join(format!("focus-layout-max-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(LAYOUT_FILE),
+            "#focus-registry-layout v1\nshards 100000\nformat bin\n",
+        )
+        .unwrap();
+        let err = crate::Registry::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard count 100000"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

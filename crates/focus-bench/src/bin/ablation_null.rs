@@ -23,6 +23,7 @@ fn run(cfg: ExpConfig) {
     use focus_core::deviation::deviate;
     use focus_core::diff::{AggFn, DiffFn};
     use focus_core::family::DtFamily;
+    use focus_core::qualify::qualify_tables;
     use focus_data::classify::{ClassifyFn, ClassifyGen};
     use focus_exec::Parallelism;
 
@@ -46,12 +47,11 @@ fn run(cfg: ExpConfig) {
 
         // Null: deviations between two same-process resamples of the pool.
         let reps = cfg.reps.max(9);
-        let q =
-            focus_core::qualify::qualify_tables(&d, &d_plus, signal, reps, cfg.seed ^ 2, |a, b| {
-                let ma = fit_dt(a);
-                let mb = fit_dt(b);
-                deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
-            });
+        let q = qualify_tables(&d, &d_plus, signal, reps, cfg.seed ^ 2, par, |a, b| {
+            let ma = fit_dt(a);
+            let mb = fit_dt(b);
+            deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
+        });
         let q50 = focus_stats::describe::percentile(&q.null_distribution, 50.0);
         let q99 = focus_stats::describe::percentile(&q.null_distribution, 99.0);
         rows.push(vec![

@@ -466,6 +466,88 @@ fn registry_add_rejects_too_many_shards() {
 }
 
 #[test]
+fn matrix_and_embed_name_a_bad_registry_dir() {
+    // Both used to print only `No such file or directory (os error 2)`,
+    // which names neither the directory nor what is missing.
+    let dir = scratch("baddir");
+    let missing = dir.join("missing");
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    for reg in [&missing, &empty] {
+        let reg = path_str(reg);
+        for args in [
+            vec!["matrix", "--dir", reg, "--kind", "lits"],
+            vec!["embed", "--dir", reg, "--kind", "lits"],
+        ] {
+            let out = Command::new(bin())
+                .args(&args)
+                .output()
+                .expect("failed to spawn focus-cli");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+            assert!(
+                err.starts_with(&format!("error: {reg}: not a registry")),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    assert!(!missing.exists(), "a read-only query must create nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn empty_models_deviate_by_positive_zero() {
+    // `Iterator::sum` over f64 starts at -0.0, so the empty aggregate of
+    // two models without itemsets used to print as `-0.000000`.
+    let dir = scratch("negzero");
+    let d1 = dir.join("d1.txt");
+    let d2 = dir.join("d2.txt");
+    let m1 = dir.join("m1.model");
+    let m2 = dir.join("m2.model");
+    for (d, seed) in [(&d1, "1"), (&d2, "2")] {
+        run(&[
+            "gen-assoc",
+            "--out",
+            path_str(d),
+            "--n",
+            "500",
+            "--seed",
+            seed,
+        ]);
+    }
+    let (d1, d2) = (path_str(&d1), path_str(&d2));
+    for (data, model) in [(d1, &m1), (d2, &m2)] {
+        run(&[
+            "mine",
+            "--data",
+            data,
+            "--minsup",
+            "0.3",
+            "--out",
+            path_str(model),
+        ]);
+    }
+    let dev = stdout(&run(&[
+        "deviate", "--d1", d1, "--d2", d2, "--minsup", "0.3",
+    ]));
+    assert_eq!(dev.trim(), "0.000000");
+    let bound = stdout(&run(&[
+        "bound",
+        "--m1",
+        path_str(&m1),
+        "--m2",
+        path_str(&m2),
+    ]));
+    assert_eq!(bound.trim(), "0.000000");
+    let q = stdout(&run(&[
+        "qualify", "--d1", d1, "--d2", d2, "--minsup", "0.3", "--reps", "3",
+    ]));
+    assert!(q.starts_with("deviation 0.000000 "), "{q}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_flags_are_rejected_by_name() {
     // A typo'd flag used to be ignored silently, running with the default.
     let err = run_fail(&["mine", "--data", "d.txt", "--count-backnd", "auto"]);

@@ -87,11 +87,12 @@ pub enum AggFn {
 
 impl AggFn {
     /// Aggregates an iterator of per-region differences. The empty
-    /// aggregate is `0` for both instantiations (two models with no regions
-    /// do not deviate).
+    /// aggregate is `+0` for both instantiations (two models with no regions
+    /// do not deviate). Both fold from `+0.0`: `Iterator::sum` starts from
+    /// `-0.0`, which would print an empty sum as `-0.000000`.
     pub fn eval<I: IntoIterator<Item = f64>>(&self, diffs: I) -> f64 {
         match self {
-            AggFn::Sum => diffs.into_iter().sum(),
+            AggFn::Sum => diffs.into_iter().fold(0.0, |acc, d| acc + d),
             AggFn::Max => diffs.into_iter().fold(0.0, f64::max),
         }
     }
@@ -165,8 +166,12 @@ mod tests {
         let xs = [0.4, 0.1, 0.4, 0.2, 0.15];
         assert!((AggFn::Sum.eval(xs.iter().copied()) - 1.25).abs() < 1e-12);
         assert_eq!(AggFn::Max.eval(xs.iter().copied()), 0.4);
-        assert_eq!(AggFn::Sum.eval(std::iter::empty()), 0.0);
-        assert_eq!(AggFn::Max.eval(std::iter::empty()), 0.0);
+        // `== 0.0` also holds for -0.0: check the sign bit too.
+        for g in [AggFn::Sum, AggFn::Max] {
+            let empty = g.eval(std::iter::empty());
+            assert_eq!(empty.to_bits(), 0.0f64.to_bits(), "{g:?} of nothing is +0");
+        }
+        assert!(AggFn::Sum.eval([0.0, 0.0]).is_sign_positive());
     }
 
     #[test]

@@ -86,7 +86,6 @@ pub mod ops;
 pub mod persist;
 pub mod qualify;
 pub mod region;
-pub mod report;
 pub mod source;
 pub mod stream;
 pub mod vertical;
@@ -122,18 +121,14 @@ pub mod prelude {
         write_lits_model,
     };
     pub use crate::qualify::{
-        qualify_chi_squared, qualify_chi_squared_par, qualify_tables, qualify_tables_par,
-        qualify_transactions, qualify_transactions_par,
+        qualify_chi_squared, qualify_tables, qualify_transactions, qualify_transactions_par,
     };
     pub use crate::region::{AttrConstraint, BoxBuilder, BoxRegion, CatMask, Itemset};
-    pub use crate::report::{dt_report, lits_report, ComparisonReport, ReportOptions};
     pub use crate::source::{
         global_index_budget, parse_index_budget, prefers_vertical, set_global_index_budget,
         CountSource, DEFAULT_INDEX_BUDGET,
     };
-    pub use crate::stream::{
-        calibrate_threshold, BlockVerdict, ChangeMonitor, DEFAULT_HISTORY_CAP,
-    };
+    pub use crate::stream::{calibrate_threshold, BlockVerdict, ChangeMonitor};
     pub use crate::vertical::{count_itemsets_grouped, CsrError, VerticalIndex};
     pub use focus_exec::Parallelism;
 }

@@ -9,21 +9,19 @@
 //! deviation pipeline on each pair, and report where the observed deviation
 //! falls in that distribution (the "%sig" columns of Figures 13 and 14).
 //!
-//! The heavy lifting is generic in `focus-stats`; this module adapts it to
-//! the two dataset shapes, resampling *indices* so rows are never cloned.
+//! The seeded per-replicate fan-out lives in `focus-stats`
+//! ([`null_distribution`]); this module supplies the resampling closure for
+//! each dataset shape, drawing *indices* so rows are never cloned.
 //!
 //! Each bootstrap replicate runs the full model-induction pipeline, so the
 //! fan-out over replicates dominates qualification cost. Every function here
-//! therefore takes (or defaults) a [`Parallelism`]: replicate `i` seeds its
-//! own `StdRng` from `derive_seed(seed, i)`, making the null distribution a
-//! pure function of `(datasets, reps, seed)` — bit-identical for any thread
-//! count.
+//! therefore takes (or defaults) a [`Parallelism`]: replicate `i` draws from
+//! its own seeded generator, making the null distribution a pure function
+//! of `(datasets, reps, seed)` — bit-identical for any thread count.
 
 use crate::data::{resample_indices, LabeledTable, TransactionSet};
-use focus_exec::{derive_seed, map_indices, Parallelism};
-use focus_stats::bootstrap::{significance_percent, BootstrapResult};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use focus_exec::Parallelism;
+use focus_stats::bootstrap::{null_distribution, BootstrapResult};
 
 /// Qualifies an observed deviation between two transaction datasets.
 ///
@@ -65,41 +63,19 @@ where
         "datasets must be non-empty"
     );
     let pool = d1.concat(d2);
-    let mut null = map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let i1 = resample_indices(pool.len(), d1.len(), &mut rng);
-        let i2 = resample_indices(pool.len(), d2.len(), &mut rng);
+    let null = null_distribution(reps, seed, par, |rng| {
+        let i1 = resample_indices(pool.len(), d1.len(), rng);
+        let i2 = resample_indices(pool.len(), d2.len(), rng);
         stat(&pool.subset(&i1), &pool.subset(&i2))
     });
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN deviation in bootstrap"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
+    BootstrapResult::new(observed, null)
 }
 
-/// Qualifies an observed deviation between two labelled tables. Mirrors
+/// Qualifies an observed deviation between two labelled tables, with the
+/// replicates fanned out over `par` worker threads. Mirrors
 /// [`qualify_transactions`] for the dt-model pipeline (build a tree on each
 /// pseudo-dataset, compute the deviation).
 pub fn qualify_tables<F>(
-    d1: &LabeledTable,
-    d2: &LabeledTable,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&LabeledTable, &LabeledTable) -> f64 + Sync,
-{
-    qualify_tables_par(d1, d2, observed, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`qualify_tables`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
-pub fn qualify_tables_par<F>(
     d1: &LabeledTable,
     d2: &LabeledTable,
     observed: f64,
@@ -116,47 +92,24 @@ where
         "datasets must be non-empty"
     );
     let pool = d1.concat(d2);
-    let mut null = map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let i1 = resample_indices(pool.len(), d1.len(), &mut rng);
-        let i2 = resample_indices(pool.len(), d2.len(), &mut rng);
+    let null = null_distribution(reps, seed, par, |rng| {
+        let i1 = resample_indices(pool.len(), d1.len(), rng);
+        let i2 = resample_indices(pool.len(), d2.len(), rng);
         stat(&pool.subset(&i1), &pool.subset(&i2))
     });
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN deviation in bootstrap"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
+    BootstrapResult::new(observed, null)
 }
 
 /// Bootstrap calibration of the chi-squared statistic (Section 5.2.2):
 /// estimates the exact null distribution of `X²` ("distribution of X² values
 /// when the new dataset fits the old model") by resampling pseudo-`D2`s
-/// from `D2` itself... against the old model's expectations — then reports
-/// the p-value of the observed statistic.
+/// of size `n2` from the old dataset `d1` — datasets that fit the old
+/// model by construction — then reports the p-value of the observed
+/// statistic. The replicates fan out over `par` worker threads.
 ///
 /// `stat` evaluates the statistic of one pseudo-dataset against the fixed
-/// old model; resampling is from the *old* dataset `d1` (datasets that do
-/// fit the old model by construction).
+/// old model.
 pub fn qualify_chi_squared<F>(
-    d1: &LabeledTable,
-    n2: usize,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&LabeledTable) -> f64 + Sync,
-{
-    qualify_chi_squared_par(d1, n2, observed, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`qualify_chi_squared`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
-pub fn qualify_chi_squared_par<F>(
     d1: &LabeledTable,
     n2: usize,
     observed: f64,
@@ -170,18 +123,10 @@ where
 {
     assert!(!d1.is_empty(), "dataset must be non-empty");
     assert!(n2 > 0, "target dataset size must be positive");
-    let mut null = map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let idx = resample_indices(d1.len(), n2, &mut rng);
-        stat(&d1.subset(&idx))
+    let null = null_distribution(reps, seed, par, |rng| {
+        stat(&d1.subset(&resample_indices(d1.len(), n2, rng)))
     });
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN statistic in bootstrap"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
+    BootstrapResult::new(observed, null)
 }
 
 #[cfg(test)]
@@ -194,7 +139,8 @@ mod tests {
     use crate::model::induce_dt_measures;
     use crate::monitor::chi_squared_statistic;
     use crate::region::BoxBuilder;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     fn txn_dataset(seed: u64, n: usize, p_item0: f64) -> TransactionSet {
@@ -278,9 +224,10 @@ mod tests {
         let d1 = labeled_dataset(1, 400, 50.0);
         let d_same = labeled_dataset(2, 400, 50.0);
         let d_shift = labeled_dataset(3, 400, 75.0);
+        let par = Parallelism::Global;
 
         let obs_same = stump_deviation(&d1, &d_same);
-        let r_same = qualify_tables(&d1, &d_same, obs_same, 49, 11, stump_deviation);
+        let r_same = qualify_tables(&d1, &d_same, obs_same, 49, 11, par, stump_deviation);
         assert!(
             r_same.significance_percent < 99.0,
             "same-process sig = {}",
@@ -288,7 +235,7 @@ mod tests {
         );
 
         let obs_shift = stump_deviation(&d1, &d_shift);
-        let r_shift = qualify_tables(&d1, &d_shift, obs_shift, 49, 11, stump_deviation);
+        let r_shift = qualify_tables(&d1, &d_shift, obs_shift, 49, 11, par, stump_deviation);
         assert!(
             r_shift.significance_percent >= 95.0,
             "shifted sig = {}",
@@ -310,7 +257,7 @@ mod tests {
         // A dataset that fits the old model: X² should be unremarkable.
         let d_fit = labeled_dataset(6, 300, 50.0);
         let obs_fit = chi_squared_statistic(&model, &d_fit, 0.5, Parallelism::Global);
-        let r = qualify_chi_squared(&d1, 300, obs_fit, 99, 13, |d| {
+        let r = qualify_chi_squared(&d1, 300, obs_fit, 99, 13, Parallelism::Global, |d| {
             chi_squared_statistic(&model, d, 0.5, Parallelism::Global)
         });
         assert!(
@@ -321,7 +268,7 @@ mod tests {
         // A drifted dataset: X² should land in the extreme tail.
         let d_drift = labeled_dataset(7, 300, 80.0);
         let obs_drift = chi_squared_statistic(&model, &d_drift, 0.5, Parallelism::Global);
-        let r = qualify_chi_squared(&d1, 300, obs_drift, 99, 13, |d| {
+        let r = qualify_chi_squared(&d1, 300, obs_drift, 99, 13, Parallelism::Global, |d| {
             chi_squared_statistic(&model, d, 0.5, Parallelism::Global)
         });
         assert!(

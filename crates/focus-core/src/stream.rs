@@ -11,23 +11,13 @@
 //! statistically significant drift. On alarm, the monitor can re-baseline
 //! to the new block (`rebaseline = true`), tracking slow concept drift.
 //!
-//! The monitor retains a bounded window of recent verdicts (default
-//! [`DEFAULT_HISTORY_CAP`]; see [`ChangeMonitor::with_history_cap`]) so an
-//! unattended stream cannot grow memory without bound; verdict indices are
-//! global, so trimming loses no information a caller could not recover
-//! from [`ChangeMonitor::drain_history`] shipments.
+//! The monitor keeps no record of past verdicts: [`ChangeMonitor::observe`]
+//! returns each block's verdict, and a caller that wants a history keeps
+//! one.
 
 use crate::data::{resample_indices, TransactionSet};
-use focus_exec::{derive_seed, map_indices, Parallelism};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::VecDeque;
-
-/// Default number of verdicts a [`ChangeMonitor`] retains. Long-running
-/// monitors observe unboundedly many blocks; an unbounded history is a
-/// slow memory leak, so retention is bounded unless explicitly raised via
-/// [`ChangeMonitor::with_history_cap`].
-pub const DEFAULT_HISTORY_CAP: usize = 1024;
+use focus_exec::Parallelism;
+use focus_stats::bootstrap::null_distribution;
 
 /// Verdict for one monitored block.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,14 +57,8 @@ where
     rebaseline: bool,
     /// Worker threads for the calibration fan-out.
     parallelism: Parallelism,
-    /// The most recent verdicts, bounded by `history_cap` (oldest dropped
-    /// first). [`BlockVerdict::index`] stays global, so a trimmed history
-    /// is still unambiguous.
-    history: VecDeque<BlockVerdict>,
-    history_cap: usize,
-    /// Blocks observed over the monitor's whole lifetime — the source of
-    /// verdict indices and re-baseline seeds, so trimming or draining the
-    /// history never changes any score or threshold.
+    /// Blocks observed so far — the source of verdict indices and
+    /// re-baseline seeds.
     observed: usize,
 }
 
@@ -128,8 +112,6 @@ where
             threshold,
             rebaseline: false,
             parallelism,
-            history: VecDeque::new(),
-            history_cap: DEFAULT_HISTORY_CAP,
             observed: 0,
         }
     }
@@ -141,50 +123,17 @@ where
         self
     }
 
-    /// Retains at most `cap` verdicts (default
-    /// [`DEFAULT_HISTORY_CAP`]); once full, the oldest is dropped per new
-    /// block. `cap = 0` keeps no history at all. The cap only bounds the
-    /// retained record: scores, thresholds and verdict indices are
-    /// bit-identical under every cap.
-    pub fn with_history_cap(mut self, cap: usize) -> Self {
-        self.history_cap = cap;
-        while self.history.len() > cap {
-            self.history.pop_front();
-        }
-        self
-    }
-
     /// The current alarm threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
 
-    /// The retained verdicts, oldest first — the last
-    /// [`history_cap`](Self::with_history_cap) of the
-    /// [`observed`](Self::observed) blocks.
-    pub fn history(&self) -> impl Iterator<Item = &BlockVerdict> {
-        self.history.iter()
-    }
-
-    /// Number of verdicts currently retained (≤ the history cap).
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Total number of blocks scored over the monitor's lifetime,
-    /// including any whose verdicts have been trimmed or drained.
+    /// Total number of blocks scored over the monitor's lifetime.
     pub fn observed(&self) -> usize {
         self.observed
     }
 
-    /// Removes and returns every retained verdict, oldest first. Lets a
-    /// long-running caller ship verdicts elsewhere without the monitor
-    /// re-accumulating them; [`observed`](Self::observed) is unaffected.
-    pub fn drain_history(&mut self) -> Vec<BlockVerdict> {
-        self.history.drain(..).collect()
-    }
-
-    /// Scores one block; returns its verdict (also recorded in history).
+    /// Scores one block and returns its verdict.
     pub fn observe(&mut self, block: &TransactionSet) -> BlockVerdict {
         let deviation = (self.pipeline)(&self.reference, block);
         let drifted = deviation > self.threshold;
@@ -195,13 +144,6 @@ where
             drifted,
         };
         self.observed += 1;
-        if self.history.len() >= self.history_cap {
-            // ≥, not ==: with_history_cap may have shrunk the cap.
-            self.history.pop_front();
-        }
-        if self.history_cap > 0 {
-            self.history.push_back(verdict.clone());
-        }
         if drifted && self.rebaseline {
             self.reference = block.clone();
             self.threshold = calibrate_threshold(
@@ -224,10 +166,10 @@ where
 ///
 /// Each replicate runs the full model-induction pipeline on a pseudo-block
 /// resampled from the reference, so the fan-out dominates calibration
-/// cost. Replicate `i` seeds its own `StdRng` from `derive_seed(seed, i)`
-/// (mirroring `bootstrap_two_sample`), so its random draws depend only on
-/// `(seed, i)` — never on the thread count — and the threshold is
-/// **bit-identical** however many workers ran the calibration.
+/// cost. The replicates come from [`null_distribution`], whose draws
+/// depend only on `(seed, i)` for replicate `i` — never on the thread
+/// count — so the threshold is **bit-identical** however many workers ran
+/// the calibration.
 pub fn calibrate_threshold<F>(
     reference: &TransactionSet,
     block_size: usize,
@@ -249,32 +191,21 @@ where
         (0.5..1.0).contains(&quantile),
         "quantile must be in [0.5, 1)"
     );
-    let null: Vec<f64> = map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let idx = resample_indices(reference.len(), block_size, &mut rng);
-        let pseudo = reference.subset(&idx);
-        pipeline(reference, &pseudo)
+    let mut null = null_distribution(reps, seed, par, |rng| {
+        let idx = resample_indices(reference.len(), block_size, rng);
+        pipeline(reference, &reference.subset(&idx))
     });
-    // `map_indices` returns replicates in index order, so a NaN's position
-    // *is* the replicate that produced it — name it instead of letting an
-    // opaque comparator panic surface from inside the sort.
-    if let Some(rep) = null.iter().position(|d| d.is_nan()) {
-        panic!(
-            "calibration replicate {rep} (seed {}) produced a NaN deviation; \
-             the pipeline must return finite values",
-            derive_seed(seed, rep as u64)
-        );
-    }
-    let mut null = null;
-    null.sort_by(f64::total_cmp);
+    // The `pos`-th smallest under the total order: the value a full sort
+    // would put there, bit for bit.
     let pos = ((quantile * null.len() as f64).ceil() as usize).clamp(1, null.len()) - 1;
-    null[pos]
+    *null.select_nth_unstable_by(pos, f64::total_cmp).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The parallelism the monitors below calibrate at.
     const PAR: Parallelism = Parallelism::Global;
@@ -328,66 +259,7 @@ mod tests {
             }
         }
         assert!(alarms <= 1, "{alarms} false alarms on a quiet stream");
-        assert_eq!(mon.history_len(), 10);
         assert_eq!(mon.observed(), 10);
-    }
-
-    #[test]
-    fn history_is_bounded_and_indices_stay_global() {
-        let reference = block(1, 500, 0.5);
-        let mut mon = ChangeMonitor::new(reference, 100, 0.99, 10, 7, PAR, freq_deviation)
-            .with_history_cap(3);
-        for i in 0..8 {
-            let v = mon.observe(&block(100 + i, 100, 0.5));
-            assert_eq!(v.index as u64, i, "indices count every observed block");
-        }
-        // Regression: the history used to grow without bound.
-        assert_eq!(mon.history_len(), 3);
-        assert_eq!(mon.observed(), 8);
-        let retained: Vec<usize> = mon.history().map(|v| v.index).collect();
-        assert_eq!(retained, vec![5, 6, 7], "oldest verdicts are dropped");
-
-        let drained = mon.drain_history();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].index, 5);
-        assert_eq!(mon.history_len(), 0);
-        assert_eq!(mon.observed(), 8, "draining does not rewind the stream");
-        let v = mon.observe(&block(200, 100, 0.5));
-        assert_eq!(v.index, 8, "indices keep counting after a drain");
-    }
-
-    #[test]
-    fn zero_history_cap_keeps_nothing_but_still_scores() {
-        let reference = block(1, 500, 0.5);
-        let mut mon = ChangeMonitor::new(reference, 100, 0.99, 10, 7, PAR, freq_deviation)
-            .with_history_cap(0);
-        for i in 0..4 {
-            mon.observe(&block(300 + i, 100, 0.5));
-        }
-        assert_eq!(mon.history_len(), 0);
-        assert_eq!(mon.observed(), 4);
-    }
-
-    #[test]
-    fn history_cap_never_changes_scores_or_thresholds() {
-        // Re-baseline seeds derive from the *observed* count, not the
-        // retained history length, so a capped monitor must reproduce an
-        // uncapped one bit-for-bit even across recalibrations.
-        let run = |cap: usize| -> Vec<(u64, u64, bool)> {
-            let mut mon =
-                ChangeMonitor::new(block(1, 500, 0.2), 100, 0.9, 10, 7, PAR, freq_deviation)
-                    .with_rebaseline()
-                    .with_history_cap(cap);
-            (0..6)
-                .map(|i| {
-                    // Alternate regimes to force repeated re-baselines.
-                    let p0 = if i % 2 == 0 { 0.9 } else { 0.2 };
-                    let v = mon.observe(&block(400 + i, 100, p0));
-                    (v.deviation.to_bits(), v.threshold.to_bits(), v.drifted)
-                })
-                .collect()
-        };
-        assert_eq!(run(2), run(usize::MAX));
     }
 
     #[test]
@@ -456,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "calibration replicate 0")]
+    #[should_panic(expected = "bootstrap replicate 0")]
     fn nan_pipeline_names_the_offending_replicate() {
         let reference = block(1, 100, 0.5);
         calibrate_threshold(

@@ -64,28 +64,15 @@ pub enum Parallelism {
     Sequential,
     /// Exactly this many worker threads (clamped to at least 1).
     Threads(usize),
-    /// One worker thread per available core.
-    Auto,
 }
 
 impl Parallelism {
-    /// Builds a `Parallelism` from a user-facing thread count, with the
-    /// CLI convention `0` = auto.
-    pub fn from_threads(n: usize) -> Self {
-        match n {
-            0 => Parallelism::Auto,
-            1 => Parallelism::Sequential,
-            n => Parallelism::Threads(n),
-        }
-    }
-
     /// Resolves to a concrete worker-thread count (always ≥ 1).
     pub fn threads(self) -> usize {
         match self {
             Parallelism::Global => global_threads(),
             Parallelism::Sequential => 1,
             Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => available_cores(),
         }
     }
 }
@@ -673,15 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn from_threads_cli_convention() {
-        assert_eq!(Parallelism::from_threads(0), Parallelism::Auto);
-        assert_eq!(Parallelism::from_threads(1), Parallelism::Sequential);
-        assert_eq!(Parallelism::from_threads(6), Parallelism::Threads(6));
-        assert_eq!(Parallelism::Threads(0).threads(), 1);
-        assert!(Parallelism::Auto.threads() >= 1);
-    }
-
-    #[test]
     fn global_threads_override() {
         // Whatever the environment says, an explicit set wins.
         set_global_threads(3);
@@ -689,5 +667,7 @@ mod tests {
         assert_eq!(Parallelism::Global.threads(), 3);
         set_global_threads(0);
         assert!(global_threads() >= 1);
+        // An explicit count clamps to at least one worker.
+        assert_eq!(Parallelism::Threads(0).threads(), 1);
     }
 }

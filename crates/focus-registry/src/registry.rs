@@ -307,9 +307,19 @@ fn parse_shard_entry(line: &str) -> std::io::Result<(u64, SnapshotEntry)> {
 
 impl Registry {
     /// Opens an existing registry, reading its layout file (if any) and
-    /// manifest(s).
+    /// manifest(s). A `root` that holds neither (a missing or empty
+    /// directory, say) is a `NotFound` error that names it.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
+        if !Self::registry_exists(&root) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!(
+                    "{}: not a registry (no {MANIFEST} or {LAYOUT_FILE})",
+                    root.display()
+                ),
+            ));
+        }
         match RegistryLayout::read(&root)? {
             Some(layout) if layout.shards > 0 => Self::open_sharded(root, layout),
             Some(layout) => Self::open_flat(root, layout),
@@ -828,7 +838,13 @@ mod tests {
     fn open_requires_manifest() {
         let dir = scratch("missing");
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(Registry::open(&dir).is_err());
+        let err = Registry::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&dir.display().to_string()) && msg.contains("not a registry"),
+            "{msg}"
+        );
         // A garbage manifest is InvalidData, not a panic.
         std::fs::write(dir.join(MANIFEST), "not a manifest\n").unwrap();
         let err = Registry::open(&dir).unwrap_err();

@@ -10,13 +10,14 @@
 //! the chi-squared statistic when the textbook applicability conditions fail
 //! (Section 5.2.2).
 //!
-//! The engine is generic over the element type and the statistic, so the
-//! identical code path serves lits-models (elements = transactions),
-//! dt-models (elements = labelled tuples) and raw numeric statistics.
+//! [`null_distribution`] is the one seeded per-replicate fan-out: callers
+//! supply only the resampling closure for their dataset shape (focus-core's
+//! `qualify_*` functions and its monitor calibration), and
+//! [`BootstrapResult::new`] situates the observed value in the result.
 
 use focus_exec::{derive_seed, map_indices, Parallelism};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Outcome of a bootstrap significance computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +35,18 @@ pub struct BootstrapResult {
 }
 
 impl BootstrapResult {
+    /// Situates `observed` in the bootstrap `null`: computes its
+    /// significance and sorts the null ascending.
+    pub fn new(observed: f64, mut null: Vec<f64>) -> Self {
+        let significance_percent = significance_percent(observed, &null);
+        null.sort_by(f64::total_cmp);
+        Self {
+            observed,
+            null_distribution: null,
+            significance_percent,
+        }
+    }
+
     /// True if the observed deviation is significant at level `alpha`
     /// (e.g. `0.05` for 95%).
     pub fn is_significant(&self, alpha: f64) -> bool {
@@ -41,42 +54,37 @@ impl BootstrapResult {
     }
 }
 
-/// Draws `reps` bootstrap replicates of a two-sample statistic under the
-/// null hypothesis that both samples come from the pooled distribution,
-/// with the replicates fanned out over `par` worker threads.
+/// Evaluates `reps` bootstrap replicates of a statistic, fanned out over
+/// `par` worker threads, and returns them in replicate order.
 ///
-/// For each replicate, two pseudo-samples of sizes `n1` and `n2` are drawn
-/// with replacement from `pool`, and `stat` is evaluated on them.
+/// `replicate` draws its resample from the generator it is given and
+/// evaluates the statistic on it. Replicate `i`'s generator is an
+/// `StdRng` seeded from `derive_seed(seed, i)`, so its draws depend only
+/// on `(seed, i)` — never on the thread count — and the returned vector
+/// is bit-identical whether it was computed on one thread or many.
 ///
-/// Replicate `i` seeds its own `StdRng` from `derive_seed(seed, i)`, so
-/// replicate `i`'s random draws depend only on `(seed, i)` — never on the
-/// thread count — and the returned vector (in replicate order) is
-/// bit-identical whether it was computed on one thread or many.
-pub fn bootstrap_two_sample<T, F>(
-    pool: &[T],
-    n1: usize,
-    n2: usize,
+/// # Panics
+///
+/// If a replicate returns NaN, naming the replicate and its derived seed.
+pub fn null_distribution(
     reps: usize,
     seed: u64,
     par: Parallelism,
-    stat: F,
-) -> Vec<f64>
-where
-    T: Clone + Sync,
-    F: Fn(&[T], &[T]) -> f64 + Sync,
-{
-    assert!(!pool.is_empty(), "bootstrap pool must be non-empty");
-    assert!(n1 > 0 && n2 > 0, "resample sizes must be positive");
-    map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let s1: Vec<T> = (0..n1)
-            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-            .collect();
-        let s2: Vec<T> = (0..n2)
-            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-            .collect();
-        stat(&s1, &s2)
-    })
+    replicate: impl Fn(&mut StdRng) -> f64 + Sync,
+) -> Vec<f64> {
+    let null = map_indices(par, reps, |rep| {
+        replicate(&mut StdRng::seed_from_u64(derive_seed(seed, rep as u64)))
+    });
+    // `map_indices` returns replicates in index order, so a NaN's position
+    // *is* the replicate that produced it.
+    if let Some(rep) = null.iter().position(|v| v.is_nan()) {
+        panic!(
+            "bootstrap replicate {rep} (seed {}) produced a NaN statistic; \
+             the statistic must return finite values",
+            derive_seed(seed, rep as u64)
+        );
+    }
+    null
 }
 
 /// Computes the paper's "%sig" number: the percentage of null values that
@@ -91,57 +99,31 @@ pub fn significance_percent(observed: f64, null: &[f64]) -> f64 {
     100.0 * below as f64 / null.len() as f64
 }
 
-/// End-to-end qualification: pools the two datasets, bootstraps the null
-/// distribution of `stat`, and situates the observed value.
-///
-/// This is the direct implementation of Section 3.4: `stat` should be the
-/// full model-induction + deviation pipeline (e.g. "mine frequent itemsets
-/// from both pseudo-datasets and compute `δ(f_a, g_sum)`").
-pub fn qualify<T, F>(
-    d1: &[T],
-    d2: &[T],
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> BootstrapResult
-where
-    T: Clone + Sync,
-    F: Fn(&[T], &[T]) -> f64 + Sync,
-{
-    let pool: Vec<T> = d1.iter().cloned().chain(d2.iter().cloned()).collect();
-    let mut null = bootstrap_two_sample(
-        &pool,
-        d1.len(),
-        d2.len(),
-        reps,
-        seed,
-        Parallelism::Global,
-        stat,
-    );
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN in bootstrap statistic"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::describe::mean;
+    use rand::Rng;
+
+    /// Absolute mean difference of two with-replacement resamples of
+    /// sizes `n1` and `n2` from `pool`.
+    fn mean_gap(pool: &[f64], n1: usize, n2: usize, rng: &mut StdRng) -> f64 {
+        let mut draw =
+            |n: usize| -> Vec<f64> { (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect() };
+        let (a, b) = (draw(n1), draw(n2));
+        (mean(&a) - mean(&b)).abs()
+    }
 
     #[test]
     fn null_distribution_is_deterministic_per_seed() {
         let pool: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let r1 = bootstrap_two_sample(&pool, 30, 30, 50, 1, Parallelism::Global, stat);
-        let r2 = bootstrap_two_sample(&pool, 30, 30, 50, 1, Parallelism::Global, stat);
-        let r3 = bootstrap_two_sample(&pool, 30, 30, 50, 2, Parallelism::Global, stat);
-        assert_eq!(r1, r2);
-        assert_ne!(r1, r3);
+        let run = |seed| {
+            null_distribution(50, seed, Parallelism::Global, |rng| {
+                mean_gap(&pool, 30, 30, rng)
+            })
+        };
+        assert_eq!(run(1), run(1));
+        assert_ne!(run(1), run(2));
     }
 
     #[test]
@@ -149,35 +131,11 @@ mod tests {
         // The per-replicate seeding makes the null distribution (in
         // replicate order) bit-identical for every worker-thread count.
         let pool: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let seq = bootstrap_two_sample(&pool, 40, 25, 33, 9, Parallelism::Sequential, stat);
+        let run = |par| null_distribution(33, 9, par, |rng| mean_gap(&pool, 40, 25, rng));
+        let seq = run(Parallelism::Sequential);
         for t in [2usize, 4, 7] {
-            let par = bootstrap_two_sample(&pool, 40, 25, 33, 9, Parallelism::Threads(t), stat);
-            assert_eq!(seq, par, "threads = {t}");
+            assert_eq!(seq, run(Parallelism::Threads(t)), "threads = {t}");
         }
-    }
-
-    #[test]
-    fn same_process_deviation_is_not_significant() {
-        // Both datasets drawn from the same uniform grid: the observed mean
-        // difference should be unremarkable under the bootstrap null.
-        let d1: Vec<f64> = (0..200).map(|i| (i % 20) as f64).collect();
-        let d2: Vec<f64> = (0..200).map(|i| ((i + 7) % 20) as f64).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let observed = stat(&d1, &d2);
-        let r = qualify(&d1, &d2, observed, 199, 42, stat);
-        assert!(!r.is_significant(0.05), "sig = {}", r.significance_percent);
-    }
-
-    #[test]
-    fn shifted_process_is_significant() {
-        let d1: Vec<f64> = (0..200).map(|i| (i % 20) as f64).collect();
-        let d2: Vec<f64> = (0..200).map(|i| (i % 20) as f64 + 25.0).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let observed = stat(&d1, &d2);
-        let r = qualify(&d1, &d2, observed, 199, 42, stat);
-        assert!(r.is_significant(0.01), "sig = {}", r.significance_percent);
-        assert_eq!(r.significance_percent, 100.0);
     }
 
     #[test]
@@ -193,15 +151,24 @@ mod tests {
     #[test]
     fn null_distribution_is_sorted_in_result() {
         let d: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let stat = |a: &[f64], b: &[f64]| mean(a) - mean(b);
-        let r = qualify(&d, &d, 0.0, 64, 3, stat);
+        let null = null_distribution(64, 3, Parallelism::Global, |rng| mean_gap(&d, 50, 50, rng));
+        let r = BootstrapResult::new(0.0, null);
         assert!(r.null_distribution.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(r.null_distribution.len(), 64);
     }
 
     #[test]
-    #[should_panic(expected = "pool must be non-empty")]
-    fn empty_pool_panics() {
-        bootstrap_two_sample::<f64, _>(&[], 1, 1, 1, 0, Parallelism::Global, |_, _| 0.0);
+    #[should_panic(expected = "bootstrap replicate 3 (seed ")]
+    fn nan_statistic_names_the_offending_replicate() {
+        null_distribution(8, 5, Parallelism::Sequential, |rng| {
+            // Replicate 3's seed is the only thing that distinguishes it.
+            let first: u64 = rng.gen();
+            let mut r3 = StdRng::seed_from_u64(derive_seed(5, 3));
+            if first == r3.gen::<u64>() {
+                f64::NAN
+            } else {
+                0.0
+            }
+        });
     }
 }

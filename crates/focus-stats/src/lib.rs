@@ -6,7 +6,9 @@
 //! * the **bootstrap** ([`bootstrap`]) used by the qualification procedure of
 //!   Section 3.4 to estimate the null distribution of deviation values and by
 //!   Section 5.2.2 to calibrate the chi-squared statistic when the standard
-//!   tables are inapplicable;
+//!   tables are inapplicable. [`null_distribution`] is the one seeded
+//!   per-replicate fan-out behind every qualification and the monitor's
+//!   threshold calibration in `focus-core`;
 //! * the **Wilcoxon two-sample rank-sum test** ([`wilcoxon`]) used by the
 //!   sample-size study of Section 6 to decide whether a larger sample is
 //!   significantly more representative;
@@ -31,7 +33,7 @@ pub mod sample;
 pub mod special;
 pub mod wilcoxon;
 
-pub use bootstrap::{bootstrap_two_sample, significance_percent, BootstrapResult};
+pub use bootstrap::{null_distribution, significance_percent, BootstrapResult};
 pub use describe::{mean, median, pearson, percentile, spearman, stddev, variance};
 pub use dist::{ChiSquared, Normal};
 pub use focus_exec::Parallelism;

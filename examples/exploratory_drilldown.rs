@@ -96,7 +96,7 @@ fn main() {
     // asymptotic table is unreliable here (empty expected cells), so
     // bootstrap the null distribution of X² from the old dataset.
     let x2 = chi_squared_statistic(&m_old, &d_new, 0.5, Parallelism::Global);
-    let q = qualify_chi_squared(&d_old, d_new.len(), x2, 99, 7, |d| {
+    let q = qualify_chi_squared(&d_old, d_new.len(), x2, 99, 7, Parallelism::Global, |d| {
         chi_squared_statistic(&m_old, d, 0.5, Parallelism::Global)
     });
     println!(

@@ -22,18 +22,15 @@
 //! use focus::mining::{Apriori, AprioriParams};
 //!
 //! let process = AssocGen::new(AssocGenParams::small(), 1);
-//! let d1 = process.generate(800, 1);
-//! let d2 = process.generate(800, 2); // same generating process
-//!
+//! let (d1, d2) = (process.generate(800, 1), process.generate(800, 2)); // same process
 //! let miner = Apriori::new(AprioriParams::with_minsup(0.05));
-//! let report = lits_report(
-//!     &d1,
-//!     &d2,
-//!     |d| miner.mine(d),
-//!     ReportOptions { reps: 19, ..Default::default() },
-//! );
+//! let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+//! let delta = |a: &TransactionSet, b: &TransactionSet| {
+//!     deviate::<LitsFamily>(&miner.mine(a), a, &miner.mine(b), b, f, g, par).value
+//! };
+//! let q = qualify_transactions(&d1, &d2, delta(&d1, &d2), 19, 7, delta);
 //! // Same process ⇒ the deviation is not in the extreme tail of the null.
-//! assert!(!report.is_significant(0.01), "{report}");
+//! assert!(!q.is_significant(0.01), "sig = {}", q.significance_percent);
 //! ```
 
 pub use focus_cluster as cluster;

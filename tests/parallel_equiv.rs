@@ -19,7 +19,7 @@ use focus::core::prelude::*;
 use focus::exec::Parallelism;
 use focus::mining::{Apriori, AprioriParams};
 use focus::registry::{deviation_matrix, MatrixParams};
-use focus::stats::bootstrap_two_sample;
+use focus::stats::null_distribution;
 use focus::tree::{DecisionTree, TreeParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -246,16 +246,17 @@ proptest! {
     #[test]
     fn stats_bootstrap_bit_identical(seed in 0u64..1_000_000, n in 40usize..120) {
         let pool: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).sin()).collect();
-        let stat = |a: &[f64], b: &[f64]| {
-            let ma = a.iter().sum::<f64>() / a.len() as f64;
-            let mb = b.iter().sum::<f64>() / b.len() as f64;
+        let mean_of_resample = |k: usize, rng: &mut StdRng| {
+            (0..k).map(|_| pool[rng.gen_range(0..n)]).sum::<f64>() / k as f64
+        };
+        let replicate = |rng: &mut StdRng| {
+            let ma = mean_of_resample(n / 2, rng);
+            let mb = mean_of_resample(n / 3, rng);
             (ma - mb).abs()
         };
-        let seq = bootstrap_two_sample(&pool, n / 2, n / 3, 25, seed,
-                                           Parallelism::Sequential, stat);
+        let seq = null_distribution(25, seed, Parallelism::Sequential, replicate);
         for t in THREADS {
-            let par = bootstrap_two_sample(&pool, n / 2, n / 3, 25, seed,
-                                               Parallelism::Threads(t), stat);
+            let par = null_distribution(25, seed, Parallelism::Threads(t), replicate);
             assert_bits_eq(&par, &seq, "bootstrap null");
         }
     }

@@ -41,9 +41,10 @@ fn qualification_separates_null_from_drift() {
     let d1 = ClassifyGen::new(ClassifyFn::F2).generate(3000, 1);
     let d_same = ClassifyGen::new(ClassifyFn::F2).generate(3000, 2);
     let d_drift = ClassifyGen::new(ClassifyFn::F4).generate(3000, 3);
+    let par = Parallelism::Global;
 
     let obs_same = deviation(&d1, &d_same);
-    let q_same = qualify_tables(&d1, &d_same, obs_same, 19, 5, deviation);
+    let q_same = qualify_tables(&d1, &d_same, obs_same, 19, 5, par, deviation);
     assert!(
         q_same.significance_percent < 99.0,
         "same-process sig {}",
@@ -51,7 +52,7 @@ fn qualification_separates_null_from_drift() {
     );
 
     let obs_drift = deviation(&d1, &d_drift);
-    let q_drift = qualify_tables(&d1, &d_drift, obs_drift, 19, 5, deviation);
+    let q_drift = qualify_tables(&d1, &d_drift, obs_drift, 19, 5, par, deviation);
     assert!(
         q_drift.significance_percent >= 99.0,
         "drift sig {}",
@@ -118,7 +119,7 @@ fn chi_squared_monitoring_flags_drift() {
     assert!(x2_drift > 3.0 * x2_fit, "{x2_drift} vs {x2_fit}");
     // Bootstrap calibration (Section 5.2.2) — the paper's answer to the
     // inapplicability of the standard X² table.
-    let q = qualify_chi_squared(&d_old, 2000, x2_drift, 49, 7, |d| {
+    let q = qualify_chi_squared(&d_old, 2000, x2_drift, 49, 7, Parallelism::Global, |d| {
         chi_squared_statistic(&m, d, 0.5, Parallelism::Global)
     });
     assert!(q.significance_percent >= 99.0);

@@ -1,35 +1,44 @@
-//! Registry storage-tier baseline — records `BENCH_registry.json`.
+//! Registry storage baseline — records `BENCH_registry.json`. The thread
+//! sweep is one run per thread count:
 //!
-//! Three regimes:
+//! ```text
+//! for t in 1 2; do
+//!   cargo run --release -p focus-bench --bin registry_baseline -- --threads $t
+//! done > BENCH_registry.json
+//! ```
+//!
+//! Three regimes, each row's `layer` named `<regime>.<path>`:
 //!
 //! * **load** — one lits snapshot (transactions + mined model) per scale,
-//!   persisted as text and as the binary columnar format, then loaded
-//!   back through each storage path: the text readers, an owned
-//!   `read`-to-`Vec` binary decode, and the memory-mapped zero-copy
-//!   decode ([`focus_registry::MappedBytes::open`]). Every decoded
-//!   artifact is equality-checked against the text-loaded baseline
-//!   before its timing is accepted.
+//!   persisted as standalone text files and in the binary columnar format
+//!   registries store, then loaded back through each path: the text
+//!   readers (`load.text`, kept because standalone files are still
+//!   text), an owned `read`-to-`Vec` binary decode (`load.bin`), and the
+//!   memory-mapped zero-copy decode (`load.mmap`,
+//!   [`focus_registry::MappedBytes::open`]). Every decoded artifact is
+//!   equality-checked against the in-memory original before its timing is
+//!   accepted.
 //! * **index** — the binary transactions section decoded into a vertical
-//!   tid-bitset index both ways: `decode_then_build` materialises a
+//!   tid-bitset index both ways: `index.decode_then_build` materialises a
 //!   `TransactionSet` first and builds `VerticalIndex` from it, while
-//!   `decode_to_index` is the one-pass
+//!   `index.decode_to_index` is the one-pass
 //!   [`focus_registry::binfmt::decode_transactions_to_index`] seam that
 //!   `Registry::load_snapshot_source` uses. Both are equality-checked
-//!   against an index built from the original rows; `speedup` is
-//!   decode-then-build seconds over this row's seconds.
-//! * **matrix** — the same snapshot collection in a classic flat/text
-//!   registry, a flat/binary one and a sharded/binary one, timing
-//!   [`Registry::matrix_of`] end to end (manifest + model + dataset IO
-//!   plus the deviation scans) and asserting identical scan/prune
-//!   counts across tiers.
+//!   against an index built from the original rows.
+//! * **matrix** — the same snapshot collection in a flat registry
+//!   (`matrix.flat`, the baseline) and a 4-shard one (`matrix.sharded`),
+//!   timing [`Registry::matrix_of`] end to end (manifest + model +
+//!   dataset IO plus the deviation scans). Both must reproduce
+//!   [`deviation_matrix`] over the in-memory snapshots exactly.
 //!
-//! JSON lines go to stdout (redirect into `BENCH_registry.json`); the
-//! human-readable table goes to stderr. `speedup` is text-load seconds
-//! over this row's seconds, so the acceptance bar — binary and mmap
-//! loads at least 5× faster than text at the largest scale — can be
-//! read straight off the largest-scale rows.
+//! One JSON object per row lands on stdout, with the fields `bench`,
+//! `layer`, `scale`, `threads`, `commit` and `secs` (the best of
+//! `--samples` runs), then the row's counters: `txns`, `bytes` and
+//! `mmap_active` (1 when loads are memory-mapped), plus `scanned` and
+//! `pruned` for matrix rows. The human table on stderr adds `speedup`:
+//! the regime's first row's seconds over this row's.
 
-use focus_bench::{timed, ExpConfig};
+use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
 use focus_core::family::LitsFamily;
 use focus_core::model::LitsModel;
@@ -43,7 +52,7 @@ use focus_registry::binfmt::{
     encode_transactions,
 };
 use focus_registry::{
-    mmap_active, MappedBytes, MatrixParams, Registry, RegistryLayout, StorageFormat,
+    deviation_matrix, mmap_active, MappedBytes, MatrixParams, Registry, RegistryLayout,
 };
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -51,12 +60,11 @@ use std::path::{Path, PathBuf};
 const MINSUP: f64 = 0.05;
 
 struct Row {
-    regime: &'static str,
-    format: &'static str,
-    txns: usize,
-    bytes: u64,
+    layer: &'static str,
     secs: f64,
+    /// The regime's first row's seconds over this row's.
     speedup: f64,
+    counters: Vec<(&'static str, u64)>,
 }
 
 fn scratch() -> PathBuf {
@@ -127,18 +135,16 @@ fn run_load(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
         )
     });
 
-    for (format, bytes, secs) in [
-        ("text", text_bytes, text),
-        ("bin", bin_bytes, owned),
-        ("mmap", bin_bytes, mmap),
+    for (layer, bytes, secs) in [
+        ("load.text", text_bytes, text),
+        ("load.bin", bin_bytes, owned),
+        ("load.mmap", bin_bytes, mmap),
     ] {
         rows.push(Row {
-            regime: "load",
-            format,
-            txns: n_txns,
-            bytes,
+            layer,
             secs,
             speedup: text / secs,
+            counters: vec![("txns", n_txns as u64), ("bytes", bytes)],
         });
     }
 }
@@ -167,75 +173,70 @@ fn run_index(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
         decode_transactions_to_index(&MappedBytes::open(&path).unwrap()).unwrap()
     });
 
-    for (format, secs) in [
-        ("decode_then_build", then_build),
-        ("decode_to_index", to_index),
+    for (layer, secs) in [
+        ("index.decode_then_build", then_build),
+        ("index.decode_to_index", to_index),
     ] {
         rows.push(Row {
-            regime: "index",
-            format,
-            txns: n_txns,
-            bytes,
+            layer,
             secs,
             speedup: then_build / secs,
+            counters: vec![("txns", n_txns as u64), ("bytes", bytes)],
         });
     }
 }
 
-/// End-to-end `matrix_of` wall time over the three storage tiers.
+/// End-to-end `matrix_of` wall time over a flat and a sharded registry,
+/// each checked against `deviation_matrix` over the in-memory snapshots.
 fn run_matrix(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
-    let snapshots: Vec<(String, TransactionSet)> = (0..6u64)
-        .map(|i| {
-            let (data, _) = snapshot(n_txns, 1 + (i % 2) * 8, 200 + i);
-            (format!("snap-{i}"), data)
-        })
-        .collect();
-    let layouts = [
-        ("text", RegistryLayout::flat_text()),
-        (
-            "bin",
-            RegistryLayout {
-                shards: 0,
-                format: StorageFormat::Binary,
-            },
-        ),
-        (
-            "bin-sharded",
-            RegistryLayout {
-                shards: 4,
-                format: StorageFormat::Binary,
-            },
-        ),
-    ];
+    let names: Vec<String> = (0..6).map(|i| format!("snap-{i}")).collect();
+    let (datasets, models): (Vec<TransactionSet>, Vec<LitsModel>) = (0..6u64)
+        .map(|i| snapshot(n_txns, 1 + (i % 2) * 8, 200 + i))
+        .unzip();
     let params = MatrixParams::default();
-    let mut baseline: Option<(f64, usize, usize)> = None;
-    for (tag, layout) in layouts {
-        let root = dir.join(format!("reg-{tag}"));
+    let reference =
+        deviation_matrix::<LitsFamily>(&models, &datasets, names.clone(), &params).unwrap();
+    let mut baseline = None;
+    for (layer, shards) in [("matrix.flat", 0), ("matrix.sharded", 4)] {
+        let root = dir.join(layer);
+        let layout = RegistryLayout {
+            shards,
+            ..RegistryLayout::default()
+        };
         let mut reg = Registry::open_or_create_with(&root, layout).unwrap();
-        for (name, data) in &snapshots {
-            reg.add(name, data, MINSUP).unwrap();
+        for ((name, data), model) in names.iter().zip(&datasets).zip(&models) {
+            reg.add_snapshot::<LitsFamily>(name, data, model).unwrap();
         }
         let reg = Registry::open(&root).unwrap();
         let mut best = f64::INFINITY;
-        let mut counts = (0, 0);
         for _ in 0..samples.max(1) {
             let (matrix, secs) = timed(|| reg.matrix_of::<LitsFamily>(&params).unwrap());
-            counts = (matrix.scanned(), matrix.pruned());
+            assert_eq!(
+                (matrix.scanned(), matrix.pruned()),
+                (reference.scanned(), reference.pruned()),
+                "{layer}: scan/prune counts diverge from the in-memory matrix"
+            );
+            for i in 0..names.len() {
+                for j in 0..names.len() {
+                    assert_eq!(
+                        matrix.exact(i, j).map(f64::to_bits),
+                        reference.exact(i, j).map(f64::to_bits),
+                        "{layer}: exact({i},{j}) diverges from the in-memory matrix"
+                    );
+                }
+            }
             best = best.min(secs);
         }
-        let (text_secs, scanned, pruned) = *baseline.get_or_insert((best, counts.0, counts.1));
-        assert_eq!(
-            counts,
-            (scanned, pruned),
-            "{tag}: matrix scan/prune counts diverge from the text tier"
-        );
+        let flat_secs = *baseline.get_or_insert(best);
         rows.push(Row {
-            regime: "matrix",
-            format: tag,
-            txns: n_txns * snapshots.len(),
-            bytes: 0,
+            layer,
             secs: best,
-            speedup: text_secs / best,
+            speedup: flat_secs / best,
+            counters: vec![
+                ("txns", (n_txns * names.len()) as u64),
+                ("scanned", reference.scanned() as u64),
+                ("pruned", reference.pruned() as u64),
+            ],
         });
     }
 }
@@ -261,26 +262,31 @@ fn main() {
 
     // JSON lines to stdout (the `BENCH_registry.json` payload), the
     // human table to stderr so a redirect stays machine-readable.
-    eprintln!("mmap active: {}", mmap_active());
+    let threads = focus_exec::global_threads();
+    let commit = git_commit();
+    let mmap = u64::from(mmap_active());
     eprintln!(
-        "{:>8}  {:>12}  {:>8}  {:>9}  {:>10}  {:>8}",
-        "Regime", "Format", "Txns", "Bytes", "Best s", "Speedup"
+        "{:>24}  {:>7}  {:>10}  {:>8}  counters",
+        "Layer", "Threads", "Best s", "Speedup"
     );
     for r in &rows {
+        let counters: String = r
+            .counters
+            .iter()
+            .chain(&[("mmap_active", mmap)])
+            .map(|(k, v)| format!(",\"{k}\":{v}"))
+            .collect();
         println!(
-            "{{\"bench\":\"registry\",\"regime\":\"{}\",\"format\":\"{}\",\"txns\":{},\
-             \"bytes\":{},\"mmap_active\":{},\"secs\":{:.6},\"speedup\":{:.2}}}",
-            r.regime,
-            r.format,
-            r.txns,
-            r.bytes,
-            mmap_active(),
-            r.secs,
-            r.speedup
+            "{{\"bench\":\"registry\",\"layer\":\"{}\",\"scale\":{},\"threads\":{threads},\
+             \"commit\":\"{commit}\",\"secs\":{:.6}{counters}}}",
+            r.layer, cfg.scale, r.secs
         );
         eprintln!(
-            "{:>8}  {:>12}  {:>8}  {:>9}  {:>10.6}  {:>8.2}",
-            r.regime, r.format, r.txns, r.bytes, r.secs, r.speedup
+            "{:>24}  {threads:>7}  {:>10.6}  {:>8.2}  {}",
+            r.layer,
+            r.secs,
+            r.speedup,
+            &counters[1..]
         );
     }
 }

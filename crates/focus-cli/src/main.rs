@@ -10,7 +10,7 @@
 //! focus-cli qualify    --d1 D1.txt --d2 D2.txt --minsup 0.01 [--reps 99 --seed 7]
 //! focus-cli tree       --data D1.tbl [--max-depth 10 --min-leaf 50] [--render]
 //! focus-cli deviate-dt --d1 D1.tbl --d2 D2.tbl
-//! focus-cli registry-add --dir REG --data D1.txt --name day-01 [--kind lits|dt|cluster] [--minsup 0.01] [--format text|bin --shards N]
+//! focus-cli registry-add --dir REG --data D1.txt --name day-01 [--kind lits|dt|cluster] [--minsup 0.01] [--shards N]
 //! focus-cli matrix     --dir REG [--kind k] [--threshold t | --top K] [--f fa|fs] [--g sum|max]
 //! focus-cli embed      --dir REG [--kind k] [--k 2]
 //! ```
@@ -45,11 +45,13 @@
 //! and `--minsup` must lie in (0, 1].
 //!
 //! Standalone datasets and models use the plain-text formats of
-//! `focus_data::io` / `focus_core::persist`. Registries default to the
-//! same text artifacts, but `registry-add --format bin [--shards N]`
-//! creates one in the binary columnar format (per-section checksums,
-//! zero-copy mmap loads) and/or a hash-sharded directory layout; `matrix`
-//! and `embed` detect the layout automatically from `registry.layout`.
+//! `focus_data::io` / `focus_core::persist`. Registries store every
+//! snapshot in the binary columnar format of `focus_registry::binfmt`
+//! (per-section checksums, zero-copy mmap loads); `registry-add --shards
+//! N` creates a hash-sharded directory layout instead of a flat one, and
+//! `matrix` and `embed` read the layout from `registry.layout`.
+//! `--format bin` names that one format and is accepted for compatibility;
+//! any other `--format` is an error.
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
@@ -163,11 +165,12 @@ commands:
              [--minsup <f>]                      lits: mining threshold
              [--max-depth D --min-leaf N]        dt: tree induction
              [--clusters K --seed S]             cluster: k-means
-             [--format text|bin] [--shards N]    layout of a *new* registry
-                                                 (an existing one keeps its
-                                                 own; bin = checksummed
-                                                 columnar artifacts, mmap
-                                                 reads; N hash shards)
+             [--shards N]                        layout of a *new* registry:
+                                                 N hash shards, 0 = flat (an
+                                                 existing one keeps its own)
+             [--format bin]                      the one artifact format
+                                                 (checksummed columnar
+                                                 artifacts, mmap reads)
   matrix     --dir <registry> [--kind k] [--threshold <t> | --top <K>]
              [--f fa|fs] [--g sum|max]
   embed      --dir <registry> [--kind k] [--k <dims>]
@@ -581,16 +584,19 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
     // no half-created directory behind.
     let minsup = minsup(flags)?;
     // --format/--shards pick the layout of a *new* registry; an existing
-    // one keeps the layout it was created with (a mismatch errors).
+    // one keeps the layout it was created with (a mismatch errors). bin is
+    // the one artifact format.
+    if let Some(f) = flags.get("format") {
+        if StorageFormat::parse(f).is_none() {
+            return Err(format!(
+                "--format {f} is not supported: registries store bin artifacts only"
+            ));
+        }
+    }
     let mut reg = if flags.contains_key("format") || flags.contains_key("shards") {
-        let format = match flags.get("format") {
-            None => StorageFormat::Text,
-            Some(s) => StorageFormat::parse(s)
-                .ok_or_else(|| format!("--format must be text or bin, got {s:?}"))?,
-        };
         let layout = RegistryLayout {
             shards: opt(flags, "shards", 0)?,
-            format,
+            ..RegistryLayout::default()
         };
         Registry::open_or_create_with(dir, layout)
     } else {
@@ -598,10 +604,15 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
     }
     .map_err(io_err)?;
     warn_torn(&reg);
+    // A bad or duplicate name fails before the data is read or a model
+    // is induced.
+    reg.check_new_name(name).map_err(io_err)?;
     let entry = match kind {
         SnapshotKind::Lits => {
             let data = load_transactions(data_path)?;
-            reg.add(name, &data, minsup).map_err(io_err)?
+            let model = miner(minsup).mine(&data);
+            reg.add_snapshot::<LitsFamily>(name, &data, &model)
+                .map_err(io_err)?
         }
         SnapshotKind::Dt => {
             let data = load_table(data_path)?;

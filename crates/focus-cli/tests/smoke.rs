@@ -233,95 +233,276 @@ fn dt_pipeline_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn binary_sharded_registry_matrix_matches_text() {
-    let dir = scratch("registry-bin");
-    let d1 = dir.join("d1.txt");
-    let d2 = dir.join("d2.txt");
-    for (out, seed) in [(&d1, "2"), (&d2, "9")] {
-        run(&[
-            "gen-assoc",
-            "--out",
-            path_str(out),
-            "--n",
-            "300",
-            "--pats",
-            "40",
-            "--patlen",
-            "3",
-            "--pattern-seed",
-            "1",
-            "--seed",
-            seed,
-        ]);
-    }
+/// Generates a small transaction file at `path`.
+fn gen_txns(path: &Path, seed: &str) {
+    run(&[
+        "gen-assoc",
+        "--out",
+        path_str(path),
+        "--n",
+        "300",
+        "--pats",
+        "40",
+        "--patlen",
+        "3",
+        "--pattern-seed",
+        "1",
+        "--seed",
+        seed,
+    ]);
+}
 
-    // The same snapshots into a classic text registry and a sharded
-    // binary one.
-    let reg_text = dir.join("reg-text");
-    let reg_bin = dir.join("reg-bin");
-    for (reg, extra) in [
-        (&reg_text, &[][..]),
-        (&reg_bin, &["--format", "bin", "--shards", "2"][..]),
-    ] {
-        for (data, name) in [(&d1, "day-01"), (&d2, "day-02")] {
-            let mut args = vec![
-                "registry-add",
-                "--dir",
-                path_str(reg),
-                "--data",
-                path_str(data),
-                "--name",
-                name,
-                "--minsup",
-                "0.05",
-            ];
-            args.extend_from_slice(extra);
-            run(&args);
+/// `registry-add` of a lits snapshot mined at minsup 0.05, plus `extra`.
+fn add_lits(reg: &Path, data: &Path, name: &str, extra: &[&str]) {
+    let mut args = vec![
+        "registry-add",
+        "--dir",
+        path_str(reg),
+        "--data",
+        path_str(data),
+        "--name",
+        name,
+        "--minsup",
+        "0.05",
+    ];
+    args.extend_from_slice(extra);
+    run(&args);
+}
+
+/// Every file under `dir`, with its bytes, in path order.
+fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for e in std::fs::read_dir(dir).unwrap() {
+        let path = e.unwrap().path();
+        if path.is_dir() {
+            out.extend(tree_bytes(&path));
+        } else {
+            out.push((path.clone(), std::fs::read(&path).unwrap()));
         }
     }
-    // The binary registry's artifacts live in shard directories as .bin
-    // files; nothing readable as text sits in the root.
-    assert!(reg_bin.join("registry.layout").exists());
-    assert!(reg_bin.join("shard-000").is_dir() && reg_bin.join("shard-001").is_dir());
+    out.sort();
+    out
+}
+
+#[test]
+fn flat_and_sharded_registries_report_identical_matrices() {
+    let dir = scratch("registry-layouts");
+    let d1 = dir.join("d1.txt");
+    let d2 = dir.join("d2.txt");
+    gen_txns(&d1, "2");
+    gen_txns(&d2, "9");
+
+    // The same snapshots into a flat registry and a sharded one.
+    let reg_flat = dir.join("reg-flat");
+    let reg_sharded = dir.join("reg-sharded");
+    for (reg, extra) in [
+        (&reg_flat, &[][..]),
+        (&reg_sharded, &["--format", "bin", "--shards", "2"][..]),
+    ] {
+        for (data, name) in [(&d1, "day-01"), (&d2, "day-02")] {
+            add_lits(reg, data, name, extra);
+        }
+    }
+    // Both carry a layout file and binary artifacts: in the root when
+    // flat, in shard directories otherwise.
+    for reg in [&reg_flat, &reg_sharded] {
+        assert!(reg.join("registry.layout").exists());
+    }
+    assert!(reg_flat.join("registry.manifest").exists());
+    assert!(reg_flat.join("day-01.txns.bin").exists());
+    assert!(reg_flat.join("day-01.lits.bin").exists());
+    assert!(reg_sharded.join("shard-000").is_dir() && reg_sharded.join("shard-001").is_dir());
 
     // The matrix over both registries is byte-identical on stdout.
-    let matrix_args = |reg: &Path| {
-        let r = path_str(reg).to_string();
-        ["matrix", "--dir"]
-            .into_iter()
-            .map(String::from)
-            .chain([r])
-            .collect::<Vec<_>>()
-    };
-    let text_out = run(&matrix_args(&reg_text)
-        .iter()
-        .map(|s| s.as_str())
-        .collect::<Vec<_>>());
-    let bin_out = run(&matrix_args(&reg_bin)
-        .iter()
-        .map(|s| s.as_str())
-        .collect::<Vec<_>>());
-    assert_eq!(stdout(&text_out), stdout(&bin_out));
-    assert!(stdout(&text_out).contains("pairs 1"));
+    let flat_out = run(&["matrix", "--dir", path_str(&reg_flat)]);
+    let sharded_out = run(&["matrix", "--dir", path_str(&reg_sharded)]);
+    assert_eq!(stdout(&flat_out), stdout(&sharded_out));
+    assert!(stdout(&flat_out).contains("pairs 1"));
 
     // Asking an existing registry for a different layout is refused.
-    let clash = Command::new(bin())
-        .args([
+    let d1 = path_str(&d1);
+    let clash = [
+        "registry-add",
+        "--dir",
+        path_str(&reg_sharded),
+        "--data",
+        d1,
+        "--name",
+        "day-03",
+        "--shards",
+        "3",
+    ];
+    assert!(run_fail(&clash).contains("already exists with shards=2"));
+
+    // The retired text format is a named error that creates nothing.
+    let reg_text = dir.join("reg-text");
+    let err = run_fail(&[
+        "registry-add",
+        "--dir",
+        path_str(&reg_text),
+        "--data",
+        d1,
+        "--name",
+        "day-01",
+        "--format",
+        "text",
+    ]);
+    assert!(
+        err.starts_with("error: --format text is not supported"),
+        "{err}"
+    );
+    assert!(
+        !reg_text.exists(),
+        "a rejected --format must create nothing"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn missing_or_corrupt_artifacts_are_named_errors() {
+    // The bare cause (`No such file or directory`, `bad magic`) does not
+    // say which artifact to restore; the error must name its path.
+    let dir = scratch("artifacts");
+    let reg = dir.join("reg");
+    for (name, seed) in [("a", "2"), ("b", "3"), ("c", "4")] {
+        let data = dir.join(format!("{name}.txt"));
+        gen_txns(&data, seed);
+        add_lits(&reg, &data, name, &[]);
+    }
+    // `embed` reads only the models, so break model artifacts.
+    let deleted = reg.join("a.lits.bin");
+    std::fs::remove_file(&deleted).unwrap();
+    let flipped = reg.join("b.lits.bin");
+    let mut bytes = std::fs::read(&flipped).unwrap();
+    bytes[0] ^= 0xff;
+    std::fs::write(&flipped, bytes).unwrap();
+
+    let r = path_str(&reg);
+    for (broken, cause) in [
+        (&deleted, "No such file or directory"),
+        (&flipped, "bad magic"),
+    ] {
+        for args in [vec!["matrix", "--dir", r], vec!["embed", "--dir", r]] {
+            let err = run_fail(&args);
+            let named = format!("error: {}: ", path_str(broken));
+            assert!(
+                err.starts_with(&named) && err.contains(cause),
+                "{args:?} must name {named:?}: {err}"
+            );
+        }
+        // Repair the first breakage so the second one is reached.
+        if broken == &deleted {
+            std::fs::copy(reg.join("c.lits.bin"), &deleted).unwrap();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn duplicate_registry_add_is_rejected_before_fitting() {
+    let dir = scratch("duplicate");
+    let data = dir.join("d.tbl");
+    run(&[
+        "gen-class",
+        "--out",
+        path_str(&data),
+        "--n",
+        "300",
+        "--function",
+        "F2",
+    ]);
+    let reg = dir.join("reg");
+    let add = |name: &str, data: &str| -> Vec<String> {
+        [
             "registry-add",
             "--dir",
-            path_str(&reg_bin),
+            path_str(&reg),
             "--data",
-            path_str(&d1),
+            data,
             "--name",
-            "day-03",
-            "--format",
-            "text",
-        ])
-        .output()
-        .expect("failed to spawn focus-cli");
-    assert!(!clash.status.success(), "layout mismatch must fail");
+            name,
+            "--kind",
+            "dt",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect()
+    };
+    let args = add("day-01", path_str(&data));
+    run(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    let before = tree_bytes(&reg);
 
+    // The name is checked before the data is read, so even a missing data
+    // file reports the duplicate.
+    let missing = dir.join("missing.tbl");
+    for data in [path_str(&data), path_str(&missing)] {
+        let args = add("day-01", data);
+        let err = run_fail(&args.iter().map(String::as_str).collect::<Vec<_>>());
+        assert!(
+            err.starts_with("error: snapshot \"day-01\" already registered"),
+            "{err}"
+        );
+    }
+    assert_eq!(
+        tree_bytes(&reg),
+        before,
+        "a rejected add must change nothing"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn old_format_registries_are_named_errors_and_left_untouched() {
+    let dir = scratch("old-format");
+    let data = dir.join("d.txt");
+    gen_txns(&data, "2");
+    // A flat manifest of an earlier release with no layout file, and a
+    // layout file naming the retired text format.
+    let cases = [
+        (
+            "old-flat",
+            vec![("registry.manifest", "#focus-registry v2\n")],
+            "registry.layout: missing",
+        ),
+        (
+            "old-text",
+            vec![
+                ("registry.manifest", "#focus-registry v2\n"),
+                (
+                    "registry.layout",
+                    "#focus-registry-layout v1\nshards 0\nformat text\n",
+                ),
+            ],
+            "unsupported storage format \"text\"",
+        ),
+    ];
+    for (tag, files, why) in cases {
+        let reg = dir.join(tag);
+        std::fs::create_dir_all(&reg).unwrap();
+        for (file, text) in &files {
+            std::fs::write(reg.join(file), text).unwrap();
+        }
+        let before = tree_bytes(&reg);
+        let r = path_str(&reg);
+        let d = path_str(&data);
+        for args in [
+            vec!["registry-add", "--dir", r, "--data", d, "--name", "a"],
+            vec!["matrix", "--dir", r, "--kind", "lits"],
+            vec!["embed", "--dir", r, "--kind", "lits"],
+        ] {
+            let err = run_fail(&args);
+            assert!(
+                err.starts_with(&format!("error: {r}")) && err.contains(why),
+                "{tag} {args:?}: {err}"
+            );
+        }
+        assert_eq!(
+            tree_bytes(&reg),
+            before,
+            "{tag}: files must stay as they were"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -352,7 +533,7 @@ fn unknown_command_fails_nonzero() {
     assert!(!out.status.success());
 }
 
-/// Runs `focus-cli` expecting a clean failure: non-zero exit, an `error:`
+/// Runs `focus-cli` expecting a clean failure: exit code 1, an `error:`
 /// line, and no panic backtrace. Returns stderr.
 fn run_fail(args: &[&str]) -> String {
     let out = Command::new(bin())
@@ -360,7 +541,7 @@ fn run_fail(args: &[&str]) -> String {
         .output()
         .expect("failed to spawn focus-cli");
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(!out.status.success(), "{args:?} must fail");
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
     assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
     assert!(err.starts_with("error: "), "{args:?}: {err}");
     err

@@ -116,10 +116,7 @@ pub mod prelude {
         partition_intersection, partition_union, rank, select_bottom_n, select_min, select_top,
         select_top_n, Ranked,
     };
-    pub use crate::persist::{
-        read_cluster_model, read_dt_model, read_lits_model, write_cluster_model, write_dt_model,
-        write_lits_model,
-    };
+    pub use crate::persist::{read_lits_model, write_lits_model};
     pub use crate::qualify::{
         qualify_chi_squared, qualify_tables, qualify_transactions, qualify_transactions_par,
     };

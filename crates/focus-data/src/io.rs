@@ -15,7 +15,7 @@
 //! Both round-trip exactly (floats via Rust's shortest-round-trip
 //! formatting).
 
-use focus_core::data::{AttrType, LabeledTable, Schema, Table, TransactionSet, Value};
+use focus_core::data::{AttrType, LabeledTable, Schema, TransactionSet, Value};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 
@@ -196,21 +196,6 @@ pub fn read_labeled_table<R: Read>(r: R) -> std::io::Result<LabeledTable> {
     Ok(out)
 }
 
-/// Writes an unlabelled table by wrapping it with a dummy class column.
-pub fn write_table<W: Write>(data: &Table, w: W) -> std::io::Result<()> {
-    let labeled = LabeledTable {
-        table: data.clone(),
-        labels: vec![0; data.len()],
-        n_classes: 1,
-    };
-    write_labeled_table(&labeled, w)
-}
-
-/// Reads an unlabelled table written by [`write_table`].
-pub fn read_table<R: Read>(r: R) -> std::io::Result<Table> {
-    Ok(read_labeled_table(r)?.table)
-}
-
 fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
@@ -251,15 +236,6 @@ mod tests {
         let mut buf = Vec::new();
         write_labeled_table(&data, &mut buf).unwrap();
         let back = read_labeled_table(buf.as_slice()).unwrap();
-        assert_eq!(data, back);
-    }
-
-    #[test]
-    fn plain_table_round_trip() {
-        let data = ClassifyGen::new(ClassifyFn::F1).generate(50, 5).table;
-        let mut buf = Vec::new();
-        write_table(&data, &mut buf).unwrap();
-        let back = read_table(buf.as_slice()).unwrap();
         assert_eq!(data, back);
     }
 

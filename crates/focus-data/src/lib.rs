@@ -31,7 +31,4 @@ pub mod io;
 
 pub use assoc::{AssocGen, AssocGenParams};
 pub use classify::{classification_schema, ClassifyFn, ClassifyGen};
-pub use io::{
-    read_labeled_table, read_table, read_transactions, write_labeled_table, write_table,
-    write_transactions,
-};
+pub use io::{read_labeled_table, read_transactions, write_labeled_table, write_transactions};

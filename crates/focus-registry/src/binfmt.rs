@@ -1,10 +1,11 @@
 //! The binary columnar snapshot format and its zero-copy reader.
 //!
-//! The plain-text artifact formats stay the golden/interchange tier —
-//! diff-friendly, greppable, stable. This module is the *production*
-//! tier underneath them: a versioned binary container that decodes with
+//! Every registry artifact — dataset and model, of every family — is
+//! stored in this format: a versioned binary container that decodes with
 //! bulk `memcpy`-style column reads instead of per-token float parsing,
-//! so `DeviationMatrix` scans stop paying parse cost on every load.
+//! so `DeviationMatrix` scans stop paying parse cost on every load
+//! (`BENCH_registry.json`: about 10× faster than the plain-text readers).
+//! The plain-text formats remain for standalone files only.
 //!
 //! ## Container layout
 //!
@@ -20,9 +21,9 @@
 //! words plus the length — `checksum64`), so corruption —
 //! a flipped bit, a truncated write, a foreign file — always surfaces as
 //! a **named [`BinError`]**, never as a silent wrong read. Decoded
-//! structures pass through the same validation the text readers perform
-//! (ranges, arities, counts), so a checksum-colliding forgery still
-//! cannot smuggle out-of-contract data into the engine.
+//! structures are validated (ranges, arities, counts), so a
+//! checksum-colliding forgery still cannot smuggle out-of-contract data
+//! into the engine.
 //!
 //! ## Reading
 //!
@@ -31,12 +32,10 @@
 //! the registry's load seam when the `mmap` feature (default-on) is
 //! active on a 64-bit unix target, with a read-to-`Vec` fallback
 //! everywhere else. Either way the decoded structs are owned, so results
-//! are bit-identical to text-loaded data by construction of the same
-//! in-memory types.
+//! are bit-identical to the in-memory originals.
 
 use focus_core::data::{AttrType, LabeledTable, Schema, Table, TransactionSet, Value};
 use focus_core::model::{ClusterModel, DtModel, LitsModel};
-use focus_core::persist::check_cluster_model_persistable;
 use focus_core::region::{AttrConstraint, BoxRegion, CatMask, Itemset};
 use focus_core::vertical::VerticalIndex;
 use std::io;
@@ -170,8 +169,8 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// words (zero-padded tail), with the byte length mixed in last so
 /// padding cannot alias. The byte-serial FNV variant's multiply chain
 /// is the long pole of large-section decodes; consuming a word per step
-/// keeps checksum verification an order of magnitude below the text
-/// parsers. Not cryptographic; it guards against torn writes and bit
+/// keeps checksum verification an order of magnitude below text
+/// parsing. Not cryptographic; it guards against torn writes and bit
 /// rot, not adversaries.
 fn checksum64(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -846,8 +845,8 @@ fn get_regions(
 }
 
 /// Encodes a dt-model with its schema (sections `HEAD`, `SCHM`, `RGNS`,
-/// `MEAS`). Like the text format, the region class slot is not recorded
-/// (dt leaves are class-free by construction).
+/// `MEAS`). The region class slot is not recorded (dt leaves are
+/// class-free by construction).
 pub fn encode_dt_model(model: &DtModel, schema: &Schema) -> Vec<u8> {
     let mut enc = Enc::new(KIND_DT);
     enc.section("HEAD", |p| {
@@ -898,9 +897,21 @@ pub fn decode_dt_model(bytes: &[u8]) -> Result<(DtModel, Arc<Schema>), BinError>
     Ok((DtModel::new(leaves, n_classes, measures, n_rows), schema))
 }
 
+/// Checks that a cluster-model is persistable: its regions must be
+/// class-free, because the format records no region class — persisting
+/// one would silently drop it.
+fn check_cluster_model_persistable(model: &ClusterModel) -> io::Result<()> {
+    if model.clusters().iter().any(|c| c.class.is_some()) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "cluster regions must be class-free to persist",
+        ));
+    }
+    Ok(())
+}
+
 /// Encodes a cluster-model with its schema (sections `HEAD`, `SCHM`,
-/// `RGNS`, `MEAS`). Rejects class-carrying regions with `InvalidInput`,
-/// exactly like the text writer.
+/// `RGNS`, `MEAS`). Rejects class-carrying regions with `InvalidInput`.
 pub fn encode_cluster_model(model: &ClusterModel, schema: &Schema) -> io::Result<Vec<u8>> {
     check_cluster_model_persistable(model)?;
     let mut enc = Enc::new(KIND_CLUSTER);
@@ -1243,6 +1254,39 @@ mod tests {
         );
         let err = encode_cluster_model(&classful, &schema).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn forged_out_of_range_category_code_is_named() {
+        // Correct checksums, but a code beyond the cardinality: the
+        // decoder's range check must name it instead of letting
+        // `CatMask::of` assert.
+        let schema = Schema::new(vec![Schema::categorical("color", 3)]);
+        let mut enc = Enc::new(KIND_DT);
+        enc.section("HEAD", |p| {
+            p.u32(2);
+            p.u64(10);
+            p.u64(1);
+        });
+        enc.section("SCHM", |p| put_schema(p, &schema));
+        enc.section("RGNS", |p| {
+            p.u32(1);
+            p.u32(1);
+            p.u8(1);
+            p.u32(3);
+            p.u32(2);
+            p.u32(0);
+            p.u32(5);
+        });
+        enc.section("MEAS", |p| {
+            p.f64(0.5);
+            p.f64(0.5);
+        });
+        let err = decode_dt_model(&enc.finish()).unwrap_err();
+        assert!(
+            err.to_string().contains("code 5 out of range 0..3"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -4,22 +4,13 @@
 //! [`focus_core::family::ModelFamily`] captures the *mathematics* a family
 //! must provide (GCR, measure extension, the optional δ* bound); this
 //! trait adds the *plumbing* a [`Registry`](crate::Registry) needs — which
-//! plain-text formats persist the family's datasets and models, which file
-//! extensions its artifacts use, and which summary statistics its manifest
-//! line records. All three of the paper's families implement it, so one
+//! [`crate::binfmt`] codecs persist the family's datasets and models,
+//! which file extensions its artifacts use, and which summary statistics
+//! its manifest line records. All three of the paper's families implement it, so one
 //! generic registry handles lits-, dt- and cluster-snapshots alike.
 
 use focus_core::data::{LabeledTable, Schema, Table, TransactionSet};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
-use focus_core::persist::{
-    read_cluster_model, read_dt_model, read_lits_model, write_cluster_model, write_dt_model,
-    write_lits_model,
-};
-use focus_data::io::{
-    read_labeled_table, read_table, read_transactions, write_labeled_table, write_table,
-    write_transactions,
-};
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// The model family a snapshot belongs to, as recorded in the manifest.
@@ -70,17 +61,6 @@ pub trait SnapshotFamily: ModelFamily {
     /// File extension of persisted models.
     const MODEL_EXT: &'static str;
 
-    /// Writes a dataset in the family's plain-text format.
-    fn write_dataset(data: &Self::Dataset, w: impl Write) -> std::io::Result<()>;
-    /// Reads a dataset written by [`SnapshotFamily::write_dataset`].
-    fn read_dataset(r: impl Read) -> std::io::Result<Self::Dataset>;
-    /// Writes a model; `data` supplies the schema where the model does not
-    /// carry one itself (dt and cluster).
-    fn write_model(model: &Self::Model, data: &Self::Dataset, w: impl Write)
-        -> std::io::Result<()>;
-    /// Reads a model written by [`SnapshotFamily::write_model`].
-    fn read_model(r: impl Read) -> std::io::Result<Self::Model>;
-
     /// Encodes a dataset in the binary columnar format of
     /// [`crate::binfmt`].
     fn encode_dataset(data: &Self::Dataset) -> Vec<u8>;
@@ -89,9 +69,9 @@ pub trait SnapshotFamily: ModelFamily {
     /// in `InvalidData`.
     fn decode_dataset(bytes: &[u8]) -> std::io::Result<Self::Dataset>;
     /// Encodes a model in the binary format; `data` supplies the schema
-    /// where the model does not carry one (dt and cluster). Enforces the
-    /// same persistability rules as [`SnapshotFamily::write_model`], so a
-    /// model the text format rejects is rejected here too.
+    /// where the model does not carry one (dt and cluster). A model the
+    /// format cannot represent (a classful cluster region) is rejected
+    /// with `InvalidInput`.
     fn encode_model(model: &Self::Model, data: &Self::Dataset) -> std::io::Result<Vec<u8>>;
     /// Decodes a model encoded by [`SnapshotFamily::encode_model`].
     fn decode_model(bytes: &[u8]) -> std::io::Result<Self::Model>;
@@ -110,26 +90,6 @@ impl SnapshotFamily for LitsFamily {
     const KIND: SnapshotKind = SnapshotKind::Lits;
     const DATA_EXT: &'static str = "txns";
     const MODEL_EXT: &'static str = "lits";
-
-    fn write_dataset(data: &TransactionSet, w: impl Write) -> std::io::Result<()> {
-        write_transactions(data, w)
-    }
-
-    fn read_dataset(r: impl Read) -> std::io::Result<TransactionSet> {
-        read_transactions(r)
-    }
-
-    fn write_model(
-        model: &Self::Model,
-        _data: &TransactionSet,
-        w: impl Write,
-    ) -> std::io::Result<()> {
-        write_lits_model(model, w)
-    }
-
-    fn read_model(r: impl Read) -> std::io::Result<Self::Model> {
-        read_lits_model(r)
-    }
 
     fn encode_dataset(data: &TransactionSet) -> Vec<u8> {
         crate::binfmt::encode_transactions(data)
@@ -165,22 +125,6 @@ impl SnapshotFamily for DtFamily {
     const DATA_EXT: &'static str = "tbl";
     const MODEL_EXT: &'static str = "dt";
 
-    fn write_dataset(data: &LabeledTable, w: impl Write) -> std::io::Result<()> {
-        write_labeled_table(data, w)
-    }
-
-    fn read_dataset(r: impl Read) -> std::io::Result<LabeledTable> {
-        read_labeled_table(r)
-    }
-
-    fn write_model(model: &Self::Model, data: &LabeledTable, w: impl Write) -> std::io::Result<()> {
-        write_dt_model(model, data.table.schema(), w)
-    }
-
-    fn read_model(r: impl Read) -> std::io::Result<Self::Model> {
-        read_dt_model(r).map(|(model, _schema)| model)
-    }
-
     fn encode_dataset(data: &LabeledTable) -> Vec<u8> {
         crate::binfmt::encode_labeled_table(data)
     }
@@ -215,22 +159,6 @@ impl SnapshotFamily for ClusterFamily {
     const KIND: SnapshotKind = SnapshotKind::Cluster;
     const DATA_EXT: &'static str = "rows";
     const MODEL_EXT: &'static str = "clu";
-
-    fn write_dataset(data: &Table, w: impl Write) -> std::io::Result<()> {
-        write_table(data, w)
-    }
-
-    fn read_dataset(r: impl Read) -> std::io::Result<Table> {
-        read_table(r)
-    }
-
-    fn write_model(model: &Self::Model, data: &Table, w: impl Write) -> std::io::Result<()> {
-        write_cluster_model(model, data.schema(), w)
-    }
-
-    fn read_model(r: impl Read) -> std::io::Result<Self::Model> {
-        read_cluster_model(r).map(|(model, _schema)| model)
-    }
 
     fn encode_dataset(data: &Table) -> Vec<u8> {
         crate::binfmt::encode_table(data)

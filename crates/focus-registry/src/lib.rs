@@ -8,12 +8,10 @@
 //! δ*" column of Figure 13). This crate packages that loop:
 //!
 //! * [`Registry`] — a directory of named snapshots: each one a persisted
-//!   dataset plus its mined model, indexed by a line-oriented manifest.
-//!   Artifacts default to diff-friendly plain text (`focus_data::io` +
-//!   `focus_core::persist`); production registries can instead choose the
-//!   checksummed binary columnar format of [`binfmt`] (loaded zero-copy
-//!   via mmap where available) and a hash-sharded directory layout
-//!   ([`RegistryLayout`]) that scales to 10⁴–10⁵ snapshots;
+//!   dataset plus its induced model, indexed by line-oriented manifests.
+//!   Artifacts use the checksummed binary columnar format of [`binfmt`]
+//!   (loaded zero-copy via mmap where available); the directory is flat
+//!   or hash-sharded ([`RegistryLayout`]) to scale to 10⁴–10⁵ snapshots;
 //! * [`DeviationMatrix`] — all `N·(N−1)/2` pairwise deviations of a
 //!   collection, computed with **two-phase δ* screening**: phase one
 //!   evaluates the scan-free upper bound for every pair, phase two runs

@@ -1,47 +1,46 @@
-//! A directory of named dataset snapshots and their mined models — any
+//! A directory of named dataset snapshots and their induced models — any
 //! model family.
 //!
-//! On disk a registry is a directory holding, per snapshot, a dataset file
-//! and a model file (see [`SnapshotFamily`]) plus a line-oriented index:
+//! On disk a registry is a directory holding, per snapshot, a dataset
+//! artifact and a model artifact in the binary columnar format of
+//! [`crate::binfmt`] (see [`SnapshotFamily`]), plus a layout file and
+//! line-oriented manifests:
 //!
 //! ```text
-//! registry.manifest        line-oriented index (see below)
-//! registry.layout          optional root index (see crate::shard)
-//! <name>.txns / <name>.lits    lits snapshots  (focus_data::io / persist)
-//! <name>.tbl  / <name>.dt      dt snapshots
-//! <name>.rows / <name>.clu     cluster snapshots
-//! shard-NNN/...                sharded layouts only
+//! registry.layout                  root index (see crate::shard)
+//! registry.manifest                manifest of a flat registry
+//! <name>.txns.bin / <name>.lits.bin    lits snapshots
+//! <name>.tbl.bin  / <name>.dt.bin      dt snapshots
+//! <name>.rows.bin / <name>.clu.bin     cluster snapshots
+//! shard-NNN/registry.manifest, …   sharded registries: the same per shard
 //! ```
 //!
-//! with the manifest
+//! Every manifest has one grammar:
 //!
 //! ```text
-//! #focus-registry v2
-//! snapshot <name> kind <lits|dt|cluster> minsup <ms|-> n <rows> regions <count>
+//! #focus-registry-shard v1
+//! snapshot <name> kind <lits|dt|cluster> minsup <ms|-> n <rows> regions <count> seq <n>
 //! ```
 //!
-//! one line per snapshot, in insertion order. The manifest is append-only:
-//! adding a snapshot writes the two artifact files, then appends its line,
-//! so a torn write can at worst lose the line for artifacts that already
-//! exist — never index artifacts that don't. Accordingly, a final manifest
-//! line without its terminating newline is treated as that lost line: it
-//! is ignored on open (whether or not it happens to parse — the writer
-//! always terminates and fsyncs, so an unterminated tail is suspect by
-//! construction) and surfaced through [`Registry::torn_lines`]; malformed
-//! *interior* lines still fail the open. Version-1 manifests (the
-//! lits-only format of earlier releases, `snapshot <name> minsup <ms> n
-//! <txns> itemsets <count>`) still open — every entry reads as a lits
-//! snapshot — and are upgraded in place on the first write.
+//! one line per snapshot. `seq` is global across the manifests of a
+//! sharded registry, so insertion order survives the split. A manifest is
+//! append-only: adding a snapshot writes the two artifact files, then
+//! appends its line, so a torn write can at worst lose the line for
+//! artifacts that already exist — never index artifacts that don't.
+//! Accordingly, a final manifest line without its terminating newline is
+//! treated as that lost line: it is ignored on open (whether or not it
+//! happens to parse — the writer always terminates and fsyncs, so an
+//! unterminated tail is suspect by construction) and surfaced through
+//! [`Registry::torn_lines`]; malformed *interior* lines still fail the
+//! open.
 //!
-//! ## Layouts and formats
+//! ## Layouts
 //!
-//! [`RegistryLayout`] — fixed at creation, recorded in `registry.layout`,
-//! absent for the classic flat/text layout — selects hash-sharded
-//! directories (`shard-NNN/`, each with its own append-only manifest
-//! carrying global `seq` numbers so insertion order survives the split)
-//! and/or the binary columnar artifact format of [`crate::binfmt`]
-//! (artifact files gain a `.bin` suffix and load zero-copy through
-//! [`crate::binfmt::MappedBytes`]).
+//! [`RegistryLayout`] — fixed at creation and recorded in
+//! `registry.layout` — selects a flat directory (`shards 0`: the root
+//! holds the one manifest and every artifact) or hash-sharded
+//! directories (`shard-NNN/`, each with its own manifest and artifacts).
+//! Both open through one path.
 //!
 //! ## Concurrency contract
 //!
@@ -55,11 +54,9 @@
 use crate::binfmt::MappedBytes;
 use crate::family::{SnapshotFamily, SnapshotKind};
 use crate::matrix::{DeviationMatrix, MatrixParams};
-use crate::shard::{RegistryLayout, StorageFormat, LAYOUT_FILE};
-use focus_core::data::TransactionSet;
+use crate::shard::{RegistryLayout, LAYOUT_FILE};
 use focus_core::family::LitsFamily;
 use focus_core::source::CountSource;
-use focus_mining::{Apriori, AprioriParams};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -67,9 +64,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const MANIFEST: &str = "registry.manifest";
-const HEADER_V2: &str = "#focus-registry v2";
-const HEADER_V1: &str = "#focus-registry v1";
-const HEADER_SHARD: &str = "#focus-registry-shard v1";
+const HEADER: &str = "#focus-registry-shard v1";
 
 fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
@@ -181,13 +176,13 @@ pub struct SnapshotEntry {
 }
 
 impl SnapshotEntry {
-    fn manifest_line(&self) -> String {
+    fn manifest_line(&self, seq: u64) -> String {
         let ms = match self.minsup {
             Some(ms) => ms.to_string(),
             None => "-".to_string(),
         };
         format!(
-            "snapshot {} kind {} minsup {} n {} regions {}",
+            "snapshot {} kind {} minsup {} n {} regions {} seq {seq}",
             self.name, self.kind, ms, self.n_rows, self.n_regions
         )
     }
@@ -200,14 +195,12 @@ pub struct Registry {
     entries: Vec<SnapshotEntry>,
     /// Snapshot names, for O(1) duplicate/membership checks at scale.
     names_idx: HashSet<String>,
-    /// Manifest format found on open; v1 manifests upgrade on first write.
-    version: u8,
-    /// Directory layout and artifact format (fixed at creation).
+    /// Directory layout (fixed at creation).
     layout: RegistryLayout,
     /// Torn trailing manifest lines ignored on open (at most one per
     /// manifest file — see the module docs).
     torn: usize,
-    /// Next global sequence number for sharded manifest lines.
+    /// Next global sequence number for manifest lines.
     next_seq: u64,
 }
 
@@ -227,165 +220,92 @@ fn check_name(name: &str) -> std::io::Result<()> {
     }
 }
 
-fn parse_entry(line: &str, version: u8) -> std::io::Result<SnapshotEntry> {
+/// Parses a manifest line:
+/// `snapshot <name> kind <kind> minsup <ms|-> n <rows> regions <count> seq <n>`.
+fn parse_entry(line: &str) -> std::io::Result<(u64, SnapshotEntry)> {
     let fields: Vec<&str> = line.split_whitespace().collect();
-    let entry = if version == 1 {
-        // snapshot <name> minsup <ms> n <txns> itemsets <count>
-        if fields.len() != 8
-            || fields[0] != "snapshot"
-            || fields[2] != "minsup"
-            || fields[4] != "n"
-            || fields[6] != "itemsets"
-        {
-            return Err(bad(&format!("malformed v1 manifest line {line:?}")));
-        }
-        SnapshotEntry {
-            name: fields[1].to_string(),
-            kind: SnapshotKind::Lits,
-            minsup: Some(
-                fields[3]
-                    .parse()
-                    .map_err(|e| bad(&format!("bad minsup in manifest: {e}")))?,
-            ),
-            n_rows: fields[5]
-                .parse()
-                .map_err(|e| bad(&format!("bad n in manifest: {e}")))?,
-            n_regions: fields[7]
-                .parse()
-                .map_err(|e| bad(&format!("bad itemset count in manifest: {e}")))?,
-        }
+    if fields.len() != 12
+        || fields[0] != "snapshot"
+        || fields[2] != "kind"
+        || fields[4] != "minsup"
+        || fields[6] != "n"
+        || fields[8] != "regions"
+        || fields[10] != "seq"
+    {
+        return Err(bad(&format!("malformed manifest line {line:?}")));
+    }
+    let kind = SnapshotKind::parse(fields[3])
+        .ok_or_else(|| bad(&format!("unknown snapshot kind {:?}", fields[3])))?;
+    let minsup = if fields[5] == "-" {
+        None
     } else {
-        // snapshot <name> kind <kind> minsup <ms|-> n <rows> regions <count>
-        if fields.len() != 10
-            || fields[0] != "snapshot"
-            || fields[2] != "kind"
-            || fields[4] != "minsup"
-            || fields[6] != "n"
-            || fields[8] != "regions"
-        {
-            return Err(bad(&format!("malformed manifest line {line:?}")));
-        }
-        let kind = SnapshotKind::parse(fields[3])
-            .ok_or_else(|| bad(&format!("unknown snapshot kind {:?}", fields[3])))?;
-        let minsup = if fields[5] == "-" {
-            None
-        } else {
-            Some(
-                fields[5]
-                    .parse()
-                    .map_err(|e| bad(&format!("bad minsup in manifest: {e}")))?,
-            )
-        };
-        SnapshotEntry {
-            name: fields[1].to_string(),
-            kind,
-            minsup,
-            n_rows: fields[7]
+        Some(
+            fields[5]
                 .parse()
-                .map_err(|e| bad(&format!("bad n in manifest: {e}")))?,
-            n_regions: fields[9]
-                .parse()
-                .map_err(|e| bad(&format!("bad region count in manifest: {e}")))?,
-        }
+                .map_err(|e| bad(&format!("bad minsup in manifest: {e}")))?,
+        )
+    };
+    let entry = SnapshotEntry {
+        name: fields[1].to_string(),
+        kind,
+        minsup,
+        n_rows: fields[7]
+            .parse()
+            .map_err(|e| bad(&format!("bad n in manifest: {e}")))?,
+        n_regions: fields[9]
+            .parse()
+            .map_err(|e| bad(&format!("bad region count in manifest: {e}")))?,
     };
     check_name(&entry.name)?;
-    Ok(entry)
-}
-
-/// Parses a sharded manifest line: a v2 entry line plus ` seq <n>`.
-fn parse_shard_entry(line: &str) -> std::io::Result<(u64, SnapshotEntry)> {
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    if fields.len() != 12 || fields[10] != "seq" {
-        return Err(bad(&format!("malformed shard manifest line {line:?}")));
-    }
-    let seq: u64 = fields[11]
+    let seq = fields[11]
         .parse()
         .map_err(|e| bad(&format!("bad seq in manifest: {e}")))?;
-    let entry = parse_entry(&fields[..10].join(" "), 2)?;
     Ok((seq, entry))
 }
 
+/// Prefixes an error with the file it concerns, keeping its kind.
+pub(crate) fn at_path(path: &Path, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
 impl Registry {
-    /// Opens an existing registry, reading its layout file (if any) and
-    /// manifest(s). A `root` that holds neither (a missing or empty
-    /// directory, say) is a `NotFound` error that names it.
+    /// Opens an existing registry: reads its layout file, then every
+    /// manifest it names. A `root` that holds no registry (a missing or
+    /// empty directory, say) is a `NotFound` error that names it; an old
+    /// manifest without a layout file, or a layout file naming another
+    /// artifact format, is an `InvalidData` error that names the file.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
         if !Self::registry_exists(&root) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
-                format!(
-                    "{}: not a registry (no {MANIFEST} or {LAYOUT_FILE})",
-                    root.display()
-                ),
+                format!("{}: not a registry (no {LAYOUT_FILE})", root.display()),
             ));
         }
-        match RegistryLayout::read(&root)? {
-            Some(layout) if layout.shards > 0 => Self::open_sharded(root, layout),
-            Some(layout) => Self::open_flat(root, layout),
-            None => Self::open_flat(root, RegistryLayout::flat_text()),
-        }
-    }
-
-    fn open_flat(root: PathBuf, layout: RegistryLayout) -> std::io::Result<Self> {
-        let (text, torn) = read_manifest_text(&root.join(MANIFEST))?;
-        let mut lines = text.lines();
-        let version = match lines.next() {
-            Some(HEADER_V2) => 2,
-            Some(HEADER_V1) => 1,
-            _ => return Err(bad("missing registry manifest header")),
-        };
-        let mut entries = Vec::new();
-        let mut names_idx = HashSet::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let entry = parse_entry(line, version)?;
-            if !names_idx.insert(entry.name.clone()) {
-                return Err(bad(&format!(
-                    "duplicate snapshot {:?} in manifest",
-                    entry.name
-                )));
-            }
-            entries.push(entry);
-        }
-        let next_seq = entries.len() as u64;
-        Ok(Self {
-            root,
-            entries,
-            names_idx,
-            version,
-            layout,
-            torn,
-            next_seq,
-        })
-    }
-
-    fn open_sharded(root: PathBuf, layout: RegistryLayout) -> std::io::Result<Self> {
+        let layout = RegistryLayout::read(&root)?;
         let mut tagged: Vec<(u64, SnapshotEntry)> = Vec::new();
         let mut torn = 0;
-        for s in 0..layout.shards {
-            let dir = RegistryLayout::shard_dir(s);
-            let (text, t) = read_manifest_text(&root.join(&dir).join(MANIFEST))?;
+        for dir in layout.manifest_dirs(&root) {
+            let path = dir.join(MANIFEST);
+            let (text, t) = read_manifest_text(&path).map_err(|e| at_path(&path, e))?;
             torn += t;
             let mut lines = text.lines();
-            if lines.next() != Some(HEADER_SHARD) {
-                return Err(bad(&format!("missing shard manifest header in {dir}")));
+            if lines.next() != Some(HEADER) {
+                let why = format!("not a manifest of this release (want the header {HEADER:?})");
+                return Err(at_path(&path, bad(&why)));
             }
             for line in lines {
-                if line.trim().is_empty() {
-                    continue;
+                if !line.trim().is_empty() {
+                    tagged.push(parse_entry(line).map_err(|e| at_path(&path, e))?);
                 }
-                tagged.push(parse_shard_entry(line)?);
             }
         }
-        // Global insertion order is the seq order; per-shard order is
-        // only the per-shard subsequence of it.
+        // Global insertion order is the seq order; a shard's order is only
+        // its subsequence of it.
         tagged.sort_by_key(|(seq, _)| *seq);
         if let Some(w) = tagged.windows(2).find(|w| w[0].0 == w[1].0) {
             return Err(bad(&format!(
-                "duplicate seq {} in shard manifests ({:?} and {:?})",
+                "duplicate seq {} in manifests ({:?} and {:?})",
                 w[0].0, w[0].1.name, w[1].1.name
             )));
         }
@@ -395,7 +315,7 @@ impl Registry {
         for (_, entry) in tagged {
             if !names_idx.insert(entry.name.clone()) {
                 return Err(bad(&format!(
-                    "duplicate snapshot {:?} in shard manifests",
+                    "duplicate snapshot {:?} in manifests",
                     entry.name
                 )));
             }
@@ -405,7 +325,6 @@ impl Registry {
             root,
             entries,
             names_idx,
-            version: 2,
             layout,
             torn,
             next_seq,
@@ -413,20 +332,31 @@ impl Registry {
     }
 
     /// True when `root` already holds a registry (a manifest or a layout
-    /// file).
+    /// file). Either counts, so an old registry without a layout file is
+    /// refused by [`Registry::open`] rather than overwritten. The one
+    /// exception is a root manifest holding only the fresh header with no
+    /// layout file beside it: earlier releases never wrote that header at
+    /// the root, so only a creation interrupted before its last write
+    /// leaves it, and creating again finishes the job.
     fn registry_exists(root: &Path) -> bool {
-        root.join(MANIFEST).exists() || root.join(LAYOUT_FILE).exists()
+        if root.join(LAYOUT_FILE).exists() {
+            return true;
+        }
+        match std::fs::read(root.join(MANIFEST)) {
+            Ok(bytes) => bytes != format!("{HEADER}\n").as_bytes(),
+            Err(e) => e.kind() != std::io::ErrorKind::NotFound,
+        }
     }
 
-    /// Opens the registry at `root`, creating an empty one (classic
-    /// flat/text layout) if none exists yet. An existing registry opens
-    /// with whatever layout it was created with.
+    /// Opens the registry at `root`, creating an empty flat one if none
+    /// exists yet. An existing registry opens with whatever layout it was
+    /// created with.
     pub fn open_or_create(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
         if Self::registry_exists(&root) {
             return Self::open(root);
         }
-        Self::create(root, RegistryLayout::flat_text())
+        Self::create(root, RegistryLayout::default())
     }
 
     /// Like [`Registry::open_or_create`], but a freshly created registry
@@ -442,8 +372,8 @@ impl Registry {
             let reg = Self::open(root)?;
             if reg.layout != layout {
                 return Err(bad(&format!(
-                    "registry already exists with shards={} format={}; asked for shards={} format={}",
-                    reg.layout.shards, reg.layout.format, layout.shards, layout.format
+                    "registry already exists with shards={}; asked for shards={}",
+                    reg.layout.shards, layout.shards
                 )));
             }
             return Ok(reg);
@@ -451,7 +381,7 @@ impl Registry {
         Self::create(root, layout)
     }
 
-    /// Creates an empty registry. Shard directories and manifests are
+    /// Creates an empty registry. Manifests (and shard directories) are
     /// written first and the layout file last, so its presence certifies
     /// the structure beneath it; a crash mid-creation leaves a directory
     /// [`Registry::open`] refuses and a re-run repairs idempotently. A
@@ -459,24 +389,15 @@ impl Registry {
     /// anything touches the disk.
     fn create(root: PathBuf, layout: RegistryLayout) -> std::io::Result<Self> {
         layout.check_shards(std::io::ErrorKind::InvalidInput)?;
-        std::fs::create_dir_all(&root)?;
-        if layout.shards > 0 {
-            for s in 0..layout.shards {
-                let dir = root.join(RegistryLayout::shard_dir(s));
-                std::fs::create_dir_all(&dir)?;
-                persist_file(&dir.join(MANIFEST), |f| writeln!(f, "{HEADER_SHARD}"))?;
-            }
-        } else {
-            persist_file(&root.join(MANIFEST), |f| writeln!(f, "{HEADER_V2}"))?;
+        for dir in layout.manifest_dirs(&root) {
+            std::fs::create_dir_all(&dir)?;
+            persist_file(&dir.join(MANIFEST), |f| writeln!(f, "{HEADER}"))?;
         }
-        if !layout.is_classic() {
-            layout.write(&root)?;
-        }
+        layout.write(&root)?;
         Ok(Self {
             root,
             entries: Vec::new(),
             names_idx: HashSet::new(),
-            version: 2,
             layout,
             torn: 0,
             next_seq: 0,
@@ -488,7 +409,7 @@ impl Registry {
         &self.root
     }
 
-    /// The registry's directory layout and artifact format.
+    /// The registry's directory layout.
     pub fn layout(&self) -> RegistryLayout {
         self.layout
     }
@@ -542,12 +463,23 @@ impl Registry {
         self.names_idx.contains(name)
     }
 
+    /// Checks that `name` can be added: a valid file stem that is not
+    /// registered yet. [`Registry::add_snapshot`] calls it first; callers
+    /// that induce the model themselves call it before paying for that.
+    pub fn check_new_name(&self, name: &str) -> std::io::Result<()> {
+        check_name(name)?;
+        if self.contains(name) {
+            return Err(bad(&format!("snapshot {name:?} already registered")));
+        }
+        Ok(())
+    }
+
     fn entry(&self, name: &str) -> Option<&SnapshotEntry> {
         self.entries.iter().find(|e| e.name == name)
     }
 
-    /// The directory a snapshot's artifacts live in: the root for flat
-    /// layouts, its hash shard otherwise.
+    /// The directory a snapshot's artifacts and manifest line live in:
+    /// the root for flat layouts, its hash shard otherwise.
     fn snapshot_dir(&self, name: &str) -> PathBuf {
         match self.layout.shard_of(name) {
             Some(s) => self.root.join(RegistryLayout::shard_dir(s)),
@@ -556,73 +488,29 @@ impl Registry {
     }
 
     fn artifact_path(&self, name: &str, ext: &str) -> PathBuf {
-        let dir = self.snapshot_dir(name);
-        match self.layout.format {
-            StorageFormat::Text => dir.join(format!("{name}.{ext}")),
-            StorageFormat::Binary => dir.join(format!("{name}.{ext}.bin")),
-        }
+        self.snapshot_dir(name).join(format!("{name}.{ext}.bin"))
     }
 
-    /// The manifest file a snapshot's index line belongs in.
-    fn manifest_path(&self, name: &str) -> PathBuf {
-        self.snapshot_dir(name).join(MANIFEST)
-    }
-
-    /// Rewrites a v1 manifest in v2 format so new kind-tagged lines can be
-    /// appended. The rewrite goes through [`persist_file`] (temp file +
-    /// fsync + rename + directory fsync), so a crash leaves either the old
-    /// or the new manifest, never a torn or lost one.
-    fn upgrade_manifest(&mut self) -> std::io::Result<()> {
-        if self.version == 2 {
-            return Ok(());
-        }
-        persist_file(&self.root.join(MANIFEST), |f| {
-            writeln!(f, "{HEADER_V2}")?;
-            for e in &self.entries {
-                writeln!(f, "{}", e.manifest_line())?;
-            }
-            Ok(())
-        })?;
-        self.version = 2;
-        Ok(())
-    }
-
-    /// Adds a snapshot of any family: persists the dataset and model in
-    /// the registry's storage format and appends the manifest line.
-    /// Fails on duplicate or invalid names without touching the directory.
+    /// Adds a snapshot of any family: persists the dataset and model and
+    /// appends the manifest line. Fails on duplicate or invalid names
+    /// without touching the directory.
     pub fn add_snapshot<F: SnapshotFamily>(
         &mut self,
         name: &str,
         data: &F::Dataset,
         model: &F::Model,
     ) -> std::io::Result<&SnapshotEntry> {
-        check_name(name)?;
-        if self.contains(name) {
-            return Err(bad(&format!("snapshot {name:?} already registered")));
-        }
-        match self.layout.format {
-            StorageFormat::Text => {
-                persist_file(&self.artifact_path(name, F::DATA_EXT), |f| {
-                    F::write_dataset(data, f)
-                })?;
-                persist_file(&self.artifact_path(name, F::MODEL_EXT), |f| {
-                    F::write_model(model, data, f)
-                })?;
-            }
-            StorageFormat::Binary => {
-                // Encode the model first: an unpersistable model (e.g.
-                // classful cluster regions) must fail before any file
-                // lands, exactly as the text path's first write does.
-                let model_bytes = F::encode_model(model, data)?;
-                let data_bytes = F::encode_dataset(data);
-                persist_file(&self.artifact_path(name, F::DATA_EXT), |f| {
-                    f.write_all(&data_bytes)
-                })?;
-                persist_file(&self.artifact_path(name, F::MODEL_EXT), |f| {
-                    f.write_all(&model_bytes)
-                })?;
-            }
-        }
+        self.check_new_name(name)?;
+        // Encode the model first: an unpersistable model (e.g. classful
+        // cluster regions) must fail before any file lands.
+        let model_bytes = F::encode_model(model, data)?;
+        let data_bytes = F::encode_dataset(data);
+        persist_file(&self.artifact_path(name, F::DATA_EXT), |f| {
+            f.write_all(&data_bytes)
+        })?;
+        persist_file(&self.artifact_path(name, F::MODEL_EXT), |f| {
+            f.write_all(&model_bytes)
+        })?;
         let entry = SnapshotEntry {
             name: name.to_string(),
             kind: F::KIND,
@@ -630,18 +518,12 @@ impl Registry {
             n_rows: F::data_len(data),
             n_regions: F::model_regions(model),
         };
-        let line = if self.layout.shards > 0 {
-            format!("{} seq {}", entry.manifest_line(), self.next_seq)
-        } else {
-            self.upgrade_manifest()?;
-            entry.manifest_line()
-        };
-        let manifest_path = self.manifest_path(name);
+        let manifest_path = self.snapshot_dir(name).join(MANIFEST);
         // Appending after an unterminated torn tail would weld two lines
         // together; drop the tail (durably) before extending the file.
         repair_manifest_tail(&manifest_path)?;
         let mut manifest = OpenOptions::new().append(true).open(manifest_path)?;
-        writeln!(manifest, "{line}")?;
+        writeln!(manifest, "{}", entry.manifest_line(self.next_seq))?;
         // The artifacts are already durable; make the index line durable
         // too before reporting success, or a crash could land a snapshot
         // whose files exist but which the manifest has never heard of.
@@ -652,53 +534,52 @@ impl Registry {
         Ok(self.entries.last().expect("just pushed"))
     }
 
+    /// Checks the stored kind of `name` against `F`, then decodes its
+    /// `ext` artifact (memory-mapped where the platform allows). Errors
+    /// from the read or the decode name the artifact's path.
+    fn load_artifact<F: SnapshotFamily, T>(
+        &self,
+        name: &str,
+        ext: &str,
+        decode: impl FnOnce(&[u8]) -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
+        self.check_kind::<F>(name)?;
+        let path = self.artifact_path(name, ext);
+        MappedBytes::open(&path)
+            .and_then(|bytes: MappedBytes| decode(&bytes))
+            .map_err(|e| at_path(&path, e))
+    }
+
     /// Loads one snapshot's model, checking the stored kind matches `F`.
     pub fn load_snapshot_model<F: SnapshotFamily>(&self, name: &str) -> std::io::Result<F::Model> {
-        self.check_kind::<F>(name)?;
-        let path = self.artifact_path(name, F::MODEL_EXT);
-        match self.layout.format {
-            StorageFormat::Text => F::read_model(File::open(path)?),
-            StorageFormat::Binary => F::decode_model(&MappedBytes::open(&path)?),
-        }
+        self.load_artifact::<F, _>(name, F::MODEL_EXT, F::decode_model)
     }
 
     /// Loads one snapshot's dataset, checking the stored kind matches `F`.
-    /// Binary registries read zero-copy through
-    /// [`crate::binfmt::MappedBytes`] where the platform allows.
+    /// Reads zero-copy through [`crate::binfmt::MappedBytes`] where the
+    /// platform allows.
     pub fn load_snapshot_dataset<F: SnapshotFamily>(
         &self,
         name: &str,
     ) -> std::io::Result<F::Dataset> {
-        self.check_kind::<F>(name)?;
-        let path = self.artifact_path(name, F::DATA_EXT);
-        match self.layout.format {
-            StorageFormat::Text => F::read_dataset(File::open(path)?),
-            StorageFormat::Binary => F::decode_dataset(&MappedBytes::open(&path)?),
-        }
+        self.load_artifact::<F, _>(name, F::DATA_EXT, F::decode_dataset)
     }
 
     /// Loads one **lits** snapshot as an owning [`CountSource`] — the
-    /// counting handle the deviation engines scan through. Binary
-    /// registries take the decode-to-index seam: the vertical tid-bitset
-    /// index is built straight from the (memory-mapped) columnar words in
-    /// one pass, with the same checksum and CSR validation as
+    /// counting handle the deviation engines scan through — by the
+    /// decode-to-index seam: the vertical tid-bitset index is built
+    /// straight from the (memory-mapped) columnar words in one pass, with
+    /// the same checksum and CSR validation as
     /// [`Registry::load_snapshot_dataset`] but no intermediate
-    /// `TransactionSet`. Text registries wrap the parsed dataset, so the
-    /// index is built lazily if and when the cost model wants it. Either
-    /// way counts are bit-identical to scanning the loaded dataset.
+    /// `TransactionSet`. Counts are bit-identical to scanning the loaded
+    /// dataset.
     pub fn load_snapshot_source(&self, name: &str) -> std::io::Result<CountSource<'static>> {
-        self.check_kind::<LitsFamily>(name)?;
-        let path = self.artifact_path(name, <LitsFamily as SnapshotFamily>::DATA_EXT);
-        match self.layout.format {
-            StorageFormat::Text => Ok(CountSource::from_owned(
-                <LitsFamily as SnapshotFamily>::read_dataset(File::open(path)?)?,
-            )),
-            StorageFormat::Binary => {
-                let index =
-                    crate::binfmt::decode_transactions_to_index(&MappedBytes::open(&path)?)?;
-                Ok(CountSource::from_index(index))
-            }
-        }
+        let index = self.load_artifact::<LitsFamily, _>(
+            name,
+            <LitsFamily as SnapshotFamily>::DATA_EXT,
+            |bytes| Ok(crate::binfmt::decode_transactions_to_index(bytes)?),
+        )?;
+        Ok(CountSource::from_index(index))
     }
 
     fn check_kind<F: SnapshotFamily>(&self, name: &str) -> std::io::Result<()> {
@@ -713,29 +594,6 @@ impl Registry {
             )));
         }
         Ok(())
-    }
-
-    /// Adds a lits snapshot: mines its model at `minsup` (same miner
-    /// configuration as the CLI `mine` subcommand) and persists both.
-    pub fn add(
-        &mut self,
-        name: &str,
-        data: &TransactionSet,
-        minsup: f64,
-    ) -> std::io::Result<&SnapshotEntry> {
-        // Reject bad/duplicate names *before* paying for the mine
-        // (`add_snapshot` re-checks, but by then the work is done).
-        check_name(name)?;
-        if self.contains(name) {
-            return Err(bad(&format!("snapshot {name:?} already registered")));
-        }
-        let model = Apriori::new(
-            AprioriParams::with_minsup(minsup)
-                .max_len(10)
-                .min_count_floor(2),
-        )
-        .mine(data);
-        self.add_snapshot::<LitsFamily>(name, data, &model)
     }
 
     /// Computes the screened pairwise deviation matrix of the registry's
@@ -778,7 +636,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::random_dataset;
+    use crate::testutil::{add_lits, random_dataset};
     use focus_core::data::{LabeledTable, Schema, Value};
     use focus_core::family::{ClusterFamily, DtFamily};
     use focus_core::model::{induce_dt_measures, ClusterModel};
@@ -800,8 +658,8 @@ mod tests {
         let mut reg = Registry::open_or_create(&dir).unwrap();
         let d1 = random_dataset(1, 300, 0.0);
         let d2 = random_dataset(2, 300, 1.0);
-        reg.add("day-01", &d1, 0.1).unwrap();
-        reg.add("day-02", &d2, 0.1).unwrap();
+        add_lits(&mut reg, "day-01", &d1, 0.1).unwrap();
+        add_lits(&mut reg, "day-02", &d2, 0.1).unwrap();
         assert_eq!(reg.names(), vec!["day-01", "day-02"]);
 
         // A fresh handle sees the same entries and identical artifacts.
@@ -824,10 +682,16 @@ mod tests {
         let dir = scratch("names");
         let mut reg = Registry::open_or_create(&dir).unwrap();
         let d = random_dataset(1, 100, 0.0);
-        reg.add("ok", &d, 0.2).unwrap();
-        assert!(reg.add("ok", &d, 0.2).is_err(), "duplicate must fail");
+        add_lits(&mut reg, "ok", &d, 0.2).unwrap();
+        assert!(
+            add_lits(&mut reg, "ok", &d, 0.2).is_err(),
+            "duplicate must fail"
+        );
         for bad_name in ["", "has space", "a/b", ".hidden", "semi;colon"] {
-            assert!(reg.add(bad_name, &d, 0.2).is_err(), "{bad_name:?}");
+            assert!(
+                add_lits(&mut reg, bad_name, &d, 0.2).is_err(),
+                "{bad_name:?}"
+            );
         }
         // Failed adds leave the registry unchanged.
         assert_eq!(reg.len(), 1);
@@ -846,9 +710,11 @@ mod tests {
             "{msg}"
         );
         // A garbage manifest is InvalidData, not a panic.
+        RegistryLayout::default().write(&dir).unwrap();
         std::fs::write(dir.join(MANIFEST), "not a manifest\n").unwrap();
         let err = Registry::open(&dir).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(MANIFEST), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -865,75 +731,124 @@ mod tests {
     fn snapshot_source_counts_match_loaded_dataset() {
         use focus_core::model::count_itemsets;
         use focus_core::region::Itemset;
-        for format in [StorageFormat::Text, StorageFormat::Binary] {
-            let dir = scratch(&format!("source-{format:?}"));
-            let layout = RegistryLayout { shards: 0, format };
-            let mut reg = Registry::open_or_create_with(&dir, layout).unwrap();
-            let data = random_dataset(7, 250, 0.5);
-            reg.add("day-01", &data, 0.1).unwrap();
+        let dir = scratch("source");
+        let mut reg = Registry::open_or_create(&dir).unwrap();
+        let data = random_dataset(7, 250, 0.5);
+        add_lits(&mut reg, "day-01", &data, 0.1).unwrap();
 
-            let source = reg.load_snapshot_source("day-01").unwrap();
-            // Binary registries decode straight to the index; text ones
-            // defer the build to the cost model.
-            assert_eq!(source.index_built(), format == StorageFormat::Binary);
-            assert_eq!(source.len(), data.len());
+        // The dataset decodes straight to the index.
+        let source = reg.load_snapshot_source("day-01").unwrap();
+        assert!(source.index_built());
+        assert_eq!(source.len(), data.len());
 
-            let itemsets: Vec<Itemset> = (0..8u32)
-                .map(|i| Itemset::from_slice(&[i, (i + 3) % 8]))
-                .chain(std::iter::once(Itemset::new(vec![])))
-                .collect();
-            let expect = count_itemsets(&data, &itemsets, Parallelism::Sequential);
+        let itemsets: Vec<Itemset> = (0..8u32)
+            .map(|i| Itemset::from_slice(&[i, (i + 3) % 8]))
+            .chain(std::iter::once(Itemset::new(vec![])))
+            .collect();
+        let expect = count_itemsets(&data, &itemsets, Parallelism::Sequential);
+        assert_eq!(source.counts(&itemsets, Parallelism::Sequential), expect);
+
+        // Non-lits snapshots and unknown names are errors.
+        let (dt_data, dt_model) = dt_snapshot(40.0);
+        reg.add_snapshot::<DtFamily>("dt-day", &dt_data, &dt_model)
+            .unwrap();
+        assert!(reg.load_snapshot_source("dt-day").is_err());
+        assert!(reg.load_snapshot_source("nope").is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file under `dir`, with its bytes, in path order.
+    fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for e in std::fs::read_dir(dir).unwrap() {
+            let path = e.unwrap().path();
+            if path.is_dir() {
+                out.extend(tree_bytes(&path));
+            } else {
+                out.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn old_format_directories_fail_to_open_and_stay_untouched() {
+        // A flat manifest of an earlier release, with no layout file, with
+        // a layout file of its binary flat layout, and with a layout file
+        // that names the retired text format.
+        let cases = [
+            (
+                "old-flat",
+                vec![(MANIFEST, "#focus-registry v2\n")],
+                "registry.layout: missing",
+            ),
+            (
+                "old-flat-bin",
+                vec![
+                    (MANIFEST, "#focus-registry v2\n"),
+                    (
+                        LAYOUT_FILE,
+                        "#focus-registry-layout v1\nshards 0\nformat bin\n",
+                    ),
+                ],
+                "registry.manifest: not a manifest of this release",
+            ),
+            (
+                "old-text",
+                vec![
+                    (MANIFEST, "#focus-registry v2\n"),
+                    (
+                        LAYOUT_FILE,
+                        "#focus-registry-layout v1\nshards 0\nformat text\n",
+                    ),
+                ],
+                "unsupported storage format \"text\"",
+            ),
+        ];
+        for (tag, files, why) in cases {
+            let dir = scratch(tag);
+            std::fs::create_dir_all(&dir).unwrap();
+            for (file, text) in &files {
+                std::fs::write(dir.join(file), text).unwrap();
+            }
+            let before = tree_bytes(&dir);
+            let layout = RegistryLayout::default();
+            for err in [
+                Registry::open(&dir).unwrap_err(),
+                Registry::open_or_create(&dir).unwrap_err(),
+                Registry::open_or_create_with(&dir, layout).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}");
+                let msg = err.to_string();
+                assert!(
+                    msg.starts_with(&dir.display().to_string()) && msg.contains(why),
+                    "{tag}: {msg}"
+                );
+            }
             assert_eq!(
-                source.counts(&itemsets, Parallelism::Sequential),
-                expect,
-                "{format:?}"
+                tree_bytes(&dir),
+                before,
+                "{tag}: files must stay as they were"
             );
-
-            // Non-lits snapshots and unknown names are errors.
-            let (dt_data, dt_model) = dt_snapshot(40.0);
-            reg.add_snapshot::<DtFamily>("dt-day", &dt_data, &dt_model)
-                .unwrap();
-            assert!(reg.load_snapshot_source("dt-day").is_err());
-            assert!(reg.load_snapshot_source("nope").is_err());
             std::fs::remove_dir_all(&dir).ok();
         }
     }
 
     #[test]
-    fn v1_manifests_open_as_lits_and_upgrade_on_write() {
-        let dir = scratch("v1compat");
-        // Build a registry, then rewrite its manifest in the v1 format.
+    fn interrupted_flat_creation_is_finished_by_the_next_create() {
+        // A crash after the empty root manifest landed but before the
+        // layout file did.
+        let dir = scratch("interrupted");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST), format!("{HEADER}\n")).unwrap();
+        let err = Registry::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+
         let mut reg = Registry::open_or_create(&dir).unwrap();
-        let d = random_dataset(1, 200, 0.0);
-        reg.add("day-01", &d, 0.2).unwrap();
-        let entry = reg.entries()[0].clone();
-        std::fs::write(
-            dir.join(MANIFEST),
-            format!(
-                "{HEADER_V1}\nsnapshot {} minsup {} n {} itemsets {}\n",
-                entry.name,
-                entry.minsup.unwrap(),
-                entry.n_rows,
-                entry.n_regions
-            ),
-        )
-        .unwrap();
-
-        let mut back = Registry::open(&dir).unwrap();
-        assert_eq!(back.entries(), std::slice::from_ref(&entry));
-        assert_eq!(
-            back.load_snapshot_dataset::<LitsFamily>("day-01").unwrap(),
-            d
-        );
-
-        // The first write upgrades the manifest in place to v2.
-        back.add("day-02", &random_dataset(2, 200, 1.0), 0.2)
-            .unwrap();
-        let text = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
-        assert!(text.starts_with(HEADER_V2), "{text}");
-        let again = Registry::open(&dir).unwrap();
-        assert_eq!(again.len(), 2);
-        assert_eq!(again.entries()[0], entry);
+        add_lits(&mut reg, "day-01", &random_dataset(1, 80, 0.0), 0.3).unwrap();
+        assert!(dir.join(LAYOUT_FILE).exists());
+        assert_eq!(Registry::open(&dir).unwrap().names(), vec!["day-01"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -963,7 +878,7 @@ mod tests {
         let dir = scratch("mixed");
         let mut reg = Registry::open_or_create(&dir).unwrap();
         let lits_data = random_dataset(1, 200, 0.0);
-        reg.add("txn-day", &lits_data, 0.2).unwrap();
+        add_lits(&mut reg, "txn-day", &lits_data, 0.2).unwrap();
         let (dt_data, dt_model) = dt_snapshot(40.0);
         reg.add_snapshot::<DtFamily>("dt-day", &dt_data, &dt_model)
             .unwrap();
@@ -1020,7 +935,7 @@ mod tests {
         // (2.0). With nothing surviving, no dataset is ever read — prove
         // it by corrupting the dataset files.
         for name in ["a", "b", "c"] {
-            std::fs::write(dir.join(format!("{name}.tbl")), "garbage").unwrap();
+            std::fs::write(dir.join(format!("{name}.tbl.bin")), "garbage").unwrap();
         }
         let screened = reg
             .matrix_of::<DtFamily>(&MatrixParams {
@@ -1043,9 +958,9 @@ mod tests {
         // Two similar snapshots and one far-away one: with a threshold
         // between the intra- and inter-group bounds, exactly one pair is
         // pruned.
-        reg.add("a", &random_dataset(1, 300, 0.0), 0.15).unwrap();
-        reg.add("b", &random_dataset(2, 300, 0.0), 0.15).unwrap();
-        reg.add("c", &random_dataset(3, 300, 1.0), 0.15).unwrap();
+        add_lits(&mut reg, "a", &random_dataset(1, 300, 0.0), 0.15).unwrap();
+        add_lits(&mut reg, "b", &random_dataset(2, 300, 0.0), 0.15).unwrap();
+        add_lits(&mut reg, "c", &random_dataset(3, 300, 1.0), 0.15).unwrap();
         let mut params = MatrixParams {
             par: Parallelism::Sequential,
             ..MatrixParams::default()
@@ -1074,54 +989,75 @@ mod tests {
 
     #[test]
     fn torn_trailing_manifest_line_is_tolerated_at_every_offset() {
-        let dir = scratch("torn");
-        let mut reg = Registry::open_or_create(&dir).unwrap();
-        reg.add("day-01", &random_dataset(1, 80, 0.0), 0.3).unwrap();
-        reg.add("day-02", &random_dataset(2, 80, 1.0), 0.3).unwrap();
-        let full = std::fs::read(dir.join(MANIFEST)).unwrap();
-        assert_eq!(*full.last().unwrap(), b'\n', "writer terminates lines");
+        // Flat and sharded manifests share one reader: crash-inject both.
+        for shards in [0, 2] {
+            let dir = scratch(&format!("torn-{shards}"));
+            let layout = RegistryLayout {
+                shards,
+                ..RegistryLayout::default()
+            };
+            let mut reg = Registry::open_or_create_with(&dir, layout).unwrap();
+            let names = ["a", "b", "c"];
+            for (seed, name) in (1..).zip(names) {
+                add_lits(&mut reg, name, &random_dataset(seed, 80, 0.0), 0.3).unwrap();
+            }
+            // "c" holds the greatest seq, so it is the last line of its
+            // manifest.
+            let manifest = reg.snapshot_dir("c").join(MANIFEST);
+            let full = std::fs::read(&manifest).unwrap();
+            assert_eq!(*full.last().unwrap(), b'\n', "writer terminates lines");
+            let held: Vec<String> = String::from_utf8(full.clone())
+                .unwrap()
+                .lines()
+                .skip(1)
+                .map(|l| l.split_whitespace().nth(1).unwrap().to_string())
+                .collect();
 
-        // Crash-inject: truncate the manifest at every byte offset. The
-        // complete lines must survive, an unterminated tail must be
-        // dropped (and counted), and a manifest whose header never made
-        // it to disk must refuse to open.
-        for cut in 0..=full.len() {
-            let prefix = &full[..cut];
-            std::fs::write(dir.join(MANIFEST), prefix).unwrap();
-            let newlines = prefix.iter().filter(|&&b| b == b'\n').count();
-            let opened = Registry::open(&dir);
-            if newlines == 0 {
-                assert!(opened.is_err(), "cut {cut}: headerless must fail");
-                continue;
+            // Truncate that manifest at every byte offset. Its complete
+            // lines and every other manifest must survive, an unterminated
+            // tail must be dropped (and counted), and a manifest whose
+            // header never made it to disk must refuse to open.
+            for cut in 0..=full.len() {
+                let prefix = &full[..cut];
+                std::fs::write(&manifest, prefix).unwrap();
+                let newlines = prefix.iter().filter(|&&b| b == b'\n').count();
+                let opened = Registry::open(&dir);
+                if newlines == 0 {
+                    assert!(
+                        opened.is_err(),
+                        "{shards} shards, cut {cut}: headerless must fail"
+                    );
+                    continue;
+                }
+                let back = opened.unwrap_or_else(|e| panic!("{shards} shards, cut {cut}: {e}"));
+                let lost = &held[newlines - 1..];
+                let want: Vec<&str> = names
+                    .into_iter()
+                    .filter(|n| !lost.iter().any(|l| l == n))
+                    .collect();
+                assert_eq!(back.names(), want, "{shards} shards, cut {cut}");
+                let torn = usize::from(!prefix.ends_with(b"\n"));
+                assert_eq!(back.torn_lines(), torn, "{shards} shards, cut {cut}");
             }
-            let back = opened.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-            assert_eq!(back.len(), newlines - 1, "cut {cut}");
-            let torn = usize::from(!prefix.ends_with(b"\n"));
-            assert_eq!(back.torn_lines(), torn, "cut {cut}");
-            for (i, e) in back.entries().iter().enumerate() {
-                assert_eq!(e.name, format!("day-0{}", i + 1), "cut {cut}");
-            }
+
+            // Recovery: re-adding the snapshot whose line was torn works on
+            // the reopened handle (its artifacts are simply overwritten),
+            // and its seq picks up where the survivors left off.
+            std::fs::write(&manifest, &full[..full.len() - 1]).unwrap();
+            let mut back = Registry::open(&dir).unwrap();
+            assert_eq!((back.names(), back.torn_lines()), (vec!["a", "b"], 1));
+            add_lits(&mut back, "c", &random_dataset(3, 80, 0.0), 0.3).unwrap();
+            let healed = Registry::open(&dir).unwrap();
+            assert_eq!((healed.names(), healed.torn_lines()), (names.to_vec(), 0));
+            std::fs::remove_dir_all(&dir).ok();
         }
-
-        // Recovery: re-adding the snapshot whose line was torn works on
-        // the reopened handle (its artifacts are simply overwritten).
-        std::fs::write(dir.join(MANIFEST), &full[..full.len() - 1]).unwrap();
-        let mut back = Registry::open(&dir).unwrap();
-        assert_eq!((back.len(), back.torn_lines()), (1, 1));
-        back.add("day-02", &random_dataset(2, 80, 1.0), 0.3)
-            .unwrap();
-        assert_eq!(
-            Registry::open(&dir).unwrap().names(),
-            vec!["day-01", "day-02"]
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn malformed_terminated_lines_still_error() {
         let dir = scratch("interior");
         let mut reg = Registry::open_or_create(&dir).unwrap();
-        reg.add("day-01", &random_dataset(1, 80, 0.0), 0.3).unwrap();
+        add_lits(&mut reg, "day-01", &random_dataset(1, 80, 0.0), 0.3).unwrap();
         let full = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
 
         // A malformed *interior* line is corruption, not a torn append.
@@ -1182,13 +1118,13 @@ mod tests {
         let dir = scratch("sharded-bin");
         let layout = RegistryLayout {
             shards: 3,
-            format: StorageFormat::Binary,
+            ..RegistryLayout::default()
         };
         let mut reg = Registry::open_or_create_with(&dir, layout).unwrap();
         assert_eq!(reg.layout(), layout);
 
         let lits_data = random_dataset(1, 200, 0.4);
-        reg.add("txn-day", &lits_data, 0.2).unwrap();
+        add_lits(&mut reg, "txn-day", &lits_data, 0.2).unwrap();
         let (dt_data, dt_model) = dt_snapshot(40.0);
         reg.add_snapshot::<DtFamily>("dt-day", &dt_data, &dt_model)
             .unwrap();
@@ -1251,48 +1187,14 @@ mod tests {
         // `open_or_create` respects the existing layout instead of
         // clobbering it; asking for a *different* layout is an error.
         assert_eq!(Registry::open_or_create(&dir).unwrap().layout(), layout);
-        assert!(Registry::open_or_create_with(&dir, RegistryLayout::flat_text()).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_manifest_torn_tail_is_tolerated() {
-        let dir = scratch("shard-torn");
-        let layout = RegistryLayout {
-            shards: 2,
-            format: StorageFormat::Text,
-        };
-        let mut reg = Registry::open_or_create_with(&dir, layout).unwrap();
-        for (name, seed) in [("a", 1), ("b", 2), ("c", 3)] {
-            reg.add(name, &random_dataset(seed, 80, 0.0), 0.3).unwrap();
-        }
-        // "c" holds the greatest seq, so it is the last line of its
-        // shard's manifest; tear that line mid-byte.
-        let shard = layout.shard_of("c").unwrap();
-        let manifest = dir.join(RegistryLayout::shard_dir(shard)).join(MANIFEST);
-        let text = std::fs::read(&manifest).unwrap();
-        std::fs::write(&manifest, &text[..text.len() - 3]).unwrap();
-
-        let mut back = Registry::open(&dir).unwrap();
-        assert_eq!(back.torn_lines(), 1);
-        assert_eq!(back.names(), vec!["a", "b"]);
-        // Re-adding the lost snapshot reconciles; insertion order and seq
-        // numbering pick up where the survivors left off.
-        back.add("c", &random_dataset(3, 80, 0.0), 0.3).unwrap();
-        let healed = Registry::open(&dir).unwrap();
-        assert_eq!(healed.names(), vec!["a", "b", "c"]);
-        assert_eq!(healed.torn_lines(), 0);
+        assert!(Registry::open_or_create_with(&dir, RegistryLayout::default()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn binary_add_of_unpersistable_model_leaves_directory_untouched() {
         let dir = scratch("bin-reject");
-        let layout = RegistryLayout {
-            shards: 0,
-            format: StorageFormat::Binary,
-        };
-        let mut reg = Registry::open_or_create_with(&dir, layout).unwrap();
+        let mut reg = Registry::open_or_create(&dir).unwrap();
         let (t, clu) = cluster_snapshot(30.0);
         let classful = ClusterModel::new(
             clu.clusters()

@@ -1,13 +1,12 @@
-//! Registry layout: flat vs hash-sharded directories, text vs binary
-//! artifacts.
+//! Registry layout: flat or hash-sharded directories.
 //!
-//! A classic (pre-PR-8) registry is one flat directory — manifest plus
-//! artifact files — which is fine for dozens of snapshots and wrong for
-//! 10⁴–10⁵ of them: every `add` appends to one manifest and every file
-//! lands in one directory whose lookup and fsync costs grow with the
-//! whole population. A *sharded* registry splits the namespace by a hash
-//! of the snapshot name into `shard-NNN/` subdirectories, each with its
-//! own append-only manifest, so directory size and manifest length scale
+//! A flat registry is one directory — manifest plus artifact files —
+//! which is fine for dozens of snapshots and wrong for 10⁴–10⁵ of them:
+//! every `add` appends to one manifest and every file lands in one
+//! directory whose lookup and fsync costs grow with the whole
+//! population. A *sharded* registry splits the namespace by a hash of
+//! the snapshot name into `shard-NNN/` subdirectories, each with its own
+//! append-only manifest, so directory size and manifest length scale
 //! with `N / shards`.
 //!
 //! The layout is fixed at creation time and recorded in a root index
@@ -16,16 +15,17 @@
 //! ```text
 //! #focus-registry-layout v1
 //! shards <n>            0 = flat (no shard directories)
-//! format <text|bin>
+//! format bin
 //! ```
 //!
-//! written with the same temp-file + fsync + rename discipline as every
-//! other registry file. **No layout file means the classic flat/text
-//! layout**, so every registry written by earlier releases opens
-//! unchanged and byte-for-byte golden files stay golden.
+//! written last, with the same temp-file + fsync + rename discipline as
+//! every other registry file, so its presence certifies the structure
+//! beneath it. Every registry has one; a directory with a manifest but no
+//! layout file, or with a layout file naming another format, is refused
+//! by name.
 
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Name of the root index file.
 pub(crate) const LAYOUT_FILE: &str = "registry.layout";
@@ -38,35 +38,26 @@ fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Which artifact format a registry persists snapshots in.
+/// The artifact format a registry persists snapshots in. There is one:
+/// the binary columnar format of [`crate::binfmt`], read zero-copy via
+/// [`crate::binfmt::MappedBytes`] where available. The layout file and
+/// the CLI still name it, as `bin`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageFormat {
-    /// The plain-text golden/interchange formats (`focus_data::io`,
-    /// `focus_core::persist`) — the default, and the only format earlier
-    /// releases wrote.
+    /// The binary columnar format of [`crate::binfmt`].
     #[default]
-    Text,
-    /// The binary columnar format of [`crate::binfmt`], read zero-copy
-    /// via [`crate::binfmt::MappedBytes`] where available.
     Binary,
 }
 
 impl StorageFormat {
     /// The layout-file/CLI spelling.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            StorageFormat::Text => "text",
-            StorageFormat::Binary => "bin",
-        }
+        "bin"
     }
 
     /// Parses a layout-file/CLI spelling.
     pub fn parse(s: &str) -> Option<StorageFormat> {
-        match s {
-            "text" => Some(StorageFormat::Text),
-            "bin" | "binary" => Some(StorageFormat::Binary),
-            _ => None,
-        }
+        (s == "bin").then_some(StorageFormat::Binary)
     }
 }
 
@@ -76,8 +67,8 @@ impl std::fmt::Display for StorageFormat {
     }
 }
 
-/// A registry's on-disk layout: how many hash shards (0 = flat) and
-/// which artifact format. Chosen at creation time; immutable afterwards.
+/// A registry's on-disk layout: how many hash shards (0 = flat). Chosen
+/// at creation time; immutable afterwards. The default is flat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegistryLayout {
     /// Number of hash shards; 0 keeps everything in the root directory.
@@ -87,16 +78,6 @@ pub struct RegistryLayout {
 }
 
 impl RegistryLayout {
-    /// The classic layout: flat directory, plain-text artifacts.
-    pub fn flat_text() -> RegistryLayout {
-        RegistryLayout::default()
-    }
-
-    /// True when this is the classic layout that needs no layout file.
-    pub fn is_classic(&self) -> bool {
-        *self == RegistryLayout::flat_text()
-    }
-
     /// The shard a snapshot name lives in (`None` for flat layouts):
     /// FNV-1a 64 of the name modulo the shard count, so placement is a
     /// pure function of the name and stable across handles and releases.
@@ -128,18 +109,37 @@ impl RegistryLayout {
         format!("shard-{i:03}")
     }
 
-    /// Reads `root`'s layout file; `Ok(None)` when absent (classic
-    /// layout), an error only for a present-but-malformed file.
-    pub(crate) fn read(root: &Path) -> std::io::Result<Option<RegistryLayout>> {
+    /// The directories that hold a manifest: the root when flat, every
+    /// `shard-NNN/` otherwise.
+    pub(crate) fn manifest_dirs(&self, root: &Path) -> Vec<PathBuf> {
+        if self.shards == 0 {
+            vec![root.to_path_buf()]
+        } else {
+            (0..self.shards)
+                .map(|s| root.join(Self::shard_dir(s)))
+                .collect()
+        }
+    }
+
+    /// Reads `root`'s layout file. A missing file (a directory that holds
+    /// only a manifest) and a malformed one are `InvalidData` errors that
+    /// name the file.
+    pub(crate) fn read(root: &Path) -> std::io::Result<RegistryLayout> {
         let path = root.join(LAYOUT_FILE);
+        let named = |msg: &str| bad(&format!("{}: {msg}", path.display()));
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(named(
+                    "missing; the registry was written by an earlier release \
+                     (or its creation was interrupted) — rebuild it in a new directory",
+                ))
+            }
+            Err(e) => return Err(crate::registry::at_path(&path, e)),
         };
         let mut lines = text.lines();
         if lines.next() != Some(LAYOUT_HEADER) {
-            return Err(bad("missing registry layout header"));
+            return Err(named("missing registry layout header"));
         }
         let mut shards = None;
         let mut format = None;
@@ -153,24 +153,28 @@ impl RegistryLayout {
                     shards = Some(
                         v.trim()
                             .parse()
-                            .map_err(|e| bad(&format!("bad shard count: {e}")))?,
+                            .map_err(|e| named(&format!("bad shard count: {e}")))?,
                     );
                 }
                 Some(("format", v)) => {
-                    format = Some(
-                        StorageFormat::parse(v.trim())
-                            .ok_or_else(|| bad(&format!("unknown storage format {v:?}")))?,
-                    );
+                    format = Some(StorageFormat::parse(v.trim()).ok_or_else(|| {
+                        named(&format!(
+                            "unsupported storage format {:?} (registries store bin artifacts only)",
+                            v.trim()
+                        ))
+                    })?);
                 }
-                _ => return Err(bad(&format!("malformed layout line {line:?}"))),
+                _ => return Err(named(&format!("malformed layout line {line:?}"))),
             }
         }
         let layout = RegistryLayout {
-            shards: shards.ok_or_else(|| bad("layout file missing shards line"))?,
-            format: format.ok_or_else(|| bad("layout file missing format line"))?,
+            shards: shards.ok_or_else(|| named("missing shards line"))?,
+            format: format.ok_or_else(|| named("missing format line"))?,
         };
-        layout.check_shards(std::io::ErrorKind::InvalidData)?;
-        Ok(Some(layout))
+        layout
+            .check_shards(std::io::ErrorKind::InvalidData)
+            .map_err(|e| named(&e.to_string()))?;
+        Ok(layout)
     }
 
     /// Durably writes the layout file through the registry's
@@ -190,11 +194,10 @@ mod tests {
 
     #[test]
     fn format_spellings_round_trip() {
-        for fmt in [StorageFormat::Text, StorageFormat::Binary] {
-            assert_eq!(StorageFormat::parse(fmt.as_str()), Some(fmt));
-            assert_eq!(format!("{fmt}"), fmt.as_str());
-        }
-        assert_eq!(StorageFormat::parse("binary"), Some(StorageFormat::Binary));
+        let fmt = StorageFormat::Binary;
+        assert_eq!(StorageFormat::parse(fmt.as_str()), Some(fmt));
+        assert_eq!(format!("{fmt}"), "bin");
+        assert_eq!(StorageFormat::parse("text"), None);
         assert_eq!(StorageFormat::parse("nope"), None);
     }
 
@@ -216,7 +219,7 @@ mod tests {
             seen.iter().all(|&s| s),
             "200 names should touch all 8 shards"
         );
-        assert_eq!(RegistryLayout::flat_text().shard_of("snap-1"), None);
+        assert_eq!(RegistryLayout::default().shard_of("snap-1"), None);
         assert_eq!(RegistryLayout::shard_dir(3), "shard-003");
     }
 
@@ -229,20 +232,25 @@ mod tests {
             format: StorageFormat::Binary,
         };
         layout.write(&dir).unwrap();
-        assert_eq!(RegistryLayout::read(&dir).unwrap(), Some(layout));
+        assert_eq!(RegistryLayout::read(&dir).unwrap(), layout);
 
         let missing = dir.join("nope");
-        assert_eq!(RegistryLayout::read(&missing).unwrap(), None);
+        let err = RegistryLayout::read(&missing).unwrap_err();
+        let named = format!("{}: missing", missing.join(LAYOUT_FILE).display());
+        assert!(err.to_string().starts_with(&named), "{err}");
 
         for garbage in [
             "not a layout\n",
-            "#focus-registry-layout v1\nshards x\nformat text\n",
+            "#focus-registry-layout v1\nshards x\nformat bin\n",
+            "#focus-registry-layout v1\nshards 0\nformat text\n",
             "#focus-registry-layout v1\nshards 4\nformat carrier-pigeon\n",
             "#focus-registry-layout v1\nshards 4\n",
             "#focus-registry-layout v1\nwat\n",
         ] {
             std::fs::write(dir.join(LAYOUT_FILE), garbage).unwrap();
-            assert!(RegistryLayout::read(&dir).is_err(), "{garbage:?}");
+            let err = RegistryLayout::read(&dir).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{garbage:?}");
+            assert!(err.to_string().contains(LAYOUT_FILE), "{garbage:?}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,6 +1,9 @@
 //! Shared fixtures for the crate's unit tests.
 
+use crate::{Registry, SnapshotEntry};
 use focus_core::data::TransactionSet;
+use focus_core::family::LitsFamily;
+use focus_mining::{Apriori, AprioriParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,4 +20,21 @@ pub fn random_dataset(seed: u64, n: usize, skew: f64) -> TransactionSet {
         ts.push(t);
     }
     ts
+}
+
+/// Mines `data` at `minsup` (the CLI's miner settings) and adds the
+/// snapshot as `name`.
+pub fn add_lits<'r>(
+    reg: &'r mut Registry,
+    name: &str,
+    data: &TransactionSet,
+    minsup: f64,
+) -> std::io::Result<&'r SnapshotEntry> {
+    let model = Apriori::new(
+        AprioriParams::with_minsup(minsup)
+            .max_len(10)
+            .min_count_floor(2),
+    )
+    .mine(data);
+    reg.add_snapshot::<LitsFamily>(name, data, &model)
 }

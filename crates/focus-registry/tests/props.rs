@@ -1,8 +1,8 @@
 //! Randomized round-trip properties for the binary columnar snapshot
-//! format, mirroring the seeded round-trip tests of the text formats
-//! (`focus_core::persist`, `focus_data::io`): for every family, many
+//! format, the one format registry artifacts use: for every family, many
 //! random datasets and models — mixed schemas, empty models, ±infinite
-//! interval endpoints — must survive encode → decode bit-for-bit, and
+//! interval endpoints, empty and full category masks — must survive
+//! encode → decode bit-for-bit, and
 //! every single-byte corruption of an encoded artifact must surface a
 //! named [`BinError`], never a silent wrong read.
 

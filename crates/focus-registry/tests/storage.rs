@@ -1,18 +1,22 @@
-//! Storage-tier equivalence: the same snapshot collection persisted as
-//! classic flat/text, flat/binary, and sharded/binary registries must
-//! load bit-identical datasets and models, and must produce bit-identical
-//! screened deviation matrices — for all three model families. The binary
-//! registries read through the mmap path where the platform provides it
-//! (and the owned-read fallback elsewhere), so this also pins the
-//! zero-copy loads to the text baseline.
+//! Storage equivalence: the same snapshot collection persisted as a flat
+//! and as a sharded registry must load datasets and models bit-identical
+//! to the in-memory originals, and must produce screened deviation
+//! matrices bit-identical to `deviation_matrix` over those originals —
+//! for all three model families. Loads read through the mmap path where
+//! the platform provides it (and the owned-read fallback elsewhere), so
+//! this also pins the zero-copy loads to the originals.
 
 use focus_core::data::{LabeledTable, Schema, Table, TransactionSet, Value};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
 use focus_core::model::{induce_dt_measures, ClusterModel};
 use focus_core::region::BoxBuilder;
-use focus_registry::{DeviationMatrix, MatrixParams, Registry, RegistryLayout, StorageFormat};
+use focus_mining::{Apriori, AprioriParams};
+use focus_registry::{
+    deviation_matrix, DeviationMatrix, MatrixParams, Registry, RegistryLayout, SnapshotFamily,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -70,18 +74,61 @@ fn cluster_snapshot(split: f64, rows: usize) -> (Table, ClusterModel) {
     )
 }
 
-/// Fills a registry with the same three snapshots of every family.
-fn populate(reg: &mut Registry) {
-    for (name, seed, skew) in [("t-a", 1, 0.0), ("t-b", 2, 0.4), ("t-c", 3, 1.0)] {
-        reg.add(name, &transactions(seed, skew), 0.15).unwrap();
+/// One family's in-memory originals: names, datasets and models.
+struct Originals<F: SnapshotFamily> {
+    names: Vec<String>,
+    datasets: Vec<F::Dataset>,
+    models: Vec<F::Model>,
+}
+
+impl<F: SnapshotFamily> Originals<F> {
+    fn new(snapshots: Vec<(&str, F::Dataset, F::Model)>) -> Self {
+        let mut out = Originals {
+            names: Vec::new(),
+            datasets: Vec::new(),
+            models: Vec::new(),
+        };
+        for (name, data, model) in snapshots {
+            out.names.push(name.to_string());
+            out.datasets.push(data);
+            out.models.push(model);
+        }
+        out
     }
-    for (name, boundary, rows) in [("d-a", 30.0, 120), ("d-b", 45.0, 150), ("d-c", 90.0, 150)] {
-        let (d, m) = dt_snapshot(boundary, rows);
-        reg.add_snapshot::<DtFamily>(name, &d, &m).unwrap();
+
+    fn add_to(&self, reg: &mut Registry) {
+        for ((name, data), model) in self.names.iter().zip(&self.datasets).zip(&self.models) {
+            reg.add_snapshot::<F>(name, data, model).unwrap();
+        }
     }
-    for (name, split, rows) in [("c-a", 20.0, 100), ("c-b", 50.0, 100), ("c-c", 75.0, 120)] {
-        let (d, m) = cluster_snapshot(split, rows);
-        reg.add_snapshot::<ClusterFamily>(name, &d, &m).unwrap();
+
+    /// Loaded artifacts equal the originals, and the registry's matrices —
+    /// unscreened and screened — equal `deviation_matrix` over them.
+    fn check(&self, tag: &str, reg: &Registry)
+    where
+        F::Dataset: PartialEq + Debug,
+        F::Model: PartialEq + Debug,
+    {
+        for ((name, data), model) in self.names.iter().zip(&self.datasets).zip(&self.models) {
+            let loaded = reg.load_snapshot_dataset::<F>(name).unwrap();
+            assert_eq!(&loaded, data, "{tag}: {name} dataset");
+            let loaded = reg.load_snapshot_model::<F>(name).unwrap();
+            assert_eq!(&loaded, model, "{tag}: {name} model");
+        }
+        for params in [
+            MatrixParams::default(),
+            MatrixParams {
+                threshold: 0.3,
+                ..MatrixParams::default()
+            },
+        ] {
+            let want =
+                deviation_matrix::<F>(&self.models, &self.datasets, self.names.clone(), &params)
+                    .unwrap();
+            let got = reg.matrix_of::<F>(&params).unwrap();
+            let label = format!("{tag} {} threshold {}", F::KIND, params.threshold);
+            assert_matrices_identical(&label, &got, &want);
+        }
     }
 }
 
@@ -106,125 +153,59 @@ fn assert_matrices_identical(label: &str, a: &DeviationMatrix, b: &DeviationMatr
 }
 
 #[test]
-fn binary_and_sharded_registries_match_text_bit_for_bit() {
-    let layouts = [
-        ("text", RegistryLayout::flat_text()),
-        (
-            "bin",
-            RegistryLayout {
-                shards: 0,
-                format: StorageFormat::Binary,
-            },
-        ),
-        (
-            "bin-sharded",
-            RegistryLayout {
-                shards: 3,
-                format: StorageFormat::Binary,
-            },
-        ),
-    ];
-    let mut regs = Vec::new();
-    for (tag, layout) in layouts {
+fn flat_and_sharded_registries_match_the_originals_bit_for_bit() {
+    let miner = Apriori::new(
+        AprioriParams::with_minsup(0.15)
+            .max_len(10)
+            .min_count_floor(2),
+    );
+    let lits = Originals::<LitsFamily>::new(
+        [("t-a", 1, 0.0), ("t-b", 2, 0.4), ("t-c", 3, 1.0)]
+            .into_iter()
+            .map(|(name, seed, skew)| {
+                let data = transactions(seed, skew);
+                let model = miner.mine(&data);
+                (name, data, model)
+            })
+            .collect(),
+    );
+    let dt = Originals::<DtFamily>::new(
+        [("d-a", 30.0, 120), ("d-b", 45.0, 150), ("d-c", 90.0, 150)]
+            .into_iter()
+            .map(|(name, boundary, rows)| {
+                let (data, model) = dt_snapshot(boundary, rows);
+                (name, data, model)
+            })
+            .collect(),
+    );
+    let clu = Originals::<ClusterFamily>::new(
+        [("c-a", 20.0, 100), ("c-b", 50.0, 100), ("c-c", 75.0, 120)]
+            .into_iter()
+            .map(|(name, split, rows)| {
+                let (data, model) = cluster_snapshot(split, rows);
+                (name, data, model)
+            })
+            .collect(),
+    );
+
+    for (tag, shards) in [("flat", 0), ("sharded", 3)] {
         let dir = scratch(tag);
+        let layout = RegistryLayout {
+            shards,
+            ..RegistryLayout::default()
+        };
         let mut reg = Registry::open_or_create_with(&dir, layout).unwrap();
-        populate(&mut reg);
-        // Reopen through the public entry point so the on-disk state —
-        // not the in-memory handle — is what's compared.
-        regs.push((tag, dir, Registry::open(scratch_path(tag)).unwrap()));
+        lits.add_to(&mut reg);
+        dt.add_to(&mut reg);
+        clu.add_to(&mut reg);
+        // Reopen so the on-disk state — not the in-memory handle — is
+        // what's compared.
+        let reg = Registry::open(&dir).unwrap();
+        assert_eq!(reg.layout(), layout, "{tag}");
+        assert_eq!(reg.len(), 9, "{tag}");
+        lits.check(tag, &reg);
+        dt.check(tag, &reg);
+        clu.check(tag, &reg);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let (_, _, text) = &regs[0];
-
-    // Loaded artifacts are bit-identical to the text baseline.
-    for (tag, _, reg) in &regs[1..] {
-        assert_eq!(reg.entries(), text.entries(), "{tag}: entries");
-        for e in text.entries() {
-            match e.kind {
-                focus_registry::SnapshotKind::Lits => {
-                    assert_eq!(
-                        reg.load_snapshot_dataset::<LitsFamily>(&e.name).unwrap(),
-                        text.load_snapshot_dataset::<LitsFamily>(&e.name).unwrap(),
-                        "{tag}: {} dataset",
-                        e.name
-                    );
-                    assert_eq!(
-                        reg.load_snapshot_model::<LitsFamily>(&e.name).unwrap(),
-                        text.load_snapshot_model::<LitsFamily>(&e.name).unwrap(),
-                        "{tag}: {} model",
-                        e.name
-                    );
-                }
-                focus_registry::SnapshotKind::Dt => {
-                    assert_eq!(
-                        reg.load_snapshot_dataset::<DtFamily>(&e.name).unwrap(),
-                        text.load_snapshot_dataset::<DtFamily>(&e.name).unwrap(),
-                        "{tag}: {} dataset",
-                        e.name
-                    );
-                    assert_eq!(
-                        reg.load_snapshot_model::<DtFamily>(&e.name).unwrap(),
-                        text.load_snapshot_model::<DtFamily>(&e.name).unwrap(),
-                        "{tag}: {} model",
-                        e.name
-                    );
-                }
-                focus_registry::SnapshotKind::Cluster => {
-                    assert_eq!(
-                        reg.load_snapshot_dataset::<ClusterFamily>(&e.name).unwrap(),
-                        text.load_snapshot_dataset::<ClusterFamily>(&e.name)
-                            .unwrap(),
-                        "{tag}: {} dataset",
-                        e.name
-                    );
-                    assert_eq!(
-                        reg.load_snapshot_model::<ClusterFamily>(&e.name).unwrap(),
-                        text.load_snapshot_model::<ClusterFamily>(&e.name).unwrap(),
-                        "{tag}: {} model",
-                        e.name
-                    );
-                }
-            }
-        }
-    }
-
-    // Deviation matrices — unscreened and screened — are bit-identical
-    // over every storage tier, for all three families.
-    for params in [
-        MatrixParams::default(),
-        MatrixParams {
-            threshold: 0.3,
-            ..MatrixParams::default()
-        },
-    ] {
-        let label = format!("threshold {}", params.threshold);
-        let lits = text.matrix_of::<LitsFamily>(&params).unwrap();
-        let dt = text.matrix_of::<DtFamily>(&params).unwrap();
-        let clu = text.matrix_of::<ClusterFamily>(&params).unwrap();
-        for (tag, _, reg) in &regs[1..] {
-            assert_matrices_identical(
-                &format!("{tag} lits {label}"),
-                &reg.matrix_of::<LitsFamily>(&params).unwrap(),
-                &lits,
-            );
-            assert_matrices_identical(
-                &format!("{tag} dt {label}"),
-                &reg.matrix_of::<DtFamily>(&params).unwrap(),
-                &dt,
-            );
-            assert_matrices_identical(
-                &format!("{tag} cluster {label}"),
-                &reg.matrix_of::<ClusterFamily>(&params).unwrap(),
-                &clu,
-            );
-        }
-    }
-
-    for (_, dir, _) in regs {
-        std::fs::remove_dir_all(dir).ok();
-    }
-}
-
-/// `scratch` without the delete-if-exists step, for reopening.
-fn scratch_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("focus-storage-{tag}-{}", std::process::id()))
 }

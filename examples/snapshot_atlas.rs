@@ -11,6 +11,7 @@
 
 use focus::core::family::LitsFamily;
 use focus::data::assoc::{AssocGen, AssocGenParams};
+use focus::mining::{Apriori, AprioriParams};
 use focus::registry::{MatrixParams, Registry};
 
 fn main() {
@@ -21,12 +22,18 @@ fn main() {
     // Six "daily" snapshots from two market-basket regimes: days 0–2 from
     // the original process, days 3–5 after a pattern shift (a different
     // pattern seed — new co-purchase structure, same item universe).
+    let miner = Apriori::new(
+        AprioriParams::with_minsup(0.02)
+            .max_len(10)
+            .min_count_floor(2),
+    );
     for day in 0..6u64 {
         let pattern_seed = if day < 3 { 1 } else { 9 };
         let gen = AssocGen::new(AssocGenParams::paper(200, 4.0), pattern_seed);
         let data = gen.generate(3_000, 40 + day);
+        let model = miner.mine(&data);
         let entry = reg
-            .add(&format!("day-{day}"), &data, 0.02)
+            .add_snapshot::<LitsFamily>(&format!("day-{day}"), &data, &model)
             .expect("add snapshot");
         println!(
             "registered {:8} {} transactions, {} frequent itemsets",

@@ -8,6 +8,7 @@ use focus::data::assoc::{AssocGen, AssocGenParams};
 use focus::data::classify::{ClassifyFn, ClassifyGen};
 use focus::data::drift;
 use focus::mining::{Apriori, AprioriParams};
+use focus::registry::binfmt::{decode_dt_model, encode_dt_model};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -138,9 +139,8 @@ fn dt_model_persistence_preserves_deviation() {
     let schema = d1.table.schema();
     let before = deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, par).value;
 
-    let mut buf = Vec::new();
-    write_dt_model(&m1, schema, &mut buf).unwrap();
-    let (m1_back, _) = read_dt_model(buf.as_slice()).unwrap();
+    let bytes = encode_dt_model(&m1, schema);
+    let (m1_back, _) = decode_dt_model(&bytes).unwrap();
     let after = deviate::<DtFamily>(&m1_back, &d1, &m2, &d2, f, g, par).value;
     assert_eq!(before, after);
 }

@@ -4,6 +4,9 @@
 
 use focus::core::prelude::*;
 use focus::mining::{Apriori, AprioriParams};
+use focus::registry::binfmt::{
+    decode_cluster_model, decode_dt_model, encode_cluster_model, encode_dt_model,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -449,9 +452,8 @@ proptest! {
             .collect();
         let model = DtModel::new(leaves, k, measures, rng.gen_range(1u64..100_000));
 
-        let mut buf = Vec::new();
-        write_dt_model(&model, &schema, &mut buf).unwrap();
-        let (back, back_schema) = read_dt_model(buf.as_slice()).unwrap();
+        let bytes = encode_dt_model(&model, &schema);
+        let (back, back_schema) = decode_dt_model(&bytes).unwrap();
         prop_assert_eq!(&*back_schema, &*schema);
         prop_assert_eq!(model, back);
     }
@@ -522,9 +524,8 @@ proptest! {
             .collect();
         let model = ClusterModel::new(clusters, measures, rng.gen_range(0u64..100_000));
 
-        let mut buf = Vec::new();
-        write_cluster_model(&model, &schema, &mut buf).unwrap();
-        let (back, back_schema) = read_cluster_model(buf.as_slice()).unwrap();
+        let bytes = encode_cluster_model(&model, &schema).unwrap();
+        let (back, back_schema) = decode_cluster_model(&bytes).unwrap();
         prop_assert_eq!(&*back_schema, &*schema);
         prop_assert_eq!(model, back);
     }

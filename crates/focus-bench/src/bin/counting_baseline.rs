@@ -59,7 +59,7 @@ use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
 use focus_core::model::count_itemsets;
 use focus_core::region::Itemset;
-use focus_core::source::{CountSource, DEFAULT_INDEX_BUDGET};
+use focus_core::source::CountSource;
 use focus_core::vertical::{count_itemsets_grouped, VerticalIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_exec::Parallelism;
@@ -183,7 +183,7 @@ fn main() {
             counts
         });
         let cached_secs = best_of(cfg.samples, &reference, || {
-            let source = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
+            let source = CountSource::borrowed(&data);
             let mut counts = Vec::new();
             for _ in 0..REUSE_SCANS {
                 counts = source.counts(&itemsets, par);

@@ -7,7 +7,7 @@
 //! done > BENCH_registry.json
 //! ```
 //!
-//! Three regimes, each row's `layer` named `<regime>.<path>`:
+//! Two regimes, each row's `layer` named `<regime>.<path>`:
 //!
 //! * **load** — one lits snapshot (transactions + mined model) per scale,
 //!   persisted as standalone text files and in the binary columnar format
@@ -18,13 +18,6 @@
 //!   [`focus_registry::MappedBytes::open`]). Every decoded artifact is
 //!   equality-checked against the in-memory original before its timing is
 //!   accepted.
-//! * **index** — the binary transactions section decoded into a vertical
-//!   tid-bitset index both ways: `index.decode_then_build` materialises a
-//!   `TransactionSet` first and builds `VerticalIndex` from it, while
-//!   `index.decode_to_index` is the one-pass
-//!   [`focus_registry::binfmt::decode_transactions_to_index`] seam that
-//!   `Registry::load_snapshot_source` uses. Both are equality-checked
-//!   against an index built from the original rows.
 //! * **matrix** — the same snapshot collection in a flat registry
 //!   (`matrix.flat`, the baseline) and a 4-shard one (`matrix.sharded`),
 //!   timing [`Registry::matrix_of`] end to end (manifest + model +
@@ -43,13 +36,11 @@ use focus_core::data::TransactionSet;
 use focus_core::family::LitsFamily;
 use focus_core::model::LitsModel;
 use focus_core::persist::{read_lits_model, write_lits_model};
-use focus_core::vertical::VerticalIndex;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::io::{read_transactions, write_transactions};
 use focus_mining::{Apriori, AprioriParams};
 use focus_registry::binfmt::{
-    decode_lits_model, decode_transactions, decode_transactions_to_index, encode_lits_model,
-    encode_transactions,
+    decode_lits_model, decode_transactions, encode_lits_model, encode_transactions,
 };
 use focus_registry::{
     deviation_matrix, mmap_active, MappedBytes, MatrixParams, Registry, RegistryLayout,
@@ -149,43 +140,6 @@ fn run_load(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
     }
 }
 
-/// Decode-then-build vs the one-pass decode-to-index seam at one scale.
-fn run_index(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
-    let (data, _) = snapshot(n_txns, 1, 100 + n_txns as u64);
-    let path = dir.join(format!("{n_txns}.index.bin"));
-    std::fs::write(&path, encode_transactions(&data)).unwrap();
-    let bytes = path.metadata().unwrap().len();
-    let reference = VerticalIndex::build(&data);
-
-    let best_of_index = |build: &dyn Fn() -> VerticalIndex| {
-        let mut best = f64::INFINITY;
-        for _ in 0..samples.max(1) {
-            let (index, secs) = timed(build);
-            assert_eq!(index, reference, "decoded index differs from the original");
-            best = best.min(secs);
-        }
-        best
-    };
-    let then_build = best_of_index(&|| {
-        VerticalIndex::build(&decode_transactions(&MappedBytes::open(&path).unwrap()).unwrap())
-    });
-    let to_index = best_of_index(&|| {
-        decode_transactions_to_index(&MappedBytes::open(&path).unwrap()).unwrap()
-    });
-
-    for (layer, secs) in [
-        ("index.decode_then_build", then_build),
-        ("index.decode_to_index", to_index),
-    ] {
-        rows.push(Row {
-            layer,
-            secs,
-            speedup: then_build / secs,
-            counters: vec![("txns", n_txns as u64), ("bytes", bytes)],
-        });
-    }
-}
-
 /// End-to-end `matrix_of` wall time over a flat and a sharded registry,
 /// each checked against `deviation_matrix` over the in-memory snapshots.
 fn run_matrix(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
@@ -253,9 +207,6 @@ fn main() {
     let mut rows = Vec::new();
     for n in scales {
         run_load(&dir, n, cfg.samples, &mut rows);
-    }
-    for n in scales {
-        run_index(&dir, n, cfg.samples, &mut rows);
     }
     run_matrix(&dir, base / 5, cfg.samples, &mut rows);
     std::fs::remove_dir_all(&dir).ok();

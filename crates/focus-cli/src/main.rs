@@ -34,12 +34,9 @@
 //! Every command additionally accepts `--threads N` (0 = one worker per
 //! core): dataset scans, model induction (decision-tree fitting included),
 //! and the bootstrap fan-out run on that many threads with bit-identical
-//! results. `FOCUS_THREADS` is the env-var equivalent. `--index-budget B`
-//! caps the bytes the counting cost model may spend on vertical tid-bitset
-//! indexes (`FOCUS_INDEX_BUDGET` is the env-var equivalent; `0` forces the
-//! horizontal scan on every mining level but level 2, which is always one
-//! horizontal pair pass, and on measure extension). Counts are
-//! bit-identical for every budget.
+//! results. `FOCUS_THREADS` is the env-var equivalent. The counting cost
+//! model's cap on vertical tid-bitset indexes is a constant of the
+//! library; no flag changes it.
 //!
 //! A flag the command does not know is an error, never silently ignored,
 //! and `--minsup` must lie in (0, 1].
@@ -50,8 +47,10 @@
 //! (per-section checksums, zero-copy mmap loads); `registry-add --shards
 //! N` creates a hash-sharded directory layout instead of a flat one, and
 //! `matrix` and `embed` read the layout from `registry.layout`.
-//! `--format bin` names that one format and is accepted for compatibility;
-//! any other `--format` is an error.
+//! `--format bin` names that one format and is accepted for compatibility
+//! (it never picks a layout); any other `--format` is an error. Comparing
+//! tables or snapshots over different schemas or class sets is an error
+//! that names both inputs.
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
@@ -110,17 +109,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Global flag: byte budget for vertical tid-bitset indexes, consulted
-    // by the counting cost model (0 = never build one). Overrides the
-    // FOCUS_INDEX_BUDGET environment variable for this invocation.
-    match index_budget(&flags) {
-        Ok(Some(bytes)) => focus_core::source::set_global_index_budget(bytes),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    }
     let result = match command.as_str() {
         "gen-assoc" => gen_assoc(&flags),
         "gen-class" => gen_class(&flags),
@@ -170,7 +158,8 @@ commands:
                                                  existing one keeps its own)
              [--format bin]                      the one artifact format
                                                  (checksummed columnar
-                                                 artifacts, mmap reads)
+                                                 artifacts, mmap reads);
+                                                 never picks a layout
   matrix     --dir <registry> [--kind k] [--threshold <t> | --top <K>]
              [--f fa|fs] [--g sum|max]
   embed      --dir <registry> [--kind k] [--k <dims>]
@@ -179,17 +168,12 @@ global flags:
   --threads N   worker threads for scans, model induction, and bootstrap
                 fan-out (0 = one per core; default: FOCUS_THREADS env var,
                 else core count). Results are bit-identical for every
-                thread count.
-  --index-budget B
-                byte cap on vertical tid-bitset indexes, consulted by the
-                counting cost model; accepts k/M/G suffixes (e.g. 512M),
-                0 disables index builds (default: FOCUS_INDEX_BUDGET env
-                var, else 128M). Counts are budget-independent.";
+                thread count.";
 
 type Flags = HashMap<String, String>;
 
 /// Flags every command accepts.
-const GLOBAL_FLAGS: [&str; 2] = ["threads", "index-budget"];
+const GLOBAL_FLAGS: [&str; 1] = ["threads"];
 
 /// The flags `command` accepts besides [`GLOBAL_FLAGS`], or `None` for an
 /// unknown command (reported by the dispatcher instead).
@@ -293,17 +277,27 @@ fn io_err(e: std::io::Error) -> String {
     e.to_string()
 }
 
+/// Opens `path` and parses it with `read`; errors name the file.
+fn read_path<T>(path: &str, read: impl FnOnce(File) -> std::io::Result<T>) -> Result<T, String> {
+    File::open(path)
+        .and_then(read)
+        .map_err(|e| format!("{path}: {e}"))
+}
+
+/// Creates (or truncates) the output file at `path`; errors name the file.
+fn create(path: &str) -> Result<File, String> {
+    File::create(path).map_err(|e| format!("{path}: {e}"))
+}
+
 /// Reads the transaction file at `path`; errors name the file.
 fn load_transactions(path: &str) -> Result<TransactionSet, String> {
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    read_transactions(file).map_err(|e| format!("{path}: {e}"))
+    read_path(path, read_transactions)
 }
 
 /// Reads the labelled table at `path` for model induction. Every fitter
 /// asserts a non-empty input, so a table without rows is rejected here.
 fn load_table(path: &str) -> Result<LabeledTable, String> {
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let data = read_labeled_table(file).map_err(|e| format!("{path}: {e}"))?;
+    let data = read_path(path, read_labeled_table)?;
     require_rows(path, data.len())?;
     Ok(data)
 }
@@ -333,7 +327,7 @@ fn gen_assoc(flags: &Flags) -> Result<(), String> {
     let params = AssocGenParams::paper(pats, patlen);
     let gen = AssocGen::new(params, pattern_seed);
     let data = gen.generate(n, seed);
-    write_transactions(&data, File::create(out).map_err(io_err)?).map_err(io_err)?;
+    write_transactions(&data, create(out)?).map_err(io_err)?;
     eprintln!("wrote {} ({} transactions)", out, data.len());
     Ok(())
 }
@@ -352,7 +346,7 @@ fn gen_class(flags: &Flags) -> Result<(), String> {
         return Err(format!("--noise must be in [0, 1], got {noise}"));
     }
     let data = ClassifyGen::new(function).noise(noise).generate(n, seed);
-    write_labeled_table(&data, File::create(out).map_err(io_err)?).map_err(io_err)?;
+    write_labeled_table(&data, create(out)?).map_err(io_err)?;
     eprintln!(
         "wrote {} ({} rows, function {})",
         out,
@@ -360,20 +354,6 @@ fn gen_class(flags: &Flags) -> Result<(), String> {
         function.name()
     );
     Ok(())
-}
-
-fn index_budget(flags: &Flags) -> Result<Option<usize>, String> {
-    match flags.get("index-budget") {
-        None => Ok(None),
-        Some(s) => focus_core::source::parse_index_budget(s)
-            .map(Some)
-            .ok_or_else(|| {
-                format!(
-                    "--index-budget must be a byte count with an optional k, M or G suffix \
-                 (e.g. 512M), or 0 to disable index builds, got {s:?}"
-                )
-            }),
-    }
 }
 
 /// `--minsup` (default 0.01), validated to the (0, 1] range the miner
@@ -407,7 +387,7 @@ fn mine(flags: &Flags) -> Result<(), String> {
         minsup
     );
     if let Some(out) = flags.get("out") {
-        write_lits_model(&model, File::create(out).map_err(io_err)?).map_err(io_err)?;
+        write_lits_model(&model, create(out)?).map_err(io_err)?;
         eprintln!("model written to {out}");
     } else {
         for (s, sup) in model.itemsets().iter().zip(model.supports()).take(20) {
@@ -457,8 +437,8 @@ fn deviate(flags: &Flags) -> Result<(), String> {
 }
 
 fn bound(flags: &Flags) -> Result<(), String> {
-    let m1 = read_lits_model(File::open(req(flags, "m1")?).map_err(io_err)?).map_err(io_err)?;
-    let m2 = read_lits_model(File::open(req(flags, "m2")?).map_err(io_err)?).map_err(io_err)?;
+    let m1 = read_path(req(flags, "m1")?, read_lits_model)?;
+    let m2 = read_path(req(flags, "m2")?, read_lits_model)?;
     println!("{:.6}", lits_upper_bound(&m1, &m2, agg_fn(flags)?));
     Ok(())
 }
@@ -514,8 +494,17 @@ fn tree(flags: &Flags) -> Result<(), String> {
 }
 
 fn deviate_dt(flags: &Flags) -> Result<(), String> {
-    let d1 = load_table(req(flags, "d1")?)?;
-    let d2 = load_table(req(flags, "d2")?)?;
+    let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
+    let (d1, d2) = (load_table(p1)?, load_table(p2)?);
+    if d1.table.schema() != d2.table.schema() {
+        return Err(format!("{p1} and {p2} have different attribute lists"));
+    }
+    if d1.n_classes != d2.n_classes {
+        return Err(format!(
+            "{p1} has {} classes but {p2} has {}",
+            d1.n_classes, d2.n_classes
+        ));
+    }
     let m1 = DecisionTree::fit(&d1, tree_params(flags, d1.len())?).to_model();
     let m2 = DecisionTree::fit(&d2, tree_params(flags, d2.len())?).to_model();
     let (f, g) = (DiffFn::Absolute, AggFn::Sum);
@@ -583,9 +572,9 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
     // Validated before the registry is touched, so a bad threshold leaves
     // no half-created directory behind.
     let minsup = minsup(flags)?;
-    // --format/--shards pick the layout of a *new* registry; an existing
-    // one keeps the layout it was created with (a mismatch errors). bin is
-    // the one artifact format.
+    // --shards picks the layout of a *new* registry; an existing one keeps
+    // the layout it was created with (a mismatch errors). bin is the one
+    // artifact format, so --format is only validated.
     if let Some(f) = flags.get("format") {
         if StorageFormat::parse(f).is_none() {
             return Err(format!(
@@ -593,7 +582,7 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
             ));
         }
     }
-    let mut reg = if flags.contains_key("format") || flags.contains_key("shards") {
+    let mut reg = if flags.contains_key("shards") {
         let layout = RegistryLayout {
             shards: opt(flags, "shards", 0)?,
             ..RegistryLayout::default()
@@ -690,23 +679,20 @@ fn matrix(flags: &Flags) -> Result<(), String> {
     let names = m.names();
     for i in 0..m.len() {
         for j in (i + 1)..m.len() {
-            match (m.has_bounds(), m.exact(i, j)) {
-                (true, Some(e)) => println!(
+            match m.exact(i, j) {
+                Some(e) => println!(
                     "{} {} bound {:.6} exact {:.6}",
                     names[i],
                     names[j],
                     m.bound(i, j),
                     e
                 ),
-                (true, None) => println!(
+                None => println!(
                     "{} {} bound {:.6} pruned",
                     names[i],
                     names[j],
                     m.bound(i, j)
                 ),
-                // Non-dominated screening (e.g. --f fs) scans every pair.
-                (false, Some(e)) => println!("{} {} exact {:.6}", names[i], names[j], e),
-                (false, None) => unreachable!("unscreened matrices are complete"),
             }
         }
     }
@@ -724,7 +710,7 @@ fn embed(flags: &Flags) -> Result<(), String> {
     // pairs with threshold 0.
     fn matrix_for_embed<F: SnapshotFamily>(reg: &Registry) -> std::io::Result<DeviationMatrix> {
         let params = MatrixParams {
-            threshold: if F::HAS_BOUND && F::BOUND_IS_METRIC {
+            threshold: if F::BOUND_IS_METRIC {
                 f64::INFINITY
             } else {
                 0.0
@@ -869,25 +855,6 @@ mod tests {
         ] {
             check_flags(command, &flags_of(args)).unwrap();
         }
-    }
-
-    #[test]
-    fn index_budget_flag_parsing() {
-        assert_eq!(index_budget(&flags_of(&[])).unwrap(), None);
-        assert_eq!(
-            index_budget(&flags_of(&["--index-budget", "64M"])).unwrap(),
-            Some(64 << 20)
-        );
-        assert_eq!(
-            index_budget(&flags_of(&["--index-budget", "0"])).unwrap(),
-            Some(0)
-        );
-        // The rejection spells out the accepted forms.
-        let err = index_budget(&flags_of(&["--index-budget", "lots"])).unwrap_err();
-        for hint in ["byte count", "k", "M", "G", "0"] {
-            assert!(err.contains(hint), "{err:?} should mention {hint:?}");
-        }
-        assert!(err.contains("lots"));
     }
 
     #[test]

@@ -739,8 +739,8 @@ fn unknown_flags_are_rejected_by_name() {
     // Flags are per command: a valid flag of another command is unknown.
     let err = run_fail(&["deviate", "--d1", "a", "--d2", "b", "--reps", "9"]);
     assert!(err.contains("unknown flag --reps for deviate"), "{err}");
-    // The global flags stay accepted everywhere.
-    run(&["help", "--threads", "2", "--index-budget", "0"]);
+    // The global --threads flag stays accepted everywhere.
+    run(&["help", "--threads", "2"]);
 }
 
 #[test]
@@ -877,6 +877,470 @@ fn malformed_inputs_are_named_errors() {
                 err.contains(p) && err.contains(expected),
                 "{args:?} must name {p} and {expected:?}: {err}"
             );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn format_flag_does_not_pick_a_layout() {
+    // `--format bin` alone used to ask for a flat layout, so adding to a
+    // sharded registry with it failed with `asked for shards=0`.
+    let dir = scratch("format-layout");
+    let d = dir.join("d.txt");
+    let reg = dir.join("reg");
+    gen_txns(&d, "2");
+    add_lits(&reg, &d, "day-01", &["--shards", "2"]);
+    add_lits(&reg, &d, "day-02", &["--format", "bin"]);
+    add_lits(&reg, &d, "day-03", &["--format", "bin", "--shards", "2"]);
+    let layout = std::fs::read_to_string(reg.join("registry.layout")).unwrap();
+    assert!(layout.contains("shards 2\n"), "{layout}");
+    let m = stdout(&run(&["matrix", "--dir", path_str(&reg)]));
+    assert!(m.starts_with("pairs 3 "), "{m}");
+    // Only --shards chooses a layout: asking for another one still fails.
+    let err = run_fail(&[
+        "registry-add",
+        "--dir",
+        path_str(&reg),
+        "--data",
+        path_str(&d),
+        "--name",
+        "day-04",
+        "--minsup",
+        "0.05",
+        "--shards",
+        "0",
+    ]);
+    assert!(err.contains("shards=2; asked for shards=0"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A labelled table over `attrs` (`#num`/`#cat` header lines) with
+/// `classes` classes and 60 rows.
+fn write_table(path: &Path, attrs: &[&str], classes: u32) {
+    let mut text: String = attrs.iter().map(|a| format!("{a}\n")).collect();
+    text += &format!("#classes {classes}\n");
+    for i in 0..60u32 {
+        let row: Vec<String> = attrs
+            .iter()
+            .enumerate()
+            .map(|(k, a)| {
+                if a.starts_with("#cat") {
+                    format!("{}", (i + k as u32) % 3)
+                } else {
+                    format!("{}", (i * (k as u32 + 1)) % 17)
+                }
+            })
+            .collect();
+        text += &format!("{},{}\n", row.join(","), (i / 7) % classes);
+    }
+    std::fs::write(path, text).unwrap();
+}
+
+/// Tables that pairwise disagree on their schema or class count: a base
+/// table and, per mismatch, a table differing from it in that one way.
+fn mismatched_tables(dir: &Path) -> (PathBuf, Vec<(PathBuf, &'static str)>) {
+    let base = dir.join("base.tbl");
+    write_table(&base, &["#num x", "#num y"], 2);
+    let mut others = Vec::new();
+    for (file, attrs, classes, why) in [
+        ("fewer.tbl", &["#num x"][..], 2, "attributes"),
+        ("cat.tbl", &["#num x", "#cat y 3"][..], 2, "categorical"),
+        ("classes.tbl", &["#num x", "#num y"][..], 3, "classes"),
+    ] {
+        let path = dir.join(file);
+        write_table(&path, attrs, classes);
+        others.push((path, why));
+    }
+    (base, others)
+}
+
+#[test]
+fn deviate_dt_rejects_tables_over_different_schemas() {
+    // Each pair used to panic inside the GCR (exit 101).
+    let dir = scratch("dt-mismatch");
+    let (base, others) = mismatched_tables(&dir);
+    let base = path_str(&base);
+    run(&["deviate-dt", "--d1", base, "--d2", base]);
+    for (other, why) in &others {
+        let other = path_str(other);
+        let why = if *why == "classes" {
+            "classes"
+        } else {
+            "different attribute lists"
+        };
+        for (d1, d2) in [(base, other), (other, base)] {
+            let err = run_fail(&["deviate-dt", "--d1", d1, "--d2", d2]);
+            assert!(
+                err.contains(d1) && err.contains(d2) && err.contains(why),
+                "{d1} vs {d2}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One registry per mismatch and family: `base` and the mismatching table
+/// registered side by side as `--kind kind`.
+fn mismatched_registries(dir: &Path) -> Vec<(PathBuf, &'static str)> {
+    let (base, others) = mismatched_tables(dir);
+    let mut regs = Vec::new();
+    for (kind, cases) in [("dt", &others[..]), ("cluster", &others[..2])] {
+        for (i, (other, _)) in cases.iter().enumerate() {
+            let reg = dir.join(format!("reg-{kind}-{i}"));
+            for (name, data) in [("base", &base), ("other", other)] {
+                run(&[
+                    "registry-add",
+                    "--dir",
+                    path_str(&reg),
+                    "--data",
+                    path_str(data),
+                    "--name",
+                    name,
+                    "--kind",
+                    kind,
+                    "--clusters",
+                    "2",
+                ]);
+            }
+            regs.push((reg, kind));
+        }
+    }
+    regs
+}
+
+#[test]
+fn matrix_rejects_snapshots_over_different_schemas() {
+    // Mixed class counts (dt) and mixed schemas (dt, cluster) used to
+    // panic inside the GCR or the bound (exit 101).
+    let dir = scratch("matrix-mismatch");
+    for (reg, kind) in mismatched_registries(&dir) {
+        for extra in [&[][..], &["--top", "1"], &["--threshold", "5"]] {
+            let mut args = vec!["matrix", "--dir", path_str(&reg)];
+            args.extend_from_slice(extra);
+            let err = run_fail(&args);
+            assert!(
+                err.contains("snapshots \"base\" and \"other\" cannot be compared"),
+                "{kind} {extra:?}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn embed_rejects_snapshots_over_different_schemas() {
+    let dir = scratch("embed-mismatch");
+    for (reg, kind) in mismatched_registries(&dir) {
+        let err = run_fail(&["embed", "--dir", path_str(&reg), "--k", "1"]);
+        assert!(
+            err.contains("snapshots \"base\" and \"other\" cannot be compared"),
+            "{kind}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One valid invocation per subcommand for the argument sweep: the
+/// command's arguments as (flag, value) pairs, with the required flags,
+/// the numeric flags and the flags naming a file to open.
+struct Invocation {
+    args: Vec<(&'static str, String)>,
+    required: &'static [&'static str],
+    numeric: &'static [&'static str],
+    paths: &'static [&'static str],
+}
+
+impl Invocation {
+    /// The command line, with `flag` dropped (`None`) or set to `value`.
+    fn argv(&self, command: &str, flag: &str, value: Option<&str>) -> Vec<String> {
+        let kept = self.args.iter().filter(|(f, _)| *f != flag);
+        let mut argv = vec![command.to_string()];
+        for (f, v) in kept
+            .map(|(f, v)| (*f, v.as_str()))
+            .chain(value.map(|v| (flag, v)))
+        {
+            argv.extend([format!("--{f}"), v.to_string()]);
+        }
+        argv
+    }
+}
+
+#[test]
+fn argument_fuzz_sweep_fails_cleanly() {
+    // Every subcommand, from a valid tiny invocation, with one defect at
+    // a time: a missing required flag, an unknown flag, a non-numeric or
+    // negative numeric value, or a path in a nonexistent directory. Each
+    // must exit 1 with an `error:` line naming the defect, never panic.
+    let dir = scratch("fuzz");
+    let p = |name: &str| path_str(&dir.join(name)).to_string();
+    let (t1, t2, c1, c2, m1, m2, reg) = (
+        p("t1.txt"),
+        p("t2.txt"),
+        p("c1.tbl"),
+        p("c2.tbl"),
+        p("m1.model"),
+        p("m2.model"),
+        p("reg"),
+    );
+    for (out, seed) in [(&t1, "1"), (&t2, "2")] {
+        let args = ["--out", out, "--n", "60", "--pats", "10", "--seed", seed];
+        run(&[&["gen-assoc"][..], &args].concat());
+    }
+    for (out, seed) in [(&c1, "1"), (&c2, "2")] {
+        let args = [
+            "--out",
+            out,
+            "--n",
+            "60",
+            "--function",
+            "F2",
+            "--seed",
+            seed,
+        ];
+        run(&[&["gen-class"][..], &args].concat());
+    }
+    for (data, model, name) in [(&t1, &m1, "a"), (&t2, &m2, "b")] {
+        run(&["mine", "--data", data, "--minsup", "0.2", "--out", model]);
+        run(&[
+            "registry-add",
+            "--dir",
+            &reg,
+            "--data",
+            data,
+            "--name",
+            name,
+            "--minsup",
+            "0.2",
+        ]);
+    }
+    let a = |pairs: &[(&'static str, &str)]| -> Vec<(&'static str, String)> {
+        pairs.iter().map(|&(f, v)| (f, v.to_string())).collect()
+    };
+    let fresh = |tag: &str| p(&format!("fresh-{tag}"));
+    let cases: Vec<(&'static str, Invocation)> = vec![
+        (
+            "gen-assoc",
+            Invocation {
+                args: a(&[
+                    ("out", &p("g.txt")),
+                    ("n", "20"),
+                    ("pats", "5"),
+                    ("patlen", "2"),
+                    ("pattern-seed", "1"),
+                    ("seed", "2"),
+                ]),
+                required: &["out"],
+                numeric: &["n", "pats", "patlen", "pattern-seed", "seed"],
+                paths: &["out"],
+            },
+        ),
+        (
+            "gen-class",
+            Invocation {
+                args: a(&[
+                    ("out", &p("g.tbl")),
+                    ("n", "20"),
+                    ("function", "F2"),
+                    ("seed", "1"),
+                    ("noise", "0.1"),
+                ]),
+                required: &["out", "function"],
+                numeric: &["n", "seed", "noise"],
+                paths: &["out"],
+            },
+        ),
+        (
+            "mine",
+            Invocation {
+                args: a(&[("data", &t1), ("minsup", "0.2"), ("out", &p("g.model"))]),
+                required: &["data"],
+                numeric: &["minsup"],
+                paths: &["data", "out"],
+            },
+        ),
+        (
+            "deviate",
+            Invocation {
+                args: a(&[("d1", &t1), ("d2", &t2), ("minsup", "0.2")]),
+                required: &["d1", "d2"],
+                numeric: &["minsup"],
+                paths: &["d1", "d2"],
+            },
+        ),
+        (
+            "bound",
+            Invocation {
+                args: a(&[("m1", &m1), ("m2", &m2)]),
+                required: &["m1", "m2"],
+                numeric: &[],
+                paths: &["m1", "m2"],
+            },
+        ),
+        (
+            "qualify",
+            Invocation {
+                args: a(&[
+                    ("d1", &t1),
+                    ("d2", &t2),
+                    ("minsup", "0.2"),
+                    ("reps", "3"),
+                    ("seed", "7"),
+                ]),
+                required: &["d1", "d2"],
+                numeric: &["minsup", "reps", "seed"],
+                paths: &["d1", "d2"],
+            },
+        ),
+        (
+            "tree",
+            Invocation {
+                args: a(&[("data", &c1), ("max-depth", "3"), ("min-leaf", "5")]),
+                required: &["data"],
+                numeric: &["max-depth", "min-leaf"],
+                paths: &["data"],
+            },
+        ),
+        (
+            "deviate-dt",
+            Invocation {
+                args: a(&[
+                    ("d1", &c1),
+                    ("d2", &c2),
+                    ("max-depth", "3"),
+                    ("min-leaf", "5"),
+                ]),
+                required: &["d1", "d2"],
+                numeric: &["max-depth", "min-leaf"],
+                paths: &["d1", "d2"],
+            },
+        ),
+        (
+            "registry-add",
+            Invocation {
+                args: a(&[
+                    ("dir", &fresh("lits")),
+                    ("data", &t1),
+                    ("name", "a"),
+                    ("minsup", "0.2"),
+                    ("shards", "2"),
+                ]),
+                required: &["dir", "data", "name"],
+                numeric: &["minsup", "shards"],
+                paths: &["data"],
+            },
+        ),
+        (
+            "registry-add",
+            Invocation {
+                args: a(&[
+                    ("dir", &fresh("dt")),
+                    ("data", &c1),
+                    ("name", "a"),
+                    ("kind", "dt"),
+                    ("max-depth", "3"),
+                    ("min-leaf", "5"),
+                ]),
+                required: &["dir", "data", "name"],
+                numeric: &["max-depth", "min-leaf"],
+                paths: &["data"],
+            },
+        ),
+        (
+            "registry-add",
+            Invocation {
+                args: a(&[
+                    ("dir", &fresh("cluster")),
+                    ("data", &c1),
+                    ("name", "a"),
+                    ("kind", "cluster"),
+                    ("clusters", "2"),
+                    ("seed", "1"),
+                ]),
+                required: &["dir", "data", "name"],
+                numeric: &["clusters", "seed"],
+                paths: &["data"],
+            },
+        ),
+        (
+            "matrix",
+            Invocation {
+                args: a(&[("dir", &reg), ("threshold", "0.1")]),
+                required: &["dir"],
+                numeric: &["threshold"],
+                paths: &["dir"],
+            },
+        ),
+        (
+            "matrix",
+            Invocation {
+                args: a(&[("dir", &reg), ("top", "1")]),
+                required: &["dir"],
+                numeric: &["top"],
+                paths: &["dir"],
+            },
+        ),
+        (
+            "embed",
+            Invocation {
+                args: a(&[("dir", &reg), ("k", "1")]),
+                required: &["dir"],
+                numeric: &["k"],
+                paths: &["dir"],
+            },
+        ),
+        (
+            "help",
+            Invocation {
+                args: Vec::new(),
+                required: &[],
+                numeric: &[],
+                paths: &[],
+            },
+        ),
+    ];
+    let missing = p("missing/none");
+    for (command, inv) in &cases {
+        // The sweep starts from an invocation that works (a registry-add
+        // into a directory the sweep then removes again).
+        let argv = inv.argv(command, "", None);
+        run(&argv.iter().map(String::as_str).collect::<Vec<_>>());
+        if *command == "registry-add" {
+            let dir = argv.iter().position(|a| a == "--dir").unwrap() + 1;
+            std::fs::remove_dir_all(&argv[dir]).unwrap();
+        }
+        let mut defects: Vec<(Vec<String>, String)> = Vec::new();
+        for flag in inv.required {
+            let expect = format!("missing required flag --{flag}");
+            defects.push((inv.argv(command, flag, None), expect));
+        }
+        for flag in ["no-such-flag", "index-budget"] {
+            let expect = format!("unknown flag --{flag} for {command}");
+            defects.push((inv.argv(command, flag, Some("0")), expect));
+        }
+        for flag in inv.numeric.iter().chain(&["threads"]) {
+            for bad in ["abc", "-1"] {
+                defects.push((inv.argv(command, flag, Some(bad)), format!("--{flag}")));
+            }
+        }
+        for flag in inv.paths {
+            defects.push((inv.argv(command, flag, Some(&missing)), missing.clone()));
+        }
+        for (argv, expect) in defects {
+            let out = Command::new(bin())
+                .args(&argv)
+                .output()
+                .expect("failed to spawn focus-cli");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{argv:?}: {err}");
+            assert!(!err.contains("panicked"), "{argv:?} panicked:\n{err}");
+            // `mine` reports its model before a bad --out path fails.
+            let line = err.lines().find(|l| l.starts_with("error: "));
+            let line = line.unwrap_or_else(|| panic!("{argv:?}: no error line: {err}"));
+            // A rejected negative float names its value, not its flag.
+            let named = line.contains(&expect)
+                || (argv.last().is_some_and(|v| v == "-1") && line.contains("-1"));
+            assert!(named, "{argv:?} must name {expect:?}: {err}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -421,10 +421,13 @@ impl TransactionSet {
                 items.len()
             ));
         }
+        // Monotonicity first, over the whole column: once the offsets are
+        // non-decreasing and end at `items.len()`, every slice below is in
+        // bounds, so an overshooting offset is reported, never a panic.
+        if let Some(t) = offsets.windows(2).position(|w| w[1] < w[0]) {
+            return Err(format!("offsets decrease at transaction {t}"));
+        }
         for (t, w) in offsets.windows(2).enumerate() {
-            if w[1] < w[0] {
-                return Err(format!("offsets decrease at transaction {t}"));
-            }
             let txn = &items[w[0]..w[1]];
             if let Some(&max) = txn.last() {
                 if max >= n_items {
@@ -659,6 +662,11 @@ mod tests {
         assert!(TransactionSet::from_parts(10, vec![1, 3], vec![1, 3, 5]).is_err());
         assert!(TransactionSet::from_parts(10, vec![0, 2], vec![1, 3, 5]).is_err());
         assert!(TransactionSet::from_parts(10, vec![0, 2, 1], vec![1, 3]).is_err());
+        // An offset past the item column is the decrease that follows it.
+        assert_eq!(
+            TransactionSet::from_parts(10, vec![0, 5, 2], vec![1, 3]).unwrap_err(),
+            "offsets decrease at transaction 1"
+        );
         assert!(
             TransactionSet::from_parts(10, vec![0, 2], vec![3, 1]).is_err(),
             "unsorted transaction"

@@ -77,16 +77,12 @@ pub trait ModelFamily {
     /// Human-readable family name (`lits`, `dt`, `cluster`).
     const NAME: &'static str;
 
-    /// True when the family defines a model-only upper bound
-    /// ([`ModelFamily::upper_bound`] returns `Some` for every pair).
-    const HAS_BOUND: bool = false;
-
     /// True when the family's δ* is a *pseudo-metric* on models —
     /// symmetric, `δ*(M, M) = 0`, triangle inequality (Theorem 4.2 (2)) —
     /// so a collection's bound grid is a valid distance matrix for MDS
     /// embedding; the registry embeds over it only when this is set.
-    /// `false` for families without a bound, and for cluster-models, whose
-    /// bound violates `δ*(M, M) = 0` when clusters overlap.
+    /// `false` for cluster-models, whose bound violates `δ*(M, M) = 0`
+    /// when clusters overlap.
     const BOUND_IS_METRIC: bool = false;
 
     /// The GCR of the two structural components (Definition 3.4).
@@ -140,22 +136,27 @@ pub trait ModelFamily {
     /// Number of rows/transactions in a dataset.
     fn data_len(data: &Self::Dataset) -> u64;
 
-    /// The model-only upper bound on `δ(f_a, g)` (δ* of Definition 4.1),
-    /// when the family defines one. `None` means no bound exists and any
-    /// screening built on it must fall back to exact scans.
-    fn upper_bound(m1: &Self::Model, m2: &Self::Model, g: AggFn) -> Option<f64> {
-        let _ = (m1, m2, g);
-        None
-    }
+    /// Why `m1` and `m2` cannot be compared — their regions live in
+    /// different attribute spaces or class sets — or `None` when they can.
+    /// GCRs, deviations and bounds are defined only for comparable pairs;
+    /// callers that pair models from disk check this first.
+    fn mismatch(m1: &Self::Model, m2: &Self::Model) -> Option<String>;
+
+    /// The model-only upper bound on `δ(f_a, g)` (δ* of Definition 4.1).
+    /// Every family defines one, so this is always `Some`.
+    fn upper_bound(m1: &Self::Model, m2: &Self::Model, g: AggFn) -> Option<f64>;
 
     /// True when the bound *dominates* `δ(diff, g)` for this specific
     /// pair, i.e. pruning on `upper_bound` is sound (Theorem 4.2 (1)).
-    /// Families without a bound, non-`f_a` difference functions, and
-    /// mixed-minsup lits pairs all answer `false`.
-    fn bound_dominates(diff: DiffFn, m1: &Self::Model, m2: &Self::Model) -> bool {
-        let _ = (diff, m1, m2);
-        false
-    }
+    /// Non-`f_a` difference functions and mixed-minsup lits pairs answer
+    /// `false`.
+    fn bound_dominates(diff: DiffFn, m1: &Self::Model, m2: &Self::Model) -> bool;
+}
+
+/// The schema mismatch between two box families, read off their first
+/// boxes: every box of one model spans the same attribute space.
+fn boxes_mismatch(b1: &[BoxRegion], b2: &[BoxRegion]) -> Option<String> {
+    b1.first()?.schema_mismatch(b2.first()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -177,7 +178,6 @@ impl ModelFamily for LitsFamily {
         Self: 'a;
 
     const NAME: &'static str = "lits";
-    const HAS_BOUND: bool = true;
     const BOUND_IS_METRIC: bool = true;
 
     fn gcr(m1: &LitsModel, m2: &LitsModel) -> Vec<Itemset> {
@@ -224,6 +224,12 @@ impl ModelFamily for LitsFamily {
 
     fn data_len(data: &TransactionSet) -> u64 {
         data.len() as u64
+    }
+
+    fn mismatch(_m1: &LitsModel, _m2: &LitsModel) -> Option<String> {
+        // An item outside a dataset's universe supports nothing, so
+        // itemsets over any two universes compare.
+        None
     }
 
     fn upper_bound(m1: &LitsModel, m2: &LitsModel, g: AggFn) -> Option<f64> {
@@ -307,7 +313,6 @@ impl ModelFamily for DtFamily {
         Self: 'a;
 
     const NAME: &'static str = "dt";
-    const HAS_BOUND: bool = true;
     const BOUND_IS_METRIC: bool = true;
 
     fn gcr(m1: &DtModel, m2: &DtModel) -> DtGcr {
@@ -377,6 +382,13 @@ impl ModelFamily for DtFamily {
 
     fn data_len(data: &LabeledTable) -> u64 {
         data.len() as u64
+    }
+
+    fn mismatch(m1: &DtModel, m2: &DtModel) -> Option<String> {
+        if m1.n_classes() != m2.n_classes() {
+            return Some(format!("{} vs {} classes", m1.n_classes(), m2.n_classes()));
+        }
+        boxes_mismatch(m1.leaves(), m2.leaves())
     }
 
     fn upper_bound(m1: &DtModel, m2: &DtModel, g: AggFn) -> Option<f64> {
@@ -466,7 +478,6 @@ impl ModelFamily for ClusterFamily {
         Self: 'a;
 
     const NAME: &'static str = "cluster";
-    const HAS_BOUND: bool = true;
     // Explicitly NOT a metric: δ*(C, C) > 0 for overlapping clusters, so
     // the bound grid must never be fed to MDS.
     const BOUND_IS_METRIC: bool = false;
@@ -513,6 +524,10 @@ impl ModelFamily for ClusterFamily {
         data.len() as u64
     }
 
+    fn mismatch(m1: &ClusterModel, m2: &ClusterModel) -> Option<String> {
+        boxes_mismatch(m1.clusters(), m2.clusters())
+    }
+
     fn upper_bound(m1: &ClusterModel, m2: &ClusterModel, g: AggFn) -> Option<f64> {
         Some(crate::bound::cluster_upper_bound(m1, m2, g))
     }
@@ -532,16 +547,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn family_names_and_bound_presence() {
+    fn family_names_and_bound_metrics() {
         assert_eq!(LitsFamily::NAME, "lits");
         assert_eq!(DtFamily::NAME, "dt");
         assert_eq!(ClusterFamily::NAME, "cluster");
-        // Compile-time contract: every family carries a model-only bound,
-        // but only the lits/dt bounds are pseudo-metrics.
+        // Compile-time contract: only the lits/dt bounds are pseudo-metrics.
         const {
-            assert!(LitsFamily::HAS_BOUND);
-            assert!(DtFamily::HAS_BOUND);
-            assert!(ClusterFamily::HAS_BOUND);
             assert!(LitsFamily::BOUND_IS_METRIC);
             assert!(DtFamily::BOUND_IS_METRIC);
             assert!(!ClusterFamily::BOUND_IS_METRIC);

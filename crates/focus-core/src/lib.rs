@@ -121,11 +121,8 @@ pub mod prelude {
         qualify_chi_squared, qualify_tables, qualify_transactions, qualify_transactions_par,
     };
     pub use crate::region::{AttrConstraint, BoxBuilder, BoxRegion, CatMask, Itemset};
-    pub use crate::source::{
-        global_index_budget, parse_index_budget, prefers_vertical, set_global_index_budget,
-        CountSource, DEFAULT_INDEX_BUDGET,
-    };
+    pub use crate::source::{prefers_vertical, CountSource, MAX_INDEX_BYTES};
     pub use crate::stream::{calibrate_threshold, BlockVerdict, ChangeMonitor};
-    pub use crate::vertical::{count_itemsets_grouped, CsrError, VerticalIndex};
+    pub use crate::vertical::{count_itemsets_grouped, VerticalIndex};
     pub use focus_exec::Parallelism;
 }

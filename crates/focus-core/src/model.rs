@@ -10,7 +10,6 @@
 use crate::data::{LabeledTable, Table, TransactionSet};
 use crate::region::{BoxRegion, Itemset};
 use focus_exec::{map_chunks, merge_counts, Parallelism};
-use std::collections::HashMap;
 
 /// Minimum rows per worker chunk for the counting scans: below this,
 /// thread-spawn overhead exceeds the scan itself and the scan runs inline.
@@ -349,11 +348,6 @@ pub fn induce_lits_measures(
     let n = data.len().max(1) as f64;
     let supports = counts.iter().map(|&c| c as f64 / n).collect();
     LitsModel::new(itemsets, supports, minsup, data.len() as u64)
-}
-
-/// A fast lookup table from itemset to index (for joins over structures).
-pub fn itemset_index(itemsets: &[Itemset]) -> HashMap<&Itemset, usize> {
-    itemsets.iter().enumerate().map(|(i, s)| (s, i)).collect()
 }
 
 #[cfg(test)]

@@ -233,6 +233,35 @@ impl BoxRegion {
         }
     }
 
+    /// Why boxes shaped like `self` and `other` live in different
+    /// attribute spaces — different arity, an attribute numeric in one and
+    /// categorical in the other, or different category counts — or `None`
+    /// when they can be intersected.
+    pub fn schema_mismatch(&self, other: &BoxRegion) -> Option<String> {
+        let (a, b) = (&self.constraints, &other.constraints);
+        if a.len() != b.len() {
+            return Some(format!("{} vs {} attributes", a.len(), b.len()));
+        }
+        a.iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, pair)| match pair {
+                (AttrConstraint::Interval { .. }, AttrConstraint::Interval { .. }) => None,
+                (AttrConstraint::Cats(x), AttrConstraint::Cats(y)) => {
+                    (x.cardinality() != y.cardinality()).then(|| {
+                        format!(
+                            "attribute {i} has {} vs {} categories",
+                            x.cardinality(),
+                            y.cardinality()
+                        )
+                    })
+                }
+                _ => Some(format!(
+                    "attribute {i} is numeric in one and categorical in the other"
+                )),
+            })
+    }
+
     /// Intersection of two boxes; `None` if certainly empty (disjoint on a
     /// dimension or conflicting class labels).
     pub fn intersect(&self, other: &BoxRegion) -> Option<BoxRegion> {
@@ -469,6 +498,39 @@ mod tests {
             Schema::numeric("salary"),
             Schema::categorical("elevel", 5),
         ]))
+    }
+
+    #[test]
+    fn schema_mismatch_names_the_first_difference() {
+        let full = |attrs| BoxRegion::full(&Schema::new(attrs));
+        let base = BoxRegion::full(&schema());
+        let narrow = BoxBuilder::new(&schema()).lt("age", 30.0).build();
+        assert_eq!(base.schema_mismatch(&narrow), None);
+        let cases = [
+            (
+                vec![Schema::numeric("age"), Schema::numeric("salary")],
+                "3 vs 2 attributes",
+            ),
+            (
+                vec![
+                    Schema::numeric("age"),
+                    Schema::categorical("salary", 5),
+                    Schema::categorical("elevel", 5),
+                ],
+                "attribute 1 is numeric in one and categorical in the other",
+            ),
+            (
+                vec![
+                    Schema::numeric("age"),
+                    Schema::numeric("salary"),
+                    Schema::categorical("elevel", 4),
+                ],
+                "attribute 2 has 5 vs 4 categories",
+            ),
+        ];
+        for (attrs, want) in cases {
+            assert_eq!(base.schema_mismatch(&full(attrs)).as_deref(), Some(want));
+        }
     }
 
     #[test]

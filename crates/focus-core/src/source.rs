@@ -47,87 +47,20 @@
 //!
 //! A huge sparse item universe over few transactions makes the bit matrix
 //! mostly zeros; the budget caps how large an index the cost model may
-//! choose to build. It resolves like `FOCUS_THREADS`: the CLI override
-//! ([`set_global_index_budget`], the `--index-budget` flag) beats the
-//! `FOCUS_INDEX_BUDGET` environment variable (bytes, with optional
-//! `k`/`m`/`g` binary suffixes; unparseable values warn once and fall
-//! back) beats the [`DEFAULT_INDEX_BUDGET`] of 128 MiB. A budget of `0`
-//! never builds an index — a forced-horizontal knob for every
-//! [`CountSource::counts`] call (the pair pass is horizontal anyway).
+//! choose to build. Every constructor starts at [`MAX_INDEX_BYTES`]
+//! (128 MiB); [`CountSource::with_index_budget`] overrides it per handle.
+//! A budget of `0` never builds an index — a forced-horizontal handle for
+//! every [`CountSource::counts`] call (the pair pass is horizontal anyway).
 
 use crate::data::TransactionSet;
 use crate::region::Itemset;
 use crate::vertical::{count_itemsets_grouped, resolve_itemsets, VerticalIndex};
 use focus_exec::{map_chunks, map_indices, merge_counts, Parallelism};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-// ---------------------------------------------------------------------------
-// Index budget plumbing (mirrors focus-exec's FOCUS_THREADS handling)
-
-/// Default cap on the bit-matrix size the cost model may build: 128 MiB.
-pub const DEFAULT_INDEX_BUDGET: usize = 128 << 20;
-
-/// Sentinel for "no process-wide override set".
-const BUDGET_UNSET: usize = usize::MAX;
-
-/// Process-wide budget override (CLI `--index-budget`).
-static GLOBAL_BUDGET: AtomicUsize = AtomicUsize::new(BUDGET_UNSET);
-
-/// Lazily parsed `FOCUS_INDEX_BUDGET` environment setting.
-static ENV_BUDGET: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Parses a byte-count knob: a plain byte count, optionally suffixed with
-/// `k`, `m` or `g` (case-insensitive, binary units). `"0"` is valid and
-/// means "never build an index".
-pub fn parse_index_budget(s: &str) -> Option<usize> {
-    let t = s.trim();
-    let (digits, unit) = match t.as_bytes().last()? {
-        b'k' | b'K' => (&t[..t.len() - 1], 1usize << 10),
-        b'm' | b'M' => (&t[..t.len() - 1], 1 << 20),
-        b'g' | b'G' => (&t[..t.len() - 1], 1 << 30),
-        _ => (t, 1),
-    };
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse::<usize>().ok()?.checked_mul(unit)
-}
-
-fn env_index_budget() -> Option<usize> {
-    // A typo'd budget silently falling back would be invisible (counts are
-    // bit-identical either way), so say so once.
-    focus_exec::env_knob_once(
-        &ENV_BUDGET,
-        "FOCUS_INDEX_BUDGET",
-        parse_index_budget,
-        |raw| {
-            eprintln!(
-                "focus-core: ignoring unparseable FOCUS_INDEX_BUDGET={raw:?} \
-             (want a byte count, optionally with a k/m/g suffix); \
-             using the {} MiB default",
-                DEFAULT_INDEX_BUDGET >> 20
-            )
-        },
-    )
-}
-
-/// Sets the process-wide index budget in bytes (the CLI's `--index-budget`
-/// flag). Takes precedence over the `FOCUS_INDEX_BUDGET` environment
-/// variable. `0` means "never build an index".
-pub fn set_global_index_budget(bytes: usize) {
-    GLOBAL_BUDGET.store(bytes.min(BUDGET_UNSET - 1), Ordering::Relaxed);
-}
-
-/// The process-wide index budget: [`set_global_index_budget`] if called,
-/// else `FOCUS_INDEX_BUDGET`, else [`DEFAULT_INDEX_BUDGET`].
-pub fn global_index_budget() -> usize {
-    match GLOBAL_BUDGET.load(Ordering::Relaxed) {
-        BUDGET_UNSET => env_index_budget().unwrap_or(DEFAULT_INDEX_BUDGET),
-        b => b,
-    }
-}
+/// Cap on the bit-matrix size the cost model may build: 128 MiB.
+pub const MAX_INDEX_BYTES: usize = 128 << 20;
 
 // ---------------------------------------------------------------------------
 // The cost model
@@ -398,11 +331,9 @@ fn count_pairs_blocked(
 enum Repr<'a> {
     /// A borrowed horizontal view (the common in-process case).
     Borrowed(&'a TransactionSet),
-    /// An owned horizontal view (e.g. a text-loaded registry snapshot).
+    /// An owned horizontal view (e.g. a loaded registry snapshot).
     Owned(TransactionSet),
-    /// A pre-built index with no horizontal view at all — the
-    /// decode-to-index path, where binary snapshot bytes become bitsets
-    /// without ever materialising a `TransactionSet`.
+    /// A pre-built index with no horizontal view at all.
     Index(VerticalIndex),
 }
 
@@ -445,31 +376,31 @@ impl<'a> CountSource<'a> {
         CountSource {
             repr: Repr::Borrowed(data),
             cache: OnceLock::new(),
-            budget: global_index_budget(),
+            budget: MAX_INDEX_BYTES,
         }
     }
 
-    /// A source owning `data` — e.g. a registry snapshot loaded from text.
+    /// A source owning `data` — e.g. a registry snapshot.
     pub fn from_owned(data: TransactionSet) -> CountSource<'static> {
         CountSource {
             repr: Repr::Owned(data),
             cache: OnceLock::new(),
-            budget: global_index_budget(),
+            budget: MAX_INDEX_BYTES,
         }
     }
 
     /// A source that *is* an index: every count goes vertical, no
-    /// horizontal view exists. This is the decode-to-index registry path.
+    /// horizontal view exists (tests use it to force the vertical arm).
     pub fn from_index(index: VerticalIndex) -> CountSource<'static> {
         CountSource {
             repr: Repr::Index(index),
             cache: OnceLock::new(),
-            budget: global_index_budget(),
+            budget: MAX_INDEX_BYTES,
         }
     }
 
-    /// Overrides the handle's index budget (tests and benches; production
-    /// callers use the process-wide knob). Has no effect on an
+    /// Overrides the handle's index budget of [`MAX_INDEX_BYTES`] (tests
+    /// and benches force the horizontal arm with `0`). Has no effect on an
     /// index-backed source, which never builds anything.
     pub fn with_index_budget(mut self, bytes: usize) -> CountSource<'a> {
         self.budget = bytes;
@@ -599,42 +530,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_index_budget_accepts_bytes_and_binary_suffixes() {
-        assert_eq!(parse_index_budget("0"), Some(0));
-        assert_eq!(parse_index_budget("4096"), Some(4096));
-        assert_eq!(parse_index_budget("64k"), Some(64 << 10));
-        assert_eq!(parse_index_budget("64K"), Some(64 << 10));
-        assert_eq!(parse_index_budget("128m"), Some(128 << 20));
-        assert_eq!(parse_index_budget("2G"), Some(2 << 30));
-        assert_eq!(parse_index_budget(" 16m "), Some(16 << 20));
-        for bad in ["", "m", "-1", "1.5g", "12kb", "lots", "1 6k"] {
-            assert_eq!(parse_index_budget(bad), None, "{bad:?}");
-        }
-        // Overflow saturates to None, never wraps.
-        assert_eq!(parse_index_budget(&format!("{}g", usize::MAX)), None);
-    }
-
-    #[test]
     fn cost_model_is_deterministic_and_budget_capped() {
         // A workload big enough to amortise the build prefers vertical…
-        let big = prefers_vertical(17, 25, 2000, 9, 7200, DEFAULT_INDEX_BUDGET);
+        let big = prefers_vertical(17, 25, 2000, 9, 7200, MAX_INDEX_BYTES);
         assert!(big);
         // …and the same inputs always give the same answer.
         for _ in 0..8 {
             assert_eq!(
-                prefers_vertical(17, 25, 2000, 9, 7200, DEFAULT_INDEX_BUDGET),
+                prefers_vertical(17, 25, 2000, 9, 7200, MAX_INDEX_BYTES),
                 big
             );
         }
         // A single tiny scan never pays for a build.
-        assert!(!prefers_vertical(
-            1,
-            2,
-            1000,
-            10,
-            3000,
-            DEFAULT_INDEX_BUDGET
-        ));
+        assert!(!prefers_vertical(1, 2, 1000, 10, 3000, MAX_INDEX_BYTES));
         // Budget 0 forbids building regardless of workload, and an index
         // one byte over the budget is refused too.
         assert!(!prefers_vertical(1000, 5000, 100_000, 50, 1_000_000, 0));
@@ -642,15 +550,8 @@ mod tests {
         assert!(prefers_vertical(17, 25, 2000, 9, 7200, bytes));
         assert!(!prefers_vertical(17, 25, 2000, 9, 7200, bytes - 1));
         // Degenerate shapes never dispatch a build.
-        assert!(!prefers_vertical(
-            0,
-            0,
-            1000,
-            10,
-            3000,
-            DEFAULT_INDEX_BUDGET
-        ));
-        assert!(!prefers_vertical(5, 10, 0, 10, 0, DEFAULT_INDEX_BUDGET));
+        assert!(!prefers_vertical(0, 0, 1000, 10, 3000, MAX_INDEX_BYTES));
+        assert!(!prefers_vertical(5, 10, 0, 10, 0, MAX_INDEX_BYTES));
     }
 
     /// Exhaustive subset reference: supports of `sets` by merge-walking
@@ -786,9 +687,7 @@ mod tests {
             .map(|i| Itemset::from_slice(&[i]))
             .chain((0..8u32).map(|i| Itemset::from_slice(&[i, i + 1])))
             .collect();
-        // Pin the budget: another test in this binary may be exercising
-        // the process-wide setter concurrently.
-        let source = CountSource::borrowed(&ts).with_index_budget(DEFAULT_INDEX_BUDGET);
+        let source = CountSource::borrowed(&ts);
         assert!(!source.index_built());
         let first = source.counts(&sets, Parallelism::Sequential);
         assert!(source.index_built(), "this workload should go vertical");
@@ -820,21 +719,5 @@ mod tests {
             ),
             vec![0, 0]
         );
-    }
-
-    #[test]
-    fn global_budget_defaults_and_overrides() {
-        // No override set in this test binary unless another test in this
-        // process set one; exercise the setter round trip explicitly.
-        set_global_index_budget(64 << 10);
-        assert_eq!(global_index_budget(), 64 << 10);
-        set_global_index_budget(0);
-        assert_eq!(global_index_budget(), 0);
-        // usize::MAX is clamped below the "unset" sentinel, not treated
-        // as unset.
-        set_global_index_budget(usize::MAX);
-        assert_eq!(global_index_budget(), usize::MAX - 1);
-        set_global_index_budget(DEFAULT_INDEX_BUDGET);
-        assert_eq!(global_index_budget(), DEFAULT_INDEX_BUDGET);
     }
 }

@@ -27,79 +27,6 @@ use crate::data::TransactionSet;
 use crate::region::Itemset;
 use focus_exec::{map_indices, Parallelism};
 
-/// A CSR-invariant violation found by [`VerticalIndex::from_csr`].
-///
-/// The variants (and their [`std::fmt::Display`] wording) mirror the
-/// invariants [`TransactionSet::from_parts`] enforces, string for string,
-/// so a corrupt artifact surfaces identically on either decode path. At
-/// the io seam the error converts to [`std::io::ErrorKind::InvalidData`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsrError {
-    /// The offsets column is empty or does not begin with 0.
-    BadStart,
-    /// The final offset does not equal the item column's length.
-    Coverage {
-        /// The last offset recorded in the column.
-        last: usize,
-        /// The actual number of items in the flat item column.
-        items: usize,
-    },
-    /// The offsets column decreases at the given transaction.
-    Decreasing {
-        /// Index of the transaction whose end offset precedes its start.
-        transaction: usize,
-    },
-    /// An item id at or beyond the declared universe size.
-    ItemOutOfRange {
-        /// Index of the offending transaction.
-        transaction: usize,
-        /// The out-of-range item id.
-        item: u32,
-        /// The declared universe size (valid ids are `0..n_items`).
-        n_items: u32,
-    },
-    /// A transaction's items are not strictly increasing (the sorted +
-    /// deduplicated contract).
-    Unsorted {
-        /// Index of the offending transaction.
-        transaction: usize,
-    },
-}
-
-impl std::fmt::Display for CsrError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsrError::BadStart => write!(f, "offsets must start at 0"),
-            CsrError::Coverage { last, items } => {
-                write!(f, "last offset {last} does not cover the {items} items")
-            }
-            CsrError::Decreasing { transaction } => {
-                write!(f, "offsets decrease at transaction {transaction}")
-            }
-            CsrError::ItemOutOfRange {
-                transaction,
-                item,
-                n_items,
-            } => write!(
-                f,
-                "transaction {transaction}: item {item} out of range 0..{n_items}"
-            ),
-            CsrError::Unsorted { transaction } => write!(
-                f,
-                "transaction {transaction} is not strictly increasing (sorted + deduplicated)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CsrError {}
-
-impl From<CsrError> for std::io::Error {
-    fn from(e: CsrError) -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-    }
-}
-
 /// A vertical (item-major) tid-bitset index over a [`TransactionSet`].
 ///
 /// Row `i` sets bit `t` iff transaction `t` contains item `i`. All rows
@@ -135,63 +62,6 @@ impl VerticalIndex {
             words,
             bits,
         }
-    }
-
-    /// Builds the index straight from CSR parts (offsets + flat item
-    /// column) without materialising a [`TransactionSet`] — the
-    /// decode-to-index path used by the binary snapshot reader. The parts
-    /// are validated against exactly the invariants
-    /// [`TransactionSet::from_parts`] enforces, with identical error
-    /// wording ([`CsrError`]'s `Display`), so a corrupt artifact surfaces
-    /// the same way on either decode path; the resulting index is
-    /// bit-identical to `VerticalIndex::build(&TransactionSet::from_parts(..)?)`.
-    pub fn from_csr(n_items: u32, offsets: &[usize], items: &[u32]) -> Result<Self, CsrError> {
-        if offsets.first() != Some(&0) {
-            return Err(CsrError::BadStart);
-        }
-        let last = *offsets.last().expect("non-empty by the check above");
-        if last != items.len() {
-            return Err(CsrError::Coverage {
-                last,
-                items: items.len(),
-            });
-        }
-        // Monotonicity first, over the whole array: with a non-decreasing
-        // sequence ending at `items.len()`, every window then slices
-        // safely below.
-        for (t, w) in offsets.windows(2).enumerate() {
-            if w[1] < w[0] {
-                return Err(CsrError::Decreasing { transaction: t });
-            }
-        }
-        let n_transactions = offsets.len() - 1;
-        let words = n_transactions.div_ceil(64);
-        let mut bits = vec![0u64; n_items as usize * words];
-        for (t, w) in offsets.windows(2).enumerate() {
-            let txn = &items[w[0]..w[1]];
-            if let Some(&max) = txn.last() {
-                if max >= n_items {
-                    return Err(CsrError::ItemOutOfRange {
-                        transaction: t,
-                        item: max,
-                        n_items,
-                    });
-                }
-            }
-            if txn.windows(2).any(|p| p[1] <= p[0]) {
-                return Err(CsrError::Unsorted { transaction: t });
-            }
-            let (word, bit) = (t / 64, t % 64);
-            for &it in txn {
-                bits[it as usize * words + word] |= 1u64 << bit;
-            }
-        }
-        Ok(Self {
-            n_items,
-            n_transactions,
-            words,
-            bits,
-        })
     }
 
     /// Size of the item universe the index was built over.
@@ -270,23 +140,14 @@ impl VerticalIndex {
             .sum()
     }
 
-    /// Bytes held by the bit matrix.
-    pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
-
-    /// The size [`Self::build`] would allocate for `data`, without
-    /// building it: `n_items × ceil(n / 64) × 8` bytes. Used by the
-    /// counting cost model ([`crate::source::prefers_vertical`]) to refuse
-    /// indexes over the index budget. Saturates at `usize::MAX` — a
-    /// universe big enough to wrap the multiplication must read as "too
-    /// big for the budget", not as a small wrapped product that would let
-    /// the cost model wave an absurd allocation through.
-    pub fn estimate_bytes(data: &TransactionSet) -> usize {
-        Self::estimate_bytes_for(data.n_items(), data.len())
-    }
-
-    /// [`Self::estimate_bytes`] from the raw dimensions (saturating).
+    /// The size [`Self::build`] allocates for `n_items` items over
+    /// `n_transactions` rows, without building it: `n_items × ceil(n / 64)
+    /// × 8` bytes. Used by the counting cost model
+    /// ([`crate::source::prefers_vertical`]) to refuse indexes over the
+    /// index budget. Saturates at `usize::MAX` — a universe big enough to
+    /// wrap the multiplication must read as "too big for the budget", not
+    /// as a small wrapped product that would let the cost model wave an
+    /// absurd allocation through.
     pub fn estimate_bytes_for(n_items: u32, n_transactions: usize) -> usize {
         (n_items as usize)
             .checked_mul(n_transactions.div_ceil(64))
@@ -569,112 +430,14 @@ mod tests {
     }
 
     #[test]
-    fn from_csr_matches_build_and_rejects_bad_parts() {
-        // Well-formed CSR parts produce exactly the index `build` would.
-        let ts = random_set(13, 300, 8, 0.3);
-        let mut offsets = vec![0usize];
-        let mut items = Vec::new();
-        for txn in ts.iter() {
-            items.extend_from_slice(txn);
-            offsets.push(items.len());
-        }
-        let direct = VerticalIndex::from_csr(8, &offsets, &items).unwrap();
-        assert_eq!(direct, VerticalIndex::build(&ts));
-        // Every invariant violation is reported as a typed [`CsrError`]
-        // whose Display wording matches `TransactionSet::from_parts`,
-        // never repaired or panicked on. The bool marks cases safe to
-        // cross-check against `from_parts` (an offset overshooting the
-        // item column would make `from_parts` slice out of bounds before
-        // its own decrease check).
-        let cases: [(&[usize], &[u32], CsrError, bool); 6] = [
-            (&[1, 3], &[1, 3, 5], CsrError::BadStart, true),
-            (&[], &[], CsrError::BadStart, false),
-            (
-                &[0, 2],
-                &[1, 3, 5],
-                CsrError::Coverage { last: 2, items: 3 },
-                true,
-            ),
-            (
-                &[0, 2, 1, 2],
-                &[1, 3],
-                CsrError::Decreasing { transaction: 1 },
-                true,
-            ),
-            (
-                &[0, 1],
-                &[10],
-                CsrError::ItemOutOfRange {
-                    transaction: 0,
-                    item: 10,
-                    n_items: 10,
-                },
-                true,
-            ),
-            (
-                &[0, 2],
-                &[3, 1],
-                CsrError::Unsorted { transaction: 0 },
-                true,
-            ),
-        ];
-        for (offs, its, want, cross_check) in cases {
-            let err = VerticalIndex::from_csr(10, offs, its).unwrap_err();
-            assert_eq!(err, want, "{offs:?}/{its:?}");
-            if cross_check {
-                let same = TransactionSet::from_parts(10, offs.to_vec(), its.to_vec()).unwrap_err();
-                assert_eq!(err.to_string(), same, "wording must match from_parts");
-            }
-        }
-        // An overshooting offset (past the decrease check's reach in
-        // from_parts) still reports the decrease by name.
-        let err = VerticalIndex::from_csr(10, &[0, 5, 2], &[1, 3]).unwrap_err();
-        assert_eq!(err, CsrError::Decreasing { transaction: 1 });
-        // Empty dataset round-trips.
-        let empty = VerticalIndex::from_csr(4, &[0], &[]).unwrap();
-        assert_eq!(empty, VerticalIndex::build(&TransactionSet::new(4)));
-    }
-
-    #[test]
-    fn csr_error_displays_and_reaches_io_as_invalid_data() {
-        // Per-variant Display wording and the io-seam conversion.
-        let cases: [(CsrError, &str); 5] = [
-            (CsrError::BadStart, "offsets must start at 0"),
-            (
-                CsrError::Coverage { last: 7, items: 9 },
-                "last offset 7 does not cover the 9 items",
-            ),
-            (
-                CsrError::Decreasing { transaction: 3 },
-                "offsets decrease at transaction 3",
-            ),
-            (
-                CsrError::ItemOutOfRange {
-                    transaction: 2,
-                    item: 40,
-                    n_items: 12,
-                },
-                "transaction 2: item 40 out of range 0..12",
-            ),
-            (
-                CsrError::Unsorted { transaction: 5 },
-                "transaction 5 is not strictly increasing (sorted + deduplicated)",
-            ),
-        ];
-        for (err, want) in cases {
-            assert_eq!(err.to_string(), want);
-            let io: std::io::Error = err.into();
-            assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
-            assert_eq!(io.to_string(), want, "io wrapper preserves the message");
-        }
-    }
-
-    #[test]
     fn memory_accounting() {
         let ts = random_set(5, 130, 10, 0.3);
         let idx = VerticalIndex::build(&ts);
-        assert_eq!(idx.memory_bytes(), 10 * 3 * 8);
-        assert_eq!(VerticalIndex::estimate_bytes(&ts), idx.memory_bytes());
+        assert_eq!(idx.bits.len() * 8, 10 * 3 * 8);
+        assert_eq!(
+            VerticalIndex::estimate_bytes_for(ts.n_items(), ts.len()),
+            idx.bits.len() * 8
+        );
     }
 
     #[test]

@@ -97,12 +97,7 @@ fn available_cores() -> usize {
 /// the value was present but unparseable (the warn-once contract: a
 /// typo'd setting silently falling back would be invisible, because
 /// results are bit-identical by design, so it must be said — once).
-pub fn knob_once<T, R, P, W>(
-    cell: &OnceLock<Option<T>>,
-    read: R,
-    parse: P,
-    on_invalid: W,
-) -> Option<T>
+fn knob_once<T, R, P, W>(cell: &OnceLock<Option<T>>, read: R, parse: P, on_invalid: W) -> Option<T>
 where
     T: Copy,
     R: FnOnce() -> Option<String>,
@@ -121,28 +116,10 @@ where
     })
 }
 
-/// [`knob_once`] over an environment variable — the shared warn-once
-/// parser behind `FOCUS_THREADS` (here) and `FOCUS_INDEX_BUDGET`
-/// (`focus-core`). An unset variable is `None` with no warning; an
-/// unparseable one warns once via `on_invalid` and then behaves as unset.
-pub fn env_knob_once<T, P, W>(
-    cell: &OnceLock<Option<T>>,
-    var: &str,
-    parse: P,
-    on_invalid: W,
-) -> Option<T>
-where
-    T: Copy,
-    P: FnOnce(&str) -> Option<T>,
-    W: FnOnce(&str),
-{
-    knob_once(cell, || std::env::var(var).ok(), parse, on_invalid)
-}
-
 fn env_threads() -> Option<usize> {
-    env_knob_once(
+    knob_once(
         &ENV_THREADS,
-        "FOCUS_THREADS",
+        || std::env::var("FOCUS_THREADS").ok(),
         |raw| {
             let t = raw.trim();
             if t.eq_ignore_ascii_case("auto") {

@@ -105,8 +105,7 @@ impl Apriori {
 
     /// Mines the frequent itemsets of `data` and returns them as a
     /// [`LitsModel`] (itemsets + supports + the mining threshold): a
-    /// [`Self::mine_source`] over a fresh [`CountSource`] borrowing `data`
-    /// at the process-wide index budget.
+    /// [`Self::mine_source`] over a fresh [`CountSource`] borrowing `data`.
     pub fn mine(&self, data: &TransactionSet) -> LitsModel {
         self.mine_source(&CountSource::borrowed(data))
     }

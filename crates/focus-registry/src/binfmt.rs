@@ -37,7 +37,6 @@
 use focus_core::data::{AttrType, LabeledTable, Schema, Table, TransactionSet, Value};
 use focus_core::model::{ClusterModel, DtModel, LitsModel};
 use focus_core::region::{AttrConstraint, BoxRegion, CatMask, Itemset};
-use focus_core::vertical::VerticalIndex;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -458,33 +457,6 @@ pub fn encode_transactions(data: &TransactionSet) -> Vec<u8> {
 /// invariants (so a checksum-colliding corruption still cannot produce an
 /// out-of-contract `TransactionSet`).
 pub fn decode_transactions(bytes: &[u8]) -> Result<TransactionSet, BinError> {
-    let (n_items, offsets, items) = decode_transactions_parts(bytes)?;
-    TransactionSet::from_parts(n_items, offsets, items).map_err(|what| BinError::Malformed {
-        section: "ITEM",
-        what,
-    })
-}
-
-/// Decodes a transactions container straight into a [`VerticalIndex`]:
-/// the columnar words go bytes → tid bitsets in one pass, with the same
-/// section walk, checksum verification and CSR validation as
-/// [`decode_transactions`] but no intermediate `TransactionSet`. The
-/// resulting index counts bit-identically to
-/// `VerticalIndex::build(&decode_transactions(bytes)?)`.
-pub fn decode_transactions_to_index(bytes: &[u8]) -> Result<VerticalIndex, BinError> {
-    let (n_items, offsets, items) = decode_transactions_parts(bytes)?;
-    VerticalIndex::from_csr(n_items, &offsets, &items).map_err(|e| BinError::Malformed {
-        section: "ITEM",
-        what: e.to_string(),
-    })
-}
-
-/// The shared section walk behind both transaction decoders: verifies the
-/// container framing and returns the raw `(n_items, offsets, items)` CSR
-/// columns. CSR *semantic* validation (monotone offsets, in-range sorted
-/// items) is left to the caller's constructor, which names violations in
-/// the `ITEM` section.
-fn decode_transactions_parts(bytes: &[u8]) -> Result<(u32, Vec<usize>, Vec<u32>), BinError> {
     let mut dec = Dec::open(bytes, KIND_TXNS)?;
     let mut head = dec.section("HEAD")?;
     let n_items = head.u32()?;
@@ -514,7 +486,10 @@ fn decode_transactions_parts(bytes: &[u8]) -> Result<(u32, Vec<usize>, Vec<u32>)
     item.done()?;
     dec.finish()?;
 
-    Ok((n_items, offsets, items))
+    TransactionSet::from_parts(n_items, offsets, items).map_err(|what| BinError::Malformed {
+        section: "ITEM",
+        what,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1162,44 +1137,6 @@ mod tests {
             decode_transactions(&encode_transactions(&empty)).unwrap(),
             empty
         );
-    }
-
-    #[test]
-    fn decode_to_index_matches_decode_then_build() {
-        // The one-pass bytes → bitsets decoder must produce exactly the
-        // index a decode-to-TransactionSet-then-build pipeline would.
-        for (seed, n, density) in [(7, 400, 0.5), (13, 64, 0.05), (2, 1, 1.0)] {
-            let ts = random_dataset(seed, n, density);
-            let bytes = encode_transactions(&ts);
-            let direct = decode_transactions_to_index(&bytes).unwrap();
-            assert_eq!(direct, VerticalIndex::build(&ts));
-        }
-        let empty = TransactionSet::new(3);
-        let direct = decode_transactions_to_index(&encode_transactions(&empty)).unwrap();
-        assert_eq!(direct, VerticalIndex::build(&empty));
-    }
-
-    #[test]
-    fn decode_to_index_names_corruption_like_the_set_decoder() {
-        let bytes = encode_transactions(&random_dataset(3, 100, 0.4));
-        for (tag, range) in sections_of(&bytes) {
-            if range.is_empty() {
-                continue;
-            }
-            let mid = range.start + range.len() / 2;
-            let mut corrupt = bytes.clone();
-            corrupt[mid] ^= 0x40;
-            let err = decode_transactions_to_index(&corrupt).unwrap_err();
-            let BinError::Checksum(section) = err else {
-                panic!("section {tag}: want a checksum error, got {err}");
-            };
-            assert_eq!(section, tag, "checksum error must name the section");
-            assert_eq!(
-                decode_transactions_to_index(&bytes[..mid]).unwrap_err(),
-                decode_transactions(&bytes[..mid]).unwrap_err(),
-                "both decoders agree on truncation in {tag}"
-            );
-        }
     }
 
     #[test]

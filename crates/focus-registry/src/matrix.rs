@@ -96,8 +96,8 @@ impl From<MatrixError> for std::io::Error {
 /// Parameters for [`deviation_matrix`].
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixParams {
-    /// Difference function for the exact scans (the bound, where the
-    /// family defines one, is always the `f_a` bound of Definition 4.1).
+    /// Difference function for the exact scans (the bound is always the
+    /// `f_a` bound of Definition 4.1).
     pub diff: DiffFn,
     /// Aggregate `g ∈ {sum, max}`, used by both the bound and the scans.
     pub agg: AggFn,
@@ -109,7 +109,7 @@ pub struct MatrixParams {
     /// deviation ([`ModelFamily::bound_dominates`] — for lits: `f_a` and a
     /// shared minsup); every other pair is scanned regardless, since
     /// pruning there would silently discard pairs the bound does not
-    /// certify. Families without a bound scan every pair.
+    /// certify.
     pub threshold: f64,
     /// `--top K` screening: when `Some(k)`, the `k` screenable pairs with
     /// the *largest* bounds get exact scans (ties broken by pair index)
@@ -153,9 +153,8 @@ impl MatrixParams {
 pub struct DeviationMatrix {
     names: Vec<String>,
     n: usize,
-    /// Row-major symmetric δ* bounds (zero diagonal); `None` when the
-    /// family defines no model-only bound.
-    bounds: Option<Vec<f64>>,
+    /// Row-major symmetric δ* bounds (zero diagonal).
+    bounds: Vec<f64>,
     /// Row-major exact deviations; NaN where the scan was pruned (see
     /// [`DeviationMatrix::exact`] for the `Option` view).
     exact: Vec<f64>,
@@ -180,37 +179,29 @@ fn pairs(n: usize) -> Vec<(usize, usize)> {
 }
 
 /// Phase 1: the δ* bound for every unordered pair, in [`pairs`] order,
-/// fanned out over `par`. Model-only — no dataset scans. `None` when the
-/// family defines no bound (nothing to screen on).
+/// fanned out over `par`. Model-only — no dataset scans.
 pub(crate) fn pair_bounds<F: ModelFamily>(
     models: &[F::Model],
     agg: AggFn,
     par: Parallelism,
-) -> Option<Vec<f64>> {
-    if !F::HAS_BOUND {
-        return None;
-    }
+) -> Vec<f64> {
     let pair_list = pairs(models.len());
-    Some(map_indices(par, pair_list.len(), |p| {
+    map_indices(par, pair_list.len(), |p| {
         let (i, j) = pair_list[p];
-        F::upper_bound(&models[i], &models[j], agg).expect("HAS_BOUND families always bound")
-    }))
+        F::upper_bound(&models[i], &models[j], agg).expect("every family defines a bound")
+    })
 }
 
 /// The pair indices (into [`pairs`] order) whose exact scan survives
 /// screening under `params`. A pair can be pruned only when its bound is
 /// certified to dominate ([`ModelFamily::bound_dominates`]); among those,
-/// either the threshold cut or the top-K cut applies. With no bounds at
-/// all, every pair survives.
+/// either the threshold cut or the top-K cut applies.
 fn surviving_pairs<F: ModelFamily>(
     models: &[F::Model],
-    bounds: Option<&[f64]>,
+    bounds: &[f64],
     params: &MatrixParams,
 ) -> Vec<usize> {
     let pair_list = pairs(models.len());
-    let Some(bounds) = bounds else {
-        return (0..pair_list.len()).collect();
-    };
     let dominated: Vec<bool> = pair_list
         .iter()
         .map(|&(i, j)| F::bound_dominates(params.diff, &models[i], &models[j]))
@@ -240,7 +231,7 @@ fn surviving_pairs<F: ModelFamily>(
 /// [`pair_bounds`] over the same collection.
 pub(crate) fn screened_members<F: ModelFamily>(
     models: &[F::Model],
-    bounds: Option<&[f64]>,
+    bounds: &[f64],
     params: &MatrixParams,
 ) -> Vec<bool> {
     let pair_list = pairs(models.len());
@@ -289,21 +280,19 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
     datasets: &[F::Dataset],
     names: Vec<String>,
     params: &MatrixParams,
-    pair_bounds: Option<Vec<f64>>,
+    pair_bounds: Vec<f64>,
 ) -> DeviationMatrix {
     let n = models.len();
     assert_eq!(n, datasets.len(), "one dataset per model");
     assert_eq!(n, names.len(), "one name per model");
     let pair_list = pairs(n);
-    if let Some(b) = &pair_bounds {
-        assert_eq!(pair_list.len(), b.len(), "one bound per pair");
-    }
+    assert_eq!(pair_list.len(), pair_bounds.len(), "one bound per pair");
 
     // Screening: where the bound dominates the chosen deviation
     // (Theorem 4.2 (1) for lits), falling below the cut certifies the
     // pair as uninteresting; everywhere else the certificate is void and
     // the pair survives.
-    let survivors = surviving_pairs::<F>(models, pair_bounds.as_deref(), params);
+    let survivors = surviving_pairs::<F>(models, &pair_bounds, params);
 
     // Phase 2: exact scans for the surviving pairs only. Each pair is one
     // work item; nested scan parallelism inside a worker runs inline per
@@ -329,14 +318,11 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         .value
     });
 
-    let bounds = pair_bounds.map(|pb| {
-        let mut bounds = vec![0.0; n * n];
-        for (p, &(i, j)) in pair_list.iter().enumerate() {
-            bounds[i * n + j] = pb[p];
-            bounds[j * n + i] = pb[p];
-        }
-        bounds
-    });
+    let mut bounds = vec![0.0; n * n];
+    for (p, &(i, j)) in pair_list.iter().enumerate() {
+        bounds[i * n + j] = pair_bounds[p];
+        bounds[j * n + i] = pair_bounds[p];
+    }
     let mut exact = vec![f64::NAN; n * n];
     for (s, &p) in survivors.iter().enumerate() {
         let (i, j) = pair_list[p];
@@ -351,7 +337,7 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         threshold: params.threshold,
         diff: params.diff,
         scanned: survivors.len(),
-        metric: F::HAS_BOUND && F::BOUND_IS_METRIC,
+        metric: F::BOUND_IS_METRIC,
     }
 }
 
@@ -396,11 +382,10 @@ impl DeviationMatrix {
         self.n_pairs() - self.scanned
     }
 
-    /// True when the matrix carries model-only δ* bounds (the family
-    /// defines one — every built-in family today). Boundless matrices are
-    /// always complete: every pair was scanned.
+    /// True: every family defines a model-only δ* bound, so every matrix
+    /// carries one per pair.
     pub fn has_bounds(&self) -> bool {
-        self.bounds.is_some()
+        true
     }
 
     /// True when the family's δ* is a pseudo-metric (lits, dt): the bound
@@ -411,13 +396,9 @@ impl DeviationMatrix {
         self.metric
     }
 
-    /// The δ* upper bound for a pair (`0` on the diagonal); NaN when the
-    /// family defines no bound (see [`DeviationMatrix::has_bounds`]).
+    /// The δ* upper bound for a pair (`0` on the diagonal).
     pub fn bound(&self, i: usize, j: usize) -> f64 {
-        match &self.bounds {
-            Some(b) => b[i * self.n + j],
-            None => f64::NAN,
-        }
+        self.bounds[i * self.n + j]
     }
 
     /// The exact deviation for a pair, if its scan survived screening.
@@ -438,8 +419,7 @@ impl DeviationMatrix {
 
     /// The collection as a [`DistanceMatrix`]: the δ* bounds where they
     /// form a metric (Theorem 4.2 (2–3) — lits, dt), else the exact
-    /// deviations (cluster's non-metric bound must never feed MDS;
-    /// boundless matrices have exact values in full).
+    /// deviations (cluster's non-metric bound must never feed MDS).
     ///
     /// Errors with [`MatrixError::MissingCell`] when a pruned exact scan
     /// leaves a cell of the exact path unavailable, instead of silently
@@ -720,13 +700,11 @@ mod tests {
     fn screened_members_marks_only_surviving_pairs() {
         let (models, _, _) = collection(&[(1, 0.0), (2, 0.0), (3, 1.0)]);
         let bounds = pair_bounds::<LitsFamily>(&models, AggFn::Sum, Parallelism::Sequential);
-        assert!(bounds.is_some());
-        let all =
-            screened_members::<LitsFamily>(&models, bounds.as_deref(), &MatrixParams::default());
+        let all = screened_members::<LitsFamily>(&models, &bounds, &MatrixParams::default());
         assert_eq!(all, vec![true, true, true]);
         let none = screened_members::<LitsFamily>(
             &models,
-            bounds.as_deref(),
+            &bounds,
             &MatrixParams {
                 threshold: f64::INFINITY,
                 ..MatrixParams::default()

@@ -565,21 +565,12 @@ impl Registry {
         self.load_artifact::<F, _>(name, F::DATA_EXT, F::decode_dataset)
     }
 
-    /// Loads one **lits** snapshot as an owning [`CountSource`] — the
-    /// counting handle the deviation engines scan through — by the
-    /// decode-to-index seam: the vertical tid-bitset index is built
-    /// straight from the (memory-mapped) columnar words in one pass, with
-    /// the same checksum and CSR validation as
-    /// [`Registry::load_snapshot_dataset`] but no intermediate
-    /// `TransactionSet`. Counts are bit-identical to scanning the loaded
-    /// dataset.
+    /// Loads one **lits** snapshot as an owning [`CountSource`], the
+    /// counting handle the deviation engines scan through.
     pub fn load_snapshot_source(&self, name: &str) -> std::io::Result<CountSource<'static>> {
-        let index = self.load_artifact::<LitsFamily, _>(
-            name,
-            <LitsFamily as SnapshotFamily>::DATA_EXT,
-            |bytes| Ok(crate::binfmt::decode_transactions_to_index(bytes)?),
-        )?;
-        Ok(CountSource::from_index(index))
+        Ok(CountSource::from_owned(
+            self.load_snapshot_dataset::<LitsFamily>(name)?,
+        ))
     }
 
     fn check_kind<F: SnapshotFamily>(&self, name: &str) -> std::io::Result<()> {
@@ -599,8 +590,9 @@ impl Registry {
     /// Computes the screened pairwise deviation matrix of the registry's
     /// snapshots of family `F` (other kinds are ignored). Models are
     /// loaded up front; datasets are loaded only for pairs that survive
-    /// screening, so a high threshold never pays dataset IO at all —
-    /// families without a model-only bound load (and scan) everything.
+    /// screening, so a high threshold never pays dataset IO at all. Two
+    /// snapshots over different schemas or class sets are an error that
+    /// names both.
     pub fn matrix_of<F: SnapshotFamily>(
         &self,
         params: &MatrixParams,
@@ -611,13 +603,23 @@ impl Registry {
         for e in &entries {
             models.push(self.load_snapshot_model::<F>(&e.name)?);
         }
+        for (i, a) in entries.iter().enumerate() {
+            for (b, model) in entries.iter().zip(&models).skip(i + 1) {
+                if let Some(why) = F::mismatch(&models[i], model) {
+                    return Err(bad(&format!(
+                        "snapshots {:?} and {:?} cannot be compared: {why}",
+                        a.name, b.name
+                    )));
+                }
+            }
+        }
         // The screening decision needs only the models: run the phase-1
         // bound sweep once, load exactly the datasets that participate in
         // a surviving pair (the others get cheap empty stand-ins phase
         // two never touches), and hand the bounds to the engine so the
         // sweep is not paid twice.
         let bounds = crate::matrix::pair_bounds::<F>(&models, params.agg, params.par);
-        let needed = crate::matrix::screened_members::<F>(&models, bounds.as_deref(), params);
+        let needed = crate::matrix::screened_members::<F>(&models, &bounds, params);
         let mut datasets = Vec::with_capacity(entries.len());
         for (entry, needed) in entries.iter().zip(&needed) {
             datasets.push(if *needed {
@@ -736,10 +738,8 @@ mod tests {
         let data = random_dataset(7, 250, 0.5);
         add_lits(&mut reg, "day-01", &data, 0.1).unwrap();
 
-        // The dataset decodes straight to the index.
         let source = reg.load_snapshot_source("day-01").unwrap();
-        assert!(source.index_built());
-        assert_eq!(source.len(), data.len());
+        assert_eq!(source.transactions(), Some(&data));
 
         let itemsets: Vec<Itemset> = (0..8u32)
             .map(|i| Itemset::from_slice(&[i, (i + 3) % 8]))

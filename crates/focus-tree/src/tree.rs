@@ -12,6 +12,9 @@ use std::sync::Arc;
 /// costs more than it saves.
 const PAR_SUBTREE_MIN_ROWS: usize = 2 * focus_exec::DEFAULT_GRAIN;
 
+/// Minimum number of rows required to attempt a split.
+const MIN_SPLIT: usize = 2;
+
 /// Pre-pruning parameters for tree construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
@@ -19,8 +22,6 @@ pub struct TreeParams {
     pub max_depth: usize,
     /// Minimum number of training rows in each leaf.
     pub min_leaf: usize,
-    /// Minimum number of rows required to attempt a split.
-    pub min_split: usize,
     /// Minimum Gini-impurity reduction for a split to be kept.
     pub min_gain: f64,
 }
@@ -30,7 +31,6 @@ impl Default for TreeParams {
         Self {
             max_depth: 12,
             min_leaf: 1,
-            min_split: 2,
             min_gain: 1e-9,
         }
     }
@@ -46,12 +46,6 @@ impl TreeParams {
     /// Sets the minimum leaf size.
     pub fn min_leaf(mut self, n: usize) -> Self {
         self.min_leaf = n.max(1);
-        self
-    }
-
-    /// Sets the minimum split size.
-    pub fn min_split(mut self, n: usize) -> Self {
-        self.min_split = n.max(2);
         self
     }
 
@@ -128,11 +122,6 @@ impl DecisionTree {
             .iter()
             .filter(|n| matches!(n, Node::Leaf { .. }))
             .count()
-    }
-
-    /// Number of nodes (internal + leaves).
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Depth of the tree (root-only tree has depth 0).
@@ -271,7 +260,7 @@ fn build_subtree(
     };
 
     let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
-    if pure || depth >= params.max_depth || rows.len() < params.min_split {
+    if pure || depth >= params.max_depth || rows.len() < MIN_SPLIT {
         return make_leaf(counts);
     }
     let par = if budget >= 2 && rows.len() >= PAR_SUBTREE_MIN_ROWS {
@@ -447,7 +436,7 @@ mod tests {
         let data = boundary_data(100, 30.0, 5);
         let tree = DecisionTree::fit(&data, TreeParams::default().max_depth(0));
         assert_eq!(tree.n_leaves(), 1);
-        assert_eq!(tree.n_nodes(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         // Majority class: x < 30 is ~30% → predicts class 0 everywhere.
         assert_eq!(tree.predict(&[Value::Num(10.0)]), 0);
     }

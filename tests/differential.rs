@@ -222,9 +222,7 @@ proptest! {
         let model = Apriori::new(AprioriParams::with_minsup(minsup).max_len(5)).mine(&data);
         prop_assume!(!model.is_empty());
 
-        // Budgets are pinned per handle so a concurrently running test
-        // cannot skew the dispatch through the process-wide knob.
-        let auto = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
+        let auto = CountSource::borrowed(&data);
         let forced_horizontal = CountSource::borrowed(&data).with_index_budget(0);
         let forced_vertical = CountSource::from_index(VerticalIndex::build(&data));
 

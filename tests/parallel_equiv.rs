@@ -388,7 +388,7 @@ proptest! {
         let index = VerticalIndex::build(&data);
         let seq = count_itemsets_grouped(&index, &sets, Parallelism::Sequential);
         prop_assert_eq!(&seq, &horizontal, "vertical vs horizontal, sequential");
-        let auto = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
+        let auto = CountSource::borrowed(&data);
         for t in THREADS {
             prop_assert_eq!(
                 &count_itemsets_grouped(&index, &sets, Parallelism::Threads(t)),
@@ -453,10 +453,9 @@ proptest! {
             .collect();
         let uncached = count_itemsets(&data, &sets, Parallelism::Sequential);
 
-        // The auto handle (budget pinned so concurrent tests can't turn
-        // the process-wide knob mid-sweep): repeated counts across the
-        // sweep share at most one cached index build.
-        let auto = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
+        // The auto handle: repeated counts across the sweep share at most
+        // one cached index build.
+        let auto = CountSource::borrowed(&data);
         prop_assert_eq!(&auto.counts(&sets, Parallelism::Sequential), &uncached,
                         "auto handle, sequential");
         for t in THREADS {

@@ -178,8 +178,7 @@ fn mining_and_extending_share_one_index_per_dataset() {
     let p2 = AssocGen::new(pp, 15);
     let d1 = p1.generate(2500, 1);
     let d2 = p2.generate(2500, 2);
-    let s1 = CountSource::borrowed(&d1).with_index_budget(DEFAULT_INDEX_BUDGET);
-    let s2 = CountSource::borrowed(&d2).with_index_budget(DEFAULT_INDEX_BUDGET);
+    let (s1, s2) = (CountSource::borrowed(&d1), CountSource::borrowed(&d2));
     let (m1, m2) = (miner().mine_source(&s1), miner().mine_source(&s2));
     assert!(m1.itemsets().iter().any(|s| s.len() >= 3));
     assert!(

@@ -8,12 +8,17 @@
 //! done > BENCH_scaling.json
 //! ```
 //!
-//! The seven operations, each at `Parallelism::Global`:
+//! The eight operations, each at `Parallelism::Global`:
 //!
 //! * `count_itemsets`, `count_partition`, `count_boxes` — the three
 //!   chunked dataset scans (itemset counting over a mined model's
 //!   itemsets, partition routing, box counting), over `--scale` × 1M rows
 //!   (20k at the default scale);
+//! * `dt_scan` — the exact scan of one dt matrix pair: `DtFamily::measures`
+//!   of an F2 tree and an F3 tree (each fitted with the CLI's default
+//!   parameters to its own `gen-class` table, 5 % label noise) over the F2
+//!   table, `--scale` × 2.5M rows (50k at the default scale, where the
+//!   trees have about 140 leaves each);
 //! * `qualify` — the bootstrap per-replicate fan-out of Section 3.4: each
 //!   of 8 replicates re-mines both pseudo-datasets and deviates them, over
 //!   two `--scale` × 100k-row datasets (2k at the default scale);
@@ -36,7 +41,7 @@ use focus_cluster::{KMeans, KMeansParams};
 use focus_core::data::TransactionSet;
 use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
-use focus_core::family::LitsFamily;
+use focus_core::family::{DtFamily, LitsFamily, ModelFamily, Side};
 use focus_core::model::{count_boxes, count_itemsets, count_partition};
 use focus_core::qualify::qualify_transactions;
 use focus_core::region::BoxBuilder;
@@ -101,6 +106,29 @@ fn main() {
     record(
         "count_boxes",
         best_of(cfg.samples, || count_boxes(&labeled.table, &leaves, par)),
+    );
+
+    // The exact scan of one dt matrix pair, routing every row through
+    // both trees' leaves to its GCR cell.
+    let dt_rows = cfg.rows(2_500_000);
+    let table = |f, seed| ClassifyGen::new(f).noise(0.05).generate(dt_rows, seed);
+    let (t2, t3) = (
+        table(ClassifyFn::F2, cfg.seed + 6),
+        table(ClassifyFn::F3, cfg.seed + 7),
+    );
+    let cli_params = TreeParams::default()
+        .max_depth(10)
+        .min_leaf((dt_rows / 200).max(5));
+    let (m2, m3) = (
+        DecisionTree::fit(&t2, cli_params).to_model(),
+        DecisionTree::fit(&t3, cli_params).to_model(),
+    );
+    let gcr = DtFamily::gcr(&m2, &m3);
+    record(
+        "dt_scan",
+        best_of(cfg.samples, || {
+            DtFamily::measures(&gcr, &m2, &m3, &&t2, Side::Left, par)
+        }),
     );
 
     // The bootstrap fan-out: the paper's full qualification pipeline,

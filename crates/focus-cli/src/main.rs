@@ -39,7 +39,11 @@
 //! library; no flag changes it.
 //!
 //! A flag the command does not know is an error, never silently ignored,
-//! and `--minsup` must lie in (0, 1].
+//! and `--minsup` must lie in (0, 1]. `registry-add` takes only its kind's
+//! own flags (`--minsup` for lits, `--max-depth`/`--min-leaf` for dt,
+//! `--clusters`/`--seed` for cluster); another kind's flag is an error. It
+//! reads the data and fits the model before it creates a new registry, so
+//! a failed add leaves no directory behind.
 //!
 //! Standalone datasets and models use the plain-text formats of
 //! `focus_data::io` / `focus_core::persist`. Registries store every
@@ -69,8 +73,8 @@ use focus_data::io::{
 use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
 use focus_registry::{
-    DeviationMatrix, MatrixParams, Registry, RegistryLayout, SnapshotFamily, SnapshotKind,
-    StorageFormat,
+    DeviationMatrix, MatrixParams, Registry, RegistryLayout, SnapshotEntry, SnapshotFamily,
+    SnapshotKind, StorageFormat,
 };
 use focus_tree::{DecisionTree, TreeParams};
 use std::collections::HashMap;
@@ -150,9 +154,9 @@ commands:
   deviate-dt --d1 <table> --d2 <table> [--max-depth D --min-leaf N]
   registry-add --dir <registry> --data <file> --name <name>
              [--kind lits|dt|cluster]  (default lits)
-             [--minsup <f>]                      lits: mining threshold
-             [--max-depth D --min-leaf N]        dt: tree induction
-             [--clusters K --seed S]             cluster: k-means
+             [--minsup <f>]                      lits only: mining threshold
+             [--max-depth D --min-leaf N]        dt only: tree induction
+             [--clusters K --seed S]             cluster only: k-means
              [--shards N]                        layout of a *new* registry:
                                                  N hash shards, 0 = flat (an
                                                  existing one keeps its own)
@@ -379,6 +383,11 @@ fn mine(flags: &Flags) -> Result<(), String> {
     let path = req(flags, "data")?;
     let minsup = minsup(flags)?;
     let data = load_transactions(path)?;
+    // Created before the mine, so a bad output path fails without mining.
+    let out = match flags.get("out") {
+        Some(out) => Some((out, create(out)?)),
+        None => None,
+    };
     let model = miner(minsup).mine(&data);
     eprintln!(
         "{}: {} frequent itemsets at minsup {}",
@@ -386,8 +395,8 @@ fn mine(flags: &Flags) -> Result<(), String> {
         model.len(),
         minsup
     );
-    if let Some(out) = flags.get("out") {
-        write_lits_model(&model, create(out)?).map_err(io_err)?;
+    if let Some((out, file)) = out {
+        write_lits_model(&model, file).map_err(io_err)?;
         eprintln!("model written to {out}");
     } else {
         for (s, sup) in model.itemsets().iter().zip(model.supports()).take(20) {
@@ -564,14 +573,57 @@ fn warn_torn(reg: &Registry) {
     }
 }
 
+/// The flags only one `registry-add` kind takes; every other kind rejects
+/// them rather than ignore them.
+const KIND_FLAGS: [(SnapshotKind, &[&str]); 3] = [
+    (SnapshotKind::Lits, &["minsup"]),
+    (SnapshotKind::Dt, &["max-depth", "min-leaf"]),
+    (SnapshotKind::Cluster, &["clusters", "seed"]),
+];
+
+/// Opens the registry at `dir`, creating it (flat, or with `layout`) if
+/// there is none; an existing one must match `layout` when given.
+fn open_registry(dir: &str, layout: Option<RegistryLayout>) -> Result<Registry, String> {
+    match layout {
+        Some(layout) => Registry::open_or_create_with(dir, layout),
+        None => Registry::open_or_create(dir),
+    }
+    .map_err(io_err)
+}
+
+/// Adds a fitted snapshot to `reg`, the registry opened up front, or to
+/// the one created at `dir` now that the snapshot is ready.
+fn add_fitted<F: SnapshotFamily>(
+    reg: Option<Registry>,
+    dir: &str,
+    layout: Option<RegistryLayout>,
+    name: &str,
+    data: &F::Dataset,
+    model: &F::Model,
+) -> Result<SnapshotEntry, String> {
+    let mut reg = match reg {
+        Some(reg) => reg,
+        None => open_registry(dir, layout)?,
+    };
+    reg.add_snapshot::<F>(name, data, model)
+        .cloned()
+        .map_err(io_err)
+}
+
 fn registry_add(flags: &Flags) -> Result<(), String> {
     let dir = req(flags, "dir")?;
     let name = req(flags, "name")?;
     let data_path = req(flags, "data")?;
     let kind = parse_kind(flags, Some(SnapshotKind::Lits))?.expect("defaulted");
-    // Validated before the registry is touched, so a bad threshold leaves
-    // no half-created directory behind.
-    let minsup = minsup(flags)?;
+    for (owner, owned) in KIND_FLAGS.iter().filter(|(owner, _)| *owner != kind) {
+        if let Some(flag) = owned.iter().find(|f| flags.contains_key(**f)) {
+            return Err(format!(
+                "--{flag} is a {} flag; registry-add --kind {} does not take it",
+                owner.as_str(),
+                kind.as_str()
+            ));
+        }
+    }
     // --shards picks the layout of a *new* registry; an existing one keeps
     // the layout it was created with (a mismatch errors). bin is the one
     // artifact format, so --format is only validated.
@@ -582,45 +634,54 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
             ));
         }
     }
-    let mut reg = if flags.contains_key("shards") {
-        let layout = RegistryLayout {
-            shards: opt(flags, "shards", 0)?,
-            ..RegistryLayout::default()
-        };
-        Registry::open_or_create_with(dir, layout)
+    let layout = match flags.get("shards") {
+        Some(_) => {
+            let layout = RegistryLayout {
+                shards: opt(flags, "shards", 0)?,
+                ..RegistryLayout::default()
+            };
+            layout
+                .check_shards(std::io::ErrorKind::InvalidInput)
+                .map_err(io_err)?;
+            Some(layout)
+        }
+        None => None,
+    };
+    // An existing registry opens now, so a taken name or a clashing
+    // layout fails before the data is read. A new one is created only
+    // once the model is fitted, so a failed add leaves no directory.
+    let reg = if Registry::exists(dir) {
+        let reg = open_registry(dir, layout)?;
+        warn_torn(&reg);
+        reg.check_new_name(name).map_err(io_err)?;
+        Some(reg)
     } else {
-        Registry::open_or_create(dir)
-    }
-    .map_err(io_err)?;
-    warn_torn(&reg);
-    // A bad or duplicate name fails before the data is read or a model
-    // is induced.
-    reg.check_new_name(name).map_err(io_err)?;
+        Registry::check_name(name).map_err(io_err)?;
+        None
+    };
     let entry = match kind {
         SnapshotKind::Lits => {
+            let minsup = minsup(flags)?;
             let data = load_transactions(data_path)?;
             let model = miner(minsup).mine(&data);
-            reg.add_snapshot::<LitsFamily>(name, &data, &model)
-                .map_err(io_err)?
+            add_fitted::<LitsFamily>(reg, dir, layout, name, &data, &model)?
         }
         SnapshotKind::Dt => {
             let data = load_table(data_path)?;
             let model = DecisionTree::fit(&data, tree_params(flags, data.len())?).to_model();
-            reg.add_snapshot::<DtFamily>(name, &data, &model)
-                .map_err(io_err)?
+            add_fitted::<DtFamily>(reg, dir, layout, name, &data, &model)?
         }
         SnapshotKind::Cluster => {
-            let data = load_table(data_path)?.table;
             let k: usize = opt(flags, "clusters", 3)?;
             if k == 0 {
                 return Err("--clusters must be at least 1".to_string());
             }
             let seed: u64 = opt(flags, "seed", 0)?;
+            let data = load_table(data_path)?.table;
             let model = KMeans::new(KMeansParams::new(k).seed(seed))
                 .fit(&data, Parallelism::Global)
                 .to_model(&data);
-            reg.add_snapshot::<ClusterFamily>(name, &data, &model)
-                .map_err(io_err)?
+            add_fitted::<ClusterFamily>(reg, dir, layout, name, &data, &model)?
         }
     };
     let minsup_note = match entry.minsup {

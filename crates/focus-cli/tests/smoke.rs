@@ -453,6 +453,73 @@ fn duplicate_registry_add_is_rejected_before_fitting() {
 }
 
 #[test]
+fn failed_registry_add_leaves_nothing_behind() {
+    // The data is read and the model fitted before the registry is
+    // created, so a first add that fails creates no directory, and a
+    // failed add to an existing registry changes none of its bytes.
+    let dir = scratch("failed-add");
+    let data = dir.join("d.txt");
+    gen_txns(&data, "2");
+    let missing = dir.join("missing.txt");
+    let garbage = dir.join("garbage.txt");
+    std::fs::write(&garbage, "1 2 x\n").unwrap();
+    let reg = dir.join("reg");
+    let add = |data: &Path, name: &'static str, kind: &'static str| {
+        let (reg, data) = (path_str(&reg).to_string(), path_str(data).to_string());
+        move || {
+            let args = [
+                "registry-add",
+                "--dir",
+                &reg,
+                "--data",
+                &data,
+                "--name",
+                name,
+                "--kind",
+                kind,
+            ];
+            run_fail(&args)
+        }
+    };
+    for bad in [&missing, &garbage] {
+        let err = add(bad, "a", "lits")();
+        assert!(err.contains(path_str(bad)), "{err}");
+        assert!(!reg.exists(), "a failed first add must create nothing");
+    }
+    add_lits(&reg, &data, "a", &[]);
+    let before = tree_bytes(&reg);
+    for (bad, kind) in [(&missing, "lits"), (&garbage, "lits"), (&data, "dt")] {
+        let err = add(bad, "b", kind)();
+        assert!(err.contains(path_str(bad)), "{err}");
+    }
+    assert_eq!(tree_bytes(&reg), before, "a failed add must change nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mine_fails_on_a_bad_out_path_before_mining() {
+    let dir = scratch("mine-out");
+    let data = dir.join("d.txt");
+    gen_txns(&data, "2");
+    let out = dir.join("missing").join("m.model");
+    let err = run_fail(&[
+        "mine",
+        "--data",
+        path_str(&data),
+        "--minsup",
+        "0.05",
+        "--out",
+        path_str(&out),
+    ]);
+    assert!(
+        err.starts_with(&format!("error: {}: ", path_str(&out))),
+        "{err}"
+    );
+    assert!(!err.contains("frequent itemsets"), "mined anyway: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn old_format_registries_are_named_errors_and_left_untouched() {
     let dir = scratch("old-format");
     let data = dir.join("d.txt");
@@ -985,11 +1052,15 @@ fn deviate_dt_rejects_tables_over_different_schemas() {
 fn mismatched_registries(dir: &Path) -> Vec<(PathBuf, &'static str)> {
     let (base, others) = mismatched_tables(dir);
     let mut regs = Vec::new();
-    for (kind, cases) in [("dt", &others[..]), ("cluster", &others[..2])] {
+    // Each kind takes only its own flags.
+    for (kind, cases, extra) in [
+        ("dt", &others[..], &[][..]),
+        ("cluster", &others[..2], &["--clusters", "2"][..]),
+    ] {
         for (i, (other, _)) in cases.iter().enumerate() {
             let reg = dir.join(format!("reg-{kind}-{i}"));
             for (name, data) in [("base", &base), ("other", other)] {
-                run(&[
+                let args = [
                     "registry-add",
                     "--dir",
                     path_str(&reg),
@@ -999,9 +1070,8 @@ fn mismatched_registries(dir: &Path) -> Vec<(PathBuf, &'static str)> {
                     name,
                     "--kind",
                     kind,
-                    "--clusters",
-                    "2",
-                ]);
+                ];
+                run(&[&args[..], extra].concat());
             }
             regs.push((reg, kind));
         }
@@ -1326,6 +1396,25 @@ fn argument_fuzz_sweep_fails_cleanly() {
         for flag in inv.paths {
             defects.push((inv.argv(command, flag, Some(&missing)), missing.clone()));
         }
+        // registry-add takes only its own kind's flags.
+        if *command == "registry-add" {
+            let kind = inv.args.iter().find(|(f, _)| *f == "kind");
+            let kind = kind.map_or("lits", |(_, v)| v.as_str());
+            for (flag, owner) in [
+                ("minsup", "lits"),
+                ("max-depth", "dt"),
+                ("min-leaf", "dt"),
+                ("clusters", "cluster"),
+                ("seed", "cluster"),
+            ] {
+                if owner != kind {
+                    let expect = format!(
+                        "--{flag} is a {owner} flag; registry-add --kind {kind} does not take it"
+                    );
+                    defects.push((inv.argv(command, flag, Some("1")), expect));
+                }
+            }
+        }
         for (argv, expect) in defects {
             let out = Command::new(bin())
                 .args(&argv)
@@ -1334,7 +1423,6 @@ fn argument_fuzz_sweep_fails_cleanly() {
             let err = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{argv:?}: {err}");
             assert!(!err.contains("panicked"), "{argv:?} panicked:\n{err}");
-            // `mine` reports its model before a bad --out path fails.
             let line = err.lines().find(|l| l.starts_with("error: "));
             let line = line.unwrap_or_else(|| panic!("{argv:?}: no error line: {err}"));
             // A rejected negative float names its value, not its flag.

@@ -32,7 +32,6 @@ use crate::model::{count_boxes, ClusterModel, DtModel, LitsModel};
 use crate::region::{BoxRegion, Itemset};
 use crate::source::CountSource;
 use focus_exec::{map_chunks, merge_counts, Parallelism};
-use std::collections::HashMap;
 
 /// Which side of a deviation pair a dataset belongs to. Measure extension
 /// needs this because some families treat the two sides asymmetrically:
@@ -406,10 +405,14 @@ impl ModelFamily for DtFamily {
 }
 
 /// Routes each row of `data` through both original partitions to its GCR
-/// cell and tallies per-class counts. `O(rows · (L1 + L2))` instead of
-/// `O(rows · |GCR|)`. Row chunks fan out over `par` worker threads; the
-/// per-chunk tallies merge by `u64` addition, bit-identical to a sequential
-/// scan.
+/// cell and tallies per-class counts. Each model locates the row through
+/// its leaf index ([`crate::region::BoxIndex`]), and a dense `L1 × L2`
+/// table maps the leaf pair to its cell, so the scan costs
+/// `O(rows · (attrs · log L + L/64))` for `L = max(L1, L2)` leaves instead
+/// of `O(rows · |GCR|)`. Each leaf index takes at most about
+/// `attrs · L²/4` bytes, the table `4 · L1 · L2` bytes. Row chunks fan out
+/// over `par` worker threads; the per-chunk tallies merge by `u64`
+/// addition, bit-identical to a sequential scan.
 fn count_cells(
     gcr: &DtGcr,
     m1: &DtModel,
@@ -429,11 +432,17 @@ fn count_cells(
         data.n_classes,
         k
     );
-    let mut by_pair: HashMap<(usize, usize), usize> = HashMap::with_capacity(cells.len());
+    // `cell_of[i * l2 + j]` is the cell of leaf pair (i, j), or `NO_CELL`.
+    const NO_CELL: u32 = u32::MAX;
+    assert!(cells.len() < NO_CELL as usize, "too many GCR cells");
+    let (l1, l2) = (m1.leaves().len(), m2.leaves().len());
+    let mut cell_of = vec![NO_CELL; l1 * l2];
     for (idx, c) in cells.iter().enumerate() {
-        by_pair.insert((c.left, c.right), idx);
+        if c.left < l1 && c.right < l2 {
+            cell_of[c.left * l2 + c.right] = idx as u32;
+        }
     }
-    let by_pair = &by_pair;
+    let cell_of = &cell_of;
     let parts = map_chunks(par, data.len(), crate::model::SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; cells.len() * k];
         for r in range {
@@ -442,13 +451,12 @@ fn count_cells(
             let (Some(i), Some(j)) = (m1.locate(row), m2.locate(row)) else {
                 continue;
             };
-            if let Some(&idx) = by_pair.get(&(i, j)) {
-                // Focussed cells may be smaller than leaf ∩ leaf (they were
-                // intersected with ρ), so re-check geometric membership; for
-                // plain GCR cells this check is trivially true.
-                if cells[idx].region.contains_labeled(row, label) {
-                    counts[idx * k + label as usize] += 1;
-                }
+            let idx = cell_of[i * l2 + j];
+            // Focussed cells may be smaller than leaf ∩ leaf (they were
+            // intersected with ρ), so re-check geometric membership; for
+            // plain GCR cells this check is trivially true.
+            if idx != NO_CELL && cells[idx as usize].region.contains_labeled(row, label) {
+                counts[idx as usize * k + label as usize] += 1;
             }
         }
         counts

@@ -8,7 +8,7 @@
 //! the "single scan of the underlying datasets" of Section 3.3.1.
 
 use crate::data::{LabeledTable, Table, TransactionSet};
-use crate::region::{BoxRegion, Itemset};
+use crate::region::{BoxIndex, BoxRegion, Itemset};
 use focus_exec::{map_chunks, merge_counts, Parallelism};
 
 /// Minimum rows per worker chunk for the counting scans: below this,
@@ -111,11 +111,14 @@ pub struct DtModel {
     measures: Vec<f64>,
     /// Number of rows in the inducing dataset.
     n_rows: u64,
+    /// Point-in-box index over `leaves`, built with the model.
+    index: BoxIndex,
 }
 
 impl DtModel {
-    /// Assembles a dt-model. `measures` must have `leaves.len() * n_classes`
-    /// entries in row-major `[leaf][class]` order.
+    /// Assembles a dt-model and indexes its leaves for [`DtModel::locate`].
+    /// `measures` must have `leaves.len() * n_classes` entries in
+    /// row-major `[leaf][class]` order.
     pub fn new(leaves: Vec<BoxRegion>, n_classes: u32, measures: Vec<f64>, n_rows: u64) -> Self {
         assert!(n_classes > 0);
         assert_eq!(
@@ -128,6 +131,7 @@ impl DtModel {
             "leaf cells must be class-free; classes are the measure rows"
         );
         Self {
+            index: BoxIndex::new(&leaves),
             leaves,
             n_classes,
             measures,
@@ -161,9 +165,10 @@ impl DtModel {
     }
 
     /// Index of the leaf containing `row`, if any. Leaves partition the
-    /// space, so at most one matches.
+    /// space, so at most one matches. One binary search per numeric
+    /// attribute through the leaf index (see [`BoxIndex`]).
     pub fn locate(&self, row: &[crate::data::Value]) -> Option<usize> {
-        self.leaves.iter().position(|l| l.contains(row))
+        self.index.first(row)
     }
 
     /// Majority-class prediction for `row` (ties break to the lower class).
@@ -268,7 +273,9 @@ pub fn count_itemsets(data: &TransactionSet, itemsets: &[Itemset], par: Parallel
 /// threads. Returns a row-major `leaves.len() × n_classes` vector,
 /// bit-identical for every thread count.
 ///
-/// One scan: each row is routed to the (unique) containing leaf.
+/// One scan: each row is routed to the (unique) containing leaf through a
+/// [`BoxIndex`] over `leaves`, in `O(rows · (attrs · log L + L/64))` for
+/// `L` leaves; the index takes at most about `attrs · L²/4` bytes.
 pub fn count_partition(
     data: &LabeledTable,
     leaves: &[BoxRegion],
@@ -289,11 +296,12 @@ pub fn count_partition(
     if leaves.is_empty() {
         return Vec::new();
     }
+    let index = BoxIndex::new(leaves);
     let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; leaves.len() * k];
         for i in range {
             let row = data.table.row(i);
-            if let Some(leaf) = leaves.iter().position(|l| l.contains(row)) {
+            if let Some(leaf) = index.first(row) {
                 counts[leaf * k + data.labels[i] as usize] += 1;
             }
         }
@@ -307,17 +315,16 @@ pub fn count_partition(
 
 /// Counts, for each (possibly overlapping) box, the rows of `data` inside
 /// it, scanning row chunks on `par` worker threads. Unlike
-/// [`count_partition`], every box is tested for every row.
+/// [`count_partition`], a row may count towards several boxes: the
+/// [`BoxIndex`] over `boxes` visits every box containing it, in
+/// `O(rows · (attrs · log L + L/64))` plus one step per match for `L`
+/// boxes; the index takes at most about `attrs · L²/4` bytes.
 pub fn count_boxes(data: &Table, boxes: &[BoxRegion], par: Parallelism) -> Vec<u64> {
+    let index = BoxIndex::new(boxes);
     let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; boxes.len()];
         for r in range {
-            let row = data.row(r);
-            for (i, b) in boxes.iter().enumerate() {
-                if b.contains(row) {
-                    counts[i] += 1;
-                }
-            }
+            index.for_each(data.row(r), |i| counts[i] += 1);
         }
         counts
     });

@@ -379,6 +379,189 @@ impl BoxRegion {
     }
 }
 
+/// A point-in-box index over a list of boxes: which boxes contain a row,
+/// without testing the boxes one by one.
+///
+/// Per numeric attribute the index holds the sorted distinct finite bounds
+/// of all boxes (the *cuts*) and, for every elementary interval between
+/// two consecutive cuts, the bitset of the boxes covering it; per
+/// categorical attribute it holds one bitset per code. Locating a row
+/// takes one binary search per numeric attribute, one lookup per
+/// categorical attribute, and an AND of ⌈L/64⌉ words, for `L` boxes. A
+/// numeric attribute has at most `2L` cuts, so the index holds at most
+/// `(2L + 1) · ⌈L/64⌉` words per numeric attribute (about `L²/4` bytes)
+/// and `cardinality · ⌈L/64⌉` words per categorical one — the size of the
+/// boxes' own category masks, transposed.
+///
+/// The boxes found are exactly those whose [`BoxRegion::contains`] admits
+/// the row, overlapping boxes included, in ascending order: NaN and +∞
+/// lie in no box, −∞ only in boxes whose lower bound is −∞, a box with a
+/// NaN or inverted (`lo ≥ hi`) bound contains nothing, and a code a box's
+/// mask does not hold is outside it. Where `contains` would panic — a
+/// value whose kind differs from the box's constraint — the value lies in
+/// no box. Class labels are ignored, as by `contains`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoxIndex {
+    n_boxes: usize,
+    /// Words per bitset: ⌈n_boxes / 64⌉.
+    words: usize,
+    attrs: Vec<AttrIndex>,
+}
+
+/// One attribute's part of a [`BoxIndex`].
+#[derive(Debug, Clone, PartialEq)]
+struct AttrIndex {
+    /// Sorted distinct finite interval bounds (−0.0 and +0.0 are one cut:
+    /// `dedup` compares with `==`).
+    cuts: Vec<f64>,
+    /// `(cuts.len() + 1) × words`: elementary interval `e` spans
+    /// `[cuts[e - 1], cuts[e])`, with −∞ before the first cut and +∞ after
+    /// the last; its row holds the boxes whose interval covers it.
+    spans: Vec<u64>,
+    /// `codes × words`: the boxes whose category mask holds each code,
+    /// for the codes below the largest cardinality of any box.
+    codes: Vec<u64>,
+}
+
+impl BoxIndex {
+    /// Indexes `boxes`; every box must constrain the same number of
+    /// attributes.
+    pub fn new(boxes: &[BoxRegion]) -> Self {
+        let n_attrs = boxes.first().map_or(0, |b| b.constraints.len());
+        assert!(
+            boxes.iter().all(|b| b.constraints.len() == n_attrs),
+            "boxes over different schemas"
+        );
+        let words = boxes.len().div_ceil(64);
+        let attrs = (0..n_attrs)
+            .map(|a| AttrIndex::new(boxes.iter().map(|b| &b.constraints[a]), words))
+            .collect();
+        Self {
+            n_boxes: boxes.len(),
+            words,
+            attrs,
+        }
+    }
+
+    /// The first box containing `row`: `boxes.iter().position(|b|
+    /// b.contains(row))`.
+    pub fn first(&self, row: &[Value]) -> Option<usize> {
+        let mut hit = None;
+        self.scan(row, |b| {
+            hit = Some(b);
+            false
+        });
+        hit
+    }
+
+    /// Calls `visit` with every box containing `row`, in ascending order.
+    pub fn for_each(&self, row: &[Value], mut visit: impl FnMut(usize)) {
+        self.scan(row, |b| {
+            visit(b);
+            true
+        });
+    }
+
+    /// Walks the match bitset one word at a time, calling `visit` for each
+    /// set bit until it returns `false`. A word's lookups are redone per
+    /// word rather than buffered, and stop at the first attribute that
+    /// clears it, which for a partition is most of them.
+    fn scan(&self, row: &[Value], mut visit: impl FnMut(usize) -> bool) {
+        for w in 0..self.words {
+            let tail = self.n_boxes - 64 * w;
+            let mut acc = if tail < 64 { (1u64 << tail) - 1 } else { !0 };
+            for (attr, v) in self.attrs.iter().zip(row) {
+                if acc == 0 {
+                    break;
+                }
+                acc &= attr.word(v, w, self.words);
+            }
+            while acc != 0 {
+                if !visit(64 * w + acc.trailing_zeros() as usize) {
+                    return;
+                }
+                acc &= acc - 1;
+            }
+        }
+    }
+}
+
+impl AttrIndex {
+    fn new<'a>(cons: impl Iterator<Item = &'a AttrConstraint> + Clone, words: usize) -> Self {
+        let mut cuts: Vec<f64> = cons
+            .clone()
+            .filter_map(|c| match c {
+                AttrConstraint::Interval { lo, hi } => Some([*lo, *hi]),
+                AttrConstraint::Cats(_) => None,
+            })
+            .flatten()
+            .filter(|x| x.is_finite())
+            .collect();
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup();
+        let n_codes = cons
+            .clone()
+            .filter_map(|c| match c {
+                AttrConstraint::Cats(m) => Some(m.cardinality() as usize),
+                AttrConstraint::Interval { .. } => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let mut spans = vec![0u64; (cuts.len() + 1) * words];
+        let mut codes = vec![0u64; n_codes * words];
+        for (b, c) in cons.enumerate() {
+            let (w, bit) = (b / 64, 1u64 << (b % 64));
+            match c {
+                AttrConstraint::Interval { lo, hi } => {
+                    for e in covered(&cuts, *lo, *hi) {
+                        spans[e * words + w] |= bit;
+                    }
+                }
+                AttrConstraint::Cats(m) => {
+                    for code in m.iter() {
+                        codes[code as usize * words + w] |= bit;
+                    }
+                }
+            }
+        }
+        Self { cuts, spans, codes }
+    }
+
+    /// Word `w` of the bitset of boxes admitting `v` on this attribute.
+    fn word(&self, v: &Value, w: usize, words: usize) -> u64 {
+        let (table, row) = match *v {
+            // NaN and +∞ fail every `x < hi`.
+            Value::Num(x) if x < f64::INFINITY => {
+                (&self.spans, self.cuts.partition_point(|&c| c <= x))
+            }
+            Value::Cat(c) if (c as usize) < self.codes.len() / words => (&self.codes, c as usize),
+            _ => return 0,
+        };
+        table[row * words + w]
+    }
+}
+
+/// The elementary intervals (see [`AttrIndex::spans`]) that `[lo, hi)`
+/// covers. Every finite bound is a cut, so the interval covers each
+/// elementary interval wholly or not at all; a NaN or inverted bound
+/// covers none.
+fn covered(cuts: &[f64], lo: f64, hi: f64) -> std::ops::Range<usize> {
+    if lo.is_nan() || hi.is_nan() {
+        return 0..0;
+    }
+    let first = if lo == f64::NEG_INFINITY {
+        0
+    } else {
+        cuts.partition_point(|&c| c < lo) + 1
+    };
+    let end = if hi == f64::INFINITY {
+        cuts.len() + 1
+    } else {
+        cuts.partition_point(|&c| c <= hi)
+    };
+    first..end.max(first)
+}
+
 impl fmt::Display for BoxRegion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, c) in self.constraints.iter().enumerate() {
@@ -490,6 +673,7 @@ impl BoxBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -673,6 +857,198 @@ mod tests {
         let r = BoxBuilder::new(&s).lt("age", 30.0).class(1).build();
         assert_eq!(r.describe(&s), "age ∈ [-inf, 30) ∧ class = 1");
         assert_eq!(BoxRegion::full(&s).describe(&s), "⊤");
+    }
+
+    /// Bounds drawn so that cuts collide across boxes, with ±0.0 as
+    /// distinct bit patterns.
+    const ANCHORS: [f64; 7] = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0];
+
+    fn random_bound(rng: &mut impl Rng) -> f64 {
+        match rng.gen_range(0..12u32) {
+            0 => f64::NEG_INFINITY,
+            1 => f64::INFINITY,
+            2 => f64::NAN,
+            _ => ANCHORS[rng.gen_range(0..ANCHORS.len())],
+        }
+    }
+
+    /// `n` boxes over `schema`. Overlapping boxes draw every bound at
+    /// random (so some are NaN or inverted); disjoint ones additionally
+    /// pin attribute 0 (numeric) to `[b, b + 1)` for box `b`.
+    fn random_boxes(
+        schema: &Schema,
+        n: usize,
+        disjoint: bool,
+        rng: &mut impl Rng,
+    ) -> Vec<BoxRegion> {
+        (0..n)
+            .map(|b| {
+                let constraints = schema
+                    .attrs()
+                    .iter()
+                    .enumerate()
+                    .map(|(a, attr)| match attr.ty {
+                        AttrType::Numeric if disjoint && a == 0 => AttrConstraint::Interval {
+                            lo: b as f64,
+                            hi: b as f64 + 1.0,
+                        },
+                        AttrType::Numeric if rng.gen_bool(0.2) => AttrConstraint::full(&attr.ty),
+                        AttrType::Numeric => AttrConstraint::Interval {
+                            lo: random_bound(rng),
+                            hi: random_bound(rng),
+                        },
+                        AttrType::Categorical { cardinality } => {
+                            let codes: Vec<u32> =
+                                (0..cardinality).filter(|_| rng.gen_bool(0.6)).collect();
+                            AttrConstraint::Cats(CatMask::of(cardinality, &codes))
+                        }
+                    })
+                    .collect();
+                BoxRegion {
+                    constraints,
+                    class: None,
+                }
+            })
+            .collect()
+    }
+
+    /// Probe values per attribute: every bound the boxes use, NaN, ±∞ and
+    /// ±0.0 for numeric attributes; every code, the codes just past the
+    /// cardinality and `u32::MAX` for categorical ones.
+    fn probe_values(schema: &Schema, boxes: &[BoxRegion]) -> Vec<Vec<Value>> {
+        schema
+            .attrs()
+            .iter()
+            .enumerate()
+            .map(|(a, attr)| match attr.ty {
+                AttrType::Numeric => {
+                    let mut xs = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 0.25];
+                    for b in boxes {
+                        if let AttrConstraint::Interval { lo, hi } = b.constraints[a] {
+                            xs.extend([lo, hi, lo + 0.5]);
+                        }
+                    }
+                    xs.into_iter().map(Value::Num).collect()
+                }
+                AttrType::Categorical { cardinality } => (0..cardinality + 2)
+                    .chain([u32::MAX])
+                    .map(Value::Cat)
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Checks the index against the linear scan on `row`.
+    fn check_row(index: &BoxIndex, boxes: &[BoxRegion], row: &[Value]) {
+        let want: Vec<usize> = (0..boxes.len())
+            .filter(|&b| boxes[b].contains(row))
+            .collect();
+        assert_eq!(
+            index.first(row),
+            boxes.iter().position(|b| b.contains(row)),
+            "{row:?}"
+        );
+        let mut got = Vec::new();
+        index.for_each(row, |b| got.push(b));
+        assert_eq!(got, want, "{row:?}");
+    }
+
+    #[test]
+    fn box_index_matches_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let schemas = [
+            Schema::new(vec![
+                Schema::numeric("x"),
+                Schema::categorical("c", 5),
+                Schema::numeric("y"),
+                Schema::categorical("wide", 70),
+            ]),
+            Schema::new(vec![Schema::numeric("x"), Schema::numeric("y")]),
+            Schema::new(vec![Schema::numeric("x"), Schema::categorical("c", 3)]),
+        ];
+        let mut rng = StdRng::seed_from_u64(21);
+        for schema in &schemas {
+            for n in [0, 1, 63, 64, 65, 200] {
+                for disjoint in [false, true] {
+                    let boxes = random_boxes(schema, n, disjoint, &mut rng);
+                    let index = BoxIndex::new(&boxes);
+                    let probes = probe_values(schema, &boxes);
+                    // Every probe value of every attribute, the others random.
+                    for a in 0..schema.len() {
+                        for v in &probes[a] {
+                            let mut row: Vec<Value> = probes
+                                .iter()
+                                .map(|p| p[rng.gen_range(0..p.len())])
+                                .collect();
+                            row[a] = *v;
+                            check_row(&index, &boxes, &row);
+                        }
+                    }
+                    // Rows inside boxes, so multi-box matches occur.
+                    for b in boxes.iter().take(20) {
+                        let row: Vec<Value> = b
+                            .constraints
+                            .iter()
+                            .map(|c| match c {
+                                AttrConstraint::Interval { lo, .. } if lo.is_finite() => {
+                                    Value::Num(*lo)
+                                }
+                                AttrConstraint::Interval { hi, .. } => {
+                                    Value::Num(hi.min(0.0) - 1.0)
+                                }
+                                AttrConstraint::Cats(m) => Value::Cat(m.iter().next().unwrap_or(0)),
+                            })
+                            .collect();
+                        check_row(&index, &boxes, &row);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn box_index_edge_cases() {
+        let s = Arc::new(Schema::new(vec![Schema::numeric("x")]));
+        let interval = |lo: f64, hi: f64| BoxRegion {
+            constraints: vec![AttrConstraint::Interval { lo, hi }],
+            class: None,
+        };
+        // Boxes with a NaN or inverted bound contain nothing, not even
+        // their own bounds; −∞ lies only in boxes that start at −∞.
+        let boxes = vec![
+            interval(f64::NAN, 1.0),
+            interval(0.0, f64::NAN),
+            interval(1.0, 1.0),
+            interval(2.0, -2.0),
+            interval(f64::INFINITY, f64::INFINITY),
+            interval(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            interval(-0.0, 0.5),
+            BoxBuilder::new(&s).build(),
+        ];
+        let index = BoxIndex::new(&boxes);
+        let matches = |x: f64| {
+            let mut got = Vec::new();
+            index.for_each(&[Value::Num(x)], |b| got.push(b));
+            got
+        };
+        assert_eq!(matches(0.0), vec![6, 7]);
+        assert_eq!(matches(-0.0), vec![6, 7], "−0.0 == 0.0");
+        assert_eq!(matches(1.0), vec![7]);
+        assert_eq!(matches(f64::NEG_INFINITY), vec![7]);
+        assert_eq!(matches(f64::INFINITY), Vec::<usize>::new());
+        assert_eq!(matches(f64::NAN), Vec::<usize>::new());
+        // An empty list locates nothing; a zero-attribute box holds every row.
+        assert_eq!(BoxIndex::new(&[]).first(&[Value::Num(0.0)]), None);
+        let none = Schema::new(Vec::new());
+        let everywhere = vec![BoxRegion::full(&none); 65];
+        let index = BoxIndex::new(&everywhere);
+        assert_eq!(index.first(&[]), Some(0));
+        let mut n = 0;
+        index.for_each(&[], |_| n += 1);
+        assert_eq!(n, 65);
+        // A value of the wrong kind lies in no box (the linear scan panics).
+        assert_eq!(BoxIndex::new(&boxes).first(&[Value::Cat(0)]), None);
     }
 
     #[test]

@@ -13,5 +13,5 @@
 mod boxr;
 mod itemset;
 
-pub use boxr::{AttrConstraint, BoxBuilder, BoxRegion, CatMask};
+pub use boxr::{AttrConstraint, BoxBuilder, BoxIndex, BoxRegion, CatMask};
 pub use itemset::Itemset;

@@ -789,15 +789,24 @@ fn get_regions(
             )));
         }
         let mut constraints = Vec::with_capacity(n_cons);
-        for _ in 0..n_cons {
-            match f.u8()? {
-                0 => {
+        for attr in schema.attrs() {
+            // A constraint of the other kind, or over another category
+            // count, than its schema attribute would admit no row of the
+            // dataset, so it is refused here rather than miscount there.
+            match (f.u8()?, &attr.ty) {
+                (0, AttrType::Numeric) => {
                     let lo = f.f64()?;
                     let hi = f.f64()?;
                     constraints.push(AttrConstraint::Interval { lo, hi });
                 }
-                1 => {
+                (1, AttrType::Categorical { cardinality }) => {
                     let card = f.u32()?;
+                    if card != *cardinality {
+                        return Err(f.bad(format!(
+                            "region {k}: attribute {:?} has {card} categories in its constraint but {cardinality} in the schema",
+                            attr.name
+                        )));
+                    }
                     let n_codes = f.u32()? as usize;
                     let codes = f.u32_column(n_codes)?;
                     if let Some(&code) = codes.iter().find(|&&c| c >= card) {
@@ -808,7 +817,16 @@ fn get_regions(
                     }
                     constraints.push(AttrConstraint::Cats(CatMask::of(card, &codes)));
                 }
-                other => return Err(f.bad(format!("unknown constraint tag {other}"))),
+                (tag @ (0 | 1), ty) => {
+                    let kind = |numeric| if numeric { "numeric" } else { "categorical" };
+                    return Err(f.bad(format!(
+                        "region {k}: attribute {:?} is {} but its constraint is {}",
+                        attr.name,
+                        kind(*ty == AttrType::Numeric),
+                        kind(tag == 0)
+                    )));
+                }
+                (other, _) => return Err(f.bad(format!("unknown constraint tag {other}"))),
             }
         }
         regions.push(BoxRegion {
@@ -1224,6 +1242,32 @@ mod tests {
             err.to_string().contains("code 5 out of range 0..3"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn constraints_that_do_not_fit_the_schema_are_named() {
+        // Correct checksums, but a leaf constraint of the other kind or
+        // over another category count than its schema attribute: it would
+        // admit no row of the dataset, so decoding must name it.
+        let schema = Schema::new(vec![Schema::categorical("color", 3)]);
+        for (constraint, want) in [
+            (
+                AttrConstraint::Interval { lo: 0.0, hi: 1.0 },
+                "attribute \"color\" is categorical but its constraint is numeric",
+            ),
+            (
+                AttrConstraint::Cats(CatMask::full(4)),
+                "attribute \"color\" has 4 categories in its constraint but 3 in the schema",
+            ),
+        ] {
+            let leaf = BoxRegion {
+                constraints: vec![constraint],
+                class: None,
+            };
+            let model = DtModel::new(vec![leaf], 2, vec![0.5, 0.5], 10);
+            let err = decode_dt_model(&encode_dt_model(&model, &schema)).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]

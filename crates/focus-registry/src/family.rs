@@ -11,6 +11,7 @@
 
 use focus_core::data::{LabeledTable, Schema, Table, TransactionSet};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
+use focus_core::region::BoxRegion;
 use std::sync::Arc;
 
 /// The model family a snapshot belongs to, as recorded in the manifest.
@@ -75,6 +76,12 @@ pub trait SnapshotFamily: ModelFamily {
     fn encode_model(model: &Self::Model, data: &Self::Dataset) -> std::io::Result<Vec<u8>>;
     /// Decodes a model encoded by [`SnapshotFamily::encode_model`].
     fn decode_model(bytes: &[u8]) -> std::io::Result<Self::Model>;
+    /// Why `data` cannot be scanned against `model` — another schema or
+    /// class count than the model's — or `None` when it can. A snapshot's
+    /// two artifacts are written from one dataset, so only a damaged or
+    /// hand-assembled registry disagrees; scanning it anyway would count
+    /// rows in no region.
+    fn data_mismatch(model: &Self::Model, data: &Self::Dataset) -> Option<String>;
 
     /// The minsup recorded in the manifest (`Some` for lits only).
     fn model_minsup(model: &Self::Model) -> Option<f64>;
@@ -105,6 +112,11 @@ impl SnapshotFamily for LitsFamily {
 
     fn decode_model(bytes: &[u8]) -> std::io::Result<Self::Model> {
         Ok(crate::binfmt::decode_lits_model(bytes)?)
+    }
+
+    fn data_mismatch(_model: &Self::Model, _data: &TransactionSet) -> Option<String> {
+        // An item outside the dataset's universe supports nothing.
+        None
     }
 
     fn model_minsup(model: &Self::Model) -> Option<f64> {
@@ -142,6 +154,18 @@ impl SnapshotFamily for DtFamily {
         Ok(model)
     }
 
+    fn data_mismatch(model: &Self::Model, data: &LabeledTable) -> Option<String> {
+        if model.n_classes() != data.n_classes {
+            return Some(format!(
+                "{} vs {} classes",
+                model.n_classes(),
+                data.n_classes
+            ));
+        }
+        let full = BoxRegion::full(data.table.schema());
+        model.leaves().first()?.schema_mismatch(&full)
+    }
+
     fn model_minsup(_model: &Self::Model) -> Option<f64> {
         None
     }
@@ -175,6 +199,11 @@ impl SnapshotFamily for ClusterFamily {
     fn decode_model(bytes: &[u8]) -> std::io::Result<Self::Model> {
         let (model, _schema) = crate::binfmt::decode_cluster_model(bytes)?;
         Ok(model)
+    }
+
+    fn data_mismatch(model: &Self::Model, data: &Table) -> Option<String> {
+        let full = BoxRegion::full(data.schema());
+        model.clusters().first()?.schema_mismatch(&full)
     }
 
     fn model_minsup(_model: &Self::Model) -> Option<f64> {

@@ -204,22 +204,6 @@ pub struct Registry {
     next_seq: u64,
 }
 
-/// A snapshot name must be usable verbatim as a file stem.
-fn check_name(name: &str) -> std::io::Result<()> {
-    let ok = !name.is_empty()
-        && !name.starts_with('.')
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'));
-    if ok {
-        Ok(())
-    } else {
-        Err(bad(&format!(
-            "invalid snapshot name {name:?} (want [A-Za-z0-9._-]+, no leading dot)"
-        )))
-    }
-}
-
 /// Parses a manifest line:
 /// `snapshot <name> kind <kind> minsup <ms|-> n <rows> regions <count> seq <n>`.
 fn parse_entry(line: &str) -> std::io::Result<(u64, SnapshotEntry)> {
@@ -256,7 +240,7 @@ fn parse_entry(line: &str) -> std::io::Result<(u64, SnapshotEntry)> {
             .parse()
             .map_err(|e| bad(&format!("bad region count in manifest: {e}")))?,
     };
-    check_name(&entry.name)?;
+    Registry::check_name(&entry.name)?;
     let seq = fields[11]
         .parse()
         .map_err(|e| bad(&format!("bad seq in manifest: {e}")))?;
@@ -276,7 +260,7 @@ impl Registry {
     /// artifact format, is an `InvalidData` error that names the file.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
-        if !Self::registry_exists(&root) {
+        if !Self::exists(&root) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
                 format!("{}: not a registry (no {LAYOUT_FILE})", root.display()),
@@ -338,7 +322,8 @@ impl Registry {
     /// layout file beside it: earlier releases never wrote that header at
     /// the root, so only a creation interrupted before its last write
     /// leaves it, and creating again finishes the job.
-    fn registry_exists(root: &Path) -> bool {
+    pub fn exists(root: impl AsRef<Path>) -> bool {
+        let root = root.as_ref();
         if root.join(LAYOUT_FILE).exists() {
             return true;
         }
@@ -353,7 +338,7 @@ impl Registry {
     /// created with.
     pub fn open_or_create(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
-        if Self::registry_exists(&root) {
+        if Self::exists(&root) {
             return Self::open(root);
         }
         Self::create(root, RegistryLayout::default())
@@ -368,7 +353,7 @@ impl Registry {
         layout: RegistryLayout,
     ) -> std::io::Result<Self> {
         let root = root.into();
-        if Self::registry_exists(&root) {
+        if Self::exists(&root) {
             let reg = Self::open(root)?;
             if reg.layout != layout {
                 return Err(bad(&format!(
@@ -467,11 +452,28 @@ impl Registry {
     /// registered yet. [`Registry::add_snapshot`] calls it first; callers
     /// that induce the model themselves call it before paying for that.
     pub fn check_new_name(&self, name: &str) -> std::io::Result<()> {
-        check_name(name)?;
+        Self::check_name(name)?;
         if self.contains(name) {
             return Err(bad(&format!("snapshot {name:?} already registered")));
         }
         Ok(())
+    }
+
+    /// Checks that `name` is usable verbatim as a file stem, the part of
+    /// [`Registry::check_new_name`] that needs no registry.
+    pub fn check_name(name: &str) -> std::io::Result<()> {
+        let ok = !name.is_empty()
+            && !name.starts_with('.')
+            && name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'));
+        if ok {
+            Ok(())
+        } else {
+            Err(bad(&format!(
+                "invalid snapshot name {name:?} (want [A-Za-z0-9._-]+, no leading dot)"
+            )))
+        }
     }
 
     fn entry(&self, name: &str) -> Option<&SnapshotEntry> {
@@ -592,7 +594,8 @@ impl Registry {
     /// loaded up front; datasets are loaded only for pairs that survive
     /// screening, so a high threshold never pays dataset IO at all. Two
     /// snapshots over different schemas or class sets are an error that
-    /// names both.
+    /// names both, and a loaded dataset that does not fit its own model
+    /// is an error that names the snapshot.
     pub fn matrix_of<F: SnapshotFamily>(
         &self,
         params: &MatrixParams,
@@ -621,9 +624,16 @@ impl Registry {
         let bounds = crate::matrix::pair_bounds::<F>(&models, params.agg, params.par);
         let needed = crate::matrix::screened_members::<F>(&models, &bounds, params);
         let mut datasets = Vec::with_capacity(entries.len());
-        for (entry, needed) in entries.iter().zip(&needed) {
+        for ((entry, needed), model) in entries.iter().zip(&needed).zip(&models) {
             datasets.push(if *needed {
-                self.load_snapshot_dataset::<F>(&entry.name)?
+                let data = self.load_snapshot_dataset::<F>(&entry.name)?;
+                if let Some(why) = F::data_mismatch(model, &data) {
+                    return Err(bad(&format!(
+                        "snapshot {:?}: its dataset does not fit its model: {why}",
+                        entry.name
+                    )));
+                }
+                data
             } else {
                 F::empty_dataset()
             });
@@ -949,6 +959,43 @@ mod tests {
         assert_eq!(screened.bound(0, 2).to_bits(), full.bound(0, 2).to_bits());
         assert_eq!(screened.embed(2).unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dataset_that_does_not_fit_its_model_is_named() {
+        // Each artifact decodes on its own, but a table over another
+        // schema or class count than its snapshot's tree would be counted
+        // in no leaf; the matrix must name the snapshot instead.
+        let cat = Arc::new(Schema::new(vec![Schema::categorical("x", 3)]));
+        let mut categorical = LabeledTable::new(Arc::clone(&cat), 2);
+        let (mut three_classes, _) = dt_snapshot(30.0);
+        three_classes.n_classes = 3;
+        for c in 0..30 {
+            categorical.push_row(&[Value::Cat(c % 3)], c % 2);
+        }
+        for (tag, table, why) in [
+            ("schema", &categorical, "attribute 0 is numeric in one"),
+            ("classes", &three_classes, "2 vs 3 classes"),
+        ] {
+            let dir = scratch(&format!("misfit-{tag}"));
+            let mut reg = Registry::open_or_create(&dir).unwrap();
+            for (name, b) in [("a", 30.0), ("b", 90.0)] {
+                let (d, m) = dt_snapshot(b);
+                reg.add_snapshot::<DtFamily>(name, &d, &m).unwrap();
+            }
+            let bytes = crate::binfmt::encode_labeled_table(table);
+            std::fs::write(dir.join("a.tbl.bin"), bytes).unwrap();
+            let err = reg
+                .matrix_of::<DtFamily>(&MatrixParams::default())
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.starts_with("snapshot \"a\": its dataset does not fit its model")
+                    && err.contains(why),
+                "{tag}: {err}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -89,9 +89,10 @@ impl RegistryLayout {
         }
     }
 
-    /// Rejects a shard count above [`MAX_SHARDS`] with an error of `kind`
-    /// that names the count.
-    pub(crate) fn check_shards(&self, kind: std::io::ErrorKind) -> std::io::Result<()> {
+    /// Rejects a shard count above 1000 (the `shard-NNN` directory names
+    /// run from `shard-000` to `shard-999`) with an error of `kind` that
+    /// names the count.
+    pub fn check_shards(&self, kind: std::io::ErrorKind) -> std::io::Result<()> {
         if self.shards > MAX_SHARDS {
             return Err(std::io::Error::new(
                 kind,

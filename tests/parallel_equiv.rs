@@ -890,3 +890,60 @@ proptest! {
         }
     }
 }
+
+/// The dt matrix over trees of more than 128 leaves, so every leaf index
+/// bitset spans three or more 64-bit words (the property sizes above stay
+/// within one), on enough rows that each thread count splits the scans
+/// into real chunks.
+#[test]
+fn dt_deviation_matrix_multi_word_trees_bit_identical() {
+    use focus::data::classify::{ClassifyFn, ClassifyGen};
+    let tree_params = TreeParams::default().max_depth(12).min_leaf(5);
+    let datasets: Vec<LabeledTable> = [ClassifyFn::F2, ClassifyFn::F3, ClassifyFn::F2]
+        .into_iter()
+        .enumerate()
+        .map(|(i, f)| {
+            ClassifyGen::new(f)
+                .noise(0.05)
+                .generate(4000, 30 + i as u64)
+        })
+        .collect();
+    let models: Vec<_> = datasets
+        .iter()
+        .map(|d| DecisionTree::fit_par(d, tree_params, Parallelism::Sequential).to_model())
+        .collect();
+    for m in &models {
+        assert!(m.leaves().len() > 128, "{} leaves", m.leaves().len());
+    }
+    let names: Vec<String> = (0..models.len()).map(|i| format!("t{i}")).collect();
+    let params = |par| MatrixParams {
+        par,
+        ..MatrixParams::default()
+    };
+    let seq = deviation_matrix::<DtFamily>(
+        &models,
+        &datasets,
+        names.clone(),
+        &params(Parallelism::Sequential),
+    )
+    .unwrap();
+    assert_eq!(seq.pruned(), 0, "threshold 0 never prunes");
+    for t in THREADS {
+        let par = deviation_matrix::<DtFamily>(
+            &models,
+            &datasets,
+            names.clone(),
+            &params(Parallelism::Threads(t)),
+        )
+        .unwrap();
+        for i in 0..models.len() {
+            for j in 0..models.len() {
+                assert_eq!(
+                    par.exact(i, j).map(f64::to_bits),
+                    seq.exact(i, j).map(f64::to_bits),
+                    "exact({i}, {j}), threads = {t}"
+                );
+            }
+        }
+    }
+}

@@ -14,7 +14,7 @@ use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{DtFamily, LitsFamily, ModelFamily};
 use focus_core::gcr::{gcr_lits, gcr_partition};
 use focus_core::model::count_partition;
-use focus_core::region::{AttrConstraint, BoxRegion, Itemset};
+use focus_core::region::{AttrConstraint, BoxIndex, BoxRegion, Itemset};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_exec::Parallelism;
@@ -100,6 +100,7 @@ fn main() {
         finer.push(c.region.clone());
     }
     let k = t1_data.n_classes;
+    let finer = BoxIndex::new(&finer);
     let counts1 = count_partition(&t1_data, &finer, k, Parallelism::Global);
     let counts2 = count_partition(&t2_data, &finer, k, Parallelism::Global);
     let finer_value = deviation_fixed(

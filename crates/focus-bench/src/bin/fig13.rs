@@ -22,7 +22,7 @@ use focus_core::data::TransactionSet;
 use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::LitsFamily;
-use focus_core::qualify::qualify_transactions;
+use focus_core::qualify::qualify;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_exec::Parallelism;
 
@@ -73,7 +73,7 @@ fn main() {
             timed(|| deviate::<LitsFamily>(&m_d, &d, &m_o, other, f, g, par).value);
         let (bound, t_bound) = timed(|| lits_upper_bound(&m_d, &m_o, AggFn::Sum));
         let sig = if cfg.reps > 0 {
-            let q = qualify_transactions(&d, other, dev, cfg.reps, cfg.seed ^ 0x55, |a, b| {
+            let q = qualify(&d, other, dev, cfg.reps, cfg.seed ^ 0x55, par, |a, b| {
                 let ma = mine(a, MINSUP);
                 let mb = mine(b, MINSUP);
                 deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value

@@ -18,7 +18,7 @@ use focus_core::data::LabeledTable;
 use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::DtFamily;
-use focus_core::qualify::qualify_tables;
+use focus_core::qualify::qualify;
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_exec::Parallelism;
 
@@ -57,7 +57,7 @@ fn main() {
         let m_o = fit_dt(other);
         let dev = deviate::<DtFamily>(&m_d, &d, &m_o, other, f, g, par).value;
         let sig = if cfg.reps > 0 {
-            let q = qualify_tables(&d, other, dev, cfg.reps, cfg.seed ^ 0x55, par, |a, b| {
+            let q = qualify(&d, other, dev, cfg.reps, cfg.seed ^ 0x55, par, |a, b| {
                 let ma = fit_dt(a);
                 let mb = fit_dt(b);
                 deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value

@@ -12,8 +12,8 @@
 //!
 //! * `count_itemsets`, `count_partition`, `count_boxes` — the three
 //!   chunked dataset scans (itemset counting over a mined model's
-//!   itemsets, partition routing, box counting), over `--scale` × 1M rows
-//!   (20k at the default scale);
+//!   itemsets, partition routing through a prebuilt leaf index, box
+//!   counting), over `--scale` × 1M rows (20k at the default scale);
 //! * `dt_scan` — the exact scan of one dt matrix pair: `DtFamily::measures`
 //!   of an F2 tree and an F3 tree (each fitted with the CLI's default
 //!   parameters to its own `gen-class` table, 5 % label noise) over the F2
@@ -43,8 +43,8 @@ use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{DtFamily, LitsFamily, ModelFamily, Side};
 use focus_core::model::{count_boxes, count_itemsets, count_partition};
-use focus_core::qualify::qualify_transactions;
-use focus_core::region::BoxBuilder;
+use focus_core::qualify::qualify;
+use focus_core::region::{BoxBuilder, BoxIndex};
 use focus_core::stream::calibrate_threshold;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
@@ -95,13 +95,14 @@ fn main() {
         BoxBuilder::new(&schema).range("age", 40.0, 60.0).build(),
         BoxBuilder::new(&schema).ge("age", 60.0).build(),
     ];
+    let index = BoxIndex::new(&leaves);
     record(
         "count_itemsets",
         best_of(cfg.samples, || count_itemsets(&txns, &itemsets, par)),
     );
     record(
         "count_partition",
-        best_of(cfg.samples, || count_partition(&labeled, &leaves, 2, par)),
+        best_of(cfg.samples, || count_partition(&labeled, &index, 2, par)),
     );
     record(
         "count_boxes",
@@ -157,7 +158,7 @@ fn main() {
     record(
         "qualify",
         best_of(cfg.samples, || {
-            qualify_transactions(&d1, &d2, observed, 8, cfg.seed, pipeline)
+            qualify(&d1, &d2, observed, 8, cfg.seed, par, pipeline)
         }),
     );
 

@@ -5,11 +5,10 @@
 //! focus-cli gen-assoc  --out D1.txt --n 10000 [--pats 4000 --patlen 4 --pattern-seed 1 --seed 2]
 //! focus-cli gen-class  --out D1.tbl --n 10000 --function F2 [--seed 1 --noise 0.05]
 //! focus-cli mine       --data D1.txt --minsup 0.01 --out M1.model
-//! focus-cli deviate    --d1 D1.txt --d2 D2.txt --minsup 0.01 [--f fa|fs] [--g sum|max]
+//! focus-cli deviate    --d1 D1.txt --d2 D2.txt [--kind lits|dt|cluster] [--minsup 0.01] [--f fa|fs] [--g sum|max]
 //! focus-cli bound      --m1 M1.model --m2 M2.model
 //! focus-cli qualify    --d1 D1.txt --d2 D2.txt --minsup 0.01 [--reps 99 --seed 7]
 //! focus-cli tree       --data D1.tbl [--max-depth 10 --min-leaf 50] [--render]
-//! focus-cli deviate-dt --d1 D1.tbl --d2 D2.tbl
 //! focus-cli registry-add --dir REG --data D1.txt --name day-01 [--kind lits|dt|cluster] [--minsup 0.01] [--shards N]
 //! focus-cli matrix     --dir REG [--kind k] [--threshold t | --top K] [--f fa|fs] [--g sum|max]
 //! focus-cli embed      --dir REG [--kind k] [--k 2]
@@ -39,11 +38,12 @@
 //! library; no flag changes it.
 //!
 //! A flag the command does not know is an error, never silently ignored,
-//! and `--minsup` must lie in (0, 1]. `registry-add` takes only its kind's
-//! own flags (`--minsup` for lits, `--max-depth`/`--min-leaf` for dt,
-//! `--clusters`/`--seed` for cluster); another kind's flag is an error. It
-//! reads the data and fits the model before it creates a new registry, so
-//! a failed add leaves no directory behind.
+//! and `--minsup` must lie in (0, 1]. `deviate` and `registry-add` read and
+//! fit every kind through one helper and take only `--kind`'s own flags
+//! (`--minsup` for lits, `--max-depth`/`--min-leaf` for dt,
+//! `--clusters`/`--seed` for cluster); another kind's flag is an error.
+//! `registry-add` reads the data and fits the model before it creates a new
+//! registry, so a failed add leaves no directory behind.
 //!
 //! Standalone datasets and models use the plain-text formats of
 //! `focus_data::io` / `focus_core::persist`. Registries store every
@@ -58,12 +58,13 @@
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
-use focus_core::data::{LabeledTable, TransactionSet};
-use focus_core::deviation::{self, deviate_over_sources};
+use focus_core::data::{LabeledTable, Table, TransactionSet};
+use focus_core::deviation::deviate_over_sources;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
+use focus_core::model::{ClusterModel, DtModel, LitsModel};
 use focus_core::persist::{read_lits_model, write_lits_model};
-use focus_core::qualify::qualify_transactions;
+use focus_core::qualify;
 use focus_core::source::CountSource;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
@@ -121,7 +122,6 @@ fn main() -> ExitCode {
         "bound" => bound(&flags),
         "qualify" => qualify(&flags),
         "tree" => tree(&flags),
-        "deviate-dt" => deviate_dt(&flags),
         "registry-add" => registry_add(&flags),
         "matrix" => matrix(&flags),
         "embed" => embed(&flags),
@@ -147,16 +147,13 @@ commands:
   gen-assoc  --out <file> --n <rows> [--pats N --patlen L --pattern-seed S --seed S]
   gen-class  --out <file> --n <rows> --function F1..F10 [--seed S --noise P]
   mine       --data <txns> --minsup <f> [--out <model>]
-  deviate    --d1 <txns> --d2 <txns> --minsup <f> [--f fa|fs] [--g sum|max]
+  deviate    --d1 <file> --d2 <file> [--kind lits|dt|cluster]  (default lits)
+             [--f fa|fs] [--g sum|max] [kind flags]
   bound      --m1 <model> --m2 <model>
   qualify    --d1 <txns> --d2 <txns> --minsup <f> [--reps N --seed S]
   tree       --data <table> [--max-depth D --min-leaf N] [--render]
-  deviate-dt --d1 <table> --d2 <table> [--max-depth D --min-leaf N]
   registry-add --dir <registry> --data <file> --name <name>
-             [--kind lits|dt|cluster]  (default lits)
-             [--minsup <f>]                      lits only: mining threshold
-             [--max-depth D --min-leaf N]        dt only: tree induction
-             [--clusters K --seed S]             cluster only: k-means
+             [--kind lits|dt|cluster]  (default lits) [kind flags]
              [--shards N]                        layout of a *new* registry:
                                                  N hash shards, 0 = flat (an
                                                  existing one keeps its own)
@@ -167,6 +164,11 @@ commands:
   matrix     --dir <registry> [--kind k] [--threshold <t> | --top <K>]
              [--f fa|fs] [--g sum|max]
   embed      --dir <registry> [--kind k] [--k <dims>]
+
+kind flags (deviate, registry-add; another kind's flag is an error):
+  lits       [--minsup <f>]                      mining threshold
+  dt         [--max-depth D --min-leaf N]        tree induction
+  cluster    [--clusters K --seed S]             k-means
 
 global flags:
   --threads N   worker threads for scans, model induction, and bootstrap
@@ -179,31 +181,27 @@ type Flags = HashMap<String, String>;
 /// Flags every command accepts.
 const GLOBAL_FLAGS: [&str; 1] = ["threads"];
 
-/// The flags `command` accepts besides [`GLOBAL_FLAGS`], or `None` for an
-/// unknown command (reported by the dispatcher instead).
+/// The flags only one kind takes. `deviate` and `registry-add`, the
+/// commands that fit a model, accept these too, but only `--kind`'s own.
+const KIND_FLAGS: [(SnapshotKind, &[&str]); 3] = [
+    (SnapshotKind::Lits, &["minsup"]),
+    (SnapshotKind::Dt, &["max-depth", "min-leaf"]),
+    (SnapshotKind::Cluster, &["clusters", "seed"]),
+];
+
+/// The flags `command` accepts besides [`GLOBAL_FLAGS`] and
+/// [`KIND_FLAGS`], or `None` for an unknown command (reported by the
+/// dispatcher instead).
 fn command_flags(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
         "gen-assoc" => &["out", "n", "pats", "patlen", "pattern-seed", "seed"],
         "gen-class" => &["out", "n", "function", "seed", "noise"],
         "mine" => &["data", "minsup", "out"],
-        "deviate" => &["d1", "d2", "minsup", "f", "g"],
+        "deviate" => &["d1", "d2", "kind", "f", "g"],
         "bound" => &["m1", "m2", "g"],
         "qualify" => &["d1", "d2", "minsup", "reps", "seed"],
         "tree" => &["data", "max-depth", "min-leaf", "render"],
-        "deviate-dt" => &["d1", "d2", "max-depth", "min-leaf"],
-        "registry-add" => &[
-            "dir",
-            "data",
-            "name",
-            "kind",
-            "minsup",
-            "max-depth",
-            "min-leaf",
-            "clusters",
-            "seed",
-            "format",
-            "shards",
-        ],
+        "registry-add" => &["dir", "data", "name", "kind", "format", "shards"],
         "matrix" => &["dir", "kind", "threshold", "top", "f", "g"],
         "embed" => &["dir", "kind", "k"],
         "help" | "--help" | "-h" => &[],
@@ -212,30 +210,42 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
 }
 
 /// Rejects, by name, a flag `command` does not know — a typo must fail
-/// loudly rather than silently fall back to the default.
+/// loudly rather than silently fall back to the default — and another
+/// kind's flag on a command that fits a model.
 fn check_flags(command: &str, flags: &Flags) -> Result<(), String> {
-    let Some(known) = command_flags(command) else {
+    let Some(own) = command_flags(command) else {
         return Ok(());
     };
-    let accepted = |name: &str| known.contains(&name) || GLOBAL_FLAGS.contains(&name);
-    let mut unknown: Vec<&str> = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|name| !accepted(name))
-        .collect();
+    let fits = matches!(command, "deviate" | "registry-add");
+    let mut known = own.to_vec();
+    known.extend(KIND_FLAGS.iter().filter(|_| fits).flat_map(|(_, f)| *f));
+    known.extend(GLOBAL_FLAGS);
+    let mut unknown: Vec<&str> = flags.keys().map(String::as_str).collect();
+    unknown.retain(|name| !known.contains(name));
     unknown.sort_unstable();
-    match unknown.first() {
-        None => Ok(()),
-        Some(name) => Err(format!(
-            "unknown flag --{name} for {command} (accepted: {})",
-            known
-                .iter()
-                .chain(&GLOBAL_FLAGS)
-                .map(|f| format!("--{f}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        )),
+    if let Some(name) = unknown.first() {
+        let known: Vec<String> = known.iter().map(|f| format!("--{f}")).collect();
+        let known = known.join(", ");
+        return Err(format!(
+            "unknown flag --{name} for {command} (accepted: {known})"
+        ));
     }
+    let Ok(kind) = parse_kind(flags) else {
+        return Ok(()); // reported by the command
+    };
+    for (owner, owned) in KIND_FLAGS
+        .iter()
+        .filter(|(owner, _)| fits && *owner != kind)
+    {
+        if let Some(flag) = owned.iter().find(|f| flags.contains_key(**f)) {
+            return Err(format!(
+                "--{flag} is a {} flag; {command} --kind {} does not take it",
+                owner.as_str(),
+                kind.as_str()
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -293,19 +303,6 @@ fn create(path: &str) -> Result<File, String> {
     File::create(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Reads the transaction file at `path`; errors name the file.
-fn load_transactions(path: &str) -> Result<TransactionSet, String> {
-    read_path(path, read_transactions)
-}
-
-/// Reads the labelled table at `path` for model induction. Every fitter
-/// asserts a non-empty input, so a table without rows is rejected here.
-fn load_table(path: &str) -> Result<LabeledTable, String> {
-    let data = read_path(path, read_labeled_table)?;
-    require_rows(path, data.len())?;
-    Ok(data)
-}
-
 fn require_rows(path: &str, n: usize) -> Result<(), String> {
     if n == 0 {
         return Err(format!("{path} has no rows"));
@@ -351,12 +348,8 @@ fn gen_class(flags: &Flags) -> Result<(), String> {
     }
     let data = ClassifyGen::new(function).noise(noise).generate(n, seed);
     write_labeled_table(&data, create(out)?).map_err(io_err)?;
-    eprintln!(
-        "wrote {} ({} rows, function {})",
-        out,
-        data.len(),
-        function.name()
-    );
+    let name = function.name();
+    eprintln!("wrote {out} ({} rows, function {name})", data.len());
     Ok(())
 }
 
@@ -382,7 +375,7 @@ fn miner(minsup: f64) -> Apriori {
 fn mine(flags: &Flags) -> Result<(), String> {
     let path = req(flags, "data")?;
     let minsup = minsup(flags)?;
-    let data = load_transactions(path)?;
+    let data = LitsFamily::load(path)?;
     // Created before the mine, so a bad output path fails without mining.
     let out = match flags.get("out") {
         Some(out) => Some((out, create(out)?)),
@@ -390,10 +383,8 @@ fn mine(flags: &Flags) -> Result<(), String> {
     };
     let model = miner(minsup).mine(&data);
     eprintln!(
-        "{}: {} frequent itemsets at minsup {}",
-        path,
-        model.len(),
-        minsup
+        "{path}: {} frequent itemsets at minsup {minsup}",
+        model.len()
     );
     if let Some((out, file)) = out {
         write_lits_model(&model, file).map_err(io_err)?;
@@ -426,21 +417,30 @@ fn agg_fn(flags: &Flags) -> Result<AggFn, String> {
 }
 
 fn deviate(flags: &Flags) -> Result<(), String> {
-    let m = miner(minsup(flags)?);
+    match parse_kind(flags)? {
+        SnapshotKind::Lits => deviate_of::<LitsFamily>(flags),
+        SnapshotKind::Dt => deviate_of::<DtFamily>(flags),
+        SnapshotKind::Cluster => deviate_of::<ClusterFamily>(flags),
+    }
+}
+
+/// Fits a model to each dataset and prints their deviation. Each side is
+/// fitted from and measured through one source, so a lits dataset's
+/// vertical index is built at most once.
+fn deviate_of<F: Fit>(flags: &Flags) -> Result<(), String> {
     let (f, g) = (diff_fn(flags)?, agg_fn(flags)?);
-    let d1 = load_transactions(req(flags, "d1")?)?;
-    let d2 = load_transactions(req(flags, "d2")?)?;
-    let (s1, s2) = (CountSource::borrowed(&d1), CountSource::borrowed(&d2));
-    let (m1, m2) = (m.mine_source(&s1), m.mine_source(&s2));
-    let gcr = LitsFamily::gcr(&m1, &m2);
-    let dev =
-        deviate_over_sources::<LitsFamily>(gcr, &m1, &s1, &m2, &s2, f, g, Parallelism::Global);
+    let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
+    let (d1, d2) = (F::load(p1)?, F::load(p2)?);
+    F::comparable(p1, &d1, p2, &d2)?;
+    let (s1, s2) = (F::source(&d1), F::source(&d2));
+    let (m1, m2) = (F::fit(flags, &s1)?, F::fit(flags, &s2)?);
+    let gcr = F::gcr(&m1, &m2);
+    let dev = deviate_over_sources::<F>(gcr, &m1, &s1, &m2, &s2, f, g, Parallelism::Global);
     println!("{:.6}", dev.value);
+    let (r1, r2) = (F::model_regions(&m1), F::model_regions(&m2));
     eprintln!(
-        "GCR: {} regions; models: {} and {} itemsets",
-        dev.gcr.len(),
-        m1.len(),
-        m2.len()
+        "GCR: {} regions; models: {r1} and {r2} regions",
+        F::n_regions(&dev.gcr)
     );
     Ok(())
 }
@@ -462,22 +462,20 @@ fn qualify(flags: &Flags) -> Result<(), String> {
     // Bootstrap resampling draws from the pooled rows, so both sides need
     // at least one.
     let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
-    let (d1, d2) = (load_transactions(p1)?, load_transactions(p2)?);
+    let (d1, d2) = (LitsFamily::load(p1)?, LitsFamily::load(p2)?);
     require_rows(p1, d1.len())?;
     require_rows(p2, d2.len())?;
+    let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let pipeline = |a: &TransactionSet, b: &TransactionSet| {
         let (sa, sb) = (CountSource::borrowed(a), CountSource::borrowed(b));
         let (ma, mb) = (m.mine_source(&sa), m.mine_source(&sb));
-        let (f, g) = (DiffFn::Absolute, AggFn::Sum);
         let gcr = LitsFamily::gcr(&ma, &mb);
-        deviate_over_sources::<LitsFamily>(gcr, &ma, &sa, &mb, &sb, f, g, Parallelism::Global).value
+        deviate_over_sources::<LitsFamily>(gcr, &ma, &sa, &mb, &sb, f, g, par).value
     };
     let observed = pipeline(&d1, &d2);
-    let q = qualify_transactions(&d1, &d2, observed, reps, seed, pipeline);
-    println!(
-        "deviation {:.6}  significance {:.2}%",
-        observed, q.significance_percent
-    );
+    let q = qualify::qualify(&d1, &d2, observed, reps, seed, par, pipeline);
+    let sig = q.significance_percent;
+    println!("deviation {observed:.6}  significance {sig:.2}%");
     Ok(())
 }
 
@@ -488,64 +486,29 @@ fn tree_params(flags: &Flags, n: usize) -> Result<TreeParams, String> {
 }
 
 fn tree(flags: &Flags) -> Result<(), String> {
-    let data = load_table(req(flags, "data")?)?;
+    let data = DtFamily::load(req(flags, "data")?)?;
     let t = DecisionTree::fit(&data, tree_params(flags, data.len())?);
-    eprintln!(
-        "tree: {} leaves, depth {}, training error {:.4}",
-        t.n_leaves(),
-        t.depth(),
-        t.misclassification_rate(&data)
-    );
+    let (leaves, depth, error) = (t.n_leaves(), t.depth(), t.misclassification_rate(&data));
+    eprintln!("tree: {leaves} leaves, depth {depth}, training error {error:.4}");
     if flags.contains_key("render") {
         print!("{}", t.render());
     }
     Ok(())
 }
 
-fn deviate_dt(flags: &Flags) -> Result<(), String> {
-    let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
-    let (d1, d2) = (load_table(p1)?, load_table(p2)?);
-    if d1.table.schema() != d2.table.schema() {
-        return Err(format!("{p1} and {p2} have different attribute lists"));
-    }
-    if d1.n_classes != d2.n_classes {
-        return Err(format!(
-            "{p1} has {} classes but {p2} has {}",
-            d1.n_classes, d2.n_classes
-        ));
-    }
-    let m1 = DecisionTree::fit(&d1, tree_params(flags, d1.len())?).to_model();
-    let m2 = DecisionTree::fit(&d2, tree_params(flags, d2.len())?).to_model();
-    let (f, g) = (DiffFn::Absolute, AggFn::Sum);
-    let dev = deviation::deviate::<DtFamily>(&m1, &d1, &m2, &d2, f, g, Parallelism::Global);
-    println!("{:.6}", dev.value);
-    eprintln!(
-        "GCR: {} cells from {} × {} leaves",
-        dev.gcr.cells.len(),
-        m1.leaves().len(),
-        m2.leaves().len()
-    );
-    Ok(())
-}
-
-fn parse_kind(
-    flags: &Flags,
-    default: Option<SnapshotKind>,
-) -> Result<Option<SnapshotKind>, String> {
-    match flags.get("kind") {
-        None => Ok(default),
-        Some(s) => SnapshotKind::parse(s)
-            .map(Some)
-            .ok_or_else(|| format!("--kind must be lits, dt or cluster, got {s:?}")),
-    }
+/// `--kind`, lits when not given.
+fn parse_kind(flags: &Flags) -> Result<SnapshotKind, String> {
+    let kind = flags.get("kind").map_or("lits", String::as_str);
+    SnapshotKind::parse(kind)
+        .ok_or_else(|| format!("--kind must be lits, dt or cluster, got {kind:?}"))
 }
 
 /// The snapshot family a `matrix`/`embed` run operates on: the `--kind`
 /// flag if given, else the registry's single kind — a mixed registry
 /// without `--kind` is ambiguous and errors.
 fn registry_kind(reg: &Registry, flags: &Flags) -> Result<SnapshotKind, String> {
-    if let Some(kind) = parse_kind(flags, None)? {
-        return Ok(kind);
+    if flags.contains_key("kind") {
+        return parse_kind(flags);
     }
     let kinds = reg.kinds();
     match kinds.as_slice() {
@@ -573,13 +536,73 @@ fn warn_torn(reg: &Registry) {
     }
 }
 
-/// The flags only one `registry-add` kind takes; every other kind rejects
-/// them rather than ignore them.
-const KIND_FLAGS: [(SnapshotKind, &[&str]); 3] = [
-    (SnapshotKind::Lits, &["minsup"]),
-    (SnapshotKind::Dt, &["max-depth", "min-leaf"]),
-    (SnapshotKind::Cluster, &["clusters", "seed"]),
-];
+/// How the CLI reads and fits one model family: the one load-and-fit path
+/// of `deviate` and `registry-add`. `fit` reads only the family's own
+/// [`KIND_FLAGS`] entry.
+trait Fit: SnapshotFamily {
+    /// Reads the dataset at `path`; errors name the file.
+    fn load(path: &str) -> Result<Self::Dataset, String>;
+    /// Rejects, naming both files, two datasets no deviation can compare.
+    fn comparable(_: &str, _: &Self::Dataset, _: &str, _: &Self::Dataset) -> Result<(), String> {
+        Ok(())
+    }
+    /// Fits a model to the dataset behind `source`.
+    fn fit(flags: &Flags, source: &Self::Source<'_>) -> Result<Self::Model, String>;
+}
+
+impl Fit for LitsFamily {
+    fn load(path: &str) -> Result<TransactionSet, String> {
+        read_path(path, read_transactions)
+    }
+    fn fit(flags: &Flags, source: &CountSource<'_>) -> Result<LitsModel, String> {
+        Ok(miner(minsup(flags)?).mine_source(source))
+    }
+}
+
+impl Fit for DtFamily {
+    /// Every fitter asserts a non-empty input, so a table without rows is
+    /// rejected here.
+    fn load(path: &str) -> Result<LabeledTable, String> {
+        let data = read_path(path, read_labeled_table)?;
+        require_rows(path, data.len())?;
+        Ok(data)
+    }
+    fn comparable(p1: &str, d1: &LabeledTable, p2: &str, d2: &LabeledTable) -> Result<(), String> {
+        ClusterFamily::comparable(p1, &d1.table, p2, &d2.table)?;
+        if d1.n_classes != d2.n_classes {
+            return Err(format!(
+                "{p1} has {} classes but {p2} has {}",
+                d1.n_classes, d2.n_classes
+            ));
+        }
+        Ok(())
+    }
+    fn fit(flags: &Flags, data: &&LabeledTable) -> Result<DtModel, String> {
+        Ok(DecisionTree::fit(data, tree_params(flags, data.len())?).to_model())
+    }
+}
+
+impl Fit for ClusterFamily {
+    fn load(path: &str) -> Result<Table, String> {
+        Ok(DtFamily::load(path)?.table)
+    }
+    fn comparable(p1: &str, d1: &Table, p2: &str, d2: &Table) -> Result<(), String> {
+        if d1.schema() != d2.schema() {
+            return Err(format!("{p1} and {p2} have different attribute lists"));
+        }
+        Ok(())
+    }
+    fn fit(flags: &Flags, data: &&Table) -> Result<ClusterModel, String> {
+        let k: usize = opt(flags, "clusters", 3)?;
+        if k == 0 {
+            return Err("--clusters must be at least 1".to_string());
+        }
+        let seed: u64 = opt(flags, "seed", 0)?;
+        Ok(KMeans::new(KMeansParams::new(k).seed(seed))
+            .fit(data, Parallelism::Global)
+            .to_model(data))
+    }
+}
 
 /// Opens the registry at `dir`, creating it (flat, or with `layout`) if
 /// there is none; an existing one must match `layout` when given.
@@ -591,21 +614,24 @@ fn open_registry(dir: &str, layout: Option<RegistryLayout>) -> Result<Registry, 
     .map_err(io_err)
 }
 
-/// Adds a fitted snapshot to `reg`, the registry opened up front, or to
-/// the one created at `dir` now that the snapshot is ready.
-fn add_fitted<F: SnapshotFamily>(
+/// Reads and fits the data at `path`, then adds the snapshot to `reg`, the
+/// registry opened up front, or to the one created at `dir` now that the
+/// snapshot is ready.
+fn add<F: Fit>(
+    flags: &Flags,
     reg: Option<Registry>,
     dir: &str,
     layout: Option<RegistryLayout>,
     name: &str,
-    data: &F::Dataset,
-    model: &F::Model,
+    path: &str,
 ) -> Result<SnapshotEntry, String> {
+    let data = F::load(path)?;
+    let model = F::fit(flags, &F::source(&data))?;
     let mut reg = match reg {
         Some(reg) => reg,
         None => open_registry(dir, layout)?,
     };
-    reg.add_snapshot::<F>(name, data, model)
+    reg.add_snapshot::<F>(name, &data, &model)
         .cloned()
         .map_err(io_err)
 }
@@ -614,16 +640,7 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
     let dir = req(flags, "dir")?;
     let name = req(flags, "name")?;
     let data_path = req(flags, "data")?;
-    let kind = parse_kind(flags, Some(SnapshotKind::Lits))?.expect("defaulted");
-    for (owner, owned) in KIND_FLAGS.iter().filter(|(owner, _)| *owner != kind) {
-        if let Some(flag) = owned.iter().find(|f| flags.contains_key(**f)) {
-            return Err(format!(
-                "--{flag} is a {} flag; registry-add --kind {} does not take it",
-                owner.as_str(),
-                kind.as_str()
-            ));
-        }
-    }
+    let kind = parse_kind(flags)?;
     // --shards picks the layout of a *new* registry; an existing one keeps
     // the layout it was created with (a mismatch errors). bin is the one
     // artifact format, so --format is only validated.
@@ -660,30 +677,10 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
         None
     };
     let entry = match kind {
-        SnapshotKind::Lits => {
-            let minsup = minsup(flags)?;
-            let data = load_transactions(data_path)?;
-            let model = miner(minsup).mine(&data);
-            add_fitted::<LitsFamily>(reg, dir, layout, name, &data, &model)?
-        }
-        SnapshotKind::Dt => {
-            let data = load_table(data_path)?;
-            let model = DecisionTree::fit(&data, tree_params(flags, data.len())?).to_model();
-            add_fitted::<DtFamily>(reg, dir, layout, name, &data, &model)?
-        }
-        SnapshotKind::Cluster => {
-            let k: usize = opt(flags, "clusters", 3)?;
-            if k == 0 {
-                return Err("--clusters must be at least 1".to_string());
-            }
-            let seed: u64 = opt(flags, "seed", 0)?;
-            let data = load_table(data_path)?.table;
-            let model = KMeans::new(KMeansParams::new(k).seed(seed))
-                .fit(&data, Parallelism::Global)
-                .to_model(&data);
-            add_fitted::<ClusterFamily>(reg, dir, layout, name, &data, &model)?
-        }
-    };
+        SnapshotKind::Lits => add::<LitsFamily>(flags, reg, dir, layout, name, data_path),
+        SnapshotKind::Dt => add::<DtFamily>(flags, reg, dir, layout, name, data_path),
+        SnapshotKind::Cluster => add::<ClusterFamily>(flags, reg, dir, layout, name, data_path),
+    }?;
     let minsup_note = match entry.minsup {
         Some(ms) => format!(" at minsup {ms}"),
         None => String::new(),
@@ -698,10 +695,7 @@ fn registry_add(flags: &Flags) -> Result<(), String> {
 fn matrix(flags: &Flags) -> Result<(), String> {
     let dir = req(flags, "dir")?;
     let threshold: f64 = opt(flags, "threshold", 0.0)?;
-    let top: Option<usize> = match flags.get("top") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|e| format!("--top: {e}"))?),
-    };
+    let top = flags.get("top").map(|_| opt(flags, "top", 0)).transpose()?;
     if top.is_some() && flags.contains_key("threshold") {
         return Err("--top replaces --threshold; pass only one".to_string());
     }
@@ -721,40 +715,24 @@ fn matrix(flags: &Flags) -> Result<(), String> {
         SnapshotKind::Cluster => reg.matrix_of::<ClusterFamily>(&params),
     }
     .map_err(io_err)?;
-    match top {
-        Some(k) => println!(
-            "pairs {} scanned {} pruned {} top {}",
-            m.n_pairs(),
-            m.scanned(),
-            m.pruned(),
-            k
-        ),
-        None => println!(
-            "pairs {} scanned {} pruned {} threshold {:.6}",
-            m.n_pairs(),
-            m.scanned(),
-            m.pruned(),
-            m.threshold()
-        ),
-    }
+    let screen = match top {
+        Some(k) => format!("top {k}"),
+        None => format!("threshold {:.6}", m.threshold()),
+    };
+    let (pairs, scanned, pruned) = (m.n_pairs(), m.scanned(), m.pruned());
+    println!("pairs {pairs} scanned {scanned} pruned {pruned} {screen}");
     let names = m.names();
     for i in 0..m.len() {
         for j in (i + 1)..m.len() {
-            match m.exact(i, j) {
-                Some(e) => println!(
-                    "{} {} bound {:.6} exact {:.6}",
-                    names[i],
-                    names[j],
-                    m.bound(i, j),
-                    e
-                ),
-                None => println!(
-                    "{} {} bound {:.6} pruned",
-                    names[i],
-                    names[j],
-                    m.bound(i, j)
-                ),
-            }
+            let exact = m
+                .exact(i, j)
+                .map_or("pruned".into(), |e| format!("exact {e:.6}"));
+            println!(
+                "{} {} bound {:.6} {exact}",
+                names[i],
+                names[j],
+                m.bound(i, j)
+            );
         }
     }
     Ok(())

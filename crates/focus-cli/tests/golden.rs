@@ -162,7 +162,7 @@ fn lits_pipeline_golden() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The dt pipeline — gen-class → tree → deviate-dt — with the rendered
+/// The dt pipeline — gen-class → tree → deviate --kind dt — with the rendered
 /// tree and the reported deviation snapshotted.
 #[test]
 fn dt_pipeline_golden() {
@@ -199,7 +199,9 @@ fn dt_pipeline_golden() {
     assert_golden("tree_render", &stdout(&tree));
 
     let dev = run(&[
-        "deviate-dt",
+        "deviate",
+        "--kind",
+        "dt",
         "--d1",
         path_str(&d1),
         "--d2",

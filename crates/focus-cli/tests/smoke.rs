@@ -1,6 +1,6 @@
 //! End-to-end smoke test: drives the `focus-cli` binary through the full
 //! lits pipeline (generate → mine → deviate → bound → qualify) and the dt
-//! pipeline (generate → deviate-dt) on tiny datasets, asserting each step
+//! pipeline (generate → deviate --kind dt) on tiny datasets, asserting each step
 //! exits 0 and emits a well-formed report.
 
 use std::path::{Path, PathBuf};
@@ -214,7 +214,9 @@ fn dt_pipeline_end_to_end() {
     ]);
 
     let out = run(&[
-        "deviate-dt",
+        "deviate",
+        "--kind",
+        "dt",
         "--d1",
         path_str(&d1),
         "--d2",
@@ -227,7 +229,7 @@ fn dt_pipeline_end_to_end() {
     let dev: f64 = stdout(&out)
         .trim()
         .parse()
-        .expect("deviate-dt must print a number");
+        .expect("deviate --kind dt must print a number");
     assert!(dev.is_finite() && dev >= 0.0, "dt deviation {dev}");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -585,10 +587,16 @@ fn help_lists_all_commands() {
         "bound",
         "qualify",
         "tree",
-        "deviate-dt",
+        "registry-add",
+        "matrix",
+        "embed",
     ] {
         assert!(text.contains(cmd), "usage must mention {cmd}");
     }
+    assert!(
+        !text.contains("deviate-dt"),
+        "deviate --kind dt replaced it"
+    );
 }
 
 #[test]
@@ -598,6 +606,9 @@ fn unknown_command_fails_nonzero() {
         .output()
         .expect("failed to spawn focus-cli");
     assert!(!out.status.success());
+    // The dt-only pairwise command went: `deviate --kind dt` replaces it.
+    let err = run_fail(&["deviate-dt", "--d1", "a.tbl", "--d2", "b.tbl"]);
+    assert!(err.contains("unknown command \"deviate-dt\""), "{err}");
 }
 
 /// Runs `focus-cli` expecting a clean failure: exit code 1, an `error:`
@@ -900,8 +911,10 @@ fn malformed_inputs_are_named_errors() {
         let commands: Vec<Vec<&str>> = if file.ends_with(".tbl") {
             vec![
                 vec!["tree", "--data", p],
-                vec!["deviate-dt", "--d1", p, "--d2", good_tbl],
-                vec!["deviate-dt", "--d1", good_tbl, "--d2", p],
+                vec!["deviate", "--kind", "dt", "--d1", p, "--d2", good_tbl],
+                vec!["deviate", "--kind", "dt", "--d1", good_tbl, "--d2", p],
+                vec!["deviate", "--kind", "cluster", "--d1", p, "--d2", good_tbl],
+                vec!["deviate", "--kind", "cluster", "--d1", good_tbl, "--d2", p],
                 vec![
                     "registry-add",
                     "--dir",
@@ -1024,25 +1037,59 @@ fn mismatched_tables(dir: &Path) -> (PathBuf, Vec<(PathBuf, &'static str)>) {
 
 #[test]
 fn deviate_dt_rejects_tables_over_different_schemas() {
-    // Each pair used to panic inside the GCR (exit 101).
+    // Each pair used to panic inside the GCR (exit 101). Cluster models
+    // ignore class labels, so only the two schema mismatches apply there.
     let dir = scratch("dt-mismatch");
     let (base, others) = mismatched_tables(&dir);
     let base = path_str(&base);
-    run(&["deviate-dt", "--d1", base, "--d2", base]);
-    for (other, why) in &others {
-        let other = path_str(other);
-        let why = if *why == "classes" {
-            "classes"
-        } else {
-            "different attribute lists"
-        };
-        for (d1, d2) in [(base, other), (other, base)] {
-            let err = run_fail(&["deviate-dt", "--d1", d1, "--d2", d2]);
-            assert!(
-                err.contains(d1) && err.contains(d2) && err.contains(why),
-                "{d1} vs {d2}: {err}"
-            );
+    for (kind, cases) in [("dt", &others[..]), ("cluster", &others[..2])] {
+        run(&["deviate", "--kind", kind, "--d1", base, "--d2", base]);
+        for (other, why) in cases {
+            let other = path_str(other);
+            let why = if *why == "classes" {
+                "classes"
+            } else {
+                "different attribute lists"
+            };
+            for (d1, d2) in [(base, other), (other, base)] {
+                let err = run_fail(&["deviate", "--kind", kind, "--d1", d1, "--d2", d2]);
+                assert!(
+                    err.contains(d1) && err.contains(d2) && err.contains(why),
+                    "{kind} {d1} vs {d2}: {err}"
+                );
+            }
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pairwise_deviate_matches_the_registry_matrix() {
+    // The pairwise path and the registry path fit the same models with
+    // the same flags and measure them through the same engine, so `deviate
+    // --kind K` prints the `exact` column of `matrix --kind K`.
+    let dir = scratch("pairwise-vs-matrix");
+    let (d1, d2) = (dir.join("d1.tbl"), dir.join("d2.tbl"));
+    for (out, function, seed) in [(&d1, "F2", "1"), (&d2, "F3", "2")] {
+        let args = ["--out", path_str(out), "--n", "400", "--function", function];
+        run(&[&["gen-class"][..], &args, &["--seed", seed]].concat());
+    }
+    let (d1, d2) = (path_str(&d1), path_str(&d2));
+    for (kind, flags) in [
+        ("dt", &["--max-depth", "4", "--min-leaf", "10"][..]),
+        ("cluster", &["--clusters", "3", "--seed", "5"][..]),
+    ] {
+        let reg = dir.join(format!("reg-{kind}"));
+        for (name, data) in [("one", d1), ("two", d2)] {
+            let args = ["--dir", path_str(&reg), "--data", data, "--name", name];
+            run(&[&["registry-add"][..], &args, &["--kind", kind], flags].concat());
+        }
+        let args = ["deviate", "--kind", kind, "--d1", d1, "--d2", d2];
+        let dev = stdout(&run(&[&args[..], flags].concat()));
+        let m = stdout(&run(&["matrix", "--dir", path_str(&reg), "--kind", kind]));
+        let line = m.lines().find(|l| l.starts_with("one two ")).unwrap();
+        let exact = line.split_once(" exact ").map(|(_, e)| e);
+        assert_eq!(exact, Some(dev.trim()), "{kind}: {m}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1272,16 +1319,32 @@ fn argument_fuzz_sweep_fails_cleanly() {
             },
         ),
         (
-            "deviate-dt",
+            "deviate",
             Invocation {
                 args: a(&[
                     ("d1", &c1),
                     ("d2", &c2),
+                    ("kind", "dt"),
                     ("max-depth", "3"),
                     ("min-leaf", "5"),
                 ]),
                 required: &["d1", "d2"],
                 numeric: &["max-depth", "min-leaf"],
+                paths: &["d1", "d2"],
+            },
+        ),
+        (
+            "deviate",
+            Invocation {
+                args: a(&[
+                    ("d1", &c1),
+                    ("d2", &c2),
+                    ("kind", "cluster"),
+                    ("clusters", "2"),
+                    ("seed", "1"),
+                ]),
+                required: &["d1", "d2"],
+                numeric: &["clusters", "seed"],
                 paths: &["d1", "d2"],
             },
         ),
@@ -1396,8 +1459,8 @@ fn argument_fuzz_sweep_fails_cleanly() {
         for flag in inv.paths {
             defects.push((inv.argv(command, flag, Some(&missing)), missing.clone()));
         }
-        // registry-add takes only its own kind's flags.
-        if *command == "registry-add" {
+        // deviate and registry-add take only their own kind's flags.
+        if matches!(*command, "deviate" | "registry-add") {
             let kind = inv.args.iter().find(|(f, _)| *f == "kind");
             let kind = kind.map_or("lits", |(_, v)| v.as_str());
             for (flag, owner) in [
@@ -1409,7 +1472,7 @@ fn argument_fuzz_sweep_fails_cleanly() {
             ] {
                 if owner != kind {
                     let expect = format!(
-                        "--{flag} is a {owner} flag; registry-add --kind {kind} does not take it"
+                        "--{flag} is a {owner} flag; {command} --kind {kind} does not take it"
                     );
                     defects.push((inv.argv(command, flag, Some("1")), expect));
                 }

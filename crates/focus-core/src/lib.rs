@@ -117,10 +117,8 @@ pub mod prelude {
         select_top_n, Ranked,
     };
     pub use crate::persist::{read_lits_model, write_lits_model};
-    pub use crate::qualify::{
-        qualify_chi_squared, qualify_tables, qualify_transactions, qualify_transactions_par,
-    };
-    pub use crate::region::{AttrConstraint, BoxBuilder, BoxRegion, CatMask, Itemset};
+    pub use crate::qualify::{qualify, qualify_chi_squared, qualify_transactions};
+    pub use crate::region::{AttrConstraint, BoxBuilder, BoxIndex, BoxRegion, CatMask, Itemset};
     pub use crate::source::{prefers_vertical, CountSource, MAX_INDEX_BYTES};
     pub use crate::stream::{calibrate_threshold, BlockVerdict, ChangeMonitor};
     pub use crate::vertical::{count_itemsets_grouped, VerticalIndex};

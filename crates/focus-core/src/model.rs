@@ -144,6 +144,11 @@ impl DtModel {
         &self.leaves
     }
 
+    /// The point-in-box index over the leaves, built with the model.
+    pub fn index(&self) -> &BoxIndex {
+        &self.index
+    }
+
     /// Number of classes.
     pub fn n_classes(&self) -> u32 {
         self.n_classes
@@ -273,12 +278,12 @@ pub fn count_itemsets(data: &TransactionSet, itemsets: &[Itemset], par: Parallel
 /// threads. Returns a row-major `leaves.len() × n_classes` vector,
 /// bit-identical for every thread count.
 ///
-/// One scan: each row is routed to the (unique) containing leaf through a
-/// [`BoxIndex`] over `leaves`, in `O(rows · (attrs · log L + L/64))` for
-/// `L` leaves; the index takes at most about `attrs · L²/4` bytes.
+/// One scan: each row is routed to the (unique) containing leaf through
+/// the partition's [`BoxIndex`] (a [`DtModel`] holds its own, see
+/// [`DtModel::index`]), in `O(rows · (attrs · log L + L/64))` for `L` leaves.
 pub fn count_partition(
     data: &LabeledTable,
-    leaves: &[BoxRegion],
+    leaves: &BoxIndex,
     n_classes: u32,
     par: Parallelism,
 ) -> Vec<u64> {
@@ -296,12 +301,11 @@ pub fn count_partition(
     if leaves.is_empty() {
         return Vec::new();
     }
-    let index = BoxIndex::new(leaves);
     let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; leaves.len() * k];
         for i in range {
             let row = data.table.row(i);
-            if let Some(leaf) = index.first(row) {
+            if let Some(leaf) = leaves.first(row) {
                 counts[leaf * k + data.labels[i] as usize] += 1;
             }
         }
@@ -337,10 +341,14 @@ pub fn count_boxes(data: &Table, boxes: &[BoxRegion], par: Parallelism) -> Vec<u
 /// Builds a [`DtModel`] measure component for an externally supplied leaf
 /// partition by scanning a dataset.
 pub fn induce_dt_measures(leaves: Vec<BoxRegion>, data: &LabeledTable) -> DtModel {
-    let counts = count_partition(data, &leaves, data.n_classes, Parallelism::Global);
+    let k = data.n_classes;
+    let zeros = vec![0.0; leaves.len() * k as usize];
+    // The model indexes its leaves; the scan routes rows through that index.
+    let mut model = DtModel::new(leaves, k, zeros, data.len() as u64);
+    let counts = count_partition(data, &model.index, k, Parallelism::Global);
     let n = data.len().max(1) as f64;
-    let measures = counts.iter().map(|&c| c as f64 / n).collect();
-    DtModel::new(leaves, data.n_classes, measures, data.len() as u64)
+    model.measures = counts.iter().map(|&c| c as f64 / n).collect();
+    model
 }
 
 /// Builds a [`LitsModel`] over a *given* structural component (not
@@ -427,7 +435,7 @@ mod tests {
             BoxBuilder::new(&schema).lt("age", 25.0).build(),
             BoxBuilder::new(&schema).ge("age", 25.0).build(),
         ];
-        let counts = count_partition(&t, &leaves, 2, Parallelism::Global);
+        let counts = count_partition(&t, &BoxIndex::new(&leaves), 2, Parallelism::Global);
         // leaf0: class0 = 2, class1 = 0; leaf1: class0 = 0, class1 = 2.
         assert_eq!(counts, vec![2, 0, 0, 2]);
     }
@@ -447,7 +455,7 @@ mod tests {
             BoxBuilder::new(&schema).lt("age", 25.0).build(),
             BoxBuilder::new(&schema).ge("age", 25.0).build(),
         ];
-        count_partition(&t, &leaves, 2, Parallelism::Global);
+        count_partition(&t, &BoxIndex::new(&leaves), 2, Parallelism::Global);
     }
 
     #[test]

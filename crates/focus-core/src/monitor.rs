@@ -57,8 +57,8 @@ pub fn predicted_dataset(model: &DtModel, data: &LabeledTable) -> LabeledTable {
 pub fn me_via_deviation(model: &DtModel, data: &LabeledTable) -> f64 {
     let predicted = predicted_dataset(model, data);
     let k = model.n_classes();
-    let counts_true = count_partition(data, model.leaves(), k, Parallelism::Global);
-    let counts_pred = count_partition(&predicted, model.leaves(), k, Parallelism::Global);
+    let counts_true = count_partition(data, model.index(), k, Parallelism::Global);
+    let counts_pred = count_partition(&predicted, model.index(), k, Parallelism::Global);
     0.5 * deviation_fixed(
         &counts_true,
         &counts_pred,
@@ -82,7 +82,7 @@ pub fn me_via_deviation(model: &DtModel, data: &LabeledTable) -> f64 {
 /// computation for any thread count.
 pub fn chi_squared_statistic(model: &DtModel, d2: &LabeledTable, c: f64, par: Parallelism) -> f64 {
     let k = model.n_classes();
-    let observed = count_partition(d2, model.leaves(), k, par);
+    let observed = count_partition(d2, model.index(), k, par);
     let n1 = model.n_rows() as f64;
     let n2 = d2.len() as f64;
     let f = DiffFn::ChiSquared { c };

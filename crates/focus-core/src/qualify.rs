@@ -10,8 +10,8 @@
 //! falls in that distribution (the "%sig" columns of Figures 13 and 14).
 //!
 //! The seeded per-replicate fan-out lives in `focus-stats`
-//! ([`null_distribution`]); this module supplies the resampling closure for
-//! each dataset shape, drawing *indices* so rows are never cloned.
+//! ([`null_distribution`]); [`qualify`] supplies the resampling over any
+//! [`Pool`] dataset, drawing *indices* so rows are never cloned.
 //!
 //! Each bootstrap replicate runs the full model-induction pipeline, so the
 //! fan-out over replicates dominates qualification cost. Every function here
@@ -23,13 +23,69 @@ use crate::data::{resample_indices, LabeledTable, TransactionSet};
 use focus_exec::Parallelism;
 use focus_stats::bootstrap::{null_distribution, BootstrapResult};
 
-/// Qualifies an observed deviation between two transaction datasets.
+/// A dataset the bootstrap can pool and resample: the transaction sets of
+/// lits-models and the labelled tables of dt-models.
+pub trait Pool: Sized {
+    /// Number of rows.
+    fn len(&self) -> usize;
+    /// Whether there are no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// `self`'s rows followed by `other`'s.
+    fn concat(&self, other: &Self) -> Self;
+    /// The rows at `indices`, in that order (repeats allowed).
+    fn subset(&self, indices: &[usize]) -> Self;
+}
+
+macro_rules! impl_pool {
+    ($($t:ty),*) => {$(
+        impl Pool for $t {
+            fn len(&self) -> usize { self.len() }
+            fn concat(&self, other: &Self) -> Self { self.concat(other) }
+            fn subset(&self, indices: &[usize]) -> Self { self.subset(indices) }
+        }
+    )*};
+}
+impl_pool!(TransactionSet, LabeledTable);
+
+/// Qualifies an observed deviation between two datasets, with the
+/// replicates fanned out over `par` worker threads.
 ///
 /// `stat` must be the complete pipeline "induce a model from each dataset,
 /// compute their deviation" — e.g. mine frequent itemsets at the original
-/// minimum support and evaluate `δ(f_a, g_sum)`.
+/// minimum support and evaluate `δ(f_a, g_sum)`, or build a tree on each
+/// pseudo-dataset. Each replicate draws `d1.len()` then `d2.len()` row
+/// indices from the pooled rows.
 ///
 /// Returns the bootstrap null distribution and the significance percentage.
+pub fn qualify<D, F>(
+    d1: &D,
+    d2: &D,
+    observed: f64,
+    reps: usize,
+    seed: u64,
+    par: Parallelism,
+    stat: F,
+) -> BootstrapResult
+where
+    D: Pool + Sync,
+    F: Fn(&D, &D) -> f64 + Sync,
+{
+    assert!(
+        !d1.is_empty() && !d2.is_empty(),
+        "datasets must be non-empty"
+    );
+    let pool = d1.concat(d2);
+    let null = null_distribution(reps, seed, par, |rng| {
+        let i1 = resample_indices(pool.len(), d1.len(), rng);
+        let i2 = resample_indices(pool.len(), d2.len(), rng);
+        stat(&pool.subset(&i1), &pool.subset(&i2))
+    });
+    BootstrapResult::new(observed, null)
+}
+
+/// [`qualify`] of two transaction datasets on [`Parallelism::Global`].
 pub fn qualify_transactions<F>(
     d1: &TransactionSet,
     d2: &TransactionSet,
@@ -41,63 +97,7 @@ pub fn qualify_transactions<F>(
 where
     F: Fn(&TransactionSet, &TransactionSet) -> f64 + Sync,
 {
-    qualify_transactions_par(d1, d2, observed, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`qualify_transactions`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
-pub fn qualify_transactions_par<F>(
-    d1: &TransactionSet,
-    d2: &TransactionSet,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    par: Parallelism,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&TransactionSet, &TransactionSet) -> f64 + Sync,
-{
-    assert!(
-        !d1.is_empty() && !d2.is_empty(),
-        "datasets must be non-empty"
-    );
-    let pool = d1.concat(d2);
-    let null = null_distribution(reps, seed, par, |rng| {
-        let i1 = resample_indices(pool.len(), d1.len(), rng);
-        let i2 = resample_indices(pool.len(), d2.len(), rng);
-        stat(&pool.subset(&i1), &pool.subset(&i2))
-    });
-    BootstrapResult::new(observed, null)
-}
-
-/// Qualifies an observed deviation between two labelled tables, with the
-/// replicates fanned out over `par` worker threads. Mirrors
-/// [`qualify_transactions`] for the dt-model pipeline (build a tree on each
-/// pseudo-dataset, compute the deviation).
-pub fn qualify_tables<F>(
-    d1: &LabeledTable,
-    d2: &LabeledTable,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    par: Parallelism,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&LabeledTable, &LabeledTable) -> f64 + Sync,
-{
-    assert!(
-        !d1.is_empty() && !d2.is_empty(),
-        "datasets must be non-empty"
-    );
-    let pool = d1.concat(d2);
-    let null = null_distribution(reps, seed, par, |rng| {
-        let i1 = resample_indices(pool.len(), d1.len(), rng);
-        let i2 = resample_indices(pool.len(), d2.len(), rng);
-        stat(&pool.subset(&i1), &pool.subset(&i2))
-    });
-    BootstrapResult::new(observed, null)
+    qualify(d1, d2, observed, reps, seed, Parallelism::Global, stat)
 }
 
 /// Bootstrap calibration of the chi-squared statistic (Section 5.2.2):
@@ -171,7 +171,7 @@ mod tests {
         let d1 = txn_dataset(1, 300, 0.5);
         let d2 = txn_dataset(2, 300, 0.5);
         let obs = item0_stat(&d1, &d2);
-        let r = qualify_transactions(&d1, &d2, obs, 99, 7, item0_stat);
+        let r = qualify(&d1, &d2, obs, 99, 7, Parallelism::Global, item0_stat);
         assert!(
             r.significance_percent < 99.0,
             "sig = {}",
@@ -184,7 +184,7 @@ mod tests {
         let d1 = txn_dataset(1, 300, 0.5);
         let d2 = txn_dataset(2, 300, 0.9);
         let obs = item0_stat(&d1, &d2);
-        let r = qualify_transactions(&d1, &d2, obs, 99, 7, item0_stat);
+        let r = qualify(&d1, &d2, obs, 99, 7, Parallelism::Global, item0_stat);
         assert!(
             r.significance_percent >= 99.0,
             "sig = {}",
@@ -227,20 +227,13 @@ mod tests {
         let par = Parallelism::Global;
 
         let obs_same = stump_deviation(&d1, &d_same);
-        let r_same = qualify_tables(&d1, &d_same, obs_same, 49, 11, par, stump_deviation);
-        assert!(
-            r_same.significance_percent < 99.0,
-            "same-process sig = {}",
-            r_same.significance_percent
-        );
+        let r_same = qualify(&d1, &d_same, obs_same, 49, 11, par, stump_deviation);
+        // Same process: not significant (19 of 49 replicates lie below).
+        assert_eq!(r_same.significance_percent, 38.775510204081634);
 
         let obs_shift = stump_deviation(&d1, &d_shift);
-        let r_shift = qualify_tables(&d1, &d_shift, obs_shift, 49, 11, par, stump_deviation);
-        assert!(
-            r_shift.significance_percent >= 95.0,
-            "shifted sig = {}",
-            r_shift.significance_percent
-        );
+        let r_shift = qualify(&d1, &d_shift, obs_shift, 49, 11, par, stump_deviation);
+        assert_eq!(r_shift.significance_percent, 100.0);
     }
 
     #[test]
@@ -283,8 +276,8 @@ mod tests {
         let d1 = txn_dataset(1, 100, 0.5);
         let d2 = txn_dataset(2, 100, 0.6);
         let obs = item0_stat(&d1, &d2);
-        let a = qualify_transactions(&d1, &d2, obs, 20, 99, item0_stat);
-        let b = qualify_transactions(&d1, &d2, obs, 20, 99, item0_stat);
+        let a = qualify(&d1, &d2, obs, 20, 99, Parallelism::Global, item0_stat);
+        let b = qualify(&d1, &d2, obs, 20, 99, Parallelism::Global, item0_stat);
         assert_eq!(a.null_distribution, b.null_distribution);
     }
 }

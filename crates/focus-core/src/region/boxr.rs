@@ -443,6 +443,16 @@ impl BoxIndex {
         }
     }
 
+    /// Number of boxes indexed.
+    pub fn len(&self) -> usize {
+        self.n_boxes
+    }
+
+    /// Whether no box is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.n_boxes == 0
+    }
+
     /// The first box containing `row`: `boxes.iter().position(|b|
     /// b.contains(row))`.
     pub fn first(&self, row: &[Value]) -> Option<usize> {

@@ -52,8 +52,8 @@ fn main() {
         let mb = miner.mine(b);
         deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
     };
-    let q_same = qualify_transactions(&d1, &d2, dev_same, 49, 7, pipeline);
-    let q_diff = qualify_transactions(&d1, &d3, dev_diff, 49, 7, pipeline);
+    let q_same = qualify(&d1, &d2, dev_same, 49, 7, par, pipeline);
+    let q_diff = qualify(&d1, &d3, dev_diff, 49, 7, par, pipeline);
     println!(
         "significance: same-process {:.0}%, different-process {:.0}%",
         q_same.significance_percent, q_diff.significance_percent

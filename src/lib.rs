@@ -28,7 +28,7 @@
 //! let delta = |a: &TransactionSet, b: &TransactionSet| {
 //!     deviate::<LitsFamily>(&miner.mine(a), a, &miner.mine(b), b, f, g, par).value
 //! };
-//! let q = qualify_transactions(&d1, &d2, delta(&d1, &d2), 19, 7, delta);
+//! let q = qualify(&d1, &d2, delta(&d1, &d2), 19, 7, par, delta);
 //! // Same process ⇒ the deviation is not in the extreme tail of the null.
 //! assert!(!q.is_significant(0.01), "sig = {}", q.significance_percent);
 //! ```

@@ -138,7 +138,7 @@ proptest! {
         let m1 = DecisionTree::fit(&d1, params).to_model();
         let m2 = DecisionTree::fit(&d2, params).to_model();
 
-        let counts_seq = count_partition(&d1, m1.leaves(), 2, Parallelism::Sequential);
+        let counts_seq = count_partition(&d1, m1.index(), 2, Parallelism::Sequential);
         let dev_seq = deviate::<DtFamily>(
             &m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, Parallelism::Sequential,
         );
@@ -146,7 +146,7 @@ proptest! {
         for t in THREADS {
             let par = Parallelism::Threads(t);
             prop_assert_eq!(
-                &count_partition(&d1, m1.leaves(), 2, par), &counts_seq,
+                &count_partition(&d1, m1.index(), 2, par), &counts_seq,
                 "partition counts, threads = {}", t
             );
             let dev = deviate::<DtFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, par);
@@ -228,12 +228,43 @@ proptest! {
         };
         let observed = pipeline(&d1, &d2);
 
-        let q_seq = qualify_transactions_par(
+        let q_seq = qualify(
             &d1, &d2, observed, 12, seed, Parallelism::Sequential, pipeline,
         );
         for t in THREADS {
-            let q = qualify_transactions_par(
+            let q = qualify(
                 &d1, &d2, observed, 12, seed, Parallelism::Threads(t), pipeline,
+            );
+            assert_bits_eq(&q.null_distribution, &q_seq.null_distribution, "null distribution");
+            prop_assert_eq!(q.significance_percent.to_bits(),
+                            q_seq.significance_percent.to_bits(),
+                            "significance, threads = {}", t);
+        }
+    }
+
+    /// The same bootstrap over labelled tables, with a tree fitted per
+    /// pseudo-dataset (the Figure 14 pipeline).
+    #[test]
+    fn table_qualification_bit_identical(seed in 0u64..1_000_000,
+                                         data_seed in 0u64..1_000_000,
+                                         n in 150usize..300) {
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
+        let d1 = random_labeled_2attr(n, 40.0, 0.05, data_seed);
+        let d2 = random_labeled_2attr(n + 7, 60.0, 0.05, data_seed ^ 0xABCD);
+        let params = TreeParams::default().max_depth(3).min_leaf(10);
+        let pipeline = |a: &LabeledTable, b: &LabeledTable| {
+            let ma = DecisionTree::fit(a, params).to_model();
+            let mb = DecisionTree::fit(b, params).to_model();
+            deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
+        };
+        let observed = pipeline(&d1, &d2);
+
+        let q_seq = qualify(
+            &d1, &d2, observed, 8, seed, Parallelism::Sequential, pipeline,
+        );
+        for t in THREADS {
+            let q = qualify(
+                &d1, &d2, observed, 8, seed, Parallelism::Threads(t), pipeline,
             );
             assert_bits_eq(&q.null_distribution, &q_seq.null_distribution, "null distribution");
             prop_assert_eq!(q.significance_percent.to_bits(),
@@ -556,6 +587,7 @@ fn large_scan_splits_chunks_and_stays_identical() {
         BoxBuilder::new(schema).lt("x", 50.0).build(),
         BoxBuilder::new(schema).ge("x", 50.0).build(),
     ];
+    let leaves = BoxIndex::new(&leaves);
     let seq = count_partition(&labeled, &leaves, 2, Parallelism::Sequential);
     for t in THREADS {
         assert_eq!(

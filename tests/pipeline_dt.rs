@@ -44,20 +44,13 @@ fn qualification_separates_null_from_drift() {
     let par = Parallelism::Global;
 
     let obs_same = deviation(&d1, &d_same);
-    let q_same = qualify_tables(&d1, &d_same, obs_same, 19, 5, par, deviation);
-    assert!(
-        q_same.significance_percent < 99.0,
-        "same-process sig {}",
-        q_same.significance_percent
-    );
+    let q_same = qualify(&d1, &d_same, obs_same, 19, 5, par, deviation);
+    // Not significant: 6 of 19 replicates lie below.
+    assert_eq!(q_same.significance_percent, 31.57894736842105);
 
     let obs_drift = deviation(&d1, &d_drift);
-    let q_drift = qualify_tables(&d1, &d_drift, obs_drift, 19, 5, par, deviation);
-    assert!(
-        q_drift.significance_percent >= 99.0,
-        "drift sig {}",
-        q_drift.significance_percent
-    );
+    let q_drift = qualify(&d1, &d_drift, obs_drift, 19, 5, par, deviation);
+    assert_eq!(q_drift.significance_percent, 100.0);
 }
 
 #[test]

@@ -33,12 +33,9 @@ fn same_process_deviation_is_small_and_insignificant() {
     let d1 = process.generate(2500, 1);
     let d2 = process.generate(2500, 2);
     let obs = deviation(&d1, &d2);
-    let q = qualify_transactions(&d1, &d2, obs, 29, 9, deviation);
-    assert!(
-        q.significance_percent < 99.0,
-        "same process flagged: sig {}",
-        q.significance_percent
-    );
+    let q = qualify(&d1, &d2, obs, 29, 9, Parallelism::Global, deviation);
+    // Not flagged: 24 of 29 replicates lie below.
+    assert_eq!(q.significance_percent, 82.75862068965517);
 }
 
 #[test]
@@ -50,12 +47,8 @@ fn drifted_process_deviation_is_large_and_significant() {
     let d1 = p1.generate(2500, 1);
     let d2 = p2.generate(2500, 2);
     let obs = deviation(&d1, &d2);
-    let q = qualify_transactions(&d1, &d2, obs, 29, 9, deviation);
-    assert!(
-        q.significance_percent >= 99.0,
-        "drift missed: sig {}",
-        q.significance_percent
-    );
+    let q = qualify(&d1, &d2, obs, 29, 9, Parallelism::Global, deviation);
+    assert_eq!(q.significance_percent, 100.0);
     // The drifted deviation dwarfs the same-process one.
     let same = deviation(&d1, &p1.generate(2500, 7));
     assert!(obs > 2.0 * same, "obs {obs} vs same-process {same}");

@@ -106,6 +106,7 @@ fn theorem_4_3_gcr_least_deviation_dt() {
         finer.push(c.region.clone());
     }
     assert!(finer.len() > cells.len(), "the refinement must be strict");
+    let finer = BoxIndex::new(&finer);
     let counts1 = count_partition(&d1, &finer, 2, Parallelism::Global);
     let counts2 = count_partition(&d2, &finer, 2, Parallelism::Global);
     let at_finer = deviation_fixed(

@@ -430,7 +430,7 @@ fn deviate(flags: &Flags) -> Result<(), String> {
 fn deviate_of<F: Fit>(flags: &Flags) -> Result<(), String> {
     let (f, g) = (diff_fn(flags)?, agg_fn(flags)?);
     let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
-    let (d1, d2) = (F::load(p1)?, F::load(p2)?);
+    let (d1, d2) = load_pair::<F>(p1, p2)?;
     F::comparable(p1, &d1, p2, &d2)?;
     let (s1, s2) = (F::source(&d1), F::source(&d2));
     let (m1, m2) = (F::fit(flags, &s1)?, F::fit(flags, &s2)?);
@@ -462,7 +462,7 @@ fn qualify(flags: &Flags) -> Result<(), String> {
     // Bootstrap resampling draws from the pooled rows, so both sides need
     // at least one.
     let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
-    let (d1, d2) = (LitsFamily::load(p1)?, LitsFamily::load(p2)?);
+    let (d1, d2) = load_pair::<LitsFamily>(p1, p2)?;
     require_rows(p1, d1.len())?;
     require_rows(p2, d2.len())?;
     let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
@@ -538,8 +538,9 @@ fn warn_torn(reg: &Registry) {
 
 /// How the CLI reads and fits one model family: the one load-and-fit path
 /// of `deviate` and `registry-add`. `fit` reads only the family's own
-/// [`KIND_FLAGS`] entry.
-trait Fit: SnapshotFamily {
+/// [`KIND_FLAGS`] entry. Datasets are `Send` so that [`load_pair`] can
+/// read two at once.
+trait Fit: SnapshotFamily<Dataset: Send> {
     /// Reads the dataset at `path`; errors name the file.
     fn load(path: &str) -> Result<Self::Dataset, String>;
     /// Rejects, naming both files, two datasets no deviation can compare.
@@ -602,6 +603,14 @@ impl Fit for ClusterFamily {
             .fit(data, Parallelism::Global)
             .to_model(data))
     }
+}
+
+/// Loads the datasets at `p1` and `p2` concurrently; when both fail, the
+/// error names `p1`. Only the reads run side by side: a fit nested in
+/// `join`'s spawned side would fan out on top of the other side's threads.
+fn load_pair<F: Fit>(p1: &str, p2: &str) -> Result<(F::Dataset, F::Dataset), String> {
+    let (d1, d2) = focus_exec::join(Parallelism::Global, || F::load(p1), || F::load(p2));
+    Ok((d1?, d2?))
 }
 
 /// Opens the registry at `dir`, creating it (flat, or with `layout`) if

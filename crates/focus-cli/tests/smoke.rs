@@ -691,6 +691,57 @@ fn qualify_rejects_zero_replicates() {
 }
 
 #[test]
+fn pairwise_commands_name_the_first_missing_input() {
+    // Both inputs are read at once; with both missing, the error still
+    // names `--d1`, as a one-after-the-other read would.
+    let dir = scratch("missing-input");
+    let (txt, tbl) = (dir.join("d.txt"), dir.join("d.tbl"));
+    run(&[
+        "gen-assoc",
+        "--out",
+        path_str(&txt),
+        "--n",
+        "100",
+        "--pats",
+        "20",
+    ]);
+    run(&[
+        "gen-class",
+        "--out",
+        path_str(&tbl),
+        "--n",
+        "100",
+        "--function",
+        "F2",
+    ]);
+    let (m1, m2) = (dir.join("m1"), dir.join("m2"));
+    let (m1, m2) = (path_str(&m1), path_str(&m2));
+    for (command, kind, present) in [
+        ("deviate", "lits", &txt),
+        ("deviate", "dt", &tbl),
+        ("deviate", "cluster", &tbl),
+        ("qualify", "lits", &txt),
+    ] {
+        let mut args = vec![command, "--d1", m1, "--d2", m2];
+        if command == "deviate" {
+            args.extend(["--kind", kind]);
+        }
+        let err = run_fail(&args);
+        assert!(
+            err.starts_with(&format!("error: {m1}: ")),
+            "{args:?}: {err}"
+        );
+        args[2] = path_str(present);
+        let err = run_fail(&args);
+        assert!(
+            err.starts_with(&format!("error: {m2}: ")),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn registry_add_rejects_too_many_shards() {
     // Shard directories are named `shard-NNN`, so a count above 1000 is
     // rejected before the registry directory is made.

@@ -27,15 +27,16 @@ fn run(cfg: ExpConfig) {
     use focus_data::classify::{ClassifyFn, ClassifyGen};
     use focus_exec::Parallelism;
 
-    let scales = [0.02, 0.05, 0.1, 0.2];
+    // Multiples of the base size: 20k–200k rows at the default scale.
+    let multiples = [1.0, 2.5, 5.0, 10.0];
     eprintln!(
         "# Ablation: bootstrap-null width vs scale ({} reps per scale)",
         cfg.reps.max(9)
     );
     let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for scale in scales {
-        let n = (1_000_000.0 * scale) as usize;
+    for k in multiples {
+        let n = (cfg.base_rows() as f64 * k) as usize;
         let d = ClassifyGen::new(ClassifyFn::F1).generate(n, cfg.seed);
         let block = ClassifyGen::new(ClassifyFn::F3).generate(n / 20, cfg.seed ^ 1);
         let d_plus = d.concat(&block);

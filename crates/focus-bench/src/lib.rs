@@ -85,12 +85,19 @@ pub fn fmt_sig(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// The short git commit hash of the working tree, for the machine-context
+/// The short git commit hash of the working tree, with a `-dirty` suffix
+/// when tracked files have uncommitted changes, for the machine-context
 /// fields appended to bench JSON lines; `"unknown"` when git (or a repo)
 /// is unavailable, so bench bins never fail over provenance.
 pub fn git_commit() -> String {
+    commit_of(std::path::Path::new("."))
+}
+
+/// [`git_commit`] for the repository containing `dir`.
+fn commit_of(dir: &std::path::Path) -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(dir)
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -121,5 +128,36 @@ mod tests {
     fn git_commit_is_nonempty() {
         // In a checkout this is the short hash; outside one, the fallback.
         assert!(!git_commit().is_empty());
+    }
+
+    #[test]
+    fn uncommitted_changes_mark_the_commit_dirty() {
+        let dir = std::env::temp_dir().join(format!("focus-bench-git-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .current_dir(&dir)
+                .args(["-c", "user.name=bench", "-c", "user.email=bench@localhost"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+        };
+        if git(&["init", "-q"]).is_err() {
+            std::fs::remove_dir_all(&dir).ok();
+            eprintln!("git is not installed; skipping");
+            return;
+        }
+        std::fs::write(dir.join("a.txt"), "1\n").unwrap();
+        assert!(git(&["add", "a.txt"]).unwrap().status.success());
+        assert!(git(&["commit", "-q", "-m", "one"])
+            .unwrap()
+            .status
+            .success());
+        let clean = commit_of(&dir);
+        assert_eq!(clean.len(), 7, "{clean}");
+        assert!(clean.bytes().all(|b| b.is_ascii_hexdigit()), "{clean}");
+        std::fs::write(dir.join("a.txt"), "2\n").unwrap();
+        assert_eq!(commit_of(&dir), format!("{clean}-dirty"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1014,6 +1014,57 @@ fn malformed_inputs_are_named_errors() {
 }
 
 #[test]
+fn bound_rejects_model_fractions_outside_the_unit_interval() {
+    // `minsup 2` used to panic in `LitsModel::new` (exit 101); a support
+    // of 7.5 or nan made `bound` print NaN and exit 0.
+    let dir = scratch("model-fractions");
+    let good = dir.join("good.model");
+    std::fs::write(&good, "#lits-model minsup 0.1 n 10\n1 | 0.5\n").unwrap();
+    let good = path_str(&good);
+    assert_eq!(
+        stdout(&run(&["bound", "--m1", good, "--m2", good])).trim(),
+        "0.000000"
+    );
+    for (file, text, expected) in [
+        (
+            "minsup.model",
+            "#lits-model minsup 2 n 10\n1 | 0.5\n",
+            "line 1: minsup 2 is not a fraction in [0, 1]",
+        ),
+        (
+            "minsup-nan.model",
+            "#lits-model minsup nan n 10\n",
+            "line 1: minsup NaN is not a fraction in [0, 1]",
+        ),
+        (
+            "support.model",
+            "#lits-model minsup 0.1 n 10\n1 | 7.5\n",
+            "line 2: support 7.5 is not a fraction in [0, 1]",
+        ),
+        (
+            "support-nan.model",
+            "#lits-model minsup 0.1 n 10\n1 | 0.5\n2 | nan\n",
+            "line 3: support NaN is not a fraction in [0, 1]",
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, text).unwrap();
+        let p = path_str(&path);
+        for args in [
+            ["bound", "--m1", p, "--m2", good],
+            ["bound", "--m1", good, "--m2", p],
+        ] {
+            let err = run_fail(&args);
+            assert!(
+                err.contains(&format!("{p}: {expected}")),
+                "{args:?} must name {p} and {expected:?}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn format_flag_does_not_pick_a_layout() {
     // `--format bin` alone used to ask for a flat layout, so adding to a
     // sharded registry with it failed with `asked for shards=0`.

@@ -12,6 +12,11 @@
 //! [`focus_core::model::ClusterModel`] ready for
 //! [`deviate::<ClusterFamily>`](focus_core::deviation::deviate).
 //!
+//! k-means is the only clustering algorithm: `deviate --kind cluster`,
+//! `registry-add --kind cluster`, the bench bins and the examples all fit
+//! with it. The paper cites BIRCH as its cluster substrate, but FOCUS only
+//! needs the exported regions and measures, not the algorithm behind them.
+//!
 //! ```
 //! use focus_core::data::{Schema, Table, Value};
 //! use focus_cluster::{KMeans, KMeansParams};
@@ -32,8 +37,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod birch;
 pub mod kmeans;
 
-pub use birch::{Birch, BirchParams, BirchResult, ClusteringFeature};
 pub use kmeans::{KMeans, KMeansParams, KMeansResult};

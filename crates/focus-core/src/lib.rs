@@ -108,8 +108,7 @@ pub mod prelude {
         ClusterModel, DtModel, LitsModel,
     };
     pub use crate::monitor::{
-        chi_squared_statistic, chi_squared_test, me_via_deviation, misclassification_error,
-        predicted_dataset, ChiSquaredFit,
+        chi_squared_statistic, me_via_deviation, misclassification_error, predicted_dataset,
     };
     pub use crate::ops::{
         lits_difference, lits_intersection, lits_union, partition_difference,

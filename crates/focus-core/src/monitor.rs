@@ -12,6 +12,10 @@
 //! * **Chi-squared goodness of fit** (Proposition 5.1): the `X²` statistic
 //!   with expected counts from `D1`'s measures and observed counts from
 //!   `D2`, i.e. `δ(f_χ², g_sum)` over the old structure.
+//!
+//! The asymptotic χ² tables are unreliable when many expected counts are
+//! small (Section 5.2.2), so a significance for [`chi_squared_statistic`]
+//! comes from the bootstrap in [`crate::qualify::qualify_chi_squared`].
 
 use crate::data::LabeledTable;
 use crate::deviation::deviation_fixed;
@@ -91,35 +95,6 @@ pub fn chi_squared_statistic(model: &DtModel, d2: &LabeledTable, c: f64, par: Pa
         f.eval(model.measures()[i] * n1, observed[i] as f64, n1, n2)
     });
     per_cell.into_iter().sum()
-}
-
-/// Result of a chi-squared goodness-of-fit test against a dt-model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquaredFit {
-    /// The statistic `X²`.
-    pub statistic: f64,
-    /// Degrees of freedom used for the asymptotic p-value
-    /// (`cells − 1`, the classical choice for a fully specified model).
-    pub dof: f64,
-    /// Asymptotic p-value `P(χ²_dof > statistic)`. **Caveat** (Section
-    /// 5.2.2): when many cells have expected counts below 5 this asymptotic
-    /// value is unreliable — use the bootstrap in [`crate::qualify`] instead.
-    pub p_value: f64,
-}
-
-/// Runs the chi-squared goodness-of-fit test with the asymptotic reference
-/// distribution. See [`ChiSquaredFit::p_value`] for the applicability
-/// caveat; the bootstrap path is in [`crate::qualify`].
-pub fn chi_squared_test(model: &DtModel, d2: &LabeledTable, c: f64) -> ChiSquaredFit {
-    let statistic = chi_squared_statistic(model, d2, c, Parallelism::Global);
-    let cells = model.leaves().len() * model.n_classes() as usize;
-    let dof = (cells.max(2) - 1) as f64;
-    let p_value = focus_stats::ChiSquared::new(dof).sf(statistic);
-    ChiSquaredFit {
-        statistic,
-        dof,
-        p_value,
-    }
 }
 
 #[cfg(test)]
@@ -210,21 +185,6 @@ mod tests {
             "got {shifted}"
         );
         assert!(shifted > same + 5.0);
-    }
-
-    #[test]
-    fn chi_squared_test_p_values() {
-        let (_s, d1, d2, t) = fixture();
-        let fit_same = chi_squared_test(&t, &d1, 0.5);
-        let fit_shift = chi_squared_test(&t, &d2, 0.5);
-        assert!(fit_same.p_value > 0.3, "p = {}", fit_same.p_value);
-        assert!(
-            fit_shift.p_value < fit_same.p_value / 5.0,
-            "p = {} vs {}",
-            fit_shift.p_value,
-            fit_same.p_value
-        );
-        assert_eq!(fit_same.dof, 3.0);
     }
 
     #[test]

@@ -43,7 +43,25 @@ pub fn write_lits_model<W: Write>(model: &LitsModel, w: W) -> std::io::Result<()
     w.flush()
 }
 
-/// Reads a lits-model written by [`write_lits_model`].
+/// Parses a minsup or support, which must be a fraction in `[0, 1]` (so not
+/// NaN): [`LitsModel::new`] asserts it of the minsup, and one support
+/// outside it makes every deviation of the model NaN or meaningless.
+/// Errors name the 1-based line.
+fn fraction(what: &str, text: &str, line: usize) -> std::io::Result<f64> {
+    let v: f64 = text
+        .trim()
+        .parse()
+        .map_err(|e| bad(&format!("line {line}: bad {what}: {e}")))?;
+    if !(0.0..=1.0).contains(&v) {
+        return Err(bad(&format!(
+            "line {line}: {what} {v} is not a fraction in [0, 1]"
+        )));
+    }
+    Ok(v)
+}
+
+/// Reads a lits-model written by [`write_lits_model`]. A minsup or support
+/// that is not a fraction in `[0, 1]` is `InvalidData` naming its line.
 pub fn read_lits_model<R: Read>(r: R) -> std::io::Result<LitsModel> {
     let mut lines = BufReader::new(r).lines();
     let header = lines.next().ok_or_else(|| bad("empty model file"))??;
@@ -51,12 +69,11 @@ pub fn read_lits_model<R: Read>(r: R) -> std::io::Result<LitsModel> {
         .strip_prefix("#lits-model minsup ")
         .ok_or_else(|| bad("missing lits-model header"))?;
     let mut parts = rest.split(" n ");
-    let minsup: f64 = parts
-        .next()
-        .ok_or_else(|| bad("missing minsup"))?
-        .trim()
-        .parse()
-        .map_err(|e| bad(&format!("bad minsup: {e}")))?;
+    let minsup = fraction(
+        "minsup",
+        parts.next().ok_or_else(|| bad("missing minsup"))?,
+        1,
+    )?;
     let n: u64 = parts
         .next()
         .ok_or_else(|| bad("missing n"))?
@@ -65,7 +82,7 @@ pub fn read_lits_model<R: Read>(r: R) -> std::io::Result<LitsModel> {
         .map_err(|e| bad(&format!("bad n: {e}")))?;
     let mut itemsets = Vec::new();
     let mut supports = Vec::new();
-    for line in lines {
+    for (i, line) in lines.enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
@@ -77,12 +94,8 @@ pub fn read_lits_model<R: Read>(r: R) -> std::io::Result<LitsModel> {
             .split_whitespace()
             .map(|t| t.parse().map_err(|e| bad(&format!("bad item: {e}"))))
             .collect::<Result<_, _>>()?;
-        let sup: f64 = sup_part
-            .trim()
-            .parse()
-            .map_err(|e| bad(&format!("bad support: {e}")))?;
         itemsets.push(Itemset::new(items));
-        supports.push(sup);
+        supports.push(fraction("support", sup_part, i + 2)?);
     }
     Ok(LitsModel::new(itemsets, supports, minsup, n))
 }
@@ -124,5 +137,39 @@ mod tests {
             read_lits_model("#lits-model minsup 0.1 n 10\n1 2 0.5\n".as_bytes()).is_err(),
             "missing '|' separator must fail"
         );
+    }
+
+    #[test]
+    fn rejects_minsup_and_supports_outside_the_unit_interval() {
+        for (text, expected) in [
+            (
+                "#lits-model minsup 2 n 10\n",
+                "line 1: minsup 2 is not a fraction in [0, 1]",
+            ),
+            (
+                "#lits-model minsup nan n 10\n",
+                "line 1: minsup NaN is not a fraction in [0, 1]",
+            ),
+            (
+                "#lits-model minsup 0.1 n 10\n1 | 0.5\n\n2 | 7.5\n",
+                "line 4: support 7.5 is not a fraction in [0, 1]",
+            ),
+            (
+                "#lits-model minsup 0.1 n 10\n1 | nan\n",
+                "line 2: support NaN is not a fraction in [0, 1]",
+            ),
+            (
+                "#lits-model minsup 0.1 n 10\n1 | -inf\n",
+                "line 2: support -inf is not a fraction in [0, 1]",
+            ),
+            (
+                "#lits-model minsup 0.1 n 10\n1 | x\n",
+                "line 2: bad support: invalid float literal",
+            ),
+        ] {
+            let err = read_lits_model(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
+            assert_eq!(err.to_string(), expected, "{text:?}");
+        }
     }
 }

@@ -24,8 +24,8 @@
 //! line takes the general `split_whitespace` path, so both paths accept
 //! the same language and report the same errors. Every malformed input is
 //! an [`InvalidData`](std::io::ErrorKind::InvalidData) error, never a
-//! panic. Out-of-range ids, every table row error, late headers and
-//! invalid UTF-8 name their 1-based line (`line 3: …`).
+//! panic. Bad or out-of-range ids, every table row error, late headers
+//! and invalid UTF-8 name their 1-based line (`line 3: …`).
 //!
 //! Both formats round-trip exactly (floats via Rust's shortest-round-trip
 //! formatting).
@@ -75,7 +75,7 @@ pub fn read_transactions<R: Read>(r: R) -> std::io::Result<TransactionSet> {
             for t in utf8(&line, lineno)?.split_whitespace() {
                 items.push(
                     t.parse()
-                        .map_err(|e| bad(&format!("bad item {t:?}: {e}")))?,
+                        .map_err(|e| bad(&format!("line {lineno}: bad item {t:?}: {e}")))?,
                 );
             }
         }
@@ -454,16 +454,18 @@ mod tests {
             .parse()
             .map_err(|e| bad(&format!("bad #items value: {e}")))?;
         let mut out = TransactionSet::new(n_items);
-        for (lineno, line) in lines.enumerate() {
-            let line = line?;
+        for (i, line) in lines.enumerate() {
+            let (line, lineno) = (line?, i + 2);
             let items: Vec<u32> = line
                 .split_whitespace()
-                .map(|t| t.parse().map_err(|e| bad(&format!("bad item {t:?}: {e}"))))
+                .map(|t| {
+                    t.parse()
+                        .map_err(|e| bad(&format!("line {lineno}: bad item {t:?}: {e}")))
+                })
                 .collect::<Result<_, _>>()?;
             if let Some(&item) = items.iter().find(|&&i| i >= n_items) {
                 return Err(bad(&format!(
-                    "line {}: item {item} out of range 0..{n_items}",
-                    lineno + 2
+                    "line {lineno}: item {item} out of range 0..{n_items}"
                 )));
             }
             out.push(items);
@@ -511,6 +513,7 @@ mod tests {
             "#items 10\n1\n2 10\n",
             "#items 10\n1\n12 x\n",
             "#items 10\n1\nx 12\n",
+            "#items 10\n1\nx 12",
             "#items 10\n-1\n",
             "#items 10\n1,2\n",
             "#items 10\r\n",
@@ -524,6 +527,11 @@ mod tests {
         for text in cases {
             assert_same_as_reference(text.as_bytes());
         }
+        let err = read_transactions("#items 10\n1\nx 12".as_bytes()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: bad item \"x\": invalid digit found in string"
+        );
     }
 
     /// Small inputs of each format for the byte sweeps below.

@@ -719,6 +719,21 @@ pub fn decode_lits_model(bytes: &[u8]) -> Result<LitsModel, BinError> {
     supp.done()?;
     dec.finish()?;
 
+    // `LitsModel::new` asserts this of the minsup; the checksums cannot
+    // rule out a forged value.
+    let fraction = |v: f64| (0.0..=1.0).contains(&v);
+    if !fraction(minsup) {
+        return Err(BinError::Malformed {
+            section: "HEAD",
+            what: format!("minsup {minsup} is not a fraction in [0, 1]"),
+        });
+    }
+    if let Some((k, sup)) = supports.iter().enumerate().find(|(_, &s)| !fraction(s)) {
+        return Err(BinError::Malformed {
+            section: "SUPP",
+            what: format!("support {sup} of itemset {k} is not a fraction in [0, 1]"),
+        });
+    }
     if offsets.first() != Some(&0) || offsets.last() != Some(&(total as u64)) {
         return Err(BinError::Malformed {
             section: "OFFS",
@@ -1370,6 +1385,39 @@ mod tests {
                 let err = decode(&bytes[..mid]).unwrap_err();
                 assert_eq!(err, BinError::Truncated(section), "truncate in {tag}");
             }
+        }
+    }
+
+    /// Overwrites the first 8 payload bytes of section `tag` with `v`
+    /// and recomputes that section's checksum, as a forger could.
+    fn forge_f64(bytes: &[u8], tag: &str, v: f64) -> Vec<u8> {
+        let (_, range) = sections_of(bytes)
+            .into_iter()
+            .find(|(t, _)| t == tag)
+            .unwrap();
+        let mut forged = bytes.to_vec();
+        forged[range.start..range.start + 8].copy_from_slice(&v.to_le_bytes());
+        let sum = checksum64(&forged[range.clone()]);
+        forged[range.end..range.end + 8].copy_from_slice(&sum.to_le_bytes());
+        forged
+    }
+
+    #[test]
+    fn forged_minsup_and_supports_outside_the_unit_interval_are_named() {
+        let lits = LitsModel::new(vec![Itemset::from_slice(&[1, 4])], vec![0.25], 0.1, 1_000);
+        let bytes = encode_lits_model(&lits);
+        let forged = decode_lits_model(&forge_f64(&bytes, "SUPP", 0.5)).unwrap();
+        assert_eq!(forged.supports(), [0.5]);
+        for (tag, v, what) in [
+            ("HEAD", 2.0, "minsup 2"),
+            ("HEAD", f64::NAN, "minsup NaN"),
+            ("SUPP", 7.5, "support 7.5 of itemset 0"),
+            ("SUPP", f64::NAN, "support NaN of itemset 0"),
+            ("SUPP", -1.0, "support -1 of itemset 0"),
+        ] {
+            let err = decode_lits_model(&forge_f64(&bytes, tag, v)).unwrap_err();
+            let what = format!("{what} is not a fraction in [0, 1]");
+            assert_eq!(err, BinError::Malformed { section: tag, what });
         }
     }
 

@@ -78,34 +78,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     sxy / (sxx * syy).sqrt()
 }
 
-/// Spearman rank correlation: Pearson correlation of the rank vectors
-/// (average ranks for ties). Robust to monotone-nonlinear relationships —
-/// a useful companion to [`pearson`] for the ME-vs-deviation study.
-pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "spearman requires equal-length samples");
-    pearson(&ranks(xs), &ranks(ys))
-}
-
-/// Average ranks (1-based) of a sample, ties sharing their mean rank.
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in ranks"));
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && xs[order[j + 1]] == xs[order[i]] {
-            j += 1;
-        }
-        let avg = (i + 1 + j + 1) as f64 / 2.0;
-        for &idx in &order[i..=j] {
-            out[idx] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,22 +130,5 @@ mod tests {
     #[should_panic(expected = "equal-length")]
     fn pearson_length_mismatch_panics() {
         pearson(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear_is_one() {
-        let xs = [1.0f64, 2.0, 3.0, 4.0, 5.0];
-        let ys: Vec<f64> = xs.iter().map(|x| x.exp()).collect();
-        assert!((spearman(&xs, &ys) - 1.0).abs() < 1e-12);
-        let zs: Vec<f64> = xs.iter().map(|x| -x.exp()).collect();
-        assert!((spearman(&xs, &zs) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        // Ties get average ranks; a perfectly tied sample correlates 0.
-        assert_eq!(spearman(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-        let r = spearman(&[1.0, 2.0, 2.0, 3.0], &[10.0, 20.0, 20.0, 30.0]);
-        assert!((r - 1.0).abs() < 1e-12);
     }
 }

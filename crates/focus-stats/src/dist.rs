@@ -1,73 +1,12 @@
-//! Probability distributions: chi-squared and normal.
+//! The normal distribution.
 //!
-//! FOCUS uses the chi-squared distribution to read off the significance of
-//! the goodness-of-fit statistic (Section 5.2.2) and the normal distribution
-//! for the large-sample approximation of the Wilcoxon rank-sum test
-//! (Section 6). Quantiles are obtained by monotone bisection on the CDF,
-//! which is plenty fast for the handful of calls the experiments make.
+//! FOCUS uses the standard normal for the large-sample approximation of the
+//! Wilcoxon rank-sum test (Section 6). The significance of the chi-squared
+//! statistic of Section 5.2.2 comes from the bootstrap
+//! (`focus_core::qualify::qualify_chi_squared`), not from the asymptotic
+//! tables, which are unreliable when expected counts are small.
 
-use crate::special::{erf, erfc, gamma_p, gamma_q};
-
-/// Chi-squared distribution with `k` degrees of freedom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquared {
-    k: f64,
-}
-
-impl ChiSquared {
-    /// Creates a chi-squared distribution with `k > 0` degrees of freedom.
-    pub fn new(k: f64) -> Self {
-        assert!(k > 0.0, "degrees of freedom must be positive, got {k}");
-        Self { k }
-    }
-
-    /// Degrees of freedom.
-    pub fn dof(&self) -> f64 {
-        self.k
-    }
-
-    /// Cumulative distribution function `P(X ≤ x)`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            gamma_p(self.k / 2.0, x / 2.0)
-        }
-    }
-
-    /// Survival function `P(X > x)`; this is the p-value of an observed
-    /// chi-squared statistic `x`.
-    pub fn sf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            1.0
-        } else {
-            gamma_q(self.k / 2.0, x / 2.0)
-        }
-    }
-
-    /// Quantile function (inverse CDF) by bisection; `p` must be in `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..1.0).contains(&p) && p > 0.0, "p must be in (0,1)");
-        // Bracket: the mean is k, the variance 2k; go far enough right.
-        let mut lo = 0.0;
-        let mut hi = self.k + 20.0 * (2.0 * self.k).sqrt() + 20.0;
-        while self.cdf(hi) < p {
-            hi *= 2.0;
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if hi - lo < 1e-12 * (1.0 + hi) {
-                break;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-}
+use crate::special::{erf, erfc};
 
 /// Normal (Gaussian) distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,12 +24,6 @@ impl Normal {
         }
     }
 
-    /// Normal with mean `mu` and standard deviation `sigma > 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "sigma must be positive, got {sigma}");
-        Self { mu, sigma }
-    }
-
     /// Cumulative distribution function.
     pub fn cdf(&self, x: f64) -> f64 {
         let z = (x - self.mu) / self.sigma;
@@ -104,22 +37,6 @@ impl Normal {
         let z = (x - self.mu) / self.sigma;
         0.5 * erfc(z / std::f64::consts::SQRT_2)
     }
-
-    /// Quantile function by bisection; `p` must be in `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "p must be in (0,1)");
-        let mut lo = self.mu - 40.0 * self.sigma;
-        let mut hi = self.mu + 40.0 * self.sigma;
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
 }
 
 #[cfg(test)]
@@ -128,40 +45,6 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
-    }
-
-    #[test]
-    fn chi2_cdf_reference() {
-        // Classical table values: P(X ≤ 3.841) = 0.95 for k = 1,
-        // P(X ≤ 5.991) = 0.95 for k = 2, P(X ≤ 7.815) = 0.95 for k = 3.
-        close(ChiSquared::new(1.0).cdf(3.841_458_8), 0.95, 1e-6);
-        close(ChiSquared::new(2.0).cdf(5.991_464_5), 0.95, 1e-6);
-        close(ChiSquared::new(3.0).cdf(7.814_727_9), 0.95, 1e-6);
-    }
-
-    #[test]
-    fn chi2_k2_is_exponential() {
-        // With k = 2 the chi-squared is Exp(1/2): CDF = 1 - e^{-x/2}.
-        let d = ChiSquared::new(2.0);
-        for &x in &[0.5, 1.0, 3.0, 10.0] {
-            close(d.cdf(x), 1.0 - (-x / 2.0_f64).exp(), 1e-12);
-        }
-    }
-
-    #[test]
-    fn chi2_quantile_roundtrip() {
-        let d = ChiSquared::new(5.0);
-        for &p in &[0.01, 0.25, 0.5, 0.9, 0.999] {
-            close(d.cdf(d.quantile(p)), p, 1e-9);
-        }
-    }
-
-    #[test]
-    fn chi2_sf_complement() {
-        let d = ChiSquared::new(4.0);
-        for &x in &[0.1, 1.0, 5.0, 20.0] {
-            close(d.cdf(x) + d.sf(x), 1.0, 1e-12);
-        }
     }
 
     #[test]
@@ -174,36 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn normal_scaled() {
-        let n = Normal::new(10.0, 2.0);
-        close(n.cdf(10.0), 0.5, 1e-12);
-        close(n.cdf(12.0), Normal::standard().cdf(1.0), 1e-12);
-    }
-
-    #[test]
-    fn normal_quantile_roundtrip() {
-        let n = Normal::new(-3.0, 0.5);
-        for &p in &[0.001, 0.1, 0.5, 0.9, 0.9999] {
-            close(n.cdf(n.quantile(p)), p, 1e-9);
-        }
-    }
-
-    #[test]
     fn normal_tail_sf() {
         // P(Z > 6) ≈ 9.87e-10; must not collapse to zero.
         let sf = Normal::standard().sf(6.0);
         assert!(sf > 9.0e-10 && sf < 1.1e-9, "sf(6) = {sf}");
-    }
-
-    #[test]
-    #[should_panic(expected = "sigma must be positive")]
-    fn normal_rejects_bad_sigma() {
-        Normal::new(0.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "degrees of freedom must be positive")]
-    fn chi2_rejects_bad_dof() {
-        ChiSquared::new(0.0);
     }
 }

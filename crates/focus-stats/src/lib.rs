@@ -12,8 +12,8 @@
 //! * the **Wilcoxon two-sample rank-sum test** ([`wilcoxon`]) used by the
 //!   sample-size study of Section 6 to decide whether a larger sample is
 //!   significantly more representative;
-//! * the **chi-squared and normal distributions** ([`dist`], [`special`])
-//!   needed to turn test statistics into significance levels.
+//! * the **normal distribution** ([`dist`], built on [`special`]) that
+//!   turns the Wilcoxon statistic into a significance level.
 //!
 //! It also provides the random samplers ([`sample`]) required by the
 //! synthetic data generators (Poisson, exponential, normal) so that the
@@ -34,8 +34,8 @@ pub mod special;
 pub mod wilcoxon;
 
 pub use bootstrap::{null_distribution, significance_percent, BootstrapResult};
-pub use describe::{mean, median, pearson, percentile, spearman, stddev, variance};
-pub use dist::{ChiSquared, Normal};
+pub use describe::{mean, median, pearson, percentile, stddev, variance};
+pub use dist::Normal;
 pub use focus_exec::Parallelism;
 pub use sample::{Exponential, NormalSampler, Poisson};
 pub use wilcoxon::{rank_sum, Alternative, WilcoxonResult};

@@ -1,8 +1,8 @@
 //! Special functions: log-gamma, regularized incomplete gamma, error function.
 //!
-//! These are the numerical kernels behind the chi-squared CDF (regularized
-//! lower incomplete gamma) and the normal CDF (error function). The
-//! implementations follow the classical Lanczos / series / continued-fraction
+//! These are the numerical kernels behind the normal CDF: the error
+//! function is computed through the regularized incomplete gamma, which in
+//! turn needs `ln Γ`. The implementations follow the classical Lanczos / series / continued-fraction
 //! recipes and are accurate to roughly 1e-10 over the ranges exercised by the
 //! FOCUS experiments, which is far tighter than the 0.01%-significance
 //! resolution the paper reports.

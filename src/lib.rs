@@ -5,14 +5,14 @@
 //! * [`core`] — the FOCUS framework itself (models, GCR, deviation).
 //! * [`exec`] — deterministic fork-join executor behind the parallel
 //!   dataset scans and bootstrap fan-out (`Parallelism`, `FOCUS_THREADS`).
-//! * [`stats`] — bootstrap, Wilcoxon, chi-squared machinery.
+//! * [`stats`] — bootstrap, Wilcoxon rank-sum test, samplers.
 //! * [`data`] — synthetic data generators (IBM Quest association +
 //!   Agrawal classification).
 //! * [`mining`] — Apriori frequent-itemset mining (lits-models).
 //! * [`registry`] — snapshot collections on disk and the δ*-screened
 //!   pairwise deviation matrix (Section 4.1.1's exploratory loop).
 //! * [`tree`] — CART decision trees (dt-models).
-//! * [`cluster`] — k-means and BIRCH clustering (cluster-models).
+//! * [`cluster`] — k-means clustering (cluster-models).
 //!
 //! ## End-to-end in ten lines
 //!

@@ -1,81 +1,12 @@
-//! Integration tests for the extension subsystems: BIRCH-driven cluster
-//! deviations, counting-engine parity, model persistence and drift
-//! injection.
+//! Integration tests for the extension subsystems: counting-engine
+//! parity, model persistence, embedding and drift injection.
 
-use focus::cluster::{Birch, BirchParams, KMeans, KMeansParams};
 use focus::core::prelude::*;
 use focus::data::assoc::{AssocGen, AssocGenParams};
 use focus::data::classify::{ClassifyFn, ClassifyGen};
 use focus::data::drift;
 use focus::mining::{Apriori, AprioriParams};
 use focus::registry::binfmt::{decode_dt_model, encode_dt_model};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-
-fn blobs(centers: &[(f64, f64)], per: usize, seed: u64) -> Table {
-    let schema = Arc::new(Schema::new(vec![
-        Schema::numeric("x"),
-        Schema::numeric("y"),
-    ]));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = Table::new(schema);
-    for &(cx, cy) in centers {
-        for _ in 0..per {
-            t.push_row(&[
-                Value::Num(cx + rng.gen::<f64>() * 6.0),
-                Value::Num(cy + rng.gen::<f64>() * 6.0),
-            ]);
-        }
-    }
-    t
-}
-
-#[test]
-fn birch_and_kmeans_cluster_models_agree_on_deviation_ordering() {
-    let centers = [(0.0, 0.0), (60.0, 60.0)];
-    let moved = [(12.0, 12.0), (72.0, 72.0)];
-    let d1 = blobs(&centers, 150, 1);
-    let d_same = blobs(&centers, 150, 2);
-    let d_moved = blobs(&moved, 150, 3);
-
-    for substrate in ["kmeans", "birch"] {
-        let model = |d: &Table, seed: u64| -> ClusterModel {
-            if substrate == "kmeans" {
-                KMeans::new(KMeansParams::new(2).seed(seed))
-                    .fit(d, Parallelism::Global)
-                    .to_model(d)
-            } else {
-                Birch::new(BirchParams::new(6.0, 2)).fit(d).to_model(d)
-            }
-        };
-        let m1 = model(&d1, 1);
-        let dev_same = deviate::<ClusterFamily>(
-            &m1,
-            &d1,
-            &model(&d_same, 2),
-            &d_same,
-            DiffFn::Absolute,
-            AggFn::Sum,
-            Parallelism::Global,
-        )
-        .value;
-        let dev_moved = deviate::<ClusterFamily>(
-            &m1,
-            &d1,
-            &model(&d_moved, 3),
-            &d_moved,
-            DiffFn::Absolute,
-            AggFn::Sum,
-            Parallelism::Global,
-        )
-        .value;
-        assert!(
-            dev_moved > dev_same,
-            "{substrate}: moved {dev_moved} !> same {dev_same}"
-        );
-    }
-}
 
 #[test]
 fn engine_arms_match_bitmap_counter_end_to_end() {

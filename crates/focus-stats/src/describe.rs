@@ -1,4 +1,4 @@
-//! Descriptive statistics: mean, variance, median, percentiles, correlation.
+//! Descriptive statistics: mean, median, percentiles, correlation.
 //!
 //! Figure 15 of the paper reports the correlation between misclassification
 //! error and deviation; the sample-size study summarizes sets of 50 sample
@@ -10,21 +10,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Unbiased sample variance (n − 1 denominator). Returns 0.0 for fewer than
-/// two observations.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
-/// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
 }
 
 /// Median (linear-interpolated 50th percentile).
@@ -83,17 +68,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_basics() {
+    fn mean_basics() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
-        assert_eq!(variance(&[3.0]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(percentile(&[42.0], 90.0), 42.0);
     }

@@ -8,34 +8,21 @@
 
 use crate::special::{erf, erfc};
 
-/// Normal (Gaussian) distribution.
+/// The standard normal distribution, `N(0, 1)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mu: f64,
-    sigma: f64,
-}
+pub struct Normal;
 
 impl Normal {
-    /// Standard normal, `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self {
-            mu: 0.0,
-            sigma: 1.0,
-        }
-    }
-
     /// Cumulative distribution function.
     pub fn cdf(&self, x: f64) -> f64 {
-        let z = (x - self.mu) / self.sigma;
-        0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
+        0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
     }
 
     /// Survival function `P(X > x)`, computed via `erfc` to preserve tail
     /// precision (important for the 99.99%-significance entries in the
     /// paper's Tables 1 and 2).
     pub fn sf(&self, x: f64) -> f64 {
-        let z = (x - self.mu) / self.sigma;
-        0.5 * erfc(z / std::f64::consts::SQRT_2)
+        0.5 * erfc(x / std::f64::consts::SQRT_2)
     }
 }
 
@@ -49,7 +36,7 @@ mod tests {
 
     #[test]
     fn normal_cdf_reference() {
-        let n = Normal::standard();
+        let n = Normal;
         close(n.cdf(0.0), 0.5, 1e-12);
         close(n.cdf(1.0), 0.841_344_746_1, 1e-9);
         close(n.cdf(1.959_963_985), 0.975, 1e-9);
@@ -59,7 +46,7 @@ mod tests {
     #[test]
     fn normal_tail_sf() {
         // P(Z > 6) ≈ 9.87e-10; must not collapse to zero.
-        let sf = Normal::standard().sf(6.0);
+        let sf = Normal.sf(6.0);
         assert!(sf > 9.0e-10 && sf < 1.1e-9, "sf(6) = {sf}");
     }
 }

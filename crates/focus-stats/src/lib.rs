@@ -34,7 +34,7 @@ pub mod special;
 pub mod wilcoxon;
 
 pub use bootstrap::{null_distribution, significance_percent, BootstrapResult};
-pub use describe::{mean, median, pearson, percentile, stddev, variance};
+pub use describe::{mean, median, pearson, percentile};
 pub use dist::Normal;
 pub use focus_exec::Parallelism;
 pub use sample::{Exponential, NormalSampler, Poisson};

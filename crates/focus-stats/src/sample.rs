@@ -107,18 +107,37 @@ impl NormalSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::describe::mean;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     const N: usize = 40_000;
+
+    /// Unbiased sample variance (n − 1 denominator); 0.0 for fewer than two
+    /// observations.
+    fn variance(xs: &[f64]) -> f64 {
+        if xs.len() < 2 {
+            return 0.0;
+        }
+        let m = mean(xs);
+        xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
+    }
+
+    #[test]
+    fn variance_basics() {
+        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
+        assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
+        assert_eq!(variance(&[]), 0.0);
+        assert_eq!(variance(&[3.0]), 0.0);
+    }
 
     #[test]
     fn poisson_mean_and_variance() {
         let mut rng = StdRng::seed_from_u64(7);
         let p = Poisson::new(4.0);
         let xs: Vec<f64> = (0..N).map(|_| p.sample(&mut rng) as f64).collect();
-        let m = crate::describe::mean(&xs);
-        let v = crate::describe::variance(&xs);
+        let m = mean(&xs);
+        let v = variance(&xs);
         assert!((m - 4.0).abs() < 0.08, "mean {m}");
         assert!((v - 4.0).abs() < 0.25, "variance {v}");
     }
@@ -128,7 +147,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let p = Poisson::new(100.0);
         let xs: Vec<f64> = (0..N).map(|_| p.sample(&mut rng) as f64).collect();
-        let m = crate::describe::mean(&xs);
+        let m = mean(&xs);
         assert!((m - 100.0).abs() < 0.5, "mean {m}");
     }
 
@@ -137,7 +156,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let e = Exponential::new(2.0);
         let xs: Vec<f64> = (0..N).map(|_| e.sample(&mut rng)).collect();
-        let m = crate::describe::mean(&xs);
+        let m = mean(&xs);
         assert!((m - 0.5).abs() < 0.02, "mean {m}");
         assert!(xs.iter().all(|&x| x >= 0.0));
     }
@@ -147,8 +166,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let n = NormalSampler::new(0.5, 0.1);
         let xs: Vec<f64> = (0..N).map(|_| n.sample(&mut rng)).collect();
-        let m = crate::describe::mean(&xs);
-        let s = crate::describe::stddev(&xs);
+        let m = mean(&xs);
+        let s = variance(&xs).sqrt();
         assert!((m - 0.5).abs() < 0.005, "mean {m}");
         assert!((s - 0.1).abs() < 0.005, "sd {s}");
     }

@@ -111,11 +111,10 @@ pub fn rank_sum(sample1: &[f64], sample2: &[f64], alternative: Alternative) -> W
     let cc = 0.5 * diff.signum();
     let z = (diff - cc) / sd_w;
 
-    let std = Normal::standard();
     let p_value = match alternative {
-        Alternative::Less => std.cdf(z),
-        Alternative::Greater => std.sf(z),
-        Alternative::TwoSided => 2.0 * std.sf(z.abs()).min(0.5),
+        Alternative::Less => Normal.cdf(z),
+        Alternative::Greater => Normal.sf(z),
+        Alternative::TwoSided => 2.0 * Normal.sf(z.abs()).min(0.5),
     };
     let p_value = p_value.clamp(0.0, 1.0);
 

@@ -6,6 +6,18 @@
 //! out-of-core scaffolding is unnecessary here because the reproduction
 //! datasets fit in memory; the induced model is identical).
 //!
+//! The fit sorts each numeric attribute once, at the root, into an
+//! attribute list of `(value, row, class)` entries — the presorted lists of
+//! SLIQ (Mehta, Agrawal, Rissanen, EDBT 1996). Each split stably partitions
+//! every list into the two children's, so no node sorts again, and a split
+//! search is one linear sweep per numeric attribute (RainForest's AVC-set of
+//! the attribute, read in value order) and one count over the code column
+//! per categorical attribute. The tree is the one a per-node sort would
+//! grow, bit for bit: a threshold is only evaluated at a boundary between
+//! distinct values, where the class counts on each side and the two values
+//! whose midpoint is the threshold depend only on which rows lie on each
+//! side, not on their order.
+//!
 //! Features:
 //! * Gini-impurity binary splits;
 //! * numeric attributes (threshold splits) and categorical attributes
@@ -37,6 +49,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod lists;
+#[cfg(test)]
+mod reference;
 pub mod split;
 pub mod tree;
 

@@ -1,7 +1,8 @@
 //! Split search: Gini impurity, numeric threshold splits, categorical
 //! subset splits.
 
-use focus_core::data::{AttrType, LabeledTable, Value};
+use crate::lists::{Column, Entry, NodeLists};
+use focus_core::data::Value;
 use focus_core::region::CatMask;
 use focus_exec::{map_indices, Parallelism};
 
@@ -23,7 +24,7 @@ pub fn gini(counts: &[u64]) -> f64 {
 }
 
 /// Weighted Gini impurity of a binary split.
-fn split_impurity(left: &[u64], right: &[u64]) -> f64 {
+pub(crate) fn split_impurity(left: &[u64], right: &[u64]) -> f64 {
     let nl: u64 = left.iter().sum();
     let nr: u64 = right.iter().sum();
     let n = (nl + nr) as f64;
@@ -64,35 +65,41 @@ impl SplitRule {
 
 /// A candidate split with its quality.
 #[derive(Debug, Clone)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// The split rule.
-    pub rule: SplitRule,
+    pub(crate) rule: SplitRule,
     /// Weighted Gini impurity after the split (lower is better).
-    pub impurity: f64,
+    pub(crate) impurity: f64,
 }
 
-/// Finds the best split of `rows` (indices into `data`) over all
-/// attributes, with the per-attribute evaluations fanned out over `par`
-/// worker threads. Returns `None` when no split leaves at least `min_leaf`
-/// rows on each side.
+/// Finds the best split of a node over all attributes, with the
+/// per-attribute evaluations fanned out over `par` worker threads.
+/// `counts` are the node's class counts and `labels` the table's classes.
+/// Returns `None` when no split leaves at least `min_leaf` rows on each
+/// side.
 ///
 /// Each attribute's sweep is an independent unit of work whose result is a
 /// single candidate; the candidates come back in attribute order and are
 /// folded with a strict `<` comparison, so the earlier attribute wins ties
 /// and the chosen split is identical for every thread count.
-pub fn best_split(
-    data: &LabeledTable,
-    rows: &[usize],
+pub(crate) fn best_split(
+    node: &NodeLists<'_>,
+    labels: &[u32],
+    counts: &[u64],
     min_leaf: usize,
     par: Parallelism,
 ) -> Option<Candidate> {
-    let k = data.n_classes as usize;
-    let schema = data.table.schema();
-    let candidates = map_indices(par, schema.len(), |attr| match &schema.attr(attr).ty {
-        AttrType::Numeric => best_numeric_split(data, rows, attr, min_leaf, k),
-        AttrType::Categorical { cardinality } => {
-            best_categorical_split(data, rows, attr, *cardinality, min_leaf, k)
-        }
+    let candidates = map_indices(par, node.columns.len(), |attr| match &node.columns[attr] {
+        Column::Num(list) => best_numeric_split(list, attr, counts, min_leaf),
+        Column::Cat { codes, cardinality } => best_categorical_split(
+            node.rows,
+            codes,
+            labels,
+            attr,
+            *cardinality,
+            min_leaf,
+            counts.len(),
+        ),
     });
     let mut best: Option<Candidate> = None;
     for c in candidates.into_iter().flatten() {
@@ -103,41 +110,28 @@ pub fn best_split(
     best
 }
 
-/// Best threshold split on a numeric attribute: sort the rows by value,
-/// sweep prefix class counts, and evaluate a split at every boundary
+/// Best threshold split on a numeric attribute: sweep the node's sorted
+/// list with prefix class counts, and evaluate a split at every boundary
 /// between distinct values (threshold = midpoint).
 fn best_numeric_split(
-    data: &LabeledTable,
-    rows: &[usize],
+    list: &[Entry],
     attr: usize,
+    counts: &[u64],
     min_leaf: usize,
-    k: usize,
 ) -> Option<Candidate> {
-    let mut sorted = rows.to_vec();
-    sorted.sort_by(|&a, &b| {
-        data.table.row(a)[attr]
-            .as_num()
-            .partial_cmp(&data.table.row(b)[attr].as_num())
-            .expect("NaN attribute value")
-    });
-    let mut left = vec![0u64; k];
-    let mut right = vec![0u64; k];
-    for &r in sorted.iter() {
-        right[data.labels[r] as usize] += 1;
-    }
+    let mut left = vec![0u64; counts.len()];
+    let mut right = counts.to_vec();
     let mut best: Option<Candidate> = None;
-    for i in 0..sorted.len().saturating_sub(1) {
-        let r = sorted[i];
-        let label = data.labels[r] as usize;
+    for (i, pair) in list.windows(2).enumerate() {
+        let (e, v_next) = (pair[0], pair[1].value);
+        let label = e.label as usize;
         left[label] += 1;
         right[label] -= 1;
-        let v = data.table.row(r)[attr].as_num();
-        let v_next = data.table.row(sorted[i + 1])[attr].as_num();
-        if v == v_next {
+        if e.value == v_next {
             continue; // can't split between equal values
         }
         let nl = i + 1;
-        let nr = sorted.len() - nl;
+        let nr = list.len() - nl;
         if nl < min_leaf || nr < min_leaf {
             continue;
         }
@@ -146,7 +140,7 @@ fn best_numeric_split(
             best = Some(Candidate {
                 rule: SplitRule::Threshold {
                     attr,
-                    threshold: (v + v_next) / 2.0,
+                    threshold: (e.value + v_next) / 2.0,
                 },
                 impurity: imp,
             });
@@ -155,14 +149,16 @@ fn best_numeric_split(
     best
 }
 
-/// Best subset split on a categorical attribute.
+/// Best subset split on a categorical attribute, counted over the node's
+/// `rows` through the attribute's code column.
 ///
 /// For two classes, the CART ordering trick is exact: order categories by
 /// their class-1 proportion and only evaluate prefix partitions. For more
 /// classes, fall back to singleton splits (`{v}` vs rest).
 fn best_categorical_split(
-    data: &LabeledTable,
-    rows: &[usize],
+    rows: &[u32],
+    codes: &[u32],
+    labels: &[u32],
     attr: usize,
     cardinality: u32,
     min_leaf: usize,
@@ -171,8 +167,8 @@ fn best_categorical_split(
     // Per-category class counts.
     let mut cat_counts = vec![0u64; cardinality as usize * k];
     for &r in rows {
-        let code = data.table.row(r)[attr].as_cat() as usize;
-        cat_counts[code * k + data.labels[r] as usize] += 1;
+        let r = r as usize;
+        cat_counts[codes[r] as usize * k + labels[r] as usize] += 1;
     }
     let present: Vec<u32> = (0..cardinality)
         .filter(|&c| (0..k).any(|j| cat_counts[c as usize * k + j] > 0))
@@ -238,7 +234,7 @@ fn best_categorical_split(
     best
 }
 
-fn proportion(cat_counts: &[u64], code: usize, k: usize) -> f64 {
+pub(crate) fn proportion(cat_counts: &[u64], code: usize, k: usize) -> f64 {
     let total: u64 = (0..k).map(|j| cat_counts[code * k + j]).sum();
     if total == 0 {
         0.0
@@ -250,7 +246,8 @@ fn proportion(cat_counts: &[u64], code: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use focus_core::data::Schema;
+    use crate::lists::Presorted;
+    use focus_core::data::{LabeledTable, Schema};
     use std::sync::Arc;
 
     /// Every split test runs sequentially and on 2–4 worker threads: the
@@ -261,8 +258,12 @@ mod tests {
 
     /// `best_split` over all rows of `data`.
     fn split_all(data: &LabeledTable, min_leaf: usize, par: Parallelism) -> Option<Candidate> {
-        let rows: Vec<usize> = (0..data.len()).collect();
-        best_split(data, &rows, min_leaf, par)
+        let mut counts = vec![0u64; data.n_classes as usize];
+        for &c in &data.labels {
+            counts[c as usize] += 1;
+        }
+        let mut lists = Presorted::new(data, par);
+        best_split(&lists.root(), &data.labels, &counts, min_leaf, par)
     }
 
     #[test]

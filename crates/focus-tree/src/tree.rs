@@ -1,5 +1,6 @@
 //! Tree construction, prediction, and export to FOCUS dt-models.
 
+use crate::lists::{NodeLists, Presorted, SplitBuffers};
 use crate::split::{best_split, gini, SplitRule};
 use focus_core::data::{LabeledTable, Value};
 use focus_core::model::DtModel;
@@ -90,19 +91,35 @@ impl DecisionTree {
 
     /// Fits a tree with sibling subtrees recursed on `par` worker threads.
     ///
-    /// Parallelism enters in two places, neither of which can change the
-    /// result: the greedy split search evaluates attributes concurrently
-    /// (each attribute's sweep is self-contained; candidates fold in
-    /// attribute order — see [`best_split`]), and after a split the two
-    /// sibling subtrees build concurrently via [`focus_exec::join`], each
-    /// fork halving the remaining thread budget. Subtrees assemble in
-    /// left-before-right preorder, reproducing the sequential node layout
-    /// exactly, so the fitted tree is **bit-identical** for every thread
-    /// count.
+    /// Each numeric attribute is sorted once, before the root's split
+    /// search, and every split stably partitions the sorted lists into the
+    /// children's (SLIQ's attribute lists; see the crate docs for why the
+    /// tree equals a per-node sort's, bit for bit).
+    ///
+    /// Parallelism enters in three places, none of which can change the
+    /// result: the attributes are sorted concurrently; the greedy split
+    /// search evaluates attributes concurrently (each attribute's sweep is
+    /// self-contained; candidates fold in attribute order); and after a
+    /// split the two sibling subtrees build concurrently via
+    /// [`focus_exec::join`], each fork halving the remaining thread budget.
+    /// Subtrees assemble in left-before-right preorder, reproducing the
+    /// sequential node layout exactly, so the fitted tree is
+    /// **bit-identical** for every thread count.
     pub fn fit_par(data: &LabeledTable, params: TreeParams, par: Parallelism) -> Self {
         assert!(!data.is_empty(), "cannot fit a tree on an empty dataset");
-        let rows: Vec<usize> = (0..data.len()).collect();
-        let nodes = build_subtree(data, rows, 0, &params, par.threads());
+        let mut lists = Presorted::new(data, par);
+        let fit = Fit {
+            labels: &data.labels,
+            n_classes: data.n_classes as usize,
+            params: &params,
+        };
+        let nodes = build_subtree(
+            &fit,
+            lists.root(),
+            &mut SplitBuffers::new(data.len()),
+            0,
+            par.threads(),
+        );
         Self {
             nodes,
             n_classes: data.n_classes,
@@ -231,23 +248,30 @@ impl DecisionTree {
     }
 }
 
-/// Builds the subtree over `rows` and returns its nodes in DFS preorder
+/// What every node of one fit reads.
+struct Fit<'a> {
+    labels: &'a [u32],
+    n_classes: usize,
+    params: &'a TreeParams,
+}
+
+/// Builds the subtree over `node` and returns its nodes in DFS preorder
 /// (node 0 is the subtree root; child indices are local to the returned
 /// vector). Sibling subtrees recurse in parallel while `budget >= 2` and
 /// the node is large enough to amortize a fork; the assembly order —
 /// root, left subtree, right subtree — is the same either way, so the
-/// layout matches a fully sequential build exactly.
+/// layout matches a fully sequential build exactly. A forked right
+/// subtree gets its own [`SplitBuffers`]; every other node reuses its parent's.
 fn build_subtree(
-    data: &LabeledTable,
-    mut rows: Vec<usize>,
+    fit: &Fit<'_>,
+    node: NodeLists<'_>,
+    buffers: &mut SplitBuffers,
     depth: usize,
-    params: &TreeParams,
     budget: usize,
 ) -> Vec<Node> {
-    let k = data.n_classes as usize;
-    let mut counts = vec![0u64; k];
-    for &r in &rows {
-        counts[data.labels[r] as usize] += 1;
+    let mut counts = vec![0u64; fit.n_classes];
+    for &r in node.rows.iter() {
+        counts[fit.labels[r as usize] as usize] += 1;
     }
     let make_leaf = |counts: Vec<u64>| -> Vec<Node> {
         let prediction = counts
@@ -259,48 +283,49 @@ fn build_subtree(
         vec![Node::Leaf { counts, prediction }]
     };
 
+    let n = node.rows.len();
     let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
-    if pure || depth >= params.max_depth || rows.len() < MIN_SPLIT {
+    if pure || depth >= fit.params.max_depth || n < MIN_SPLIT {
         return make_leaf(counts);
     }
-    let par = if budget >= 2 && rows.len() >= PAR_SUBTREE_MIN_ROWS {
+    let par = if budget >= 2 && n >= PAR_SUBTREE_MIN_ROWS {
         Parallelism::Threads(budget)
     } else {
         Parallelism::Sequential
     };
-    let Some(cand) = best_split(data, &rows, params.min_leaf, par) else {
+    let Some(cand) = best_split(&node, fit.labels, &counts, fit.params.min_leaf, par) else {
         return make_leaf(counts);
     };
-    if gini(&counts) - cand.impurity < params.min_gain {
+    if gini(&counts) - cand.impurity < fit.params.min_gain {
         return make_leaf(counts);
     }
 
-    // Partition rows in place.
-    let right_rows: Vec<usize> = rows
-        .iter()
-        .copied()
-        .filter(|&r| !cand.rule.goes_left(data.table.row(r)))
-        .collect();
-    rows.retain(|&r| cand.rule.goes_left(data.table.row(r)));
-
-    let (left_nodes, right_nodes) =
-        if budget >= 2 && rows.len() + right_rows.len() >= PAR_SUBTREE_MIN_ROWS {
-            // Fork: each side gets half the remaining budget; join's own
-            // inline-nesting guard keeps this from oversubscribing when the
-            // whole fit already runs inside a worker (e.g. a bootstrap
-            // replicate building trees).
-            let (lb, rb) = (budget.div_ceil(2), budget / 2);
-            focus_exec::join(
-                Parallelism::Threads(budget),
-                move || build_subtree(data, rows, depth + 1, params, lb),
-                move || build_subtree(data, right_rows, depth + 1, params, rb),
-            )
-        } else {
-            (
-                build_subtree(data, rows, depth + 1, params, budget),
-                build_subtree(data, right_rows, depth + 1, params, budget),
-            )
-        };
+    let (left, right) = node.split(&cand.rule, buffers);
+    let (left_nodes, right_nodes) = if budget >= 2 && n >= PAR_SUBTREE_MIN_ROWS {
+        // Fork: each side gets half the remaining budget; join's own
+        // inline-nesting guard keeps this from oversubscribing when the
+        // whole fit already runs inside a worker (e.g. a bootstrap
+        // replicate building trees).
+        let (lb, rb) = (budget.div_ceil(2), budget / 2);
+        focus_exec::join(
+            Parallelism::Threads(budget),
+            move || build_subtree(fit, left, buffers, depth + 1, lb),
+            move || {
+                build_subtree(
+                    fit,
+                    right,
+                    &mut SplitBuffers::new(fit.labels.len()),
+                    depth + 1,
+                    rb,
+                )
+            },
+        )
+    } else {
+        (
+            build_subtree(fit, left, buffers, depth + 1, budget),
+            build_subtree(fit, right, buffers, depth + 1, budget),
+        )
+    };
 
     // Assemble in preorder: this node, then the left subtree, then the
     // right — child indices shift by each block's offset.

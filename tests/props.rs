@@ -334,7 +334,7 @@ proptest! {
 
     #[test]
     fn normal_cdf_symmetry(z in -6.0f64..6.0) {
-        let n = focus::stats::Normal::standard();
+        let n = focus::stats::Normal;
         prop_assert!((n.cdf(z) + n.cdf(-z) - 1.0).abs() < 1e-10);
     }
 

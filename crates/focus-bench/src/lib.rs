@@ -21,7 +21,7 @@
 //! | `matrix_baseline` | full-scan vs screened vs bounds-only matrix timings → `BENCH_matrix.json` |
 //! | `counting_baseline` | the counting engine's horizontal and vertical arms vs the bitmap-scan reference → `BENCH_counting.json` |
 //! | `registry_baseline` | text vs binary vs mmap snapshot loads and flat vs sharded registry matrix wall time, one row per thread count → `BENCH_registry.json` |
-//! | `scaling`     | the executor's hot paths (scans, bootstrap fan-out, induction, calibration), one row per thread count → `BENCH_scaling.json` |
+//! | `scaling`     | the executor's hot paths (scans, bootstrap fan-out, induction), one row per thread count → `BENCH_scaling.json` |
 //!
 //! All binaries accept `--scale <fraction>` (default 0.02 — 2% of the
 //! paper's 1M-row base, i.e. 20K rows), `--samples <n>` (default 15, paper

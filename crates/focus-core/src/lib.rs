@@ -27,13 +27,20 @@
 //!   every itemset-support count — mining and measure extension — through
 //!   a cached vertical index or a horizontal walk, picked by a
 //!   deterministic cost model;
+//! * [`family`] — the `ModelFamily` trait: the four ingredients (GCR,
+//!   measure extension, focussing, model-only bound) that vary by model
+//!   class, implemented for lits, dt and cluster models;
 //! * [`gcr`] — greatest common refinements (Defs. 3.4, 4.2);
 //! * [`diff`] — difference functions `f_a`, `f_s`, `f_χ²` and aggregates
 //!   `sum`, `max` (Def. 3.7);
 //! * [`deviation`] — `δ(f,g)` and the focussed `δρ` (Defs. 3.5, 3.6, 5.2);
 //! * [`bound`] — the scan-free upper bound `δ*` (Def. 4.1, Thm. 4.2);
+//! * [`embed`] — classical MDS embedding of a collection of datasets
+//!   from their pairwise distances (Section 4.1.1);
 //! * [`ops`] — structural union/intersection/difference, rank and select
 //!   operators for exploratory analysis (Section 5);
+//! * [`persist`] — the plain-text lits-model format (`mine --out`,
+//!   `bound`);
 //! * [`monitor`] — misclassification error and chi-squared as FOCUS special
 //!   cases (Thm. 5.2, Prop. 5.1);
 //! * [`qualify`] — bootstrap significance of deviations (Section 3.4).
@@ -87,7 +94,6 @@ pub mod persist;
 pub mod qualify;
 pub mod region;
 pub mod source;
-pub mod stream;
 pub mod vertical;
 
 /// One-stop imports for typical FOCUS workflows.
@@ -119,7 +125,6 @@ pub mod prelude {
     pub use crate::qualify::{qualify, qualify_chi_squared, qualify_transactions};
     pub use crate::region::{AttrConstraint, BoxBuilder, BoxIndex, BoxRegion, CatMask, Itemset};
     pub use crate::source::{prefers_vertical, CountSource, MAX_INDEX_BYTES};
-    pub use crate::stream::{calibrate_threshold, BlockVerdict, ChangeMonitor};
     pub use crate::vertical::{count_itemsets_grouped, VerticalIndex};
     pub use focus_exec::Parallelism;
 }

@@ -12,7 +12,7 @@
 //!
 //! [`null_distribution`] is the one seeded per-replicate fan-out: callers
 //! supply only the resampling closure for their dataset shape (focus-core's
-//! `qualify` and `qualify_chi_squared` and its monitor calibration), and
+//! `qualify` and `qualify_chi_squared`), and
 //! [`BootstrapResult::new`] situates the observed value in the result.
 
 use focus_exec::{derive_seed, map_indices, Parallelism};

@@ -7,8 +7,8 @@
 //!   Section 3.4 to estimate the null distribution of deviation values and by
 //!   Section 5.2.2 to calibrate the chi-squared statistic when the standard
 //!   tables are inapplicable. [`null_distribution`] is the one seeded
-//!   per-replicate fan-out behind every qualification and the monitor's
-//!   threshold calibration in `focus-core`;
+//!   per-replicate fan-out behind both qualifications in `focus-core`
+//!   (`qualify` and `qualify_chi_squared`);
 //! * the **Wilcoxon two-sample rank-sum test** ([`wilcoxon`]) used by the
 //!   sample-size study of Section 6 to decide whether a larger sample is
 //!   significantly more representative;

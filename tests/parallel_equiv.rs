@@ -6,13 +6,13 @@
 //! of the lits counting engine (the horizontal walk and batched
 //! tid-bitset counting), the level-2 pair pass, shared counting-source
 //! handles with their lazily cached index, decision-tree induction,
-//! k-means Lloyd iterations, monitor calibration, per-region `f`/`g`
-//! aggregation, and the bootstrap
-//! qualification fan-out — must produce **bit-identical** results for any
-//! worker-thread count. Floating-point results are compared via their
-//! IEEE-754 bit patterns, not a tolerance: the engine's chunk
-//! decomposition, deterministic merge order, and per-replicate seeding
-//! make exact equality achievable, so exact equality is what we demand.
+//! k-means Lloyd iterations, per-region `f`/`g` aggregation, and the
+//! bootstrap qualification fan-out (`qualify`, `qualify_chi_squared`) —
+//! must produce **bit-identical** results for any worker-thread count.
+//! Floating-point results are compared via their IEEE-754 bit patterns,
+//! not a tolerance: the engine's chunk decomposition, deterministic merge
+//! order, and per-replicate seeding make exact equality achievable, so
+//! exact equality is what we demand.
 
 use focus::cluster::{KMeans, KMeansParams};
 use focus::core::prelude::*;
@@ -243,7 +243,8 @@ proptest! {
     }
 
     /// The same bootstrap over labelled tables, with a tree fitted per
-    /// pseudo-dataset (the Figure 14 pipeline).
+    /// pseudo-dataset (the Figure 14 pipeline), and the one-sample χ²
+    /// bootstrap (`qualify_chi_squared`) over the same tables.
     #[test]
     fn table_qualification_bit_identical(seed in 0u64..1_000_000,
                                          data_seed in 0u64..1_000_000,
@@ -258,9 +259,17 @@ proptest! {
             deviate::<DtFamily>(&ma, a, &mb, b, f, g, par).value
         };
         let observed = pipeline(&d1, &d2);
+        // The χ² bootstrap of Section 5.2.2: pseudo-D2s drawn from d1,
+        // scored against one stump fitted on d1.
+        let stump = DecisionTree::fit(&d1, TreeParams::default().max_depth(1)).to_model();
+        let chi2 = |d: &LabeledTable| chi_squared_statistic(&stump, d, 0.5, par);
+        let chi2_observed = chi2(&d2);
 
         let q_seq = qualify(
             &d1, &d2, observed, 8, seed, Parallelism::Sequential, pipeline,
+        );
+        let c_seq = qualify_chi_squared(
+            &d1, d2.len(), chi2_observed, 8, seed, Parallelism::Sequential, chi2,
         );
         for t in THREADS {
             let q = qualify(
@@ -270,6 +279,13 @@ proptest! {
             prop_assert_eq!(q.significance_percent.to_bits(),
                             q_seq.significance_percent.to_bits(),
                             "significance, threads = {}", t);
+            let c = qualify_chi_squared(
+                &d1, d2.len(), chi2_observed, 8, seed, Parallelism::Threads(t), chi2,
+            );
+            assert_bits_eq(&c.null_distribution, &c_seq.null_distribution, "χ² null distribution");
+            prop_assert_eq!(c.significance_percent.to_bits(),
+                            c_seq.significance_percent.to_bits(),
+                            "χ² significance, threads = {}", t);
         }
     }
 
@@ -341,35 +357,6 @@ proptest! {
             for (c, (a, b)) in par.centroids.iter().zip(&seq.centroids).enumerate() {
                 assert_bits_eq(a, b, &format!("centroid {c}"));
             }
-        }
-    }
-
-    /// ChangeMonitor calibration: the per-replicate seeded fan-out (one
-    /// full mine-and-deviate pipeline per replicate) yields a bit-identical
-    /// alarm threshold for any thread count.
-    #[test]
-    fn monitor_calibration_bit_identical(seed in 0u64..1_000_000,
-                                         data_seed in 0u64..1_000_000,
-                                         n in 200usize..500,
-                                         quantile in 0.5f64..0.99) {
-        let reference = random_transactions(n, 8, 0.3, data_seed);
-        let miner = Apriori::new(
-            AprioriParams::with_minsup(0.2).max_len(3).parallelism(Parallelism::Sequential),
-        );
-        let pipeline = |a: &TransactionSet, b: &TransactionSet| {
-            let ma = miner.mine(a);
-            let mb = miner.mine(b);
-            deviate::<LitsFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum,
-                               Parallelism::Sequential).value
-        };
-        let seq = calibrate_threshold(
-            &reference, n / 4, quantile, 12, seed, Parallelism::Sequential, &pipeline,
-        );
-        for t in THREADS {
-            let thr = calibrate_threshold(
-                &reference, n / 4, quantile, 12, seed, Parallelism::Threads(t), &pipeline,
-            );
-            prop_assert_eq!(thr.to_bits(), seq.to_bits(), "threshold, threads = {}", t);
         }
     }
 

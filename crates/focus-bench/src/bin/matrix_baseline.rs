@@ -26,10 +26,19 @@
 //! counts. The `bounds_only` row's threshold is JSON `null`, since JSON
 //! has no infinity. Every row is stamped with the worker-thread count
 //! and the git commit it ran at.
+//!
+//! The binary also asserts what the timings rest on, and exits non-zero
+//! if any of it fails:
+//!
+//! * each regime's matrix, recomputed on one thread, prunes the same
+//!   pairs and holds the same cells bit for bit;
+//! * every cell a screened regime scans equals the full scan's bit for
+//!   bit, and every regime's bounds equal the full scan's;
+//! * δ* ≥ δ on every scanned `f_a` cell (within `1e-12`).
 
 use focus_bench::collections::{cluster_collection, dt_collection, lits_collection, median_bound};
 use focus_bench::{git_commit, timed, ExpConfig};
-use focus_core::family::ModelFamily;
+use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
 use focus_exec::Parallelism;
 use focus_registry::{deviation_matrix, DeviationMatrix, MatrixParams};
 
@@ -45,15 +54,11 @@ struct Row {
 
 fn run_family<F: ModelFamily>(
     family: &'static str,
-    models: &[F::Model],
-    datasets: &[F::Dataset],
-    names: &[String],
+    (models, datasets, names): (Vec<F::Model>, Vec<F::Dataset>, Vec<String>),
     samples: usize,
     rows: &mut Vec<Row>,
-) where
-    F::Model: Sync,
-    F::Dataset: Sync,
-{
+) {
+    let (models, datasets) = (&models[..], &datasets[..]);
     let probe = deviation_matrix::<F>(
         models,
         datasets,
@@ -66,6 +71,10 @@ fn run_family<F: ModelFamily>(
     )
     .expect("valid params");
     let mid = median_bound(&probe);
+    let n = models.len();
+    let cell =
+        |m: &DeviationMatrix, i, j| (m.bound(i, j).to_bits(), m.exact(i, j).map(f64::to_bits));
+    let mut full: Option<DeviationMatrix> = None;
 
     for (regime, threshold) in [
         ("full_scan", 0.0),
@@ -88,6 +97,34 @@ fn run_family<F: ModelFamily>(
             }
         }
         let (m, secs) = best.expect("samples >= 2");
+        let sequential = MatrixParams {
+            par: Parallelism::Sequential,
+            ..params
+        };
+        let seq = deviation_matrix::<F>(models, datasets, names.to_vec(), &sequential)
+            .expect("valid params");
+        assert_eq!(seq.pruned(), m.pruned(), "{family} {regime}: prune count");
+        let full = full.get_or_insert_with(|| m.clone());
+        for (i, j) in (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))) {
+            assert_eq!(
+                cell(&seq, i, j),
+                cell(&m, i, j),
+                "{family} {regime} ({i}, {j})"
+            );
+            let (bound, exact) = cell(&m, i, j);
+            let (full_bound, full_exact) = cell(full, i, j);
+            assert_eq!(bound, full_bound, "{family} {regime} ({i}, {j}): bound");
+            assert!(
+                exact.is_none() || exact == full_exact,
+                "{family} {regime} ({i}, {j})"
+            );
+            if let Some(e) = m.exact(i, j) {
+                assert!(
+                    e <= m.bound(i, j) + 1e-12,
+                    "{family} ({i}, {j}): δ {e} > δ*"
+                );
+            }
+        }
         rows.push(Row {
             family,
             regime,
@@ -106,33 +143,9 @@ fn main() {
     let commit = git_commit();
     let mut rows = Vec::new();
 
-    let (models, datasets, names) = lits_collection();
-    run_family::<focus_core::family::LitsFamily>(
-        "lits",
-        &models,
-        &datasets,
-        &names,
-        cfg.samples,
-        &mut rows,
-    );
-    let (models, datasets, names) = dt_collection();
-    run_family::<focus_core::family::DtFamily>(
-        "dt",
-        &models,
-        &datasets,
-        &names,
-        cfg.samples,
-        &mut rows,
-    );
-    let (models, datasets, names) = cluster_collection();
-    run_family::<focus_core::family::ClusterFamily>(
-        "cluster",
-        &models,
-        &datasets,
-        &names,
-        cfg.samples,
-        &mut rows,
-    );
+    run_family::<LitsFamily>("lits", lits_collection(), cfg.samples, &mut rows);
+    run_family::<DtFamily>("dt", dt_collection(), cfg.samples, &mut rows);
+    run_family::<ClusterFamily>("cluster", cluster_collection(), cfg.samples, &mut rows);
 
     // JSON lines to stdout (the `BENCH_matrix.json` payload), the human
     // table to stderr so a redirect stays machine-readable.

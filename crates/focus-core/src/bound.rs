@@ -24,7 +24,7 @@
 //! never NaN or `−∞`.
 
 use crate::diff::AggFn;
-use crate::gcr::{gcr_lits, remainders};
+use crate::gcr::{merge_join, remainders, Joined};
 use crate::model::{ClusterModel, DtModel, LitsModel};
 
 /// The upper bound `δ*(g)(M1, M2)` of Definition 4.1.
@@ -34,17 +34,18 @@ use crate::model::{ClusterModel, DtModel, LitsModel};
 /// * frequent only in `M1` → `f_a(σ1, 0) = σ1`;
 /// * frequent only in `M2` → `f_a(0, σ2) = σ2`;
 ///
-/// aggregated by `g ∈ {sum, max}`.
+/// aggregated by `g ∈ {sum, max}`. The three cases are the three outcomes
+/// of one sort-merge join over the two models' sorted itemset lists,
+/// which visits the GCR in its canonical order and reads each support by
+/// index: no GCR is materialised and no itemset is looked up.
 pub fn lits_upper_bound(m1: &LitsModel, m2: &LitsModel, g: AggFn) -> f64 {
-    let gcr = gcr_lits(m1.itemsets(), m2.itemsets());
+    let (s1, s2) = (m1.supports(), m2.supports());
     g.eval(
-        gcr.iter()
-            .map(|x| match (m1.support_of(x), m2.support_of(x)) {
-                (Some(s1), Some(s2)) => (s1 - s2).abs(),
-                (Some(s1), None) => s1,
-                (None, Some(s2)) => s2,
-                (None, None) => unreachable!("GCR itemset missing from both models"),
-            }),
+        merge_join(m1.itemsets(), m2.itemsets()).map(|(_, at)| match at {
+            Joined::Both(i, j) => (s1[i] - s2[j]).abs(),
+            Joined::First(i) => s1[i],
+            Joined::Second(j) => s2[j],
+        }),
     )
 }
 

@@ -155,7 +155,8 @@ pub fn deviate_focussed<F: ModelFamily>(
 /// It takes the GCR and pre-built access handles
 /// ([`ModelFamily::Source`]) instead of raw datasets. Callers that build
 /// their own region sets (the structural operators of Section 5) pass
-/// the GCR in. The batch engines in `focus-registry` and the CLI keep one
+/// the GCR in; a lits region list must be in canonical order (see
+/// [`LitsFamily`](crate::family::LitsFamily)). The batch engines in `focus-registry` and the CLI keep one
 /// handle per dataset for a whole run, so the expensive structures
 /// inside a handle (the lits vertical index) are built at most once.
 #[allow(clippy::too_many_arguments)]

@@ -27,7 +27,7 @@
 
 use crate::data::{LabeledTable, Table, TransactionSet};
 use crate::diff::{AggFn, DiffFn};
-use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, OverlayCell};
+use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, merge_join, Joined, OverlayCell};
 use crate::model::{count_boxes, ClusterModel, DtModel, LitsModel};
 use crate::region::{BoxRegion, Itemset};
 use crate::source::CountSource;
@@ -162,7 +162,9 @@ fn boxes_mismatch(b1: &[BoxRegion], b2: &[BoxRegion]) -> Option<String> {
 // lits
 // ---------------------------------------------------------------------------
 
-/// Frequent-itemset models over transaction data (Section 4.1).
+/// Frequent-itemset models over transaction data (Section 4.1). A lits
+/// GCR, and any region list passed to [`ModelFamily::measures`], is in
+/// canonical order: strictly ascending, as [`LitsFamily::gcr`] builds it.
 #[derive(Debug, Clone, Copy)]
 pub struct LitsFamily;
 
@@ -251,7 +253,10 @@ impl ModelFamily for LitsFamily {
 /// The measure-extension step: supports of `regions` w.r.t. the dataset
 /// behind `source`, reusing the supports recorded in `model` where
 /// available so only the itemsets missing from the model's structure
-/// trigger counting work.
+/// trigger counting work. `regions` is the GCR or a ρ-restriction of it,
+/// a subsequence of the union in the same canonical order, so one
+/// [`merge_join`] against the model's own sorted list finds every
+/// recorded support.
 pub(crate) fn extend_supports(
     regions: &[Itemset],
     model: &LitsModel,
@@ -260,10 +265,11 @@ pub(crate) fn extend_supports(
 ) -> Vec<f64> {
     let mut supports = vec![0.0f64; regions.len()];
     let mut missing: Vec<usize> = Vec::new();
-    for (i, s) in regions.iter().enumerate() {
-        match model.support_of(s) {
-            Some(sup) => supports[i] = sup,
-            None => missing.push(i),
+    for (_, at) in merge_join(regions, model.itemsets()) {
+        match at {
+            Joined::Both(i, j) => supports[i] = model.supports()[j],
+            Joined::First(i) => missing.push(i),
+            Joined::Second(_) => {}
         }
     }
     if !missing.is_empty() {
@@ -299,6 +305,22 @@ pub struct DtGcr {
     pub cells: Vec<OverlayCell>,
     /// Number of classes `k` (shared by both models).
     pub n_classes: u32,
+    /// Whether the cell scan re-checks each row against its cell's region.
+    /// Only the plain overlay [`DtFamily::gcr`] builds skips it: there
+    /// every cell is exactly its leaf pair's intersection.
+    recheck: bool,
+}
+
+impl DtGcr {
+    /// A GCR over hand-built `cells`. They may be smaller than their leaf
+    /// pair's intersection, so the scan re-checks every row.
+    pub fn new(cells: Vec<OverlayCell>, n_classes: u32) -> Self {
+        Self {
+            cells,
+            n_classes,
+            recheck: true,
+        }
+    }
 }
 
 impl ModelFamily for DtFamily {
@@ -319,6 +341,7 @@ impl ModelFamily for DtFamily {
         DtGcr {
             cells: gcr_partition(m1.leaves(), m2.leaves()),
             n_classes: m1.n_classes(),
+            recheck: false,
         }
     }
 
@@ -331,20 +354,11 @@ impl ModelFamily for DtFamily {
     }
 
     fn restrict(gcr: DtGcr, focus: &BoxRegion) -> DtGcr {
-        DtGcr {
-            cells: gcr
-                .cells
-                .into_iter()
-                .filter_map(|c| {
-                    c.region.intersect(focus).map(|region| OverlayCell {
-                        region,
-                        left: c.left,
-                        right: c.right,
-                    })
-                })
-                .collect(),
-            n_classes: gcr.n_classes,
-        }
+        let cells = gcr.cells.into_iter().filter_map(|c| {
+            let region = c.region.intersect(focus)?;
+            Some(OverlayCell { region, ..c })
+        });
+        DtGcr::new(cells.collect(), gcr.n_classes)
     }
 
     fn n_regions(gcr: &DtGcr) -> usize {
@@ -410,9 +424,12 @@ impl ModelFamily for DtFamily {
 /// table maps the leaf pair to its cell, so the scan costs
 /// `O(rows · (attrs · log L + L/64))` for `L = max(L1, L2)` leaves instead
 /// of `O(rows · |GCR|)`. Each leaf index takes at most about
-/// `attrs · L²/4` bytes, the table `4 · L1 · L2` bytes. Row chunks fan out
-/// over `par` worker threads; the per-chunk tallies merge by `u64`
-/// addition, bit-identical to a sequential scan.
+/// `attrs · L²/4` bytes, the table `4 · L1 · L2` bytes. A row in leaves
+/// `i` and `j` lies in `leaf_i ∩ leaf_j`, so it is re-checked against its
+/// cell only when the cells may be smaller than that (a focussed or
+/// hand-built [`DtGcr`]). Row chunks fan out over `par` worker threads;
+/// the per-chunk tallies merge by `u64` addition, bit-identical to a
+/// sequential scan.
 fn count_cells(
     gcr: &DtGcr,
     m1: &DtModel,
@@ -452,10 +469,9 @@ fn count_cells(
                 continue;
             };
             let idx = cell_of[i * l2 + j];
-            // Focussed cells may be smaller than leaf ∩ leaf (they were
-            // intersected with ρ), so re-check geometric membership; for
-            // plain GCR cells this check is trivially true.
-            if idx != NO_CELL && cells[idx as usize].region.contains_labeled(row, label) {
+            if idx != NO_CELL
+                && (!gcr.recheck || cells[idx as usize].region.contains_labeled(row, label))
+            {
                 counts[idx as usize * k + label as usize] += 1;
             }
         }
@@ -647,8 +663,8 @@ mod tests {
         let schema = Arc::new(Schema::new(vec![Schema::numeric("x")]));
         let plain = BoxBuilder::new(&schema).lt("x", 1.0).build();
         let pinned = BoxBuilder::new(&schema).ge("x", 1.0).class(1).build();
-        let gcr = DtGcr {
-            cells: vec![
+        let gcr = DtGcr::new(
+            vec![
                 OverlayCell {
                     region: plain,
                     left: 0,
@@ -660,8 +676,8 @@ mod tests {
                     right: 1,
                 },
             ],
-            n_classes: 2,
-        };
+            2,
+        );
         assert!(DtFamily::participates(&gcr, 0));
         assert!(DtFamily::participates(&gcr, 1));
         assert!(

@@ -8,7 +8,10 @@
 //! (Definition 3.6).
 //!
 //! * **lits** (Section 4.1): structures are sets of itemsets ordered by `⊇`;
-//!   the GCR is the union of the two families.
+//!   the GCR is the union of the two families. Both families are kept in
+//!   canonical (ascending, duplicate-free) order, so the union is one
+//!   sort-merge join that also tells the δ* bound and measure extension
+//!   where each itemset sits in each model.
 //! * **dt** (Section 4.2, Definition 4.2): structures are leaf partitions of
 //!   the attribute space; the GCR is the overlay — all non-empty pairwise
 //!   intersections of leaf cells ("anding all possible pairs of predicates").
@@ -18,14 +21,48 @@
 
 use crate::region::{BoxRegion, Itemset};
 
-/// GCR of two lits-model structures: the union of the itemset families,
-/// deduplicated, in canonical order (Proposition 4.1 — the powerset with
-/// `⊇` is a meet-semilattice and the meet is the union).
+/// Where one itemset of a [`merge_join`] sits: its index in the first
+/// list, in the second, or in both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Joined {
+    First(usize),
+    Second(usize),
+    Both(usize, usize),
+}
+
+/// The sort-merge join of two canonical itemset lists (strictly ascending,
+/// as [`LitsModel::itemsets`](crate::model::LitsModel::itemsets) always
+/// is): every itemset of `a ∪ b` once, in ascending order, with its index
+/// in `a` and/or `b`. One forward cursor per list, `|a| + |b|` steps at
+/// most, no allocation. A subsequence of either list (a ρ-restricted GCR)
+/// is canonical too.
+pub(crate) fn merge_join<'a>(
+    a: &'a [Itemset],
+    b: &'a [Itemset],
+) -> impl Iterator<Item = (&'a Itemset, Joined)> {
+    let canonical = |s: &[Itemset]| s.windows(2).all(|w| w[0] < w[1]);
+    debug_assert!(canonical(a) && canonical(b), "itemsets not canonical");
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let step = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if x == y => (x, Joined::Both(i, j)),
+            (Some(x), y) if y.is_none_or(|y| x < y) => (x, Joined::First(i)),
+            (_, Some(y)) => (y, Joined::Second(j)),
+            (_, None) => return None,
+        };
+        i += usize::from(!matches!(step.1, Joined::Second(_)));
+        j += usize::from(!matches!(step.1, Joined::First(_)));
+        Some(step)
+    })
+}
+
+/// GCR of two lits-model structures: the union of the itemset families in
+/// canonical order (Proposition 4.1 — the powerset with `⊇` is a
+/// meet-semilattice and the meet is the union). Both inputs must be
+/// canonical (strictly ascending, as `LitsModel::itemsets` always is);
+/// debug builds assert it.
 pub fn gcr_lits(a: &[Itemset], b: &[Itemset]) -> Vec<Itemset> {
-    let mut out: Vec<Itemset> = a.iter().chain(b.iter()).cloned().collect();
-    out.sort();
-    out.dedup();
-    out
+    merge_join(a, b).map(|(x, _)| x.clone()).collect()
 }
 
 /// A cell of a dt-model GCR: the intersection of leaf `i` of the first model
@@ -115,33 +152,47 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn gcr_lits_is_sorted_union() {
+    fn merge_join_reports_where_each_itemset_sits() {
         let a = vec![Itemset::from_slice(&[0]), Itemset::from_slice(&[0, 1])];
-        let b = vec![Itemset::from_slice(&[1]), Itemset::from_slice(&[0])];
-        let g = gcr_lits(&a, &b);
+        let b = vec![Itemset::from_slice(&[0]), Itemset::from_slice(&[1])];
+        let joined: Vec<(Vec<u32>, Joined)> = merge_join(&a, &b)
+            .map(|(x, at)| (x.items().to_vec(), at))
+            .collect();
         assert_eq!(
-            g,
+            joined,
             vec![
-                Itemset::from_slice(&[0]),
-                Itemset::from_slice(&[0, 1]),
-                Itemset::from_slice(&[1]),
+                (vec![0], Joined::Both(0, 0)),
+                (vec![0, 1], Joined::First(1)),
+                (vec![1], Joined::Second(1)),
             ]
         );
+        assert_eq!(merge_join(&[], &b).count(), 2);
+        assert_eq!(merge_join(&a, &[]).count(), 2);
+        assert_eq!(merge_join(&[], &[]).count(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "itemsets not canonical")]
+    fn gcr_lits_rejects_unsorted_input() {
+        let a = vec![Itemset::from_slice(&[1]), Itemset::from_slice(&[0])];
+        gcr_lits(&a, &[]);
     }
 
     #[test]
     fn gcr_lits_paper_figure_6() {
         // L1 = {a, b, ab}, L2 = {b, c, bc} over items a=0, b=1, c=2.
-        // GCR = {a, b, c, ab, bc} — five itemsets.
+        // GCR = {a, b, c, ab, bc} — five itemsets. Both lists are in
+        // canonical order, as a model holds them.
         let l1 = vec![
             Itemset::from_slice(&[0]),
-            Itemset::from_slice(&[1]),
             Itemset::from_slice(&[0, 1]),
+            Itemset::from_slice(&[1]),
         ];
         let l2 = vec![
             Itemset::from_slice(&[1]),
-            Itemset::from_slice(&[2]),
             Itemset::from_slice(&[1, 2]),
+            Itemset::from_slice(&[2]),
         ];
         assert_eq!(gcr_lits(&l1, &l2).len(), 5);
     }

@@ -16,35 +16,45 @@
 //! `SelectTop(Rank(Γ_T1 ⊔ Γ_T2, δ(f_a, g_sum)))`, compose directly from
 //! these functions.
 
+use crate::gcr::{merge_join, Joined};
 use crate::region::Itemset;
 
 // ---------------------------------------------------------------------------
 // Structural operators — itemset structures
 // ---------------------------------------------------------------------------
 
+/// The itemsets of `a ∪ b` whose place in the two structures `keep`
+/// accepts, in canonical order. The inputs may be in any order and repeat
+/// itemsets: both are canonicalised before the [`merge_join`].
+fn lits_join(a: &[Itemset], b: &[Itemset], keep: fn(Joined) -> bool) -> Vec<Itemset> {
+    let canonical = |s: &[Itemset]| {
+        let mut s = s.to_vec();
+        s.sort();
+        s.dedup();
+        s
+    };
+    let (a, b) = (canonical(a), canonical(b));
+    merge_join(&a, &b)
+        .filter(|&(_, at)| keep(at))
+        .map(|(x, _)| x.clone())
+        .collect()
+}
+
 /// Structural union of two lits structures: their GCR, i.e. the union of the
 /// itemset families.
 pub fn lits_union(a: &[Itemset], b: &[Itemset]) -> Vec<Itemset> {
-    crate::gcr::gcr_lits(a, b)
+    lits_join(a, b, |_| true)
 }
 
 /// Structural intersection: itemsets present in both structures.
 pub fn lits_intersection(a: &[Itemset], b: &[Itemset]) -> Vec<Itemset> {
-    let bset: std::collections::HashSet<&Itemset> = b.iter().collect();
-    let mut out: Vec<Itemset> = a.iter().filter(|s| bset.contains(s)).cloned().collect();
-    out.sort();
-    out
+    lits_join(a, b, |at| matches!(at, Joined::Both(..)))
 }
 
 /// Structural difference: `(a ⊔ b) − (a ⊓ b)` — the regions where the two
 /// structures disagree.
 pub fn lits_difference(a: &[Itemset], b: &[Itemset]) -> Vec<Itemset> {
-    let inter = lits_intersection(a, b);
-    let iset: std::collections::HashSet<&Itemset> = inter.iter().collect();
-    lits_union(a, b)
-        .into_iter()
-        .filter(|s| !iset.contains(s))
-        .collect()
+    lits_join(a, b, |at| !matches!(at, Joined::Both(..)))
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +177,16 @@ mod tests {
         let diff = lits_difference(&a, &b);
         assert_eq!(diff.len(), 3);
         assert!(!diff.contains(&iset(&[1])));
+    }
+
+    #[test]
+    fn lits_union_canonicalises_unsorted_input() {
+        let a = vec![iset(&[0]), iset(&[0, 1])];
+        let b = vec![iset(&[1]), iset(&[0]), iset(&[1])];
+        assert_eq!(
+            lits_union(&a, &b),
+            vec![iset(&[0]), iset(&[0, 1]), iset(&[1])]
+        );
     }
 
     #[test]

@@ -42,9 +42,13 @@
 //!
 //! * `pairs_vertical` — the pairs as one [`CountSource::counts`] workload
 //!   over a cold index, the path level 2 takes on an index-backed source;
-//! * `pairs_blocked` — the blocked triangular pass,
-//!   [`CountSource::frequent_pairs`], the path level 2 takes whenever the
-//!   source holds rows.
+//! * `pairs_blocked` — the pair pass, [`CountSource::frequent_pairs`],
+//!   the path level 2 takes whenever the source holds rows: one pass over
+//!   the rows, split over the threads, into per-chunk `u16` pair
+//!   triangles (the label dates from an earlier banded pass and is kept so
+//!   the records stay comparable). Its triples are also recomputed on one
+//!   thread and asserted equal, so a run on several threads checks that
+//!   the chunked sum does not depend on the split.
 //!
 //! The sparse scales use the paper's association generator; the `dense`
 //! scale is an independent-Bernoulli dataset at 0.7 fill over 32 items,
@@ -221,11 +225,17 @@ fn main() {
             let source = CountSource::from_index(VerticalIndex::build(&data));
             frequent(source.counts(&pairs, par))
         });
-        let pairs_blocked_secs = best_of(cfg.samples, &pairs_reference, || {
+        let pair_pass = |par| {
             CountSource::borrowed(&data)
                 .frequent_pairs(&items, min_count, par)
                 .expect("a row-backed source runs the pass")
-        });
+        };
+        let pairs_blocked_secs = best_of(cfg.samples, &pairs_reference, || pair_pass(par));
+        assert_eq!(
+            pair_pass(Parallelism::Sequential),
+            pairs_reference,
+            "{scale}: the pair pass depends on the thread count"
+        );
 
         for (backend, workload, secs, bitmap) in [
             ("bitmap_scan", itemsets.len(), bitmap_secs, bitmap_secs),

@@ -18,13 +18,17 @@
 //!   for tiny workloads that cannot pay for an index build and for datasets
 //!   whose index does not fit the budget.
 //!
-//! Apriori's all-pairs level has a third, dedicated entry point,
-//! [`CountSource::frequent_pairs`]: one blocked triangular pass over the
-//! rows that counts every pair of the frequent items at once (the
-//! standard pass-2 treatment in Apriori and Eclat, Zaki, TKDE 2000). It
-//! needs the horizontal view, builds no index and so never consults the
-//! budget; an index-backed source declines it, and the miner counts its
-//! pairs through [`CountSource::counts`] instead.
+//! Apriori's first two levels have dedicated entry points, each one pass
+//! over the rows that builds no index and so never consults the budget
+//! (Apriori's own passes 1 and 2, Agrawal & Srikant, VLDB '94; Zaki,
+//! TKDE 2000):
+//!
+//! * [`CountSource::item_counts`] tallies every item into one count
+//!   array; an index-backed source reads its per-item popcounts instead;
+//! * [`CountSource::frequent_pairs`] counts every pair of the frequent
+//!   items into per-thread `u16` pair triangles, cut into bands only when
+//!   one triangle would pass 2 MiB. An index-backed source declines it,
+//!   and the miner counts its pairs through [`CountSource::counts`].
 //!
 //! ## The cost model
 //!
@@ -50,12 +54,13 @@
 //! choose to build. Every constructor starts at [`MAX_INDEX_BYTES`]
 //! (128 MiB); [`CountSource::with_index_budget`] overrides it per handle.
 //! A budget of `0` never builds an index — a forced-horizontal handle for
-//! every [`CountSource::counts`] call (the pair pass is horizontal anyway).
+//! every [`CountSource::counts`] call (the item and pair passes are
+//! horizontal anyway).
 
 use crate::data::TransactionSet;
 use crate::region::Itemset;
 use crate::vertical::{count_itemsets_grouped, resolve_itemsets, VerticalIndex};
-use focus_exec::{map_chunks, map_indices, merge_counts, Parallelism};
+use focus_exec::{map_chunks, merge_counts, Parallelism};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -111,7 +116,7 @@ pub fn prefers_vertical(
 // ---------------------------------------------------------------------------
 // The horizontal arm
 
-/// Minimum transactions per worker chunk for the horizontal walk.
+/// Minimum transactions per worker chunk for the passes over the rows.
 const SCAN_GRAIN: usize = focus_exec::DEFAULT_GRAIN;
 
 /// One node of the walk's lookup table: a sorted item sequence that is a
@@ -237,26 +242,53 @@ fn walk(
 }
 
 // ---------------------------------------------------------------------------
-// The blocked triangular pair pass
+// The triangular pair pass
 
-/// Pair counters per band of [`count_pairs_blocked`]: 256 KiB of `u32`,
-/// small enough to stay in a core's cache while the rows stream past.
-const PAIR_BAND: usize = 1 << 16;
+/// Most `u16` pair counters one triangle may hold: 2 MiB. The triangle of
+/// up to 1,448 frequent items fits whole (0.95 MB for 988 items, one
+/// core's L2 cache); a larger one is cut into bands of at most this many
+/// counters, each counted in a pass of its own.
+const PAIR_BAND: usize = 1 << 20;
+
+/// Rows a worker chunk tallies in `u16` before it must fold them into its
+/// `u32` copy: no pair occurs twice in a row, so no counter can wrap.
+const U16_ROWS: usize = u16::MAX as usize;
+
+/// One worker chunk's counters for one band: `u16` tallies of the rows
+/// since the last fold, plus a `u32` copy (allocated at the first fold)
+/// holding everything folded before them.
+struct PairTally {
+    small: Vec<u16>,
+    wide: Vec<u32>,
+}
+
+impl PairTally {
+    /// Moves the `u16` tallies into the `u32` copy and clears them.
+    fn fold(&mut self) {
+        if self.wide.is_empty() {
+            self.wide = vec![0; self.small.len()];
+        }
+        for (w, s) in self.wide.iter_mut().zip(&mut self.small) {
+            *w += u32::from(std::mem::take(s));
+        }
+    }
+}
 
 /// Every pair of `items` (strictly ascending) that at least `min_count`
 /// rows of `data` contain, as `(a, b, count)` with `a < b`, in ascending
-/// order — Apriori's pass 2 without materialising its C(f, 2) candidates.
+/// order: Apriori's pass 2 without materialising its C(f, 2) candidates.
 ///
-/// The triangle of pair counters is indexed by frequent-item rank and cut
-/// into contiguous bands of first ranks, each of at most [`PAIR_BAND`]
-/// counters (a band always holds at least one rank, so only more than
-/// 65,537 frequent items can exceed it). Each band scans every row and
-/// counts just the pairs whose first rank falls in it: Σ C(|t|, 2)
-/// increments in all, spread over the bands. Whole bands fan out over
-/// `par` and their frequent pairs are concatenated in band order, so every
-/// counter is written by one thread, nothing is merged, and the result is
-/// bit-identical for any thread count.
-fn count_pairs_blocked(
+/// The triangle of pair counters is indexed by frequent-item rank. The
+/// rows are split over `par` (`map_chunks`), and each chunk increments a
+/// `u16` triangle of its own, Σ C(|t|, 2) increments in all; after every
+/// [`U16_ROWS`] rows a chunk folds its tallies into a `u32` copy. The
+/// threshold scan then sums the chunks' counters exactly, rank row by
+/// rank row. A triangle of more than [`PAIR_BAND`] counters is cut into
+/// contiguous bands of first ranks (a band always holds at least one
+/// rank), each counted in one pass over the rows, so memory stays capped
+/// at one band per chunk. Integer sums do not depend on how the rows were
+/// split, so the result is bit-identical for any thread count.
+fn count_pairs(
     data: &TransactionSet,
     items: &[u32],
     min_count: u64,
@@ -269,16 +301,6 @@ fn count_pairs_blocked(
     let f = items.len();
     // Pairs whose first rank is below `a`: the offset of rank `a`'s row.
     let row_start = |a: usize| a * (2 * f - a - 1) / 2;
-    let mut bands: Vec<(usize, usize)> = Vec::new();
-    let mut lo = 0;
-    while lo + 1 < f {
-        let mut hi = lo + 1;
-        while hi + 1 < f && row_start(hi + 1) - row_start(lo) <= PAIR_BAND {
-            hi += 1;
-        }
-        bands.push((lo, hi));
-        lo = hi;
-    }
     const UNRANKED: u32 = u32::MAX;
     let mut rank = vec![UNRANKED; data.n_items() as usize];
     for (r, &it) in items.iter().enumerate() {
@@ -287,41 +309,92 @@ fn count_pairs_blocked(
         }
     }
     let rank = &rank;
-    let parts = map_indices(par, bands.len(), |band| {
-        let (lo, hi) = bands[band];
+    let mut frequent = Vec::new();
+    let mut sums: Vec<u64> = Vec::new();
+    let mut lo = 0;
+    while lo + 1 < f {
+        let mut hi = lo + 1;
+        while hi + 1 < f && row_start(hi + 1) - row_start(lo) <= PAIR_BAND {
+            hi += 1;
+        }
         let base = row_start(lo);
-        let mut counters = vec![0u32; row_start(hi) - base];
-        let mut ranks: Vec<u32> = Vec::new();
-        for t in data.iter() {
-            ranks.clear();
-            ranks.extend(
-                t.iter()
-                    .map(|&it| rank[it as usize])
-                    .filter(|&r| r != UNRANKED && r as usize >= lo),
-            );
-            for (i, &a) in ranks.iter().enumerate() {
-                let a = a as usize;
-                if a >= hi {
-                    break;
+        let len = row_start(hi) - base;
+        // A chunk must bring enough rows to pay for zeroing and scanning
+        // its own triangle.
+        let grain = SCAN_GRAIN.max(len / 256);
+        let parts = map_chunks(par, data.len(), grain, |range| {
+            let mut tally = PairTally {
+                small: vec![0; len],
+                wide: Vec::new(),
+            };
+            let mut ranks: Vec<u32> = Vec::new();
+            for first in range.clone().step_by(U16_ROWS) {
+                if first > range.start {
+                    tally.fold();
                 }
-                let row = &mut counters[row_start(a) - base..row_start(a + 1) - base];
-                for &b in &ranks[i + 1..] {
-                    row[b as usize - a - 1] += 1;
+                for t in first..range.end.min(first + U16_ROWS) {
+                    ranks.clear();
+                    ranks.extend(
+                        data.get(t)
+                            .iter()
+                            .map(|&it| rank[it as usize])
+                            .filter(|&r| r != UNRANKED && r as usize >= lo),
+                    );
+                    for (i, &a) in ranks.iter().enumerate() {
+                        let a = a as usize;
+                        if a >= hi {
+                            break;
+                        }
+                        let row = &mut tally.small[row_start(a) - base..row_start(a + 1) - base];
+                        for &b in &ranks[i + 1..] {
+                            row[b as usize - a - 1] += 1;
+                        }
+                    }
                 }
             }
-        }
-        let mut frequent = Vec::new();
+            tally
+        });
         for a in lo..hi {
-            let row = &counters[row_start(a) - base..row_start(a + 1) - base];
-            for (&b, &count) in items[a + 1..].iter().zip(row) {
-                if u64::from(count) >= min_count {
-                    frequent.push((items[a], b, u64::from(count)));
+            let cells = row_start(a) - base..row_start(a + 1) - base;
+            sums.clear();
+            sums.resize(cells.len(), 0);
+            for part in &parts {
+                for (s, &c) in sums.iter_mut().zip(&part.small[cells.clone()]) {
+                    *s += u64::from(c);
+                }
+                if !part.wide.is_empty() {
+                    for (s, &c) in sums.iter_mut().zip(&part.wide[cells.clone()]) {
+                        *s += u64::from(c);
+                    }
+                }
+            }
+            for (&b, &count) in items[a + 1..].iter().zip(&sums) {
+                if count >= min_count {
+                    frequent.push((items[a], b, count));
                 }
             }
         }
-        frequent
+        lo = hi;
+    }
+    frequent
+}
+
+/// How many rows of `data` hold each item of its universe: one pass over
+/// the stored items, fanned out over `par` by rows.
+fn count_items(data: &TransactionSet, par: Parallelism) -> Vec<u64> {
+    let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
+        let mut tally = vec![0u64; data.n_items() as usize];
+        for t in range {
+            for &it in data.get(t) {
+                tally[it as usize] += 1;
+            }
+        }
+        tally
     });
-    parts.concat()
+    // No rows, no chunks: every item counts 0.
+    let mut counts = merge_counts(parts);
+    counts.resize(data.n_items() as usize, 0);
+    counts
 }
 
 // ---------------------------------------------------------------------------
@@ -477,10 +550,29 @@ impl<'a> CountSource<'a> {
         }
     }
 
+    /// How many transactions hold each item of the universe (Apriori's
+    /// level 1), indexed by item. A source with rows counts them in one
+    /// pass over the stored items and builds no index; an index-backed
+    /// source reads each item's popcount.
+    pub fn item_counts(&self, par: Parallelism) -> Vec<u64> {
+        match &self.repr {
+            Repr::Index(idx) => (0..idx.n_items())
+                .map(|it| {
+                    idx.item_bits(it)
+                        .iter()
+                        .map(|w| u64::from(w.count_ones()))
+                        .sum()
+                })
+                .collect(),
+            Repr::Borrowed(d) => count_items(d, par),
+            Repr::Owned(d) => count_items(d, par),
+        }
+    }
+
     /// Every pair of `items` (strictly ascending) supported by at least
-    /// `min_count` transactions, as ascending `(a, b, count)` triples —
-    /// Apriori's level 2 counted in one blocked triangular pass over the
-    /// rows, without building or consulting the index.
+    /// `min_count` transactions, as ascending `(a, b, count)` triples:
+    /// Apriori's level 2 counted in one pass over the rows into per-chunk
+    /// `u16` pair triangles, without building or consulting the index.
     ///
     /// Returns `None` when the handle has no horizontal view (an
     /// index-backed source), or holds more rows than a `u32` counter can
@@ -493,7 +585,7 @@ impl<'a> CountSource<'a> {
         par: Parallelism,
     ) -> Option<Vec<(u32, u32, u64)>> {
         let data = self.transactions()?;
-        (data.len() <= u32::MAX as usize).then(|| count_pairs_blocked(data, items, min_count, par))
+        (data.len() <= u32::MAX as usize).then(|| count_pairs(data, items, min_count, par))
     }
 }
 
@@ -656,6 +748,37 @@ mod tests {
         assert_eq!(
             indexed.frequent_pairs(&items, 1, Parallelism::Sequential),
             None
+        );
+    }
+
+    #[test]
+    fn item_counts_match_naive_for_every_repr() {
+        let ts = random_set(29, 900, 13, 0.3);
+        let singletons: Vec<Itemset> = (0..13).map(|i| Itemset::from_slice(&[i])).collect();
+        let want = naive(&ts, &singletons);
+        let borrowed = CountSource::borrowed(&ts);
+        for t in [1usize, 2, 4, 7] {
+            assert_eq!(
+                borrowed.item_counts(Parallelism::Threads(t)),
+                want,
+                "threads {t}"
+            );
+        }
+        assert!(!borrowed.index_built(), "the item pass builds no index");
+        let owned = CountSource::from_owned(ts.clone());
+        assert_eq!(owned.item_counts(Parallelism::Sequential), want);
+        let indexed = CountSource::from_index(VerticalIndex::build(&ts));
+        assert_eq!(indexed.item_counts(Parallelism::Sequential), want);
+        // No rows: one zero per item of the universe, whatever the repr.
+        let empty = TransactionSet::new(3);
+        assert_eq!(
+            CountSource::borrowed(&empty).item_counts(Parallelism::Sequential),
+            vec![0; 3]
+        );
+        assert_eq!(
+            CountSource::from_index(VerticalIndex::build(&empty))
+                .item_counts(Parallelism::Sequential),
+            vec![0; 3]
         );
     }
 

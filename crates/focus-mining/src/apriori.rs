@@ -1,6 +1,6 @@
 //! The Apriori algorithm: level-wise frequent-itemset mining.
 //!
-//! Level `k` proceeds in three steps:
+//! Level `k ≥ 3` proceeds in three steps:
 //! 1. **candidate generation** — join pairs of frequent `(k−1)`-itemsets
 //!    sharing a `(k−2)`-prefix;
 //! 2. **candidate pruning** — drop candidates with an infrequent
@@ -9,16 +9,19 @@
 //!    the level's candidates, generated and counted one batch at a time so
 //!    a wide level never sits in memory whole.
 //!
-//! Level 2 skips all three: every pair of frequent items is a candidate,
-//! so [`CountSource::frequent_pairs`] counts them all in one blocked
-//! triangular pass over the rows and returns only the frequent ones. An
-//! index-backed source has no rows and declines; its pairs then go
-//! through the three steps like any other level.
+//! Levels 1 and 2 skip all three, as in Apriori's own passes 1 and 2:
+//! [`CountSource::item_counts`] tallies every item in one pass over the
+//! stored items, and [`CountSource::frequent_pairs`] counts every pair of
+//! frequent items in one pass over the rows into per-thread `u16` pair
+//! triangles and returns only the frequent ones. Neither builds an index.
+//! An index-backed source has no rows: it reads level 1 off its per-item
+//! popcounts, and its level 2 goes through the three steps like any other
+//! level.
 //!
-//! The miner has no counting code of its own. Level 1, levels ≥ 3 and
-//! the fallback level 2 count through [`CountSource::counts`], the same
-//! entry point the FOCUS measure-extension step uses, so there is one
-//! cost model, one horizontal walk and one batched vertical counter. The
+//! The miner has no counting code of its own. Levels ≥ 3 and the
+//! fallback level 2 count through [`CountSource::counts`], the same entry
+//! point the FOCUS measure-extension step uses, so there is one cost
+//! model, one horizontal walk and one batched vertical counter. The
 //! source decides per batch, from the batch's shape alone, whether to
 //! count over its cached tid-bitset index or with the horizontal walk;
 //! every path produces identical `u64` counts, so the mined model never
@@ -110,14 +113,16 @@ impl Apriori {
         self.mine_source(&CountSource::borrowed(data))
     }
 
-    /// Mines the frequent itemsets of the dataset behind `source`: level 2
-    /// through [`CountSource::frequent_pairs`] when the source has rows,
-    /// every other level through [`CountSource::counts`]. The source's
-    /// budget and representation decide which counting arm each
-    /// `counts` call uses — a budget-0 source counts every such level
-    /// horizontally, an index-backed source every level vertically — and
-    /// never the mined model. An index built here stays cached in
-    /// `source` for later counts, such as a measure extension.
+    /// Mines the frequent itemsets of the dataset behind `source`: level 1
+    /// through [`CountSource::item_counts`], level 2 through
+    /// [`CountSource::frequent_pairs`] when the source has rows, every
+    /// other level through [`CountSource::counts`]. The source's budget
+    /// and representation decide which counting arm each `counts` call
+    /// uses — a budget-0 source counts every such level horizontally, an
+    /// index-backed source every level vertically — and never the mined
+    /// model. Levels 1 and 2 build no index; one built by a later level
+    /// stays cached in `source` for later counts, such as a measure
+    /// extension.
     pub fn mine_source(&self, source: &CountSource<'_>) -> LitsModel {
         let n = source.len();
         if n == 0 {
@@ -144,8 +149,7 @@ impl Apriori {
         let singletons: Vec<Itemset> = (0..source.n_items())
             .map(|it| Itemset::new(vec![it]))
             .collect();
-        let counts = source.counts(&singletons, par);
-        keep(singletons, counts, &mut frontier);
+        keep(singletons, source.item_counts(par), &mut frontier);
         let mut k = 2usize;
         // Level 2 in one pass over the rows, when the source has them.
         let pairs = within_cap(2).then(|| {
@@ -532,6 +536,32 @@ mod tests {
         let m = mine_both_level2_paths(&floored, &data);
         assert_eq!(m.len(), 3, "singletons have 4, pairs 3");
         assert!(m.itemsets().iter().all(|s| s.len() == 1));
+    }
+
+    #[test]
+    fn first_two_levels_build_no_index() {
+        // Sparse enough that counting all singletons through
+        // `CountSource::counts` would build the index.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut data = TransactionSet::new(40);
+        for _ in 0..2000 {
+            let t: Vec<u32> = (0..40).filter(|_| rng.gen::<f64>() < 0.1).collect();
+            data.push(t);
+        }
+        let singletons: Vec<Itemset> = (0..40).map(|i| Itemset::new(vec![i])).collect();
+        let probe = CountSource::borrowed(&data);
+        probe.counts(&singletons, Parallelism::Sequential);
+        assert!(probe.index_built(), "a counts call would go vertical");
+
+        let miner = Apriori::new(AprioriParams::with_minsup(0.01).max_len(2));
+        let source = CountSource::borrowed(&data);
+        let m = miner.mine_source(&source);
+        assert!(!source.index_built(), "levels 1 and 2 build no index");
+        assert!(m.itemsets().iter().any(|s| s.len() == 2));
+        assert_eq!(
+            m,
+            miner.mine_source(&CountSource::from_index(VerticalIndex::build(&data)))
+        );
     }
 
     #[test]

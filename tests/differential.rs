@@ -120,12 +120,20 @@ fn check_frequent_pairs(data: &TransactionSet, min_count: u64) -> Vec<(u32, u32,
     got
 }
 
-/// The pair pass over more frequent items than one band of counters holds:
-/// 560 items make C(560, 2) = 156,520 pairs, three bands.
+/// The pair pass over more frequent items than one 2 MiB triangle of
+/// `u16` counters holds: at least 1,449 frequent items make more than
+/// 2^20 pairs, so the triangle is cut into bands and the rows are passed
+/// once per band.
 #[test]
 fn frequent_pairs_agree_across_bands() {
-    let data = random_transactions(11, 300, 560, 0.03);
-    assert!(!check_frequent_pairs(&data, 2).is_empty());
+    let data = random_transactions(11, 64, 1600, 0.05);
+    let pairs = check_frequent_pairs(&data, 1);
+    let f = pairs
+        .iter()
+        .flat_map(|&(a, b, _)| [a, b])
+        .collect::<std::collections::BTreeSet<u32>>()
+        .len();
+    assert!(f * (f - 1) / 2 > 1 << 20, "{f} items fit one triangle");
 }
 
 proptest! {

@@ -4,7 +4,9 @@
 //! For random datasets and seeds, every parallelized pipeline — deviation
 //! measure scans for all three model classes, Apriori mining, both arms
 //! of the lits counting engine (the horizontal walk and batched
-//! tid-bitset counting), the level-2 pair pass, shared counting-source
+//! tid-bitset counting), Apriori's level-1 item pass and level-2 pair
+//! pass (rows split over the workers, each counting into its own `u16`
+//! pair triangle, summed exactly), shared counting-source
 //! handles with their lazily cached index, decision-tree induction,
 //! k-means Lloyd iterations, per-region `f`/`g` aggregation, and the
 //! bootstrap qualification fan-out (`qualify`, `qualify_chi_squared`) —
@@ -585,36 +587,40 @@ fn large_scan_splits_chunks_and_stays_identical() {
     }
 }
 
-/// The blocked triangular pair pass fans whole bands of pair counters out
-/// over the workers. With 600 frequent items the triangle holds
-/// C(600, 2) = 179,700 counters, at least three bands of 65,536, so every
-/// thread count splits it differently. The rows include ones with no
-/// frequent item, ones with exactly one, and long ones whose pairs cross
-/// every band boundary; the frequent items skip every seventh item, so
-/// ranks and item ids differ.
+/// The pair pass splits the rows over the workers and sums their
+/// triangles. 1,500 frequent items make C(1500, 2) = 1,124,250 pair
+/// counters, more than one 2 MiB triangle of `u16` holds, so the rows are
+/// passed once per band. 120,000 rows are enough for seven chunks of the
+/// first band at seven threads. The rows include ones with no frequent
+/// item, ones with exactly one, and ones whose pairs straddle the band
+/// boundary; the frequent items skip every seventh item, so ranks and item
+/// ids differ.
 #[test]
 fn frequent_pairs_bit_identical_across_thread_counts() {
-    let n_items = 700u32;
+    let n_items = 1750u32;
     let items: Vec<u32> = (0..n_items).filter(|i| i % 7 != 0).collect();
-    assert_eq!(items.len(), 600);
+    assert_eq!(items.len(), 1500);
     let mut rng = StdRng::seed_from_u64(2000);
     let mut data = TransactionSet::new(n_items);
-    for row in 0..1500 {
+    for row in 0..120_000 {
         let t: Vec<u32> = match row % 5 {
             0 => Vec::new(),
             // Multiples of 7 are never frequent.
-            1 => vec![0, 7, 14, 693],
-            2 => vec![7, items[rng.gen_range(0..items.len())], 693],
-            _ => (0..n_items).filter(|_| rng.gen::<f64>() < 0.04).collect(),
+            1 => vec![0, 7, 14, 1743],
+            2 => vec![7, items[rng.gen_range(0..items.len())], 1743],
+            3 => vec![items[0], items[1100], items[1400], items[1499]],
+            _ => (0..6)
+                .map(|_| items[rng.gen_range(0..items.len())])
+                .collect(),
         };
         data.push(t);
     }
     let source = CountSource::borrowed(&data);
-    for min_count in [1, 3] {
+    for min_count in [1, 30] {
         let seq = source
             .frequent_pairs(&items, min_count, Parallelism::Sequential)
             .expect("a row-backed source runs the pass");
-        assert!(!seq.is_empty());
+        assert!(seq.iter().any(|&(a, _, _)| a == items[1400]));
         for t in THREADS {
             assert_eq!(
                 source.frequent_pairs(&items, min_count, Parallelism::Threads(t)),
@@ -624,6 +630,51 @@ fn frequent_pairs_bit_identical_across_thread_counts() {
         }
     }
     assert!(!source.index_built(), "the pair pass builds no index");
+}
+
+/// A chunk counts in `u16` and folds into `u32` before a counter could
+/// wrap. With 140,000 rows the one chunk of a sequential pass folds twice
+/// and each of two chunks folds once; the pair {1, 2} sits in every row,
+/// so its count is exact only past the `u16` range.
+#[test]
+fn frequent_pairs_count_past_the_u16_range() {
+    let n = 140_000usize;
+    let mut data = TransactionSet::new(4);
+    for row in 0..n {
+        let mut t = vec![1, 2];
+        if row % 3 == 0 {
+            t.push(0);
+        }
+        if row % 5 == 0 {
+            t.push(3);
+        }
+        data.push(t);
+    }
+    let (thirds, fifths, fifteenths) = (46_667, 28_000, 9_334);
+    let want = vec![
+        (0, 1, thirds),
+        (0, 2, thirds),
+        (0, 3, fifteenths),
+        (1, 2, n as u64),
+        (1, 3, fifths),
+        (2, 3, fifths),
+    ];
+    let source = CountSource::borrowed(&data);
+    for par in [Parallelism::Sequential]
+        .into_iter()
+        .chain(THREADS.map(Parallelism::Threads))
+    {
+        assert_eq!(
+            source.frequent_pairs(&[0, 1, 2, 3], 1, par),
+            Some(want.clone()),
+            "{par:?}"
+        );
+        assert_eq!(
+            source.frequent_pairs(&[0, 1, 2, 3], 65_536, par),
+            Some(vec![(1, 2, n as u64)]),
+            "{par:?}"
+        );
+    }
 }
 
 /// δ*-screening for the dt and cluster families must be a pure

@@ -8,7 +8,7 @@
 //! done > BENCH_scaling.json
 //! ```
 //!
-//! The seven operations, each at `Parallelism::Global`:
+//! The nine operations, each at `Parallelism::Global`:
 //!
 //! * `count_itemsets`, `count_partition`, `count_boxes` — the three
 //!   chunked dataset scans (itemset counting over a mined model's
@@ -23,6 +23,13 @@
 //!   parameters to its own `gen-class` table, 5 % label noise) over the F2
 //!   table, `--scale` × 2.5M rows (50k at the default scale, where the
 //!   trees have about 140 leaves each);
+//! * `dt_matrix` — a full screened `deviation_matrix::<DtFamily>` (every
+//!   pair scanned) over 6 snapshots alternating F2 and F3, each fitted
+//!   like `dt_scan`'s trees, `--scale` × 2.5M rows each;
+//! * `lits_matrix` — an all-pairs `DiffFn::Scaled` matrix (`--f fs`, which
+//!   screening never prunes) over 10 lits snapshots from two alternating
+//!   `gen-assoc` pattern sets, each mined like the CLI at minsup 0.005,
+//!   `--scale` × 1M rows each (20k at the default scale);
 //! * `qualify` — the bootstrap per-replicate fan-out of Section 3.4: each
 //!   of 8 replicates re-mines both pseudo-datasets and deviates them, over
 //!   two `--scale` × 100k-row datasets (2k at the default scale);
@@ -40,17 +47,18 @@
 
 use focus_bench::{git_commit, timed, ExpConfig};
 use focus_cluster::{KMeans, KMeansParams};
-use focus_core::data::TransactionSet;
+use focus_core::data::{LabeledTable, TransactionSet};
 use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{DtFamily, LitsFamily, ModelFamily, Side};
-use focus_core::model::{count_boxes, count_itemsets, count_partition};
+use focus_core::model::{count_boxes, count_itemsets, count_partition, DtModel, LitsModel};
 use focus_core::qualify::qualify;
 use focus_core::region::{BoxBuilder, BoxIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
+use focus_registry::{deviation_matrix, MatrixParams};
 use focus_tree::{DecisionTree, TreeParams};
 use std::hint::black_box;
 
@@ -130,6 +138,48 @@ fn main() {
         "dt_scan",
         best_of(cfg.samples, || {
             DtFamily::measures(&gcr, &m2, &m3, &&t2, Side::Left, par)
+        }),
+    );
+
+    // The exact phase of whole matrices: every dt pair, and every lits
+    // pair under f_s.
+    let names = |n: usize| (0..n).map(|k| format!("s{k}")).collect::<Vec<_>>();
+    let dt_tables: Vec<LabeledTable> = (0..6u64)
+        .map(|k| {
+            let f = [ClassifyFn::F2, ClassifyFn::F3][k as usize % 2];
+            table(f, cfg.seed + 10 + k)
+        })
+        .collect();
+    let dt_models: Vec<DtModel> = dt_tables
+        .iter()
+        .map(|t| DecisionTree::fit(t, cli_params).to_model())
+        .collect();
+    record(
+        "dt_matrix",
+        best_of(cfg.samples, || {
+            deviation_matrix::<DtFamily>(&dt_models, &dt_tables, names(6), &MatrixParams::default())
+                .expect("valid parameters")
+        }),
+    );
+    let lits_gens = [1, 2].map(|p| AssocGen::new(AssocGenParams::paper(2000, 4.0), cfg.seed + p));
+    let lits_data: Vec<TransactionSet> = (0..10u64)
+        .map(|k| lits_gens[k as usize % 2].generate(big, cfg.seed + 20 + k))
+        .collect();
+    let cli_miner = Apriori::new(
+        AprioriParams::with_minsup(0.005)
+            .max_len(10)
+            .min_count_floor(2),
+    );
+    let lits_models: Vec<LitsModel> = lits_data.iter().map(|d| cli_miner.mine(d)).collect();
+    let scaled = MatrixParams {
+        diff: DiffFn::Scaled,
+        ..MatrixParams::default()
+    };
+    record(
+        "lits_matrix",
+        best_of(cfg.samples, || {
+            deviation_matrix::<LitsFamily>(&lits_models, &lits_data, names(10), &scaled)
+                .expect("valid parameters")
         }),
     );
 

@@ -402,6 +402,75 @@ fn missing_or_corrupt_artifacts_are_named_errors() {
 }
 
 #[test]
+fn corrupt_datasets_name_the_first_snapshot_at_every_thread_count() {
+    // Datasets load inside the matrix's fan-out. With two of them broken,
+    // the error is the earlier snapshot's in manifest order, whichever
+    // worker reached which first.
+    let dir = scratch("corrupt-datasets");
+    let reg = dir.join("reg");
+    for (name, seed) in [("a", "2"), ("b", "3"), ("c", "4"), ("d", "5")] {
+        let data = dir.join(format!("{name}.txt"));
+        gen_txns(&data, seed);
+        add_lits(&reg, &data, name, &[]);
+        let table = dir.join(format!("{name}.tbl"));
+        run(&[
+            "gen-class",
+            "--out",
+            path_str(&table),
+            "--n",
+            "300",
+            "--function",
+            if seed == "3" { "F3" } else { "F2" },
+            "--seed",
+            seed,
+        ]);
+        run(&[
+            "registry-add",
+            "--dir",
+            path_str(&reg),
+            "--data",
+            path_str(&table),
+            "--name",
+            &format!("t{name}"),
+            "--kind",
+            "dt",
+            "--max-depth",
+            "4",
+            "--min-leaf",
+            "20",
+        ]);
+    }
+    for (kind, ext, first, second) in [("lits", "txns", "b", "d"), ("dt", "tbl", "tb", "td")] {
+        // One artifact truncated, one with a flipped byte mid-file.
+        let truncated = reg.join(format!("{second}.{ext}.bin"));
+        let bytes = std::fs::read(&truncated).unwrap();
+        std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+        let flipped = reg.join(format!("{first}.{ext}.bin"));
+        let mut bytes = std::fs::read(&flipped).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&flipped, bytes).unwrap();
+
+        let named = format!("error: {}: ", path_str(&flipped));
+        let mut seen = Vec::new();
+        for threads in ["1", "2", "4", "7"] {
+            let out = Command::new(bin())
+                .args(["matrix", "--dir", path_str(&reg), "--kind", kind])
+                .env("FOCUS_THREADS", threads)
+                .output()
+                .expect("failed to spawn focus-cli");
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(1), "{kind} at {threads}: {err}");
+            assert!(!err.contains("panicked"), "{kind} at {threads}: {err}");
+            assert!(err.starts_with(&named), "{kind} at {threads}: {err}");
+            seen.push(err);
+        }
+        assert!(seen.windows(2).all(|w| w[0] == w[1]), "{kind}: {seen:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn duplicate_registry_add_is_rejected_before_fitting() {
     let dir = scratch("duplicate");
     let data = dir.join("d.tbl");

@@ -150,15 +150,19 @@ pub fn deviate_focussed<F: ModelFamily>(
 /// 1. measure every GCR evaluation region against both datasets (one scan
 ///    each, via [`ModelFamily::measures`]);
 /// 2. apply `f` per region, fanned out in region order;
-/// 3. fold the participating regions' differences with `g`, sequentially.
+/// 3. fold the participating regions' differences with `g`, sequentially
+///    (steps 2 and 3 are [`fold_measures`]).
 ///
 /// It takes the GCR and pre-built access handles
 /// ([`ModelFamily::Source`]) instead of raw datasets. Callers that build
 /// their own region sets (the structural operators of Section 5) pass
 /// the GCR in; a lits region list must be in canonical order (see
-/// [`LitsFamily`](crate::family::LitsFamily)). The batch engines in `focus-registry` and the CLI keep one
-/// handle per dataset for a whole run, so the expensive structures
-/// inside a handle (the lits vertical index) are built at most once.
+/// [`LitsFamily`](crate::family::LitsFamily)). The CLI keeps one handle
+/// per dataset for a whole run, so the expensive structures inside a
+/// handle (the lits vertical index) are built at most once; the batch
+/// matrix in `focus-registry` instead extends each snapshot against all
+/// its partners at once ([`ModelFamily::extend`]) and folds each pair
+/// with [`fold_measures`].
 #[allow(clippy::too_many_arguments)]
 pub fn deviate_over_sources<F: ModelFamily>(
     gcr: F::Gcr,
@@ -176,13 +180,47 @@ pub fn deviate_over_sources<F: ModelFamily>(
     let raw2 = F::measures(&gcr, m1, m2, s2, Side::Right, par);
     debug_assert_eq!(raw1.len(), F::n_regions(&gcr));
     debug_assert_eq!(raw2.len(), F::n_regions(&gcr));
+    let (value, per_region) = fold_measures::<F>(&raw1, &raw2, n1, n2, f, g, par, |i| {
+        F::participates(&gcr, i)
+    });
+    FamilyDeviation {
+        value,
+        gcr,
+        raw1,
+        raw2,
+        per_region,
+    }
+}
+
+/// Steps 2 and 3 of the region-evaluation loop (see
+/// [`deviate_over_sources`]): `f` per evaluation region over the two
+/// sides' canonical measures (`raw1` w.r.t. `n1` rows, `raw2` w.r.t.
+/// `n2`), fanned out in region order, then `g` over the regions
+/// `participates` admits, sequentially. Returns the value and the
+/// per-region differences, `0` where a region does not participate.
+/// Bit-identical for any thread count.
+#[allow(clippy::too_many_arguments)]
+pub fn fold_measures<F: ModelFamily>(
+    raw1: &[f64],
+    raw2: &[f64],
+    n1: u64,
+    n2: u64,
+    f: DiffFn,
+    g: AggFn,
+    par: Parallelism,
+    participates: impl Fn(usize) -> bool + Sync,
+) -> (f64, Vec<f64>) {
+    assert_eq!(
+        raw1.len(),
+        raw2.len(),
+        "one measure per region on each side"
+    );
     let (n1f, n2f) = (n1 as f64, n2 as f64);
-    let (raw1_ref, raw2_ref, gcr_ref) = (&raw1, &raw2, &gcr);
     let per_region = eval_regions_par(par, raw1.len(), |i| {
-        if F::participates(gcr_ref, i) {
+        if participates(i) {
             f.eval(
-                F::abs_measure(raw1_ref[i], n1),
-                F::abs_measure(raw2_ref[i], n2),
+                F::abs_measure(raw1[i], n1),
+                F::abs_measure(raw2[i], n2),
                 n1f,
                 n2f,
             )
@@ -194,16 +232,10 @@ pub fn deviate_over_sources<F: ModelFamily>(
         per_region
             .iter()
             .enumerate()
-            .filter(|&(i, _)| F::participates(&gcr, i))
+            .filter(|&(i, _)| participates(i))
             .map(|(_, &d)| d),
     );
-    FamilyDeviation {
-        value,
-        gcr,
-        raw1,
-        raw2,
-        per_region,
-    }
+    (value, per_region)
 }
 
 #[cfg(test)]

@@ -9,7 +9,10 @@
 //! 1. **GCR construction** — union of itemset families, partition overlay,
 //!    or box overlay with remainders ([`crate::gcr`]);
 //! 2. **measure extension** — one scan of a dataset producing the measure
-//!    of every GCR region w.r.t. that dataset;
+//!    of every GCR region w.r.t. that dataset. One scan serves every pair
+//!    the dataset takes part in ([`ModelFamily::extend`]): a batch
+//!    matrix extends each snapshot once against all its partner models,
+//!    and [`ModelFamily::measures`] is the one-partner case;
 //! 3. **focussing** — how a region list is intersected with ρ
 //!    (Definition 5.2);
 //! 4. **the model-only upper bound** — δ* of Definition 4.1 for lits,
@@ -27,11 +30,13 @@
 
 use crate::data::{LabeledTable, Table, TransactionSet};
 use crate::diff::{AggFn, DiffFn};
-use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, merge_join, Joined, OverlayCell};
+use crate::gcr::{
+    gcr_boxes, gcr_lits, gcr_partition, merge_join, overlay_pairs, Joined, OverlayCell,
+};
 use crate::model::{count_boxes, ClusterModel, DtModel, LitsModel};
 use crate::region::{BoxRegion, Itemset};
 use crate::source::CountSource;
-use focus_exec::{map_chunks, merge_counts, Parallelism};
+use focus_exec::{map_chunks, Parallelism};
 
 /// Which side of a deviation pair a dataset belongs to. Measure extension
 /// needs this because some families treat the two sides asymmetrically:
@@ -44,6 +49,22 @@ pub enum Side {
     Left,
     /// The dataset that induced the pair's second model.
     Right,
+}
+
+/// One pair that a scan of a dataset serves (see [`ModelFamily::extend`]):
+/// the other model of the pair, which side of the pair the scanned
+/// dataset is on, and the regions to measure.
+pub struct Partner<'a, F: ModelFamily + ?Sized> {
+    /// The pair's other model: `m2` when `side` is [`Side::Left`], `m1`
+    /// when it is [`Side::Right`].
+    pub model: &'a F::Model,
+    /// The scanned dataset's side of the pair.
+    pub side: Side,
+    /// The regions to measure: a GCR of the pair (a ρ-restricted or
+    /// hand-built one, say), or `None` for the plain
+    /// [`ModelFamily::gcr`] of the pair, which the scan then does not
+    /// need built.
+    pub gcr: Option<&'a F::Gcr>,
 }
 
 /// A model class that plugs into the FOCUS framework: the 2-component and
@@ -64,8 +85,8 @@ pub trait ModelFamily {
     /// universe for lits, a box for dt/cluster).
     type Focus: ?Sized;
     /// The per-dataset access handle the measure scans read through
-    /// (`Sync` so one handle is shared across a batch run's worker
-    /// threads). Lits uses a [`CountSource`] — a counting handle that
+    /// (`Sync` so one handle is shared across a scan's worker threads).
+    /// Lits uses a [`CountSource`] — a counting handle that
     /// caches its vertical index and picks an arm per workload via the
     /// deterministic cost model — so repeated scans of one snapshot build
     /// the index at most once; dt and cluster scan their tables directly.
@@ -103,13 +124,27 @@ pub trait ModelFamily {
     /// Number of rows/transactions behind an access handle.
     fn source_len(source: &Self::Source<'_>) -> u64;
 
-    /// The canonical measure of every evaluation region w.r.t. the
-    /// dataset behind `source` (one scan, fanned out over `par`,
-    /// bit-identical for any thread count). `m1`/`m2` are the pair's
-    /// models in pair order; `side` says which of the two datasets is
-    /// being scanned. Lits returns support *fractions* (reusing the
-    /// side's model where possible); dt and cluster return absolute
-    /// counts as `f64`.
+    /// Measure extension for every pair one dataset takes part in, in
+    /// one scan of the dataset behind `source`: for each partner, in
+    /// order, the canonical measure of every evaluation region of that
+    /// pair's GCR. `own` is the model of the scanned dataset. Lits returns
+    /// support *fractions* (reusing `own`'s supports and counting the
+    /// union of the regions it lacks once); dt locates each row in `own`'s
+    /// tree once and in each partner's tree once; cluster counts each
+    /// partner's boxes. Fanned out over `par`, bit-identical for any
+    /// thread count, and equal to one [`ModelFamily::measures`] call per
+    /// partner.
+    fn extend(
+        source: &Self::Source<'_>,
+        own: &Self::Model,
+        partners: &[Partner<'_, Self>],
+        par: Parallelism,
+    ) -> Vec<Vec<f64>>;
+
+    /// The canonical measure of every evaluation region of `gcr` w.r.t.
+    /// the dataset behind `source`: [`ModelFamily::extend`] with one
+    /// partner. `m1`/`m2` are the pair's models in pair order; `side` says
+    /// which of the two datasets is being scanned.
     fn measures(
         gcr: &Self::Gcr,
         m1: &Self::Model,
@@ -117,7 +152,19 @@ pub trait ModelFamily {
         source: &Self::Source<'_>,
         side: Side,
         par: Parallelism,
-    ) -> Vec<f64>;
+    ) -> Vec<f64> {
+        let (own, model) = match side {
+            Side::Left => (m1, m2),
+            Side::Right => (m2, m1),
+        };
+        let partner = Partner {
+            model,
+            side,
+            gcr: Some(gcr),
+        };
+        let mut out = Self::extend(source, own, std::slice::from_ref(&partner), par);
+        out.pop().expect("one measure vector per partner")
+    }
 
     /// Converts one canonical measure to the *absolute* measure `v` that
     /// [`DiffFn::eval`] expects (`fraction × n` for lits, identity for the
@@ -127,6 +174,7 @@ pub trait ModelFamily {
     /// Whether evaluation region `i` participates in the aggregate `g`.
     /// Non-participating regions (a class-focussed dt cell's other
     /// classes) report `0` in `per_region` and are excluded from the fold.
+    /// Every region of a plain [`ModelFamily::gcr`] participates.
     fn participates(gcr: &Self::Gcr, i: usize) -> bool {
         let _ = (gcr, i);
         true
@@ -204,19 +252,13 @@ impl ModelFamily for LitsFamily {
         gcr.len()
     }
 
-    fn measures(
-        gcr: &Vec<Itemset>,
-        m1: &LitsModel,
-        m2: &LitsModel,
+    fn extend(
         source: &CountSource<'_>,
-        side: Side,
+        own: &LitsModel,
+        partners: &[Partner<'_, Self>],
         par: Parallelism,
-    ) -> Vec<f64> {
-        let own = match side {
-            Side::Left => m1,
-            Side::Right => m2,
-        };
-        extend_supports(gcr, own, source, par)
+    ) -> Vec<Vec<f64>> {
+        extend_supports(source, own, partners, par)
     }
 
     fn abs_measure(raw: f64, n: u64) -> f64 {
@@ -250,43 +292,80 @@ impl ModelFamily for LitsFamily {
     }
 }
 
-/// The measure-extension step: supports of `regions` w.r.t. the dataset
-/// behind `source`, reusing the supports recorded in `model` where
-/// available so only the itemsets missing from the model's structure
-/// trigger counting work. `regions` is the GCR or a ρ-restriction of it,
-/// a subsequence of the union in the same canonical order, so one
-/// [`merge_join`] against the model's own sorted list finds every
-/// recorded support.
-pub(crate) fn extend_supports(
-    regions: &[Itemset],
-    model: &LitsModel,
+/// The lits measure-extension step: for each partner, the supports of
+/// its regions w.r.t. the dataset behind `source`, read from `own`'s
+/// recorded supports where `own` has the itemset. The itemsets `own`
+/// lacks are counted once, as the canonical union over all partners, so
+/// a snapshot paired with many partners counts each missing itemset
+/// once. Every region list is canonical (the plain GCR is walked as the
+/// [`merge_join`] of the two models, a given GCR against `own`), so each
+/// list of lacking itemsets is ascending and reads its counts from the
+/// union by one forward cursor.
+fn extend_supports(
     source: &CountSource<'_>,
+    own: &LitsModel,
+    partners: &[Partner<'_, LitsFamily>],
     par: Parallelism,
-) -> Vec<f64> {
-    let mut supports = vec![0.0f64; regions.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (_, at) in merge_join(regions, model.itemsets()) {
-        match at {
-            Joined::Both(i, j) => supports[i] = model.supports()[j],
-            Joined::First(i) => missing.push(i),
-            Joined::Second(_) => {}
+) -> Vec<Vec<f64>> {
+    let mut out = Vec::with_capacity(partners.len());
+    // Per partner: (slot in its measure vector, itemset) of every region
+    // `own` lacks, ascending.
+    let mut lacking: Vec<Vec<(usize, &Itemset)>> = Vec::with_capacity(partners.len());
+    for p in partners {
+        let regions = p.gcr.map_or(own.len() + p.model.len(), |g| g.len());
+        let mut supports = Vec::with_capacity(regions);
+        let mut missing = Vec::new();
+        let mut visit = |x, in_own: Option<usize>| {
+            if in_own.is_none() {
+                missing.push((supports.len(), x));
+            }
+            supports.push(in_own.map_or(0.0, |j| own.supports()[j]));
+        };
+        match p.gcr {
+            Some(regions) => {
+                for (x, at) in merge_join(regions, own.itemsets()) {
+                    match at {
+                        Joined::Both(_, j) => visit(x, Some(j)),
+                        Joined::First(_) => visit(x, None),
+                        Joined::Second(_) => {}
+                    }
+                }
+            }
+            None => {
+                for (x, at) in merge_join(own.itemsets(), p.model.itemsets()) {
+                    match at {
+                        Joined::Both(i, _) | Joined::First(i) => visit(x, Some(i)),
+                        Joined::Second(_) => visit(x, None),
+                    }
+                }
+            }
+        }
+        out.push(supports);
+        lacking.push(missing);
+    }
+    let mut union: Vec<&Itemset> = lacking.iter().flatten().map(|&(_, x)| x).collect();
+    union.sort_unstable();
+    union.dedup();
+    if union.is_empty() {
+        return out;
+    }
+    let to_count: Vec<Itemset> = union.iter().map(|&x| x.clone()).collect();
+    // Cost-model dispatched: large workloads count through the source's
+    // cached vertical tid-bitset index, batched by shared (k−1)-prefix
+    // runs, instead of re-walking every transaction. Counts are identical
+    // either way, so measures stay bit-identical to the horizontal scan.
+    let counts = source.counts(&to_count, par);
+    let n = source.len().max(1) as f64;
+    for (supports, missing) in out.iter_mut().zip(&lacking) {
+        let mut u = 0;
+        for &(slot, x) in missing {
+            while union[u] < x {
+                u += 1;
+            }
+            supports[slot] = counts[u] as f64 / n;
         }
     }
-    if !missing.is_empty() {
-        let to_count: Vec<Itemset> = missing.iter().map(|&i| regions[i].clone()).collect();
-        // Cost-model dispatched: large workloads count through the
-        // source's cached vertical tid-bitset index, batched by shared
-        // (k−1)-prefix runs — one cached intersection mask per run, one
-        // masked popcount per sibling — instead of re-walking every
-        // transaction. Counts are identical either way, so measures stay
-        // bit-identical to the horizontal scan.
-        let counts = source.counts(&to_count, par);
-        let n = source.len().max(1) as f64;
-        for (slot, &c) in missing.iter().zip(&counts) {
-            supports[*slot] = c as f64 / n;
-        }
-    }
-    supports
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -365,17 +444,15 @@ impl ModelFamily for DtFamily {
         gcr.cells.len() * gcr.n_classes as usize
     }
 
-    fn measures(
-        gcr: &DtGcr,
-        m1: &DtModel,
-        m2: &DtModel,
+    fn extend(
         data: &&LabeledTable,
-        _side: Side,
+        own: &DtModel,
+        partners: &[Partner<'_, Self>],
         par: Parallelism,
-    ) -> Vec<f64> {
-        count_cells(gcr, m1, m2, data, par)
+    ) -> Vec<Vec<f64>> {
+        count_cells(data, own, partners, par)
             .into_iter()
-            .map(|c| c as f64)
+            .map(|counts| counts.into_iter().map(|c| c as f64).collect())
             .collect()
     }
 
@@ -418,69 +495,140 @@ impl ModelFamily for DtFamily {
     }
 }
 
-/// Routes each row of `data` through both original partitions to its GCR
-/// cell and tallies per-class counts. Each model locates the row through
-/// its leaf index ([`crate::region::BoxIndex`]), and a dense `L1 × L2`
-/// table maps the leaf pair to its cell, so the scan costs
-/// `O(rows · (attrs · log L + L/64))` for `L = max(L1, L2)` leaves instead
-/// of `O(rows · |GCR|)`. Each leaf index takes at most about
-/// `attrs · L²/4` bytes, the table `4 · L1 · L2` bytes. A row in leaves
-/// `i` and `j` lies in `leaf_i ∩ leaf_j`, so it is re-checked against its
-/// cell only when the cells may be smaller than that (a focussed or
-/// hand-built [`DtGcr`]). Row chunks fan out over `par` worker threads;
-/// the per-chunk tallies merge by `u64` addition, bit-identical to a
-/// sequential scan.
+/// `cell_of[i * l2 + j]` when leaf pair `(i, j)` has no GCR cell.
+const NO_CELL: u32 = u32::MAX;
+
+/// One partner's part of a dt cell scan: where each leaf pair's counts go.
+struct CellRoute<'a> {
+    partner: &'a DtModel,
+    /// Whether the scanned dataset's tree is the pair's first model.
+    own_left: bool,
+    /// Leaves of the pair's second model.
+    l2: usize,
+    /// Classes per cell.
+    k: usize,
+    /// The cell of leaf pair `(i, j)` at `i * l2 + j`, or [`NO_CELL`].
+    cell_of: Vec<u32>,
+    n_cells: usize,
+    /// The cells to re-check each row against, for a GCR whose cells may
+    /// be smaller than their leaf pair's intersection.
+    recheck: Option<&'a [OverlayCell]>,
+}
+
+impl<'a> CellRoute<'a> {
+    fn new(own: &'a DtModel, p: &Partner<'a, DtFamily>) -> Self {
+        let own_left = p.side == Side::Left;
+        let (m1, m2) = if own_left {
+            (own, p.model)
+        } else {
+            (p.model, own)
+        };
+        let (l1, l2) = (m1.leaves().len(), m2.leaves().len());
+        let mut cell_of = vec![NO_CELL; l1 * l2];
+        let mut n_cells = 0usize;
+        let mut number = |(i, j): (usize, usize)| {
+            if i < l1 && j < l2 {
+                cell_of[i * l2 + j] = n_cells as u32;
+            }
+            n_cells += 1;
+        };
+        let (k, recheck) = match p.gcr {
+            Some(gcr) => {
+                gcr.cells.iter().for_each(|c| number((c.left, c.right)));
+                let recheck = gcr.recheck.then_some(gcr.cells.as_slice());
+                (gcr.n_classes as usize, recheck)
+            }
+            // The plain overlay's cells, numbered in `gcr_partition`'s
+            // order without building their regions.
+            None => {
+                assert_eq!(m1.n_classes(), m2.n_classes(), "class sets must agree");
+                overlay_pairs(m1.leaves(), m2.leaves()).for_each(number);
+                (m1.n_classes() as usize, None)
+            }
+        };
+        assert!(n_cells < NO_CELL as usize, "too many GCR cells");
+        Self {
+            partner: p.model,
+            own_left,
+            l2,
+            k,
+            cell_of,
+            n_cells,
+            recheck,
+        }
+    }
+}
+
+/// Routes each row of `data` to its GCR cell of every partner pair and
+/// tallies per-class counts. A row is located in `own`'s tree once and in
+/// each partner's tree once, through the trees' leaf indexes
+/// ([`crate::region::BoxIndex`]); a dense `L1 × L2` table per partner maps
+/// the leaf pair to its cell. The scan costs `O(rows · (1 + partners) ·
+/// (attrs · log L + L/64))` for `L` leaves per tree instead of
+/// `O(rows · |GCR|)`. A row in leaves `i` and `j` lies in
+/// `leaf_i ∩ leaf_j`, so it is re-checked against its cell only when the
+/// cells may be smaller than that (a focussed or hand-built [`DtGcr`]).
+/// Row chunks fan out over `par` worker threads; the per-chunk tallies
+/// merge by `u64` addition, bit-identical to a sequential scan.
 fn count_cells(
-    gcr: &DtGcr,
-    m1: &DtModel,
-    m2: &DtModel,
     data: &LabeledTable,
+    own: &DtModel,
+    partners: &[Partner<'_, DtFamily>],
     par: Parallelism,
-) -> Vec<u64> {
-    let cells = &gcr.cells;
-    let k = gcr.n_classes as usize;
+) -> Vec<Vec<u64>> {
+    let routes: Vec<CellRoute<'_>> = partners.iter().map(|p| CellRoute::new(own, p)).collect();
     // The per-(cell, class) tallies index `counts[idx * k + label]`: a
     // label at or beyond `k` (a hand-built `DtGcr` whose class count
     // disagrees with the data) would silently land in a *neighbouring
     // cell's* slot rather than out of bounds, so guard it up front.
-    assert!(
-        data.n_classes as usize <= k,
-        "dataset has {} classes but the GCR was built for {}",
-        data.n_classes,
-        k
-    );
-    // `cell_of[i * l2 + j]` is the cell of leaf pair (i, j), or `NO_CELL`.
-    const NO_CELL: u32 = u32::MAX;
-    assert!(cells.len() < NO_CELL as usize, "too many GCR cells");
-    let (l1, l2) = (m1.leaves().len(), m2.leaves().len());
-    let mut cell_of = vec![NO_CELL; l1 * l2];
-    for (idx, c) in cells.iter().enumerate() {
-        if c.left < l1 && c.right < l2 {
-            cell_of[c.left * l2 + c.right] = idx as u32;
-        }
+    for r in &routes {
+        assert!(
+            data.n_classes as usize <= r.k,
+            "dataset has {} classes but the GCR was built for {}",
+            data.n_classes,
+            r.k
+        );
     }
-    let cell_of = &cell_of;
+    let zeros = || -> Vec<Vec<u64>> { routes.iter().map(|r| vec![0; r.n_cells * r.k]).collect() };
+    let routes = &routes;
     let parts = map_chunks(par, data.len(), crate::model::SCAN_GRAIN, |range| {
-        let mut counts = vec![0u64; cells.len() * k];
+        let mut counts = zeros();
         for r in range {
             let row = data.table.row(r);
             let label = data.labels[r];
-            let (Some(i), Some(j)) = (m1.locate(row), m2.locate(row)) else {
+            let Some(mine) = own.locate(row) else {
                 continue;
             };
-            let idx = cell_of[i * l2 + j];
-            if idx != NO_CELL
-                && (!gcr.recheck || cells[idx as usize].region.contains_labeled(row, label))
-            {
-                counts[idx as usize * k + label as usize] += 1;
+            for (route, counts) in routes.iter().zip(&mut counts) {
+                let Some(theirs) = route.partner.locate(row) else {
+                    continue;
+                };
+                let (i, j) = if route.own_left {
+                    (mine, theirs)
+                } else {
+                    (theirs, mine)
+                };
+                let idx = route.cell_of[i * route.l2 + j];
+                if idx != NO_CELL
+                    && route
+                        .recheck
+                        .is_none_or(|cells| cells[idx as usize].region.contains_labeled(row, label))
+                {
+                    counts[idx as usize * route.k + label as usize] += 1;
+                }
             }
         }
         counts
     });
-    if parts.is_empty() {
-        return vec![0u64; cells.len() * k];
+    let mut merged = zeros();
+    for part in parts {
+        for (acc, counts) in merged.iter_mut().zip(part) {
+            for (a, c) in acc.iter_mut().zip(counts) {
+                *a += c;
+            }
+        }
     }
-    merge_counts(parts)
+    merged
 }
 
 // ---------------------------------------------------------------------------
@@ -526,17 +674,33 @@ impl ModelFamily for ClusterFamily {
         gcr.len()
     }
 
-    fn measures(
-        gcr: &Vec<BoxRegion>,
-        _m1: &ClusterModel,
-        _m2: &ClusterModel,
+    fn extend(
         data: &&Table,
-        _side: Side,
+        own: &ClusterModel,
+        partners: &[Partner<'_, Self>],
         par: Parallelism,
-    ) -> Vec<f64> {
-        count_boxes(data, gcr, par)
-            .into_iter()
-            .map(|c| c as f64)
+    ) -> Vec<Vec<f64>> {
+        // Each pair's boxes are counted on their own: pairs share no
+        // routing state worth building.
+        partners
+            .iter()
+            .map(|p| {
+                let plain;
+                let gcr = match p.gcr {
+                    Some(gcr) => gcr,
+                    None => {
+                        plain = match p.side {
+                            Side::Left => Self::gcr(own, p.model),
+                            Side::Right => Self::gcr(p.model, own),
+                        };
+                        &plain
+                    }
+                };
+                count_boxes(data, gcr, par)
+                    .into_iter()
+                    .map(|c| c as f64)
+                    .collect()
+            })
             .collect()
     }
 

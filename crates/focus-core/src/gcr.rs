@@ -83,19 +83,28 @@ pub struct OverlayCell {
 /// intersections (Definition 4.2). Because both inputs partition the
 /// attribute space, the output partitions it too and refines both inputs.
 pub fn gcr_partition(a: &[BoxRegion], b: &[BoxRegion]) -> Vec<OverlayCell> {
-    let mut cells = Vec::new();
-    for (i, ra) in a.iter().enumerate() {
-        for (j, rb) in b.iter().enumerate() {
-            if let Some(region) = ra.intersect(rb) {
-                cells.push(OverlayCell {
-                    region,
-                    left: i,
-                    right: j,
-                });
-            }
-        }
-    }
-    cells
+    overlay_pairs(a, b)
+        .map(|(i, j)| OverlayCell {
+            region: a[i].intersect(&b[j]).expect("the leaves intersect"),
+            left: i,
+            right: j,
+        })
+        .collect()
+}
+
+/// The leaf pairs `(i, j)` whose boxes intersect, row-major: the cells of
+/// [`gcr_partition`] in its order, without building their regions. A
+/// measure scan that routes rows by leaf pair numbers its cells by this.
+pub(crate) fn overlay_pairs<'a>(
+    a: &'a [BoxRegion],
+    b: &'a [BoxRegion],
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    a.iter().enumerate().flat_map(move |(i, ra)| {
+        b.iter()
+            .enumerate()
+            .filter(move |(_, rb)| ra.intersects(rb))
+            .map(move |(j, _)| (i, j))
+    })
 }
 
 /// GCR of two *non-exhaustive* box families (cluster-models).

@@ -282,6 +282,33 @@ impl BoxRegion {
         Some(BoxRegion { constraints, class })
     }
 
+    /// Whether the two boxes overlap: `self.intersect(other).is_some()`
+    /// without building the intersection.
+    pub(crate) fn intersects(&self, other: &BoxRegion) -> bool {
+        assert_eq!(
+            self.constraints.len(),
+            other.constraints.len(),
+            "boxes over different schemas"
+        );
+        if matches!((self.class, other.class), (Some(a), Some(b)) if a != b) {
+            return false;
+        }
+        self.constraints
+            .iter()
+            .zip(&other.constraints)
+            .all(|pair| match pair {
+                (
+                    AttrConstraint::Interval { lo: a, hi: b },
+                    AttrConstraint::Interval { lo: c, hi: d },
+                ) => a.max(*c) < b.min(*d),
+                (AttrConstraint::Cats(m1), AttrConstraint::Cats(m2)) => {
+                    assert_eq!(m1.cardinality, m2.cardinality);
+                    m1.bits.iter().zip(&m2.bits).any(|(x, y)| x & y != 0)
+                }
+                _ => panic!("cannot intersect interval with category constraint"),
+            })
+    }
+
     /// A copy of this box restricted to class `c`.
     pub fn with_class(&self, c: u32) -> BoxRegion {
         BoxRegion {
@@ -964,6 +991,36 @@ mod tests {
     }
 
     #[test]
+    fn intersects_agrees_with_intersect() {
+        // `gcr_partition` builds a cell exactly for the leaf pairs
+        // `intersects` admits, so the two must never disagree.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let schema = Schema::new(vec![
+            Schema::numeric("x"),
+            Schema::categorical("c", 5),
+            Schema::numeric("y"),
+            Schema::categorical("wide", 70),
+        ]);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut boxes = random_boxes(&schema, 40, false, &mut rng);
+        for (b, class) in boxes
+            .iter_mut()
+            .zip([None, Some(0), Some(1)].into_iter().cycle())
+        {
+            b.class = class;
+        }
+        let mut overlaps = 0;
+        for a in &boxes {
+            for b in &boxes {
+                assert_eq!(a.intersects(b), a.intersect(b).is_some(), "{a:?} {b:?}");
+                overlaps += usize::from(a.intersects(b));
+            }
+        }
+        assert!((1..40 * 40).contains(&overlaps), "{overlaps}");
+    }
+
+    #[test]
     fn box_index_matches_linear_scan() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -979,7 +1036,8 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(21);
         for schema in &schemas {
-            for n in [0, 1, 63, 64, 65, 200] {
+            // 256 and 257 boxes fill four bitset words and spill into a fifth.
+            for n in [0, 1, 63, 64, 65, 200, 256, 257] {
                 for disjoint in [false, true] {
                     let boxes = random_boxes(schema, n, disjoint, &mut rng);
                     let index = BoxIndex::new(&boxes);

@@ -416,9 +416,8 @@ enum Repr<'a> {
 /// handle's lifetime.
 ///
 /// The handle is `Sync` and interior-mutable ([`OnceLock`]), so parallel
-/// `Fn + Sync` closures — the matrix engine's per-pair fan-out — can share
-/// one source per snapshot and still pay at most one index build between
-/// them. The index budget is snapshotted at construction, so every count
+/// `Fn + Sync` closures can share one source per snapshot and still pay
+/// at most one index build between them. The index budget is snapshotted at construction, so every count
 /// through one handle sees the same budget regardless of later knob turns.
 pub struct CountSource<'a> {
     repr: Repr<'a>,

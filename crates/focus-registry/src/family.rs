@@ -9,10 +9,9 @@
 //! its manifest line records. All three of the paper's families implement it, so one
 //! generic registry handles lits-, dt- and cluster-snapshots alike.
 
-use focus_core::data::{LabeledTable, Schema, Table, TransactionSet};
+use focus_core::data::{LabeledTable, Table, TransactionSet};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
 use focus_core::region::BoxRegion;
-use std::sync::Arc;
 
 /// The model family a snapshot belongs to, as recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,9 +87,6 @@ pub trait SnapshotFamily: ModelFamily {
     /// Number of structural regions recorded in the manifest (itemsets,
     /// leaves, clusters).
     fn model_regions(model: &Self::Model) -> u64;
-    /// An empty stand-in dataset for members whose every pair was pruned —
-    /// phase 2 never touches it, so the registry can skip the dataset IO.
-    fn empty_dataset() -> Self::Dataset;
 }
 
 impl SnapshotFamily for LitsFamily {
@@ -125,10 +121,6 @@ impl SnapshotFamily for LitsFamily {
 
     fn model_regions(model: &Self::Model) -> u64 {
         model.len() as u64
-    }
-
-    fn empty_dataset() -> TransactionSet {
-        TransactionSet::new(0)
     }
 }
 
@@ -173,10 +165,6 @@ impl SnapshotFamily for DtFamily {
     fn model_regions(model: &Self::Model) -> u64 {
         model.leaves().len() as u64
     }
-
-    fn empty_dataset() -> LabeledTable {
-        LabeledTable::new(Arc::new(Schema::new(Vec::new())), 1)
-    }
 }
 
 impl SnapshotFamily for ClusterFamily {
@@ -212,10 +200,6 @@ impl SnapshotFamily for ClusterFamily {
 
     fn model_regions(model: &Self::Model) -> u64 {
         model.clusters().len() as u64
-    }
-
-    fn empty_dataset() -> Table {
-        Table::new(Arc::new(Schema::new(Vec::new())))
     }
 }
 

@@ -4,13 +4,24 @@
 //! Phase 1 evaluates the family's model-only upper bound
 //! ([`ModelFamily::upper_bound`]) for every unordered pair — a pure
 //! function of the two *models*, no dataset scans, effectively free (the
-//! "Time for δ*" column of Figure 13). Phase 2 runs the exact data-scan
-//! deviation ([`focus_core::deviation::deviate_over_sources`], over one
-//! shared access handle per snapshot) only for pairs whose
-//! bound exceeds the caller's threshold (or, in `--top K` mode, for the K
-//! pairs with the largest bounds); by Theorem 4.2 (1) `δ(f_a, g) ≤ δ*`, so
-//! a pair whose bound falls below the cut is *certified* uninteresting and
-//! the scan is pruned without loss.
+//! "Time for δ*" column of Figure 13). Phase 2 computes the exact
+//! data-scan deviation only for pairs whose bound exceeds the caller's
+//! threshold (or, in `--top K` mode, for the K pairs with the largest
+//! bounds); by Theorem 4.2 (1) `δ(f_a, g) ≤ δ*`, so a pair whose bound
+//! falls below the cut is *certified* uninteresting and the scan is
+//! pruned without loss.
+//!
+//! Phase 2 scans each snapshot once, not once per pair: every snapshot
+//! with a surviving pair is loaded, extended against every partner model
+//! it shares a surviving pair with ([`ModelFamily::extend`]: one routing
+//! pass per tree for dt, one count of the union of missing itemsets for
+//! lits), and dropped. A pair's first extended side keeps its measures
+//! until the second side is extended; that side folds `f` and `g` over
+//! both ([`fold_measures`]) and frees them. A matrix therefore holds at
+//! most one dataset per worker thread at a time, and measure vectors only
+//! for pairs with one side extended: after `k` of `n` snapshots, up to
+//! `k · (n − k)` vectors of `|GCR|` values, a quarter of all pairs midway
+//! through a full matrix.
 //!
 //! Screening auto-disables exactly where the bound does not dominate
 //! ([`ModelFamily::bound_dominates`]): for the lits family that means any
@@ -24,15 +35,19 @@
 //! ([`DeviationMatrix::embed`]) without any exact scan; cluster matrices
 //! embed over their exact cells instead.
 //!
-//! Both phases fan out over [`map_indices`] in pair-index order, so the
-//! whole matrix inherits the workspace determinism contract: bit-identical
-//! results for any worker-thread count.
+//! The bounds fan out over [`map_indices`] in pair order, and each
+//! snapshot's extension and each pair's fold are themselves
+//! thread-count-invariant whichever worker runs them, so the whole matrix
+//! inherits the workspace determinism contract: bit-identical results for
+//! any worker-thread count.
 
-use focus_core::deviation::deviate_over_sources;
+use focus_core::deviation::fold_measures;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::embed::DistanceMatrix;
-use focus_core::family::ModelFamily;
-use focus_exec::{map_indices, Parallelism};
+use focus_core::family::{ModelFamily, Partner, Side};
+use focus_exec::{chunk_ranges, join, map_indices, Parallelism};
+use std::borrow::Borrow;
+use std::sync::Mutex;
 
 /// A named, recoverable failure of the matrix engine: invalid screening
 /// parameters or an impossible embedding request.
@@ -224,37 +239,16 @@ fn surviving_pairs<F: ModelFamily>(
     }
 }
 
-/// Which collection members participate in at least one pair that
-/// survives screening — i.e. whose *datasets* phase 2 will scan. Lets
-/// callers that load datasets lazily (the registry) skip the IO for
-/// members whose every pair was pruned. `bounds` must come from
-/// [`pair_bounds`] over the same collection.
-pub(crate) fn screened_members<F: ModelFamily>(
-    models: &[F::Model],
-    bounds: &[f64],
-    params: &MatrixParams,
-) -> Vec<bool> {
-    let pair_list = pairs(models.len());
-    let mut needed = vec![false; models.len()];
-    for p in surviving_pairs::<F>(models, bounds, params) {
-        let (i, j) = pair_list[p];
-        needed[i] = true;
-        needed[j] = true;
-    }
-    needed
-}
-
 /// Computes the screened pairwise deviation matrix of a collection of any
 /// model family.
 ///
 /// `models[k]` and `datasets[k]` must describe the same snapshot `k`
 /// (named `names[k]`). Datasets whose every pair is pruned are never
-/// touched — callers may pass empty stand-ins for them (see
-/// [`Registry::matrix_of`](crate::Registry::matrix_of)).
+/// touched.
 ///
 /// Bit-identical for every worker-thread count: pair enumeration, chunk
 /// decomposition, and merge order are all pure functions of the input
-/// sizes, and the per-pair scans are themselves thread-count-invariant.
+/// sizes, and the scans are themselves thread-count-invariant.
 pub fn deviation_matrix<F: ModelFamily>(
     models: &[F::Model],
     datasets: &[F::Dataset],
@@ -262,28 +256,40 @@ pub fn deviation_matrix<F: ModelFamily>(
     params: &MatrixParams,
 ) -> Result<DeviationMatrix, MatrixError> {
     params.validate()?;
+    assert_eq!(models.len(), datasets.len(), "one dataset per model");
     // Phase 1: model-only bounds for every pair. One pair is one work
     // item; the bound needs no dataset scan, so this phase is cheap even
     // for large collections.
     let bounds = pair_bounds::<F>(models, params.agg, params.par);
-    Ok(deviation_matrix_with_bounds::<F>(
-        models, datasets, names, params, bounds,
-    ))
+    let load = |k: usize| Ok::<_, std::convert::Infallible>(&datasets[k]);
+    match deviation_matrix_with_bounds::<F, _, _>(models, names, params, bounds, load) {
+        Ok(m) => Ok(m),
+        Err(never) => match never {},
+    }
 }
 
 /// [`deviation_matrix`] with the phase-1 bounds already in hand (in
-/// [`pairs`] order) — lets the registry reuse the bounds it computed to
-/// decide which datasets to load instead of paying the sweep twice.
+/// [`pairs`] order) and the datasets behind a loader: `load(k)` returns
+/// snapshot `k`'s dataset, or an error that ends the matrix. It is called
+/// at most once per snapshot, only for snapshots with a surviving pair,
+/// from inside the fan-out (one contiguous run of snapshots per worker
+/// thread), and each dataset is dropped as soon as its snapshot is
+/// extended. When several loads fail, the error of the
+/// lowest-numbered snapshot is returned, whatever the thread count.
 /// `params` must already be validated.
-pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
+pub(crate) fn deviation_matrix_with_bounds<F, D, E>(
     models: &[F::Model],
-    datasets: &[F::Dataset],
     names: Vec<String>,
     params: &MatrixParams,
     pair_bounds: Vec<f64>,
-) -> DeviationMatrix {
+    load: impl Fn(usize) -> Result<D, E> + Sync,
+) -> Result<DeviationMatrix, E>
+where
+    F: ModelFamily,
+    D: Borrow<F::Dataset>,
+    E: Send,
+{
     let n = models.len();
-    assert_eq!(n, datasets.len(), "one dataset per model");
     assert_eq!(n, names.len(), "one name per model");
     let pair_list = pairs(n);
     assert_eq!(pair_list.len(), pair_bounds.len(), "one bound per pair");
@@ -294,29 +300,80 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
     // the pair survives.
     let survivors = surviving_pairs::<F>(models, &pair_bounds, params);
 
-    // Phase 2: exact scans for the surviving pairs only. Each pair is one
-    // work item; nested scan parallelism inside a worker runs inline per
-    // the focus-exec nesting guard. One access handle per snapshot is
-    // shared across every pair that scans it, so per-snapshot structures
-    // (the lits vertical index) are built at most once per run instead of
-    // once per pair; handles for snapshots whose every pair was pruned
-    // stay untouched (construction is free — no scan, no index build).
-    let sources: Vec<F::Source<'_>> = datasets.iter().map(|d| F::source(d)).collect();
-    let sources = &sources;
-    let exact_vals = map_indices(params.par, survivors.len(), |s| {
-        let (i, j) = pair_list[survivors[s]];
-        deviate_over_sources::<F>(
-            F::gcr(&models[i], &models[j]),
-            &models[i],
-            &sources[i],
-            &models[j],
-            &sources[j],
-            params.diff,
-            params.agg,
-            params.par,
-        )
-        .value
-    });
+    // Phase 2, per snapshot: `jobs[k]` lists the surviving pairs snapshot
+    // `k` takes part in, ascending. A snapshot is loaded, extended once
+    // against every partner, and dropped. Its measures for a pair wait in
+    // `parked` until the pair's other side is extended; that side folds f
+    // and g over both and frees them, so measures are held only for pairs
+    // with one side done. Every region of a plain GCR participates.
+    let mut jobs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (s, &p) in survivors.iter().enumerate() {
+        let (i, j) = pair_list[p];
+        jobs[i].push(s);
+        jobs[j].push(s);
+    }
+    let parked: Vec<_> = survivors.iter().map(|_| Mutex::new(None)).collect();
+    let extend_one = |k: usize, par: Parallelism| -> Result<Vec<(usize, f64)>, E> {
+        let partners: Vec<Partner<'_, F>> = jobs[k]
+            .iter()
+            .map(|&s| {
+                let (i, j) = pair_list[survivors[s]];
+                let (model, side) = if i == k {
+                    (&models[j], Side::Left)
+                } else {
+                    (&models[i], Side::Right)
+                };
+                Partner {
+                    model,
+                    side,
+                    gcr: None,
+                }
+            })
+            .collect();
+        let (len, measures) = {
+            let data = load(k)?;
+            let source = F::source(data.borrow());
+            let measures = F::extend(&source, &models[k], &partners, par);
+            (F::source_len(&source), measures)
+        };
+        let mut folded = Vec::new();
+        for ((&s, partner), mine) in jobs[k].iter().zip(&partners).zip(measures) {
+            let theirs = {
+                let mut slot = parked[s].lock().expect("no fold panicked");
+                match slot.take() {
+                    Some(theirs) => theirs,
+                    None => {
+                        *slot = Some((len, mine));
+                        continue;
+                    }
+                }
+            };
+            let ((n1, raw1), (n2, raw2)) = match partner.side {
+                Side::Left => ((len, mine), theirs),
+                Side::Right => (theirs, (len, mine)),
+            };
+            let (value, _) =
+                fold_measures::<F>(&raw1, &raw2, n1, n2, params.diff, params.agg, par, |_| true);
+            folded.push((s, value));
+        }
+        Ok(folded)
+    };
+    // The snapshots with a job, cut into one contiguous run per thread.
+    // Each run goes in snapshot order and stops at its first error, so the
+    // first error in snapshot order is the lowest-numbered failing
+    // snapshot's.
+    let scanned: Vec<usize> = (0..n).filter(|&k| !jobs[k].is_empty()).collect();
+    let threads = params.par.threads();
+    let bins: Vec<&[usize]> = chunk_ranges(scanned.len(), threads)
+        .into_iter()
+        .map(|r| &scanned[r])
+        .collect();
+    let mut exact_vals = vec![f64::NAN; survivors.len()];
+    for result in run_bins(&bins, threads, &extend_one).into_iter().flatten() {
+        for (s, value) in result? {
+            exact_vals[s] = value;
+        }
+    }
 
     let mut bounds = vec![0.0; n * n];
     for (p, &(i, j)) in pair_list.iter().enumerate() {
@@ -329,7 +386,7 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         exact[i * n + j] = exact_vals[s];
         exact[j * n + i] = exact_vals[s];
     }
-    DeviationMatrix {
+    Ok(DeviationMatrix {
         names,
         n,
         bounds,
@@ -338,6 +395,46 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         diff: params.diff,
         scanned: survivors.len(),
         metric: F::BOUND_IS_METRIC,
+    })
+}
+
+/// Runs `work(item, par)` over every item of every bin, each bin on its
+/// own share of `threads` worker threads (one bin per thread when there
+/// are at least as many threads as bins). A bin runs its items in order
+/// and stops at its first error, which is then its lowest failing item.
+/// Returns each bin's results, bins in order.
+fn run_bins<R: Send, E: Send>(
+    bins: &[&[usize]],
+    threads: usize,
+    work: &(impl Fn(usize, Parallelism) -> Result<R, E> + Sync),
+) -> Vec<Vec<Result<R, E>>> {
+    match bins {
+        [] => Vec::new(),
+        [bin] => {
+            let par = Parallelism::Threads(threads);
+            let mut out = Vec::with_capacity(bin.len());
+            for &item in *bin {
+                let result = work(item, par);
+                let failed = result.is_err();
+                out.push(result);
+                if failed {
+                    break;
+                }
+            }
+            vec![out]
+        }
+        _ => {
+            let mid = bins.len() / 2;
+            let left = (threads * mid / bins.len()).max(1);
+            let right = threads.saturating_sub(left).max(1);
+            let (mut a, b) = join(
+                Parallelism::Threads(threads),
+                || run_bins(&bins[..mid], left, work),
+                || run_bins(&bins[mid..], right, work),
+            );
+            a.extend(b);
+            a
+        }
     }
 }
 
@@ -694,23 +791,6 @@ mod tests {
         // A single point spans zero dimensions: embedding is an error, not
         // a junk coordinate row.
         assert!(matches!(m.embed(2), Err(MatrixError::EmbedDims { .. })));
-    }
-
-    #[test]
-    fn screened_members_marks_only_surviving_pairs() {
-        let (models, _, _) = collection(&[(1, 0.0), (2, 0.0), (3, 1.0)]);
-        let bounds = pair_bounds::<LitsFamily>(&models, AggFn::Sum, Parallelism::Sequential);
-        let all = screened_members::<LitsFamily>(&models, &bounds, &MatrixParams::default());
-        assert_eq!(all, vec![true, true, true]);
-        let none = screened_members::<LitsFamily>(
-            &models,
-            &bounds,
-            &MatrixParams {
-                threshold: f64::INFINITY,
-                ..MatrixParams::default()
-            },
-        );
-        assert_eq!(none, vec![false, false, false]);
     }
 
     #[test]

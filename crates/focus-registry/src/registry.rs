@@ -591,11 +591,15 @@ impl Registry {
 
     /// Computes the screened pairwise deviation matrix of the registry's
     /// snapshots of family `F` (other kinds are ignored). Models are
-    /// loaded up front; datasets are loaded only for pairs that survive
-    /// screening, so a high threshold never pays dataset IO at all. Two
-    /// snapshots over different schemas or class sets are an error that
-    /// names both, and a loaded dataset that does not fit its own model
-    /// is an error that names the snapshot.
+    /// loaded up front. A dataset is loaded only when its snapshot takes
+    /// part in a pair that survives screening, inside the matrix's
+    /// fan-out, and dropped once extended against all its partners, so a
+    /// high threshold never pays dataset IO and no more datasets are held
+    /// at once than there are worker threads. Two snapshots over
+    /// different schemas or class sets are an error that names both. A
+    /// dataset that fails to load, or does not fit its own model, is an
+    /// error that names the snapshot; when several do, the error is the
+    /// first one's in manifest order, for any thread count.
     pub fn matrix_of<F: SnapshotFamily>(
         &self,
         params: &MatrixParams,
@@ -616,32 +620,19 @@ impl Registry {
                 }
             }
         }
-        // The screening decision needs only the models: run the phase-1
-        // bound sweep once, load exactly the datasets that participate in
-        // a surviving pair (the others get cheap empty stand-ins phase
-        // two never touches), and hand the bounds to the engine so the
-        // sweep is not paid twice.
         let bounds = crate::matrix::pair_bounds::<F>(&models, params.agg, params.par);
-        let needed = crate::matrix::screened_members::<F>(&models, &bounds, params);
-        let mut datasets = Vec::with_capacity(entries.len());
-        for ((entry, needed), model) in entries.iter().zip(&needed).zip(&models) {
-            datasets.push(if *needed {
-                let data = self.load_snapshot_dataset::<F>(&entry.name)?;
-                if let Some(why) = F::data_mismatch(model, &data) {
-                    return Err(bad(&format!(
-                        "snapshot {:?}: its dataset does not fit its model: {why}",
-                        entry.name
-                    )));
-                }
-                data
-            } else {
-                F::empty_dataset()
-            });
-        }
         let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
-        Ok(crate::matrix::deviation_matrix_with_bounds::<F>(
-            &models, &datasets, names, params, bounds,
-        ))
+        let load = |k: usize| {
+            let name = &entries[k].name;
+            let data = self.load_snapshot_dataset::<F>(name)?;
+            match F::data_mismatch(&models[k], &data) {
+                Some(why) => Err(bad(&format!(
+                    "snapshot {name:?}: its dataset does not fit its model: {why}"
+                ))),
+                None => Ok(data),
+            }
+        };
+        crate::matrix::deviation_matrix_with_bounds::<F, _, _>(&models, names, params, bounds, load)
     }
 }
 
@@ -996,6 +987,57 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn dataset_load_errors_name_the_first_snapshot_in_manifest_order() {
+        // Datasets load inside the matrix's fan-out: with two broken, the
+        // error is the earlier snapshot's, for any thread count.
+        let dir = scratch("loaderr");
+        let mut reg = Registry::open_or_create(&dir).unwrap();
+        for (k, name) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+            add_lits(
+                &mut reg,
+                name,
+                &random_dataset(k as u64, 200, 0.2 * k as f64),
+                0.15,
+            )
+            .unwrap();
+            let (d, m) = dt_snapshot(20.0 + 20.0 * k as f64);
+            reg.add_snapshot::<DtFamily>(&format!("t{name}"), &d, &m)
+                .unwrap();
+        }
+        for (ext, first, second) in [("txns", "b", "d"), ("tbl", "tb", "td")] {
+            let flipped = dir.join(format!("{first}.{ext}.bin"));
+            let mut bytes = std::fs::read(&flipped).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            std::fs::write(&flipped, bytes).unwrap();
+            std::fs::write(dir.join(format!("{second}.{ext}.bin")), "garbage").unwrap();
+            let prefix = format!("{}: ", flipped.display());
+            let mut seen = Vec::new();
+            for par in [
+                Parallelism::Sequential,
+                Parallelism::Threads(1),
+                Parallelism::Threads(2),
+                Parallelism::Threads(4),
+                Parallelism::Threads(7),
+            ] {
+                let params = MatrixParams {
+                    par,
+                    ..MatrixParams::default()
+                };
+                let err = match ext {
+                    "txns" => reg.matrix_of::<LitsFamily>(&params).unwrap_err(),
+                    _ => reg.matrix_of::<DtFamily>(&params).unwrap_err(),
+                }
+                .to_string();
+                assert!(err.starts_with(&prefix), "{ext} {par:?}: {err}");
+                seen.push(err);
+            }
+            assert!(seen.windows(2).all(|w| w[0] == w[1]), "{seen:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -12,19 +12,19 @@
 //!   processes above (expected: the `patlen`-changing blocks (6),(7) are
 //!   significant, the `pats`-only block (5) is not).
 //!
-//! Columns: δ(f_a,g_sum), %sig (bootstrap over `--reps` replicates), δ*,
-//! time for δ, time for δ*.
+//! Columns: δ(f_a,g_sum), %sig (permutation test over `--reps`
+//! replicates), δ*, time for δ, time for δ*.
 
-use focus_bench::runner::mine;
+use focus_bench::runner::{mine, miner};
 use focus_bench::{fmt, fmt_sig, print_table, timed, ExpConfig};
 use focus_core::bound::lits_upper_bound;
 use focus_core::data::TransactionSet;
 use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::LitsFamily;
-use focus_core::qualify::qualify;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_exec::Parallelism;
+use focus_mining::qualify_pooled;
 
 const MINSUP: f64 = 0.01;
 
@@ -65,6 +65,7 @@ fn main() {
     }
 
     let m_d = mine(&d, MINSUP);
+    let miner = miner(MINSUP);
     let mut rows: Vec<Vec<String>> = Vec::new();
     let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
     for (label, other) in &family {
@@ -73,11 +74,7 @@ fn main() {
             timed(|| deviate::<LitsFamily>(&m_d, &d, &m_o, other, f, g, par).value);
         let (bound, t_bound) = timed(|| lits_upper_bound(&m_d, &m_o, AggFn::Sum));
         let sig = if cfg.reps > 0 {
-            let q = qualify(&d, other, dev, cfg.reps, cfg.seed ^ 0x55, par, |a, b| {
-                let ma = mine(a, MINSUP);
-                let mb = mine(b, MINSUP);
-                deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
-            });
+            let q = qualify_pooled(&d, other, &miner, f, g, cfg.reps, cfg.seed ^ 0x55, par);
             fmt_sig(q.significance_percent)
         } else {
             "-".to_string()

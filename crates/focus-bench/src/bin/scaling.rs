@@ -8,7 +8,7 @@
 //! done > BENCH_scaling.json
 //! ```
 //!
-//! The nine operations, each at `Parallelism::Global`:
+//! The eleven operations, each at `Parallelism::Global`:
 //!
 //! * `count_itemsets`, `count_partition`, `count_boxes` — the three
 //!   chunked dataset scans (itemset counting over a mined model's
@@ -30,9 +30,19 @@
 //!   screening never prunes) over 10 lits snapshots from two alternating
 //!   `gen-assoc` pattern sets, each mined like the CLI at minsup 0.005,
 //!   `--scale` × 1M rows each (20k at the default scale);
-//! * `qualify` — the bootstrap per-replicate fan-out of Section 3.4: each
-//!   of 8 replicates re-mines both pseudo-datasets and deviates them, over
-//!   two `--scale` × 100k-row datasets (2k at the default scale);
+//! * `qualify_pooled`, `qualify_pooled_99` — the lits qualification of
+//!   Section 3.4 as the CLI's `qualify` runs it
+//!   (`focus_mining::qualify_pooled`): one mine of the pool, the observed
+//!   δ, then 8 (or 99) permutation replicates, each one masked walk of the
+//!   pooled itemsets, over two `--scale` × 100k-row datasets (2k at the
+//!   default scale). Rows named `qualify` (commits up to `15a2e02`) timed
+//!   other work, 8 replicates that each re-mined both sides with the
+//!   observed δ outside the timer, and are not comparable with these;
+//! * `qualify_skewed` — the same entry point on sides a fifth and all of
+//!   that size (400 and 2k rows at the default scale, count thresholds 8
+//!   and 40), too far apart for one pool mine, so each of its 8
+//!   replicates re-mines both sides (at smoke scales the floor of 3 can
+//!   bring the thresholds within the pooled path's range);
 //! * `dt_fit` — greedy tree induction (parallel split search and sibling
 //!   subtree forks);
 //! * `kmeans_fit` — k-means Lloyd iterations (parallel assignment and
@@ -48,16 +58,14 @@
 use focus_bench::{git_commit, timed, ExpConfig};
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::data::{LabeledTable, TransactionSet};
-use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{DtFamily, LitsFamily, ModelFamily, Side};
 use focus_core::model::{count_boxes, count_itemsets, count_partition, DtModel, LitsModel};
-use focus_core::qualify::qualify;
 use focus_core::region::{BoxBuilder, BoxIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_exec::Parallelism;
-use focus_mining::{Apriori, AprioriParams};
+use focus_mining::{qualify_pooled, Apriori, AprioriParams};
 use focus_registry::{deviation_matrix, MatrixParams};
 use focus_tree::{DecisionTree, TreeParams};
 use std::hint::black_box;
@@ -183,35 +191,29 @@ fn main() {
         }),
     );
 
-    // The bootstrap fan-out: the paper's full qualification pipeline,
-    // mine both pseudo-datasets and deviate them, once per replicate.
+    // The qualification procedure: one pool mine, then one masked walk
+    // per permutation replicate; on skewed sides, a re-mine per replicate.
     let d1 = gen.generate(small, cfg.seed + 3);
     let d2 = gen.generate(small, cfg.seed + 4);
+    let d1_skewed = gen.generate(small / 5, cfg.seed + 5);
     let miner = Apriori::new(
         AprioriParams::with_minsup(0.02)
             .max_len(10)
             .min_count_floor(3),
     );
-    let pipeline = |a: &TransactionSet, b: &TransactionSet| {
-        let (ma, mb) = (miner.mine(a), miner.mine(b));
-        deviate::<LitsFamily>(
-            &ma,
-            a,
-            &mb,
-            b,
-            DiffFn::Absolute,
-            AggFn::Sum,
-            Parallelism::Sequential,
-        )
-        .value
-    };
-    let observed = pipeline(&d1, &d2);
-    record(
-        "qualify",
-        best_of(cfg.samples, || {
-            qualify(&d1, &d2, observed, 8, cfg.seed, par, pipeline)
-        }),
-    );
+    let (f, g) = (DiffFn::Absolute, AggFn::Sum);
+    for (layer, d1, reps) in [
+        ("qualify_pooled", &d1, 8),
+        ("qualify_pooled_99", &d1, 99),
+        ("qualify_skewed", &d1_skewed, 8),
+    ] {
+        record(
+            layer,
+            best_of(cfg.samples, || {
+                qualify_pooled(d1, &d2, &miner, f, g, reps, cfg.seed, par)
+            }),
+        );
+    }
 
     // Model induction.
     let tree_params = TreeParams::default().max_depth(8).min_leaf(20);

@@ -17,12 +17,17 @@ use focus_tree::{DecisionTree, TreeParams};
 /// every transaction is frequent"). At the paper's full scale both rails
 /// are inert.
 pub fn mine(data: &TransactionSet, minsup: f64) -> LitsModel {
+    miner(minsup).mine(data)
+}
+
+/// The miner [`mine`] runs, for callers that qualify with it
+/// (`focus_mining::qualify_pooled`).
+pub fn miner(minsup: f64) -> Apriori {
     Apriori::new(
         AprioriParams::with_minsup(minsup)
             .max_len(10)
             .min_count_floor(3),
     )
-    .mine(data)
 }
 
 /// Tree parameters used by the dt experiments: pre-pruning scaled to the

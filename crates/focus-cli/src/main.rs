@@ -32,10 +32,10 @@
 //!
 //! Every command additionally accepts `--threads N` (0 = one worker per
 //! core): dataset scans, model induction (decision-tree fitting included),
-//! and the bootstrap fan-out run on that many threads with bit-identical
-//! results. `FOCUS_THREADS` is the env-var equivalent. The counting cost
-//! model's cap on vertical tid-bitset indexes is a constant of the
-//! library; no flag changes it.
+//! and the qualification replicates run on that many threads with
+//! bit-identical results. `FOCUS_THREADS` is the env-var equivalent. The
+//! counting cost model's cap on vertical tid-bitset indexes is a constant
+//! of the library; no flag changes it.
 //!
 //! A flag the command does not know is an error, never silently ignored,
 //! and `--minsup` must lie in (0, 1]. `deviate` and `registry-add` read and
@@ -61,10 +61,9 @@ use focus_core::bound::lits_upper_bound;
 use focus_core::data::{LabeledTable, Table, TransactionSet};
 use focus_core::deviation::deviate_over_sources;
 use focus_core::diff::{AggFn, DiffFn};
-use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
+use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
 use focus_core::model::{ClusterModel, DtModel, LitsModel};
 use focus_core::persist::{read_lits_model, write_lits_model};
-use focus_core::qualify;
 use focus_core::source::CountSource;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
@@ -72,7 +71,7 @@ use focus_data::io::{
     read_labeled_table, read_transactions, write_labeled_table, write_transactions,
 };
 use focus_exec::Parallelism;
-use focus_mining::{Apriori, AprioriParams};
+use focus_mining::{qualify_pooled, Apriori, AprioriParams};
 use focus_registry::{
     DeviationMatrix, MatrixParams, Registry, RegistryLayout, SnapshotEntry, SnapshotFamily,
     SnapshotKind, StorageFormat,
@@ -100,9 +99,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Global flag, honoured by every command: worker threads for dataset
-    // scans, model induction, and bootstrap fan-out (0 = one per core).
-    // Results are bit-identical for any setting; without the flag the
-    // FOCUS_THREADS environment variable (or the core count) decides.
+    // scans, model induction, and qualification replicates (0 = one per
+    // core). Results are bit-identical for any setting; without the flag
+    // the FOCUS_THREADS environment variable (or the core count) decides.
     match opt::<usize>(&flags, "threads", 0) {
         Ok(n) => {
             if flags.contains_key("threads") {
@@ -171,8 +170,8 @@ kind flags (deviate, registry-add; another kind's flag is an error):
   cluster    [--clusters K --seed S]             k-means
 
 global flags:
-  --threads N   worker threads for scans, model induction, and bootstrap
-                fan-out (0 = one per core; default: FOCUS_THREADS env var,
+  --threads N   worker threads for scans, model induction, and qualify's
+                replicates (0 = one per core; default: FOCUS_THREADS env var,
                 else core count). Results are bit-identical for every
                 thread count.";
 
@@ -456,25 +455,18 @@ fn qualify(flags: &Flags) -> Result<(), String> {
     let m = miner(minsup(flags)?);
     let reps: usize = opt(flags, "reps", 99)?;
     if reps == 0 {
-        return Err("--reps must be at least 1: a significance needs bootstrap replicates".into());
+        return Err("--reps must be at least 1: a significance needs replicates".into());
     }
     let seed: u64 = opt(flags, "seed", 7)?;
-    // Bootstrap resampling draws from the pooled rows, so both sides need
-    // at least one.
+    // Each replicate splits the pooled rows, so both sides need at least
+    // one.
     let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
     let (d1, d2) = load_pair::<LitsFamily>(p1, p2)?;
     require_rows(p1, d1.len())?;
     require_rows(p2, d2.len())?;
     let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Global);
-    let pipeline = |a: &TransactionSet, b: &TransactionSet| {
-        let (sa, sb) = (CountSource::borrowed(a), CountSource::borrowed(b));
-        let (ma, mb) = (m.mine_source(&sa), m.mine_source(&sb));
-        let gcr = LitsFamily::gcr(&ma, &mb);
-        deviate_over_sources::<LitsFamily>(gcr, &ma, &sa, &mb, &sb, f, g, par).value
-    };
-    let observed = pipeline(&d1, &d2);
-    let q = qualify::qualify(&d1, &d2, observed, reps, seed, par, pipeline);
-    let sig = q.significance_percent;
+    let q = qualify_pooled(&d1, &d2, &m, f, g, reps, seed, par);
+    let (observed, sig) = (q.observed, q.significance_percent);
     println!("deviation {observed:.6}  significance {sig:.2}%");
     Ok(())
 }

@@ -4,7 +4,8 @@
 //! exits 0 and emits a well-formed report.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_focus-cli")
@@ -923,6 +924,82 @@ fn empty_models_deviate_by_positive_zero() {
         "qualify", "--d1", d1, "--d2", d2, "--minsup", "0.3", "--reps", "3",
     ]));
     assert!(q.starts_with("deviation 0.000000 "), "{q}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs focus-cli like [`run`], but kills it and fails the test if it has
+/// not exited within `limit`.
+fn run_within(args: &[&str], limit: Duration) -> Output {
+    let start = Instant::now();
+    let mut child = Command::new(bin())
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn focus-cli");
+    while child.try_wait().expect("focus-cli runs").is_none() {
+        if start.elapsed() > limit {
+            child.kill().ok();
+            panic!("focus-cli {args:?} did not finish within {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("focus-cli output");
+    assert!(out.status.success(), "focus-cli {args:?} failed: {out:?}");
+    out
+}
+
+#[test]
+fn qualify_finishes_on_small_inputs_at_the_default_minsup() {
+    // Two 300-row files at minsup 0.01 (count floor 2). A with-replacement
+    // draw duplicated rows, which made every subset of a duplicated row
+    // frequent: `qualify --reps 1` ran for more than 20 s. Each
+    // permutation replicate splits the pool, so no row repeats.
+    let dir = scratch("small-qualify");
+    let (d1, d2) = (dir.join("d1.txt"), dir.join("d2.txt"));
+    for (d, seed) in [(&d1, "1"), (&d2, "2")] {
+        run(&[
+            "gen-assoc",
+            "--out",
+            path_str(d),
+            "--n",
+            "300",
+            "--seed",
+            seed,
+        ]);
+    }
+    let (d1, d2) = (path_str(&d1), path_str(&d2));
+    let dev = stdout(&run(&["deviate", "--d1", d1, "--d2", d2]));
+    for reps in ["1", "99"] {
+        let args = ["qualify", "--d1", d1, "--d2", d2, "--reps", reps];
+        let q = stdout(&run_within(&args, Duration::from_secs(60)));
+        let printed = q
+            .strip_prefix("deviation ")
+            .and_then(|r| r.split(' ').next());
+        assert_eq!(printed, Some(dev.trim()), "{q}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn qualify_finishes_on_skewed_side_sizes() {
+    // 100 rows against 10k at minsup 0.01: counts 2 and 100. Mining the
+    // pool once at count 2 over all 10,100 rows ran for more than 60 s in
+    // a release build; sides this far apart re-mine each replicate
+    // instead, under a second even in a debug build.
+    let dir = scratch("skewed-qualify");
+    let (d1, d2) = (dir.join("d1.txt"), dir.join("d2.txt"));
+    for (d, n, seed) in [(&d1, "100", "1"), (&d2, "10000", "2")] {
+        run(&["gen-assoc", "--out", path_str(d), "--n", n, "--seed", seed]);
+    }
+    let (d1, d2) = (path_str(&d1), path_str(&d2));
+    let dev = stdout(&run(&["deviate", "--d1", d1, "--d2", d2]));
+    let args = ["qualify", "--d1", d1, "--d2", d2, "--reps", "9"];
+    let q = stdout(&run_within(&args, Duration::from_secs(30)));
+    let printed = q
+        .strip_prefix("deviation ")
+        .and_then(|r| r.split(' ').next());
+    assert_eq!(printed, Some(dev.trim()), "{q}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

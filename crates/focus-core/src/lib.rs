@@ -43,7 +43,7 @@
 //!   `bound`);
 //! * [`monitor`] — misclassification error and chi-squared as FOCUS special
 //!   cases (Thm. 5.2, Prop. 5.1);
-//! * [`qualify`] — bootstrap significance of deviations (Section 3.4).
+//! * [`qualify`] — permutation significance of deviations (Section 3.4).
 //!
 //! ## Quick example
 //!

@@ -2,29 +2,47 @@
 //! significant?
 //!
 //! "A deviation of 0.01 may not be uncommon between two datasets generated
-//! by the same process." To decide, the paper bootstraps the distribution
-//! `F` of deviation values under the null hypothesis that both datasets come
-//! from one process: pool the datasets, repeatedly draw two pseudo-datasets
-//! of the original sizes (with replacement), run the full model-induction +
-//! deviation pipeline on each pair, and report where the observed deviation
-//! falls in that distribution (the "%sig" columns of Figures 13 and 14).
+//! by the same process." To decide, the paper estimates the distribution
+//! `F` of deviation values under the null hypothesis that both datasets
+//! come from one process: pool the datasets, repeatedly split the pool
+//! into two pseudo-datasets of the original sizes, run the full
+//! model-induction + deviation pipeline on each pair, and report where the
+//! observed deviation falls in that distribution (the "%sig" columns of
+//! Figures 13 and 14).
+//!
+//! **A permutation split, not the paper's draw with replacement.** Each
+//! replicate deals the pool's rows into the two pseudo-datasets without
+//! replacement ([`permutation_split`]): the permutation test, the exact
+//! test of "one process" (Efron & Tibshirani, *An Introduction to the
+//! Bootstrap*, 1993, ch. 15). A draw with replacement duplicates rows, and
+//! on small lits inputs a duplicated row pushes every subset of itself
+//! over the mining count floor, so one replicate could mine without end.
+//! A split also partitions the pool, which lets the lits path mine the
+//! pool once and count every replicate from it (`focus-mining`'s
+//! `pooled` module).
 //!
 //! The seeded per-replicate fan-out lives in `focus-stats`
-//! ([`null_distribution`]); [`qualify`] supplies the resampling over any
-//! [`Pool`] dataset, drawing *indices* so rows are never cloned.
+//! ([`null_distribution`]); [`split_null`] draws one split per replicate
+//! through it and hands the statistic the two sides' *row indices*, so
+//! rows are never cloned unless the statistic asks for them. [`qualify`]
+//! is that engine over any [`Pool`] dataset.
 //!
-//! Each bootstrap replicate runs the full model-induction pipeline, so the
-//! fan-out over replicates dominates qualification cost. Every function here
+//! Each replicate runs the full model-induction pipeline, so the fan-out
+//! over replicates dominates qualification cost. Every function here
 //! therefore takes (or defaults) a [`Parallelism`]: replicate `i` draws from
 //! its own seeded generator, making the null distribution a pure function
 //! of `(datasets, reps, seed)` — bit-identical for any thread count.
 
 use crate::data::{resample_indices, LabeledTable, TransactionSet};
 use focus_exec::Parallelism;
-use focus_stats::bootstrap::{null_distribution, BootstrapResult};
+use focus_stats::bootstrap::null_distribution;
+// Re-exported so a caller of `split_null` (focus-mining's pooled path)
+// can build the result without depending on focus-stats itself.
+pub use focus_stats::bootstrap::BootstrapResult;
+use rand::Rng;
 
-/// A dataset the bootstrap can pool and resample: the transaction sets of
-/// lits-models and the labelled tables of dt-models.
+/// A dataset the qualification procedure can pool and split: the
+/// transaction sets of lits-models and the labelled tables of dt-models.
 pub trait Pool: Sized {
     /// Number of rows.
     fn len(&self) -> usize;
@@ -34,7 +52,7 @@ pub trait Pool: Sized {
     }
     /// `self`'s rows followed by `other`'s.
     fn concat(&self, other: &Self) -> Self;
-    /// The rows at `indices`, in that order (repeats allowed).
+    /// The rows at `indices`, in that order.
     fn subset(&self, indices: &[usize]) -> Self;
 }
 
@@ -49,16 +67,70 @@ macro_rules! impl_pool {
 }
 impl_pool!(TransactionSet, LabeledTable);
 
+/// One replicate's split of an `n`-row pool: `n1` rows drawn without
+/// replacement from `rng` (a partial Fisher–Yates shuffle), and the other
+/// `n − n1`. Returns the drawn rows and their complement, each ascending.
+///
+/// Every permutation replicate draws through this one function — the
+/// generic [`qualify`] and `focus-mining`'s pooled lits path alike — so
+/// replicate `i` gets the same split from both.
+///
+/// # Panics
+///
+/// If `n1 > n`.
+pub fn permutation_split<R: Rng + ?Sized>(
+    n: usize,
+    n1: usize,
+    rng: &mut R,
+) -> (Vec<usize>, Vec<usize>) {
+    assert!(n1 <= n, "cannot draw {n1} of {n} rows without replacement");
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in 0..n1 {
+        order.swap(i, rng.gen_range(i..n));
+    }
+    let mut drawn = vec![false; n];
+    for &r in &order[..n1] {
+        drawn[r] = true;
+    }
+    (0..n).partition(|&r| drawn[r])
+}
+
+/// The permutation null distribution of a two-sample statistic over a
+/// pool of `n1 + n2` rows (the first `n1` from `D1`), with the replicates
+/// fanned out over `par` worker threads.
+///
+/// Replicate `i` draws one [`permutation_split`] of the pool from its own
+/// generator ([`null_distribution`]) and evaluates `stat` on the two
+/// sides' row indices: `n1` rows, then the other `n2`. Returns the
+/// statistic per replicate, in replicate order.
+pub fn split_null<F>(
+    n1: usize,
+    n2: usize,
+    reps: usize,
+    seed: u64,
+    par: Parallelism,
+    stat: F,
+) -> Vec<f64>
+where
+    F: Fn(&[usize], &[usize]) -> f64 + Sync,
+{
+    null_distribution(reps, seed, par, |rng| {
+        let (i1, i2) = permutation_split(n1 + n2, n1, rng);
+        stat(&i1, &i2)
+    })
+}
+
 /// Qualifies an observed deviation between two datasets, with the
 /// replicates fanned out over `par` worker threads.
 ///
 /// `stat` must be the complete pipeline "induce a model from each dataset,
 /// compute their deviation" — e.g. mine frequent itemsets at the original
 /// minimum support and evaluate `δ(f_a, g_sum)`, or build a tree on each
-/// pseudo-dataset. Each replicate draws `d1.len()` then `d2.len()` row
-/// indices from the pooled rows.
+/// pseudo-dataset. Each replicate splits the pooled rows
+/// ([`split_null`]) and copies the two sides out of the pool, each in
+/// ascending pool order.
 ///
-/// Returns the bootstrap null distribution and the significance percentage.
+/// Returns the null distribution and the significance percentage.
 pub fn qualify<D, F>(
     d1: &D,
     d2: &D,
@@ -77,10 +149,8 @@ where
         "datasets must be non-empty"
     );
     let pool = d1.concat(d2);
-    let null = null_distribution(reps, seed, par, |rng| {
-        let i1 = resample_indices(pool.len(), d1.len(), rng);
-        let i2 = resample_indices(pool.len(), d2.len(), rng);
-        stat(&pool.subset(&i1), &pool.subset(&i2))
+    let null = split_null(d1.len(), d2.len(), reps, seed, par, |i1, i2| {
+        stat(&pool.subset(i1), &pool.subset(i2))
     });
     BootstrapResult::new(observed, null)
 }
@@ -106,6 +176,13 @@ where
 /// of size `n2` from the old dataset `d1` — datasets that fit the old
 /// model by construction — then reports the p-value of the observed
 /// statistic. The replicates fan out over `par` worker threads.
+///
+/// This one draw stays a bootstrap, with replacement: there is no second
+/// sample to pool, only the old dataset standing in for its process, and
+/// a pseudo-`D2` must vary like a fresh sample of `n2` rows would, even
+/// when `n2` approaches `d1.len()` (a split of `d1` would then leave no
+/// variation at all). `stat` scores each resample against the fixed old
+/// model, so no model is induced from duplicated rows.
 ///
 /// `stat` evaluates the statistic of one pseudo-dataset against the fixed
 /// old model.
@@ -228,8 +305,8 @@ mod tests {
 
         let obs_same = stump_deviation(&d1, &d_same);
         let r_same = qualify(&d1, &d_same, obs_same, 49, 11, par, stump_deviation);
-        // Same process: not significant (19 of 49 replicates lie below).
-        assert_eq!(r_same.significance_percent, 38.775510204081634);
+        // Same process: not significant (16 of 49 replicates lie below).
+        assert_eq!(r_same.significance_percent, 32.6530612244898);
 
         let obs_shift = stump_deviation(&d1, &d_shift);
         let r_shift = qualify(&d1, &d_shift, obs_shift, 49, 11, par, stump_deviation);
@@ -268,6 +345,31 @@ mod tests {
             r.significance_percent >= 99.0,
             "drift sig = {}",
             r.significance_percent
+        );
+    }
+
+    #[test]
+    fn permutation_split_partitions_the_pool() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for (n, n1) in [(0, 0), (1, 0), (1, 1), (10, 3), (64, 64), (100, 37)] {
+            let (a, b) = permutation_split(n, n1, &mut rng);
+            assert_eq!((a.len(), b.len()), (n1, n - n1));
+            assert!(a.windows(2).all(|w| w[0] < w[1]), "ascending");
+            assert!(b.windows(2).all(|w| w[0] < w[1]), "ascending");
+            let mut all = [a, b].concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..n).collect::<Vec<_>>(), "a partition");
+        }
+        // Every row is equally likely on the drawn side: 3 of 10.
+        let mut drawn = [0u32; 10];
+        for _ in 0..4000 {
+            for r in permutation_split(10, 3, &mut rng).0 {
+                drawn[r] += 1;
+            }
+        }
+        assert!(
+            drawn.iter().all(|&c| (1080..1320).contains(&c)),
+            "{drawn:?}"
         );
     }
 

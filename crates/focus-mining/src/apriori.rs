@@ -92,6 +92,13 @@ impl AprioriParams {
         self.parallelism = par;
         self
     }
+
+    /// The threshold rule: how many of `n` transactions must support an
+    /// itemset for it to be frequent, `max(⌈minsup · n⌉, 1,
+    /// min_count_floor)`.
+    pub fn min_count(&self, n: usize) -> u64 {
+        ((self.minsup * n as f64).ceil().max(1.0) as u64).max(self.min_count_floor)
+    }
 }
 
 /// The Apriori miner.
@@ -125,18 +132,35 @@ impl Apriori {
     /// extension.
     pub fn mine_source(&self, source: &CountSource<'_>) -> LitsModel {
         let n = source.len();
-        if n == 0 {
-            return LitsModel::new(Vec::new(), Vec::new(), self.params.minsup, 0);
-        }
-        // ceil(minsup · n) supporting transactions required.
-        let min_count = ((self.params.minsup * n as f64).ceil().max(1.0) as u64)
-            .max(self.params.min_count_floor);
+        let frequent = self.mine_counts(source, self.params.min_count(n));
+        let (itemsets, counts): (Vec<Itemset>, Vec<u64>) = frequent.into_iter().unzip();
+        let supports = counts.iter().map(|&c| c as f64 / n as f64).collect();
+        LitsModel::new(itemsets, supports, self.params.minsup, n as u64)
+    }
 
+    /// The miner's parameters.
+    pub fn params(&self) -> &AprioriParams {
+        &self.params
+    }
+
+    /// Every itemset (up to the length cap) that at least `min_count`
+    /// transactions behind `source` support, with its exact count, level
+    /// by level and ascending within a level. [`Self::mine_source`] is
+    /// this at the threshold rule's [`AprioriParams::min_count`]; the
+    /// pooled qualification mines a pool at an absolute count of its own.
+    pub(crate) fn mine_counts(
+        &self,
+        source: &CountSource<'_>,
+        min_count: u64,
+    ) -> Vec<(Itemset, u64)> {
+        if source.is_empty() {
+            return Vec::new();
+        }
         let par = self.params.parallelism;
         let within_cap = |k: usize| self.params.max_len.is_none_or(|cap| k <= cap);
         let mut all_frequent: Vec<(Itemset, u64)> = Vec::new();
         // Appends the frequent itemsets of one counted batch, in order, to
-        // the model and to `frequent` (the next level's frontier).
+        // the result and to `frequent` (the next level's frontier).
         let mut keep = |batch: Vec<Itemset>, counts: Vec<u64>, frequent: &mut Vec<Itemset>| {
             for (cand, count) in batch.into_iter().zip(counts) {
                 if count >= min_count {
@@ -174,10 +198,7 @@ impl Apriori {
             frontier = next;
             k += 1;
         }
-
-        let (itemsets, counts): (Vec<Itemset>, Vec<u64>) = all_frequent.into_iter().unzip();
-        let supports = counts.iter().map(|&c| c as f64 / n as f64).collect();
-        LitsModel::new(itemsets, supports, self.params.minsup, n as u64)
+        all_frequent
     }
 }
 

@@ -10,6 +10,9 @@
 //! come from a [`focus_core::source::CountSource`], the same counting
 //! engine the measure-extension step uses.
 //!
+//! [`qualify_pooled`] qualifies a lits deviation (Section 3.4) against
+//! permutation replicates counted from one mine of the pooled datasets.
+//!
 //! ```
 //! use focus_core::data::TransactionSet;
 //! use focus_mining::{Apriori, AprioriParams};
@@ -28,5 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod apriori;
+pub mod pooled;
 
 pub use apriori::{Apriori, AprioriParams};
+pub use pooled::qualify_pooled;

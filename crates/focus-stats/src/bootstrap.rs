@@ -2,17 +2,19 @@
 //!
 //! The question the paper asks is: *is an observed deviation `d` between two
 //! datasets large enough that they are unlikely to come from the same
-//! generating process?* The answer is obtained by bootstrapping: pool the two
-//! datasets, repeatedly resample two pseudo-datasets of the original sizes
-//! from the pool (with replacement), recompute the deviation for each
-//! replicate, and read off where the observed value falls in that null
-//! distribution. The same engine estimates the exact null distribution of
-//! the chi-squared statistic when the textbook applicability conditions fail
-//! (Section 5.2.2).
+//! generating process?* The answer is obtained by resampling: pool the two
+//! datasets, repeatedly draw two pseudo-datasets of the original sizes
+//! from the pool (focus-core's `qualify` splits it without replacement, a
+//! permutation test), recompute the deviation for each replicate, and read
+//! off where the observed value falls in that null distribution. The same
+//! engine estimates the exact null distribution of the chi-squared
+//! statistic when the textbook applicability conditions fail (Section
+//! 5.2.2), by a bootstrap with replacement.
 //!
 //! [`null_distribution`] is the one seeded per-replicate fan-out: callers
 //! supply only the resampling closure for their dataset shape (focus-core's
-//! `qualify` and `qualify_chi_squared`), and
+//! `split_null`, behind `qualify` and focus-mining's `qualify_pooled`, and
+//! `qualify_chi_squared`), and
 //! [`BootstrapResult::new`] situates the observed value in the result.
 
 use focus_exec::{derive_seed, map_indices, Parallelism};

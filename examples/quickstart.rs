@@ -5,7 +5,7 @@
 
 use focus::core::prelude::*;
 use focus::data::assoc::{AssocGen, AssocGenParams};
-use focus::mining::{Apriori, AprioriParams};
+use focus::mining::{qualify_pooled, Apriori, AprioriParams};
 
 fn main() {
     // Two snapshot datasets. D1 and D2 come from the SAME generating
@@ -44,16 +44,13 @@ fn main() {
     println!("δ(D1, D2) [same process]      = {dev_same:.4}");
     println!("δ(D1, D3) [different process] = {dev_diff:.4}");
 
-    // Raw deviation numbers are not interpretable alone — qualify them with
-    // the bootstrap (Section 3.4): how extreme is the observed deviation
-    // under the null hypothesis "one generating process"?
-    let pipeline = |a: &TransactionSet, b: &TransactionSet| {
-        let ma = miner.mine(a);
-        let mb = miner.mine(b);
-        deviate::<LitsFamily>(&ma, a, &mb, b, f, g, par).value
-    };
-    let q_same = qualify(&d1, &d2, dev_same, 49, 7, par, pipeline);
-    let q_diff = qualify(&d1, &d3, dev_diff, 49, 7, par, pipeline);
+    // Raw deviation numbers are not interpretable alone — qualify them
+    // (Section 3.4): how extreme is the observed deviation under the null
+    // hypothesis "one generating process"? Each replicate splits the pooled
+    // rows in two; the lits path mines the pool once and counts every split
+    // from it.
+    let q_same = qualify_pooled(&d1, &d2, &miner, f, g, 49, 7, par);
+    let q_diff = qualify_pooled(&d1, &d3, &miner, f, g, 49, 7, par);
     println!(
         "significance: same-process {:.0}%, different-process {:.0}%",
         q_same.significance_percent, q_diff.significance_percent

@@ -9,7 +9,8 @@
 //! pair triangle, summed exactly), shared counting-source
 //! handles with their lazily cached index, decision-tree induction,
 //! k-means Lloyd iterations, per-region `f`/`g` aggregation, and the
-//! bootstrap qualification fan-out (`qualify`, `qualify_chi_squared`) —
+//! qualification fan-out (`qualify`, `qualify_chi_squared`, and the pooled
+//! lits path `qualify_pooled`) —
 //! must produce **bit-identical** results for any worker-thread count.
 //! Floating-point results are compared via their IEEE-754 bit patterns,
 //! not a tolerance: the engine's chunk decomposition, deterministic merge
@@ -19,7 +20,7 @@
 use focus::cluster::{KMeans, KMeansParams};
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
-use focus::mining::{Apriori, AprioriParams};
+use focus::mining::{qualify_pooled, Apriori, AprioriParams};
 use focus::registry::{deviation_matrix, MatrixParams};
 use focus::stats::null_distribution;
 use focus::tree::{DecisionTree, TreeParams};
@@ -241,6 +242,38 @@ proptest! {
             prop_assert_eq!(q.significance_percent.to_bits(),
                             q_seq.significance_percent.to_bits(),
                             "significance, threads = {}", t);
+        }
+    }
+
+    /// The pooled lits qualification — one mine of the pool, one masked
+    /// walk per replicate, the pool mine itself on `par` — is
+    /// bit-identical for any thread count, and to the re-mining `qualify`
+    /// at the same seed.
+    #[test]
+    fn pooled_qualification_bit_identical(seed in 0u64..1_000_000,
+                                          data_seed in 0u64..1_000_000,
+                                          n in 30usize..90) {
+        let (f, g) = (DiffFn::Absolute, AggFn::Sum);
+        let d1 = random_transactions(n, 8, 0.3, data_seed);
+        let d2 = random_transactions(n + 5, 8, 0.35, data_seed ^ 0xABCD);
+        let miner = |par| Apriori::new(AprioriParams::with_minsup(0.2).max_len(4).parallelism(par));
+        let seq = miner(Parallelism::Sequential);
+        let pipeline = |a: &TransactionSet, b: &TransactionSet| {
+            let (ma, mb) = (seq.mine(a), seq.mine(b));
+            deviate::<LitsFamily>(&ma, a, &mb, b, f, g, Parallelism::Sequential).value
+        };
+        let reference = qualify(
+            &d1, &d2, pipeline(&d1, &d2), 12, seed, Parallelism::Sequential, pipeline,
+        );
+        let pars = std::iter::once(Parallelism::Sequential).chain(THREADS.map(Parallelism::Threads));
+        for par in pars {
+            let q = qualify_pooled(&d1, &d2, &miner(par), f, g, 12, seed, par);
+            prop_assert_eq!(q.observed.to_bits(), reference.observed.to_bits(),
+                            "observed, {:?}", par);
+            assert_bits_eq(&q.null_distribution, &reference.null_distribution, "null distribution");
+            prop_assert_eq!(q.significance_percent.to_bits(),
+                            reference.significance_percent.to_bits(),
+                            "significance, {:?}", par);
         }
     }
 

@@ -34,8 +34,8 @@ fn same_process_deviation_is_small_and_insignificant() {
     let d2 = process.generate(2500, 2);
     let obs = deviation(&d1, &d2);
     let q = qualify(&d1, &d2, obs, 29, 9, Parallelism::Global, deviation);
-    // Not flagged: 24 of 29 replicates lie below.
-    assert_eq!(q.significance_percent, 82.75862068965517);
+    // Not flagged: 21 of 29 permutation replicates lie below.
+    assert_eq!(q.significance_percent, 72.41379310344827);
 }
 
 #[test]
